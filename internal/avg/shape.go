@@ -29,15 +29,16 @@ func ShapeExtraction(cluster [][]float64, ref []float64) []float64 {
 		}
 		return make([]float64, len(ref))
 	}
-	refIsZero := ref == nil || isAllZero(ref)
+	if ref == nil || isAllZero(ref) {
+		return ShapeExtractionAligned(cluster)
+	}
+	// One spectrum cache over the members with ref as the query: n+1
+	// forward transforms and n inverses, as in k-Shape's refinement step.
+	q := dist.NewSBDBatch(cluster).Query(ref)
 	aligned := make([][]float64, len(cluster))
 	for i, x := range cluster {
-		if refIsZero {
-			aligned[i] = x
-		} else {
-			_, a := dist.SBD(ref, x)
-			aligned[i] = a
-		}
+		_, shift := q.Distance(i)
+		aligned[i] = ts.Shift(x, shift)
 	}
 	return ShapeExtractionAligned(aligned)
 }

@@ -5,6 +5,13 @@
 // cross-correlation normalizations NCCb/NCCu/NCCc, and the shape-based
 // distance SBD with its three implementation variants from Table 2
 // (optimized FFT, FFT without power-of-two padding, and naive O(m²)).
+//
+// Every FFT cross-correlation runs on the shared real-input plans of
+// internal/fft (fft.Plan): one-shot pairs through RFFT.Correlate, fixed
+// collections through the spectrum cache SBDBatch. Both share one
+// denominator (nccDen), one zero-norm convention (degenerate), and one
+// lag scan (scanCC), so a per-pair SBD equals the batch result bit for
+// bit.
 package dist
 
 import (
@@ -34,6 +41,23 @@ func (f Func) Name() string { return f.Label }
 
 // Distance implements Measure.
 func (f Func) Distance(x, y []float64) float64 { return f.Fn(x, y) }
+
+// NearestIndices returns, for every query, the index of its nearest series
+// in refs under d — NNIndex per query, ties toward the smaller index, -1
+// when refs is empty — with queries spread over workers (par.Resolve
+// semantics). SBDMeasure runs on the spectrum cache (SBDNearest: one
+// transform per reference, shared by all queries), which gives the same
+// indices. The result is identical for every worker count.
+func NearestIndices(d Measure, refs, queries [][]float64, workers int) []int {
+	if _, ok := d.(SBDMeasure); ok && len(refs) > 0 && len(refs[0]) > 0 {
+		return SBDNearest(refs, queries, workers)
+	}
+	out := make([]int, len(queries))
+	par.For(workers, len(queries), func(i int) {
+		out[i], _ = NNIndex(d, queries[i], refs)
+	})
+	return out
+}
 
 // PairwiseMatrix computes the full symmetric n×n dissimilarity matrix of
 // data under d, parallelized across all CPUs. This is the matrix that

@@ -46,7 +46,7 @@ func NCCSequence(x, y []float64, norm NCCNorm) []float64 {
 	if m == 0 {
 		return nil
 	}
-	cc := fft.CrossCorrelate(x, y)
+	cc := fft.Plan(fft.NextPow2(2*m-1)).Correlate(x, y)
 	switch norm {
 	case NCCb:
 		for i := range cc {
@@ -59,18 +59,9 @@ func NCCSequence(x, y []float64, norm NCCNorm) []float64 {
 			cc[i] /= float64(overlap)
 		}
 	case NCCc:
-		// Multiply the norms rather than sqrt-ing the product of the squared
-		// norms: Dot(x,x)·Dot(y,y) underflows to 0 for norms near 1e-100
-		// (denormal ~1e-400), which would misclassify tiny-but-nonzero inputs
-		// as degenerate. This also matches SBDBatch's denominator exactly.
-		den := ts.Norm(x) * ts.Norm(y)
-		//lint:ignore floatcmp exact zero-norm guard before dividing by it
-		if den == 0 {
-			// At least one sequence is identically zero (e.g. a z-normalized
-			// constant); define the correlation as 0 everywhere.
-			for i := range cc {
-				cc[i] = 0
-			}
+		den := nccDen(x, y)
+		if degenerate(den) {
+			clear(cc)
 			return cc
 		}
 		for i := range cc {
@@ -119,10 +110,32 @@ type sbdVariant int
 
 const (
 	sbdFFTPow2   sbdVariant = iota // optimized: FFT, pad to next power of two
-	sbdFFTNoPow2                   // FFT at the minimal radix-2 length for 2·m (models the unpadded implementation row of Table 2)
+	sbdFFTNoPow2                   // FFT at twice the padded length (models the unpadded implementation row of Table 2)
 	sbdNaive                       // direct O(m²) correlation
 )
 
+// nccDen returns the NCCc denominator ‖x‖·‖y‖. It multiplies the norms
+// rather than taking the square root of the product of squared norms:
+// Dot(x,x)·Dot(y,y) underflows to 0 for norms near 1e-100 even though both
+// norms are representable, which would flip SBD(x,x) from 0 to the
+// degenerate 1 (found by FuzzSBD, seed tiny-norm-underflow). Every SBD
+// path, batch or per-pair, shares this denominator exactly.
+func nccDen(x, y []float64) float64 { return ts.Norm(x) * ts.Norm(y) }
+
+// degenerate reports whether den is a zero NCCc denominator — at least one
+// series is identically zero (e.g. a z-normalized constant) or the norm
+// product underflows. Every SBD and NCCc path applies the same convention
+// there: NCCc is 0 at every shift, so SBD is 1 at shift 0.
+func degenerate(den float64) bool {
+	//lint:ignore floatcmp exact zero-norm guard before dividing by it
+	return den == 0
+}
+
+// sbdImpl is the per-pair SBD of every Table 2 variant. The FFT variants
+// run on the shared plan of their transform length (fft.Plan), so a one-
+// shot pair costs two forward and one inverse real transform and yields
+// exactly the batch engine's distance and shift. Empty series are at
+// distance 0 from each other.
 func sbdImpl(x, y []float64, variant sbdVariant) (float64, []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("dist: SBD length mismatch %d vs %d", len(x), len(y)))
@@ -132,15 +145,14 @@ func sbdImpl(x, y []float64, variant sbdVariant) (float64, []float64) {
 	if m == 0 {
 		return 0, nil
 	}
-	// Norm(x)·Norm(y), not sqrt(Dot·Dot): the product of squared norms
-	// underflows to 0 for norms near 1e-100 even though both norms are
-	// representable, flipping SBD(x,x) from 0 to the degenerate 1. Found by
-	// FuzzSBD (seed tiny-norm-underflow); SBDBatch already multiplies norms.
-	den := ts.Norm(x) * ts.Norm(y)
+	den := nccDen(x, y)
+	if degenerate(den) {
+		return 1, ts.Shift(y, 0)
+	}
 	var cc []float64
 	switch variant {
 	case sbdFFTPow2:
-		cc = fft.CrossCorrelate(x, y)
+		cc = fft.Plan(fft.NextPow2(2*m-1)).Correlate(x, y)
 	case sbdFFTNoPow2:
 		// The paper's SBD_NoPow2 row measures the cost of not padding to the
 		// next power of two after 2m-1. A radix-2 FFT still needs *some*
@@ -149,26 +161,12 @@ func sbdImpl(x, y []float64, variant sbdVariant) (float64, []float64) {
 		// a padded power-of-two transform. We model the penalty by running
 		// the transform at double the padded length, which reproduces the
 		// measured slowdown factor (~2x) without a second FFT codebase.
-		n := fft.NextPow2(2*m - 1)
-		cc = fft.CrossCorrelateLen(x, y, 2*n)
+		cc = fft.Plan(2*fft.NextPow2(2*m-1)).Correlate(x, y)
 	case sbdNaive:
 		cc = fft.CrossCorrelateNaive(x, y)
 	}
-	best, bestIdx := math.Inf(-1), 0
-	//lint:ignore floatcmp exact zero-norm guard before dividing by it
-	if den == 0 {
-		// Degenerate input: define NCCc = 0, so dist = 1 and no shift.
-		best, bestIdx = 0, m-1
-	} else {
-		for i, v := range cc {
-			if v > best {
-				best, bestIdx = v, i
-			}
-		}
-		best /= den
-	}
-	shift := bestIdx - (m - 1)
-	return 1 - best, ts.Shift(y, shift)
+	d, shift := scanCC(cc[:m-1], cc[m-1:], den)
+	return d, ts.Shift(y, shift)
 }
 
 // SBDNoPow2 computes SBD via FFT without the power-of-two padding

@@ -58,7 +58,7 @@ func NewSBDBatch(data [][]float64) *SBDBatch {
 		m:    m,
 		l:    l,
 		half: l / 2,
-		plan: fft.NewRFFT(l),
+		plan: fft.Plan(l),
 		spec: make([][]complex128, len(data)),
 		norm: make([]float64, len(data)),
 	}
@@ -172,16 +172,15 @@ func (s *SBDQuery) DistanceScratch(i int, sc *SBDScratch) (dist float64, shift i
 	obs.Inc(obs.CounterSBD)
 	b := s.batch
 	den := s.norm * b.norm[i]
-	//lint:ignore floatcmp exact zero-norm guard before dividing by it
-	if den == 0 {
-		return 1, 0 // degenerate-input convention, as in SBD
+	if degenerate(den) {
+		return 1, 0
 	}
 	ci := b.spec[i]
 	for k, c := range ci {
 		sc.prod[k] = s.spec[k] * c
 	}
 	b.plan.Inverse(sc.prod, sc.cc, sc.work)
-	return scanCC(sc.cc, b.m, b.l, den)
+	return scanCC(sc.cc[b.l-(b.m-1):], sc.cc[:b.m], den)
 }
 
 // Nearest returns the batch index minimizing SBD(q, x_i) together with
@@ -209,8 +208,7 @@ func (s *SBDQuery) Nearest() (idx int, dist float64) {
 func (b *SBDBatch) PairDistance(i, j int, sc *SBDScratch) (dist float64, shift int) {
 	obs.Inc(obs.CounterSBD)
 	den := b.norm[i] * b.norm[j]
-	//lint:ignore floatcmp exact zero-norm guard before dividing by it
-	if den == 0 {
+	if degenerate(den) {
 		return 1, 0
 	}
 	ci, cj := b.spec[i], b.spec[j]
@@ -218,26 +216,25 @@ func (b *SBDBatch) PairDistance(i, j int, sc *SBDScratch) (dist float64, shift i
 		sc.prod[k] = complex(real(ci[k]), -imag(ci[k])) * cj[k]
 	}
 	b.plan.Inverse(sc.prod, sc.cc, sc.work)
-	return scanCC(sc.cc, b.m, b.l, den)
+	return scanCC(sc.cc[b.l-(b.m-1):], sc.cc[:b.m], den)
 }
 
-// scanCC finds the maximum of the circularly laid-out correlation over the
-// valid lags -(m-1)..m-1 and converts it to (distance, shift). The scan
-// visits lags in ascending order with a strict comparison — the exact
-// tie-break of the per-pair SBD scan — but walks the two contiguous runs of
-// the circular buffer (negative lags at the tail, non-negative at the head)
-// instead of jumping between them per lag.
+// scanCC finds the maximum of a cross-correlation over the valid lags
+// -(m-1)..m-1, given as the run neg of the m-1 negative lags (most
+// negative first) and the run pos of the m non-negative ones, and converts
+// it to (distance, shift). It visits lags in ascending order with a strict
+// comparison, so ties go to the most negative lag, in every SBD path.
 //
 //kshape:hotpath
-func scanCC(cc []float64, m, l int, den float64) (float64, int) {
+func scanCC(neg, pos []float64, den float64) (float64, int) {
 	best, bestLag := math.Inf(-1), 0
-	for lag := -(m - 1); lag < 0; lag++ {
-		if v := cc[lag+l]; v > best {
-			best, bestLag = v, lag
+	for i, v := range neg {
+		if v > best {
+			best, bestLag = v, i-len(neg)
 		}
 	}
-	for lag := 0; lag <= m-1; lag++ {
-		if v := cc[lag]; v > best {
+	for lag, v := range pos {
+		if v > best {
 			best, bestLag = v, lag
 		}
 	}

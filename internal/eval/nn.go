@@ -24,30 +24,13 @@ func OneNNAccuracyWorkers(d dist.Measure, train, test []ts.Series, workers int) 
 	if len(test) == 0 || len(train) == 0 {
 		return 0
 	}
-	refs := ts.Rows(train)
-	// The optimized SBD classifies through the spectrum cache: every
-	// training spectrum is transformed once up front, and each query costs
-	// one forward transform plus one half-size inverse per candidate
-	// (instead of three full transforms). NNIndex and SBDNearest share the
-	// same ascending strict-< scan, so predictions are identical.
-	if _, ok := d.(dist.SBDMeasure); ok && len(refs[0]) > 0 {
-		queries := make([][]float64, len(test))
-		for i := range test {
-			queries[i] = test[i].Values
+	nearest := dist.NearestIndices(d, ts.Rows(train), ts.Rows(test), workers)
+	correct := 0
+	for i, idx := range nearest {
+		if train[idx].Label == test[i].Label {
+			correct++
 		}
-		nearest := dist.SBDNearest(refs, queries, workers)
-		correct := par.SumInt(workers, len(test), func(i int) int {
-			if train[nearest[i]].Label == test[i].Label {
-				return 1
-			}
-			return 0
-		})
-		return float64(correct) / float64(len(test))
 	}
-	correct := classifyCount(func(q []float64) int {
-		idx, _ := dist.NNIndex(d, q, refs)
-		return train[idx].Label
-	}, test, workers)
 	return float64(correct) / float64(len(test))
 }
 

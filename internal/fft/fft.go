@@ -1,20 +1,20 @@
-// Package fft implements an iterative radix-2 Cooley-Tukey fast Fourier
-// transform over complex128 slices, plus the frequency-domain
-// cross-correlation used by the shape-based distance (SBD) of the k-Shape
-// paper (Equations 10-12).
+// Package fft implements the frequency-domain cross-correlation behind the
+// shape-based distance (SBD) of the k-Shape paper (Equations 10-12): a
+// real-input radix-2 FFT plan (RFFT) per power-of-two length, the shared
+// per-length plan table Plan, the linear correlation RFFT.Correlate built
+// on it, and the direct O(m²) correlation CrossCorrelateNaive, which is
+// both the reference every FFT path is tested against and the SBD_NoFFT
+// row of Table 2.
 //
 // The package is self-contained (standard library only) and deterministic.
 // Transforms require power-of-two lengths; NextPow2 computes the padding
-// target and CrossCorrelate handles padding internally.
+// target.
 package fft
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"math/cmplx"
-
-	"kshape/internal/obs"
+	"sync"
 )
 
 // NextPow2 returns the smallest power of two >= n. It panics for n <= 0 and
@@ -36,167 +36,31 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// Forward computes the in-place forward DFT of x, whose length must be a
-// power of two. It follows the engineering convention: no scaling on the
-// forward transform, 1/N scaling on the inverse.
-func Forward(x []complex128) {
-	transform(x, false)
+// plans holds the shared plan of each power-of-two length, indexed by
+// log₂ of the length, so the table is bounded by the word size and each
+// plan is built at most once per process.
+var plans [bits.UintSize]struct {
+	once sync.Once
+	p    *RFFT
 }
 
-// Inverse computes the in-place inverse DFT of x (length must be a power of
-// two), including the 1/N normalization.
-func Inverse(x []complex128) {
-	transform(x, true)
-	n := float64(len(x))
-	for i := range x {
-		x[i] = complex(real(x[i])/n, imag(x[i])/n)
-	}
-}
-
-// transform runs the iterative radix-2 Cooley-Tukey butterfly network.
-func transform(x []complex128, inverse bool) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
+// Plan returns the shared plan for real transforms of length n (a power of
+// two), building it on first use. Plans are immutable, so one plan serves
+// every caller and goroutine; per-call state lives in caller buffers.
+func Plan(n int) *RFFT {
 	if !IsPow2(n) {
-		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
+		panic(fmt.Sprintf("fft: RFFT length %d is not a power of two", n))
 	}
-	if inverse {
-		obs.Inc(obs.CounterIFFT)
-	} else {
-		obs.Inc(obs.CounterFFT)
-	}
-	// Bit-reversal permutation.
-	logN := bits.TrailingZeros(uint(n))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse(uint(i)) >> (bits.UintSize - logN))
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := 2 * math.Pi / float64(size) * sign
-		wStep := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
-			}
-		}
-	}
+	slot := &plans[bits.TrailingZeros(uint(n))]
+	slot.once.Do(func() { slot.p = NewRFFT(n) })
+	return slot.p
 }
 
-// ForwardReal transforms a real slice into its complex spectrum of length
-// NextPow2(len(x)) (or n if padTo > 0, which must be a power of two >=
-// len(x)). The input is zero-padded; x itself is not modified.
-func ForwardReal(x []float64, padTo int) []complex128 {
-	n := padTo
-	if n == 0 {
-		n = NextPow2(len(x))
-	}
-	if n < len(x) || !IsPow2(n) {
-		panic(fmt.Sprintf("fft: invalid padTo %d for input length %d", n, len(x)))
-	}
-	out := make([]complex128, n)
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	Forward(out)
-	return out
-}
-
-// Convolve returns the linear convolution of x and y with length
-// len(x)+len(y)-1, computed via FFT in O(L log L).
-func Convolve(x, y []float64) []float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	outLen := len(x) + len(y) - 1
-	n := NextPow2(outLen)
-	fx := ForwardReal(x, n)
-	fy := ForwardReal(y, n)
-	for i := range fx {
-		fx[i] *= fy[i]
-	}
-	Inverse(fx)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(fx[i])
-	}
-	return out
-}
-
-// CrossCorrelate returns the full cross-correlation sequence CC(x, y) of
-// length len(x)+len(y)-1, computed as IFFT(FFT(x) * conj(FFT(y))) per
-// Equation 12 of the paper. Entry w (0-based) corresponds to lag
-// s = w - (len(y) - 1): element w is sum_l x[l] * y[l-s].
-//
-// For equal-length inputs of length m this matches the paper's CC_w with
-// w in {1, ..., 2m-1} (1-based) and shift s = w - m.
-//
-// If pow2Pad is false the transform length is the exact 2m-1 rounded up only
-// as strictly required for radix-2 (i.e. NextPow2(outLen)); the flag exists
-// to reproduce the SBD_NoPow2 implementation row of Table 2, where the
-// transform length is 2*m (not padded beyond the minimum) — see
-// CrossCorrelateLen.
-func CrossCorrelate(x, y []float64) []float64 {
-	return crossCorrelatePadded(x, y, 0)
-}
-
-// CrossCorrelateLen computes the same cross-correlation as CrossCorrelate
-// but lets the caller pick the FFT length n (a power of two >= 2m-1). The
-// paper's optimized SBD uses NextPow2(2m-1); SBD_NoPow2 in Table 2 models a
-// less careful choice of transform size that still yields correct values but
-// is slower in aggregate because it cannot reuse power-of-two-friendly sizes.
-func CrossCorrelateLen(x, y []float64, n int) []float64 {
-	return crossCorrelatePadded(x, y, n)
-}
-
-func crossCorrelatePadded(x, y []float64, n int) []float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	outLen := len(x) + len(y) - 1
-	if n == 0 {
-		n = NextPow2(outLen)
-	}
-	if n < outLen || !IsPow2(n) {
-		panic(fmt.Sprintf("fft: invalid transform length %d for output %d", n, outLen))
-	}
-	fx := ForwardReal(x, n)
-	fy := ForwardReal(y, n)
-	for i := range fx {
-		fx[i] *= cmplx.Conj(fy[i])
-	}
-	Inverse(fx)
-	// The circular correlation places non-negative lags at the front and
-	// negative lags at the tail of the buffer; unwrap so that index w
-	// corresponds to lag w-(len(y)-1), i.e. most-negative lag first.
-	out := make([]float64, outLen)
-	my := len(y)
-	for lag := -(my - 1); lag <= len(x)-1; lag++ {
-		idx := lag
-		if idx < 0 {
-			idx += n
-		}
-		out[lag+my-1] = real(fx[idx])
-	}
-	return out
-}
-
-// CrossCorrelateNaive computes the same sequence as CrossCorrelate directly
-// in O(len(x)*len(y)) time. It backs the SBD_NoFFT row of Table 2 and the
-// correctness tests for the FFT path.
+// CrossCorrelateNaive returns the full cross-correlation sequence CC(x, y)
+// of length len(x)+len(y)-1, computed directly in O(len(x)*len(y)) time.
+// Entry w (0-based) corresponds to lag s = w - (len(y) - 1): element w is
+// sum_l x[l+s] * y[l]. For equal-length inputs of length m this is the
+// paper's CC_w with w in {1, ..., 2m-1} (1-based) and shift s = w - m.
 func CrossCorrelateNaive(x, y []float64) []float64 {
 	if len(x) == 0 || len(y) == 0 {
 		return nil

@@ -4,24 +4,10 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
-
-// dftNaive is the O(n^2) reference DFT used to validate the fast transform.
-func dftNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for r := 0; r < n; r++ {
-			ang := -2 * math.Pi * float64(r) * float64(k) / float64(n)
-			s += x[r] * cmplx.Exp(complex(0, ang))
-		}
-		out[k] = s
-	}
-	return out
-}
 
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 7: 8, 8: 8, 9: 16, 1023: 1024, 1025: 2048}
@@ -58,18 +44,42 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
+// realDFT returns bins 0..n/2 of the direct O(n²) DFT of the real input x
+// zero-padded to n. Reducing r·k mod n before scaling keeps the angle
+// exact however long the input.
+func realDFT(x []float64, n int) []complex128 {
+	out := make([]complex128, n/2+1)
+	for k := range out {
+		var s complex128
+		for r, v := range x {
+			ang := -2 * math.Pi * float64(r*k%n) / float64(n)
+			s += complex(v, 0) * cmplx.Exp(complex(0, ang))
+		}
+		out[k] = s
+	}
+	return out
+}
+
+// randSeries returns n standard-normal samples.
+func randSeries(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// TestForwardMatchesNaiveDFT checks the shared plans' forward transform
+// against the direct O(n²) DFT on every shared bin.
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		want := dftNaive(x)
-		got := make([]complex128, n)
-		copy(got, x)
-		Forward(got)
-		for k := range want {
+		p := Plan(n)
+		x := randSeries(rng, n)
+		want := realDFT(x, n)
+		got := make([]complex128, p.SpectrumLen())
+		p.Forward(x, got, make([]complex128, p.WorkLen()))
+		for k := range got {
 			if cmplx.Abs(got[k]-want[k]) > 1e-8*float64(n) {
 				t.Fatalf("n=%d: Forward[%d] = %v, want %v", n, k, got[k], want[k])
 			}
@@ -77,19 +87,23 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// TestForwardInverseRoundTrip round-trips through the shared plans and
+// pins the table's identity: one plan per length, reused on every call.
 func TestForwardInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 8, 128, 1024} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		p := Plan(n)
+		if Plan(n) != p || p.Len() != n {
+			t.Fatalf("n=%d: Plan is not one shared plan of length n", n)
 		}
-		y := make([]complex128, n)
-		copy(y, x)
-		Forward(y)
-		Inverse(y)
+		x := randSeries(rng, n)
+		spec := make([]complex128, p.SpectrumLen())
+		work := make([]complex128, p.WorkLen())
+		y := make([]float64, n)
+		p.Forward(x, spec, work)
+		p.Inverse(spec, y, work)
 		for i := range x {
-			if cmplx.Abs(y[i]-x[i]) > 1e-9*float64(n) {
+			if math.Abs(y[i]-x[i]) > 1e-9*float64(n) {
 				t.Fatalf("n=%d: round trip[%d] = %v, want %v", n, i, y[i], x[i])
 			}
 		}
@@ -97,29 +111,66 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 }
 
 func TestForwardPanicsOnNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Forward on length 3 should panic")
+	for _, n := range []int{0, 3, 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Plan(%d) should panic", n)
+				}
+			}()
+			Plan(n)
+		}()
+	}
+}
+
+// TestPlanConcurrentFirstUse races first use of fresh lengths: every
+// goroutine must get the same plan (run under -race to check the table's
+// publication).
+func TestPlanConcurrentFirstUse(t *testing.T) {
+	const goroutines = 8
+	lengths := []int{1 << 11, 1 << 12, 1 << 13}
+	got := make([][]*RFFT, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range lengths {
+				got[g] = append(got[g], Plan(n))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, p := range got[g] {
+			if p != got[0][i] || p.Len() != lengths[i] {
+				t.Fatalf("goroutine %d length %d: got a different or wrong plan", g, lengths[i])
+			}
 		}
-	}()
-	Forward(make([]complex128, 3))
+	}
 }
 
 func TestParsevalProperty(t *testing.T) {
-	// sum |x|^2 == (1/n) sum |X|^2 for the unscaled forward transform.
+	// sum x² == (1/n) sum |X_k|² over all n bins; the half-spectrum holds
+	// bins 0 and n/2 once and every other bin for itself and its mirror.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 64
-		x := make([]complex128, n)
+		p := Plan(n)
+		x := randSeries(rng, n)
 		var tx float64
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), 0)
-			tx += real(x[i]) * real(x[i])
-		}
-		Forward(x)
-		var tf float64
 		for _, v := range x {
-			tf += real(v)*real(v) + imag(v)*imag(v)
+			tx += v * v
+		}
+		spec := make([]complex128, p.SpectrumLen())
+		p.Forward(x, spec, make([]complex128, p.WorkLen()))
+		var tf float64
+		for k, v := range spec {
+			e := real(v)*real(v) + imag(v)*imag(v)
+			if k != 0 && k != n/2 {
+				e *= 2
+			}
+			tf += e
 		}
 		return math.Abs(tx-tf/float64(n)) < 1e-8
 	}
@@ -128,32 +179,12 @@ func TestParsevalProperty(t *testing.T) {
 	}
 }
 
-func TestConvolve(t *testing.T) {
-	got := Convolve([]float64{1, 2, 3}, []float64{4, 5})
-	want := []float64{4, 13, 22, 15}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("Convolve = %v, want %v", got, want)
-		}
-	}
-	if Convolve(nil, []float64{1}) != nil {
-		t.Error("empty input should give nil")
-	}
-}
-
 func TestCrossCorrelateMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, m := range []int{1, 2, 5, 17, 64, 100, 257} {
-		x := make([]float64, m)
-		y := make([]float64, m)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			y[i] = rng.NormFloat64()
-		}
-		fast := CrossCorrelate(x, y)
+		x := randSeries(rng, m)
+		y := randSeries(rng, m)
+		fast := Plan(NextPow2(2*m-1)).Correlate(x, y)
 		slow := CrossCorrelateNaive(x, y)
 		if len(fast) != 2*m-1 || len(slow) != 2*m-1 {
 			t.Fatalf("m=%d: lengths %d, %d; want %d", m, len(fast), len(slow), 2*m-1)
@@ -164,19 +195,24 @@ func TestCrossCorrelateMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+	if Plan(4).Correlate(nil, []float64{1}) != nil {
+		t.Error("empty input should give nil")
+	}
 }
 
 func TestCrossCorrelateUnequalLengths(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{1, 1}
-	fast := CrossCorrelate(x, y)
-	slow := CrossCorrelateNaive(x, y)
-	if len(fast) != len(x)+len(y)-1 {
-		t.Fatalf("len = %d", len(fast))
-	}
-	for w := range slow {
-		if math.Abs(fast[w]-slow[w]) > 1e-9 {
-			t.Fatalf("CC[%d] = %v vs %v", w, fast[w], slow[w])
+	for _, pair := range [][2][]float64{{x, y}, {y, x}} {
+		fast := Plan(8).Correlate(pair[0], pair[1])
+		slow := CrossCorrelateNaive(pair[0], pair[1])
+		if len(fast) != len(x)+len(y)-1 {
+			t.Fatalf("len = %d", len(fast))
+		}
+		for w := range slow {
+			if math.Abs(fast[w]-slow[w]) > 1e-9 {
+				t.Fatalf("CC[%d] = %v vs %v", w, fast[w], slow[w])
+			}
 		}
 	}
 }
@@ -188,8 +224,8 @@ func TestCrossCorrelatePeakAtKnownShift(t *testing.T) {
 	x := make([]float64, m)
 	x[5] = 1 // impulse
 	y := make([]float64, m)
-	y[8] = 1                   // impulse delayed by 3
-	cc := CrossCorrelate(y, x) // sum x-shifted: peak where y[l+k] matches x[l]
+	y[8] = 1                        // impulse delayed by 3
+	cc := Plan(2*m).Correlate(y, x) // sum x-shifted: peak where y[l+k] matches x[l]
 	best, bestW := math.Inf(-1), -1
 	for w, v := range cc {
 		if v > best {
@@ -201,12 +237,14 @@ func TestCrossCorrelatePeakAtKnownShift(t *testing.T) {
 	}
 }
 
+// TestCrossCorrelateLenCustomPadding correlates on plans longer than the
+// minimal one — the SBD_NoPow2 model runs at twice the padded length.
 func TestCrossCorrelateLenCustomPadding(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{4, 3, 2, 1}
 	ref := CrossCorrelateNaive(x, y)
 	for _, n := range []int{8, 16, 32} {
-		got := CrossCorrelateLen(x, y, n)
+		got := Plan(n).Correlate(x, y)
 		for w := range ref {
 			if math.Abs(got[w]-ref[w]) > 1e-9 {
 				t.Fatalf("padding %d: CC[%d] = %v, want %v", n, w, got[w], ref[w])
@@ -221,21 +259,5 @@ func TestCrossCorrelateLenRejectsBadPadding(t *testing.T) {
 			t.Error("expected panic for transform length below 2m-1")
 		}
 	}()
-	CrossCorrelateLen([]float64{1, 2, 3}, []float64{1, 2, 3}, 4)
-}
-
-func TestForwardRealAgainstComplex(t *testing.T) {
-	x := []float64{1, -1, 2, 0.5, 3}
-	n := NextPow2(len(x))
-	got := ForwardReal(x, 0)
-	want := make([]complex128, n)
-	for i, v := range x {
-		want[i] = complex(v, 0)
-	}
-	Forward(want)
-	for i := range want {
-		if cmplx.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("ForwardReal[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
+	Plan(4).Correlate([]float64{1, 2, 3}, []float64{1, 2, 3})
 }

@@ -1,5 +1,5 @@
-// Fuzz target for the FFT layer, in an external test package so it can use
-// the shared testkit decode helpers and tolerance conventions.
+// Fuzz targets for the FFT layer, in an external test package so they can
+// use the shared testkit decode helpers and tolerance conventions.
 package fft_test
 
 import (
@@ -10,6 +10,10 @@ import (
 	"kshape/internal/testkit"
 )
 
+// FuzzFFTRoundTrip drives the shared per-length plans (fft.Plan): the
+// Forward→Inverse round trip of the input at its padded length, and
+// RFFT.Correlate of the input's two halves against the direct O(m²)
+// correlation — the arithmetic of every per-pair SBD.
 func FuzzFFTRoundTrip(f *testing.F) {
 	f.Add(testkit.EncodeFloats([]float64{1, 0, -1, 0, 1, 0, -1, 0}))
 	f.Add(testkit.EncodeFloats([]float64{5}))
@@ -20,28 +24,24 @@ func FuzzFFTRoundTrip(f *testing.F) {
 		if len(vals) == 0 {
 			return
 		}
-		// Round trip: Inverse(Forward(x)) == x at the padded length. The
-		// error of both transforms is O(log n · eps) relative to the input
-		// energy, so the elementwise slack scales with the largest magnitude.
+		// Round trip: the error of both transforms is O(log n · eps)
+		// relative to the input energy, so the elementwise slack scales
+		// with the largest magnitude.
 		n := fft.NextPow2(len(vals))
-		buf := make([]complex128, n)
-		maxAbs := 0.0
-		for i, v := range vals {
-			buf[i] = complex(v, 0)
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		fft.Forward(buf)
-		fft.Inverse(buf)
-		slack := 1e-9 * (1 + maxAbs)
+		p := fft.Plan(n)
+		spec := make([]complex128, p.SpectrumLen())
+		work := make([]complex128, p.WorkLen())
+		out := make([]float64, n)
+		p.Forward(vals, spec, work)
+		p.Inverse(spec, out, work)
+		slack := 1e-9 * (1 + maxAbs(vals))
 		for i := 0; i < n; i++ {
 			want := 0.0
 			if i < len(vals) {
 				want = vals[i]
 			}
-			if math.Abs(real(buf[i])-want) > slack || math.Abs(imag(buf[i])) > slack {
-				t.Fatalf("roundtrip n=%d index %d: got %v, want %v (slack %v)", n, i, buf[i], want, slack)
+			if math.Abs(out[i]-want) > slack {
+				t.Fatalf("roundtrip n=%d index %d: got %v, want %v (slack %v)", n, i, out[i], want, slack)
 			}
 		}
 		// Differential: the FFT cross-correlation of the two halves matches
@@ -53,26 +53,26 @@ func FuzzFFTRoundTrip(f *testing.F) {
 			return
 		}
 		x, y := vals[:m], vals[m:2*m]
-		got := fft.CrossCorrelate(x, y)
+		got := fft.Plan(fft.NextPow2(2*m-1)).Correlate(x, y)
 		want := fft.CrossCorrelateNaive(x, y)
 		if len(got) != len(want) {
-			t.Fatalf("CrossCorrelate length %d vs naive %d", len(got), len(want))
+			t.Fatalf("Correlate length %d vs naive %d", len(got), len(want))
 		}
 		ccSlack := 1e-12 * (1 + norm(x)*norm(y))
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > ccSlack {
-				t.Fatalf("CrossCorrelate[%d] = %v vs naive %v (m=%d, slack %v)", i, got[i], want[i], m, ccSlack)
+				t.Fatalf("Correlate[%d] = %v vs naive %v (m=%d, slack %v)", i, got[i], want[i], m, ccSlack)
 			}
 		}
 	})
 }
 
 // FuzzRFFT drives the real-input plan across arbitrary inputs and both
-// padding regimes (tight and doubled), checking parity with the complex
-// reference transform bin by bin and the Forward→Inverse round trip. The
-// input length itself is unrestricted — odd, prime, and power-of-two
-// lengths all land here via zero-padding, exactly as the SBD hot path
-// pads 2m-1 up to a power of two.
+// padding regimes (tight and doubled), checking parity with the direct
+// O(n²) DFT bin by bin and the Forward→Inverse round trip. The input
+// length itself is unrestricted — odd, prime, and power-of-two lengths all
+// land here via zero-padding, exactly as the SBD hot path pads 2m-1 up to
+// a power of two.
 func FuzzRFFT(f *testing.F) {
 	f.Add(testkit.EncodeFloats([]float64{1, 0, -1, 0, 1, 0, -1, 0}))
 	f.Add(testkit.EncodeFloats([]float64{5}))
@@ -83,32 +83,26 @@ func FuzzRFFT(f *testing.F) {
 		if len(vals) == 0 {
 			return
 		}
-		maxAbs := 0.0
-		for _, v := range vals {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
 		tight := fft.NextPow2(len(vals))
 		for _, n := range []int{tight, 2 * tight} {
 			p := fft.NewRFFT(n)
 			spec := make([]complex128, p.SpectrumLen())
 			work := make([]complex128, p.WorkLen())
 			p.Forward(vals, spec, work)
-			// Parity with the complex transform on the shared bins. Both
-			// paths accumulate O(log n · eps) rounding relative to the input
-			// energy, so the slack scales with the l2 norm.
-			ref := fft.ForwardReal(vals, n)
+			// Parity with the direct DFT. The transform accumulates
+			// O(log n · eps) rounding relative to the input energy, so the
+			// slack scales with the l2 norm.
+			ref := fft.RealDFT(vals, n)
 			slack := 1e-9 * (1 + norm(vals)*math.Sqrt(float64(n)))
 			for k := range spec {
 				if math.Abs(real(spec[k])-real(ref[k])) > slack || math.Abs(imag(spec[k])-imag(ref[k])) > slack {
-					t.Fatalf("n=%d bin %d: rfft %v vs complex %v (slack %v)", n, k, spec[k], ref[k], slack)
+					t.Fatalf("n=%d bin %d: rfft %v vs direct DFT %v (slack %v)", n, k, spec[k], ref[k], slack)
 				}
 			}
 			// Round trip reproduces the zero-padded input.
 			out := make([]float64, n)
 			p.Inverse(spec, out, work)
-			rtSlack := 1e-9 * (1 + maxAbs)
+			rtSlack := 1e-9 * (1 + maxAbs(vals))
 			for i := 0; i < n; i++ {
 				want := 0.0
 				if i < len(vals) {
@@ -128,4 +122,12 @@ func norm(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
+}
+
+func maxAbs(x []float64) float64 {
+	m := 0.0
+	for _, v := range x {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"kshape/internal/obs"
 )
@@ -13,15 +14,12 @@ import (
 // by packing the real input into a complex sequence of length n/2, running
 // a half-size complex transform, and untangling the halves with the
 // precomputed twiddle factors — about half the butterfly work and half the
-// buffer traffic of the complex-FFT path (ForwardReal / Inverse), which
-// remains the reference implementation the differential oracles compare
-// against.
+// buffer traffic of a complex transform of the same length.
 //
 // A plan is immutable after construction and safe for concurrent use; all
 // per-call state lives in caller-provided buffers, so the transforms
-// allocate nothing. The batch SBD hot paths (internal/dist.SBDBatch) keep
-// one plan per transform length and stream every spectrum and correlation
-// through it.
+// allocate nothing. Every SBD path (internal/dist) takes its plan from the
+// shared table Plan and streams every spectrum and correlation through it.
 type RFFT struct {
 	n    int // real transform length (power of two)
 	half int // n / 2: packed complex length
@@ -30,9 +28,7 @@ type RFFT struct {
 	// Tables for the plan-private half-size complex transform: the
 	// bit-reversal permutation and the per-stage butterfly twiddles
 	// (twF[j] = e^{-2πij/half}, twI its conjugate), indexed with a stride of
-	// half/size at stage size. The generic transform recomputes these with
-	// one complex multiply per butterfly; precomputing them is what makes
-	// the batch SBD inverse measurably cheaper than the reference path.
+	// half/size at stage size, so no butterfly recomputes a twiddle.
 	rev      []int32
 	twF, twI []complex128
 }
@@ -67,11 +63,8 @@ func NewRFFT(n int) *RFFT {
 
 // transformHalf runs the radix-2 butterfly network of length half over x in
 // place, using the precomputed bit-reversal permutation and the stage
-// twiddles tw (twF forward, twI inverse). It is numerically within one or
-// two ulps of the generic transform (the tables are exact per index where
-// the generic path accumulates w *= wStep) and is private to the plan: the
-// complex-FFT reference path keeps the generic implementation so the
-// differential oracles compare two genuinely distinct computations.
+// twiddles tw (twF forward, twI inverse). The tables are exact per index,
+// so no rounding accumulates across a stage.
 //
 //kshape:hotpath
 func (p *RFFT) transformHalf(x []complex128, tw []complex128) {
@@ -110,8 +103,8 @@ func (p *RFFT) WorkLen() int { return p.half }
 // Forward computes the DFT of the real input x zero-padded to length n,
 // writing the Hermitian half-spectrum X_0..X_{n/2} into spec (length
 // SpectrumLen). work (length WorkLen) is clobbered; x is not modified and
-// must not exceed n samples. The result matches ForwardReal(x, n)[0..n/2]
-// up to rounding.
+// must not exceed n samples. The result matches bins 0..n/2 of the direct
+// DFT of the zero-padded input up to rounding (no scaling).
 //
 //kshape:hotpath
 func (p *RFFT) Forward(x []float64, spec, work []complex128) {
@@ -123,7 +116,7 @@ func (p *RFFT) Forward(x []float64, spec, work []complex128) {
 	}
 	if p.n == 1 {
 		// Degenerate single-bin transform; count it like any other forward
-		// transform so kernel-counter totals stay path-independent.
+		// transform so kernel-counter totals do not depend on the length.
 		obs.Inc(obs.CounterFFT)
 		v := 0.0
 		if len(x) == 1 {
@@ -145,8 +138,6 @@ func (p *RFFT) Forward(x []float64, spec, work []complex128) {
 		}
 		work[j] = complex(re, im)
 	}
-	// Counted like the generic forward transform so kernel-counter totals
-	// stay path-independent.
 	obs.Inc(obs.CounterFFT)
 	p.transformHalf(work[:half], p.twF)
 	// Untangle: with E/O the spectra of the even/odd samples,
@@ -165,8 +156,9 @@ func (p *RFFT) Forward(x []float64, spec, work []complex128) {
 // Inverse computes the inverse DFT of the Hermitian half-spectrum spec
 // (length SpectrumLen, as produced by Forward — bins beyond n/2 are implied
 // by conjugate symmetry), writing the real result of length n into out.
-// work (length WorkLen) is clobbered; spec is not modified. Scaling matches
-// Inverse: the round trip Forward→Inverse reproduces the padded input.
+// work (length WorkLen) is clobbered; spec is not modified. The result is
+// scaled by 1/n, so the round trip Forward→Inverse reproduces the padded
+// input.
 //
 //kshape:hotpath
 func (p *RFFT) Inverse(spec []complex128, out []float64, work []complex128) {
@@ -195,13 +187,45 @@ func (p *RFFT) Inverse(spec []complex128, out []float64, work []complex128) {
 	obs.Inc(obs.CounterIFFT)
 	p.transformHalf(work[:half], p.twI)
 	// Unpack with the 1/(n/2) normalization folded in; half is a power of
-	// two, so multiplying by its exact reciprocal is bit-identical to the
-	// division the generic Inverse performs.
+	// two, so multiplying by its exact reciprocal is bit-identical to
+	// dividing by it.
 	scale := 1 / float64(half)
 	for j := 0; j < half; j++ {
 		out[2*j] = real(work[j]) * scale
 		out[2*j+1] = imag(work[j]) * scale
 	}
+}
+
+// Correlate returns the linear cross-correlation of x and y — the sequence
+// CrossCorrelateNaive returns, of length len(x)+len(y)-1 with entry w at
+// lag w-(len(y)-1) — as IFFT(FFT(x)·conj(FFT(y))) (Equation 12): two
+// forward transforms and one inverse on this plan. n must cover the
+// output length so the circular correlation does not wrap.
+func (p *RFFT) Correlate(x, y []float64) []float64 {
+	if len(x) == 0 || len(y) == 0 {
+		return nil
+	}
+	outLen := len(x) + len(y) - 1
+	if outLen > p.n {
+		panic(fmt.Sprintf("fft: correlation length %d exceeds plan length %d", outLen, p.n))
+	}
+	h := p.half + 1
+	buf := make([]complex128, 2*h+p.half)
+	sx, sy, work := buf[:h], buf[h:2*h], buf[2*h:]
+	p.Forward(x, sx, work)
+	p.Forward(y, sy, work)
+	for k := range sx {
+		sx[k] *= conj(sy[k])
+	}
+	cc := make([]float64, p.n)
+	p.Inverse(sx, cc, work)
+	// The circular result holds lag s at index s mod n: rotate right by
+	// len(y)-1 so the negative lags move from the tail to the front.
+	r := len(y) - 1
+	slices.Reverse(cc)
+	slices.Reverse(cc[:r])
+	slices.Reverse(cc[r:])
+	return cc[:outLen:outLen]
 }
 
 // conj avoids pulling math/cmplx into the hot loops for a one-liner.

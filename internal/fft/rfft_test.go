@@ -10,6 +10,8 @@ import (
 // enough to exercise several butterfly stages.
 var rfftLengths = []int{1, 2, 4, 8, 16, 64, 256}
 
+// TestRFFTMatchesComplexForward checks freshly built plans against the
+// direct complex DFT of the zero-padded input, bin by bin.
 func TestRFFTMatchesComplexForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range rfftLengths {
@@ -19,17 +21,14 @@ func TestRFFTMatchesComplexForward(t *testing.T) {
 		}
 		// Both a full-length input and a shorter zero-padded one.
 		for _, inLen := range []int{n, (n + 1) / 2} {
-			x := make([]float64, inLen)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
+			x := randSeries(rng, inLen)
 			spec := make([]complex128, p.SpectrumLen())
 			work := make([]complex128, p.WorkLen())
 			p.Forward(x, spec, work)
-			want := ForwardReal(x, n)
+			want := realDFT(x, n)
 			for k := range spec {
 				if d := cabs(spec[k] - want[k]); d > 1e-9*(1+cabs(want[k])) {
-					t.Fatalf("n=%d inLen=%d bin %d: rfft %v vs complex %v", n, inLen, k, spec[k], want[k])
+					t.Fatalf("n=%d inLen=%d bin %d: rfft %v vs direct DFT %v", n, inLen, k, spec[k], want[k])
 				}
 			}
 		}

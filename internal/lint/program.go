@@ -72,7 +72,6 @@ type Program struct {
 	fns        map[*types.Func]*FuncInfo
 	summaries  map[*types.Func]*summary
 	transitive map[*types.Func][]violation
-	visiting   map[*types.Func]bool
 
 	// atomicOps maps field/variable objects accessed through the
 	// function-style sync/atomic API (atomic.AddInt64(&x, ...)) to the
@@ -88,7 +87,6 @@ func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
 		fns:        map[*types.Func]*FuncInfo{},
 		summaries:  map[*types.Func]*summary{},
 		transitive: map[*types.Func][]violation{},
-		visiting:   map[*types.Func]bool{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -153,28 +151,86 @@ func (prog *Program) summary(fn *types.Func) *summary {
 // from fn through un-annotated module-local callees: fn's own direct
 // violations plus, recursively, those of every callee that does not
 // carry //kshape:hotpath (annotated callees are trusted here — the
-// analyzer checks them at their own declaration). Cycles contribute
-// nothing beyond their first traversal; results are memoized.
+// analyzer checks them at their own declaration). Results are computed
+// once per strongly connected component of that call graph, so every
+// member of a recursive cycle shares one violation set: a root entering
+// the cycle through any member sees every violation inside it.
 func (prog *Program) hotViolations(fn *types.Func) []violation {
 	if vs, ok := prog.transitive[fn]; ok {
 		return vs
 	}
-	if prog.visiting[fn] {
-		return nil
-	}
-	prog.visiting[fn] = true
-	sum := prog.summary(fn)
-	out := append([]violation(nil), sum.direct...)
-	for _, cs := range sum.calls {
-		fi := prog.fns[cs.callee]
-		if fi == nil || fi.Hot {
+	w := &sccWalk{prog: prog, index: map[*types.Func]int{}, low: map[*types.Func]int{}, onStack: map[*types.Func]bool{}}
+	w.visit(fn)
+	return prog.transitive[fn]
+}
+
+// untrustedCallee reports whether a call to fn propagates fn's
+// violations to the caller: fn is module-local and not annotated.
+func (prog *Program) untrustedCallee(fn *types.Func) bool {
+	fi := prog.fns[fn]
+	return fi != nil && !fi.Hot
+}
+
+// sccWalk is one run of Tarjan's strongly-connected-components algorithm
+// over the un-annotated call graph. Components already finished by an
+// earlier walk (present in Program.transitive) are leaves.
+type sccWalk struct {
+	prog    *Program
+	index   map[*types.Func]int // discovery order
+	low     map[*types.Func]int // smallest index reachable within the stack
+	stack   []*types.Func
+	onStack map[*types.Func]bool
+}
+
+func (w *sccWalk) visit(fn *types.Func) {
+	prog := w.prog
+	w.index[fn] = len(w.index)
+	w.low[fn] = w.index[fn]
+	w.stack = append(w.stack, fn)
+	w.onStack[fn] = true
+	for _, cs := range prog.summary(fn).calls {
+		c := cs.callee
+		if !prog.untrustedCallee(c) {
 			continue
 		}
-		out = append(out, prog.hotViolations(cs.callee)...)
+		if _, done := prog.transitive[c]; done {
+			continue
+		}
+		if _, seen := w.index[c]; !seen {
+			w.visit(c)
+			w.low[fn] = min(w.low[fn], w.low[c])
+		} else if w.onStack[c] {
+			w.low[fn] = min(w.low[fn], w.index[c])
+		}
 	}
-	delete(prog.visiting, fn)
-	prog.transitive[fn] = out
-	return out
+	if w.low[fn] != w.index[fn] {
+		return
+	}
+	// fn roots a component: its members sit on the stack above it, in
+	// discovery order. The shared set is each member's direct violations
+	// followed by those of its calls leaving the component. A member's
+	// callee still on the stack is in the component (an edge to an
+	// ancestor below fn would have lowered fn's low-link).
+	i := len(w.stack) - 1
+	for w.stack[i] != fn {
+		i--
+	}
+	members := w.stack[i:]
+	w.stack = w.stack[:i]
+	var vs []violation
+	for _, f := range members {
+		sum := prog.summary(f)
+		vs = append(vs, sum.direct...)
+		for _, cs := range sum.calls {
+			if prog.untrustedCallee(cs.callee) && !w.onStack[cs.callee] {
+				vs = append(vs, prog.transitive[cs.callee]...)
+			}
+		}
+	}
+	for _, f := range members {
+		w.onStack[f] = false
+		prog.transitive[f] = vs
+	}
 }
 
 // summarize walks one function body recording direct hot-path violations

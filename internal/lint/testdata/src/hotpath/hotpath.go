@@ -225,3 +225,29 @@ func clean(xs []float64, q *pair) float64 {
 	q.a = v.a       // field writes through a pointer are plain stores
 	return total
 }
+
+// cycA and cycB form an un-annotated cycle entered by two hot roots.
+// Whichever root the walk reaches first, the other must still see the
+// allocation inside the cycle: the closure is shared per strongly
+// connected component, not memoized while a cycle peer is unfinished.
+func cycA(n int) int {
+	buf := make([]int, 1)
+	if n == 0 {
+		return buf[0]
+	}
+	return cycB(n - 1)
+}
+
+func cycB(n int) int {
+	return cycA(n)
+}
+
+//kshape:hotpath
+func cycleRootA(n int) int {
+	return cycA(n) // want "call to cycA reaches a hot-path violation: make allocates"
+}
+
+//kshape:hotpath
+func cycleRootB(n int) int {
+	return cycB(n) // want "call to cycB reaches a hot-path violation: make allocates"
+}

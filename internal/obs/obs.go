@@ -24,10 +24,9 @@ type Counter int
 // iterations dominate shape extraction, and reseeds flag degenerate
 // initializations.
 const (
-	// CounterFFT counts forward FFT transforms (fft.Forward, including
-	// those inside ForwardReal).
+	// CounterFFT counts forward FFT transforms (fft.RFFT.Forward).
 	CounterFFT Counter = iota
-	// CounterIFFT counts inverse FFT transforms (fft.Inverse).
+	// CounterIFFT counts inverse FFT transforms (fft.RFFT.Inverse).
 	CounterIFFT
 	// CounterSBD counts shape-based distance evaluations, across the
 	// pairwise, batched, and naive implementations.

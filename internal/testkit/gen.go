@@ -132,15 +132,6 @@ func (g *Gen) Matrix(n, m int) [][]float64 {
 	return out
 }
 
-// Complex returns n complex values with gaussian real and imaginary parts.
-func (g *Gen) Complex(n int) []complex128 {
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = complex(g.rng.NormFloat64(), g.rng.NormFloat64())
-	}
-	return out
-}
-
 // Window picks a Sakoe-Chiba half-width for series of length m, covering
 // the unconstrained (-1), diagonal (0), minimal (1), and full (m) bands.
 func (g *Gen) Window(m int) int {

@@ -133,7 +133,9 @@ func dtwEntries() []entry {
 	}
 }
 
-func fftEntries() []entry {
+// cancel64 alternates ±1e6 over 64 samples: every pairwise product cancels
+// in the correlation sums.
+func cancel64() []float64 {
 	cancel := make([]float64, 64)
 	for i := range cancel {
 		cancel[i] = 1e6
@@ -141,6 +143,11 @@ func fftEntries() []entry {
 			cancel[i] = -1e6
 		}
 	}
+	return cancel
+}
+
+func fftEntries() []entry {
+	cancel := cancel64()
 	return []entry{
 		{"impulse", []string{bytesLine(testkit.EncodeFloats(spike(16, 0, 1)))}},
 		{"alternating", []string{bytesLine(testkit.EncodeFloats(cancel[:8]))}},
@@ -170,6 +177,9 @@ func rfftEntries() []entry {
 		{"single-value", []string{bytesLine(testkit.EncodeFloats([]float64{5}))}},
 		{"alternating-large", []string{bytesLine(testkit.EncodeFloats(cancel))}},
 		{"constant", []string{bytesLine(testkit.EncodeFloats(constant(24, -3.5)))}},
+		// Alternating ±1e6 over 64 points: large terms cancel in every
+		// bin but the Nyquist one, where the spectrum peaks.
+		{"cancellation-large", []string{bytesLine(testkit.EncodeFloats(cancel64()))}},
 	}
 }
 

@@ -33,31 +33,25 @@ func Pairs() []OraclePair {
 	return []OraclePair{
 		{
 			Name: "fft/roundtrip",
-			Doc:  "Inverse(Forward(x)) reproduces x for power-of-two complex inputs",
+			Doc:  "the shared per-length plan fft.Plan(n) round-trips the zero-padded real input",
 			Tol:  DefaultTol,
-			Run:  runFFTRoundTrip,
+			Run:  func(g *Gen) error { return runRFFTRoundTrip(g, fft.Plan) },
 		},
 		{
 			Name: "fft/crosscorrelate-vs-direct",
-			Doc:  "FFT cross-correlation matches the direct O(m²) definition (Eq. 12)",
+			Doc:  "RFFT.Correlate on the shared plan matches the direct O(m²) definition (Eq. 12)",
 			Tol:  DefaultTol,
 			Run:  runCrossCorrelate,
-		},
-		{
-			Name: "fft/convolve-vs-direct",
-			Doc:  "FFT linear convolution matches the direct definition",
-			Tol:  DefaultTol,
-			Run:  runConvolve,
 		},
 		{
 			Name: "fft/rfft-roundtrip",
 			Doc:  "RFFT Inverse(Forward(x)) reproduces the zero-padded real input",
 			Tol:  DefaultTol,
-			Run:  runRFFTRoundTrip,
+			Run:  func(g *Gen) error { return runRFFTRoundTrip(g, fft.NewRFFT) },
 		},
 		{
 			Name: "fft/rfft-vs-complex",
-			Doc:  "RFFT half-spectrum matches the complex reference transform bin by bin",
+			Doc:  "RFFT half-spectrum matches the direct O(n²) DFT bin by bin",
 			Tol:  DefaultTol,
 			Run:  runRFFTVsComplex,
 		},
@@ -184,16 +178,18 @@ func refCrossCorrelate(x, y []float64) []float64 {
 	return out
 }
 
-// refConvolve is the direct O(len(x)·len(y)) linear convolution.
-func refConvolve(x, y []float64) []float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	out := make([]float64, len(x)+len(y)-1)
-	for i, xv := range x {
-		for j, yv := range y {
-			out[i+j] += xv * yv
+// refDFT is the direct O(n²) DFT of the real input x zero-padded to n,
+// bins 0..n/2 (the half-spectrum an RFFT plan produces).
+func refDFT(x []float64, n int) []complex128 {
+	out := make([]complex128, n/2+1)
+	for k := range out {
+		var re, im float64
+		for r, v := range x {
+			ang := -2 * math.Pi * float64(r*k%n) / float64(n)
+			re += v * math.Cos(ang)
+			im += v * math.Sin(ang)
 		}
+		out[k] = complex(re, im)
 	}
 	return out
 }
@@ -271,45 +267,24 @@ func refDTW(x, y []float64, window int) float64 {
 
 // --- oracle runners ------------------------------------------------------
 
-func runFFTRoundTrip(g *Gen) error {
-	sizes := []int{1, 2, 4, 16, 64, 256}
-	n := sizes[g.Intn(len(sizes))]
-	x := g.Complex(n)
-	work := append([]complex128(nil), x...)
-	fft.Forward(work)
-	fft.Inverse(work)
-	for i := range x {
-		if !Close(real(work[i]), real(x[i]), DefaultTol) || !Close(imag(work[i]), imag(x[i]), DefaultTol) {
-			return fmt.Errorf("roundtrip n=%d: index %d got %v, want %v", n, i, work[i], x[i])
-		}
-	}
-	return nil
-}
-
 func runCrossCorrelate(g *Gen) error {
 	x := g.Series(g.LenAtMost(100))
 	y := g.Series(g.LenAtMost(100))
-	got := fft.CrossCorrelate(x, y)
+	got := fft.Plan(fft.NextPow2(len(x)+len(y)-1)).Correlate(x, y)
 	want := refCrossCorrelate(x, y)
-	return CheckSlice(fmt.Sprintf("CrossCorrelate(len %d, %d)", len(x), len(y)), got, want, DefaultTol)
-}
-
-func runConvolve(g *Gen) error {
-	x := g.Series(g.LenAtMost(100))
-	y := g.Series(g.LenAtMost(100))
-	got := fft.Convolve(x, y)
-	want := refConvolve(x, y)
-	return CheckSlice(fmt.Sprintf("Convolve(len %d, %d)", len(x), len(y)), got, want, DefaultTol)
+	return CheckSlice(fmt.Sprintf("Correlate(len %d, %d)", len(x), len(y)), got, want, DefaultTol)
 }
 
 // rfftSizes spans degenerate plans through several butterfly stages.
 var rfftSizes = []int{1, 2, 4, 16, 64, 256}
 
-func runRFFTRoundTrip(g *Gen) error {
+// runRFFTRoundTrip round-trips a real input through the plan of a random
+// size obtained from plan (a fresh one or the shared one).
+func runRFFTRoundTrip(g *Gen, plan func(n int) *fft.RFFT) error {
 	n := rfftSizes[g.Intn(len(rfftSizes))]
 	// Input lengths below the transform length exercise the zero-padding.
 	x := g.Series(1 + g.Intn(n))
-	p := fft.NewRFFT(n)
+	p := plan(n)
 	spec := make([]complex128, p.SpectrumLen())
 	work := make([]complex128, p.WorkLen())
 	out := make([]float64, n)
@@ -334,10 +309,10 @@ func runRFFTVsComplex(g *Gen) error {
 	spec := make([]complex128, p.SpectrumLen())
 	work := make([]complex128, p.WorkLen())
 	p.Forward(x, spec, work)
-	ref := fft.ForwardReal(x, n)
+	ref := refDFT(x, n)
 	for k := range spec {
 		if !Close(real(spec[k]), real(ref[k]), DefaultTol) || !Close(imag(spec[k]), imag(ref[k]), DefaultTol) {
-			return fmt.Errorf("rfft n=%d inLen=%d bin %d: %v vs complex %v", n, len(x), k, spec[k], ref[k])
+			return fmt.Errorf("rfft n=%d inLen=%d bin %d: %v vs direct DFT %v", n, len(x), k, spec[k], ref[k])
 		}
 	}
 	return nil

@@ -28,7 +28,6 @@ import (
 	"kshape/internal/dist"
 	"kshape/internal/eval"
 	"kshape/internal/obs"
-	"kshape/internal/par"
 	"kshape/internal/ts"
 )
 
@@ -416,23 +415,10 @@ func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, me
 		}
 		return out
 	}
-	refs := prep(train)
-	qs := prep(queries)
-	// SBD routes through the spectrum cache (one transform per training
-	// series, shared by all queries); SBDNearest and NNIndex use the same
-	// ascending strict-< scan, so predictions are identical.
-	if _, ok := m.(dist.SBDMeasure); ok && len(refs[0]) > 0 {
-		out := make([]int, len(qs))
-		for i, idx := range dist.SBDNearest(refs, qs, workers) {
-			out[i] = labels[idx]
-		}
-		return out, nil
-	}
-	out := make([]int, len(queries))
-	par.For(workers, len(qs), func(i int) {
-		idx, _ := dist.NNIndex(m, qs[i], refs)
+	out := dist.NearestIndices(m, prep(train), prep(queries), workers)
+	for i, idx := range out {
 		out[i] = labels[idx]
-	})
+	}
 	return out, nil
 }
 
@@ -441,26 +427,12 @@ func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, me
 // z-normalized first unless skipNormalization. Queries run in parallel
 // across all CPUs; the assignment is deterministic regardless.
 func Predict(centroids [][]float64, queries [][]float64, skipNormalization bool) []int {
-	if len(centroids) > 0 && len(centroids[0]) > 0 {
-		// Batch path: the centroid spectra are cached once and every query
-		// costs one forward transform; same tie-break as NNIndex.
-		qs := queries
-		if !skipNormalization {
-			qs = make([][]float64, len(queries))
-			for i, q := range queries {
-				qs[i] = ts.ZNormalize(q)
-			}
+	qs := queries
+	if !skipNormalization {
+		qs = make([][]float64, len(queries))
+		for i, q := range queries {
+			qs[i] = ts.ZNormalize(q)
 		}
-		return dist.SBDNearest(centroids, qs, 0)
 	}
-	out := make([]int, len(queries))
-	par.For(0, len(queries), func(i int) {
-		q := queries[i]
-		if !skipNormalization {
-			q = ts.ZNormalize(q)
-		}
-		idx, _ := dist.NNIndex(dist.SBDMeasure{}, q, centroids)
-		out[i] = idx
-	})
-	return out
+	return dist.NearestIndices(dist.SBDMeasure{}, centroids, qs, 0)
 }
