@@ -8,7 +8,7 @@ VCS_REVISION := $(shell git rev-parse HEAD 2>/dev/null || echo unknown)
 VCS_MODIFIED := $(shell test -n "$$(git status --porcelain 2>/dev/null)" && echo true || echo false)
 VCS_LDFLAGS := -ldflags "-X kshape/internal/obs.fallbackRevision=$(VCS_REVISION) -X kshape/internal/obs.fallbackModified=$(VCS_MODIFIED)"
 
-.PHONY: build test test-short test-race vet lint fmt-check check bench bench-diff bench-smoke smoke fuzz golden
+.PHONY: build test test-short test-race perfbench-test vet lint fmt-check check bench bench-diff bench-smoke smoke fuzz golden
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/par/ ./internal/obs/ ./internal/core/ ./internal/dist/ ./internal/eval/ ./internal/cluster/ .
+
+# The benchmark harness (perfbench/) is a nested module, so `go test ./...`
+# at the root skips it. Its tests check that its shadow copy of the
+# k-Shape loop reproduces kshape.Cluster / Classify1NN labels.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Two passes: the full default vet suite, then an explicit -copylocks
 # -atomic pass so the two analyses the concurrency layer leans on hardest
@@ -79,9 +85,10 @@ golden:
 # go vet, the repo's own analyzers (kshapelint), the full test suite
 # (which includes the differential-oracle suite, the golden snapshots, and
 # the fuzz seed corpora as regression tests), the race-detector pass over
-# the parallel packages, and the telemetry smoke test, in that order. Run
-# `make fuzz` separately for the coverage-guided mutation pass.
-check: fmt-check vet lint test test-race smoke
+# the parallel packages, the telemetry smoke test, and the benchmark
+# module's own tests, in that order. Run `make fuzz` separately for the
+# coverage-guided mutation pass.
+check: fmt-check vet lint test test-race smoke perfbench-test
 
 # Runs every benchmark (including the serial-vs-parallel family with its
 # speedup and kernel-counter metrics) and regenerates the committed

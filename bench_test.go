@@ -262,7 +262,7 @@ func BenchmarkKShapeCBF300x128(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KShape(data, 3, rand.New(rand.NewSource(int64(i)))); err != nil {
+		if _, err := core.KShapeRun(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(int64(i)))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,12 +274,8 @@ func BenchmarkKAvgEDCBF300x128(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := core.Lloyd(data, core.Config{
-			K:        3,
-			Distance: func(c, x []float64) float64 { return dist.ED(c, x) },
-			Centroid: meanAvg.Average,
-			Rand:     rand.New(rand.NewSource(int64(i))),
-		})
+		_, err := core.Lloyd(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(int64(i)))},
+			func(c, x []float64) float64 { return dist.ED(c, x) }, meanAvg.Average)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -538,7 +534,7 @@ func BenchmarkDistanceMatrixSBDRecorder(b *testing.B) {
 func BenchmarkKShapeProgressPublisher(b *testing.B) {
 	data := ts.Rows(dataset.CBF(240, 128, 1))
 	work := func() {
-		if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: benchParallelWorkers}); err != nil {
+		if _, err := core.KShapeRun(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: benchParallelWorkers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -584,7 +580,7 @@ func BenchmarkKShapeRefinementSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: 1}); err != nil {
+		if _, err := core.KShapeRun(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -596,12 +592,12 @@ func BenchmarkKShapeRefinementParallel(b *testing.B) {
 	data := ts.Rows(dataset.CBF(240, 128, 1))
 	serial, parallel := pairedMinDurations(10,
 		func() {
-			if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: 1}); err != nil {
+			if _, err := core.KShapeRun(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		},
 		func() {
-			if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: benchParallelWorkers}); err != nil {
+			if _, err := core.KShapeRun(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: benchParallelWorkers}); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -609,7 +605,7 @@ func BenchmarkKShapeRefinementParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.KShapeRun(data, 3, rand.New(rand.NewSource(1)), core.KShapeOpts{Workers: benchParallelWorkers}); err != nil {
+		if _, err := core.KShapeRun(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: benchParallelWorkers}); err != nil {
 			b.Fatal(err)
 		}
 	}

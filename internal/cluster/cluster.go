@@ -7,9 +7,6 @@
 package cluster
 
 import (
-	"log/slog"
-	"math/rand"
-
 	"kshape/internal/avg"
 	"kshape/internal/core"
 	"kshape/internal/dist"
@@ -21,64 +18,34 @@ type Clusterer interface {
 	// Name returns the identifier used in experiment tables
 	// (e.g. "k-AVG+ED", "PAM+cDTW", "H-S+SBD").
 	Name() string
-	// Cluster partitions data into k clusters. rng drives random
-	// initialization; deterministic methods ignore it.
-	Cluster(data [][]float64, k int, rng *rand.Rand) (*core.Result, error)
+	// Cluster partitions data into cfg.K clusters. cfg.Rand drives random
+	// initialization (deterministic methods ignore it), cfg.Workers bounds
+	// the parallelism, and cfg.MaxIterations caps any iteration loop.
+	// Only the refinement-loop methods report iterations to
+	// cfg.OnIteration and cfg.Logger.
+	Cluster(data [][]float64, cfg core.Config) (*core.Result, error)
 	// Deterministic reports whether repeated runs with different seeds
 	// produce identical results (true for hierarchical clustering), which
 	// the experiment harness uses to decide how many runs to average.
 	Deterministic() bool
 }
 
-// Opts carries engine-level controls for clusterers built on the iterative
-// refinement engine: the iteration cap and the per-iteration observation
-// hook. The zero value means "engine defaults, no observation".
-type Opts struct {
-	// MaxIterations caps the refinement loop; 0 means the engine default.
-	MaxIterations int
-	// OnIteration, if non-nil, receives per-iteration statistics
-	// (core.Config.OnIteration semantics).
-	OnIteration func(obs.IterationStats)
-	// Workers bounds the clusterer's parallelism (core.Config.Workers
-	// semantics: <= 0 means runtime.NumCPU(), 1 means serial). Results
-	// are identical for every value.
-	Workers int
-	// Logger, if non-nil, receives structured per-iteration records at
-	// debug level (core.Config.Logger semantics). Non-iterative methods
-	// ignore it.
-	Logger *slog.Logger
-}
-
-// Iterative is implemented by clusterers whose refinement loop accepts
-// engine options. Every Lloyd-style method in this package implements it;
-// matrix-based methods (hierarchical, PAM, spectral) do not iterate and
-// ignore these controls.
-type Iterative interface {
-	ClusterOpts(data [][]float64, k int, rng *rand.Rand, opt Opts) (*core.Result, error)
-}
-
-// Run clusters data with c, threading opt through when c supports engine
-// options. This is the single dispatch point callers should use so that
-// instrumentation hooks fire uniformly across methods; for non-iterative
-// methods the options are (correctly) inert and OnIteration never fires.
-func Run(c Clusterer, data [][]float64, k int, rng *rand.Rand, opt Opts) (*core.Result, error) {
+// Run clusters data with c, bracketing the run with the flight-recorder
+// method mark and the live-progress run events, so instrumentation fires
+// uniformly across methods.
+func Run(c Clusterer, data [][]float64, cfg core.Config) (*core.Result, error) {
 	// Annotate the flight-recorder event stream with the method boundary
 	// so a run report's chunk/phase spans can be mapped back to the
 	// algorithm that produced them (no-op without an active recorder).
 	obs.RecordMark("method:" + c.Name())
 	// Bracket the run for the live-progress publisher (no-op without one):
 	// the engines publish the per-iteration snapshots in between.
-	maxIter := opt.MaxIterations
+	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = core.DefaultMaxIterations
 	}
-	obs.ProgressBeginRun(c.Name(), len(data), k, maxIter)
-	res, err := func() (*core.Result, error) {
-		if it, ok := c.(Iterative); ok {
-			return it.ClusterOpts(data, k, rng, opt)
-		}
-		return c.Cluster(data, k, rng)
-	}()
+	obs.ProgressBeginRun(c.Name(), len(data), cfg.K, maxIter)
+	res, err := c.Cluster(data, cfg)
 	if err == nil {
 		obs.ProgressEndRun(res.Converged)
 	}
@@ -100,22 +67,8 @@ func (v kmeansVariant) Name() string { return v.label }
 func (v kmeansVariant) Deterministic() bool { return false }
 
 // Cluster implements Clusterer.
-func (v kmeansVariant) Cluster(data [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
-	return v.ClusterOpts(data, k, rng, Opts{})
-}
-
-// ClusterOpts implements Iterative.
-func (v kmeansVariant) ClusterOpts(data [][]float64, k int, rng *rand.Rand, opt Opts) (*core.Result, error) {
-	return core.Lloyd(data, core.Config{
-		K:             k,
-		MaxIterations: opt.MaxIterations,
-		Distance:      v.distance,
-		Centroid:      v.centroid,
-		Rand:          rng,
-		OnIteration:   opt.OnIteration,
-		Workers:       opt.Workers,
-		Logger:        opt.Logger,
-	})
+func (v kmeansVariant) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
+	return core.Lloyd(data, cfg, v.distance, v.centroid)
 }
 
 // NewKAvgED returns k-means with Euclidean distance and arithmetic-mean
@@ -175,9 +128,8 @@ func NewKSC() Clusterer {
 }
 
 // NewKShape returns the paper's k-Shape algorithm as a Clusterer, using the
-// optimized batched-FFT implementation (core.KShape), which produces
-// results identical to the generic Lloyd engine with SBD + shape
-// extraction.
+// specialised batched-FFT step (core.KShapeRun), which produces results
+// identical to the generic Lloyd step with SBD + shape extraction.
 func NewKShape() Clusterer { return kshapeClusterer{} }
 
 type kshapeClusterer struct{}
@@ -189,21 +141,13 @@ func (kshapeClusterer) Name() string { return "k-Shape" }
 func (kshapeClusterer) Deterministic() bool { return false }
 
 // Cluster implements Clusterer.
-func (kshapeClusterer) Cluster(data [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
-	return core.KShape(data, k, rng)
+func (kshapeClusterer) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
+	return core.KShapeRun(data, cfg)
 }
 
-// ClusterOpts implements Iterative.
-func (kshapeClusterer) ClusterOpts(data [][]float64, k int, rng *rand.Rand, opt Opts) (*core.Result, error) {
-	return core.KShapeRun(data, k, rng, core.KShapeOpts{
-		MaxIterations: opt.MaxIterations,
-		OnIteration:   opt.OnIteration,
-		Workers:       opt.Workers,
-		Logger:        opt.Logger,
-	})
-}
-
-// NewKShapeDTW returns the k-Shape+DTW ablation of Table 3.
+// NewKShapeDTW returns the k-Shape+DTW ablation of Table 3: shape
+// extraction for centroids but DTW for assignment, demonstrating that
+// mismatched distance/centroid pairs degrade accuracy.
 func NewKShapeDTW() Clusterer {
 	return kmeansVariant{
 		label:    "k-Shape+DTW",

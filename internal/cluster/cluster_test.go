@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kshape/internal/core"
 	"kshape/internal/dist"
 	"kshape/internal/ts"
 )
@@ -89,7 +90,7 @@ func bestPurity(t *testing.T, c Clusterer, data [][]float64, truth []int, k, see
 	t.Helper()
 	best := 0.0
 	for s := 0; s < seeds; s++ {
-		res, err := c.Cluster(data, k, rand.New(rand.NewSource(int64(s+1))))
+		res, err := c.Cluster(data, core.Config{K: k, Rand: rand.New(rand.NewSource(int64(s + 1)))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,6 +125,19 @@ func TestSlowClusterersSeparateEasyData(t *testing.T) {
 				t.Errorf("%s purity = %v, want >= 0.7", c.Name(), p)
 			}
 		})
+	}
+}
+
+// TestKShapeDTWRuns runs the k-Shape+DTW ablation (shape-extraction
+// centroids, DTW assignment) end to end.
+func TestKShapeDTWRuns(t *testing.T) {
+	data, _ := threeBlobs(6, 24, rand.New(rand.NewSource(14)))
+	res, err := NewKShapeDTW().Cluster(data, core.Config{K: 2, Rand: rand.New(rand.NewSource(15))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Labels) != len(data) || len(res.Centroids) != 2 {
+		t.Errorf("%d labels, %d centroids; want %d and 2", len(res.Labels), len(res.Centroids), len(data))
 	}
 }
 
@@ -166,11 +180,11 @@ func TestHierarchicalDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data, _ := threeBlobs(10, 24, rng)
 	h := NewHierarchical(AverageLinkage, dist.EDMeasure{})
-	a, err := h.Cluster(data, 3, rand.New(rand.NewSource(1)))
+	a, err := h.Cluster(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.Cluster(data, 3, rand.New(rand.NewSource(999)))
+	b, err := h.Cluster(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(999))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +218,7 @@ func TestHierarchicalSingleLinkageChaining(t *testing.T) {
 	data = append(data, mk(5))
 	data = append(data, mk(30))
 	hs := NewHierarchical(SingleLinkage, dist.EDMeasure{})
-	res, err := hs.Cluster(data, 2, nil)
+	res, err := hs.Cluster(data, core.Config{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +236,7 @@ func TestHierarchicalK1AndKn(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	data, _ := threeBlobs(4, 16, rng)
 	h := NewHierarchical(CompleteLinkage, dist.EDMeasure{})
-	res, err := h.Cluster(data, 1, nil)
+	res, err := h.Cluster(data, core.Config{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +245,7 @@ func TestHierarchicalK1AndKn(t *testing.T) {
 			t.Fatal("k=1 should give one cluster")
 		}
 	}
-	res, err = h.Cluster(data, len(data), nil)
+	res, err = h.Cluster(data, core.Config{K: len(data)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,10 +260,10 @@ func TestHierarchicalK1AndKn(t *testing.T) {
 
 func TestHierarchicalErrors(t *testing.T) {
 	h := NewHierarchical(CompleteLinkage, dist.EDMeasure{})
-	if _, err := h.Cluster(nil, 1, nil); err == nil {
+	if _, err := h.Cluster(nil, core.Config{K: 1}); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := h.Cluster([][]float64{{1}}, 2, nil); err == nil {
+	if _, err := h.Cluster([][]float64{{1}}, core.Config{K: 2}); err == nil {
 		t.Error("k > n accepted")
 	}
 }
@@ -258,7 +272,7 @@ func TestPAMCentroidsAreMedoids(t *testing.T) {
 	// PAM centroids must be actual members of the dataset.
 	rng := rand.New(rand.NewSource(5))
 	data, _ := threeBlobs(10, 16, rng)
-	res, err := NewPAM(dist.EDMeasure{}).Cluster(data, 3, rand.New(rand.NewSource(6)))
+	res, err := NewPAM(dist.EDMeasure{}).Cluster(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(6))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +299,13 @@ func TestPAMCentroidsAreMedoids(t *testing.T) {
 
 func TestPAMErrors(t *testing.T) {
 	p := NewPAM(dist.EDMeasure{})
-	if _, err := p.Cluster(nil, 1, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := p.Cluster(nil, core.Config{K: 1, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := p.Cluster([][]float64{{1}}, 2, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := p.Cluster([][]float64{{1}}, core.Config{K: 2, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("k > n accepted")
 	}
-	if _, err := p.Cluster([][]float64{{1}}, 1, nil); err == nil {
+	if _, err := p.Cluster([][]float64{{1}}, core.Config{K: 1}); err == nil {
 		t.Error("nil rng accepted")
 	}
 }
@@ -301,11 +315,11 @@ func TestPAMClusterWithMatrixMatchesCluster(t *testing.T) {
 	data, _ := threeBlobs(8, 16, rng)
 	p := NewPAM(dist.EDMeasure{})
 	d := dist.PairwiseMatrix(dist.EDMeasure{}, data)
-	a, err := p.Cluster(data, 3, rand.New(rand.NewSource(42)))
+	a, err := p.Cluster(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(42))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.ClusterWithMatrix(data, d, 3, rand.New(rand.NewSource(42)))
+	b, err := p.ClusterWithMatrix(data, d, core.Config{K: 3, Rand: rand.New(rand.NewSource(42))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +335,7 @@ func TestSpectralEmbedProperties(t *testing.T) {
 	data, _ := threeBlobs(8, 16, rng)
 	s := NewSpectral(dist.EDMeasure{})
 	d := dist.PairwiseMatrix(dist.EDMeasure{}, data)
-	emb, err := s.Embed(d, 3)
+	emb, err := s.Embed(d, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +357,7 @@ func TestSpectralIdenticalPoints(t *testing.T) {
 	// Degenerate case: all points identical => sigma = 0 path.
 	data := [][]float64{{1, 1}, {1, 1}, {1, 1}}
 	s := NewSpectral(dist.EDMeasure{})
-	res, err := s.Cluster(data, 2, rand.New(rand.NewSource(9)))
+	res, err := s.Cluster(data, core.Config{K: 2, Rand: rand.New(rand.NewSource(9))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +368,13 @@ func TestSpectralIdenticalPoints(t *testing.T) {
 
 func TestSpectralErrors(t *testing.T) {
 	s := NewSpectral(dist.EDMeasure{})
-	if _, err := s.Cluster(nil, 1, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := s.Cluster(nil, core.Config{K: 1, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := s.Cluster([][]float64{{1}}, 2, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := s.Cluster([][]float64{{1}}, core.Config{K: 2, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("k > n accepted")
 	}
-	if _, err := s.Cluster([][]float64{{1}}, 1, nil); err == nil {
+	if _, err := s.Cluster([][]float64{{1}}, core.Config{K: 1}); err == nil {
 		t.Error("nil rng accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kshape/internal/core"
 	"kshape/internal/dist"
 	"kshape/internal/ts"
 )
@@ -35,8 +36,7 @@ func TestPAMDeterministicAcrossWorkers(t *testing.T) {
 	data := gaussianBlobs(12, 24, rand.New(rand.NewSource(2)))
 	run := func(workers int) ([]int, float64) {
 		p := NewPAM(dist.SBDMeasure{})
-		p.Workers = workers
-		res, err := p.Cluster(data, 3, rand.New(rand.NewSource(9)))
+		res, err := p.Cluster(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(9)), Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -90,9 +90,7 @@ func TestSpectralEmbedDeterministicAcrossWorkers(t *testing.T) {
 	data := gaussianBlobs(8, 20, rand.New(rand.NewSource(3)))
 	d := dist.PairwiseMatrixWorkers(dist.SBDMeasure{}, data, 1)
 	embed := func(workers int) [][]float64 {
-		s := NewSpectral(dist.SBDMeasure{})
-		s.Workers = workers
-		emb, err := s.Embed(d, 3)
+		emb, err := NewSpectral(dist.SBDMeasure{}).Embed(d, 3, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -116,8 +114,7 @@ func TestSpectralClusterDeterministicAcrossWorkers(t *testing.T) {
 	data := gaussianBlobs(8, 20, rand.New(rand.NewSource(4)))
 	run := func(workers int) []int {
 		s := NewSpectral(dist.EDMeasure{})
-		s.Workers = workers
-		res, err := s.Cluster(data, 3, rand.New(rand.NewSource(6)))
+		res, err := s.Cluster(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(6)), Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -141,7 +138,7 @@ func TestRunOptsWorkersDeterministic(t *testing.T) {
 	data := gaussianBlobs(8, 24, rand.New(rand.NewSource(8)))
 	for _, c := range []Clusterer{NewKShape(), NewKAvgED(), NewKAvgSBD()} {
 		run := func(workers int) []int {
-			res, err := Run(c, data, 3, rand.New(rand.NewSource(1)), Opts{Workers: workers})
+			res, err := Run(c, data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1)), Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.Name(), workers, err)
 			}

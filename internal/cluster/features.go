@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"math/rand"
 
 	"kshape/internal/avg"
 	"kshape/internal/core"
@@ -30,14 +29,9 @@ func (FeatureBased) Name() string { return "Features+k-means" }
 func (FeatureBased) Deterministic() bool { return false }
 
 // Cluster implements Clusterer.
-func (FeatureBased) Cluster(data [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
-	feats := FeatureMatrix(data)
-	res, err := core.Lloyd(feats, core.Config{
-		K:        k,
-		Distance: func(c, x []float64) float64 { return dist.ED(c, x) },
-		Centroid: avg.MeanAverager{}.Average,
-		Rand:     rng,
-	})
+func (FeatureBased) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
+	res, err := core.Lloyd(FeatureMatrix(data), cfg,
+		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kshape/internal/core"
 	"kshape/internal/ts"
 )
 
@@ -129,7 +130,7 @@ func TestFeatureBasedClustersGlobalStructure(t *testing.T) {
 func TestFeatureBasedDropsCentroids(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data, _ := threeBlobs(5, 16, rng)
-	res, err := NewFeatureBased().Cluster(data, 3, rand.New(rand.NewSource(1)))
+	res, err := NewFeatureBased().Cluster(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}

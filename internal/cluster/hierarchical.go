@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"kshape/internal/core"
 	"kshape/internal/dist"
@@ -62,16 +61,18 @@ func (h *Hierarchical) Name() string { return h.Linkage.String() + "+" + h.Measu
 // Deterministic implements Clusterer.
 func (h *Hierarchical) Deterministic() bool { return true }
 
-// Cluster implements Clusterer. rng is ignored (the method is deterministic).
-func (h *Hierarchical) Cluster(data [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
+// Cluster implements Clusterer. Only cfg.K and cfg.Workers (the matrix
+// build's parallelism) apply: the method is deterministic and has no
+// iteration loop.
+func (h *Hierarchical) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
 	if len(data) == 0 {
 		return nil, core.ErrNoData
 	}
-	if k < 1 || k > len(data) {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, k, len(data))
+	if cfg.K < 1 || cfg.K > len(data) {
+		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, cfg.K, len(data))
 	}
-	d := dist.PairwiseMatrix(h.Measure, data)
-	return h.ClusterWithMatrix(data, d, k)
+	d := dist.PairwiseMatrixWorkers(h.Measure, data, cfg.Workers)
+	return h.ClusterWithMatrix(data, d, cfg.K)
 }
 
 // ClusterWithMatrix runs the agglomeration on a precomputed dissimilarity

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"kshape/internal/core"
 	"kshape/internal/dist"
@@ -20,15 +19,12 @@ import (
 //
 // Initial medoids are sampled uniformly without replacement, so repeated
 // runs average over initializations exactly like the k-means variants.
+//
+// Cluster's cfg.MaxIterations caps the alternation, and cfg.Workers bounds
+// the parallelism of the matrix build, the assignment step, and the
+// medoid-update cost scans; results are identical for every worker count.
 type PAM struct {
 	Measure dist.Measure
-	// MaxIterations caps the alternation; 0 means core.DefaultMaxIterations.
-	MaxIterations int
-	// Workers bounds the parallelism of the matrix build, the assignment
-	// step, and the medoid-update cost scans (par.Resolve semantics:
-	// <= 0 means runtime.NumCPU(), 1 means serial). Results are identical
-	// for every value.
-	Workers int
 }
 
 // NewPAM returns PAM combined with the given distance measure
@@ -42,40 +38,44 @@ func (p *PAM) Name() string { return "PAM+" + p.Measure.Name() }
 func (p *PAM) Deterministic() bool { return false }
 
 // Cluster implements Clusterer.
-func (p *PAM) Cluster(data [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
-	n := len(data)
-	if n == 0 {
-		return nil, core.ErrNoData
+func (p *PAM) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
+	if err := checkPAM(data, cfg); err != nil {
+		return nil, err
 	}
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, k, n)
-	}
-	if rng == nil {
-		return nil, errors.New("cluster: PAM requires a random source")
-	}
-	d := dist.PairwiseMatrixWorkers(p.Measure, data, p.Workers)
-	return p.clusterWithMatrix(data, d, k, rng)
+	d := dist.PairwiseMatrixWorkers(p.Measure, data, cfg.Workers)
+	return p.clusterWithMatrix(data, d, cfg)
 }
 
 // ClusterWithMatrix runs PAM on a precomputed dissimilarity matrix, which
 // the experiment harness uses to share one matrix across runs.
-func (p *PAM) ClusterWithMatrix(data [][]float64, d [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
-	if len(data) == 0 {
-		return nil, core.ErrNoData
+func (p *PAM) ClusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config) (*core.Result, error) {
+	if err := checkPAM(data, cfg); err != nil {
+		return nil, err
 	}
-	if k < 1 || k > len(data) {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, k, len(data))
-	}
-	return p.clusterWithMatrix(data, d, k, rng)
+	return p.clusterWithMatrix(data, d, cfg)
 }
 
-func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
-	n := len(data)
-	maxIter := p.MaxIterations
+// checkPAM validates the input and the controls PAM needs.
+func checkPAM(data [][]float64, cfg core.Config) error {
+	if len(data) == 0 {
+		return core.ErrNoData
+	}
+	if cfg.K < 1 || cfg.K > len(data) {
+		return fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, cfg.K, len(data))
+	}
+	if cfg.Rand == nil {
+		return errors.New("cluster: PAM requires a random source")
+	}
+	return nil
+}
+
+func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config) (*core.Result, error) {
+	n, k := len(data), cfg.K
+	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = core.DefaultMaxIterations
 	}
-	medoids := rng.Perm(n)[:k]
+	medoids := cfg.Rand.Perm(n)[:k]
 	labels := make([]int, n)
 	prev := make([]int, n)
 	res := &core.Result{}
@@ -84,7 +84,7 @@ func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, k int, rng *ran
 		// Assignment: nearest medoid, in parallel across points (the
 		// medoid scan is ascending with a strict comparison, so labels
 		// never depend on the worker count).
-		par.For(p.Workers, n, func(i int) {
+		par.For(cfg.Workers, n, func(i int) {
 			best, bestJ := math.Inf(1), 0
 			for j, med := range medoids {
 				if dd := d[i][med]; dd < best {
@@ -99,7 +99,7 @@ func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, k int, rng *ran
 		// matching the serial scan. An emptied cluster (possible with
 		// duplicate points) keeps its medoid.
 		for j := range medoids {
-			cand, _ := par.MinIndex(p.Workers, n, func(cand int) float64 {
+			cand, _ := par.MinIndex(cfg.Workers, n, func(cand int) float64 {
 				if labels[cand] != j {
 					return math.Inf(1)
 				}

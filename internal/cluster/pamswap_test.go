@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kshape/internal/core"
 	"kshape/internal/dist"
 )
 
@@ -80,7 +81,7 @@ func TestBuildSwapNeverWorseThanAlternating(t *testing.T) {
 	p := NewPAM(dist.EDMeasure{})
 	bestAlt := math.Inf(1)
 	for seed := int64(0); seed < 5; seed++ {
-		res, err := p.ClusterWithMatrix(data, d, 3, rand.New(rand.NewSource(seed)))
+		res, err := p.ClusterWithMatrix(data, d, core.Config{K: 3, Rand: rand.New(rand.NewSource(seed))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"kshape/internal/avg"
@@ -18,8 +17,8 @@ import (
 // (Section 2.4, "S+*" rows of Table 4):
 //
 //  1. build a Gaussian affinity A_ij = exp(−d_ij² / (2σ²)) with A_ii = 0,
-//     where σ defaults to the median pairwise distance (a standard
-//     parameter-free choice for an unsupervised setting);
+//     where σ is the median pairwise distance (a standard parameter-free
+//     choice for an unsupervised setting);
 //  2. form the normalized affinity L = D^(−1/2)·A·D^(−1/2);
 //  3. take the k eigenvectors of L with the largest eigenvalues as columns
 //     of an n×k embedding, renormalize its rows to unit length;
@@ -28,18 +27,12 @@ import (
 // Like PAM and hierarchical clustering it needs the full dissimilarity
 // matrix plus an O(n³) eigendecomposition, which is exactly why the paper
 // classifies it as non-scalable.
+//
+// Cluster's cfg.MaxIterations caps the embedded k-means, and cfg.Workers
+// bounds the parallelism of the matrix build, the affinity construction,
+// and the embedded k-means; results are identical for every worker count.
 type Spectral struct {
 	Measure dist.Measure
-	// Sigma overrides the Gaussian bandwidth; 0 selects the median
-	// pairwise distance.
-	Sigma float64
-	// MaxIterations caps the embedded k-means; 0 means the default.
-	MaxIterations int
-	// Workers bounds the parallelism of the matrix build, the affinity
-	// construction, and the embedded k-means (par.Resolve semantics:
-	// <= 0 means runtime.NumCPU(), 1 means serial). Results are identical
-	// for every value.
-	Workers int
 }
 
 // NewSpectral returns normalized spectral clustering with the given
@@ -53,42 +46,39 @@ func (s *Spectral) Name() string { return "S+" + s.Measure.Name() }
 func (s *Spectral) Deterministic() bool { return false }
 
 // Cluster implements Clusterer.
-func (s *Spectral) Cluster(data [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
+func (s *Spectral) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
 	if len(data) == 0 {
 		return nil, core.ErrNoData
 	}
-	if k < 1 || k > len(data) {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, k, len(data))
+	if cfg.K < 1 || cfg.K > len(data) {
+		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, cfg.K, len(data))
 	}
-	if rng == nil {
+	if cfg.Rand == nil {
 		return nil, errors.New("cluster: spectral clustering requires a random source")
 	}
-	d := dist.PairwiseMatrixWorkers(s.Measure, data, s.Workers)
-	return s.ClusterWithMatrix(d, k, rng)
+	d := dist.PairwiseMatrixWorkers(s.Measure, data, cfg.Workers)
+	return s.ClusterWithMatrix(d, cfg)
 }
 
 // ClusterWithMatrix runs spectral clustering on a precomputed dissimilarity
 // matrix (shared across runs by the experiment harness).
-func (s *Spectral) ClusterWithMatrix(d [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
+func (s *Spectral) ClusterWithMatrix(d [][]float64, cfg core.Config) (*core.Result, error) {
 	n := len(d)
 	if n == 0 {
 		return nil, core.ErrNoData
 	}
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, k, n)
+	if cfg.K < 1 || cfg.K > n {
+		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, cfg.K, n)
 	}
-	emb, err := s.Embed(d, k)
+	emb, err := s.Embed(d, cfg.K, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Lloyd(emb, core.Config{
-		K:             k,
-		MaxIterations: s.MaxIterations,
-		Distance:      func(c, x []float64) float64 { return dist.ED(c, x) },
-		Centroid:      avg.MeanAverager{}.Average,
-		Rand:          rng,
-		Workers:       s.Workers,
-	})
+	// The embedded k-means is a step of the method, not its refinement
+	// loop: it reports no iterations.
+	cfg.OnIteration, cfg.Logger = nil, nil
+	res, err := core.Lloyd(emb, cfg,
+		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
 	if err != nil {
 		return nil, err
 	}
@@ -98,15 +88,12 @@ func (s *Spectral) ClusterWithMatrix(d [][]float64, k int, rng *rand.Rand) (*cor
 	return res, nil
 }
 
-// Embed computes the row-normalized spectral embedding (steps 1-3 above),
-// exposed separately for tests and for reuse across k-means restarts.
-func (s *Spectral) Embed(d [][]float64, k int) ([][]float64, error) {
+// Embed computes the row-normalized spectral embedding (steps 1-3 above)
+// on up to workers goroutines, exposed separately for tests and for reuse
+// across k-means restarts.
+func (s *Spectral) Embed(d [][]float64, k, workers int) ([][]float64, error) {
 	n := len(d)
-	sigma := s.Sigma
-	//lint:ignore floatcmp exact zero-bandwidth guard before dividing by sigma
-	if sigma == 0 {
-		sigma = medianOffDiagonal(d)
-	}
+	sigma := medianOffDiagonal(d)
 	if sigma <= 0 {
 		// All points identical: any embedding works; use a constant one.
 		emb := make([][]float64, n)
@@ -120,7 +107,7 @@ func (s *Spectral) Embed(d [][]float64, k int) ([][]float64, error) {
 	// with j > i and writes both mirrored entries, so the writes of
 	// different iterations never overlap.
 	a := linalg.NewSym(n)
-	par.For(s.Workers, n, func(i int) {
+	par.For(workers, n, func(i int) {
 		for j := i + 1; j < n; j++ {
 			v := math.Exp(-d[i][j] * d[i][j] / (2 * sigma * sigma))
 			a.Data[i*n+j] = v
@@ -130,7 +117,7 @@ func (s *Spectral) Embed(d [][]float64, k int) ([][]float64, error) {
 	// Normalize: L = D^(-1/2) A D^(-1/2). Each degree is a serial
 	// ascending row sum, so deg is worker-count independent.
 	deg := make([]float64, n)
-	par.For(s.Workers, n, func(i int) {
+	par.For(workers, n, func(i int) {
 		sum := 0.0
 		for j := 0; j < n; j++ {
 			sum += a.At(i, j)
@@ -140,7 +127,7 @@ func (s *Spectral) Embed(d [][]float64, k int) ([][]float64, error) {
 		}
 		deg[i] = 1 / math.Sqrt(sum)
 	})
-	par.For(s.Workers, n, func(i int) {
+	par.For(workers, n, func(i int) {
 		for j := 0; j < n; j++ {
 			a.Data[i*n+j] *= deg[i] * deg[j]
 		}
@@ -158,7 +145,7 @@ func (s *Spectral) Embed(d [][]float64, k int) ([][]float64, error) {
 		}
 	}
 	// Row renormalization.
-	par.For(s.Workers, n, func(i int) {
+	par.For(workers, n, func(i int) {
 		nrm := 0.0
 		for _, v := range emb[i] {
 			nrm += v * v

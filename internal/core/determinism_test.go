@@ -85,7 +85,9 @@ func TestKShapeRunDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *runSnapshot {
 		snap := &runSnapshot{}
 		before := obs.ReadCounters()
-		res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{
+		res, err := KShapeRun(data, Config{
+			K:           3,
+			Rand:        rand.New(rand.NewSource(11)),
 			OnIteration: snap.record,
 			Workers:     workers,
 		})
@@ -120,7 +122,9 @@ func TestKShapeSpectrumCacheWarmVsCold(t *testing.T) {
 		defer func() { disableSpectrumCache = false }()
 		snap := &runSnapshot{}
 		before := obs.ReadCounters()
-		res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{
+		res, err := KShapeRun(data, Config{
+			K:           3,
+			Rand:        rand.New(rand.NewSource(11)),
 			OnIteration: snap.record,
 			Workers:     workers,
 		})
@@ -161,7 +165,7 @@ func TestKShapeSpectrumCachePartialInvalidation(t *testing.T) {
 		disableSpectrumCache = cold
 		defer func() { disableSpectrumCache = false }()
 		before := obs.ReadCounters()
-		res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{Workers: 1})
+		res, err := KShapeRun(data, Config{K: 3, Rand: rand.New(rand.NewSource(11)), Workers: 1})
 		if err != nil {
 			t.Fatalf("cold=%v: %v", cold, err)
 		}
@@ -196,12 +200,10 @@ func TestLloydDeterministicAcrossWorkers(t *testing.T) {
 		snap := &runSnapshot{}
 		res, err := Lloyd(data, Config{
 			K:           4,
-			Distance:    func(c, x []float64) float64 { return dist.ED(c, x) },
-			Centroid:    avg.MeanAverager{}.Average,
 			Rand:        rand.New(rand.NewSource(5)),
 			OnIteration: snap.record,
 			Workers:     workers,
-		})
+		}, func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -219,11 +221,11 @@ func TestLloydDeterministicAcrossWorkers(t *testing.T) {
 // the serial reference as well, since that is the default every caller gets.
 func TestKShapeDefaultWorkersMatchesSerial(t *testing.T) {
 	data, _ := twoClassShiftedData(15, 40, rand.New(rand.NewSource(9)))
-	serial, err := KShapeRun(data, 2, rand.New(rand.NewSource(2)), KShapeOpts{Workers: 1})
+	serial, err := KShapeRun(data, Config{K: 2, Rand: rand.New(rand.NewSource(2)), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := KShapeRun(data, 2, rand.New(rand.NewSource(2)), KShapeOpts{})
+	auto, err := KShapeRun(data, Config{K: 2, Rand: rand.New(rand.NewSource(2))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@
 // clustering algorithm (Section 3.3, Algorithm 3), built on the shape-based
 // distance (internal/dist.SBD) and shape extraction (internal/avg).
 //
-// The iterative refinement engine is exposed generically (Lloyd), since
-// every scalable baseline in the paper's evaluation — k-AVG+ED, k-AVG+SBD,
-// k-AVG+DTW, k-DBA, KSC, k-Shape+DTW — is the same loop with a different
-// (distance, centroid) pair; internal/cluster instantiates them.
+// Algorithm 3 is a Lloyd loop — refine the centroids, then reassign the
+// series — and every scalable baseline in the paper's evaluation (k-AVG+ED,
+// k-AVG+SBD, k-AVG+DTW, k-DBA, KSC, k-Shape+DTW) is that same loop with a
+// different (distance, centroid) pair. One loop therefore runs them all:
+// Lloyd plugs in any pair, and KShapeRun plugs in the specialised SBD +
+// shape-extraction step; internal/cluster instantiates the baselines.
 package core
 
 import (
@@ -33,16 +35,12 @@ type DistanceFunc func(centroid, x []float64) float64
 // DBA, and KSC).
 type CentroidFunc func(members [][]float64, prev []float64) []float64
 
-// Config parameterizes the Lloyd iterative-refinement engine.
+// Config holds the controls shared by every run of the refinement loop.
 type Config struct {
 	// K is the number of clusters to produce. Required, 1 <= K <= n.
 	K int
 	// MaxIterations caps the refinement loop; 0 means DefaultMaxIterations.
 	MaxIterations int
-	// Distance is the assignment-step dissimilarity. Required.
-	Distance DistanceFunc
-	// Centroid is the refinement-step averaging method. Required.
-	Centroid CentroidFunc
 	// Rand supplies the random initial assignment. Required unless
 	// InitialLabels is set.
 	Rand *rand.Rand
@@ -52,15 +50,16 @@ type Config struct {
 	// OnIteration, if non-nil, is invoked synchronously after every
 	// refinement iteration with that iteration's statistics (inertia,
 	// label churn, per-phase wall time, cluster sizes). The callback runs
-	// on the engine's goroutine; per-iteration bookkeeping is only
+	// on the loop's goroutine; per-iteration bookkeeping is only
 	// performed when it is set.
 	OnIteration func(obs.IterationStats)
-	// Workers bounds the engine's parallelism: the assignment step runs
-	// in parallel across series and the refinement step across clusters.
-	// <= 0 means runtime.NumCPU(), 1 means serial. Labels, centroids, and
-	// the iteration trajectory are bit-for-bit identical for every value;
-	// Distance and Centroid must therefore be safe for concurrent calls
-	// (every implementation in this repository is).
+	// Workers bounds the loop's parallelism: the assignment step runs in
+	// parallel across series and the refinement step across clusters.
+	// <= 0 means runtime.NumCPU(), 1 means serial. Labels, centroids, the
+	// iteration trajectory, and kernel-counter totals are bit-for-bit
+	// identical for every value; Lloyd's distance and centroid functions
+	// must therefore be safe for concurrent calls (every implementation
+	// in this repository is).
 	Workers int
 	// Logger, if non-nil, receives structured per-iteration records at
 	// debug level (iteration number, inertia, label churn, reseeds, phase
@@ -91,25 +90,73 @@ var (
 	ErrBadK   = errors.New("core: k must satisfy 1 <= k <= number of series")
 )
 
-// Lloyd runs the two-step iterative refinement of Algorithm 3 with the
-// provided distance and centroid methods: refinement (recompute centroids)
-// then assignment (reassign to nearest centroid), until labels stabilize or
-// the iteration cap is hit.
+// Lloyd runs the refinement loop with the given distance (assignment step)
+// and centroid method (refinement step).
+func Lloyd(data [][]float64, cfg Config, distance DistanceFunc, centroid CentroidFunc) (*Result, error) {
+	if distance == nil || centroid == nil {
+		return nil, errors.New("core: Lloyd needs a distance and a centroid method")
+	}
+	return iterate(data, cfg, func(r *loop) step {
+		return &genericStep{loop: r, distance: distance, centroid: centroid, members: make([][]float64, len(data))}
+	})
+}
+
+// KShapeRun clusters z-normalized, equal-length series with k-Shape: the
+// refinement loop with SBD assignment and shape-extraction refinement
+// (Algorithm 3). Its step precomputes the Fourier spectra of the input
+// once (the data never moves between iterations, only the centroids do),
+// caches each centroid's spectrum while the centroid stands still, and
+// skips the refinement of clusters at a bitwise fixed point. Its results
+// are identical to Lloyd with SBD and avg.ShapeExtraction.
+func KShapeRun(data [][]float64, cfg Config) (*Result, error) {
+	return iterate(data, cfg, newKShapeStep)
+}
+
+// loop is the state of one run that the loop shares with its step.
+type loop struct {
+	data       [][]float64
+	k, m       int
+	workers    int
+	labels     []int
+	centroids  [][]float64
+	assignDist []float64
+	// capture holds the run observer's distance rows (nil when off).
+	capture [][]float64
+	// order lists the series grouped by cluster, ascending within each
+	// cluster: cluster j is order[starts[j]:starts[j+1]].
+	order  []int
+	starts []int
+	// membersChanged[j] records that cluster j gained or lost a series
+	// in the last assignment (true for every cluster before the first).
+	membersChanged []bool
+}
+
+// step is the method-specific half of one iteration.
+type step interface {
+	// refine recomputes centroids[j] from the series order[lo:hi]. It is
+	// called for every cluster in parallel.
+	refine(j, lo, hi int)
+	// assign moves every series to its closest centroid, setting labels
+	// and assignDist (and the observer's capture rows when non-nil).
+	assign()
+}
+
+// iterate is the refinement loop of Algorithm 3: refinement (recompute
+// centroids) then assignment (reassign to nearest centroid), until labels
+// stabilize or the iteration cap is hit.
 //
 // Centroids start as zero vectors and labels start random (or from
 // InitialLabels), matching the paper's pseudocode. An emptied cluster is
 // re-seeded with the series currently farthest from its own centroid, which
 // keeps K clusters alive without biasing toward any particular member.
-func Lloyd(data [][]float64, cfg Config) (*Result, error) {
+func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, error) {
 	n := len(data)
 	if n == 0 {
 		return nil, ErrNoData
 	}
-	if cfg.K < 1 || cfg.K > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadK, cfg.K, n)
-	}
-	if cfg.Distance == nil || cfg.Centroid == nil {
-		return nil, errors.New("core: Config.Distance and Config.Centroid are required")
+	k := cfg.K
+	if k < 1 || k > n {
+		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadK, k, n)
 	}
 	m := len(data[0])
 	for i, x := range data {
@@ -117,12 +164,6 @@ func Lloyd(data [][]float64, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("core: series %d has length %d, want %d", i, len(x), m)
 		}
 	}
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	k := cfg.K
-
 	labels := make([]int, n)
 	switch {
 	case cfg.InitialLabels != nil:
@@ -142,80 +183,232 @@ func Lloyd(data [][]float64, cfg Config) (*Result, error) {
 	default:
 		return nil, errors.New("core: Config.Rand is required when InitialLabels is nil")
 	}
-
-	centroids := make([][]float64, k)
-	for j := range centroids {
-		centroids[j] = make([]float64, m) // zero vectors, per Algorithm 3
+	maxIter := cfg.MaxIterations
+	if maxIter <= 0 {
+		maxIter = DefaultMaxIterations
 	}
-	assignDist := make([]float64, n)
 
-	res := &Result{Labels: labels, Centroids: centroids}
-	prev := make([]int, n)
 	ob := newRunObserver(n, k, cfg.OnIteration, cfg.Logger)
-	capture := ob.captureRows()
+	r := &loop{
+		data: data, k: k, m: m, workers: cfg.Workers,
+		labels:         labels,
+		centroids:      ts.NewMatrix(k, m), // zero vectors, per Algorithm 3
+		assignDist:     make([]float64, n),
+		capture:        ob.captureRows(),
+		order:          make([]int, n),
+		starts:         make([]int, k+1),
+		membersChanged: make([]bool, k),
+	}
+	for j := range r.membersChanged {
+		r.membersChanged[j] = true
+	}
+	s := newStep(r)
+	res := &Result{Labels: labels, Centroids: r.centroids}
+	prev := make([]int, n)
+	fill := make([]int, k)
 	for iter := 0; iter < maxIter; iter++ {
 		copy(prev, labels)
-		ob.beforeRefine(centroids)
+		ob.beforeRefine(r.centroids)
+		r.group(fill)
 
-		// Refinement step: recompute each centroid from its members, using
-		// the previous centroid as the alignment reference. Clusters are
-		// independent, so they refine in parallel.
+		// Refinement: clusters are independent, so they refine in parallel.
 		refineSW := obs.NewStopwatch()
-		members := make([][][]float64, k)
-		for i, l := range labels {
-			members[l] = append(members[l], data[i])
-		}
 		par.For(cfg.Workers, k, func(j int) {
-			centroids[j] = cfg.Centroid(members[j], centroids[j])
+			s.refine(j, r.starts[j], r.starts[j+1])
 		})
 		refineNS := refineSW.ElapsedNS()
 		obs.RecordPhaseSpan(obs.PhaseRefine, refineNS)
 
-		// Assignment step: each series moves to its closest centroid.
-		// Each index writes only its own labels/assignDist slots, and the
-		// centroid scan is ascending with a strict comparison, so the
-		// outcome is worker-count independent.
 		assignSW := obs.NewStopwatch()
-		par.For(cfg.Workers, n, func(i int) {
-			x := data[i]
-			var capRow []float64
-			if capture != nil {
-				capRow = capture[i]
-			}
-			best, bestJ := math.Inf(1), labels[i]
-			for j := 0; j < k; j++ {
-				d := cfg.Distance(centroids[j], x)
-				if capRow != nil {
-					capRow[j] = d
-				}
-				if d < best {
-					best, bestJ = d, j
-				}
-			}
-			labels[i] = bestJ
-			assignDist[i] = best
-		})
+		s.assign()
 		assignNS := assignSW.ElapsedNS()
 		obs.RecordPhaseSpan(obs.PhaseAssign, assignNS)
 
-		// Re-seed emptied clusters with the worst-fitting series.
-		reseeds := reseedEmptyClusters(data, labels, assignDist, k)
+		reseeds := reseedEmptyClusters(data, labels, r.assignDist, k)
+		// Membership deltas (including reseeds) tell the next refinement
+		// which clusters gained or lost a member.
+		for j := range r.membersChanged {
+			r.membersChanged[j] = false
+		}
+		for i := range labels {
+			if labels[i] != prev[i] {
+				r.membersChanged[labels[i]] = true
+				r.membersChanged[prev[i]] = true
+			}
+		}
 		observeIterationTelemetry(iter, refineNS, assignNS, refineSW)
-
 		res.Iterations = iter + 1
 		converged := equalLabels(labels, prev)
-		ob.observe(iter, labels, prev, assignDist, centroids, refineNS, assignNS, reseeds)
+		ob.observe(iter, labels, prev, r.assignDist, r.centroids, refineNS, assignNS, reseeds)
 		if converged {
 			res.Converged = true
 			break
 		}
 	}
-	res.Inertia = 0
-	for _, d := range assignDist {
+	for _, d := range r.assignDist {
 		res.Inertia += d * d
 	}
 	publishClusterSizes(labels, k)
 	return res, nil
+}
+
+// group sorts the series into order by cluster (counting sort, ascending
+// within each cluster), using fill as the k-wide cursor scratch.
+func (r *loop) group(fill []int) {
+	for j := range r.starts {
+		r.starts[j] = 0
+	}
+	for _, l := range r.labels {
+		r.starts[l+1]++
+	}
+	for j := 0; j < r.k; j++ {
+		r.starts[j+1] += r.starts[j]
+		fill[j] = r.starts[j]
+	}
+	for i, l := range r.labels {
+		r.order[fill[l]] = i
+		fill[l]++
+	}
+}
+
+// genericStep refines with any CentroidFunc and assigns with any
+// DistanceFunc.
+type genericStep struct {
+	*loop
+	distance DistanceFunc
+	centroid CentroidFunc
+	// members is the n-row view of data in order; cluster j refines from
+	// members[lo:hi].
+	members [][]float64
+}
+
+func (s *genericStep) refine(j, lo, hi int) {
+	for t, i := range s.order[lo:hi] {
+		s.members[lo+t] = s.data[i]
+	}
+	s.centroids[j] = s.centroid(s.members[lo:hi:hi], s.centroids[j])
+}
+
+// assign scans the centroids of every series in parallel. Each index
+// writes only its own labels/assignDist slots, and the centroid scan is
+// ascending with a strict comparison, so the outcome is worker-count
+// independent.
+func (s *genericStep) assign() {
+	par.For(s.workers, len(s.data), func(i int) {
+		x := s.data[i]
+		var capRow []float64
+		if s.capture != nil {
+			capRow = s.capture[i]
+		}
+		best, bestJ := math.Inf(1), s.labels[i]
+		for j, c := range s.centroids {
+			d := s.distance(c, x)
+			if capRow != nil {
+				capRow[j] = d
+			}
+			if d < best {
+				best, bestJ = d, j
+			}
+		}
+		s.labels[i] = bestJ
+		s.assignDist[i] = best
+	})
+}
+
+// kshapeStep is the k-Shape step: SBD assignment on cached spectra and
+// shape-extraction refinement. All its state is allocated once, so the
+// steady-state iterations are allocation-free apart from the eigensolve
+// inside shape extraction:
+//   - queries caches one prepared spectrum per centroid; specFresh[j]
+//     records that queries[j] still matches centroids[j], so a centroid
+//     that did not move between iterations is never re-transformed.
+//   - settled[j] records that the last refinement reproduced
+//     centroids[j] bit for bit; combined with an unchanged member set
+//     the whole refinement of cluster j is a no-op and is skipped.
+//   - alignRows is the n×m backing the aligned members are shifted into,
+//     cluster j owning rows [starts[j], starts[j+1]).
+type kshapeStep struct {
+	*loop
+	batch     *dist.SBDBatch
+	queries   []*dist.SBDQuery
+	specFresh []bool
+	settled   []bool
+	alignRows [][]float64
+}
+
+func newKShapeStep(r *loop) step {
+	return &kshapeStep{
+		loop:      r,
+		batch:     dist.NewSBDBatch(r.data),
+		queries:   make([]*dist.SBDQuery, r.k),
+		specFresh: make([]bool, r.k),
+		settled:   make([]bool, r.k),
+		alignRows: ts.NewMatrix(len(r.data), r.m),
+	}
+}
+
+// refine aligns the members to the previous centroid with one batched
+// query, then extracts the new shape. Each call owns its cluster's query
+// and a pooled scratch. A cluster whose membership did not change and
+// whose last refinement was a bitwise fixed point is skipped outright —
+// recomputing it would reproduce the same centroid from the same inputs.
+func (s *kshapeStep) refine(j, lo, hi int) {
+	if !disableSpectrumCache && s.settled[j] && !s.membersChanged[j] {
+		return
+	}
+	idxs := s.order[lo:hi]
+	if len(idxs) == 0 {
+		s.centroids[j] = make([]float64, s.m)
+		s.settled[j], s.specFresh[j] = false, false
+		return
+	}
+	rows := s.alignRows[lo:hi]
+	if isAllZero(s.centroids[j]) {
+		for t, i := range idxs {
+			copy(rows[t], s.data[i])
+		}
+	} else {
+		s.refreshQuery(j)
+		sc := s.batch.AcquireScratch()
+		alignMembers(s.queries[j], sc, s.data, idxs, rows)
+		s.batch.ReleaseScratch(sc)
+	}
+	newC := avg.ShapeExtractionAligned(rows)
+	s.settled[j] = equalFloatBits(newC, s.centroids[j])
+	s.centroids[j] = newC
+	if !s.settled[j] {
+		s.specFresh[j] = false
+	}
+}
+
+// refreshQuery re-transforms centroid j unless its cached spectrum is
+// still current.
+func (s *kshapeStep) refreshQuery(j int) {
+	if disableSpectrumCache || !s.specFresh[j] {
+		s.queries[j] = s.batch.QueryInto(s.queries[j], s.centroids[j])
+		s.specFresh[j] = true
+	}
+}
+
+// assign refreshes the cached query of every centroid that moved (at most
+// k forward FFTs, fewer on later iterations as centroids settle), then
+// scans the series in parallel; each worker chunk brings its own pooled
+// inverse-FFT scratch so the queries are shared read-only. The per-series
+// centroid scan is ascending with a strict comparison, so labels are
+// worker-count independent.
+func (s *kshapeStep) assign() {
+	par.For(s.workers, s.k, s.refreshQuery)
+	par.ForChunksMin(s.workers, len(s.data), assignMinPerChunk, func(lo, hi int) {
+		scratch := s.batch.AcquireScratch()
+		for i := lo; i < hi; i++ {
+			var capRow []float64
+			if s.capture != nil {
+				capRow = s.capture[i]
+			}
+			s.assignDist[i], s.labels[i] = nearestCentroid(s.queries, scratch, i, s.labels[i], capRow)
+		}
+		s.batch.ReleaseScratch(scratch)
+	})
 }
 
 // observeIterationTelemetry records one iteration's phase latencies into
@@ -323,243 +516,6 @@ func equalLabels(a, b []int) bool {
 	return true
 }
 
-// KShape clusters z-normalized, equal-length series into k clusters with
-// the shape-based distance and shape extraction (Algorithm 3). rng drives
-// the random initial assignment; pass a fixed seed for reproducible runs.
-//
-// This entry point runs an optimized inner loop that precomputes the
-// Fourier spectra of the input once (the data never moves between
-// iterations, only the centroids do), cutting the per-iteration FFT count
-// from three per comparison to one. Its results are identical to the
-// generic Lloyd engine with SBD + shape extraction.
-func KShape(data [][]float64, k int, rng *rand.Rand) (*Result, error) {
-	return KShapeInit(data, k, rng, nil)
-}
-
-// KShapeInit is KShape with an optional deterministic initial assignment
-// (labels in [0, k), length len(data)); rng may be nil when initLabels is
-// provided.
-func KShapeInit(data [][]float64, k int, rng *rand.Rand, initLabels []int) (*Result, error) {
-	return KShapeRun(data, k, rng, KShapeOpts{InitialLabels: initLabels})
-}
-
-// KShapeOpts bundles the optional engine controls of the optimized k-Shape
-// loop, mirroring the corresponding Config fields of the generic engine.
-type KShapeOpts struct {
-	// MaxIterations caps the refinement loop; 0 means DefaultMaxIterations.
-	MaxIterations int
-	// InitialLabels, if non-nil, seeds the assignment deterministically.
-	InitialLabels []int
-	// OnIteration, if non-nil, receives per-iteration statistics exactly
-	// as in Config.OnIteration.
-	OnIteration func(obs.IterationStats)
-	// Workers bounds the loop's parallelism (Config.Workers semantics:
-	// <= 0 means runtime.NumCPU(), 1 means serial). Results and kernel
-	// counter totals are bit-for-bit identical for every value.
-	Workers int
-	// Logger, if non-nil, receives structured per-iteration records at
-	// debug level (Config.Logger semantics).
-	Logger *slog.Logger
-}
-
-// KShapeRun is the optimized k-Shape loop of KShape with explicit engine
-// options (iteration cap, deterministic initialization, per-iteration
-// observation).
-func KShapeRun(data [][]float64, k int, rng *rand.Rand, opt KShapeOpts) (*Result, error) {
-	n := len(data)
-	if n == 0 {
-		return nil, ErrNoData
-	}
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadK, k, n)
-	}
-	m := len(data[0])
-	for i, x := range data {
-		if len(x) != m {
-			return nil, fmt.Errorf("core: series %d has length %d, want %d", i, len(x), m)
-		}
-	}
-	labels := make([]int, n)
-	switch {
-	case opt.InitialLabels != nil:
-		if len(opt.InitialLabels) != n {
-			return nil, fmt.Errorf("core: initial labels length %d, want %d", len(opt.InitialLabels), n)
-		}
-		for i, l := range opt.InitialLabels {
-			if l < 0 || l >= k {
-				return nil, fmt.Errorf("core: initial label %d out of [0, %d)", l, k)
-			}
-			labels[i] = l
-		}
-	case rng != nil:
-		for i := range labels {
-			labels[i] = rng.Intn(k)
-		}
-	default:
-		return nil, errors.New("core: a random source is required without initial labels")
-	}
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-
-	batch := dist.NewSBDBatch(data)
-	centroids := make([][]float64, k)
-	for j := range centroids {
-		centroids[j] = make([]float64, m)
-	}
-	assignDist := make([]float64, n)
-	res := &Result{Labels: labels, Centroids: centroids}
-	prev := make([]int, n)
-	ob := newRunObserver(n, k, opt.OnIteration, opt.Logger)
-	capture := ob.captureRows()
-
-	// All per-iteration state is allocated once, outside the loop, so the
-	// steady-state iterations are allocation-free apart from the eigen
-	// solve inside shape extraction:
-	//   - queries caches one prepared spectrum per centroid; specFresh[j]
-	//     records that queries[j] still matches centroids[j], so a centroid
-	//     that did not move between iterations is never re-transformed.
-	//   - settled[j] records that the last refinement reproduced
-	//     centroids[j] bit for bit; combined with an unchanged member set
-	//     the whole refinement of cluster j is a no-op and is skipped.
-	//   - order/starts group member indices per cluster by counting sort
-	//     (ascending within each cluster, exactly like the append-based
-	//     grouping it replaces), and alignRows is the n×m backing the
-	//     aligned members are shifted into.
-	queries := make([]*dist.SBDQuery, k)
-	specFresh := make([]bool, k)
-	settled := make([]bool, k)
-	membersChanged := make([]bool, k)
-	for j := range membersChanged {
-		membersChanged[j] = true
-	}
-	order := make([]int, n)
-	starts := make([]int, k+1)
-	fill := make([]int, k)
-	alignRows := ts.NewMatrix(n, m)
-
-	for iter := 0; iter < maxIter; iter++ {
-		copy(prev, labels)
-		ob.beforeRefine(centroids)
-
-		// Group member indices per cluster: counting sort into order, with
-		// cluster j occupying order[starts[j]:starts[j+1]].
-		for j := range fill {
-			starts[j] = 0
-			fill[j] = 0
-		}
-		starts[k] = 0
-		for _, l := range labels {
-			starts[l+1]++
-		}
-		for j := 0; j < k; j++ {
-			starts[j+1] += starts[j]
-			fill[j] = starts[j]
-		}
-		for i, l := range labels {
-			order[fill[l]] = i
-			fill[l]++
-		}
-
-		// Refinement: align members to the previous centroid with one
-		// batched query, then extract the new shape. Clusters refine in
-		// parallel; each goroutine owns its cluster's query and a pooled
-		// scratch. A cluster whose membership did not change and whose
-		// last refinement was a bitwise fixed point is skipped outright —
-		// recomputing it would reproduce the same centroid from the same
-		// inputs.
-		refineSW := obs.NewStopwatch()
-		par.For(opt.Workers, k, func(j int) {
-			if !disableSpectrumCache && settled[j] && !membersChanged[j] {
-				return
-			}
-			idxs := order[starts[j]:starts[j+1]]
-			if len(idxs) == 0 {
-				centroids[j] = make([]float64, m)
-				settled[j], specFresh[j] = false, false
-				return
-			}
-			rows := alignRows[starts[j]:starts[j+1]]
-			if isAllZero(centroids[j]) {
-				for t, i := range idxs {
-					copy(rows[t], data[i])
-				}
-			} else {
-				if disableSpectrumCache || !specFresh[j] {
-					queries[j] = batch.QueryInto(queries[j], centroids[j])
-					specFresh[j] = true
-				}
-				sc := batch.AcquireScratch()
-				alignMembers(queries[j], sc, data, idxs, rows)
-				batch.ReleaseScratch(sc)
-			}
-			newC := avg.ShapeExtractionAligned(rows)
-			settled[j] = equalFloatBits(newC, centroids[j])
-			centroids[j] = newC
-			if !settled[j] {
-				specFresh[j] = false
-			}
-		})
-		refineNS := refineSW.ElapsedNS()
-		obs.RecordPhaseSpan(obs.PhaseRefine, refineNS)
-
-		// Assignment: refresh the cached query of every centroid that
-		// moved (at most k forward FFTs, fewer on later iterations as
-		// centroids settle), then a parallel scan over series; each worker
-		// chunk brings its own pooled inverse-FFT scratch so the queries
-		// are shared read-only. The per-series centroid scan is ascending
-		// with a strict comparison, so labels are worker-count independent.
-		assignSW := obs.NewStopwatch()
-		par.For(opt.Workers, k, func(j int) {
-			if disableSpectrumCache || !specFresh[j] {
-				queries[j] = batch.QueryInto(queries[j], centroids[j])
-				specFresh[j] = true
-			}
-		})
-		par.ForChunksMin(opt.Workers, n, assignMinPerChunk, func(lo, hi int) {
-			scratch := batch.AcquireScratch()
-			for i := lo; i < hi; i++ {
-				var capRow []float64
-				if capture != nil {
-					capRow = capture[i]
-				}
-				assignDist[i], labels[i] = nearestCentroid(queries, scratch, i, labels[i], capRow)
-			}
-			batch.ReleaseScratch(scratch)
-		})
-
-		assignNS := assignSW.ElapsedNS()
-		obs.RecordPhaseSpan(obs.PhaseAssign, assignNS)
-		reseeds := reseedEmptyClusters(data, labels, assignDist, k)
-		// Membership deltas (including reseeds) drive the next iteration's
-		// refinement skip: only clusters that gained or lost a member need
-		// their centroid recomputed — unless they hadn't settled yet.
-		for j := range membersChanged {
-			membersChanged[j] = false
-		}
-		for i := range labels {
-			if labels[i] != prev[i] {
-				membersChanged[labels[i]] = true
-				membersChanged[prev[i]] = true
-			}
-		}
-		observeIterationTelemetry(iter, refineNS, assignNS, refineSW)
-		res.Iterations = iter + 1
-		converged := equalLabels(labels, prev)
-		ob.observe(iter, labels, prev, assignDist, centroids, refineNS, assignNS, reseeds)
-		if converged {
-			res.Converged = true
-			break
-		}
-	}
-	for _, d := range assignDist {
-		res.Inertia += d * d
-	}
-	publishClusterSizes(labels, k)
-	return res, nil
-}
-
 // assignMinPerChunk floors the per-chunk series count of the assignment
 // scan so par's chunk handoff is amortized over several inverse transforms.
 const assignMinPerChunk = 4
@@ -631,16 +587,4 @@ func isAllZero(x []float64) bool {
 		}
 	}
 	return true
-}
-
-// KShapeDTW is the k-Shape+DTW ablation of Table 3: shape extraction for
-// centroids but DTW for assignment, demonstrating that mismatched
-// distance/centroid pairs degrade accuracy.
-func KShapeDTW(data [][]float64, k int, rng *rand.Rand) (*Result, error) {
-	return Lloyd(data, Config{
-		K:        k,
-		Distance: func(c, x []float64) float64 { return dist.DTW(c, x) },
-		Centroid: avg.ShapeExtraction,
-		Rand:     rng,
-	})
 }

@@ -66,7 +66,7 @@ func clusterPurity(pred, truth []int, k int) float64 {
 func TestKShapeSeparatesShapeClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data, truth := twoClassShiftedData(30, 64, rng)
-	res, err := KShape(data, 2, rand.New(rand.NewSource(2)))
+	res, err := KShapeRun(data, Config{K: 2, Rand: rand.New(rand.NewSource(2))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestKShapeSeparatesShapeClasses(t *testing.T) {
 func TestKShapeConvergesAndReportsIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data, _ := twoClassShiftedData(20, 32, rng)
-	res, err := KShape(data, 2, rand.New(rand.NewSource(4)))
+	res, err := KShapeRun(data, Config{K: 2, Rand: rand.New(rand.NewSource(4))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,8 @@ func TestKShapeDeterministicWithInitialLabels(t *testing.T) {
 	run := func() *Result {
 		res, err := Lloyd(data, Config{
 			K:             2,
-			Distance:      func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-			Centroid:      avg.ShapeExtraction,
 			InitialLabels: init,
-		})
+		}, func(c, x []float64) float64 { return dist.SBDDist(c, x) }, avg.ShapeExtraction)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,48 +119,46 @@ func TestKShapeDeterministicWithInitialLabels(t *testing.T) {
 }
 
 func TestLloydValidation(t *testing.T) {
-	good := Config{
-		K:        1,
-		Distance: func(c, x []float64) float64 { return dist.ED(c, x) },
-		Centroid: avg.MeanAverager{}.Average,
-		Rand:     rand.New(rand.NewSource(1)),
-	}
-	if _, err := Lloyd(nil, good); !errors.Is(err, ErrNoData) {
+	ed := func(c, x []float64) float64 { return dist.ED(c, x) }
+	mean := avg.MeanAverager{}.Average
+	good := Config{K: 1, Rand: rand.New(rand.NewSource(1))}
+	if _, err := Lloyd(nil, good, ed, mean); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty data: %v", err)
 	}
 	data := [][]float64{{1, 2}, {3, 4}}
 	bad := good
 	bad.K = 3
-	if _, err := Lloyd(data, bad); !errors.Is(err, ErrBadK) {
+	if _, err := Lloyd(data, bad, ed, mean); !errors.Is(err, ErrBadK) {
 		t.Errorf("k > n: %v", err)
 	}
 	bad = good
 	bad.K = 0
-	if _, err := Lloyd(data, bad); !errors.Is(err, ErrBadK) {
+	if _, err := Lloyd(data, bad, ed, mean); !errors.Is(err, ErrBadK) {
 		t.Errorf("k = 0: %v", err)
 	}
-	bad = good
-	bad.Distance = nil
-	if _, err := Lloyd(data, bad); err == nil {
+	if _, err := Lloyd(data, good, nil, mean); err == nil {
 		t.Error("nil distance accepted")
+	}
+	if _, err := Lloyd(data, good, ed, nil); err == nil {
+		t.Error("nil centroid accepted")
 	}
 	bad = good
 	bad.Rand = nil
-	if _, err := Lloyd(data, bad); err == nil {
+	if _, err := Lloyd(data, bad, ed, mean); err == nil {
 		t.Error("nil rand without initial labels accepted")
 	}
 	bad = good
 	bad.InitialLabels = []int{0}
-	if _, err := Lloyd(data, bad); err == nil {
+	if _, err := Lloyd(data, bad, ed, mean); err == nil {
 		t.Error("short InitialLabels accepted")
 	}
 	bad = good
 	bad.InitialLabels = []int{0, 5}
-	if _, err := Lloyd(data, bad); err == nil {
+	if _, err := Lloyd(data, bad, ed, mean); err == nil {
 		t.Error("out-of-range InitialLabels accepted")
 	}
 	ragged := [][]float64{{1, 2}, {3}}
-	if _, err := Lloyd(ragged, good); err == nil {
+	if _, err := Lloyd(ragged, good, ed, mean); err == nil {
 		t.Error("ragged data accepted")
 	}
 }
@@ -173,7 +169,7 @@ func TestLloydKEqualsN(t *testing.T) {
 		ts.ZNormalize([]float64{4, 3, 2, 1}),
 		ts.ZNormalize([]float64{1, -1, 1, -1}),
 	}
-	res, err := KShape(data, 3, rand.New(rand.NewSource(6)))
+	res, err := KShapeRun(data, Config{K: 3, Rand: rand.New(rand.NewSource(6))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +185,7 @@ func TestLloydKEqualsN(t *testing.T) {
 func TestLloydSingleCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data, _ := twoClassShiftedData(5, 16, rng)
-	res, err := KShape(data, 1, rand.New(rand.NewSource(8)))
+	res, err := KShapeRun(data, Config{K: 1, Rand: rand.New(rand.NewSource(8))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +207,8 @@ func TestLloydEmptyClusterReseeded(t *testing.T) {
 	init := make([]int, len(data)) // everything in cluster 0
 	res, err := Lloyd(data, Config{
 		K:             3,
-		Distance:      func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-		Centroid:      avg.ShapeExtraction,
 		InitialLabels: init,
-	})
+	}, func(c, x []float64) float64 { return dist.SBDDist(c, x) }, avg.ShapeExtraction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +226,7 @@ func TestLloydEmptyClusterReseeded(t *testing.T) {
 func TestKShapeCentroidsZNormalized(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	data, _ := twoClassShiftedData(15, 32, rng)
-	res, err := KShape(data, 2, rand.New(rand.NewSource(11)))
+	res, err := KShapeRun(data, Config{K: 2, Rand: rand.New(rand.NewSource(11))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,24 +240,12 @@ func TestKShapeCentroidsZNormalized(t *testing.T) {
 func TestKShapeInertiaNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	data, _ := twoClassShiftedData(10, 32, rng)
-	res, err := KShape(data, 2, rand.New(rand.NewSource(13)))
+	res, err := KShapeRun(data, Config{K: 2, Rand: rand.New(rand.NewSource(13))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Inertia < 0 {
 		t.Errorf("inertia = %v", res.Inertia)
-	}
-}
-
-func TestKShapeDTWRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	data, _ := twoClassShiftedData(8, 24, rng)
-	res, err := KShapeDTW(data, 2, rand.New(rand.NewSource(15)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Labels) != len(data) {
-		t.Errorf("labels length %d", len(res.Labels))
 	}
 }
 
@@ -273,10 +255,8 @@ func TestLloydMaxIterationsRespected(t *testing.T) {
 	res, err := Lloyd(data, Config{
 		K:             2,
 		MaxIterations: 1,
-		Distance:      func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-		Centroid:      avg.ShapeExtraction,
 		Rand:          rand.New(rand.NewSource(17)),
-	})
+	}, func(c, x []float64) float64 { return dist.SBDDist(c, x) }, avg.ShapeExtraction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,14 +276,12 @@ func TestKShapeSpecializedMatchesGenericLloyd(t *testing.T) {
 	}
 	generic, err := Lloyd(data, Config{
 		K:             3,
-		Distance:      func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-		Centroid:      avg.ShapeExtraction,
 		InitialLabels: init,
-	})
+	}, func(c, x []float64) float64 { return dist.SBDDist(c, x) }, avg.ShapeExtraction)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := KShapeInit(data, 3, nil, init)
+	fast, err := KShapeRun(data, Config{K: 3, InitialLabels: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,24 +303,26 @@ func TestKShapeSpecializedMatchesGenericLloyd(t *testing.T) {
 	}
 }
 
+// TestKShapeInitValidation checks KShapeRun's input validation, including
+// a deterministic InitialLabels seeding in place of a random source.
 func TestKShapeInitValidation(t *testing.T) {
 	data := [][]float64{{1, 2, 3}, {3, 2, 1}}
-	if _, err := KShapeInit(data, 2, nil, nil); err == nil {
+	if _, err := KShapeRun(data, Config{K: 2}); err == nil {
 		t.Error("nil rng and nil init accepted")
 	}
-	if _, err := KShapeInit(data, 2, nil, []int{0}); err == nil {
+	if _, err := KShapeRun(data, Config{K: 2, InitialLabels: []int{0}}); err == nil {
 		t.Error("short init accepted")
 	}
-	if _, err := KShapeInit(data, 2, nil, []int{0, 5}); err == nil {
+	if _, err := KShapeRun(data, Config{K: 2, InitialLabels: []int{0, 5}}); err == nil {
 		t.Error("out-of-range init accepted")
 	}
-	if _, err := KShapeInit(nil, 1, nil, nil); err == nil {
+	if _, err := KShapeRun(nil, Config{K: 1}); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := KShapeInit(data, 9, nil, nil); err == nil {
+	if _, err := KShapeRun(data, Config{K: 9}); err == nil {
 		t.Error("k > n accepted")
 	}
-	if _, err := KShapeInit([][]float64{{1, 2}, {1}}, 2, nil, []int{0, 1}); err == nil {
+	if _, err := KShapeRun([][]float64{{1, 2}, {1}}, Config{K: 2, InitialLabels: []int{0, 1}}); err == nil {
 		t.Error("ragged data accepted")
 	}
 }
@@ -394,16 +374,14 @@ func TestLloydOnIterationMonotoneInertia(t *testing.T) {
 
 	var stats []obs.IterationStats
 	res, err := Lloyd(data, Config{
-		K:        2,
-		Distance: dist.ED,
-		Centroid: func(members [][]float64, prev []float64) []float64 {
-			if len(members) == 0 {
-				return prev
-			}
-			return avg.Mean(members)
-		},
+		K:           2,
 		Rand:        rand.New(rand.NewSource(3)),
 		OnIteration: func(s obs.IterationStats) { stats = append(stats, s) },
+	}, dist.ED, func(members [][]float64, prev []float64) []float64 {
+		if len(members) == 0 {
+			return prev
+		}
+		return avg.Mean(members)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +400,9 @@ func TestKShapeRunOnIteration(t *testing.T) {
 	data, _ := twoClassShiftedData(25, 64, rng)
 
 	var stats []obs.IterationStats
-	res, err := KShapeRun(data, 2, rand.New(rand.NewSource(5)), KShapeOpts{
+	res, err := KShapeRun(data, Config{
+		K:           2,
+		Rand:        rand.New(rand.NewSource(5)),
 		OnIteration: func(s obs.IterationStats) { stats = append(stats, s) },
 	})
 	if err != nil {
@@ -438,7 +418,9 @@ func TestKShapeRunMaxIterationsLimitsCallbacks(t *testing.T) {
 	data, _ := twoClassShiftedData(20, 32, rng)
 
 	calls := 0
-	res, err := KShapeRun(data, 2, rand.New(rand.NewSource(4)), KShapeOpts{
+	res, err := KShapeRun(data, Config{
+		K:             2,
+		Rand:          rand.New(rand.NewSource(4)),
 		MaxIterations: 1,
 		OnIteration:   func(obs.IterationStats) { calls++ },
 	})

@@ -27,7 +27,9 @@ func TestKShapeRunPublisherBitIdentical(t *testing.T) {
 		}
 		snap := &runSnapshot{}
 		before := obs.ReadCounters()
-		res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{
+		res, err := KShapeRun(data, Config{
+			K:           3,
+			Rand:        rand.New(rand.NewSource(11)),
 			OnIteration: snap.record,
 			Workers:     workers,
 		})
@@ -60,7 +62,7 @@ func TestKShapeRunPublisherOnlyMatchesUnobserved(t *testing.T) {
 			prevPub := obs.SetProgressPublisher(pub)
 			defer obs.SetProgressPublisher(prevPub)
 		}
-		res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{Workers: workers})
+		res, err := KShapeRun(data, Config{K: 3, Rand: rand.New(rand.NewSource(11)), Workers: workers})
 		if err != nil {
 			t.Fatalf("publish=%v workers=%d: %v", publish, workers, err)
 		}
@@ -104,12 +106,10 @@ func TestLloydPublisherBitIdentical(t *testing.T) {
 		snap := &runSnapshot{}
 		res, err := Lloyd(data, Config{
 			K:           4,
-			Distance:    func(c, x []float64) float64 { return dist.ED(c, x) },
-			Centroid:    avg.MeanAverager{}.Average,
 			Rand:        rand.New(rand.NewSource(5)),
 			OnIteration: snap.record,
 			Workers:     workers,
-		})
+		}, func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
 		if err != nil {
 			t.Fatalf("publish=%v workers=%d: %v", publish, workers, err)
 		}
@@ -133,7 +133,9 @@ func TestKShapeRunPublishedHistoryMatchesTrace(t *testing.T) {
 	defer obs.SetProgressPublisher(prevPub)
 
 	var trace []obs.IterationStats
-	res, err := KShapeRun(data, 3, rand.New(rand.NewSource(11)), KShapeOpts{
+	res, err := KShapeRun(data, Config{
+		K:           3,
+		Rand:        rand.New(rand.NewSource(11)),
 		OnIteration: func(st obs.IterationStats) { trace = append(trace, st) },
 		Workers:     2,
 	})
@@ -175,7 +177,9 @@ func TestKShapeRunPublishedHistoryMatchesTrace(t *testing.T) {
 func TestRunObserverSilhouetteRange(t *testing.T) {
 	data, _ := twoClassShiftedData(20, 48, rand.New(rand.NewSource(7)))
 	var trace []obs.IterationStats
-	res, err := KShapeRun(data, 2, rand.New(rand.NewSource(11)), KShapeOpts{
+	res, err := KShapeRun(data, Config{
+		K:           2,
+		Rand:        rand.New(rand.NewSource(11)),
 		OnIteration: func(st obs.IterationStats) { trace = append(trace, st) },
 		Workers:     1,
 	})

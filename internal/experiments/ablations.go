@@ -88,12 +88,7 @@ func Ablations(cfg Config) AblationResult {
 			sum, count := 0.0, 0
 			for r := 0; r < cfg.Runs; r++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(d)*1000 + int64(r)))
-				res, err := core.Lloyd(data, core.Config{
-					K:        ds.K,
-					Distance: v.distance,
-					Centroid: v.centroid,
-					Rand:     rng,
-				})
+				res, err := core.Lloyd(data, core.Config{K: ds.K, Rand: rng}, v.distance, v.centroid)
 				if err != nil {
 					continue
 				}

@@ -182,7 +182,7 @@ func observedRun(cfg Config, c cluster.Clusterer, data [][]float64, truth []int,
 	// keeps the counter deltas and per-phase timings attributable to one
 	// run at a time.
 	if cfg.Metrics == nil {
-		res, err := cluster.Run(c, data, k, rng, cluster.Opts{Workers: 1})
+		res, err := cluster.Run(c, data, core.Config{K: k, Rand: rng, Workers: 1})
 		if err != nil {
 			return 0, false
 		}
@@ -191,7 +191,9 @@ func observedRun(cfg Config, c cluster.Clusterer, data [][]float64, truth []int,
 	var traj []obs.IterationStats
 	before := obs.ReadCounters()
 	sw := obs.NewStopwatch()
-	res, err := cluster.Run(c, data, k, rng, cluster.Opts{
+	res, err := cluster.Run(c, data, core.Config{
+		K:           k,
+		Rand:        rng,
 		OnIteration: func(st obs.IterationStats) { traj = append(traj, st) },
 		Workers:     1,
 	})
@@ -289,7 +291,7 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 			}
 		case jobSpectral:
 			s := cluster.NewSpectral(job.measure)
-			emb, err := s.Embed(dm, ds.K)
+			emb, err := s.Embed(dm, ds.K, 0)
 			if err != nil {
 				continue
 			}
@@ -311,7 +313,7 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 			sum, count := 0.0, 0
 			for r := 0; r < runs; r++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(d)*1000 + int64(r)))
-				res, err := p.ClusterWithMatrix(data, dm, ds.K, rng)
+				res, err := p.ClusterWithMatrix(data, dm, core.Config{K: ds.K, Rand: rng})
 				if err != nil {
 					continue
 				}
@@ -344,26 +346,23 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 // kmeansOnEmbedding runs plain k-means (ED + mean) on spectral embedding
 // rows.
 func kmeansOnEmbedding(emb [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
-	return core.Lloyd(emb, core.Config{
-		K:        k,
-		Distance: func(c, x []float64) float64 { return dist.ED(c, x) },
-		Centroid: func(members [][]float64, prev []float64) []float64 {
-			if len(members) == 0 {
-				return append([]float64(nil), prev...)
+	mean := func(members [][]float64, prev []float64) []float64 {
+		if len(members) == 0 {
+			return append([]float64(nil), prev...)
+		}
+		out := make([]float64, len(members[0]))
+		for _, x := range members {
+			for i, v := range x {
+				out[i] += v
 			}
-			out := make([]float64, len(members[0]))
-			for _, x := range members {
-				for i, v := range x {
-					out[i] += v
-				}
-			}
-			for i := range out {
-				out[i] /= float64(len(members))
-			}
-			return out
-		},
-		Rand: rng,
-	})
+		}
+		for i := range out {
+			out[i] /= float64(len(members))
+		}
+		return out
+	}
+	return core.Lloyd(emb, core.Config{K: k, Rand: rng},
+		func(c, x []float64) float64 { return dist.ED(c, x) }, mean)
 }
 
 // parallelOver runs fn(i) for i in [0, n) across the configured number of

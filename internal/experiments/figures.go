@@ -181,19 +181,15 @@ func fig12Point(cfg Config, n, m int) Fig12Point {
 	pt := Fig12Point{N: n, M: m}
 
 	sw := obs.NewStopwatch()
-	resED, err := core.Lloyd(data, core.Config{
-		K:        k,
-		Distance: func(c, x []float64) float64 { return dist.ED(c, x) },
-		Centroid: avg.MeanAverager{}.Average,
-		Rand:     cfg.rng(int64(n)*7 + int64(m)),
-	})
+	resED, err := core.Lloyd(data, core.Config{K: k, Rand: cfg.rng(int64(n)*7 + int64(m))},
+		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
 	if err == nil {
 		pt.KAvgEDSeconds = sw.Seconds()
 		pt.KAvgEDIters = resED.Iterations
 	}
 
 	sw = obs.NewStopwatch()
-	resKS, err := core.KShape(data, k, cfg.rng(int64(n)*13+int64(m)))
+	resKS, err := core.KShapeRun(data, core.Config{K: k, Rand: cfg.rng(int64(n)*13 + int64(m))})
 	if err == nil {
 		pt.KShapeSeconds = sw.Seconds()
 		pt.KShapeIters = resKS.Iterations

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"kshape/internal/cluster"
+	"kshape/internal/core"
 	"kshape/internal/dist"
 	"kshape/internal/eval"
 	"kshape/internal/ts"
@@ -56,7 +57,7 @@ func KEstimation(cfg Config) KEstimationResult {
 			bestInertia := -1.0
 			for r := 0; r < cfg.Runs; r++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(di)*1000 + int64(k)*10 + int64(r)))
-				out, err := cluster.NewKShape().Cluster(data, k, rng)
+				out, err := cluster.NewKShape().Cluster(data, core.Config{K: k, Rand: rng})
 				if err != nil {
 					continue
 				}

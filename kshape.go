@@ -25,6 +25,7 @@ import (
 
 	"kshape/internal/avg"
 	"kshape/internal/cluster"
+	"kshape/internal/core"
 	"kshape/internal/dist"
 	"kshape/internal/eval"
 	"kshape/internal/obs"
@@ -70,8 +71,11 @@ type Result struct {
 
 // Options configures Cluster and New.
 type Options struct {
-	// MaxIterations caps the refinement loop (default 100, as in the
-	// paper).
+	// MaxIterations caps the iteration loop of every method that has one
+	// (default 100, as in the paper): the refinement loop of k-Shape and
+	// the k-means family (Features+k-means included), PAM's
+	// assign/re-elect alternation, and spectral clustering's embedded
+	// k-means. Hierarchical clustering has no loop to cap.
 	MaxIterations int
 	// Seed drives the random initial assignment. Runs with the same data,
 	// k, and seed are reproducible.
@@ -85,8 +89,8 @@ type Options struct {
 	Method string
 	// OnIteration, if non-nil, is invoked synchronously after every
 	// refinement iteration of an iterative method (k-Shape and the
-	// k-means family). Methods without a refinement loop (hierarchical,
-	// PAM, spectral) never invoke it.
+	// k-means family, Features+k-means included). Methods without a
+	// refinement loop (hierarchical, PAM, spectral) never invoke it.
 	OnIteration func(IterationStats)
 	// CollectTrace records the per-iteration trajectory, kernel operation
 	// counters, and total wall time of the run into Result.Trace. Counter
@@ -95,8 +99,10 @@ type Options struct {
 	CollectTrace bool
 	// Workers bounds the clustering's parallelism: 0 (the default) means
 	// runtime.NumCPU(), 1 means fully serial, and any other positive
-	// value caps the number of concurrent workers. Every method computes
-	// through the deterministic internal/par substrate, so labels,
+	// value caps the number of concurrent workers. It covers every
+	// method's whole run, the dissimilarity-matrix builds of the
+	// hierarchical, PAM and spectral methods included. Every method
+	// computes through the deterministic internal/par substrate, so labels,
 	// centroids, iteration traces, and kernel counters are bit-for-bit
 	// identical for every Workers value under a fixed Seed.
 	Workers int
@@ -116,7 +122,7 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 	if name == "" {
 		name = "k-Shape"
 	}
-	c, ok := methodRegistry(opts.Workers)[name]
+	c, ok := methods[name]
 	if !ok {
 		return nil, fmt.Errorf("kshape: unknown method %q (see kshape.Methods)", name)
 	}
@@ -138,12 +144,10 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 			prepared[i] = ts.ZNormalize(x)
 		}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-
 	// Every method — k-Shape included — dispatches through the registry
-	// and cluster.Run, so engine options and instrumentation hooks apply
-	// uniformly; iteration-level controls are inert for methods without a
-	// refinement loop.
+	// and cluster.Run with one core.Config, so engine options and
+	// instrumentation hooks apply uniformly; OnIteration and Logger are
+	// inert for methods without a refinement loop.
 	onIter := opts.OnIteration
 	var trace *RunTrace
 	var countersBefore obs.Counters
@@ -162,8 +166,10 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 		countersBefore = obs.ReadCounters()
 		sw = obs.NewStopwatch()
 	}
-	res, err := cluster.Run(c, prepared, k, rng, cluster.Opts{
+	res, err := cluster.Run(c, prepared, core.Config{
+		K:             k,
 		MaxIterations: opts.MaxIterations,
+		Rand:          rand.New(rand.NewSource(opts.Seed)),
 		OnIteration:   onIter,
 		Workers:       opts.Workers,
 		Logger:        opts.Logger,
@@ -227,18 +233,13 @@ func Methods() []string {
 	}
 }
 
-func methodRegistry(workers int) map[string]cluster.Clusterer {
+// methods maps every name of Methods to its clusterer. The clusterers are
+// stateless — each call's controls arrive in its core.Config — so one
+// registry serves every call, concurrent ones included.
+var methods = newMethodRegistry()
+
+func newMethodRegistry() map[string]cluster.Clusterer {
 	cdtw5 := dist.NewCDTWFrac("cDTW5", 0.05)
-	pam := func(m dist.Measure) cluster.Clusterer {
-		p := cluster.NewPAM(m)
-		p.Workers = workers
-		return p
-	}
-	spectral := func(m dist.Measure) cluster.Clusterer {
-		s := cluster.NewSpectral(m)
-		s.Workers = workers
-		return s
-	}
 	reg := map[string]cluster.Clusterer{
 		"k-Shape":     cluster.NewKShape(),
 		"k-AVG+ED":    cluster.NewKAvgED(),
@@ -247,12 +248,12 @@ func methodRegistry(workers int) map[string]cluster.Clusterer {
 		"k-DBA":       cluster.NewKDBA(),
 		"KSC":         cluster.NewKSC(),
 		"k-Shape+DTW": cluster.NewKShapeDTW(),
-		"PAM+ED":      pam(dist.EDMeasure{}),
-		"PAM+cDTW5":   pam(cdtw5),
-		"PAM+SBD":     pam(dist.SBDMeasure{}),
-		"S+ED":        spectral(dist.EDMeasure{}),
-		"S+cDTW5":     spectral(cdtw5),
-		"S+SBD":       spectral(dist.SBDMeasure{}),
+		"PAM+ED":      cluster.NewPAM(dist.EDMeasure{}),
+		"PAM+cDTW5":   cluster.NewPAM(cdtw5),
+		"PAM+SBD":     cluster.NewPAM(dist.SBDMeasure{}),
+		"S+ED":        cluster.NewSpectral(dist.EDMeasure{}),
+		"S+cDTW5":     cluster.NewSpectral(cdtw5),
+		"S+SBD":       cluster.NewSpectral(dist.SBDMeasure{}),
 
 		// The statistical/feature-based contrast of Section 6.
 		"Features+k-means": cluster.NewFeatureBased(),

@@ -132,7 +132,7 @@ func TestClusterErrors(t *testing.T) {
 }
 
 func TestMethodsRegistryComplete(t *testing.T) {
-	reg := methodRegistry(0)
+	reg := methods
 	for _, name := range Methods() {
 		if _, ok := reg[name]; !ok {
 			t.Errorf("Methods lists %q but the registry lacks it", name)
@@ -413,11 +413,15 @@ func TestClusterWithoutTraceLeavesCountersDisabled(t *testing.T) {
 	}
 }
 
-// TestClusterMaxIterationsUniform verifies that the iteration cap reaches
-// every iterative method through the registry dispatch, not just k-Shape.
+// TestClusterMaxIterationsUniform verifies that the iteration cap and the
+// iteration callback reach every refinement-loop method through the
+// registry dispatch, not just k-Shape.
 func TestClusterMaxIterationsUniform(t *testing.T) {
 	data, _ := twoShapeClasses(12, 32, 9)
-	for _, method := range []string{"k-Shape", "k-AVG+ED", "k-AVG+SBD", "KSC"} {
+	for _, method := range []string{
+		"k-Shape", "k-AVG+ED", "k-AVG+SBD", "k-AVG+DTW", "k-DBA", "KSC", "k-Shape+DTW",
+		"Features+k-means",
+	} {
 		calls := 0
 		res, err := Cluster(data, 2, Options{
 			Seed:          7,

@@ -2,6 +2,8 @@ package kshape
 
 import (
 	"testing"
+
+	"kshape/internal/obs"
 )
 
 // TestClusterDeterministicAcrossWorkers pins the public-API contract stated
@@ -46,6 +48,32 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 // TestClusterTraceDeterministicAcrossWorkers extends the guarantee to the
 // instrumented path: the per-iteration inertia/churn trajectory and the
 // kernel-counter totals must not depend on the worker count (only the
+// TestClusterSerialWorkersStayOnWorkerZero pins Options.Workers' "1 means
+// fully serial" for every method family, the matrix builds of the
+// hierarchical, PAM and spectral methods included: with a flight recorder
+// installed, all pool work must be attributed to worker 0.
+func TestClusterSerialWorkersStayOnWorkerZero(t *testing.T) {
+	data, _ := twoShapeClasses(16, 32, 4)
+	for _, method := range []string{"k-Shape", "k-AVG+ED", "Features+k-means", "H-C+SBD", "H-S+ED", "PAM+SBD", "S+SBD"} {
+		rec := obs.NewRecorder(1 << 14)
+		prev := obs.SetRecorder(rec)
+		_, err := Cluster(data, 2, Options{Seed: 3, Method: method, Workers: 1})
+		obs.SetRecorder(prev)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		rep := rec.Report("workers_test", "", nil, obs.Counters{})
+		if len(rep.Workers) == 0 {
+			t.Errorf("%s: no pool work attributed", method)
+		}
+		for _, w := range rep.Workers {
+			if w.Worker != 0 {
+				t.Errorf("%s with Workers=1: %d items attributed to worker %d, want worker 0 only", method, w.Items, w.Worker)
+			}
+		}
+	}
+}
+
 // wall-clock fields may).
 func TestClusterTraceDeterministicAcrossWorkers(t *testing.T) {
 	data, _ := twoShapeClasses(10, 32, 7)
