@@ -257,6 +257,61 @@ func BenchmarkShapeExtraction(b *testing.B) {
 	}
 }
 
+// shapeBenchCluster is one class of the k-Shape benchmark workloads'
+// generators, cut to n members of length m: CBF cylinders, or the
+// 8-class shapes generator's sine class.
+func shapeBenchCluster(cbf bool, n, m int) [][]float64 {
+	var src []ts.Series
+	if cbf {
+		src = dataset.CBF(3*n, m, 1)
+	} else {
+		src = dataset.Generate(dataset.Spec{
+			Name: "shapes", M: m, TrainPerClass: n, Noise: 0.3, MaxShift: m / 8, WarpFrac: 0.05, Seed: 1,
+			Classes: []dataset.ClassProto{dataset.SineProto(2, 0), dataset.SquareProto(2)},
+		}).Train
+	}
+	var rows [][]float64
+	for _, s := range src {
+		if s.Label == 0 && len(rows) < n {
+			rows = append(rows, s.Values)
+		}
+	}
+	return rows
+}
+
+func benchShapeExtractionAligned(b *testing.B, rows [][]float64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		avg.ShapeExtractionAligned(rows)
+	}
+}
+
+// BenchmarkShapeExtractionCBF30x512 is a kshape-cbf-long cluster: 2n ≤ m,
+// so M = AᵀA is applied factored.
+func BenchmarkShapeExtractionCBF30x512(b *testing.B) {
+	benchShapeExtractionAligned(b, shapeBenchCluster(true, 30, 512))
+}
+
+// BenchmarkShapeExtractionShapes100x64 is a kshape-shapes-many cluster:
+// 2n > m, so M = AᵀA is formed densely.
+func BenchmarkShapeExtractionShapes100x64(b *testing.B) {
+	benchShapeExtractionAligned(b, shapeBenchCluster(false, 100, 64))
+}
+
+// BenchmarkKShapeCBF90x512 is one kshape-cbf-long job: long series whose
+// clusters take the factored shape-extraction order.
+func BenchmarkKShapeCBF90x512(b *testing.B) {
+	data := ts.Rows(dataset.CBF(90, 512, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.KShapeRun(data, core.Config{K: 3, MaxIterations: 4, Rand: rand.New(rand.NewSource(1)), Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkKShapeCBF300x128(b *testing.B) {
 	data := ts.Rows(dataset.CBF(300, 128, 1))
 	b.ReportAllocs()

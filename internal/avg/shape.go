@@ -1,6 +1,10 @@
 package avg
 
 import (
+	"fmt"
+	"math/bits"
+	"sync"
+
 	"kshape/internal/dist"
 	"kshape/internal/linalg"
 	"kshape/internal/obs"
@@ -10,8 +14,9 @@ import (
 // ShapeExtraction computes the shape-based centroid of Algorithm 2:
 //
 //  1. align every series toward the reference ref with SBD;
-//  2. form S = X′ᵀ·X′ over the aligned series;
-//  3. project with Q = I − (1/m)·11ᵀ: M = Qᵀ·S·Q;
+//  2. z-normalize the aligned members and center each one, giving the
+//     rows of A = X′Q with Q = I − (1/m)·11ᵀ;
+//  3. take M = Qᵀ·X′ᵀX′·Q = AᵀA;
 //  4. return the dominant eigenvector of M (the Rayleigh-quotient maximizer
 //     of Equation 15), sign-corrected and z-normalized.
 //
@@ -20,8 +25,11 @@ import (
 // implementation's behaviour of aligning against a zero vector.
 //
 // The eigenvector's sign is ambiguous; we pick the orientation whose summed
-// squared Euclidean distance to the aligned members is smaller, so the
+// squared Euclidean distance to the z-normalized members is smaller, so the
 // centroid correlates positively with the cluster.
+//
+// Every member must have the length of the first; a shorter or longer one
+// panics with a message naming it.
 func ShapeExtraction(cluster [][]float64, ref []float64) []float64 {
 	if len(cluster) == 0 {
 		if ref == nil {
@@ -32,6 +40,7 @@ func ShapeExtraction(cluster [][]float64, ref []float64) []float64 {
 	if ref == nil || isAllZero(ref) {
 		return ShapeExtractionAligned(cluster)
 	}
+	memberLength(cluster)
 	// One spectrum cache over the members with ref as the query: n+1
 	// forward transforms and n inverses, as in k-Shape's refinement step.
 	q := dist.NewSBDBatch(cluster).Query(ref)
@@ -45,42 +54,100 @@ func ShapeExtraction(cluster [][]float64, ref []float64) []float64 {
 
 // ShapeExtractionAligned is ShapeExtraction for members that are already
 // aligned to a common reference (steps 2-4 of Algorithm 2). k-Shape's
-// optimized inner loop uses it with batched-FFT alignment.
+// optimized inner loop uses it with batched-FFT alignment. It works in a
+// pooled workspace, so the returned centroid is its only allocation once
+// the pool is warm.
 func ShapeExtractionAligned(aligned [][]float64) []float64 {
 	if len(aligned) == 0 {
 		return nil
 	}
+	m := memberLength(aligned)
 	defer obs.StartPhase(obs.PhaseShapeExtract)()
 	obs.Inc(obs.CounterShapeExtractions)
-	m := len(aligned[0])
-	s := linalg.NewSym(m)
-	for _, a := range aligned {
-		// Z-normalize aligned members before the Gram accumulation: shifting
-		// introduces zero padding that perturbs mean and variance, and
-		// Equation 14 assumes z-normalized x_i.
-		s.GramAddOuter(ts.ZNormalize(a))
+	pool := &shapePools[bits.Len(uint(m))]
+	w, _ := pool.Get().(*shapeWork)
+	if w == nil {
+		w = new(shapeWork)
 	}
-	s.CenterProject()
-	_, v := linalg.DominantEigen(s)
-	// Resolve the sign ambiguity: compare sum of squared distances of ±v
-	// (z-normalized) to the aligned members.
-	cen := ts.ZNormalize(v)
-	neg := make([]float64, m)
-	for i, x := range cen {
-		neg[i] = -x
-	}
-	if sumSqED(aligned, neg) < sumSqED(aligned, cen) {
-		cen = neg
-	}
+	w.reset(len(aligned), m, linalg.FactoredCheaper(len(aligned), m))
+	cen := make([]float64, m)
+	w.extract(cen, aligned)
+	pool.Put(w)
 	return cen
 }
 
-func sumSqED(cluster [][]float64, c []float64) float64 {
-	total := 0.0
-	for _, x := range cluster {
-		total += dist.SquaredED(ts.ZNormalize(x), c)
+// memberLength returns the common length of rows, panicking if a member
+// differs from the first or the members are empty.
+func memberLength(rows [][]float64) int {
+	m := len(rows[0])
+	if m == 0 {
+		panic("avg: shape extraction of zero-length members")
 	}
-	return total
+	for t, x := range rows {
+		if len(x) != m {
+			panic(fmt.Sprintf("avg: shape extraction member %d has length %d, want %d (the length of member 0)", t, len(x), m))
+		}
+	}
+	return m
+}
+
+// shapePools holds the shape-extraction workspaces, one pool per size
+// class bits.Len(m) of the series length, so a workspace is reused by
+// calls of similar length and grown only for longer series or wider
+// clusters.
+var shapePools [bits.UintSize + 1]sync.Pool
+
+// shapeWork is the workspace of one shape extraction: the eigensolver,
+// whose factor A holds the centered members, and Σₜ zₜ over the
+// z-normalized members for the sign test.
+type shapeWork struct {
+	gram linalg.Gram
+	zsum []float64
+}
+
+// reset sizes w for n members of length m, with M applied factored or
+// dense.
+func (w *shapeWork) reset(n, m int, factored bool) {
+	w.gram.Reset(n, m, factored)
+	if cap(w.zsum) < m {
+		w.zsum = make([]float64, m)
+	}
+	w.zsum = w.zsum[:m]
+}
+
+// extract runs steps 2-4 of Algorithm 2 on rows, which w was reset for,
+// and writes the centroid into cen.
+//
+// Each member is z-normalized once, into its row of A, and then centered:
+// shifting introduces zero padding that perturbs mean and variance, and
+// Equation 14 assumes z-normalized x_i. The sign test needs only Σₜ zₜ:
+// Σₜ‖zₜ + c‖² − Σₜ‖zₜ − c‖² = 4·(Σₜ zₜ)·c, so −c is the closer orientation
+// exactly when (Σₜ zₜ)·c < 0.
+//
+//kshape:hotpath
+func (w *shapeWork) extract(cen []float64, rows [][]float64) {
+	zsum := w.zsum
+	clear(zsum)
+	for t, x := range rows {
+		a := w.gram.Row(t)
+		copy(a, x)
+		ts.ZNormalizeInPlace(a)
+		for j, z := range a {
+			zsum[j] += z
+		}
+		mu := ts.Mean(a)
+		for j := range a {
+			a[j] -= mu
+		}
+	}
+	_, v := w.gram.Dominant()
+	copy(cen, v)
+	ts.ZNormalizeInPlace(cen)
+	if ts.Dot(zsum, cen) < 0 {
+		for i := range cen {
+			cen[i] = -cen[i]
+		}
+	}
 }
 
 func isAllZero(x []float64) bool {

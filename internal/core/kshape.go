@@ -316,9 +316,9 @@ func (s *genericStep) assign() {
 }
 
 // kshapeStep is the k-Shape step: SBD assignment on cached spectra and
-// shape-extraction refinement. All its state is allocated once, so the
-// steady-state iterations are allocation-free apart from the eigensolve
-// inside shape extraction:
+// shape-extraction refinement. All its state is allocated once, and shape
+// extraction works in a pooled workspace, so a steady-state refinement
+// allocates only its new centroid:
 //   - queries caches one prepared spectrum per centroid; specFresh[j]
 //     records that queries[j] still matches centroids[j], so a centroid
 //     that did not move between iterations is never re-transformed.

@@ -26,51 +26,8 @@ const (
 // which avoids the pathological case of starting orthogonal to the dominant
 // eigenspace while keeping the routine deterministic.
 func DominantEigen(s *Sym) (float64, []float64) {
-	n := s.N
-	v := make([]float64, n)
-	// Seed with the largest row, which always has a component along the
-	// dominant eigenvector unless the matrix is zero.
-	bestNorm := -1.0
-	for i := 0; i < n; i++ {
-		nrm := 0.0
-		for _, x := range s.Row(i) {
-			nrm += x * x
-		}
-		if nrm > bestNorm {
-			bestNorm = nrm
-			copy(v, s.Row(i))
-		}
-	}
-	if bestNorm <= 0 {
-		// Zero matrix: any unit vector is an eigenvector with eigenvalue 0.
-		v[0] = 1
-		return 0, v
-	}
-	normalize(v)
-	next := make([]float64, n)
-	lambda := 0.0
-	iters := 0
-	defer func() { obs.Add(obs.CounterEigenIterations, int64(iters)) }()
-	for iter := 0; iter < powerMaxIter; iter++ {
-		iters++
-		s.MulVec(next, v)
-		newLambda := dot(v, next)
-		//lint:ignore floatcmp exact zero-vector guard; power iteration restarts from a fresh vector
-		if normalize(next) == 0 {
-			// v is in the null space; eigenvalue 0.
-			return 0, v
-		}
-		// Convergence on both the eigenvalue and the direction (the angle
-		// between successive unit iterates, sign-insensitive).
-		align := math.Abs(dot(v, next))
-		v, next = next, v
-		if math.Abs(newLambda-lambda) <= powerTol*(math.Abs(newLambda)+1) && 1-align <= powerTol {
-			lambda = newLambda
-			break
-		}
-		lambda = newLambda
-	}
-	return lambda, v
+	g := Gram{m: s.N, dense: *s, v: make([]float64, s.N), next: make([]float64, s.N)}
+	return g.solve(g.seedDense())
 }
 
 // SmallestEigen returns the smallest eigenvalue and a corresponding unit
@@ -85,12 +42,22 @@ func SmallestEigen(s *Sym) (float64, []float64) {
 	return vals[0], vecs[0]
 }
 
+// dot returns a·b over len(a) elements, summed in four interleaved
+// partial sums so consecutive additions do not wait on each other.
 func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+3 < len(a); i += 4 {
+		s0 += a[i] * b[i]
+		s1 += a[i+1] * b[i+1]
+		s2 += a[i+2] * b[i+2]
+		s3 += a[i+3] * b[i+3]
 	}
-	return s
+	for ; i < len(a); i++ {
+		s0 += a[i] * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // EigenDecompose computes the full eigendecomposition of symmetric s,

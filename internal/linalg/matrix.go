@@ -50,13 +50,8 @@ func (s *Sym) MulVec(dst, x []float64) {
 	if len(dst) != n || len(x) != n {
 		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: %d, %d vs %d", len(dst), len(x), n))
 	}
-	for i := 0; i < n; i++ {
-		row := s.Data[i*n : (i+1)*n]
-		acc := 0.0
-		for j, v := range row {
-			acc += v * x[j]
-		}
-		dst[i] = acc
+	for i := range dst {
+		dst[i] = dot(s.Row(i), x)
 	}
 }
 
@@ -95,39 +90,6 @@ func (s *Sym) RayleighQuotient(x []float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// CenterProject replaces S with Qᵀ·S·Q where Q = I − (1/n)·11ᵀ is the
-// centering projector of Equation 15. Because Q is symmetric and idempotent
-// this amounts to removing row means and then column means.
-func (s *Sym) CenterProject() {
-	n := s.N
-	rowMean := make([]float64, n)
-	for i := 0; i < n; i++ {
-		rowMean[i] = mean(s.Data[i*n : (i+1)*n])
-	}
-	grand := mean(rowMean)
-	colMean := make([]float64, n)
-	for j := 0; j < n; j++ {
-		acc := 0.0
-		for i := 0; i < n; i++ {
-			acc += s.Data[i*n+j]
-		}
-		colMean[j] = acc / float64(n)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s.Data[i*n+j] += grand - rowMean[i] - colMean[j]
-		}
-	}
-}
-
-func mean(x []float64) float64 {
-	acc := 0.0
-	for _, v := range x {
-		acc += v
-	}
-	return acc / float64(len(x))
 }
 
 // normalize scales x to unit L2 norm in place and returns the original norm.

@@ -40,6 +40,7 @@ var hotPathHarnesses = map[string]string{
 	"kshape/internal/core.alignMembers":                "TestAlignMembersAllocFree",
 	"kshape/internal/core.equalFloatBits":              "TestAssignmentScanAllocFree",
 	"kshape/internal/core.isAllZero":                   "TestAssignmentScanAllocFree",
+	"(*kshape/internal/avg.shapeWork).extract":         "TestShapeExtractKernelAllocFree",
 }
 
 // loadTree loads and type-checks the whole module once per test that

@@ -36,7 +36,7 @@ const (
 	// CounterDTW counts DTW and constrained-DTW evaluations.
 	CounterDTW
 	// CounterEigenIterations counts power-method iterations inside
-	// linalg.DominantEigen.
+	// linalg.DominantEigen and linalg.Gram.Dominant.
 	CounterEigenIterations
 	// CounterEigenDecompositions counts full tridiagonal
 	// eigendecompositions (linalg.EigenDecompose).

@@ -117,7 +117,7 @@ func Pairs() []OraclePair {
 		},
 		{
 			Name: "shape/power-vs-ql",
-			Doc:  "shape extraction via power iteration matches a full-decomposition rebuild",
+			Doc:  "shape extraction (factored and dense power iteration) matches a dense Gram + full-decomposition rebuild",
 			Tol:  DefaultTol,
 			Run:  runShapeExtraction,
 		},
@@ -678,16 +678,18 @@ func runEigen(g *Gen) error {
 	return nil
 }
 
-// refShapeExtraction rebuilds Algorithm 2's steps 2-4 using the full
-// Householder+QL decomposition in place of power iteration, with the same
-// z-normalization and sign-fix conventions.
+// refShapeExtraction rebuilds Algorithm 2's steps 2-4 the way the paper
+// states them — the dense Gram S = X′ᵀX′ of the z-normalized members,
+// centered as Qᵀ·S·Q, then the full Householder+QL decomposition in place
+// of power iteration — with the same sign-fix convention, decided by the
+// summed squared distances themselves.
 func refShapeExtraction(aligned [][]float64) []float64 {
 	m := len(aligned[0])
 	s := linalg.NewSym(m)
 	for _, a := range aligned {
 		s.GramAddOuter(ts.ZNormalize(a))
 	}
-	s.CenterProject()
+	centerProject(s)
 	_, vecs := linalg.EigenDecompose(s)
 	cen := ts.ZNormalize(vecs[m-1])
 	neg := make([]float64, m)
@@ -700,6 +702,31 @@ func refShapeExtraction(aligned [][]float64) []float64 {
 	return cen
 }
 
+// centerProject replaces s with Qᵀ·s·Q where Q = I − (1/n)·11ᵀ is the
+// centering projector of Equation 15. Because Q is symmetric and
+// idempotent this amounts to removing row means and then column means.
+func centerProject(s *linalg.Sym) {
+	n := s.N
+	rowMean := make([]float64, n)
+	for i := range rowMean {
+		rowMean[i] = ts.Mean(s.Row(i))
+	}
+	grand := ts.Mean(rowMean)
+	colMean := make([]float64, n)
+	for j := range colMean {
+		acc := 0.0
+		for i := 0; i < n; i++ {
+			acc += s.At(i, j)
+		}
+		colMean[j] = acc / float64(n)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			s.Data[i*n+j] += grand - rowMean[i] - colMean[j]
+		}
+	}
+}
+
 func refSumSqED(cluster [][]float64, c []float64) float64 {
 	total := 0.0
 	for _, x := range cluster {
@@ -709,11 +736,22 @@ func refSumSqED(cluster [][]float64, c []float64) float64 {
 }
 
 func runShapeExtraction(g *Gen) error {
-	m := 8 + g.Intn(25)
-	cluster := g.Cluster(3+g.Intn(6), m)
+	// Draw the cluster width on both sides of the factored/dense cost rule
+	// (2n ≤ m), including clusters at least as wide as they are long.
+	m := 8 + g.Intn(57)
+	var n int
+	switch g.Intn(3) {
+	case 0:
+		n = 1 + g.Intn(m/2)
+	case 1:
+		n = m/2 + 1 + g.Intn(m-m/2-1)
+	default:
+		n = m + g.Intn(17)
+	}
+	cluster := g.Cluster(n, m)
 	got := avg.ShapeExtractionAligned(cluster)
 	want := refShapeExtraction(cluster)
-	return CheckSlice(fmt.Sprintf("ShapeExtraction (n=%d, m=%d)", len(cluster), m), got, want, DefaultTol)
+	return CheckSlice(fmt.Sprintf("ShapeExtraction (n=%d, m=%d)", n, m), got, want, DefaultTol)
 }
 
 // workerCounts are the parallelism degrees every exact pair is checked at,

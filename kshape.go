@@ -282,6 +282,9 @@ func SBDDistance(x, y []float64) float64 { return dist.SBDDist(x, y) }
 // series: the dominant eigenvector of the centered Gram matrix of the
 // SBD-aligned members (Algorithm 2 of the paper). ref is the alignment
 // reference (pass nil to skip alignment, e.g. for pre-aligned data).
+// Members of unequal length are a caller error: ShapeExtract panics with
+// a message naming the first member whose length differs from the first
+// member's.
 func ShapeExtract(members [][]float64, ref []float64) []float64 {
 	return avg.ShapeExtraction(members, ref)
 }

@@ -3,6 +3,7 @@ package kshape
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -155,6 +156,16 @@ func TestSBDFacade(t *testing.T) {
 	if dd := SBDDistance(x, x); math.Abs(dd-d) > 1e-12 {
 		t.Errorf("SBDDistance inconsistent: %v vs %v", dd, d)
 	}
+}
+
+func TestShapeExtractRaggedMembersPanic(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "avg:") || !strings.Contains(msg, "member 1 has length 2") {
+			t.Fatalf("panic = %q, want an avg: message naming member 1", msg)
+		}
+	}()
+	ShapeExtract([][]float64{{1, 2, 3}, {1, 2}}, nil)
 }
 
 func TestShapeExtractFacade(t *testing.T) {
