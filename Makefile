@@ -8,7 +8,7 @@ VCS_REVISION := $(shell git rev-parse HEAD 2>/dev/null || echo unknown)
 VCS_MODIFIED := $(shell test -n "$$(git status --porcelain 2>/dev/null)" && echo true || echo false)
 VCS_LDFLAGS := -ldflags "-X kshape/internal/obs.fallbackRevision=$(VCS_REVISION) -X kshape/internal/obs.fallbackModified=$(VCS_MODIFIED)"
 
-.PHONY: build test test-short test-race perfbench-test vet lint fmt-check check bench bench-diff bench-smoke smoke fuzz golden
+.PHONY: build test test-short test-race perfbench-test vet lint fmt-check check bench bench-diff bench-smoke smoke fuzz golden loc
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,12 @@ vet:
 # removals as a dry-run patch.
 lint:
 	$(GO) run ./cmd/kshapelint ./...
+
+# Prints the non-test Go line count that ROADMAP.md tracks from change to
+# change: every .go file except _test.go files, testdata/, the perfbench/
+# module and the benchmark build output in .bench_build/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './perfbench/*' ! -path '*/.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # Fails (and lists the offenders) when any file is not gofmt-clean.
 fmt-check:

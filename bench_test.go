@@ -10,7 +10,6 @@
 package kshape
 
 import (
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -159,7 +158,6 @@ func BenchmarkFig11Values01(b *testing.B) {
 
 func BenchmarkFig12ScalabilityVaryN(b *testing.B) {
 	cfg := benchConfig(b, "TinyWaves")
-	cfg.Progress = io.Discard
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.Fig12Sizes(cfg, []int{120, 240}, 64, nil, 0)
@@ -168,7 +166,6 @@ func BenchmarkFig12ScalabilityVaryN(b *testing.B) {
 
 func BenchmarkFig12ScalabilityVaryM(b *testing.B) {
 	cfg := benchConfig(b, "TinyWaves")
-	cfg.Progress = io.Discard
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.Fig12Sizes(cfg, nil, 0, []int{32, 64}, 120)
@@ -578,10 +575,11 @@ func BenchmarkDistanceMatrixSBDRecorder(b *testing.B) {
 	b.ReportMetric(overheadPct, "recorder_overhead_pct")
 }
 
-// BenchmarkKShapeProgressPublisher measures the live-progress layer's
-// cost on a full k-Shape run: with a publisher installed, the engine's
-// run observer computes per-cluster centroid drift and the sampled
-// silhouette each iteration and publishes an atomic snapshot. The
+// BenchmarkKShapeProgressPublisher measures the cost of an armed flight
+// recorder on a full k-Shape run: the engine's run observer computes
+// per-cluster centroid drift and the sampled silhouette each iteration
+// and publishes an atomic progress snapshot, and the spans, chunks and
+// latency histograms land on the recorder. The
 // "progress_overhead_pct" metric uses the same paired-minimum protocol as
 // recorder_overhead_pct (alternating off/on runs, a forced collection
 // before each, fastest run per side) and lands in BENCH_kshape.json as
@@ -607,19 +605,19 @@ func BenchmarkKShapeProgressPublisher(b *testing.B) {
 		if d := timeIt(); minOff < 0 || d < minOff {
 			minOff = d
 		}
-		prev := obs.SetProgressPublisher(obs.NewProgressPublisher())
+		prev := obs.SetRecorder(obs.NewRecorder(0))
 		d := timeIt()
-		obs.SetProgressPublisher(prev)
+		obs.SetRecorder(prev)
 		if minOn < 0 || d < minOn {
 			minOn = d
 		}
 	}
 	overheadPct := (float64(minOn)/float64(minOff) - 1) * 100
 
-	// The timed loop runs the published path, so ns/op is directly
+	// The timed loop runs the recorded path, so ns/op is directly
 	// comparable with BenchmarkKShapeRefinementParallel's.
-	prev := obs.SetProgressPublisher(obs.NewProgressPublisher())
-	defer obs.SetProgressPublisher(prev)
+	prev := obs.SetRecorder(obs.NewRecorder(0))
+	defer obs.SetRecorder(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

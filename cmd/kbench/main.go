@@ -126,14 +126,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Logger = logger
 	}
 
-	_, stopTelemetry, err := common.StartTelemetry(logger)
+	session, err := common.Start("kbench", args, stderr, logger)
 	if err != nil {
 		return err
 	}
-	defer stopTelemetry()
-	finishReport := common.StartReport("kbench", args, logger)
-	stopProgress := common.StartProgress(stderr, logger)
-	defer stopProgress()
+	defer session.Close()
 
 	valid := map[string]bool{}
 	for _, e := range experimentNames {
@@ -481,8 +478,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("memprofile: %w", err)
 		}
 	}
-	stopProgress()
-	if err := finishReport(); err != nil {
+	if err := session.Finish(); err != nil {
 		return err
 	}
 	logger.Info("kbench finished", "seconds", sw.Seconds())

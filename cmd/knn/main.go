@@ -61,23 +61,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("expected train and test files, got %d arguments", fs.NArg())
 	}
-	_, stopTelemetry, err := common.StartTelemetry(logger)
+	session, err := common.Start("knn", args, stderr, logger)
 	if err != nil {
 		return err
 	}
-	defer stopTelemetry()
-	finishReport := common.StartReport("knn", args, logger)
-	train, err := dataset.LoadUCRFile(fs.Arg(0))
+	defer session.Close()
+	ds, err := dataset.LoadUCRDataset("", fs.Arg(0), fs.Arg(1))
 	if err != nil {
 		return err
 	}
-	test, err := dataset.LoadUCRFile(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	if train[0].Len() != test[0].Len() {
-		return fmt.Errorf("train length %d != test length %d", train[0].Len(), test[0].Len())
-	}
+	train, test := ds.Train, ds.Test
 	pred, err := kshape.Classify1NNWorkers(ts.Rows(train), ts.Labels(train), ts.Rows(test), *measure, false, *workers)
 	if err != nil {
 		return err
@@ -98,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	logger.Info("1-NN classification complete",
 		"measure", *measure, "correct", correct, "queries", len(test),
 		"accuracy", fmt.Sprintf("%.4f", float64(correct)/float64(len(test))))
-	return finishReport()
+	return session.Finish()
 }
 
 // writeFileOr writes content to path when path is non-empty (creating the

@@ -87,23 +87,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("exactly one input file expected, got %d", fs.NArg())
 	}
-	srv, stopTelemetry, err := common.StartTelemetry(logger)
+	session, err := common.Start("kshape", args, stderr, logger)
 	if err != nil {
 		return err
 	}
-	defer stopTelemetry()
-	finishReport := common.StartReport("kshape", args, logger)
-	stopProgress := common.StartProgress(stderr, logger)
+	defer session.Close()
 	series, err := dataset.LoadUCRFile(fs.Arg(0))
 	if err != nil {
-		stopProgress()
 		return err
 	}
 	data := ts.Rows(series)
 	res, err := kshape.Cluster(data, *k, kshape.Options{
 		Seed: *seed, Method: *method, CollectTrace: *traceRun, Workers: *workers, Logger: logger,
 	})
-	stopProgress()
+	session.StopProgress()
 	if err != nil {
 		return err
 	}
@@ -141,13 +138,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ri := eval.RandIndex(res.Labels, ts.Labels(series))
 		logger.Info("Rand Index vs file labels", "rand_index", fmt.Sprintf("%.4f", ri))
 	}
-	if err := finishReport(); err != nil {
-		return err
+	if url := session.URL(); url != "" && telemetryScrapeHook != nil {
+		telemetryScrapeHook(url)
 	}
-	if srv != nil && telemetryScrapeHook != nil {
-		telemetryScrapeHook(srv.URL())
-	}
-	return nil
+	return session.Finish()
 }
 
 // writeFileOr writes content to path when path is non-empty (creating the

@@ -22,9 +22,7 @@ import (
 // stream must deliver per-iteration JSON snapshots ending in the terminal
 // one, and none of it may disturb the run.
 func TestProgressScrapeUnderLoad(t *testing.T) {
-	pub := obs.NewProgressPublisher()
-	prevPub := obs.SetProgressPublisher(pub)
-	defer obs.SetProgressPublisher(prevPub)
+	defer obs.SetRecorder(obs.SetRecorder(obs.NewRecorder(0)))
 	srv, err := obs.ServeTelemetry("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -13,11 +13,11 @@ import (
 )
 
 // TestScrapeUnderLoad hammers the telemetry endpoints while a clustering
-// job runs (the race detector covers the interleavings in `make
-// test-race`): every /metrics scrape must parse, kernel counters must be
-// monotone non-decreasing across scrapes, each histogram's cumulative
-// +Inf bucket must account for its reported count (no torn reads), and
-// /healthz must answer throughout.
+// job runs into an armed flight recorder (the race detector covers the
+// interleavings in `make test-race`): every /metrics scrape must parse,
+// kernel counters must be monotone non-decreasing across scrapes, each
+// histogram's cumulative +Inf bucket must account for its reported count
+// (no torn reads), and /healthz must answer throughout.
 func TestScrapeUnderLoad(t *testing.T) {
 	srv, err := obs.ServeTelemetry("127.0.0.1:0")
 	if err != nil {
@@ -26,6 +26,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 	defer srv.Close()
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
+	defer obs.SetRecorder(obs.SetRecorder(obs.NewRecorder(0)))
 
 	// A dataset big enough for the run to overlap many scrapes: three
 	// sine-ish shape classes with per-series phase jitter.
@@ -96,6 +97,9 @@ func TestScrapeUnderLoad(t *testing.T) {
 	}
 	if lastCounters["sbd"] == 0 || lastCounters["fft"] == 0 {
 		t.Errorf("final counters missing k-Shape kernel activity: %v", lastCounters)
+	}
+	if body := httpGet(t, srv.URL()+"/metrics"); !regexp.MustCompile(`kshape_phase_duration_seconds_count\{phase="iteration"\} [1-9]`).MatchString(body) {
+		t.Errorf("recorder's iteration histogram empty after the run:\n%s", firstLines(body, 10))
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package cli holds the flag plumbing shared by the four command-line
 // tools (kshape, kbench, knn, datagen): the -version flag, the
-// -log-level/-log-json structured-logging flags, and the -listen
-// telemetry endpoint. Keeping it in one place guarantees every binary
+// -log-level/-log-json structured-logging flags, and the telemetry flags
+// (-listen, -report, -timeline, -dashboard, -progress), which Start arms
+// as one flight recorder. Keeping it in one place guarantees every binary
 // exposes the same observability surface with the same semantics.
 package cli
 
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sync"
 
 	"kshape/internal/obs"
 )
@@ -43,11 +45,8 @@ type Common struct {
 	ShowProgress bool
 
 	// runID correlates this invocation's log records and run report; it is
-	// generated on first use (Logger or StartReport).
+	// generated on first use (Logger or Session.Finish).
 	runID string
-	// progress is the publisher StartProgress installed; it outlives the
-	// run so the dashboard writer can read the iteration history.
-	progress *obs.ProgressPublisher
 }
 
 // RunID returns the invocation's correlation ID, generating it on first
@@ -71,7 +70,7 @@ func (c *Common) Register(fs *flag.FlagSet) {
 // tools (kshape, kbench) that can serve live telemetry.
 func (c *Common) RegisterListen(fs *flag.FlagSet) {
 	fs.StringVar(&c.Listen, "listen", "",
-		"serve telemetry on this address while the run executes: /metrics (Prometheus), /healthz, /debug/vars, /debug/pprof; implies metric collection")
+		"serve telemetry on this address while the run executes: /metrics (Prometheus), /progress (SSE), /healthz, /debug/vars, /debug/pprof; implies flight recording and metric collection")
 }
 
 // HandleVersion prints build information to w when -version was given
@@ -112,27 +111,141 @@ func (c *Common) Logger(tool string, w io.Writer) (*slog.Logger, error) {
 	return logger, nil
 }
 
-// StartTelemetry starts the -listen telemetry server, if requested, and
-// enables metric collection so the scrape surface has data. It returns
-// the server (nil when -listen was not given) and a shutdown function
-// (always non-nil) that restores the collection switch and closes the
-// server.
-func (c *Common) StartTelemetry(logger *slog.Logger) (*obs.TelemetryServer, func(), error) {
-	if c.Listen == "" {
-		return nil, func() {}, nil
+// Session is the telemetry armed by Start for one invocation: the flight
+// recorder every telemetry surface renders from, and the -listen server
+// and TTY progress line that read it while the run executes. A Session
+// from Start with no telemetry flag set is inert: every method is a
+// no-op.
+type Session struct {
+	c      *Common
+	tool   string
+	args   []string
+	logger *slog.Logger
+
+	rec         *obs.Recorder
+	srv         *obs.TelemetryServer
+	prevRec     *obs.Recorder
+	prevEnabled bool
+	before      obs.Counters
+	stopSampler func()
+	stopLine    func()
+
+	lineOnce  sync.Once
+	closeOnce sync.Once
+	delta     obs.Counters
+}
+
+// Start arms the invocation's telemetry when any of -listen, -report,
+// -timeline, -dashboard or -progress was given: it installs one fresh
+// flight recorder, enables the kernel counters, and starts the runtime
+// sampler; with -listen it serves /metrics, /progress, /debug/vars,
+// /healthz and /debug/pprof, and with -progress it draws the live status
+// line on w. Call Finish after the measured work to write the -report,
+// -timeline and -dashboard artifacts, and defer Close for the error
+// paths.
+func (c *Common) Start(tool string, args []string, w io.Writer, logger *slog.Logger) (*Session, error) {
+	s := &Session{c: c, tool: tool, args: args, logger: logger}
+	if c.Listen == "" && c.ReportPath == "" && c.TimelinePath == "" && c.DashboardPath == "" && !c.ShowProgress {
+		return s, nil
 	}
-	srv, err := obs.ServeTelemetry(c.Listen)
-	if err != nil {
-		return nil, nil, fmt.Errorf("listen: %w", err)
-	}
-	prev := obs.SetEnabled(true)
-	if logger != nil {
-		logger.Info("telemetry server listening", "addr", srv.Addr(), "metrics_url", srv.URL()+"/metrics")
-	}
-	return srv, func() {
-		obs.SetEnabled(prev)
-		if err := srv.Close(); err != nil && logger != nil {
-			logger.Warn("telemetry server shutdown", "error", err)
+	if c.Listen != "" {
+		srv, err := obs.ServeTelemetry(c.Listen)
+		if err != nil {
+			return nil, fmt.Errorf("listen: %w", err)
 		}
-	}, nil
+		s.srv = srv
+	}
+	s.rec = obs.NewRecorder(0)
+	s.prevRec = obs.SetRecorder(s.rec)
+	s.prevEnabled = obs.SetEnabled(true)
+	s.before = obs.ReadCounters()
+	s.stopSampler = s.rec.StartSampler(0)
+	if c.ShowProgress && w != nil {
+		s.stopLine = startProgressLine(w, s.rec)
+	}
+	if logger != nil {
+		logger.Debug("flight recorder armed", "report", c.ReportPath, "timeline", c.TimelinePath,
+			"dashboard", c.DashboardPath, "tty_line", c.ShowProgress)
+		if s.srv != nil {
+			logger.Info("telemetry server listening", "addr", s.srv.Addr(), "metrics_url", s.srv.URL()+"/metrics")
+		}
+	}
+	return s, nil
+}
+
+// URL returns the telemetry server's base URL, or "" without -listen.
+func (s *Session) URL() string {
+	if s.srv == nil {
+		return ""
+	}
+	return s.srv.URL()
+}
+
+// StopProgress finishes the TTY progress line, so output written after
+// the run does not interleave with it. It is idempotent.
+func (s *Session) StopProgress() {
+	s.lineOnce.Do(func() {
+		if s.stopLine != nil {
+			s.stopLine()
+		}
+	})
+}
+
+// Close disarms the session without writing artifacts: it finishes the
+// progress line, stops the sampler, restores the previous recorder and
+// counter switch, and shuts the telemetry server down. It is idempotent.
+func (s *Session) Close() {
+	s.StopProgress()
+	s.closeOnce.Do(func() {
+		if s.rec == nil {
+			return
+		}
+		obs.SetRecorder(s.prevRec)
+		s.stopSampler()
+		s.delta = obs.ReadCounters().Sub(s.before)
+		obs.SetEnabled(s.prevEnabled)
+		if s.srv != nil {
+			if err := s.srv.Close(); err != nil && s.logger != nil {
+				s.logger.Warn("telemetry server shutdown", "error", err)
+			}
+		}
+	})
+}
+
+// Finish closes the session and writes the requested run report,
+// timeline and dashboard, all rendered from the session's recorder.
+func (s *Session) Finish() error {
+	s.Close()
+	if s.rec == nil {
+		return nil
+	}
+	c, logger := s.c, s.logger
+	rep := s.rec.Report(s.tool, c.RunID(), s.args, s.delta)
+	if c.ReportPath != "" {
+		if err := writeReport(c.ReportPath, rep); err != nil {
+			return fmt.Errorf("run report: %w", err)
+		}
+		if logger != nil {
+			logger.Info("run report written", "path", c.ReportPath,
+				"events", len(rep.Events), "workers", len(rep.Workers),
+				"runtime_samples", len(rep.RuntimeSamples))
+		}
+	}
+	if c.TimelinePath != "" {
+		if err := writeTimeline(c.TimelinePath, s.tool, rep); err != nil {
+			return fmt.Errorf("timeline: %w", err)
+		}
+		if logger != nil {
+			logger.Info("timeline written", "path", c.TimelinePath)
+		}
+	}
+	if c.DashboardPath != "" {
+		if err := writeDashboard(c.DashboardPath, s.tool, rep, s.rec); err != nil {
+			return fmt.Errorf("dashboard: %w", err)
+		}
+		if logger != nil {
+			logger.Info("dashboard written", "path", c.DashboardPath)
+		}
+	}
+	return nil
 }

@@ -72,6 +72,10 @@ func TestLoggerLevelAndFields(t *testing.T) {
 	}
 }
 
+// TestStartTelemetryServesAndRestores pins Start's arming contract for
+// -listen: it serves the scrape surface, enables counting, installs one
+// recorder, and Close restores both switches; with no telemetry flag
+// Start arms nothing.
 func TestStartTelemetryServesAndRestores(t *testing.T) {
 	prev := obs.SetEnabled(false)
 	defer obs.SetEnabled(prev)
@@ -80,17 +84,20 @@ func TestStartTelemetryServesAndRestores(t *testing.T) {
 	if err := fs.Parse([]string{"-listen", "127.0.0.1:0"}); err != nil {
 		t.Fatal(err)
 	}
-	srv, stop, err := c.StartTelemetry(nil)
+	session, err := c.Start("test", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv == nil {
-		t.Fatal("no server returned for -listen")
+	if session.URL() == "" {
+		t.Fatal("no server URL for -listen")
 	}
 	if !obs.Enabled() {
 		t.Error("-listen should enable collection")
 	}
-	resp, err := http.Get(srv.URL() + "/metrics")
+	if obs.ActiveRecorder() == nil {
+		t.Error("-listen should arm the flight recorder")
+	}
+	resp, err := http.Get(session.URL() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,18 +106,24 @@ func TestStartTelemetryServesAndRestores(t *testing.T) {
 	if !strings.Contains(string(body), "kshape_kernel_ops_total") {
 		t.Errorf("/metrics missing counter family: %q", body)
 	}
-	stop()
+	session.Close()
 	if obs.Enabled() {
-		t.Error("stop() must restore the collection switch")
+		t.Error("Close must restore the collection switch")
 	}
+	if obs.ActiveRecorder() != nil {
+		t.Error("Close must uninstall the recorder")
+	}
+	session.Close() // idempotent
 
 	fs2, c2 := newFlagSet()
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	srv2, stop2, err := c2.StartTelemetry(nil)
-	if err != nil || srv2 != nil {
-		t.Errorf("no -listen: srv=%v err=%v", srv2, err)
+	session2, err := c2.Start("test", nil, nil, nil)
+	if err != nil || session2.URL() != "" || obs.ActiveRecorder() != nil {
+		t.Errorf("no telemetry flag: url=%q recorder=%v err=%v", session2.URL(), obs.ActiveRecorder(), err)
 	}
-	stop2()
+	if err := session2.Finish(); err != nil {
+		t.Error(err)
+	}
 }

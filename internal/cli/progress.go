@@ -4,9 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
-	"sync"
 	"time"
 
 	"kshape/internal/obs"
@@ -26,43 +24,11 @@ func (c *Common) RegisterProgress(fs *flag.FlagSet) {
 // progressLineInterval is the TTY progress line's refresh period.
 const progressLineInterval = 200 * time.Millisecond
 
-// StartProgress installs a progress publisher when -progress or
-// -dashboard asked for one, making the engines publish per-iteration
-// snapshots (served on /progress and /metrics when -listen is also
-// given), and starts the TTY progress line when -progress was given. The
-// returned stop function (always non-nil, idempotent; call after the
-// run) restores the previous publisher and finishes the progress line;
-// the collected history stays available for the dashboard writer.
-func (c *Common) StartProgress(w io.Writer, logger *slog.Logger) (stop func()) {
-	if !c.ShowProgress && c.DashboardPath == "" {
-		return func() {}
-	}
-	pub := obs.NewProgressPublisher()
-	c.progress = pub
-	prev := obs.SetProgressPublisher(pub)
-	if logger != nil {
-		logger.Debug("progress publisher installed", "tty_line", c.ShowProgress, "dashboard", c.DashboardPath)
-	}
-	var stopLine func()
-	if c.ShowProgress && w != nil {
-		stopLine = startProgressLine(w, pub)
-	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			obs.SetProgressPublisher(prev)
-			if stopLine != nil {
-				stopLine()
-			}
-		})
-	}
-}
-
 // startProgressLine launches the refresher that redraws one carriage-
-// returned status line from the publisher's latest snapshot. The
+// returned status line from the recorder's latest progress snapshot. The
 // goroutine only reads published snapshots — never clustering state — so
 // determinism is unaffected.
-func startProgressLine(w io.Writer, pub *obs.ProgressPublisher) (stop func()) {
+func startProgressLine(w io.Writer, rec *obs.Recorder) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	//lint:ignore goroutine TTY progress-line refresher lifetime, not data-path fan-out
@@ -72,7 +38,7 @@ func startProgressLine(w io.Writer, pub *obs.ProgressPublisher) (stop func()) {
 		defer t.Stop()
 		wrote := false
 		render := func() {
-			if p, ok := pub.Snapshot(); ok {
+			if p, ok := rec.Progress(); ok {
 				Emit(w, "\r%-78s", progressLine(p))
 				wrote = true
 			}
@@ -123,10 +89,9 @@ func progressLine(p obs.Progress) string {
 }
 
 // writeDashboard renders the single-file HTML dashboard from the flight
-// report (phases, timeline, counters, build identity) and the progress
-// publisher's iteration history (convergence curves), with checked
-// writes.
-func (c *Common) writeDashboard(tool string, rep obs.RunReport) error {
+// report (phases, timeline, counters, build identity) and the recorder's
+// iteration history (convergence curves), with checked writes.
+func writeDashboard(path, tool string, rep obs.RunReport, rec *obs.Recorder) error {
 	workers, spans := TimelineSpans(rep)
 	d := plot.DashboardData{
 		Title:    fmt.Sprintf("%s run %s", tool, rep.RunID),
@@ -139,15 +104,13 @@ func (c *Common) writeDashboard(tool string, rep obs.RunReport) error {
 		Timeline: spans, TimelineWorkers: workers,
 		Build: rep.Build,
 	}
-	if c.progress != nil {
-		if snap, ok := c.progress.Snapshot(); ok {
-			d.Method = snap.Method
-			d.Converged = snap.Converged
-		}
-		d.Iterations, _ = c.progress.History()
+	if snap, ok := rec.Progress(); ok {
+		d.Method = snap.Method
+		d.Converged = snap.Converged
 	}
+	d.Iterations, _ = rec.History()
 	page := plot.Dashboard(d)
-	f, err := os.Create(c.DashboardPath)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package cli
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"sort"
 
@@ -18,63 +17,6 @@ func (c *Common) RegisterReport(fs *flag.FlagSet) {
 		"write a self-contained JSON run report ("+obs.RunReportSchema+") to this file: phase histograms, per-worker busy/wait attribution, runtime samples, and the event timeline")
 	fs.StringVar(&c.TimelinePath, "timeline", "",
 		"render the run's execution timeline (workers × time SVG) to this file; implies flight recording")
-}
-
-// StartReport arms the flight recorder when -report, -timeline, or
-// -dashboard was given: it installs a fresh recorder, enables metric
-// collection (so the phase histograms and kernel counters populate), and
-// starts the background runtime sampler. The returned finish function
-// stops the sampler, restores the previous recorder and collection
-// state, and writes the requested artifacts; call it exactly once, after
-// the measured work completes (and after StartProgress's stop, so the
-// dashboard sees the full iteration history). With none of the flags set
-// both the setup and the finish are no-ops.
-func (c *Common) StartReport(tool string, args []string, logger *slog.Logger) (finish func() error) {
-	if c.ReportPath == "" && c.TimelinePath == "" && c.DashboardPath == "" {
-		return func() error { return nil }
-	}
-	rec := obs.NewRecorder(0)
-	prevRec := obs.SetRecorder(rec)
-	prevEnabled := obs.SetEnabled(true)
-	before := obs.ReadCounters()
-	stopSampler := rec.StartSampler(0)
-	if logger != nil {
-		logger.Debug("flight recorder armed", "report", c.ReportPath, "timeline", c.TimelinePath)
-	}
-	return func() error {
-		obs.SetRecorder(prevRec)
-		stopSampler()
-		obs.SetEnabled(prevEnabled)
-		delta := obs.ReadCounters().Sub(before)
-		rep := rec.Report(tool, c.RunID(), args, delta)
-		if c.ReportPath != "" {
-			if err := writeReport(c.ReportPath, rep); err != nil {
-				return fmt.Errorf("run report: %w", err)
-			}
-			if logger != nil {
-				logger.Info("run report written", "path", c.ReportPath,
-					"events", len(rep.Events), "workers", len(rep.Workers),
-					"runtime_samples", len(rep.RuntimeSamples))
-			}
-		}
-		if c.TimelinePath != "" {
-			if err := writeTimeline(c.TimelinePath, tool, rep); err != nil {
-				return fmt.Errorf("timeline: %w", err)
-			}
-			if logger != nil {
-				logger.Info("timeline written", "path", c.TimelinePath)
-			}
-		}
-		if c.DashboardPath != "" {
-			if err := c.writeDashboard(tool, rep); err != nil {
-				return fmt.Errorf("dashboard: %w", err)
-			}
-			if logger != nil {
-				logger.Info("dashboard written", "path", c.DashboardPath)
-			}
-		}
-		return nil
-	}
 }
 
 // writeReport writes the JSON run report with checked writes.

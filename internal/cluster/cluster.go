@@ -30,24 +30,24 @@ type Clusterer interface {
 	Deterministic() bool
 }
 
-// Run clusters data with c, bracketing the run with the flight-recorder
-// method mark and the live-progress run events, so instrumentation fires
-// uniformly across methods.
+// Run clusters data with c, bracketing the run on the flight recorder
+// with the method mark and the live-progress run events, so
+// instrumentation fires uniformly across methods. Without an active
+// recorder every hook is a no-op.
 func Run(c Clusterer, data [][]float64, cfg core.Config) (*core.Result, error) {
-	// Annotate the flight-recorder event stream with the method boundary
-	// so a run report's chunk/phase spans can be mapped back to the
-	// algorithm that produced them (no-op without an active recorder).
-	obs.RecordMark("method:" + c.Name())
-	// Bracket the run for the live-progress publisher (no-op without one):
-	// the engines publish the per-iteration snapshots in between.
+	rec := obs.ActiveRecorder()
+	// The method mark maps a run report's chunk/phase spans back to the
+	// algorithm that produced them; the engines publish the per-iteration
+	// progress snapshots between BeginRun and EndRun.
+	rec.RecordMark("method:" + c.Name())
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = core.DefaultMaxIterations
 	}
-	obs.ProgressBeginRun(c.Name(), len(data), cfg.K, maxIter)
+	rec.BeginRun(c.Name(), len(data), cfg.K, maxIter)
 	res, err := c.Cluster(data, cfg)
 	if err == nil {
-		obs.ProgressEndRun(res.Converged)
+		rec.EndRun(res.Converged)
 	}
 	return res, err
 }

@@ -131,13 +131,3 @@ func (dg *Dendrogram) Cut(k int) ([]int, error) {
 	}
 	return labels, nil
 }
-
-// Heights returns the merge heights in order, useful for picking k by the
-// largest height gap.
-func (dg *Dendrogram) Heights() []float64 {
-	out := make([]float64, len(dg.Merges))
-	for i, m := range dg.Merges {
-		out[i] = m.Height
-	}
-	return out
-}

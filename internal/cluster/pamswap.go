@@ -130,19 +130,3 @@ func BuildSwapWorkers(d [][]float64, k, workers int) (medoids []int, cost float6
 	}
 	return medoids, totalCost(medoids)
 }
-
-// AssignToMedoids labels every point with the index (in medoids) of its
-// nearest medoid.
-func AssignToMedoids(d [][]float64, medoids []int) []int {
-	labels := make([]int, len(d))
-	for i := range d {
-		best, bestJ := math.Inf(1), 0
-		for j, m := range medoids {
-			if d[i][m] < best {
-				best, bestJ = d[i][m], j
-			}
-		}
-		labels[i] = bestJ
-	}
-	return labels
-}

@@ -39,7 +39,14 @@ func TestBuildSwapFindsBlobs(t *testing.T) {
 	if len(medoids) != 3 {
 		t.Fatalf("medoids = %v", medoids)
 	}
-	labels := AssignToMedoids(d, medoids)
+	labels := make([]int, len(d))
+	for i := range d {
+		for j, m := range medoids {
+			if d[i][m] < d[i][medoids[labels[i]]] {
+				labels[i] = j
+			}
+		}
+	}
 	if p := purity(labels, truth, 3); p != 1 {
 		t.Errorf("purity = %v, want 1 on separated blobs", p)
 	}
@@ -179,10 +186,9 @@ func TestDendrogramStructure(t *testing.T) {
 	}
 	// Heights of single/complete/average linkage are monotone for these
 	// reducible linkages.
-	heights := dg.Heights()
-	for i := 1; i < len(heights); i++ {
-		if heights[i] < heights[i-1]-1e-9 {
-			t.Errorf("heights not monotone at %d: %v < %v", i, heights[i], heights[i-1])
+	for i := 1; i < len(dg.Merges); i++ {
+		if h, prev := dg.Merges[i].Height, dg.Merges[i-1].Height; h < prev-1e-9 {
+			t.Errorf("heights not monotone at %d: %v < %v", i, h, prev)
 		}
 	}
 }

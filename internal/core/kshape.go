@@ -188,7 +188,10 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 		maxIter = DefaultMaxIterations
 	}
 
-	ob := newRunObserver(n, k, cfg.OnIteration, cfg.Logger)
+	// One recorder load per run: every span, iteration mark and progress
+	// snapshot of this run lands on the recorder armed when it started.
+	rec := obs.ActiveRecorder()
+	ob := newRunObserver(n, k, cfg.OnIteration, cfg.Logger, rec)
 	r := &loop{
 		data: data, k: k, m: m, workers: cfg.Workers,
 		labels:         labels,
@@ -217,12 +220,12 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 			s.refine(j, r.starts[j], r.starts[j+1])
 		})
 		refineNS := refineSW.ElapsedNS()
-		obs.RecordPhaseSpan(obs.PhaseRefine, refineNS)
+		rec.RecordPhaseSpan(obs.PhaseRefine, refineNS)
 
 		assignSW := obs.NewStopwatch()
 		s.assign()
 		assignNS := assignSW.ElapsedNS()
-		obs.RecordPhaseSpan(obs.PhaseAssign, assignNS)
+		rec.RecordPhaseSpan(obs.PhaseAssign, assignNS)
 
 		reseeds := reseedEmptyClusters(data, labels, r.assignDist, k)
 		// Membership deltas (including reseeds) tell the next refinement
@@ -236,7 +239,10 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 				r.membersChanged[prev[i]] = true
 			}
 		}
-		observeIterationTelemetry(iter, refineNS, assignNS, refineSW)
+		if rec != nil {
+			rec.RecordPhaseSpan(obs.PhaseIteration, refineSW.ElapsedNS())
+			rec.RecordIteration(iter + 1)
+		}
 		res.Iterations = iter + 1
 		converged := equalLabels(labels, prev)
 		ob.observe(iter, labels, prev, r.assignDist, r.centroids, refineNS, assignNS, reseeds)
@@ -248,7 +254,6 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 	for _, d := range r.assignDist {
 		res.Inertia += d * d
 	}
-	publishClusterSizes(labels, k)
 	return res, nil
 }
 
@@ -409,42 +414,6 @@ func (s *kshapeStep) assign() {
 		}
 		s.batch.ReleaseScratch(scratch)
 	})
-}
-
-// observeIterationTelemetry records one iteration's phase latencies into
-// the global histograms, advances the current-iteration gauge, and marks
-// the iteration boundary (plus the whole-iteration span) on the flight
-// recorder. All sinks are gated on their own switch, so with neither
-// collection nor a recorder active the call costs a few atomic loads.
-// The refine and assign spans are recorded inline by the engine loops the
-// moment each phase ends, where their recorder-clock placement is exact.
-func observeIterationTelemetry(iter int, refineNS, assignNS int64, iterSW obs.Stopwatch) {
-	rec := obs.ActiveRecorder()
-	if !obs.Enabled() && rec == nil {
-		return
-	}
-	iterNS := iterSW.ElapsedNS()
-	obs.ObservePhase(obs.PhaseRefine, refineNS)
-	obs.ObservePhase(obs.PhaseAssign, assignNS)
-	obs.ObservePhase(obs.PhaseIteration, iterNS)
-	obs.SetGauge(obs.GaugeCurrentIteration, int64(iter+1))
-	if rec != nil {
-		rec.RecordPhaseSpan(obs.PhaseIteration, iterNS)
-		rec.RecordIteration(iter + 1)
-	}
-}
-
-// publishClusterSizes exposes the final cluster occupancy on the
-// last-run-cluster-sizes gauge vector when collection is enabled.
-func publishClusterSizes(labels []int, k int) {
-	if !obs.Enabled() {
-		return
-	}
-	sizes := make([]int, k)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	obs.SetClusterSizes(sizes)
 }
 
 // reseedEmptyClusters moves, for every empty cluster, the series with the

@@ -13,14 +13,14 @@ import (
 
 // This file holds the engines' per-iteration observation layer: the
 // runObserver fuses the OnIteration callback, debug-level structured
-// logging, and live progress publication into one hook, and computes the
-// quality trajectory (inertia delta, per-cluster centroid drift, sampled
-// silhouette) those sinks consume. Everything here is observation only:
-// the sampled distances are captured from evaluations the assignment
-// step performs anyway, the drift SBDs run on the engine goroutine after
-// the iteration's parallel sections, and no observed value feeds back
-// into the clustering — so results are bit-identical, at every worker
-// count, whether or not an observer is active.
+// logging, and the flight recorder's live progress into one hook, and
+// computes the quality trajectory (inertia delta, per-cluster centroid
+// drift, sampled silhouette) those sinks consume. Everything here is
+// observation only: the sampled distances are captured from evaluations
+// the assignment step performs anyway, the drift SBDs run on the engine
+// goroutine after the iteration's parallel sections, and no observed
+// value feeds back into the clustering — so results are bit-identical, at
+// every worker count, whether or not an observer is active.
 
 // silhouetteSampleCap bounds the silhouette sample so the per-iteration
 // capture stays O(cap·k) regardless of n.
@@ -39,7 +39,7 @@ type runObserver struct {
 	onIter   func(obs.IterationStats)
 	logger   *slog.Logger
 	logDebug bool
-	publish  bool
+	rec      *obs.Recorder
 	k        int
 
 	prevCentroids [][]float64 // snapshot taken just before refinement
@@ -54,16 +54,15 @@ type runObserver struct {
 }
 
 // newRunObserver returns the iteration observer for one run, or nil when
-// no sink (callback, debug logger, progress publisher) wants iteration
+// no sink (callback, debug logger, flight recorder) wants iteration
 // statistics.
-func newRunObserver(n, k int, onIter func(obs.IterationStats), logger *slog.Logger) *runObserver {
+func newRunObserver(n, k int, onIter func(obs.IterationStats), logger *slog.Logger, rec *obs.Recorder) *runObserver {
 	logDebug := logger != nil && logger.Enabled(context.Background(), slog.LevelDebug)
-	publish := obs.ActiveProgressPublisher() != nil
-	if onIter == nil && !logDebug && !publish {
+	if onIter == nil && !logDebug && rec == nil {
 		return nil
 	}
 	o := &runObserver{
-		onIter: onIter, logger: logger, logDebug: logDebug, publish: publish, k: k,
+		onIter: onIter, logger: logger, logDebug: logDebug, rec: rec, k: k,
 	}
 	if k >= 2 {
 		o.sampleIdx = silhouetteSample(n)
@@ -124,7 +123,7 @@ func (o *runObserver) beforeRefine(centroids [][]float64) {
 }
 
 // observe assembles one iteration's statistics and fans them out to the
-// callback, the debug logger, and the active progress publisher.
+// callback, the debug logger, and the run's recorder.
 func (o *runObserver) observe(iter int, labels, prev []int, assignDist []float64,
 	centroids [][]float64, refineNS, assignNS int64, reseeds int) {
 	if o == nil {
@@ -143,9 +142,7 @@ func (o *runObserver) observe(iter int, labels, prev []int, assignDist []float64
 	if o.logDebug {
 		o.logger.Debug("refinement iteration", "stats", st)
 	}
-	if o.publish {
-		obs.ProgressPublishIteration(st)
-	}
+	o.rec.PublishIteration(st)
 }
 
 // drift measures each centroid's movement across the refinement step as

@@ -11,9 +11,10 @@ import (
 )
 
 // TestKShapeRunPublisherBitIdentical pins the observability contract of
-// the progress layer: installing a progress publisher must not change a
-// single bit of the clustering — labels, centroids, inertia, the
-// iteration trajectory, or kernel-counter totals — at any worker count.
+// the progress layer: arming a flight recorder (which publishes live
+// progress) must not change a single bit of the clustering — labels,
+// centroids, inertia, the iteration trajectory, or kernel-counter totals
+// — at any worker count.
 func TestKShapeRunPublisherBitIdentical(t *testing.T) {
 	data, _ := twoClassShiftedData(20, 48, rand.New(rand.NewSource(7)))
 	prev := obs.SetEnabled(true)
@@ -21,9 +22,9 @@ func TestKShapeRunPublisherBitIdentical(t *testing.T) {
 
 	run := func(publish bool, workers int) *runSnapshot {
 		if publish {
-			pub := obs.NewProgressPublisher()
-			prevPub := obs.SetProgressPublisher(pub)
-			defer obs.SetProgressPublisher(prevPub)
+			pub := obs.NewRecorder(0)
+			prevPub := obs.SetRecorder(pub)
+			defer obs.SetRecorder(prevPub)
 		}
 		snap := &runSnapshot{}
 		before := obs.ReadCounters()
@@ -43,24 +44,24 @@ func TestKShapeRunPublisherBitIdentical(t *testing.T) {
 
 	want := run(false, 1)
 	for _, w := range workerCounts {
-		snapshotsEqual(t, want, run(true, w), "publisher-on workers="+strconv.Itoa(w))
-		snapshotsEqual(t, want, run(false, w), "publisher-off workers="+strconv.Itoa(w))
+		snapshotsEqual(t, want, run(true, w), "recorder-on workers="+strconv.Itoa(w))
+		snapshotsEqual(t, want, run(false, w), "recorder-off workers="+strconv.Itoa(w))
 	}
 }
 
-// TestKShapeRunPublisherOnlyMatchesUnobserved covers the publisher-only
-// path (no OnIteration callback): the observer then exists solely to feed
-// the publisher, and the clustering output must still match a fully
-// unobserved run bit for bit. Kernel counters are exempt — the observer's
-// centroid-drift SBDs legitimately add evaluations.
+// TestKShapeRunPublisherOnlyMatchesUnobserved covers the recorder-only
+// path (no OnIteration callback): the observer then exists solely to
+// feed the recorder's progress, and the clustering output must still
+// match a fully unobserved run bit for bit. Kernel counters are exempt —
+// the observer's centroid-drift SBDs legitimately add evaluations.
 func TestKShapeRunPublisherOnlyMatchesUnobserved(t *testing.T) {
 	data, _ := twoClassShiftedData(20, 48, rand.New(rand.NewSource(7)))
 
 	run := func(publish bool, workers int) *Result {
 		if publish {
-			pub := obs.NewProgressPublisher()
-			prevPub := obs.SetProgressPublisher(pub)
-			defer obs.SetProgressPublisher(prevPub)
+			pub := obs.NewRecorder(0)
+			prevPub := obs.SetRecorder(pub)
+			defer obs.SetRecorder(prevPub)
 		}
 		res, err := KShapeRun(data, Config{K: 3, Rand: rand.New(rand.NewSource(11)), Workers: workers})
 		if err != nil {
@@ -99,9 +100,9 @@ func TestLloydPublisherBitIdentical(t *testing.T) {
 
 	run := func(publish bool, workers int) *runSnapshot {
 		if publish {
-			pub := obs.NewProgressPublisher()
-			prevPub := obs.SetProgressPublisher(pub)
-			defer obs.SetProgressPublisher(prevPub)
+			pub := obs.NewRecorder(0)
+			prevPub := obs.SetRecorder(pub)
+			defer obs.SetRecorder(prevPub)
 		}
 		snap := &runSnapshot{}
 		res, err := Lloyd(data, Config{
@@ -119,7 +120,7 @@ func TestLloydPublisherBitIdentical(t *testing.T) {
 
 	want := run(false, 1)
 	for _, w := range workerCounts {
-		snapshotsEqual(t, want, run(true, w), "Lloyd publisher-on workers="+strconv.Itoa(w))
+		snapshotsEqual(t, want, run(true, w), "Lloyd recorder-on workers="+strconv.Itoa(w))
 	}
 }
 
@@ -128,9 +129,9 @@ func TestLloydPublisherBitIdentical(t *testing.T) {
 // per-cluster drift, same silhouette samples, no extras.
 func TestKShapeRunPublishedHistoryMatchesTrace(t *testing.T) {
 	data, _ := twoClassShiftedData(20, 48, rand.New(rand.NewSource(7)))
-	pub := obs.NewProgressPublisher()
-	prevPub := obs.SetProgressPublisher(pub)
-	defer obs.SetProgressPublisher(prevPub)
+	pub := obs.NewRecorder(0)
+	prevPub := obs.SetRecorder(pub)
+	defer obs.SetRecorder(prevPub)
 
 	var trace []obs.IterationStats
 	res, err := KShapeRun(data, Config{
@@ -162,7 +163,7 @@ func TestKShapeRunPublishedHistoryMatchesTrace(t *testing.T) {
 		}
 	}
 	last := trace[len(trace)-1]
-	snap, ok := pub.Snapshot()
+	snap, ok := pub.Progress()
 	if !ok || snap.Iteration != last.Iteration || snap.Inertia != last.Inertia {
 		t.Errorf("final snapshot %+v does not mirror last iteration %+v", snap, last)
 	}

@@ -15,8 +15,8 @@ import (
 // LoadUCRFile reads one split of a UCR-format dataset: one series per line,
 // the class label in the first field, values in the remaining fields,
 // separated by commas, tabs, or spaces. Non-integer labels are rejected.
-// All series must share one length. Values are returned as-is; call
-// ts.ZNormalizeAll to apply the archive's normalization convention.
+// All series must share one length. Values are returned as-is; the
+// clustering and 1-NN entry points z-normalize them.
 func LoadUCRFile(path string) ([]ts.Series, error) {
 	f, err := os.Open(path)
 	if err != nil {

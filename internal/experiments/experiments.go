@@ -7,18 +7,15 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
-	"strings"
 
 	"kshape/internal/dataset"
 	"kshape/internal/obs"
 )
 
 // Config controls experiment scale. The zero value is unusable; call
-// DefaultConfig or ReducedConfig.
+// ReducedConfig.
 type Config struct {
 	// Datasets to evaluate. Defaults to the full 48-dataset archive.
 	Datasets []dataset.Dataset
@@ -38,9 +35,6 @@ type Config struct {
 	// unit of work (method, dataset, wall time, score fields) at info
 	// level. cmd/kbench wires its -log-level/-log-json flags here.
 	Logger *slog.Logger
-	// Progress, if non-nil, receives one plain-text line per completed
-	// unit of work — the legacy sink, kept for callers without a Logger.
-	Progress io.Writer
 	// Metrics, if non-nil, receives one RunRecord per (method, dataset)
 	// unit of work — wall time, score, kernel-counter deltas, and (for
 	// iterative methods) the per-iteration convergence trajectory. Callers
@@ -54,18 +48,6 @@ type Config struct {
 	// serially so that per-run records stay attributable; results are
 	// identical for every value.
 	Workers int
-}
-
-// DefaultConfig is the full-scale configuration used by cmd/kbench: all 48
-// datasets, 5 partitional runs, 10 spectral runs.
-func DefaultConfig() Config {
-	return Config{
-		Datasets:      dataset.Archive(),
-		Runs:          5,
-		SpectralRuns:  10,
-		Seed:          1,
-		MaxWindowFrac: 0.10,
-	}
 }
 
 // ReducedConfig is a down-scaled configuration for smoke tests and
@@ -88,22 +70,12 @@ func ReducedConfig(nDatasets int) Config {
 	}
 }
 
-// progress reports one completed unit of work. attrs are alternating
-// key/value pairs (slog convention): the Logger receives them as
-// structured fields, and the legacy Progress writer gets a rendered
-// "msg key=value ..." line.
+// progress reports one completed unit of work to the Logger, if any.
+// attrs are alternating key/value pairs (slog convention), logged as
+// structured fields.
 func (c Config) progress(msg string, attrs ...any) {
 	if c.Logger != nil {
 		c.Logger.Info(msg, attrs...)
-	}
-	if c.Progress != nil {
-		var sb strings.Builder
-		sb.WriteString(msg)
-		for i := 0; i+1 < len(attrs); i += 2 {
-			fmt.Fprintf(&sb, " %v=%v", attrs[i], attrs[i+1])
-		}
-		//lint:ignore errdrop best-effort progress line to an interactive console
-		fmt.Fprintln(c.Progress, sb.String())
 	}
 }
 

@@ -16,20 +16,6 @@ const (
 	powerTol     = 1e-10
 )
 
-// DominantEigen returns the eigenvalue of largest magnitude and a
-// corresponding unit eigenvector of s, computed by power iteration with a
-// deterministic start vector. For PSD matrices (the shape-extraction M) this
-// is the largest eigenvalue, i.e. the Rayleigh-quotient maximizer of
-// Equation 15.
-//
-// The start vector is the matrix row of largest norm, falling back to e1,
-// which avoids the pathological case of starting orthogonal to the dominant
-// eigenspace while keeping the routine deterministic.
-func DominantEigen(s *Sym) (float64, []float64) {
-	g := Gram{m: s.N, dense: *s, v: make([]float64, s.N), next: make([]float64, s.N)}
-	return g.solve(g.seedDense())
-}
-
 // SmallestEigen returns the smallest eigenvalue and a corresponding unit
 // eigenvector of symmetric s. This is what the KSC centroid computation
 // needs (the minimizer of the normalized residual). Spectral shifts plus

@@ -7,18 +7,40 @@ import (
 	"testing/quick"
 )
 
-// randPSD builds a random PSD matrix A = BᵀB of size n.
-func randPSD(n int, rng *rand.Rand) *Sym {
-	s := NewSym(n)
-	rows := n + 3
-	for r := 0; r < rows; r++ {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
+// randFactor draws the n+3 random rows of a factor B of width n.
+func randFactor(n int, rng *rand.Rand) [][]float64 {
+	rows := make([][]float64, n+3)
+	for r := range rows {
+		rows[r] = make([]float64, n)
+		for i := range rows[r] {
+			rows[r][i] = rng.NormFloat64()
 		}
+	}
+	return rows
+}
+
+// gramOf builds the PSD matrix BᵀB of the rows of B.
+func gramOf(rows [][]float64) *Sym {
+	s := NewSym(len(rows[0]))
+	for _, x := range rows {
 		s.GramAddOuter(x)
 	}
 	return s
+}
+
+// randPSD builds a random PSD matrix A = BᵀB of size n.
+func randPSD(n int, rng *rand.Rand) *Sym { return gramOf(randFactor(n, rng)) }
+
+// dominant runs Gram's power iteration on BᵀB for the rows of B, in the
+// factored or the dense order, and returns a copy of the eigenvector.
+func dominant(rows [][]float64, factored bool) (float64, []float64) {
+	var g Gram
+	g.Reset(len(rows), len(rows[0]), factored)
+	for t, x := range rows {
+		copy(g.Row(t), x)
+	}
+	lambda, v := g.Dominant()
+	return lambda, append([]float64(nil), v...)
 }
 
 // randSym builds a random symmetric (not necessarily PSD) matrix.
@@ -91,45 +113,50 @@ func TestGramAddOuter(t *testing.T) {
 }
 
 func TestDominantEigenKnownMatrix(t *testing.T) {
-	// [[2 1][1 2]] has eigenvalues 3 (v = [1 1]/√2) and 1.
-	s := NewSym(2)
-	s.Set(0, 0, 2)
-	s.Set(0, 1, 1)
-	s.Set(1, 1, 2)
-	lambda, v := DominantEigen(s)
-	if math.Abs(lambda-3) > 1e-8 {
-		t.Errorf("dominant eigenvalue = %v, want 3", lambda)
-	}
-	if math.Abs(math.Abs(v[0])-math.Sqrt(0.5)) > 1e-6 || math.Abs(v[0]-v[1]) > 1e-6 {
-		t.Errorf("dominant eigenvector = %v, want ±[0.707 0.707]", v)
+	// [[2 1][1 2]] = BᵀB for B's rows √3·[1 1]/√2 and [1 -1]/√2 has
+	// eigenvalues 3 (v = [1 1]/√2) and 1.
+	rows := [][]float64{{math.Sqrt(1.5), math.Sqrt(1.5)}, {math.Sqrt(0.5), -math.Sqrt(0.5)}}
+	for _, factored := range []bool{false, true} {
+		lambda, v := dominant(rows, factored)
+		if math.Abs(lambda-3) > 1e-8 {
+			t.Errorf("factored=%v: dominant eigenvalue = %v, want 3", factored, lambda)
+		}
+		if math.Abs(math.Abs(v[0])-math.Sqrt(0.5)) > 1e-6 || math.Abs(v[0]-v[1]) > 1e-6 {
+			t.Errorf("factored=%v: dominant eigenvector = %v, want ±[0.707 0.707]", factored, v)
+		}
 	}
 }
 
 func TestDominantEigenZeroMatrix(t *testing.T) {
-	s := NewSym(4)
-	lambda, v := DominantEigen(s)
-	if lambda != 0 {
-		t.Errorf("eigenvalue of zero matrix = %v", lambda)
-	}
-	nrm := 0.0
-	for _, x := range v {
-		nrm += x * x
-	}
-	if math.Abs(nrm-1) > 1e-12 {
-		t.Errorf("eigenvector not unit norm: %v", v)
+	rows := [][]float64{make([]float64, 4), make([]float64, 4)}
+	for _, factored := range []bool{false, true} {
+		lambda, v := dominant(rows, factored)
+		if lambda != 0 {
+			t.Errorf("factored=%v: eigenvalue of zero matrix = %v", factored, lambda)
+		}
+		nrm := 0.0
+		for _, x := range v {
+			nrm += x * x
+		}
+		if math.Abs(nrm-1) > 1e-12 {
+			t.Errorf("factored=%v: eigenvector not unit norm: %v", factored, v)
+		}
 	}
 }
 
 func TestDominantEigenResidualProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{2, 5, 16, 40} {
-		s := randPSD(n, rng)
-		lambda, v := DominantEigen(s)
-		if lambda < 0 {
-			t.Errorf("n=%d: PSD matrix produced negative dominant eigenvalue %v", n, lambda)
-		}
-		if r := residual(s, lambda, v); r > 1e-5*(math.Abs(lambda)+1) {
-			t.Errorf("n=%d: residual %v too large for lambda=%v", n, r, lambda)
+		rows := randFactor(n, rng)
+		s := gramOf(rows)
+		for _, factored := range []bool{false, true} {
+			lambda, v := dominant(rows, factored)
+			if lambda < 0 {
+				t.Errorf("n=%d factored=%v: PSD matrix produced negative dominant eigenvalue %v", n, factored, lambda)
+			}
+			if r := residual(s, lambda, v); r > 1e-5*(math.Abs(lambda)+1) {
+				t.Errorf("n=%d factored=%v: residual %v too large for lambda=%v", n, factored, r, lambda)
+			}
 		}
 	}
 }
@@ -137,12 +164,14 @@ func TestDominantEigenResidualProperty(t *testing.T) {
 func TestDominantMatchesFullDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
-		s := randPSD(8, rng)
-		lp, _ := DominantEigen(s)
-		vals, _ := EigenDecompose(s)
+		rows := randFactor(8, rng)
+		vals, _ := EigenDecompose(gramOf(rows))
 		lf := vals[len(vals)-1]
-		if math.Abs(lp-lf) > 1e-6*(math.Abs(lf)+1) {
-			t.Errorf("trial %d: power iteration %v vs full decomposition %v", trial, lp, lf)
+		for _, factored := range []bool{false, true} {
+			lp, _ := dominant(rows, factored)
+			if math.Abs(lp-lf) > 1e-6*(math.Abs(lf)+1) {
+				t.Errorf("trial %d factored=%v: power iteration %v vs full decomposition %v", trial, factored, lp, lf)
+			}
 		}
 	}
 }

@@ -60,9 +60,10 @@ func grow(b []float64, n int) []float64 {
 func (g *Gram) Row(t int) []float64 { return g.a[t*g.m : (t+1)*g.m] }
 
 // Dominant returns the largest eigenvalue of M = AᵀA and a unit
-// eigenvector, by DominantEigen's power iteration from the same start
-// vector (the row of M with the largest norm, or e₁ when M is zero). The
-// vector aliases g's storage and is valid until g is next used.
+// eigenvector, by power iteration from a deterministic start vector (the
+// row of M with the largest norm, or e₁ when M is zero), which always has
+// a component along the dominant eigenvector unless M is zero. The vector
+// aliases g's storage and is valid until g is next used.
 func (g *Gram) Dominant() (float64, []float64) {
 	if g.factored {
 		return g.solve(g.seedFactored())

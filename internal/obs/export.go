@@ -14,19 +14,25 @@ import (
 )
 
 // This file is the export half of the instrumentation layer: it renders
-// the kernel counters, gauges, and phase histograms in the Prometheus
-// text exposition format, bridges them into expvar, and serves both —
-// plus health and runtime/pprof endpoints — over HTTP so long-running
-// clustering processes can be scraped and profiled mid-flight.
+// the kernel counters and the active recorder's gauges, phase histograms
+// and live progress in the Prometheus text exposition format, bridges
+// them into expvar, and serves both — plus health and runtime/pprof
+// endpoints — over HTTP so long-running clustering processes can be
+// scraped and profiled mid-flight.
 
 // WritePrometheus renders every metric in the Prometheus text exposition
 // format (version 0.0.4): the nine kernel counters as one counter family
-// labeled by kernel, the gauges, the per-cluster occupancy of the last
-// run, and one histogram family labeled by phase with cumulative buckets
-// in seconds. The exposition is built in memory and emitted with one
-// checked write, so a scrape is either complete or reports its error.
+// labeled by kernel, then, from the active recorder, the run gauges, the
+// per-cluster occupancy after the latest iteration, one histogram family
+// labeled by phase with cumulative buckets in seconds, and the live
+// progress family. Without a recorder the gauges and histograms read zero
+// and the occupancy and progress families are left out. The exposition
+// is built in memory and emitted with one checked write, so a scrape is
+// either complete or reports its error.
 func WritePrometheus(dst io.Writer) error {
 	var w strings.Builder
+	rec := ActiveRecorder()
+	snap, live := rec.Progress()
 	c := ReadCounters()
 	fmt.Fprintln(&w, "# HELP kshape_kernel_ops_total Kernel operation counts (FFT transforms, distance evaluations, eigensolver iterations, reseeds).")
 	fmt.Fprintln(&w, "# TYPE kshape_kernel_ops_total counter")
@@ -34,18 +40,15 @@ func WritePrometheus(dst io.Writer) error {
 		fmt.Fprintf(&w, "kshape_kernel_ops_total{kernel=%q} %d\n", name, v)
 	})
 
-	fmt.Fprintln(&w, "# HELP kshape_telemetry_enabled Whether kernel counting and histogram collection are on.")
+	fmt.Fprintln(&w, "# HELP kshape_telemetry_enabled Whether kernel counting is on.")
 	fmt.Fprintln(&w, "# TYPE kshape_telemetry_enabled gauge")
 	fmt.Fprintf(&w, "kshape_telemetry_enabled %d\n", boolToInt(Enabled()))
 
-	for g := Gauge(0); g < numGauges; g++ {
-		name := "kshape_" + g.String()
-		fmt.Fprintf(&w, "# TYPE %s gauge\n", name)
-		fmt.Fprintf(&w, "%s %d\n", name, ReadGauge(g))
-	}
+	fmt.Fprintf(&w, "# TYPE kshape_active_workers gauge\nkshape_active_workers %d\n", rec.activeWorkerCount())
+	fmt.Fprintf(&w, "# TYPE kshape_current_iteration gauge\nkshape_current_iteration %d\n", snap.Iteration)
 
-	if sizes := LastClusterSizes(); len(sizes) > 0 {
-		fmt.Fprintln(&w, "# HELP kshape_cluster_size Cluster occupancy of the most recently finished run.")
+	if sizes := snap.ClusterSizes; len(sizes) > 0 {
+		fmt.Fprintln(&w, "# HELP kshape_cluster_size Cluster occupancy after the latest completed iteration.")
 		fmt.Fprintln(&w, "# TYPE kshape_cluster_size gauge")
 		for j, s := range sizes {
 			fmt.Fprintf(&w, "kshape_cluster_size{cluster=\"%d\"} %d\n", j, s)
@@ -54,7 +57,7 @@ func WritePrometheus(dst io.Writer) error {
 
 	fmt.Fprintln(&w, "# HELP kshape_phase_duration_seconds Latency of the instrumented hot phases.")
 	fmt.Fprintln(&w, "# TYPE kshape_phase_duration_seconds histogram")
-	for _, h := range PhaseHistograms() {
+	for _, h := range rec.phaseSnapshots() {
 		cum := int64(0)
 		for i, n := range h.Buckets {
 			cum += n
@@ -68,7 +71,9 @@ func WritePrometheus(dst io.Writer) error {
 		fmt.Fprintf(&w, "kshape_phase_duration_seconds_count{phase=%q} %d\n", h.Name, h.Count)
 	}
 
-	writeProgressMetrics(&w)
+	if live {
+		writeProgressMetrics(&w, snap)
+	}
 
 	fmt.Fprintln(&w, "# HELP kshape_build_info Build metadata; the value is always 1.")
 	fmt.Fprintln(&w, "# TYPE kshape_build_info gauge")
@@ -87,17 +92,8 @@ func boolToInt(b bool) int {
 }
 
 // writeProgressMetrics renders the live-progress gauge family from the
-// active publisher's latest snapshot; no publisher or no snapshot means
-// no progress families, so scrapes of idle processes stay small.
-func writeProgressMetrics(w *strings.Builder) {
-	pub := ActiveProgressPublisher()
-	if pub == nil {
-		return
-	}
-	p, ok := pub.Snapshot()
-	if !ok {
-		return
-	}
+// recorder's latest snapshot.
+func writeProgressMetrics(w *strings.Builder, p Progress) {
 	fmt.Fprintln(w, "# HELP kshape_progress_info Live run identity; the value is always 1.")
 	fmt.Fprintln(w, "# TYPE kshape_progress_info gauge")
 	fmt.Fprintf(w, "kshape_progress_info{method=%q,phase=%q} 1\n", p.Method, p.Phase)
@@ -141,15 +137,21 @@ func MetricsHandler() http.Handler {
 	})
 }
 
-// publishExpvar registers the kernel counters, gauges, and phase-quantile
-// summaries as expvar variables (served on /debug/vars). expvar panics on
-// duplicate names, so registration happens once per process.
+// publishExpvar registers the kernel counters and the active recorder's
+// gauges and phase-quantile summaries as expvar variables (served on
+// /debug/vars). expvar panics on duplicate names, so registration happens
+// once per process.
 var publishExpvar = sync.OnceFunc(func() {
 	expvar.Publish("kshape.counters", expvar.Func(func() any { return ReadCounters() }))
 	expvar.Publish("kshape.gauges", expvar.Func(func() any {
-		g := Gauges()
-		if sizes := LastClusterSizes(); sizes != nil {
-			return map[string]any{"scalars": g, "cluster_sizes": sizes}
+		rec := ActiveRecorder()
+		snap, _ := rec.Progress()
+		g := map[string]int64{
+			"active_workers":    rec.activeWorkerCount(),
+			"current_iteration": int64(snap.Iteration),
+		}
+		if snap.ClusterSizes != nil {
+			return map[string]any{"scalars": g, "cluster_sizes": snap.ClusterSizes}
 		}
 		return map[string]any{"scalars": g}
 	}))
@@ -162,7 +164,7 @@ var publishExpvar = sync.OnceFunc(func() {
 			P99NS float64 `json:"p99_ns"`
 		}
 		out := map[string]phaseSummary{}
-		for _, h := range PhaseHistograms() {
+		for _, h := range ActiveRecorder().phaseSnapshots() {
 			out[h.Name] = phaseSummary{
 				Count: h.Count, SumNS: h.SumNS,
 				P50NS: h.P50(), P95NS: h.P95(), P99NS: h.P99(),

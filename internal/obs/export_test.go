@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -10,25 +11,24 @@ import (
 	"time"
 )
 
-// resetTelemetry restores a clean metric state for export tests, which
-// assert on absolute values.
-func resetTelemetry(t *testing.T) {
+// armRecorder installs a fresh recorder with counting off for the test
+// and restores the previous recorder and counter switch at cleanup.
+func armRecorder(t *testing.T) *Recorder {
 	t.Helper()
-	prev := SetEnabled(false)
-	ResetCounters()
-	ResetHistograms()
-	ResetGauges()
+	r := NewRecorder(0)
+	prevRec := SetRecorder(r)
+	prevOn := SetEnabled(false)
 	t.Cleanup(func() {
-		SetEnabled(prev)
-		ResetCounters()
-		ResetHistograms()
-		ResetGauges()
+		SetRecorder(prevRec)
+		SetEnabled(prevOn)
 	})
+	return r
 }
 
 func TestWritePrometheusRendersAllCounters(t *testing.T) {
-	resetTelemetry(t)
+	armRecorder(t)
 	SetEnabled(true)
+	before := ReadCounters()
 	Inc(CounterFFT)
 	Add(CounterSBD, 41)
 	Inc(CounterSBD)
@@ -45,10 +45,10 @@ func TestWritePrometheusRendersAllCounters(t *testing.T) {
 			t.Errorf("missing counter sample for kernel %q", kernel)
 		}
 	}
-	if !strings.Contains(out, `kshape_kernel_ops_total{kernel="fft"} 1`) {
+	if !strings.Contains(out, fmt.Sprintf(`kshape_kernel_ops_total{kernel="fft"} %d`, before.FFT+1)) {
 		t.Error("fft counter value not rendered")
 	}
-	if !strings.Contains(out, `kshape_kernel_ops_total{kernel="sbd"} 42`) {
+	if !strings.Contains(out, fmt.Sprintf(`kshape_kernel_ops_total{kernel="sbd"} %d`, before.SBD+42)) {
 		t.Error("sbd counter value not rendered")
 	}
 	if !strings.Contains(out, "kshape_telemetry_enabled 1") {
@@ -60,10 +60,9 @@ func TestWritePrometheusRendersAllCounters(t *testing.T) {
 }
 
 func TestWritePrometheusHistogramCumulative(t *testing.T) {
-	resetTelemetry(t)
-	SetEnabled(true)
-	ObservePhase(PhaseAssign, int64(2*time.Millisecond))
-	ObservePhase(PhaseAssign, int64(40*time.Millisecond))
+	r := armRecorder(t)
+	r.RecordPhaseSpan(PhaseAssign, int64(2*time.Millisecond))
+	r.RecordPhaseSpan(PhaseAssign, int64(40*time.Millisecond))
 
 	var sb strings.Builder
 	WritePrometheus(&sb)
@@ -101,11 +100,12 @@ func TestWritePrometheusHistogramCumulative(t *testing.T) {
 }
 
 func TestTelemetryServerEndpoints(t *testing.T) {
-	resetTelemetry(t)
+	r := armRecorder(t)
 	SetEnabled(true)
+	before := ReadCounters()
 	Inc(CounterFFT)
-	SetGauge(GaugeCurrentIteration, 7)
-	SetClusterSizes([]int{10, 20})
+	r.BeginRun("k-Shape", 30, 2, 100)
+	r.PublishIteration(IterationStats{Iteration: 7, ClusterSizes: []int{10, 20}})
 
 	srv, err := ServeTelemetry("127.0.0.1:0")
 	if err != nil {
@@ -132,7 +132,7 @@ func TestTelemetryServerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics status = %d", code)
 	}
 	for _, want := range []string{
-		`kshape_kernel_ops_total{kernel="fft"} 1`,
+		fmt.Sprintf(`kshape_kernel_ops_total{kernel="fft"} %d`, before.FFT+1),
 		"kshape_current_iteration 7",
 		`kshape_cluster_size{cluster="1"} 20`,
 	} {
@@ -170,25 +170,58 @@ func TestTelemetryServerEndpoints(t *testing.T) {
 			t.Errorf("/debug/vars missing %q", key)
 		}
 	}
+	var gauges struct {
+		Scalars      map[string]int64 `json:"scalars"`
+		ClusterSizes []int64          `json:"cluster_sizes"`
+	}
+	if err := json.Unmarshal(vars["kshape.gauges"], &gauges); err != nil {
+		t.Fatalf("kshape.gauges not JSON: %v", err)
+	}
+	if gauges.Scalars["current_iteration"] != 7 || len(gauges.ClusterSizes) != 2 || gauges.ClusterSizes[1] != 20 {
+		t.Errorf("kshape.gauges = %+v, want iteration 7 and sizes [10 20]", gauges)
+	}
 
 	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline status = %d", code)
 	}
 }
 
+// TestGaugeLifecycle pins the run gauges kept on the recorder: the
+// active-workers count stays balanced across add/subtract pairs, the
+// current iteration follows the latest progress snapshot, and a process
+// without a recorder renders both as zero.
 func TestGaugeLifecycle(t *testing.T) {
-	resetTelemetry(t)
-	SetEnabled(true)
-	SetGauge(GaugeActiveWorkers, 3)
-	AddGauge(GaugeActiveWorkers, 2)
-	AddGauge(GaugeActiveWorkers, -5)
-	if v := ReadGauge(GaugeActiveWorkers); v != 0 {
+	r := armRecorder(t)
+	r.AddActiveWorkers(3)
+	r.AddActiveWorkers(2)
+	if v := r.activeWorkerCount(); v != 5 {
+		t.Errorf("active workers = %d, want 5", v)
+	}
+	r.AddActiveWorkers(-5)
+	if v := r.activeWorkerCount(); v != 0 {
 		t.Errorf("active workers = %d, want 0 after balanced add/subtract", v)
 	}
-	SetEnabled(false)
-	SetGauge(GaugeCurrentIteration, 9)
-	if v := ReadGauge(GaugeCurrentIteration); v != 0 {
-		t.Errorf("SetGauge wrote %d while disabled", v)
+	scrape := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	if out := scrape(); !strings.Contains(out, "kshape_current_iteration 0\n") ||
+		!strings.Contains(out, "kshape_active_workers 0\n") {
+		t.Errorf("fresh recorder gauges not zero:\n%s", out)
+	}
+	r.BeginRun("k-Shape", 10, 2, 100)
+	r.PublishIteration(IterationStats{Iteration: 9})
+	if out := scrape(); !strings.Contains(out, "kshape_current_iteration 9\n") {
+		t.Errorf("current iteration does not follow the snapshot:\n%s", out)
+	}
+	SetRecorder(nil)
+	if out := scrape(); !strings.Contains(out, "kshape_current_iteration 0\n") ||
+		strings.Contains(out, "kshape_progress_") || strings.Contains(out, "kshape_cluster_size") {
+		t.Errorf("no recorder: gauges must read zero and progress families stay out:\n%s", out)
 	}
 }
 

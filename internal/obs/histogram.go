@@ -74,15 +74,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// reset zeroes the histogram.
-func (h *Histogram) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumNS.Store(0)
-}
-
 // HistogramSnapshot is a point-in-time copy of a Histogram. Buckets[i]
 // counts samples in (BucketBound(i-1), BucketBound(i)]; the last entry is
 // the overflow bucket.
@@ -166,8 +157,8 @@ func (s HistogramSnapshot) P95() float64 { return s.Quantile(0.95) }
 // P99 is Quantile(0.99).
 func (s HistogramSnapshot) P99() float64 { return s.Quantile(0.99) }
 
-// Phase identifies one instrumented hot phase with a process-global
-// latency histogram.
+// Phase identifies one instrumented hot phase; each recorder keeps one
+// latency histogram per phase.
 type Phase int
 
 // The phase histograms. Each wraps a region the span traces of the
@@ -210,55 +201,38 @@ func (p Phase) String() string {
 	return phaseNames[p]
 }
 
-var phaseHistograms [numPhases]Histogram
-
-// ObservePhase records a phase duration (nanoseconds) into the phase's
-// global histogram when collection is enabled; disabled it costs one
-// atomic load, like the kernel counters.
-func ObservePhase(p Phase, ns int64) {
-	if !enabled.Load() {
-		return
-	}
-	phaseHistograms[p].Observe(ns)
-}
-
 // noopStop is returned by StartPhase on the disabled path so that the
 // deferred call allocates nothing.
 var noopStop = func() {}
 
 // StartPhase starts timing a phase and returns the function that records
-// the elapsed duration: defer StartPhase(p)() around the phase body. The
-// sample lands in the phase histogram when collection is enabled and in
-// the flight recorder when one is installed; with neither active the
-// returned function is a shared no-op and no clock is read.
+// the elapsed duration on the active recorder: defer StartPhase(p)()
+// around the phase body. With no recorder installed the returned function
+// is a shared no-op and no clock is read.
 func StartPhase(p Phase) func() {
 	rec := activeRecorder.Load()
-	if !enabled.Load() && rec == nil {
+	if rec == nil {
 		return noopStop
 	}
 	start := time.Now()
-	return func() {
-		ns := time.Since(start).Nanoseconds()
-		ObservePhase(p, ns)
-		if rec != nil {
-			rec.RecordPhaseSpan(p, ns)
-		}
-	}
+	return func() { rec.RecordPhaseSpan(p, time.Since(start).Nanoseconds()) }
 }
 
-// PhaseHistograms snapshots every phase histogram, in Phase order.
-func PhaseHistograms() []HistogramSnapshot {
+// idleHistogram stands in for every phase histogram when no recorder is
+// installed, so exports keep their shape.
+var idleHistogram Histogram
+
+// phaseSnapshots snapshots r's phase histograms in Phase order; a nil
+// recorder reports every phase empty.
+func (r *Recorder) phaseSnapshots() []HistogramSnapshot {
 	out := make([]HistogramSnapshot, numPhases)
 	for p := Phase(0); p < numPhases; p++ {
-		out[p] = phaseHistograms[p].Snapshot()
+		h := &idleHistogram
+		if r != nil {
+			h = &r.phases[p]
+		}
+		out[p] = h.Snapshot()
 		out[p].Name = p.String()
 	}
 	return out
-}
-
-// ResetHistograms zeroes every phase histogram.
-func ResetHistograms() {
-	for i := range phaseHistograms {
-		phaseHistograms[i].reset()
-	}
 }

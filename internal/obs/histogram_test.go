@@ -155,32 +155,37 @@ func TestHistogramQuantileMonotoneUnderConcurrentRecording(t *testing.T) {
 	}
 }
 
+// TestObservePhaseGatedByEnabled pins where phase latencies land: on the
+// installed recorder's histograms only. The counter switch does not gate
+// them: with counting on but no recorder nothing is observed, and with a
+// recorder installed every span is observed whatever the switch.
 func TestObservePhaseGatedByEnabled(t *testing.T) {
-	ResetHistograms()
-	defer ResetHistograms()
-	prev := SetEnabled(false)
+	prev := SetEnabled(true)
 	defer SetEnabled(prev)
+	defer SetRecorder(SetRecorder(nil))
 
-	ObservePhase(PhaseAssign, int64(time.Millisecond))
-	StartPhase(PhaseRefine)()
-	for _, s := range PhaseHistograms() {
-		if s.Count != 0 {
-			t.Errorf("phase %q recorded %d samples while disabled", s.Name, s.Count)
-		}
-	}
+	StartPhase(PhaseRefine)() // no recorder: dropped
 
-	SetEnabled(true)
-	ObservePhase(PhaseAssign, int64(time.Millisecond))
+	r := NewRecorder(16)
+	SetRecorder(r)
+	SetEnabled(false)
+	r.RecordPhaseSpan(PhaseAssign, int64(time.Millisecond))
 	StartPhase(PhaseRefine)()
 	byName := map[string]HistogramSnapshot{}
-	for _, s := range PhaseHistograms() {
+	for _, s := range r.phaseSnapshots() {
 		byName[s.Name] = s
 	}
 	if byName[PhaseAssign.String()].Count != 1 {
 		t.Errorf("assign count = %d, want 1", byName[PhaseAssign.String()].Count)
 	}
 	if byName[PhaseRefine.String()].Count != 1 {
-		t.Errorf("refine count = %d, want 1", byName[PhaseRefine.String()].Count)
+		t.Errorf("refine count = %d, want 1 (the span before the recorder was installed must not count)",
+			byName[PhaseRefine.String()].Count)
+	}
+	for _, s := range (*Recorder)(nil).phaseSnapshots() {
+		if s.Count != 0 || len(s.Buckets) != NumHistogramBuckets {
+			t.Errorf("nil recorder phase %q = %+v, want an empty histogram", s.Name, s)
+		}
 	}
 }
 

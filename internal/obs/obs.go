@@ -1,16 +1,25 @@
-// Package obs is the instrumentation layer of the repository: cheap atomic
-// kernel counters (FFT transforms, distance evaluations, eigensolver
-// iterations, empty-cluster reseeds), monotonic-clock span timers forming a
+// Package obs is the instrumentation layer of the repository. It has two
+// process-global install switches and nothing else global:
+//
+//   - SetEnabled gates the kernel counters (FFT transforms, distance
+//     evaluations, eigensolver iterations, empty-cluster reseeds): cheap
+//     atomic counts read with ReadCounters. Counting is off by default, so
+//     the disabled path costs a single atomic load per instrumented call
+//     site; hot loops accumulate locally and publish once. Scope a
+//     measurement by snapshotting with ReadCounters before and after the
+//     work and subtracting (see Counters.Sub).
+//   - SetRecorder installs the flight recorder (Recorder), the single
+//     telemetry record of a run: its phase latency histograms, event ring,
+//     per-worker pool attribution, runtime samples, run gauges and live
+//     progress. /metrics, /debug/vars, /progress, the run report, the
+//     timeline and the dashboard all render from it. Without a recorder
+//     each engine hook costs one atomic pointer load.
+//
+// Alongside them sit the monotonic-clock span timers forming a
 // hierarchical trace (run → iteration → phase), per-iteration refinement
 // statistics, and a collector that aggregates per-method/per-dataset run
-// records into the JSON report emitted by `kbench -metrics`.
-//
-// The package is standard-library only and designed so that the disabled
-// path costs a single atomic load per instrumented call site: counters are
-// only bumped after Enabled() reports true, and hot loops accumulate
-// locally and publish once. Counters are process-global — scope a
-// measurement by snapshotting with ReadCounters before and after the work
-// and subtracting (see Counters.Sub).
+// records into the JSON report emitted by `kbench -metrics`. The package
+// is standard-library only.
 package obs
 
 import "sync/atomic"
@@ -36,7 +45,7 @@ const (
 	// CounterDTW counts DTW and constrained-DTW evaluations.
 	CounterDTW
 	// CounterEigenIterations counts power-method iterations inside
-	// linalg.DominantEigen and linalg.Gram.Dominant.
+	// linalg.Gram.Dominant.
 	CounterEigenIterations
 	// CounterEigenDecompositions counts full tridiagonal
 	// eigendecompositions (linalg.EigenDecompose).
@@ -105,13 +114,6 @@ func Inc(c Counter) {
 func Add(c Counter, n int64) {
 	if n != 0 && enabled.Load() {
 		counters[c].v.Add(n)
-	}
-}
-
-// ResetCounters zeroes every counter.
-func ResetCounters() {
-	for i := range counters {
-		counters[i].v.Store(0)
 	}
 }
 

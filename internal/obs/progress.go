@@ -8,16 +8,14 @@ import (
 	"time"
 )
 
-// This file implements live progress publication: a per-run publisher
-// that turns the engine's IterationStats stream into (1) an atomically
-// published Progress snapshot concurrent readers scrape without locks,
-// (2) a bounded iteration history the dashboard renders after the run,
-// and (3) a fan-out to Server-Sent-Events subscribers. Installation
-// mirrors the flight recorder: one publisher is active per process
-// (SetProgressPublisher), and the engine-side hooks cost a single atomic
-// pointer load when none is installed. Publication is observation only —
-// it never feeds back into the clustering, so results are bit-identical
-// with the publisher on or off.
+// This file implements the recorder's live-progress state: the engine's
+// IterationStats stream becomes (1) an atomically published Progress
+// snapshot concurrent readers scrape without locks, (2) a bounded
+// iteration history the dashboard renders after the run, and (3) a
+// fan-out to Server-Sent-Events subscribers. The hooks (BeginRun,
+// PublishIteration, EndRun) are no-ops on a nil recorder. Publication is
+// observation only — it never feeds back into the clustering, so results
+// are bit-identical with a recorder armed or not.
 
 // Progress phase names.
 const (
@@ -30,7 +28,7 @@ const (
 )
 
 // Progress is one immutable snapshot of a clustering run's state. The
-// publisher stores a fresh value per event; readers get a consistent
+// recorder stores a fresh value per event; readers get a consistent
 // view from a single atomic load (the slices are never mutated after
 // publication).
 type Progress struct {
@@ -66,8 +64,8 @@ type Progress struct {
 	Stalled       bool `json:"stalled"`
 	Oscillating   bool `json:"oscillating"`
 	ETAIterations int  `json:"eta_iterations"`
-	// UpdatedNS is the publisher-clock offset (monotonic nanoseconds
-	// since NewProgressPublisher) at publication time.
+	// UpdatedNS is the recorder-clock offset (monotonic nanoseconds
+	// since NewRecorder) at publication time.
 	UpdatedNS int64 `json:"updated_ns"`
 }
 
@@ -75,13 +73,11 @@ type Progress struct {
 // the cap keep the newest entries; HistoryDropped counts the evictions.
 const maxProgressHistory = 1 << 12
 
-// ProgressPublisher converts engine iteration callbacks into scrapeable
-// snapshots, a bounded history, and subscriber fan-out. All methods are
-// safe for concurrent use.
-type ProgressPublisher struct {
-	clock Stopwatch
-	snap  atomic.Pointer[Progress]
-	seq   atomic.Int64
+// progressState is the live-progress part of a Recorder. The snapshot is
+// published atomically; everything else is guarded by mu.
+type progressState struct {
+	snap atomic.Pointer[Progress]
+	seq  atomic.Int64
 
 	mu      sync.Mutex
 	subs    map[chan Progress]struct{}
@@ -94,40 +90,22 @@ type ProgressPublisher struct {
 	maxIter int
 }
 
-// NewProgressPublisher builds a publisher; its clock starts at the
-// moment of the call. Install it with SetProgressPublisher.
-func NewProgressPublisher() *ProgressPublisher {
-	return &ProgressPublisher{
-		clock: NewStopwatch(),
-		subs:  make(map[chan Progress]struct{}),
+// BeginRun resets the live progress for a new run and publishes an
+// initializing snapshot. A recorder spans sequential runs (restarts,
+// benchmark sweeps); the history always describes the latest. It is a
+// no-op on a nil recorder.
+func (r *Recorder) BeginRun(method string, series, k, maxIterations int) {
+	if r == nil {
+		return
 	}
-}
-
-// activeProgress is the process-global publisher the engine-side hooks
-// consult; nil means progress publication is off and each hook costs one
-// atomic pointer load.
-var activeProgress atomic.Pointer[ProgressPublisher]
-
-// SetProgressPublisher installs p (nil uninstalls) and returns the
-// previously active publisher.
-func SetProgressPublisher(p *ProgressPublisher) (previous *ProgressPublisher) {
-	return activeProgress.Swap(p)
-}
-
-// ActiveProgressPublisher returns the installed publisher, or nil.
-func ActiveProgressPublisher() *ProgressPublisher { return activeProgress.Load() }
-
-// BeginRun resets the publisher for a new run and publishes an
-// initializing snapshot. A publisher is reusable across sequential runs
-// (restarts, benchmark sweeps); the history always describes the latest.
-func (p *ProgressPublisher) BeginRun(method string, series, k, maxIterations int) {
+	p := &r.progress
 	p.mu.Lock()
 	p.method, p.series, p.k, p.maxIter = method, series, k, maxIterations
 	p.history = p.history[:0]
 	p.dropped = 0
 	p.churn = p.churn[:0]
 	p.mu.Unlock()
-	p.publish(Progress{
+	r.publish(Progress{
 		Method: method, Phase: ProgressPhaseInit,
 		Series: series, K: k, MaxIterations: maxIterations,
 		ETAIterations: -1,
@@ -135,8 +113,12 @@ func (p *ProgressPublisher) BeginRun(method string, series, k, maxIterations int
 }
 
 // PublishIteration folds one completed iteration into the history and
-// publishes the updated snapshot.
-func (p *ProgressPublisher) PublishIteration(st IterationStats) {
+// publishes the updated snapshot. It is a no-op on a nil recorder.
+func (r *Recorder) PublishIteration(st IterationStats) {
+	if r == nil {
+		return
+	}
+	p := &r.progress
 	p.mu.Lock()
 	if len(p.history) >= maxProgressHistory {
 		copy(p.history, p.history[1:])
@@ -160,12 +142,17 @@ func (p *ProgressPublisher) PublishIteration(st IterationStats) {
 		ETAIterations: diag.ETAIterations,
 	}
 	p.mu.Unlock()
-	p.publish(next)
+	r.publish(next)
 }
 
 // EndRun publishes the terminal snapshot, carrying the last iteration's
-// metrics forward with the done phase and the convergence flag.
-func (p *ProgressPublisher) EndRun(converged bool) {
+// metrics forward with the done phase and the convergence flag. It is a
+// no-op on a nil recorder.
+func (r *Recorder) EndRun(converged bool) {
+	if r == nil {
+		return
+	}
+	p := &r.progress
 	p.mu.Lock()
 	next := Progress{Method: p.method, Phase: ProgressPhaseDone, ETAIterations: -1}
 	p.mu.Unlock()
@@ -177,13 +164,14 @@ func (p *ProgressPublisher) EndRun(converged bool) {
 	if converged {
 		next.ETAIterations = 0
 	}
-	p.publish(next)
+	r.publish(next)
 }
 
 // publish stamps, stores, and fans out one snapshot.
-func (p *ProgressPublisher) publish(next Progress) {
+func (r *Recorder) publish(next Progress) {
+	p := &r.progress
 	next.Seq = p.seq.Add(1)
-	next.UpdatedNS = p.clock.ElapsedNS()
+	next.UpdatedNS = r.NowNS()
 	p.snap.Store(&next)
 	p.mu.Lock()
 	// Every subscriber receives the same value and sends never block, so
@@ -198,10 +186,14 @@ func (p *ProgressPublisher) publish(next Progress) {
 	p.mu.Unlock()
 }
 
-// Snapshot returns the latest published snapshot; ok is false before the
-// first publication. The call is a single atomic load plus a copy.
-func (p *ProgressPublisher) Snapshot() (snap Progress, ok bool) {
-	if cur := p.snap.Load(); cur != nil {
+// Progress returns the latest published snapshot; ok is false before the
+// first publication and on a nil recorder. The call is a single atomic
+// load plus a copy.
+func (r *Recorder) Progress() (snap Progress, ok bool) {
+	if r == nil {
+		return Progress{}, false
+	}
+	if cur := r.progress.snap.Load(); cur != nil {
 		return *cur, true
 	}
 	return Progress{}, false
@@ -209,7 +201,8 @@ func (p *ProgressPublisher) Snapshot() (snap Progress, ok bool) {
 
 // History returns a copy of the retained iteration history (oldest
 // first) and how many early iterations were evicted past the cap.
-func (p *ProgressPublisher) History() (stats []IterationStats, dropped int64) {
+func (r *Recorder) History() (stats []IterationStats, dropped int64) {
+	p := &r.progress
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]IterationStats, len(p.history))
@@ -221,12 +214,16 @@ func (p *ProgressPublisher) History() (stats []IterationStats, dropped int64) {
 // means 16) and returns it with its cancel function. Snapshots a full
 // buffer cannot absorb are dropped — subscribers observe the freshest
 // state, not a lossless log. Cancel is idempotent and closes the channel.
-func (p *ProgressPublisher) Subscribe(buffer int) (<-chan Progress, func()) {
+func (r *Recorder) Subscribe(buffer int) (<-chan Progress, func()) {
 	if buffer <= 0 {
 		buffer = 16
 	}
 	ch := make(chan Progress, buffer)
+	p := &r.progress
 	p.mu.Lock()
+	if p.subs == nil {
+		p.subs = make(map[chan Progress]struct{})
+	}
 	p.subs[ch] = struct{}{}
 	p.mu.Unlock()
 	var once sync.Once
@@ -241,30 +238,6 @@ func (p *ProgressPublisher) Subscribe(buffer int) (<-chan Progress, func()) {
 	return ch, cancel
 }
 
-// Package-level hooks for the engines: no-ops costing one atomic load
-// when no publisher is installed.
-
-// ProgressBeginRun forwards to the active publisher's BeginRun.
-func ProgressBeginRun(method string, series, k, maxIterations int) {
-	if p := activeProgress.Load(); p != nil {
-		p.BeginRun(method, series, k, maxIterations)
-	}
-}
-
-// ProgressPublishIteration forwards to the active publisher.
-func ProgressPublishIteration(st IterationStats) {
-	if p := activeProgress.Load(); p != nil {
-		p.PublishIteration(st)
-	}
-}
-
-// ProgressEndRun forwards to the active publisher's EndRun.
-func ProgressEndRun(converged bool) {
-	if p := activeProgress.Load(); p != nil {
-		p.EndRun(converged)
-	}
-}
-
 // DefaultProgressHeartbeat is the SSE comment-ping interval when no
 // snapshot arrives; it keeps idle connections alive through proxies.
 const DefaultProgressHeartbeat = 15 * time.Second
@@ -272,9 +245,9 @@ const DefaultProgressHeartbeat = 15 * time.Second
 // ProgressHandler returns the /progress Server-Sent-Events handler: one
 // `data:` event per published snapshot (JSON, the Progress schema) plus
 // an initial event replaying the current snapshot on connect, and
-// comment heartbeats while idle. The stream follows whichever publisher
+// comment heartbeats while idle. The stream follows whichever recorder
 // is active, so a connection opened before a run starts begins emitting
-// once SetProgressPublisher installs one.
+// once SetRecorder installs one.
 func ProgressHandler() http.Handler { return progressHandler(DefaultProgressHeartbeat) }
 
 // progressHandler is ProgressHandler with the heartbeat interval
@@ -308,11 +281,11 @@ func progressHandler(heartbeat time.Duration) http.Handler {
 		}
 		heartbeatMsg := []byte(": heartbeat\n\n")
 
-		// Track the active publisher across the connection: a nil channel
+		// Track the active recorder across the connection: a nil channel
 		// blocks forever in select, so an idle stream only wakes on the
-		// heartbeat (where it re-checks for a newly installed publisher).
+		// heartbeat (where it re-checks for a newly installed recorder).
 		var (
-			pub    *ProgressPublisher
+			pub    *Recorder
 			events <-chan Progress
 			cancel func()
 		)
@@ -322,7 +295,7 @@ func progressHandler(heartbeat time.Duration) http.Handler {
 			}
 		}()
 		resubscribe := func() bool {
-			cur := ActiveProgressPublisher()
+			cur := ActiveRecorder()
 			if cur == pub {
 				return true
 			}
@@ -335,7 +308,7 @@ func progressHandler(heartbeat time.Duration) http.Handler {
 				return true
 			}
 			events, cancel = pub.Subscribe(0)
-			if snap, ok := pub.Snapshot(); ok && !send(snap) {
+			if snap, ok := pub.Progress(); ok && !send(snap) {
 				return false
 			}
 			return true
@@ -350,7 +323,7 @@ func progressHandler(heartbeat time.Duration) http.Handler {
 			case <-r.Context().Done():
 				return
 			case p, ok := <-events:
-				if !ok { // publisher swapped out under us
+				if !ok { // subscription cancelled under us
 					events, cancel = nil, nil
 					continue
 				}

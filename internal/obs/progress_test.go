@@ -10,23 +10,13 @@ import (
 	"time"
 )
 
-// installPublisher installs a fresh publisher for the test and restores
-// the previous one at cleanup.
-func installPublisher(t *testing.T) *ProgressPublisher {
-	t.Helper()
-	pub := NewProgressPublisher()
-	prev := SetProgressPublisher(pub)
-	t.Cleanup(func() { SetProgressPublisher(prev) })
-	return pub
-}
-
 func TestProgressPublisherLifecycle(t *testing.T) {
-	pub := NewProgressPublisher()
-	if _, ok := pub.Snapshot(); ok {
-		t.Fatal("fresh publisher has a snapshot")
+	pub := NewRecorder(0)
+	if _, ok := pub.Progress(); ok {
+		t.Fatal("fresh recorder has a progress snapshot")
 	}
 	pub.BeginRun("k-Shape", 120, 3, 100)
-	snap, ok := pub.Snapshot()
+	snap, ok := pub.Progress()
 	if !ok || snap.Phase != ProgressPhaseInit {
 		t.Fatalf("after BeginRun: ok=%v snap=%+v", ok, snap)
 	}
@@ -47,7 +37,7 @@ func TestProgressPublisherLifecycle(t *testing.T) {
 		ClusterSizes: []int{45, 45, 30}, CentroidDrift: []float64{0.2, 0.1, 0.05},
 		SilhouetteSample: 0.5,
 	})
-	snap, _ = pub.Snapshot()
+	snap, _ = pub.Progress()
 	if snap.Phase != ProgressPhaseIterating || snap.Iteration != 2 || snap.Seq != 3 {
 		t.Errorf("after two iterations: %+v", snap)
 	}
@@ -62,7 +52,7 @@ func TestProgressPublisherLifecycle(t *testing.T) {
 	}
 
 	pub.EndRun(true)
-	snap, _ = pub.Snapshot()
+	snap, _ = pub.Progress()
 	if snap.Phase != ProgressPhaseDone || !snap.Converged || snap.ETAIterations != 0 {
 		t.Errorf("after EndRun(true): %+v", snap)
 	}
@@ -81,12 +71,12 @@ func TestProgressPublisherLifecycle(t *testing.T) {
 }
 
 func TestProgressPublisherReuseAcrossRuns(t *testing.T) {
-	pub := NewProgressPublisher()
+	pub := NewRecorder(0)
 	pub.BeginRun("k-Shape", 10, 2, 100)
 	pub.PublishIteration(IterationStats{Iteration: 1, LabelChurn: 5})
 	pub.EndRun(true)
 	pub.BeginRun("k-AVG+ED", 10, 2, 100)
-	snap, _ := pub.Snapshot()
+	snap, _ := pub.Progress()
 	if snap.Method != "k-AVG+ED" || snap.Phase != ProgressPhaseInit {
 		t.Errorf("second BeginRun did not reset: %+v", snap)
 	}
@@ -96,7 +86,7 @@ func TestProgressPublisherReuseAcrossRuns(t *testing.T) {
 }
 
 func TestProgressHistoryBounded(t *testing.T) {
-	pub := NewProgressPublisher()
+	pub := NewRecorder(0)
 	pub.BeginRun("k-Shape", 10, 2, maxProgressHistory+10)
 	for i := 0; i < maxProgressHistory+10; i++ {
 		pub.PublishIteration(IterationStats{Iteration: i + 1, LabelChurn: 1})
@@ -113,19 +103,19 @@ func TestProgressHistoryBounded(t *testing.T) {
 }
 
 func TestProgressSnapshotImmutable(t *testing.T) {
-	pub := NewProgressPublisher()
+	pub := NewRecorder(0)
 	pub.BeginRun("k-Shape", 4, 2, 10)
 	sizes := []int{2, 2}
 	pub.PublishIteration(IterationStats{Iteration: 1, ClusterSizes: sizes})
 	sizes[0] = 99 // caller mutates its slice after publishing
-	snap, _ := pub.Snapshot()
+	snap, _ := pub.Progress()
 	if snap.ClusterSizes[0] != 2 {
 		t.Errorf("published snapshot aliased the caller's slice: %+v", snap.ClusterSizes)
 	}
 }
 
 func TestProgressSubscribe(t *testing.T) {
-	pub := NewProgressPublisher()
+	pub := NewRecorder(0)
 	ch, cancel := pub.Subscribe(8)
 	defer cancel()
 	pub.BeginRun("k-Shape", 10, 2, 100)
@@ -152,7 +142,7 @@ func TestProgressSubscribe(t *testing.T) {
 }
 
 func TestProgressSubscribeDropsWhenFull(t *testing.T) {
-	pub := NewProgressPublisher()
+	pub := NewRecorder(0)
 	ch, cancel := pub.Subscribe(1)
 	defer cancel()
 	pub.BeginRun("k-Shape", 10, 2, 100)
@@ -164,34 +154,42 @@ func TestProgressSubscribeDropsWhenFull(t *testing.T) {
 	}
 }
 
+// TestProgressPackageHelpersGateOnInstall pins the engine-hook contract:
+// the hooks are called on whatever ActiveRecorder returned, so with no
+// recorder installed they run on nil and must be no-ops, and with one
+// installed they forward to it.
 func TestProgressPackageHelpersGateOnInstall(t *testing.T) {
-	prev := SetProgressPublisher(nil)
-	t.Cleanup(func() { SetProgressPublisher(prev) })
-	// Without a publisher every helper is a no-op.
-	ProgressBeginRun("k-Shape", 10, 2, 100)
-	ProgressPublishIteration(IterationStats{Iteration: 1})
-	ProgressEndRun(true)
-	if ActiveProgressPublisher() != nil {
-		t.Fatal("no publisher should be active")
+	prev := SetRecorder(nil)
+	t.Cleanup(func() { SetRecorder(prev) })
+	rec := ActiveRecorder()
+	if rec != nil {
+		t.Fatal("no recorder should be active")
 	}
-	pub := NewProgressPublisher()
-	SetProgressPublisher(pub)
-	ProgressBeginRun("k-Shape", 10, 2, 100)
-	ProgressPublishIteration(IterationStats{Iteration: 1, LabelChurn: 4})
-	ProgressEndRun(true)
-	snap, ok := pub.Snapshot()
+	rec.BeginRun("k-Shape", 10, 2, 100)
+	rec.PublishIteration(IterationStats{Iteration: 1})
+	rec.EndRun(true)
+	if _, ok := rec.Progress(); ok {
+		t.Fatal("nil recorder reported a snapshot")
+	}
+	pub := NewRecorder(0)
+	SetRecorder(pub)
+	rec = ActiveRecorder()
+	rec.BeginRun("k-Shape", 10, 2, 100)
+	rec.PublishIteration(IterationStats{Iteration: 1, LabelChurn: 4})
+	rec.EndRun(true)
+	snap, ok := pub.Progress()
 	if !ok || snap.Phase != ProgressPhaseDone || !snap.Converged {
-		t.Errorf("helpers did not forward: ok=%v %+v", ok, snap)
+		t.Errorf("hooks did not forward: ok=%v %+v", ok, snap)
 	}
 }
 
 func TestProgressDiagnosticsFlowThroughSnapshots(t *testing.T) {
-	pub := NewProgressPublisher()
+	pub := NewRecorder(0)
 	pub.BeginRun("k-Shape", 100, 2, 100)
 	for _, churn := range []int{40, 6, 6, 6, 6} {
 		pub.PublishIteration(IterationStats{LabelChurn: churn})
 	}
-	snap, _ := pub.Snapshot()
+	snap, _ := pub.Progress()
 	if !snap.Stalled {
 		t.Errorf("stall not diagnosed: %+v", snap)
 	}
@@ -199,14 +197,14 @@ func TestProgressDiagnosticsFlowThroughSnapshots(t *testing.T) {
 	for _, churn := range []int{64, 32, 16, 8} {
 		pub.PublishIteration(IterationStats{LabelChurn: churn})
 	}
-	snap, _ = pub.Snapshot()
+	snap, _ = pub.Progress()
 	if snap.ETAIterations != 4 {
 		t.Errorf("ETA = %d, want 4", snap.ETAIterations)
 	}
 }
 
 func TestProgressConcurrentReadersUnderPublish(t *testing.T) {
-	pub := installPublisher(t)
+	pub := armRecorder(t)
 	pub.BeginRun("k-Shape", 100, 3, 1000)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -220,7 +218,7 @@ func TestProgressConcurrentReadersUnderPublish(t *testing.T) {
 					return
 				default:
 				}
-				if snap, ok := pub.Snapshot(); ok && snap.Seq < 1 {
+				if snap, ok := pub.Progress(); ok && snap.Seq < 1 {
 					t.Error("torn snapshot")
 					return
 				}
@@ -244,8 +242,7 @@ func TestProgressConcurrentReadersUnderPublish(t *testing.T) {
 }
 
 func TestWritePrometheusProgressGauges(t *testing.T) {
-	resetTelemetry(t)
-	pub := installPublisher(t)
+	pub := armRecorder(t)
 
 	// No snapshot yet: no progress families.
 	var sb strings.Builder
@@ -316,7 +313,7 @@ func readSSEEvent(t *testing.T, r *bufio.Reader) (p Progress, isHeartbeat bool) 
 }
 
 func TestProgressSSEStream(t *testing.T) {
-	pub := installPublisher(t)
+	pub := armRecorder(t)
 	pub.BeginRun("k-Shape", 64, 2, 100)
 
 	srv := httptest.NewServer(progressHandler(120 * time.Millisecond))
@@ -361,9 +358,11 @@ func TestProgressSSEStream(t *testing.T) {
 	}
 }
 
+// TestProgressSSEFollowsLateInstalledPublisher: a /progress stream opened
+// before any recorder is armed picks up the one installed later.
 func TestProgressSSEFollowsLateInstalledPublisher(t *testing.T) {
-	prev := SetProgressPublisher(nil)
-	t.Cleanup(func() { SetProgressPublisher(prev) })
+	prev := SetRecorder(nil)
+	t.Cleanup(func() { SetRecorder(prev) })
 
 	srv := httptest.NewServer(progressHandler(40 * time.Millisecond))
 	defer srv.Close()
@@ -374,13 +373,13 @@ func TestProgressSSEFollowsLateInstalledPublisher(t *testing.T) {
 	defer resp.Body.Close()
 	r := bufio.NewReader(resp.Body)
 
-	// No publisher yet: only heartbeats.
+	// No recorder yet: only heartbeats.
 	if _, hb := readSSEEvent(t, r); !hb {
-		t.Fatal("expected heartbeat while no publisher is installed")
+		t.Fatal("expected heartbeat while no recorder is installed")
 	}
 
-	pub := NewProgressPublisher()
-	SetProgressPublisher(pub)
+	pub := NewRecorder(0)
+	SetRecorder(pub)
 	pub.BeginRun("k-AVG+ED", 10, 2, 50)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -392,7 +391,7 @@ func TestProgressSSEFollowsLateInstalledPublisher(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("stream never picked up the late publisher")
+			t.Fatal("stream never picked up the late recorder")
 		}
 	}
 }

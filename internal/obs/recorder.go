@@ -1,30 +1,35 @@
 package obs
 
 import (
-	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file implements the flight recorder: a per-run, bounded, lock-free
-// ring of timestamped events (phase enter/exit spans, iteration boundaries,
-// per-worker chunk spans, free-form marks) plus a background runtime
-// sampler (heap in use, cumulative allocations, GC pause totals, goroutine
-// count) and a per-worker attribution table fed by internal/par. Together
-// they answer the question the aggregate counters and histograms cannot:
-// *where inside the run* the time went — which worker, which phase, and
-// whether the pool was busy or waiting.
+// This file implements the flight recorder, the single telemetry record of
+// a run: a bounded, lock-free ring of timestamped events (phase
+// enter/exit spans, iteration boundaries, per-worker chunk spans,
+// free-form marks), one latency histogram per instrumented phase, the
+// active-workers gauge, the live progress (progress.go), a background
+// runtime sampler (heap in use, cumulative allocations, GC pause totals,
+// goroutine count) and a per-worker attribution table fed by
+// internal/par. Together they answer the question the aggregate counters
+// cannot: *where inside the run* the time went — which worker, which
+// phase, and whether the pool was busy or waiting.
 //
-// One recorder is active per process at a time (SetRecorder); the
-// instrumented call sites pay a single atomic pointer load when no
-// recorder is installed, mirroring the Enabled() contract of the counters.
-// Event slots are claimed with one atomic add and published with one
-// atomic pointer store, so recording never locks and two writers lapping
-// each other on the ring (overwrite-oldest) never race; the ring keeps
-// the most recent events and counts evictions. Read the events at
-// quiescence (after the run finishes) — Report is the sanctioned reader —
-// since only then is the retained window a consistent prefix-free tail.
+// One recorder is active per process at a time (SetRecorder). Every
+// engine hook loads it once through ActiveRecorder and calls the hook
+// method on the result; those methods are no-ops on a nil *Recorder, so a
+// process without a recorder pays one atomic pointer load per hook,
+// mirroring the Enabled() contract of the counters. Event slots are
+// claimed with one atomic add and published with one atomic pointer
+// store, so recording never locks and two writers lapping each other on
+// the ring (overwrite-oldest) never race; the ring keeps the most recent
+// events and counts evictions. Read the events at quiescence (after the
+// run finishes) — Report is the sanctioned reader — since only then is the
+// retained window a consistent prefix-free tail.
 
 // EventKind discriminates the flight-recorder event types.
 type EventKind uint8
@@ -101,6 +106,10 @@ type Recorder struct {
 	workers  [maxRecorderWorkers]workerAccum
 	overflow atomic.Int64 // worker IDs folded into the last slot
 
+	phases        [numPhases]Histogram // one latency histogram per Phase
+	activeWorkers atomic.Int64         // pool goroutines running now
+	progress      progressState        // live progress (progress.go)
+
 	samples struct {
 		sync.Mutex
 		s       []RuntimeSample
@@ -172,11 +181,16 @@ func (r *Recorder) record(ev Event) {
 // RecordPhaseSpan records a phase span that ended at the moment of the
 // call (enter at now-durNS, exit at now) — the shape the engine loops
 // produce, where the duration is measured with a Stopwatch and reported
-// when the phase body finishes.
+// when the phase body finishes — and adds its duration to the phase's
+// latency histogram. It is a no-op on a nil recorder.
 func (r *Recorder) RecordPhaseSpan(p Phase, durNS int64) {
+	if r == nil {
+		return
+	}
 	if durNS < 0 {
 		durNS = 0
 	}
+	r.phases[p].Observe(durNS)
 	at := r.NowNS() - durNS
 	if at < 0 {
 		at = 0
@@ -185,13 +199,21 @@ func (r *Recorder) RecordPhaseSpan(p Phase, durNS int64) {
 	r.record(Event{AtNS: at + durNS, DurNS: durNS, Kind: EventPhaseExit, Phase: p, Worker: -1})
 }
 
-// RecordIteration marks a completed refinement iteration (1-based).
+// RecordIteration marks a completed refinement iteration (1-based). It is
+// a no-op on a nil recorder.
 func (r *Recorder) RecordIteration(iter int) {
+	if r == nil {
+		return
+	}
 	r.record(Event{AtNS: r.NowNS(), Kind: EventIteration, Iter: int32(iter), Worker: -1})
 }
 
-// RecordMark records a free-form annotation event.
+// RecordMark records a free-form annotation event. It is a no-op on a nil
+// recorder.
 func (r *Recorder) RecordMark(label string) {
+	if r == nil {
+		return
+	}
 	r.record(Event{AtNS: r.NowNS(), Kind: EventMark, Label: label, Worker: -1})
 }
 
@@ -221,6 +243,19 @@ func (r *Recorder) AddWorkerSpan(worker int, chunks, items, busyNS, waitNS, wall
 	acc.busyNS.Add(busyNS)
 	acc.waitNS.Add(waitNS)
 	acc.wallNS.Add(wallNS)
+}
+
+// AddActiveWorkers moves the count of pool goroutines running now by
+// delta; the pool adds its size on entry and subtracts it on exit.
+func (r *Recorder) AddActiveWorkers(delta int64) { r.activeWorkers.Add(delta) }
+
+// activeWorkerCount reads the running-goroutine gauge; zero on a nil
+// recorder.
+func (r *Recorder) activeWorkerCount() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.activeWorkers.Load()
 }
 
 func clampWorker(w int) int {
@@ -309,19 +344,40 @@ func (r *Recorder) StartSampler(interval time.Duration) (stop func()) {
 	}
 }
 
+// sampleMetrics are the runtime/metrics values behind a RuntimeSample, in
+// the order sample reads them. runtime.ReadMemStats reports the same
+// quantities, and also counts the allocations still sitting in per-P
+// caches, but it stops the world and flushes every P's allocation cache
+// on each call, which at the sampler's rate slows allocation-heavy runs by
+// several percent; runtime/metrics and debug.ReadGCStats do neither.
+var sampleMetrics = [...]string{
+	"/memory/classes/heap/objects:bytes", // MemStats.HeapAlloc
+	"/memory/classes/heap/unused:bytes",  // MemStats.HeapInuse - HeapAlloc
+	"/gc/heap/allocs:bytes",              // MemStats.TotalAlloc
+	"/gc/heap/allocs:objects",            // MemStats.Mallocs, less tiny ones
+	"/gc/heap/tiny/allocs:objects",
+	"/sched/goroutines:goroutines",
+}
+
 // sample appends one runtime sample, dropping (and counting) past the cap.
 func (r *Recorder) sample() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	var ms [len(sampleMetrics)]metrics.Sample
+	for i, name := range sampleMetrics {
+		ms[i].Name = name
+	}
+	metrics.Read(ms[:])
+	var gc debug.GCStats
+	debug.ReadGCStats(&gc)
+	v := func(i int) uint64 { return ms[i].Value.Uint64() }
 	s := RuntimeSample{
 		AtNS:            r.NowNS(),
-		HeapInuseBytes:  ms.HeapInuse,
-		HeapAllocBytes:  ms.HeapAlloc,
-		TotalAllocBytes: ms.TotalAlloc,
-		Mallocs:         ms.Mallocs,
-		GCPauseTotalNS:  ms.PauseTotalNs,
-		NumGC:           ms.NumGC,
-		Goroutines:      runtime.NumGoroutine(),
+		HeapInuseBytes:  v(0) + v(1),
+		HeapAllocBytes:  v(0),
+		TotalAllocBytes: v(2),
+		Mallocs:         v(3) + v(4),
+		GCPauseTotalNS:  uint64(gc.PauseTotal),
+		NumGC:           uint32(gc.NumGC),
+		Goroutines:      int(v(5)),
 	}
 	r.samples.Lock()
 	if len(r.samples.s) < maxRuntimeSamples {
@@ -340,30 +396,4 @@ func (r *Recorder) Samples() (samples []RuntimeSample, dropped int64) {
 	out := make([]RuntimeSample, len(r.samples.s))
 	copy(out, r.samples.s)
 	return out, r.samples.dropped
-}
-
-// Package-level recording helpers: each is a no-op costing one atomic
-// load when no recorder is installed, so instrumented code calls them
-// unconditionally.
-
-// RecordPhaseSpan records a just-ended phase span on the active recorder.
-func RecordPhaseSpan(p Phase, durNS int64) {
-	if r := activeRecorder.Load(); r != nil {
-		r.RecordPhaseSpan(p, durNS)
-	}
-}
-
-// RecordIteration marks a completed refinement iteration on the active
-// recorder.
-func RecordIteration(iter int) {
-	if r := activeRecorder.Load(); r != nil {
-		r.RecordIteration(iter)
-	}
-}
-
-// RecordMark records an annotation event on the active recorder.
-func RecordMark(label string) {
-	if r := activeRecorder.Load(); r != nil {
-		r.RecordMark(label)
-	}
 }

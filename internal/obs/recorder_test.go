@@ -155,21 +155,24 @@ func TestSetRecorderInstallsAndRestores(t *testing.T) {
 	if ActiveRecorder() != r {
 		t.Error("ActiveRecorder() != installed recorder")
 	}
-	RecordMark("via package helper")
-	RecordIteration(1)
-	RecordPhaseSpan(PhaseRefine, 10)
+	rec := ActiveRecorder()
+	rec.RecordMark("via the active recorder")
+	rec.RecordIteration(1)
+	rec.RecordPhaseSpan(PhaseRefine, 10)
 	if SetRecorder(nil) != r {
 		t.Error("SetRecorder(nil) did not return the installed recorder")
 	}
 	if got := len(r.Events()); got != 4 {
-		t.Errorf("package-level helpers recorded %d events, want 4", got)
+		t.Errorf("hooks on the active recorder recorded %d events, want 4", got)
 	}
-	// With no recorder installed the helpers must be no-ops, not panics.
-	RecordMark("dropped")
-	RecordIteration(2)
-	RecordPhaseSpan(PhaseAssign, 10)
+	// With no recorder installed the hooks run on nil and must be no-ops,
+	// not panics.
+	rec = ActiveRecorder()
+	rec.RecordMark("dropped")
+	rec.RecordIteration(2)
+	rec.RecordPhaseSpan(PhaseAssign, 10)
 	if got := len(r.Events()); got != 4 {
-		t.Errorf("helpers wrote to an uninstalled recorder (%d events)", got)
+		t.Errorf("hooks wrote to an uninstalled recorder (%d events)", got)
 	}
 }
 
@@ -187,5 +190,42 @@ func TestStartPhaseFeedsRecorderWithoutCounters(t *testing.T) {
 	}
 	if evs[0].Phase != PhasePairwiseMatrix {
 		t.Errorf("phase = %v, want pairwise_matrix", evs[0].Phase)
+	}
+}
+
+// TestReportPhasesCoverOnlyOwnWindow pins the run report's scope: its
+// phase summaries count only the spans recorded on its own recorder
+// since NewRecorder — never spans that landed before it existed, on an
+// earlier recorder, or while no recorder was installed.
+func TestReportPhasesCoverOnlyOwnWindow(t *testing.T) {
+	defer SetEnabled(SetEnabled(true))
+	defer SetRecorder(SetRecorder(nil))
+
+	StartPhase(PhaseAssign)() // no recorder installed
+	SetRecorder(NewRecorder(0))
+	for i := 0; i < 3; i++ {
+		StartPhase(PhaseAssign)() // an earlier recorder's window
+	}
+
+	empty := NewRecorder(0)
+	for _, p := range empty.Report("obs_test", "", nil, Counters{}).Phases {
+		if p.Count != 0 || p.SumNS != 0 {
+			t.Errorf("recorder with an empty window reports phase %q with %d samples", p.Name, p.Count)
+		}
+	}
+
+	r := NewRecorder(0)
+	SetRecorder(r)
+	StartPhase(PhaseAssign)()
+	r.RecordPhaseSpan(PhaseRefine, 500)
+	counts := map[string]int64{}
+	for _, p := range r.Report("obs_test", "", nil, Counters{}).Phases {
+		counts[p.Name] = p.Count
+	}
+	want := map[string]int64{"pairwise_matrix": 0, "assign": 1, "refine": 1, "iteration": 0, "shape_extract": 0}
+	for name, n := range want {
+		if counts[name] != n {
+			t.Errorf("phase %q counted %d samples, want %d (only this recorder's window)", name, counts[name], n)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 const RunReportSchema = "kshape.runreport/v1"
 
 // RunReport is the top-level run-report document: everything needed to
-// diagnose one process's run after the fact — build identity, kernel
+// diagnose one recorder's run after the fact — build identity, kernel
 // counters, phase latency histograms, per-worker pool attribution,
 // runtime samples, and the retained event window.
 type RunReport struct {
@@ -29,7 +29,8 @@ type RunReport struct {
 	WallNS int64 `json:"wall_ns"`
 	// Counters is the kernel-counter delta over the recorded window.
 	Counters Counters `json:"counters"`
-	// Phases summarizes the per-phase latency histograms.
+	// Phases summarizes the recorder's per-phase latency histograms:
+	// only the spans recorded since NewRecorder.
 	Phases []PhaseStats `json:"phases"`
 	// Workers is the per-worker pool attribution table (one row per pool
 	// worker ID that executed work).
@@ -132,7 +133,7 @@ func (r *Recorder) Report(tool, runID string, args []string, counters Counters) 
 		Build:          BuildInfo(),
 		WallNS:         r.NowNS(),
 		Counters:       counters,
-		Phases:         phaseStats(),
+		Phases:         phaseStats(r.phaseSnapshots()),
 		Workers:        r.workerStats(),
 		RuntimeSamples: samples,
 		Events:         reportEvents(r.Events()),
@@ -150,9 +151,8 @@ func (r *Recorder) Report(tool, runID string, args []string, counters Counters) 
 	return rep
 }
 
-// phaseStats snapshots the process-global phase histograms.
-func phaseStats() []PhaseStats {
-	hs := PhaseHistograms()
+// phaseStats summarizes phase histogram snapshots.
+func phaseStats(hs []HistogramSnapshot) []PhaseStats {
 	out := make([]PhaseStats, len(hs))
 	for i, h := range hs {
 		out[i] = PhaseStats{

@@ -131,20 +131,7 @@ func ForChunksMin(workers, n, min int, fn func(lo, hi int)) {
 		runSerial(nil, n, fn)
 		return
 	}
-	// Publish the pool size on the active-workers gauge while the pool
-	// runs, mirroring runPool's spawn rule (the full logical pool under a
-	// flight recorder, capped at the scheduler's parallelism otherwise).
-	// Capture Enabled once so the add/subtract pair stays balanced even if
-	// collection is toggled mid-loop.
-	if obs.Enabled() {
-		spawn := int64(w)
-		if rec == nil {
-			spawn = int64(poolSize(w))
-		}
-		obs.AddGauge(obs.GaugeActiveWorkers, spawn)
-		defer obs.AddGauge(obs.GaugeActiveWorkers, -spawn)
-	}
-	runPool(w, chunks, n, func(_, lo, hi int) { fn(lo, hi) })
+	runPool(rec, w, chunks, n, func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // runSerial executes the whole range as one chunk on the calling goroutine,
@@ -177,14 +164,15 @@ func poolSize(w int) int {
 
 // runPool is the one place pool goroutines are spawned: up to poolSize(w)
 // workers claim the chunks of [0, n) through an atomic cursor and run
-// body(c, lo, hi) for each claimed chunk c. When a flight recorder is
-// installed, each worker additionally records its chunk spans and publishes
-// busy/wait attribution — wait being everything in the worker's wall time
-// outside chunk bodies (cursor claims, goroutine startup, the final drain),
-// so busy + wait equals wall exactly. The recorded variant claims chunks
-// through the same cursor in the same order; only clock reads are added.
-func runPool(w, chunks, n int, body func(c, lo, hi int)) {
-	rec := obs.ActiveRecorder()
+// body(c, lo, hi) for each claimed chunk c. When rec, the flight recorder
+// installed at the call, is non-nil, the pool's goroutines count on its
+// active-workers gauge while they run, and each worker additionally
+// records its chunk spans and publishes busy/wait attribution — wait
+// being everything in the worker's wall time outside chunk bodies (cursor
+// claims, goroutine startup, the final drain), so busy + wait equals wall
+// exactly. The recorded variant claims chunks through the same cursor in
+// the same order; only clock reads are added.
+func runPool(rec *obs.Recorder, w, chunks, n int, body func(c, lo, hi int)) {
 	spawn := w
 	if rec == nil {
 		// With no flight recorder the per-worker attribution is
@@ -200,6 +188,9 @@ func runPool(w, chunks, n int, body func(c, lo, hi int)) {
 			}
 			return
 		}
+	} else {
+		rec.AddActiveWorkers(int64(spawn))
+		defer rec.AddActiveWorkers(-int64(spawn))
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -370,7 +361,7 @@ func extremeIndex(workers, n int, score func(i int) float64, better func(v, best
 		chunks = n
 	}
 	partial := make([]extremeCandidate, chunks)
-	runPool(w, chunks, n, func(c, lo, hi int) { partial[c] = scanExtreme(lo, hi, score, better) })
+	runPool(obs.ActiveRecorder(), w, chunks, n, func(c, lo, hi int) { partial[c] = scanExtreme(lo, hi, score, better) })
 	// Merge in chunk (hence index) order; strict comparison keeps the
 	// smallest index on ties, matching the serial scan.
 	best := extremeCandidate{-1, inf}

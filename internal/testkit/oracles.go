@@ -111,7 +111,7 @@ func Pairs() []OraclePair {
 		},
 		{
 			Name: "eigen/power-vs-ql",
-			Doc:  "power iteration matches Householder+QL on gap-controlled PSD spectra",
+			Doc:  "Gram power iteration (dense and factored) matches Householder+QL on gap-controlled PSD spectra",
 			Tol:  DefaultTol,
 			Run:  runEigen,
 		},
@@ -640,23 +640,32 @@ func runEigen(g *Gen) error {
 	// alignment criterion — hence its absence.)
 	lambda1 := math.Exp(g.NormFloat64())
 	ratio := 0.2 + 0.2*g.Float64()
+	// S = AᵀA for the factor A whose row k is √λₖ·basisₖ, so linalg.Gram
+	// sees the constructed spectrum in both of its orders.
 	s := linalg.NewSym(m)
-	lam := lambda1
-	for k := 0; k < m; k++ {
-		v := basis[k]
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				s.Data[i*m+j] += lam * v[i] * v[j]
+	var gram linalg.Gram
+	var gotVec []float64
+	for _, factored := range []bool{false, true} {
+		gram.Reset(m, m, factored)
+		lam := lambda1
+		for k := 0; k < m; k++ {
+			row := gram.Row(k)
+			for i, v := range basis[k] {
+				row[i] = math.Sqrt(lam) * v
 			}
+			if !factored {
+				s.GramAddOuter(row)
+			}
+			lam *= ratio
 		}
-		lam *= ratio
-	}
-	gotVal, gotVec := linalg.DominantEigen(s)
-	if err := CheckScalar(fmt.Sprintf("DominantEigen value (m=%d)", m), gotVal, lambda1, DefaultTol); err != nil {
-		return err
-	}
-	if c := absCos(gotVec, basis[0]); 1-c > DefaultTol {
-		return fmt.Errorf("DominantEigen vector misaligned with constructed basis: 1-|cos| = %v", 1-c)
+		gotVal, vec := gram.Dominant()
+		if err := CheckScalar(fmt.Sprintf("Gram.Dominant value (m=%d, factored=%v)", m, factored), gotVal, lambda1, DefaultTol); err != nil {
+			return err
+		}
+		if c := absCos(vec, basis[0]); 1-c > DefaultTol {
+			return fmt.Errorf("Gram.Dominant vector (factored=%v) misaligned with constructed basis: 1-|cos| = %v", factored, 1-c)
+		}
+		gotVec = append(gotVec[:0], vec...)
 	}
 	vals, vecs := linalg.EigenDecompose(s)
 	qlVal, qlVec := vals[m-1], vecs[m-1]
@@ -668,7 +677,7 @@ func runEigen(g *Gen) error {
 	}
 	// The full spectrum must reproduce the constructed eigenvalues
 	// (EigenDecompose returns ascending order).
-	lam = lambda1
+	lam := lambda1
 	for k := 0; k < m; k++ {
 		if err := CheckScalar(fmt.Sprintf("EigenDecompose value %d", k), vals[m-1-k], lam, DefaultTol); err != nil {
 			return err

@@ -40,15 +40,6 @@ func PAA(x []float64, segments int) []float64 {
 	return out
 }
 
-// PAAAll applies PAA to every row of data.
-func PAAAll(data [][]float64, segments int) [][]float64 {
-	out := make([][]float64, len(data))
-	for i, x := range data {
-		out[i] = PAA(x, segments)
-	}
-	return out
-}
-
 func maxF(a, b float64) float64 {
 	if a > b {
 		return a

@@ -34,16 +34,6 @@ func Resample(x []float64, n int) []float64 {
 	return out
 }
 
-// ResampleAll resamples every series (possibly of different lengths) to a
-// common length n, the preprocessing step for mixed-length collections.
-func ResampleAll(data []Series, n int) []Series {
-	out := make([]Series, len(data))
-	for i, s := range data {
-		out[i] = NewLabeled(Resample(s.Values, n), s.Label)
-	}
-	return out
-}
-
 // Detrend removes the least-squares linear trend from x, returning the
 // residuals. Useful before shape comparison when a global drift (e.g.
 // inflation in the paper's currency example, Section 2.2) would otherwise

@@ -8,7 +8,6 @@
 package ts
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -39,13 +38,6 @@ func (s Series) Clone() Series {
 	copy(v, s.Values)
 	return Series{Values: v, Label: s.Label}
 }
-
-// ErrEmpty is returned by operations that require a non-empty series.
-var ErrEmpty = errors.New("ts: empty series")
-
-// ErrLengthMismatch is returned by pairwise operations on series of
-// different lengths when equal lengths are required.
-var ErrLengthMismatch = errors.New("ts: series length mismatch")
 
 // Mean returns the arithmetic mean of x. It returns 0 for an empty slice.
 func Mean(x []float64) float64 {
@@ -302,27 +294,4 @@ func Labels(data []Series) []int {
 		out[i] = s.Label
 	}
 	return out
-}
-
-// ZNormalizeAll z-normalizes every series in data in place.
-func ZNormalizeAll(data []Series) {
-	for i := range data {
-		ZNormalizeInPlace(data[i].Values)
-	}
-}
-
-// EqualLength verifies that all series in data share one length and returns
-// it. It returns an error for an empty collection or ragged lengths.
-func EqualLength(data []Series) (int, error) {
-	if len(data) == 0 {
-		return 0, ErrEmpty
-	}
-	m := data[0].Len()
-	for i, s := range data {
-		if s.Len() != m {
-			return 0, fmt.Errorf("%w: series 0 has length %d, series %d has length %d",
-				ErrLengthMismatch, m, i, s.Len())
-		}
-	}
-	return m, nil
 }

@@ -246,21 +246,6 @@ func TestNewMatrix(t *testing.T) {
 	}
 }
 
-func TestEqualLength(t *testing.T) {
-	data := []Series{New([]float64{1, 2}), New([]float64{3, 4})}
-	m, err := EqualLength(data)
-	if err != nil || m != 2 {
-		t.Fatalf("EqualLength = %d, %v", m, err)
-	}
-	if _, err := EqualLength(nil); err == nil {
-		t.Error("expected error on empty collection")
-	}
-	ragged := []Series{New([]float64{1}), New([]float64{1, 2})}
-	if _, err := EqualLength(ragged); err == nil {
-		t.Error("expected error on ragged lengths")
-	}
-}
-
 func TestSeriesCloneAndAccessors(t *testing.T) {
 	s := NewLabeled([]float64{1, 2, 3}, 7)
 	c := s.Clone()
@@ -285,16 +270,6 @@ func TestRowsAndLabels(t *testing.T) {
 	l := Labels(data)
 	if l[0] != 0 || l[1] != 1 {
 		t.Errorf("Labels = %v", l)
-	}
-}
-
-func TestZNormalizeAll(t *testing.T) {
-	data := []Series{New([]float64{1, 2, 3, 4}), New([]float64{10, 20, 30, 40})}
-	ZNormalizeAll(data)
-	for i, s := range data {
-		if !IsZNormalized(s.Values, 1e-9) {
-			t.Errorf("series %d not z-normalized: %v", i, s.Values)
-		}
 	}
 }
 
@@ -380,17 +355,6 @@ func TestPAAPanicsOnBadSegments(t *testing.T) {
 	}
 }
 
-func TestPAAAll(t *testing.T) {
-	data := [][]float64{{1, 2, 3, 4}, {4, 3, 2, 1}}
-	out := PAAAll(data, 2)
-	if len(out) != 2 || len(out[0]) != 2 {
-		t.Fatalf("PAAAll shape wrong: %v", out)
-	}
-	if out[0][0] != 1.5 || out[1][0] != 3.5 {
-		t.Errorf("PAAAll = %v", out)
-	}
-}
-
 func TestResample(t *testing.T) {
 	got := Resample([]float64{0, 1, 2, 3}, 7)
 	want := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3}
@@ -419,28 +383,6 @@ func TestResamplePanicsOnBadLength(t *testing.T) {
 		}
 	}()
 	Resample([]float64{1}, 0)
-}
-
-func TestResampleAllUniformScaling(t *testing.T) {
-	data := []Series{
-		NewLabeled([]float64{0, 2, 4}, 0),
-		NewLabeled([]float64{0, 1, 2, 3, 4}, 1),
-	}
-	out := ResampleAll(data, 5)
-	for i, s := range out {
-		if s.Len() != 5 {
-			t.Fatalf("series %d length %d", i, s.Len())
-		}
-		if s.Label != data[i].Label {
-			t.Errorf("label lost")
-		}
-	}
-	// Both ramps resample to the same shape.
-	for i := range out[0].Values {
-		if !almostEqual(out[0].Values[i], out[1].Values[i], 1e-12) {
-			t.Fatalf("uniform scaling failed: %v vs %v", out[0].Values, out[1].Values)
-		}
-	}
 }
 
 func TestDetrendRemovesLinearTrend(t *testing.T) {

@@ -126,16 +126,8 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("kshape: unknown method %q (see kshape.Methods)", name)
 	}
-	m := len(data[0])
-	for i, x := range data {
-		if len(x) != m {
-			return nil, fmt.Errorf("kshape: series %d has length %d, want %d (all series must be equal-length)", i, len(x), m)
-		}
-		for j, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("kshape: series %d has a non-finite value at position %d", i, j)
-			}
-		}
+	if err := checkSeries("series", data, len(data[0])); err != nil {
+		return nil, err
 	}
 	prepared := data
 	if !opts.SkipNormalization {
@@ -409,6 +401,12 @@ func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, me
 	if !ok {
 		return nil, fmt.Errorf("kshape: unknown measure %q (see kshape.Measures)", measure)
 	}
+	if err := checkSeries("training series", train, len(train[0])); err != nil {
+		return nil, err
+	}
+	if err := checkSeries("query", queries, len(train[0])); err != nil {
+		return nil, err
+	}
 	prep := func(rows [][]float64) [][]float64 {
 		if skipNormalization {
 			return rows
@@ -421,9 +419,32 @@ func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, me
 	}
 	out := dist.NearestIndices(m, prep(train), prep(queries), workers)
 	for i, idx := range out {
+		if idx < 0 {
+			return nil, fmt.Errorf("kshape: query %d has no finite %s distance to any training series", i, measure)
+		}
 		out[i] = labels[idx]
 	}
 	return out, nil
+}
+
+// checkSeries rejects input the engines cannot take: a row whose length
+// is not m, zero-length rows, and non-finite values. what names the rows
+// in the error.
+func checkSeries(what string, rows [][]float64, m int) error {
+	if m == 0 {
+		return fmt.Errorf("kshape: %s have length 0", what)
+	}
+	for i, x := range rows {
+		if len(x) != m {
+			return fmt.Errorf("kshape: %s %d has length %d, want %d (all series must be equal-length)", what, i, len(x), m)
+		}
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("kshape: %s %d has a non-finite value at position %d", what, i, j)
+			}
+		}
+	}
+	return nil
 }
 
 // Predict assigns each query series to the nearest centroid under SBD,

@@ -245,6 +245,10 @@ func TestClusterRejectsBadInput(t *testing.T) {
 	if _, err := Cluster([][]float64{{1, math.Inf(1), 3}, {1, 2, 3}}, 2, Options{}); err == nil {
 		t.Error("Inf input accepted")
 	}
+	// Zero-length series.
+	if _, err := Cluster([][]float64{{}, {}}, 2, Options{}); err == nil {
+		t.Error("zero-length series accepted")
+	}
 }
 
 func TestClusterConstantSeriesSurvive(t *testing.T) {
@@ -367,6 +371,26 @@ func TestClassify1NNErrors(t *testing.T) {
 	}
 	if _, err := Classify1NN(train, labels, train, "bogus", false); err == nil {
 		t.Error("unknown measure accepted")
+	}
+	nanQuery := append([]float64(nil), train[0]...)
+	nanQuery[3] = math.NaN()
+	if _, err := Classify1NN(train, labels, [][]float64{nanQuery}, "SBD", false); err == nil {
+		t.Error("NaN query accepted")
+	}
+	if _, err := Classify1NN(train, labels, [][]float64{train[0][:2]}, "SBD", false); err == nil {
+		t.Error("wrong-length query accepted")
+	}
+	if _, err := Classify1NN([][]float64{train[0], train[1][:4]}, labels[:2], train, "ED", false); err == nil {
+		t.Error("ragged training set accepted")
+	}
+	if _, err := Classify1NN([][]float64{{}}, labels[:1], [][]float64{{}}, "SBD", false); err == nil {
+		t.Error("zero-length series accepted")
+	}
+	// Finite but unnormalized extremes overflow every ED to +Inf, leaving
+	// the query without a nearest neighbour.
+	huge := [][]float64{{1e200, -1e200, 1e200}}
+	if _, err := Classify1NN(huge, labels[:1], [][]float64{{-1e200, 1e200, -1e200}}, "ED", true); err == nil {
+		t.Error("query with no finite distance accepted")
 	}
 }
 
