@@ -322,12 +322,11 @@ func BenchmarkKShapeCBF300x128(b *testing.B) {
 
 func BenchmarkKAvgEDCBF300x128(b *testing.B) {
 	data := ts.Rows(dataset.CBF(300, 128, 1))
-	meanAvg := avg.MeanAverager{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := core.Lloyd(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(int64(i)))},
-			func(c, x []float64) float64 { return dist.ED(c, x) }, meanAvg.Average)
+			func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,8 +19,7 @@
 // emitted by bench_test.go's benchCounters helper.
 //
 // The schema itself (types, parser, validation) lives in
-// internal/benchfmt, shared with cmd/benchdiff; the aliases below keep
-// this command's exported surface stable.
+// internal/benchfmt, shared with cmd/benchdiff.
 package main
 
 import (
@@ -33,14 +32,8 @@ import (
 	"kshape/internal/benchfmt"
 )
 
-// Schema is the identifier embedded in every report this tool writes.
-const Schema = benchfmt.Schema
-
 // Report is the top-level JSON document.
 type Report = benchfmt.Report
-
-// Benchmark is one result line of `go test -bench` output.
-type Benchmark = benchfmt.Benchmark
 
 // Parse reads `go test -bench` output and assembles the report.
 func Parse(r io.Reader) (*Report, error) { return benchfmt.Parse(r) }

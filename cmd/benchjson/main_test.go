@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"kshape/internal/benchfmt"
 )
 
 const sampleBench = `goos: linux
@@ -23,7 +25,7 @@ func TestParseSampleOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != Schema {
+	if rep.Schema != benchfmt.Schema {
 		t.Errorf("schema = %q", rep.Schema)
 	}
 	if rep.GOOS != "linux" || rep.GOARCH != "amd64" || rep.Package != "kshape" {
@@ -104,8 +106,8 @@ func TestParseRejectsEmptyInput(t *testing.T) {
 
 func TestValidateCatchesDuplicates(t *testing.T) {
 	rep := &Report{
-		Schema: Schema, GoVersion: "go1.22",
-		Benchmarks: []Benchmark{
+		Schema: benchfmt.Schema, GoVersion: "go1.22",
+		Benchmarks: []benchfmt.Benchmark{
 			{Name: "A", Iterations: 1},
 			{Name: "A", Iterations: 1},
 		},
@@ -131,7 +133,7 @@ func TestCommittedReportValidates(t *testing.T) {
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("BENCH_kshape.json invalid: %v", err)
 	}
-	byName := map[string]Benchmark{}
+	byName := map[string]benchfmt.Benchmark{}
 	for _, b := range rep.Benchmarks {
 		byName[b.Name] = b
 	}

@@ -1,31 +1,27 @@
-// Package avg implements the time-series averaging techniques surveyed in
-// Section 2.5 of the k-Shape paper — arithmetic mean, NLAAF, PSA, DBA, and
-// the KSC spectral centroid — plus the paper's own contribution, shape
-// extraction (Section 3.2, Algorithm 2), which computes the centroid as the
-// dominant eigenvector of a centered Gram matrix of SBD-aligned sequences.
+// Package avg implements the centroid methods the k-Shape paper's
+// evaluation runs — arithmetic mean, DBA, and the KSC spectral centroid —
+// plus the paper's own contribution, shape extraction (Section 3.2,
+// Algorithm 2), which computes the centroid as the dominant eigenvector of
+// a centered Gram matrix of SBD-aligned sequences.
+//
+// Every method has the core.CentroidFunc shape
+// func(members [][]float64, ref []float64) []float64: ref is the previous
+// centroid, used by the methods that align members toward a reference
+// before averaging (shape extraction, DBA initialization), and each must
+// tolerate a nil or all-zero ref. The returned slice is fresh (not aliased
+// to any input).
 package avg
-
-import "kshape/internal/ts"
-
-// Averager produces a representative (centroid) sequence for a cluster of
-// equal-length series. ref is the previous centroid, used by methods that
-// align members toward a reference before averaging (shape extraction, DBA
-// initialization); implementations must tolerate a nil or all-zero ref.
-type Averager interface {
-	// Name returns the identifier used in experiment tables.
-	Name() string
-	// Average returns the centroid of cluster. The returned slice is fresh
-	// (not aliased to any input).
-	Average(cluster [][]float64, ref []float64) []float64
-}
 
 // Mean computes the coordinate-wise arithmetic mean of the cluster — the
 // k-means centroid under Euclidean distance (Section 2.1, "arithmetic mean
 // property"). It returns a zero series of length len(ref) for an empty
 // cluster (or nil if ref is also nil).
-func Mean(cluster [][]float64) []float64 {
+func Mean(cluster [][]float64, ref []float64) []float64 {
 	if len(cluster) == 0 {
-		return nil
+		if ref == nil {
+			return nil
+		}
+		return make([]float64, len(ref))
 	}
 	m := len(cluster[0])
 	out := make([]float64, m)
@@ -40,21 +36,3 @@ func Mean(cluster [][]float64) []float64 {
 	}
 	return out
 }
-
-// MeanAverager is the Averager wrapping Mean (used by k-AVG variants).
-type MeanAverager struct{}
-
-// Name implements Averager.
-func (MeanAverager) Name() string { return "Mean" }
-
-// Average implements Averager.
-func (MeanAverager) Average(cluster [][]float64, ref []float64) []float64 {
-	out := Mean(cluster)
-	if out == nil && ref != nil {
-		out = make([]float64, len(ref))
-	}
-	return out
-}
-
-// zNormOrZero z-normalizes x, mapping degenerate inputs to zeros.
-func zNormOrZero(x []float64) []float64 { return ts.ZNormalize(x) }

@@ -41,17 +41,17 @@ func sineCluster(n, m int, maxShift int, noise float64, rng *rand.Rand) ([][]flo
 
 func TestMean(t *testing.T) {
 	c := [][]float64{{1, 2}, {3, 4}}
-	got := Mean(c)
+	got := Mean(c, nil)
 	if got[0] != 2 || got[1] != 3 {
 		t.Errorf("Mean = %v", got)
 	}
-	if Mean(nil) != nil {
+	if Mean(nil, nil) != nil {
 		t.Error("Mean of empty should be nil")
 	}
 }
 
 func TestMeanAveragerEmptyClusterUsesRefLength(t *testing.T) {
-	out := MeanAverager{}.Average(nil, make([]float64, 5))
+	out := Mean(nil, make([]float64, 5))
 	if len(out) != 5 {
 		t.Errorf("len = %d, want 5", len(out))
 	}
@@ -61,7 +61,7 @@ func TestMeanMinimizesSquaredED(t *testing.T) {
 	// The arithmetic mean is the Steiner point under ED (Section 2.1).
 	rng := rand.New(rand.NewSource(1))
 	c := randCluster(10, 8, rng)
-	mean := Mean(c)
+	mean := Mean(c, nil)
 	obj := func(w []float64) float64 {
 		s := 0.0
 		for _, x := range c {
@@ -99,7 +99,7 @@ func TestShapeExtractionBeatsMeanOnShiftedData(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cluster, proto := sineCluster(40, 64, 10, 0.05, rng)
 	cen := ShapeExtraction(cluster, proto)
-	mean := ts.ZNormalize(Mean(cluster))
+	mean := ts.ZNormalize(Mean(cluster, nil))
 	dShape, _ := dist.SBD(proto, cen)
 	dMean, _ := dist.SBD(proto, mean)
 	if dShape >= dMean {
@@ -136,13 +136,6 @@ func TestShapeExtractionZeroRefSkipsAlignment(t *testing.T) {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatal("nil ref and zero ref should behave identically")
 		}
-	}
-}
-
-func TestShapeAveragerInterface(t *testing.T) {
-	var a Averager = ShapeAverager{}
-	if a.Name() != "ShapeExtraction" {
-		t.Errorf("Name = %q", a.Name())
 	}
 }
 
@@ -185,12 +178,16 @@ func TestDBAConvergesToPrototypeUnderWarping(t *testing.T) {
 		}
 		cluster[i] = x
 	}
-	got := DBA(cluster, nil, 5, -1)
+	// Five refinement passes, each seeded with the previous average.
+	var got []float64
+	for pass := 0; pass < 5; pass++ {
+		got = DBA(cluster, got)
+	}
 	if d := dist.DTW(proto, got); d > 1.0 {
 		t.Errorf("DTW(proto, DBA) = %v, want < 1.0", d)
 	}
 	// DBA should beat the plain arithmetic mean under the DTW objective.
-	mean := Mean(cluster)
+	mean := Mean(cluster, nil)
 	objDBA, objMean := 0.0, 0.0
 	for _, x := range cluster {
 		dd := dist.DTW(got, x)
@@ -204,11 +201,11 @@ func TestDBAConvergesToPrototypeUnderWarping(t *testing.T) {
 }
 
 func TestDBAEmptyAndInit(t *testing.T) {
-	if DBA(nil, nil, 1, -1) != nil {
+	if DBA(nil, nil) != nil {
 		t.Error("empty cluster, nil init should give nil")
 	}
 	init := []float64{1, 2, 3}
-	got := DBA(nil, init, 1, -1)
+	got := DBA(nil, init)
 	if len(got) != 3 || &got[0] == &init[0] {
 		t.Error("empty cluster should copy init")
 	}
@@ -217,7 +214,7 @@ func TestDBAEmptyAndInit(t *testing.T) {
 func TestDBAIdenticalMembersFixedPoint(t *testing.T) {
 	x := []float64{0, 1, 0, -1, 0}
 	cluster := [][]float64{x, x, x}
-	got := DBA(cluster, nil, 3, -1)
+	got := DBA(cluster, nil)
 	for i := range x {
 		if math.Abs(got[i]-x[i]) > 1e-9 {
 			t.Fatalf("DBA of identical members = %v, want %v", got, x)
@@ -226,89 +223,12 @@ func TestDBAIdenticalMembersFixedPoint(t *testing.T) {
 }
 
 func TestDBAAveragerDefaults(t *testing.T) {
-	a := DBAAverager{Window: -1}
-	if a.Name() != "DBA" {
-		t.Errorf("Name = %q", a.Name())
-	}
-	got := a.Average([][]float64{{1, 2}, {3, 4}}, nil)
-	if len(got) != 2 {
-		t.Errorf("len = %d", len(got))
-	}
-}
-
-func TestNLAAFBasic(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	cluster := [][]float64{x, x, x, x}
-	got := NLAAF(cluster, -1)
-	if len(got) != 4 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range x {
-		if math.Abs(got[i]-x[i]) > 1e-9 {
-			t.Fatalf("NLAAF of identical members = %v", got)
-		}
-	}
-	if NLAAF(nil, -1) != nil {
-		t.Error("empty cluster should give nil")
-	}
-}
-
-func TestNLAAFOddCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cluster := randCluster(5, 16, rng)
-	got := NLAAF(cluster, -1)
-	if len(got) != 16 {
-		t.Errorf("len = %d, want 16", len(got))
-	}
-}
-
-func TestPSAWeightsReduceOrderBias(t *testing.T) {
-	// Identical members: PSA must also be an exact fixed point.
-	x := []float64{0, 2, 1, -1}
-	got := PSA([][]float64{x, x, x}, -1)
-	for i := range x {
-		if math.Abs(got[i]-x[i]) > 1e-9 {
-			t.Fatalf("PSA of identical members = %v", got)
-		}
-	}
-}
-
-func TestPSAAndNLAAFAveragers(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	cluster := randCluster(6, 20, rng)
-	for _, a := range []Averager{NLAAFAverager{Window: -1}, PSAAverager{Window: -1}} {
-		out := a.Average(cluster, nil)
-		if len(out) != 20 {
-			t.Errorf("%s: len = %d", a.Name(), len(out))
-		}
-	}
-	if (NLAAFAverager{}).Name() != "NLAAF" || (PSAAverager{}).Name() != "PSA" {
-		t.Error("names wrong")
-	}
-	if out := (PSAAverager{}).Average(nil, make([]float64, 3)); len(out) != 3 {
-		t.Error("PSA empty-cluster fallback")
-	}
-	if out := (NLAAFAverager{}).Average(nil, make([]float64, 3)); len(out) != 3 {
-		t.Error("NLAAF empty-cluster fallback")
-	}
-}
-
-func TestResample(t *testing.T) {
-	got := resample([]float64{0, 1, 2, 3}, 7)
-	want := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("resample = %v, want %v", got, want)
-		}
-	}
-	if got := resample([]float64{5}, 3); got[0] != 5 || got[2] != 5 {
-		t.Errorf("constant resample = %v", got)
-	}
-	if resample(nil, 3) != nil {
-		t.Error("empty resample")
-	}
-	if got := resample([]float64{1, 2}, 1); got[0] != 1 {
-		t.Errorf("n=1 resample = %v", got)
+	// k-DBA's fixed setting is one pass of unconstrained DTW from the
+	// first member. Here the diagonal path maps each member point to its
+	// own coordinate, so the result is the coordinate-wise mean.
+	got := DBA([][]float64{{1, 2}, {3, 4}}, nil)
+	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Errorf("DBA = %v, want [2 3]", got)
 	}
 }
 
@@ -382,12 +302,5 @@ func TestKSCCentroidEmpty(t *testing.T) {
 	got := KSCCentroid([][]float64{make([]float64, 4)}, nil)
 	if len(got) != 4 {
 		t.Errorf("zero-member centroid len = %d", len(got))
-	}
-}
-
-func TestKSCAveragerInterface(t *testing.T) {
-	var a Averager = KSCAverager{}
-	if a.Name() != "KSC" {
-		t.Errorf("Name = %q", a.Name())
 	}
 }

@@ -127,14 +127,3 @@ func KSCCentroid(cluster [][]float64, ref []float64) []float64 {
 	}
 	return cen
 }
-
-// KSCAverager is the Averager wrapping KSCCentroid.
-type KSCAverager struct{}
-
-// Name implements Averager.
-func (KSCAverager) Name() string { return "KSC" }
-
-// Average implements Averager.
-func (KSCAverager) Average(cluster [][]float64, ref []float64) []float64 {
-	return KSCCentroid(cluster, ref)
-}

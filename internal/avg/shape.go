@@ -159,14 +159,3 @@ func isAllZero(x []float64) bool {
 	}
 	return true
 }
-
-// ShapeAverager is the Averager wrapping ShapeExtraction (used by k-Shape).
-type ShapeAverager struct{}
-
-// Name implements Averager.
-func (ShapeAverager) Name() string { return "ShapeExtraction" }
-
-// Average implements Averager.
-func (ShapeAverager) Average(cluster [][]float64, ref []float64) []float64 {
-	return ShapeExtraction(cluster, ref)
-}

@@ -77,7 +77,7 @@ func NewKAvgED() Clusterer {
 	return kmeansVariant{
 		label:    "k-AVG+ED",
 		distance: func(c, x []float64) float64 { return dist.ED(c, x) },
-		centroid: avg.MeanAverager{}.Average,
+		centroid: avg.Mean,
 	}
 }
 
@@ -88,7 +88,7 @@ func NewKAvgSBD() Clusterer {
 	return kmeansVariant{
 		label:    "k-AVG+SBD",
 		distance: func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-		centroid: avg.MeanAverager{}.Average,
+		centroid: avg.Mean,
 	}
 }
 
@@ -98,7 +98,7 @@ func NewKAvgDTW() Clusterer {
 	return kmeansVariant{
 		label:    "k-AVG+DTW",
 		distance: func(c, x []float64) float64 { return dist.DTW(c, x) },
-		centroid: avg.MeanAverager{}.Average,
+		centroid: avg.Mean,
 	}
 }
 
@@ -106,11 +106,10 @@ func NewKAvgDTW() Clusterer {
 // refinement (Petitjean et al.), the most robust prior k-means adaptation
 // for DTW per Section 2.5.
 func NewKDBA() Clusterer {
-	a := avg.DBAAverager{Window: -1}
 	return kmeansVariant{
 		label:    "k-DBA",
 		distance: func(c, x []float64) float64 { return dist.DTW(c, x) },
-		centroid: a.Average,
+		centroid: avg.DBA,
 	}
 }
 

@@ -56,36 +56,6 @@ func TestPAMDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestBuildSwapDeterministicAcrossWorkers(t *testing.T) {
-	data := gaussianBlobs(10, 16, rand.New(rand.NewSource(5)))
-	d := dist.PairwiseMatrixWorkers(dist.EDMeasure{}, data, 1)
-	wantMedoids, wantCost := BuildSwapWorkers(d, 3, 1)
-	for _, w := range []int{2, 8} {
-		medoids, cost := BuildSwapWorkers(d, 3, w)
-		if cost != wantCost {
-			t.Errorf("workers=%d: cost %v, want %v (must be bit-identical)", w, cost, wantCost)
-		}
-		if len(medoids) != len(wantMedoids) {
-			t.Fatalf("workers=%d: %d medoids, want %d", w, len(medoids), len(wantMedoids))
-		}
-		for i := range wantMedoids {
-			if medoids[i] != wantMedoids[i] {
-				t.Fatalf("workers=%d: medoid[%d] = %d, want %d", w, i, medoids[i], wantMedoids[i])
-			}
-		}
-	}
-	// BuildSwap is the documented serial entry point.
-	medoids, cost := BuildSwap(d, 3)
-	if cost != wantCost {
-		t.Errorf("BuildSwap: cost %v, want %v", cost, wantCost)
-	}
-	for i := range wantMedoids {
-		if medoids[i] != wantMedoids[i] {
-			t.Fatalf("BuildSwap: medoid[%d] = %d, want %d", i, medoids[i], wantMedoids[i])
-		}
-	}
-}
-
 func TestSpectralEmbedDeterministicAcrossWorkers(t *testing.T) {
 	data := gaussianBlobs(8, 20, rand.New(rand.NewSource(3)))
 	d := dist.PairwiseMatrixWorkers(dist.SBDMeasure{}, data, 1)

@@ -31,7 +31,7 @@ func (FeatureBased) Deterministic() bool { return false }
 // Cluster implements Clusterer.
 func (FeatureBased) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
 	res, err := core.Lloyd(FeatureMatrix(data), cfg,
-		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
+		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 	if err != nil {
 		return nil, err
 	}

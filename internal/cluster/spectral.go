@@ -74,11 +74,17 @@ func (s *Spectral) ClusterWithMatrix(d [][]float64, cfg core.Config) (*core.Resu
 	if err != nil {
 		return nil, err
 	}
+	return s.ClusterEmbedding(emb, cfg)
+}
+
+// ClusterEmbedding runs step 4 above: k-means (ED + arithmetic mean) on
+// the rows of an embedding from Embed.
+func (s *Spectral) ClusterEmbedding(emb [][]float64, cfg core.Config) (*core.Result, error) {
 	// The embedded k-means is a step of the method, not its refinement
 	// loop: it reports no iterations.
 	cfg.OnIteration, cfg.Logger = nil, nil
 	res, err := core.Lloyd(emb, cfg,
-		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
+		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +96,7 @@ func (s *Spectral) ClusterWithMatrix(d [][]float64, cfg core.Config) (*core.Resu
 
 // Embed computes the row-normalized spectral embedding (steps 1-3 above)
 // on up to workers goroutines, exposed separately for tests and for reuse
-// across k-means restarts.
+// across k-means restarts (ClusterEmbedding).
 func (s *Spectral) Embed(d [][]float64, k, workers int) ([][]float64, error) {
 	n := len(d)
 	sigma := medianOffDiagonal(d)

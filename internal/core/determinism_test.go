@@ -203,7 +203,7 @@ func TestLloydDeterministicAcrossWorkers(t *testing.T) {
 			Rand:        rand.New(rand.NewSource(5)),
 			OnIteration: snap.record,
 			Workers:     workers,
-		}, func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
+		}, func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -120,7 +120,7 @@ func TestKShapeDeterministicWithInitialLabels(t *testing.T) {
 
 func TestLloydValidation(t *testing.T) {
 	ed := func(c, x []float64) float64 { return dist.ED(c, x) }
-	mean := avg.MeanAverager{}.Average
+	mean := avg.Mean
 	good := Config{K: 1, Rand: rand.New(rand.NewSource(1))}
 	if _, err := Lloyd(nil, good, ed, mean); !errors.Is(err, ErrNoData) {
 		t.Errorf("empty data: %v", err)
@@ -381,7 +381,7 @@ func TestLloydOnIterationMonotoneInertia(t *testing.T) {
 		if len(members) == 0 {
 			return prev
 		}
-		return avg.Mean(members)
+		return avg.Mean(members, nil)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func TestLloydPublisherBitIdentical(t *testing.T) {
 			Rand:        rand.New(rand.NewSource(5)),
 			OnIteration: snap.record,
 			Workers:     workers,
-		}, func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
+		}, func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 		if err != nil {
 			t.Fatalf("publish=%v workers=%d: %v", publish, workers, err)
 		}

@@ -26,23 +26,6 @@ func upDownProto(d1, d2 float64) ClassProto {
 	}
 }
 
-// Archive returns the 48 synthetic class-labeled datasets that stand in for
-// the UCR collection (see DESIGN.md §2). Classes within a dataset differ in
-// *shape* — waveform family, frequency, event structure — never merely in
-// phase, since the shape-based methods under test are shift-invariant by
-// construction. Distortion regimes (noise, shift, warping) and sizes vary
-// across datasets to span the archive's structural diversity.
-//
-// Generation is fully deterministic: every dataset has a fixed seed.
-func Archive() []Dataset {
-	specs := ArchiveSpecs()
-	out := make([]Dataset, len(specs))
-	for i, s := range specs {
-		out[i] = Generate(s)
-	}
-	return out
-}
-
 // ArchiveByName returns the named archive dataset, or false.
 func ArchiveByName(name string) (Dataset, bool) {
 	for _, s := range ArchiveSpecs() {
@@ -53,8 +36,16 @@ func ArchiveByName(name string) (Dataset, bool) {
 	return Dataset{}, false
 }
 
-// ArchiveSpecs returns the 48 dataset specifications without materializing
-// the data.
+// ArchiveSpecs returns the specifications of the 48 synthetic
+// class-labeled datasets that stand in for the UCR collection (see
+// DESIGN.md §2), without materializing the data. Classes within a dataset
+// differ in *shape* — waveform family, frequency, event structure — never
+// merely in phase, since the shape-based methods under test are
+// shift-invariant by construction. Distortion regimes (noise, shift,
+// warping) and sizes vary across datasets to span the archive's structural
+// diversity.
+//
+// Generation is fully deterministic: every dataset has a fixed seed.
 func ArchiveSpecs() []Spec {
 	cbf := []ClassProto{CBFCylinderProto(), CBFBellProto(), CBFFunnelProto()}
 	ecg := []ClassProto{ECGSharpProto(), ECGGradualProto()}

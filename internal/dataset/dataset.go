@@ -26,9 +26,6 @@ func (d Dataset) All() []ts.Series {
 	return out
 }
 
-// N returns the total number of series.
-func (d Dataset) N() int { return len(d.Train) + len(d.Test) }
-
 // Spec describes a synthetic dataset: its shape classes and the distortion
 // regime applied to every instance (Section 2.2's invariance families).
 type Spec struct {

@@ -34,7 +34,7 @@ func TestArchiveHas48DistinctDatasets(t *testing.T) {
 
 func TestGenerateShapeAndNormalization(t *testing.T) {
 	ds := Generate(ArchiveSpecs()[0])
-	if ds.K < 2 || ds.N() == 0 {
+	if ds.K < 2 || len(ds.All()) == 0 {
 		t.Fatalf("degenerate dataset %+v", ds)
 	}
 	for _, s := range ds.All() {
@@ -281,7 +281,7 @@ func TestLoadUCRDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.K != 2 || ds.M != 3 || ds.N() != 4 {
+	if ds.K != 2 || ds.M != 3 || len(ds.All()) != 4 {
 		t.Errorf("dataset = %+v", ds)
 	}
 	if _, err := LoadUCRDataset("x", filepath.Join(dir, "missing"), testPath); err == nil {
@@ -302,7 +302,8 @@ func TestDatasetAllAndN(t *testing.T) {
 		Train: []ts.Series{ts.NewLabeled([]float64{1}, 0)},
 		Test:  []ts.Series{ts.NewLabeled([]float64{2}, 1), ts.NewLabeled([]float64{3}, 0)},
 	}
-	if ds.N() != 3 || len(ds.All()) != 3 {
-		t.Errorf("N = %d, All = %d", ds.N(), len(ds.All()))
+	all := ds.All()
+	if len(all) != 3 || all[0].Values[0] != 1 || all[2].Values[0] != 3 {
+		t.Errorf("All = %v, want train then test in order", all)
 	}
 }

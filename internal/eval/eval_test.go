@@ -81,44 +81,6 @@ func TestRandIndexPanicsOnMismatch(t *testing.T) {
 	RandIndex([]int{1}, []int{1, 2})
 }
 
-func TestAdjustedRandIndex(t *testing.T) {
-	pred := []int{0, 0, 1, 1, 2, 2}
-	if ari := AdjustedRandIndex(pred, pred); math.Abs(ari-1) > 1e-12 {
-		t.Errorf("ARI(identical) = %v", ari)
-	}
-	// Independent random partitions should give ARI near 0 on average.
-	rng := rand.New(rand.NewSource(2))
-	sum := 0.0
-	trials := 200
-	for i := 0; i < trials; i++ {
-		n := 60
-		a := make([]int, n)
-		b := make([]int, n)
-		for j := range a {
-			a[j] = rng.Intn(3)
-			b[j] = rng.Intn(3)
-		}
-		sum += AdjustedRandIndex(a, b)
-	}
-	if avg := sum / float64(trials); math.Abs(avg) > 0.02 {
-		t.Errorf("mean ARI of independent partitions = %v, want ~0", avg)
-	}
-}
-
-func TestNMI(t *testing.T) {
-	pred := []int{0, 0, 1, 1}
-	if v := NMI(pred, pred); math.Abs(v-1) > 1e-12 {
-		t.Errorf("NMI(identical) = %v", v)
-	}
-	// Completely uninformative clustering (one cluster) has zero MI.
-	if v := NMI([]int{0, 0, 0, 0}, []int{0, 1, 0, 1}); v != 0 {
-		t.Errorf("NMI(one cluster) = %v", v)
-	}
-	if v := NMI(nil, nil); v != 1 {
-		t.Errorf("NMI(empty) = %v", v)
-	}
-}
-
 // shiftedClassData builds two labeled shape classes with phase jitter.
 func shiftedClassData(nPerClass, m int, rng *rand.Rand) []ts.Series {
 	protoA := make([]float64, m)

@@ -4,10 +4,7 @@
 // used by cDTWopt.
 package eval
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RandIndex computes the Rand Index between a predicted clustering and the
 // ground-truth classes:
@@ -47,89 +44,6 @@ func RandIndex(pred, truth []int) float64 {
 	fn := (sumColSq - sumSq) / 2
 	tn := total - tp - fp - fn
 	return (tp + tn) / total
-}
-
-// AdjustedRandIndex computes the chance-corrected Rand Index (Hubert &
-// Arabie). It is 1 for identical partitions and ~0 for independent ones;
-// provided alongside the paper's plain Rand Index for users who need a
-// chance-corrected score.
-func AdjustedRandIndex(pred, truth []int) float64 {
-	if len(pred) != len(truth) {
-		panic(fmt.Sprintf("eval: AdjustedRandIndex length mismatch %d vs %d", len(pred), len(truth)))
-	}
-	n := len(pred)
-	if n < 2 {
-		return 1
-	}
-	cont, rowSum, colSum := contingency(pred, truth)
-	choose2 := func(x int) float64 { return float64(x) * float64(x-1) / 2 }
-	var index float64
-	for _, row := range cont {
-		for _, v := range row {
-			index += choose2(v)
-		}
-	}
-	var a, b float64
-	for _, v := range rowSum {
-		a += choose2(v)
-	}
-	for _, v := range colSum {
-		b += choose2(v)
-	}
-	expected := a * b / choose2(n)
-	maxIndex := (a + b) / 2
-	//lint:ignore floatcmp degenerate-partition guard; exact equality means the denominator below is 0
-	if maxIndex == expected {
-		return 1 // both partitions fully determined (e.g. all singletons)
-	}
-	return (index - expected) / (maxIndex - expected)
-}
-
-// NMI computes the normalized mutual information between the partitions,
-// normalized by the arithmetic mean of the entropies. Like ARI it is an
-// extra metric beyond the paper's Rand Index.
-func NMI(pred, truth []int) float64 {
-	if len(pred) != len(truth) {
-		panic(fmt.Sprintf("eval: NMI length mismatch %d vs %d", len(pred), len(truth)))
-	}
-	n := float64(len(pred))
-	//lint:ignore floatcmp exact zero-pair-count guard
-	if n == 0 {
-		return 1
-	}
-	cont, rowSum, colSum := contingency(pred, truth)
-	var mi float64
-	for i, row := range cont {
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			p := float64(v) / n
-			mi += p * math.Log(p*n/(float64(rowSum[i])*float64(colSum[j])/n))
-		}
-	}
-	entropy := func(sums []int) float64 {
-		h := 0.0
-		for _, v := range sums {
-			if v == 0 {
-				continue
-			}
-			p := float64(v) / n
-			h -= p * math.Log(p)
-		}
-		return h
-	}
-	hp, ht := entropy(rowSum), entropy(colSum)
-	//lint:ignore floatcmp exact zero-entropy guard for single-cluster partitions
-	if hp == 0 && ht == 0 {
-		return 1
-	}
-	den := (hp + ht) / 2
-	//lint:ignore floatcmp exact zero-denominator guard
-	if den == 0 {
-		return 0
-	}
-	return mi / den
 }
 
 // contingency builds the cluster×class count table with dense reindexing of

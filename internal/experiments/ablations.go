@@ -73,7 +73,7 @@ func Ablations(cfg Config) AblationResult {
 		{
 			name:     "k-AVG+SBD",
 			distance: func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-			centroid: avg.MeanAverager{}.Average,
+			centroid: avg.Mean,
 		},
 	}
 

@@ -298,7 +298,7 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 			sum, count := 0.0, 0
 			for r := 0; r < runs; r++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(d)*1000 + int64(r)))
-				res, err := kmeansOnEmbedding(emb, ds.K, rng)
+				res, err := s.ClusterEmbedding(emb, core.Config{K: ds.K, Rand: rng})
 				if err != nil {
 					continue
 				}
@@ -341,28 +341,6 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 	row.Runtime = sw.Elapsed()
 	cfg.progress("clustering sweep done", "method", job.name, "seconds", row.Runtime.Seconds(), "avg_rand_index", Mean(row.RandIndexes))
 	return row
-}
-
-// kmeansOnEmbedding runs plain k-means (ED + mean) on spectral embedding
-// rows.
-func kmeansOnEmbedding(emb [][]float64, k int, rng *rand.Rand) (*core.Result, error) {
-	mean := func(members [][]float64, prev []float64) []float64 {
-		if len(members) == 0 {
-			return append([]float64(nil), prev...)
-		}
-		out := make([]float64, len(members[0]))
-		for _, x := range members {
-			for i, v := range x {
-				out[i] += v
-			}
-		}
-		for i := range out {
-			out[i] /= float64(len(members))
-		}
-		return out
-	}
-	return core.Lloyd(emb, core.Config{K: k, Rand: rng},
-		func(c, x []float64) float64 { return dist.ED(c, x) }, mean)
 }
 
 // parallelOver runs fn(i) for i in [0, n) across the configured number of

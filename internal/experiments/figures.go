@@ -113,7 +113,7 @@ func Fig4(cfg Config) Fig4Result {
 	var out Fig4Result
 	for label := 0; label < ds.K; label++ {
 		members := byClass[label]
-		mean := ts.ZNormalize(avg.Mean(members))
+		mean := ts.ZNormalize(avg.Mean(members, nil))
 		// Align members to their first element as the reference, as
 		// Algorithm 2 does with a randomly selected reference.
 		shape := avg.ShapeExtraction(members, members[0])
@@ -182,7 +182,7 @@ func fig12Point(cfg Config, n, m int) Fig12Point {
 
 	sw := obs.NewStopwatch()
 	resED, err := core.Lloyd(data, core.Config{K: k, Rand: cfg.rng(int64(n)*7 + int64(m))},
-		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.MeanAverager{}.Average)
+		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 	if err == nil {
 		pt.KAvgEDSeconds = sw.Seconds()
 		pt.KAvgEDIters = resED.Iterations

@@ -1,6 +1,5 @@
 // Package linalg provides the dense linear algebra the k-Shape reproduction
-// needs: symmetric matrices, Rayleigh quotients, a power-iteration dominant
-// eigensolver (used by shape extraction, Equation 15 of the paper), a
+// needs: symmetric matrices, a power-iteration dominant eigensolver (used by shape extraction, Equation 15 of the paper), a
 // shifted power iteration for smallest eigenvectors (used by the KSC
 // centroid), and a full symmetric eigendecomposition via Householder
 // tridiagonalization plus implicit-shift QL (used by spectral clustering).
@@ -73,23 +72,6 @@ func (s *Sym) GramAddOuter(x []float64) {
 			row[j] += xi * x[j]
 		}
 	}
-}
-
-// RayleighQuotient returns xᵀSx / xᵀx, the objective maximized by the shape
-// extraction centroid. It returns 0 for a zero vector.
-func (s *Sym) RayleighQuotient(x []float64) float64 {
-	tmp := make([]float64, s.N)
-	s.MulVec(tmp, x)
-	num, den := 0.0, 0.0
-	for i := range x {
-		num += x[i] * tmp[i]
-		den += x[i] * x[i]
-	}
-	//lint:ignore floatcmp exact zero-denominator guard
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }
 
 // normalize scales x to unit L2 norm in place and returns the original norm.

@@ -8,7 +8,11 @@ package lint
 // away while its manifest entry still names it — fails here.
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,8 +36,6 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/fft.RFFT).transformHalf":        "TestRFFTRoundTripAllocFree",
 	"kshape/internal/fft.conj":                         "TestRFFTRoundTripAllocFree",
 	"kshape/internal/ts.ShiftInto":                     "TestShiftIntoAllocFree",
-	"kshape/internal/par.sumFloatRange":                "TestReductionInnerLoopsAllocFree",
-	"kshape/internal/par.sumFloats":                    "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.sumIntRange":                  "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.scanExtreme":                  "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/core.nearestCentroid":             "TestAssignmentScanAllocFree",
@@ -150,4 +152,290 @@ func testFuncExists(t *testing.T, dir, name string) bool {
 		}
 	}
 	return false
+}
+
+// reachAllowlist names the production declarations that no production
+// root reaches but that stay on purpose, each with the reason. A key is
+// a package path (the whole package is exempt), pkgpath.Name for a
+// package-level object, or types.Func.FullName for a method.
+var reachAllowlist = map[string]string{
+	"kshape/internal/testkit":                      "test-support package: oracles, generators and goldens shared by the _test.go files of many packages",
+	"kshape/internal/ts.IsZNormalized":             "predicate the ts, dist and testkit tests assert z-normalized output with",
+	"kshape/internal/ts.Reverse":                   "reference the SBD tests build reversed-order cross-correlations with",
+	"(*kshape/internal/linalg.Sym).Clone":          "the eigensolver tests copy a matrix before a destructive solve",
+	"(*kshape/internal/obs.Span).Find":             "the span-tree tests look up a child span by name",
+	"kshape/internal/obs.NumHistogramBuckets":      "the histogram tests size their expected bucket tables with it",
+	"kshape/internal/experiments.ResetMatrixCache": "experiment tests clear the process-wide distance-matrix cache between runs",
+	"kshape/internal/dist.Func":                    "the distance tests and oracles range over measures through this signature",
+}
+
+// implicitMethods are method names the standard library calls through an
+// interface (fmt, encoding/json, sort, net/http, io, log/slog's
+// LogValuer, go/types' Importer), so no selector in the module names the
+// call.
+var implicitMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Format": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true,
+	"Len": true, "Less": true, "Swap": true,
+	"ServeHTTP": true, "Write": true, "Read": true, "Close": true,
+	"LogValue": true, "Import": true,
+}
+
+// TestProductionCodeIsReachable fails on any production declaration
+// that nothing runs. The roots are every main and init function (and
+// blank var initializers), every exported identifier of package kshape
+// and every module identifier the perfbench/ module references. A declaration is reached when reached
+// code references it; a method is also reached when its receiver type is
+// reached and reached code calls a method of that name (interface
+// dispatch). Test files are not loaded, so a symbol only tests call is
+// unreached: delete it with its tests, or allowlist it with a reason.
+func TestProductionCodeIsReachable(t *testing.T) {
+	fset, pkgs := loadTree(t)
+	// decl is one declaration; span covers its doc comment and, for a
+	// lone spec, its type/var/const keyword, for the report's line count.
+	type decl struct {
+		node       ast.Node
+		pkg        *Package
+		start, end token.Pos
+	}
+	decls := map[types.Object]decl{}
+	methods := map[*types.TypeName][]*types.Func{}
+	var roots []decl
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj, _ := pkg.Info.Defs[d.Name].(*types.Func)
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Types.Name() == "main") {
+						roots = append(roots, decl{node: d, pkg: pkg})
+						continue
+					}
+					if obj == nil {
+						continue
+					}
+					decls[obj] = decl{d, pkg, declStart(d.Doc, d), d.End()}
+					if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+						if tn := receiverTypeName(recv.Type()); tn != nil {
+							methods[tn] = append(methods[tn], obj)
+						}
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var names []*ast.Ident
+						doc := d.Doc
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{s.Name}
+							if s.Doc != nil {
+								doc = s.Doc
+							}
+						case *ast.ValueSpec:
+							names = s.Names
+							if s.Doc != nil {
+								doc = s.Doc
+							}
+						}
+						var span ast.Node = spec
+						if len(d.Specs) == 1 {
+							span = d
+						}
+						for _, name := range names {
+							if name.Name == "_" {
+								// A blank var's initializer runs at package init.
+								roots = append(roots, decl{node: spec, pkg: pkg})
+								continue
+							}
+							if obj := pkg.Info.Defs[name]; obj != nil {
+								decls[obj] = decl{spec, pkg, declStart(doc, span), span.End()}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := map[types.Object]bool{}
+	called := map[string]bool{}
+	for name := range implicitMethods {
+		called[name] = true
+	}
+	var work []types.Object
+	reach := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if _, ok := decls[obj]; ok && !reached[obj] {
+			reached[obj] = true
+			work = append(work, obj)
+		}
+	}
+	walk := func(n ast.Node, pkg *Package) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := pkg.Info.Uses[id]
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				called[fn.Name()] = true
+			}
+			if obj != nil {
+				reach(obj)
+			}
+			return true
+		})
+	}
+	for _, pkg := range pkgs {
+		if pkg.ImportPath != "kshape" {
+			continue
+		}
+		for obj := range decls {
+			if obj.Pkg() == pkg.Types && obj.Exported() {
+				reach(obj)
+			}
+		}
+	}
+	perfbenchRefs(t, pkgs, reach, called)
+	for _, r := range roots {
+		walk(r.node, r.pkg)
+	}
+	// Drain the worklist, then reach the methods that reached types
+	// dispatch by name; repeat while that adds work.
+	for len(work) > 0 {
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			walk(decls[obj].node, decls[obj].pkg)
+		}
+		for tn, ms := range methods {
+			if !reached[tn] {
+				continue
+			}
+			for _, m := range ms {
+				if called[m.Name()] {
+					reach(m)
+				}
+			}
+		}
+	}
+
+	var unreached []string
+	used := map[string]bool{}
+	for obj, d := range decls {
+		if reached[obj] {
+			continue
+		}
+		key := obj.Pkg().Path() + "." + obj.Name()
+		keys := []string{key, obj.Pkg().Path()}
+		if fn, ok := obj.(*types.Func); ok {
+			key = fn.FullName()
+			keys[0] = key
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if tn := receiverTypeName(recv.Type()); tn != nil {
+					keys = append(keys, tn.Pkg().Path()+"."+tn.Name()) // an allowlisted type keeps its methods
+				}
+			}
+		}
+		if k := allowlisted(keys); k != "" {
+			used[k] = true
+			continue
+		}
+		start, end := fset.Position(d.start), fset.Position(d.end)
+		unreached = append(unreached, fmt.Sprintf("%s:%d: %s (%d lines)", filepath.Base(start.Filename), start.Line, key, end.Line-start.Line+1))
+	}
+	sort.Strings(unreached)
+	for _, u := range unreached {
+		t.Errorf("unreached production declaration %s; delete it with its tests, give it a caller, or allowlist it with a reason", u)
+	}
+	for key, reason := range reachAllowlist {
+		if reason == "" {
+			t.Errorf("reachAllowlist entry %s has no reason", key)
+		}
+		if !used[key] {
+			t.Errorf("reachAllowlist entry %s names no unreached declaration; drop it", key)
+		}
+	}
+}
+
+// allowlisted returns the first of keys that reachAllowlist names, or "".
+func allowlisted(keys []string) string {
+	for _, k := range keys {
+		if _, ok := reachAllowlist[k]; ok {
+			return k
+		}
+	}
+	return ""
+}
+
+// declStart is where a declaration's lines begin: its doc comment when
+// it has one.
+func declStart(doc *ast.CommentGroup, n ast.Node) token.Pos {
+	if doc != nil {
+		return doc.Pos()
+	}
+	return n.Pos()
+}
+
+// receiverTypeName returns the named type a method receiver belongs to.
+func receiverTypeName(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// perfbenchRefs parses the non-test files of the perfbench/ module (a
+// separate module, so Load does not see it) and reports every module
+// identifier they name as a root, plus every selector name as a called
+// method name.
+func perfbenchRefs(t *testing.T, pkgs []*Package, reach func(types.Object), called map[string]bool) {
+	t.Helper()
+	byPath := map[string]*types.Package{}
+	for _, pkg := range pkgs {
+		byPath[pkg.ImportPath] = pkg.Types
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("../../perfbench", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		imports := map[string]*types.Package{}
+		for _, imp := range f.Imports {
+			p := byPath[strings.Trim(imp.Path.Value, `"`)]
+			if p == nil {
+				continue
+			}
+			name := p.Name()
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			called[sel.Sel.Name] = true
+			if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != nil {
+				if obj := imports[x.Name].Scope().Lookup(sel.Sel.Name); obj != nil {
+					reach(obj)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("parsing perfbench: %v", err)
+	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // TestReductionInnerLoopsAllocFree pins the extracted //kshape:hotpath
-// reduction kernels — the serial/per-chunk inner loops behind SumFloat,
-// SumInt, and extremeIndex — at zero allocations. The caller-supplied
+// reduction kernels — the serial/per-chunk inner loops behind SumInt and
+// MinIndex — at zero allocations. The caller-supplied
 // term/score closures are hoisted outside the measured region, exactly
 // as the exported wrappers hoist them outside their loops.
 func TestReductionInnerLoopsAllocFree(t *testing.T) {
@@ -18,17 +18,13 @@ func TestReductionInnerLoopsAllocFree(t *testing.T) {
 	}
 	term := func(i int) float64 { return vals[i] }
 	intTerm := func(i int) int { return i * i }
-	better := func(v, best float64) bool { return v < best }
-	var fsink float64
 	var isink int
 	var csink extremeCandidate
 	if a := testing.AllocsPerRun(100, func() {
-		fsink = sumFloatRange(0, len(vals), term)
-		fsink += sumFloats(vals)
 		isink = sumIntRange(0, len(vals), intTerm)
-		csink = scanExtreme(0, len(vals), term, better)
+		csink = scanExtreme(0, len(vals), term)
 	}); a != 0 {
 		t.Errorf("reduction inner loops allocate %v per run, want 0", a)
 	}
-	_, _, _ = fsink, isink, csink
+	_, _ = isink, csink
 }

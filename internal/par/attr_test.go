@@ -29,9 +29,10 @@ var attrWorkerCounts = []int{1, 2, 8}
 func TestResultsBitIdenticalWithRecorder(t *testing.T) {
 	const n = 500
 	term := func(i int) float64 { return math.Sin(float64(i)) / (1 + float64(i%7)) }
+	intTerm := func(i int) int { return i * (i % 7) }
 	score := func(i int) float64 { return math.Cos(float64(i) * 1.7) }
 
-	wantSum := SumFloat(1, n, term)
+	wantSum := SumInt(1, n, intTerm)
 	wantIdx, wantMin := MinIndex(1, n, score)
 	wantOut := make([]float64, n)
 	For(1, n, func(i int) { wantOut[i] = term(i) * 2 })
@@ -39,9 +40,8 @@ func TestResultsBitIdenticalWithRecorder(t *testing.T) {
 	for _, w := range attrWorkerCounts {
 		for _, recorded := range []bool{false, true} {
 			run := func() {
-				if got := SumFloat(w, n, term); got != wantSum {
-					t.Errorf("workers=%d recorded=%v: SumFloat = %x, want %x",
-						w, recorded, math.Float64bits(got), math.Float64bits(wantSum))
+				if got := SumInt(w, n, intTerm); got != wantSum {
+					t.Errorf("workers=%d recorded=%v: SumInt = %d, want %d", w, recorded, got, wantSum)
 				}
 				idx, min := MinIndex(w, n, score)
 				if idx != wantIdx || min != wantMin {

@@ -1,8 +1,8 @@
 // Package par is the repository's shared parallel-execution substrate: a
 // stdlib-only work-partitioning layer used by every compute-heavy loop in
 // the codebase (distance-matrix construction, the k-Shape assignment and
-// refinement steps, DBA alignment passes, PAM cost scans, spectral affinity
-// rows, and 1-NN evaluation).
+// refinement steps, PAM cost scans, spectral affinity rows, and 1-NN
+// evaluation).
 //
 // The design goal is determinism: for a fixed input, every exported helper
 // produces bit-for-bit identical results regardless of the worker count or
@@ -11,10 +11,9 @@
 //   - For/ForChunks parallelize loops whose body writes only to state
 //     addressed by the loop index (out[i] = f(i)); the write targets are
 //     disjoint, so scheduling order is irrelevant.
-//   - Floating-point reductions (SumFloat) evaluate the per-index terms in
-//     parallel but combine them serially in index order, so the rounding
-//     of the accumulation never depends on how work was partitioned.
-//   - Index reductions (MinIndex, MaxIndex) break ties toward the smaller
+//   - Integer reductions (SumInt) are exact, so per-chunk partial sums
+//     combine in any order.
+//   - Index reductions (MinIndex) break ties toward the smaller
 //     index, which makes the merge associative and commutative over exact
 //     comparisons and therefore partition-independent; the result matches
 //     a serial ascending scan with a strict comparison.
@@ -231,32 +230,6 @@ func runPool(rec *obs.Recorder, w, chunks, n int, body func(c, lo, hi int)) {
 	wg.Wait()
 }
 
-// sumFloatRange is the serial accumulation inner loop of SumFloat:
-// ascending index order, one term at a time, so its rounding is the
-// reference every parallel decomposition must reproduce.
-//
-//kshape:hotpath
-func sumFloatRange(lo, hi int, term func(i int) float64) float64 {
-	total := 0.0
-	for i := lo; i < hi; i++ {
-		//lint:ignore hotpath term is the caller-supplied kernel; the reduction loop itself stays allocation-free
-		total += term(i)
-	}
-	return total
-}
-
-// sumFloats folds an already-materialized term slice in index order —
-// the serial combine step of SumFloat's parallel path.
-//
-//kshape:hotpath
-func sumFloats(vals []float64) float64 {
-	total := 0.0
-	for _, v := range vals {
-		total += v
-	}
-	return total
-}
-
 // sumIntRange is the per-chunk integer reduction inner loop of SumInt.
 //
 //kshape:hotpath
@@ -267,22 +240,6 @@ func sumIntRange(lo, hi int, term func(i int) int) int {
 		total += term(i)
 	}
 	return total
-}
-
-// SumFloat returns the sum of term(i) for i in [0, n). The terms are
-// evaluated in parallel but accumulated serially in ascending index order,
-// so the floating-point result is bit-for-bit identical for every worker
-// count (including the serial path).
-func SumFloat(workers, n int, term func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if Resolve(workers) == 1 || n == 1 {
-		return sumFloatRange(0, n, term)
-	}
-	vals := make([]float64, n)
-	For(workers, n, func(i int) { vals[i] = term(i) })
-	return sumFloats(vals)
 }
 
 // SumInt returns the sum of term(i) for i in [0, n), evaluated in parallel.
@@ -302,24 +259,6 @@ func SumInt(workers, n int, term func(i int) int) int {
 	return int(total.Load())
 }
 
-// MinIndex returns the index in [0, n) minimizing score(i) together with
-// that score, breaking ties toward the smaller index — exactly the result
-// of a serial ascending scan keeping the first strict improvement. NaN
-// scores are never selected; if no index scores below +Inf the result is
-// (-1, +Inf). The outcome is identical for every worker count.
-func MinIndex(workers, n int, score func(i int) float64) (argmin int, min float64) {
-	return extremeIndex(workers, n, score, func(v, best float64) bool { return v < best })
-}
-
-// MaxIndex is MinIndex for maximization: ties break toward the smaller
-// index, NaN scores are never selected, and (-1, -Inf) is returned when no
-// index scores above -Inf.
-func MaxIndex(workers, n int, score func(i int) float64) (argmax int, max float64) {
-	a, v := extremeIndex(workers, n, func(i int) float64 { return -score(i) },
-		func(v, best float64) bool { return v < best })
-	return a, -v
-}
-
 // extremeCandidate is one chunk's best (index, score) pair; idx -1 means
 // the chunk selected nothing (empty range or all-NaN scores).
 type extremeCandidate struct {
@@ -327,30 +266,34 @@ type extremeCandidate struct {
 	val float64
 }
 
-// scanExtreme is the ascending inner scan of MinIndex/MaxIndex over one
-// chunk, keeping the first strict improvement (ties toward the smaller
-// index).
+// scanExtreme is the ascending inner scan of MinIndex over one chunk,
+// keeping the first strict improvement (ties toward the smaller index).
 //
 //kshape:hotpath
-func scanExtreme(lo, hi int, score func(i int) float64, better func(v, best float64) bool) extremeCandidate {
+func scanExtreme(lo, hi int, score func(i int) float64) extremeCandidate {
 	best := extremeCandidate{-1, math.Inf(1)}
 	for i := lo; i < hi; i++ {
-		//lint:ignore hotpath score and better are the caller-supplied kernels; the scan loop itself stays allocation-free
-		if v := score(i); better(v, best.val) {
+		//lint:ignore hotpath score is the caller-supplied kernel; the scan loop itself stays allocation-free
+		if v := score(i); v < best.val {
 			best = extremeCandidate{i, v}
 		}
 	}
 	return best
 }
 
-func extremeIndex(workers, n int, score func(i int) float64, better func(v, best float64) bool) (int, float64) {
+// MinIndex returns the index in [0, n) minimizing score(i) together with
+// that score, breaking ties toward the smaller index — exactly the result
+// of a serial ascending scan keeping the first strict improvement. NaN
+// scores are never selected; if no index scores below +Inf the result is
+// (-1, +Inf). The outcome is identical for every worker count.
+func MinIndex(workers, n int, score func(i int) float64) (argmin int, min float64) {
 	inf := math.Inf(1)
 	w := Resolve(workers)
 	if n <= 0 {
 		return -1, inf
 	}
 	if w == 1 || n == 1 {
-		c := scanExtreme(0, n, score, better)
+		c := scanExtreme(0, n, score)
 		return c.idx, c.val
 	}
 	if w > n {
@@ -361,12 +304,12 @@ func extremeIndex(workers, n int, score func(i int) float64, better func(v, best
 		chunks = n
 	}
 	partial := make([]extremeCandidate, chunks)
-	runPool(obs.ActiveRecorder(), w, chunks, n, func(c, lo, hi int) { partial[c] = scanExtreme(lo, hi, score, better) })
+	runPool(obs.ActiveRecorder(), w, chunks, n, func(c, lo, hi int) { partial[c] = scanExtreme(lo, hi, score) })
 	// Merge in chunk (hence index) order; strict comparison keeps the
 	// smallest index on ties, matching the serial scan.
 	best := extremeCandidate{-1, inf}
 	for _, c := range partial {
-		if c.idx >= 0 && better(c.val, best.val) {
+		if c.idx >= 0 && c.val < best.val {
 			best = c
 		}
 	}

@@ -62,30 +62,6 @@ func TestForChunksPartition(t *testing.T) {
 	}
 }
 
-// TestSumFloatBitIdentical is the core determinism guarantee: the sum is
-// bit-for-bit identical for every worker count, because accumulation order
-// is fixed regardless of partitioning.
-func TestSumFloatBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 10_000
-	vals := make([]float64, n)
-	for i := range vals {
-		// Wildly varying magnitudes make the sum order-sensitive, so any
-		// partition-dependent accumulation would show up here.
-		vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
-	}
-	want := 0.0
-	for _, v := range vals {
-		want += v
-	}
-	for _, w := range workerCounts {
-		got := SumFloat(w, n, func(i int) float64 { return vals[i] })
-		if got != want {
-			t.Errorf("workers=%d: sum %v != serial %v (diff %g)", w, got, want, got-want)
-		}
-	}
-}
-
 func TestSumInt(t *testing.T) {
 	n := 5000
 	want := n * (n - 1) / 2
@@ -105,8 +81,12 @@ func TestMinIndexMatchesSerialScan(t *testing.T) {
 		n := 1 + rng.Intn(400)
 		vals := make([]float64, n)
 		for i := range vals {
-			// Coarse quantization forces frequent exact ties.
+			// Coarse quantization forces frequent exact ties; scattered
+			// NaNs must never be selected, whatever chunk they land in.
 			vals[i] = float64(rng.Intn(8))
+			if rng.Intn(10) == 0 {
+				vals[i] = math.NaN()
+			}
 		}
 		wantIdx, wantVal := -1, math.Inf(1)
 		for i, v := range vals {
@@ -118,30 +98,6 @@ func TestMinIndexMatchesSerialScan(t *testing.T) {
 			gotIdx, gotVal := MinIndex(w, n, func(i int) float64 { return vals[i] })
 			if gotIdx != wantIdx || gotVal != wantVal {
 				t.Fatalf("workers=%d n=%d: MinIndex = (%d, %v), want (%d, %v)",
-					w, n, gotIdx, gotVal, wantIdx, wantVal)
-			}
-		}
-	}
-}
-
-func TestMaxIndexMatchesSerialScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(400)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(rng.Intn(8))
-		}
-		wantIdx, wantVal := -1, math.Inf(-1)
-		for i, v := range vals {
-			if v > wantVal {
-				wantIdx, wantVal = i, v
-			}
-		}
-		for _, w := range workerCounts {
-			gotIdx, gotVal := MaxIndex(w, n, func(i int) float64 { return vals[i] })
-			if gotIdx != wantIdx || gotVal != wantVal {
-				t.Fatalf("workers=%d n=%d: MaxIndex = (%d, %v), want (%d, %v)",
 					w, n, gotIdx, gotVal, wantIdx, wantVal)
 			}
 		}

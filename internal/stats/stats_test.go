@@ -244,132 +244,3 @@ func TestNemenyiGroupsAllEquivalent(t *testing.T) {
 		t.Errorf("expected one all-inclusive group, got %v", groups)
 	}
 }
-
-func TestPairedTTestClearDifference(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	n := 30
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		b[i] = rng.NormFloat64()
-		a[i] = b[i] + 1 + 0.1*rng.NormFloat64()
-	}
-	res := PairedTTest(a, b)
-	if res.P > 1e-6 {
-		t.Errorf("p = %v, want tiny for a unit improvement", res.P)
-	}
-	if res.T <= 0 {
-		t.Errorf("t = %v, want positive when a > b", res.T)
-	}
-	if res.DF != n-1 {
-		t.Errorf("df = %d", res.DF)
-	}
-}
-
-func TestPairedTTestNull(t *testing.T) {
-	a := []float64{1, 2, 3}
-	res := PairedTTest(a, a)
-	if res.P != 1 {
-		t.Errorf("identical samples p = %v", res.P)
-	}
-	if res := PairedTTest([]float64{1}, []float64{2}); res.P != 1 {
-		t.Errorf("n=1 p = %v", res.P)
-	}
-}
-
-func TestPairedTTestNoiseRarelyRejects(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 40
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
-	}
-	if res := PairedTTest(a, b); res.P < 0.01 {
-		t.Errorf("pure noise rejected with p = %v", res.P)
-	}
-}
-
-func TestPairedTTestPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	PairedTTest([]float64{1}, []float64{1, 2})
-}
-
-func TestStudentTSurvivalKnownValues(t *testing.T) {
-	// Two-sided critical values: t=2.045 at df=29 ~ p=0.05;
-	// t=2.756 at df=29 ~ p=0.01; t=12.706 at df=1 ~ p=0.05.
-	cases := []struct {
-		t    float64
-		df   int
-		want float64
-	}{
-		{2.045, 29, 0.05},
-		{2.756, 29, 0.01},
-		{12.706, 1, 0.05},
-		{63.657, 1, 0.01},
-		{1.960, 100000, 0.05}, // converges to the normal
-	}
-	for _, c := range cases {
-		if got := StudentTSurvival2(c.t, c.df); math.Abs(got-c.want) > 0.002 {
-			t.Errorf("t=%v df=%d: p = %v, want ~%v", c.t, c.df, got, c.want)
-		}
-	}
-	if p := StudentTSurvival2(0, 10); p != 1 {
-		t.Errorf("t=0 p = %v", p)
-	}
-	if p := StudentTSurvival2(1, 0); p != 1 {
-		t.Errorf("df=0 p = %v", p)
-	}
-}
-
-func TestRegularizedIncompleteBeta(t *testing.T) {
-	// I_x(1, 1) = x (uniform CDF).
-	for _, x := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if got := RegularizedIncompleteBeta(1, 1, x); math.Abs(got-x) > 1e-12 {
-			t.Errorf("I_%v(1,1) = %v", x, got)
-		}
-	}
-	// I_x(2, 2) = 3x² − 2x³.
-	for _, x := range []float64{0.2, 0.5, 0.9} {
-		want := 3*x*x - 2*x*x*x
-		if got := RegularizedIncompleteBeta(2, 2, x); math.Abs(got-want) > 1e-12 {
-			t.Errorf("I_%v(2,2) = %v, want %v", x, got, want)
-		}
-	}
-	if !math.IsNaN(RegularizedIncompleteBeta(-1, 1, 0.5)) {
-		t.Error("invalid parameters should give NaN")
-	}
-	// Symmetry: I_x(a,b) = 1 − I_{1−x}(b,a).
-	for _, x := range []float64{0.1, 0.4, 0.8} {
-		lhs := RegularizedIncompleteBeta(2.5, 1.5, x)
-		rhs := 1 - RegularizedIncompleteBeta(1.5, 2.5, 1-x)
-		if math.Abs(lhs-rhs) > 1e-12 {
-			t.Errorf("symmetry broken at %v: %v vs %v", x, lhs, rhs)
-		}
-	}
-}
-
-func TestWilcoxonAndTTestAgreeOnStrongSignal(t *testing.T) {
-	// Both tests should reject on a clear improvement and agree in
-	// direction — the cross-check the paper's methodology discussion
-	// implies.
-	rng := rand.New(rand.NewSource(12))
-	n := 25
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		b[i] = rng.Float64()
-		a[i] = b[i] + 0.3 + 0.05*rng.NormFloat64()
-	}
-	if w := Wilcoxon(a, b); w.P > 0.01 {
-		t.Errorf("Wilcoxon p = %v", w.P)
-	}
-	if tt := PairedTTest(a, b); tt.P > 0.01 {
-		t.Errorf("t-test p = %v", tt.P)
-	}
-}

@@ -69,7 +69,6 @@ func TestOracleRegistry(t *testing.T) {
 		"par/sum-serial-vs-parallel",
 		"par/minmax-serial-vs-parallel",
 		"pairwise/serial-vs-parallel",
-		"avg/dba-serial-vs-workers",
 		"ts/znorm-copy-vs-inplace",
 	} {
 		if !seen[required] {

@@ -12,16 +12,10 @@ import (
 	"math"
 )
 
-// Series is a single univariate time series together with an optional class
-// label. Label is -1 when the series is unlabeled.
+// Series is a single univariate time series together with its class label.
 type Series struct {
 	Values []float64
 	Label  int
-}
-
-// New returns an unlabeled series wrapping values. The slice is not copied.
-func New(values []float64) Series {
-	return Series{Values: values, Label: -1}
 }
 
 // NewLabeled returns a labeled series wrapping values. The slice is not copied.
@@ -31,13 +25,6 @@ func NewLabeled(values []float64, label int) Series {
 
 // Len returns the number of observations in the series.
 func (s Series) Len() int { return len(s.Values) }
-
-// Clone returns a deep copy of the series.
-func (s Series) Clone() Series {
-	v := make([]float64, len(s.Values))
-	copy(v, s.Values)
-	return Series{Values: v, Label: s.Label}
-}
 
 // Mean returns the arithmetic mean of x. It returns 0 for an empty slice.
 func Mean(x []float64) float64 {

@@ -246,21 +246,6 @@ func TestNewMatrix(t *testing.T) {
 	}
 }
 
-func TestSeriesCloneAndAccessors(t *testing.T) {
-	s := NewLabeled([]float64{1, 2, 3}, 7)
-	c := s.Clone()
-	c.Values[0] = 99
-	if s.Values[0] != 1 {
-		t.Error("Clone shares backing array")
-	}
-	if s.Len() != 3 || s.Label != 7 {
-		t.Errorf("accessors: len=%d label=%d", s.Len(), s.Label)
-	}
-	if u := New([]float64{1}); u.Label != -1 {
-		t.Errorf("New should be unlabeled, got %d", u.Label)
-	}
-}
-
 func TestRowsAndLabels(t *testing.T) {
 	data := []Series{NewLabeled([]float64{1}, 0), NewLabeled([]float64{2}, 1)}
 	r := Rows(data)
@@ -270,6 +255,9 @@ func TestRowsAndLabels(t *testing.T) {
 	l := Labels(data)
 	if l[0] != 0 || l[1] != 1 {
 		t.Errorf("Labels = %v", l)
+	}
+	if data[0].Len() != 1 {
+		t.Errorf("Len = %d, want 1", data[0].Len())
 	}
 }
 
@@ -352,109 +340,5 @@ func TestPAAPanicsOnBadSegments(t *testing.T) {
 			}()
 			PAA([]float64{1, 2, 3, 4, 5}, segs)
 		}()
-	}
-}
-
-func TestResample(t *testing.T) {
-	got := Resample([]float64{0, 1, 2, 3}, 7)
-	want := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("Resample = %v, want %v", got, want)
-		}
-	}
-	// Downsampling keeps the endpoints.
-	down := Resample([]float64{0, 1, 2, 3, 4, 5, 6}, 3)
-	if down[0] != 0 || down[2] != 6 || !almostEqual(down[1], 3, 1e-12) {
-		t.Errorf("downsample = %v", down)
-	}
-	if one := Resample([]float64{5}, 4); one[3] != 5 {
-		t.Errorf("constant resample = %v", one)
-	}
-	if z := Resample(nil, 3); len(z) != 3 {
-		t.Errorf("empty resample = %v", z)
-	}
-}
-
-func TestResamplePanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Resample([]float64{1}, 0)
-}
-
-func TestDetrendRemovesLinearTrend(t *testing.T) {
-	x := make([]float64, 50)
-	for i := range x {
-		x[i] = 3*float64(i) - 7
-	}
-	res := Detrend(x)
-	for i, v := range res {
-		if !almostEqual(v, 0, 1e-9) {
-			t.Fatalf("residual[%d] = %v, want 0 for a pure trend", i, v)
-		}
-	}
-	// Short inputs pass through.
-	if got := Detrend([]float64{5}); got[0] != 5 {
-		t.Errorf("Detrend single = %v", got)
-	}
-}
-
-func TestDetrendPreservesShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	base := make([]float64, 60)
-	for i := range base {
-		base[i] = math.Sin(2 * math.Pi * float64(i) / 20)
-	}
-	drifted := make([]float64, len(base))
-	for i := range base {
-		drifted[i] = base[i] + 0.5*float64(i)
-	}
-	_ = rng
-	res := Detrend(drifted)
-	// After detrending, the series should correlate strongly with the base.
-	if c := Dot(ZNormalize(res), ZNormalize(base)) / float64(len(base)); c < 0.95 {
-		t.Errorf("correlation after detrend = %v", c)
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	got := MovingAverage(x, 3)
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("MovingAverage = %v, want %v", got, want)
-		}
-	}
-	id := MovingAverage(x, 1)
-	for i := range x {
-		if id[i] != x[i] {
-			t.Fatal("width-1 window should be identity")
-		}
-	}
-}
-
-func TestMovingAveragePanicsOnEvenWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	MovingAverage([]float64{1, 2}, 2)
-}
-
-func TestDifference(t *testing.T) {
-	got := Difference([]float64{1, 4, 9, 16})
-	want := []float64{3, 5, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Difference = %v, want %v", got, want)
-		}
-	}
-	if Difference([]float64{1}) != nil {
-		t.Error("short input should give nil")
 	}
 }
