@@ -353,12 +353,12 @@ func BenchmarkTable2Extended(b *testing.B) {
 //
 // Each parallel benchmark measures a baseline and the production parallel
 // path outside the timed region (paired minima, see pairedMinDurations) and
-// reports their ratio as a "speedup" metric, so `go test -bench Parallel`
-// prints the gain of the deterministic parallel path directly. The
-// pairwise-matrix baseline is the per-pair SBD build every caller ran
-// before the spectrum cache — its speedup is the end-to-end gain of RFFT +
+// reports their ratio, so `go test -bench Parallel` prints the gain of the
+// deterministic parallel path directly. The pairwise-matrix baseline is the
+// per-pair SBD build every caller ran before the spectrum cache, so its
+// ratio is reported as "batch_vs_perpair", the end-to-end gain of RFFT +
 // cached spectra + batch NCC; the k-Shape and 1-NN baselines are the same
-// engine at workers=1, pinning the parallel layer at >= 1x (the pool
+// engine at workers=1, reported as "speedup", pinning the parallel layer at >= 1x (the pool
 // collapses to the serial path when the machine cannot run chunks
 // concurrently; on a multi-core machine the ratio reflects real scaling).
 // The outputs themselves are bit-identical either way (see the determinism
@@ -407,13 +407,13 @@ func pairedMinDurations(rounds int, baseline, candidate func()) (base, cand time
 	return base, cand
 }
 
-// reportSpeedup reports baseline/candidate as the "speedup" metric, rounded
-// to one decimal — the honest precision of a paired-minimum measurement on
-// a shared machine (two minima of the *same* workload still land a percent
+// reportRatio reports baseline/candidate as the named metric, rounded to
+// one decimal — the honest precision of a paired-minimum measurement on a
+// shared machine (two minima of the *same* workload still land a percent
 // or two apart): real regressions still move the number, while sub-noise
 // digits stop flapping the recorded baseline.
-func reportSpeedup(b *testing.B, baseline, candidate time.Duration) {
-	b.ReportMetric(math.Round(float64(baseline)/float64(candidate)*10)/10, "speedup")
+func reportRatio(b *testing.B, baseline, candidate time.Duration, unit string) {
+	b.ReportMetric(math.Round(float64(baseline)/float64(candidate)*10)/10, unit)
 }
 
 // benchCounters enables kernel-counter collection and returns a stop
@@ -474,10 +474,12 @@ func BenchmarkDistanceMatrixSBDPerPair(b *testing.B) {
 }
 
 // BenchmarkDistanceMatrixSBDParallel times the production pairwise path —
-// cached spectra at benchParallelWorkers — and reports as "speedup" its
-// gain over the serial per-pair implementation (the code every caller ran
-// before the spectrum cache): the end-to-end effect of RFFT + cached
-// spectra + batch NCC + the parallel layer on one matrix build.
+// cached spectra at benchParallelWorkers — and reports as
+// "batch_vs_perpair" its gain over the serial per-pair implementation (the
+// code every caller ran before the spectrum cache): the end-to-end effect
+// of RFFT + cached spectra + batch NCC + the parallel layer on one matrix
+// build. It is not a parallel speedup; the serial baseline differs in
+// kernel, not only in worker count.
 func BenchmarkDistanceMatrixSBDParallel(b *testing.B) {
 	data := ts.Rows(dataset.CBF(120, 128, 1))
 	serial, parallel := pairedMinDurations(10,
@@ -491,7 +493,7 @@ func BenchmarkDistanceMatrixSBDParallel(b *testing.B) {
 	}
 	b.StopTimer()
 	stop()
-	reportSpeedup(b, serial, parallel)
+	reportRatio(b, serial, parallel, "batch_vs_perpair")
 }
 
 // BenchmarkDistanceMatrixSBDBatchSteady pins the steady-state allocation
@@ -663,7 +665,7 @@ func BenchmarkKShapeRefinementParallel(b *testing.B) {
 	}
 	b.StopTimer()
 	stop()
-	reportSpeedup(b, serial, parallel)
+	reportRatio(b, serial, parallel, "speedup")
 }
 
 func BenchmarkOneNNSerial(b *testing.B) {
@@ -693,7 +695,7 @@ func BenchmarkOneNNParallel(b *testing.B) {
 	}
 	b.StopTimer()
 	stop()
-	reportSpeedup(b, serial, parallel)
+	reportRatio(b, serial, parallel, "speedup")
 }
 
 func BenchmarkSBD1024(b *testing.B) {

@@ -186,24 +186,14 @@ func writeTrace(w io.Writer, tr *kshape.RunTrace) {
 	//lint:ignore errdrop tabwriter over a strings.Builder cannot fail
 	tw.Flush()
 
-	c := tr.Counters
-	pairs := []struct {
-		name  string
-		value int64
-	}{
-		{"fft", c.FFT}, {"ifft", c.IFFT}, {"sbd", c.SBD}, {"ed", c.ED},
-		{"dtw", c.DTW}, {"eigen_iterations", c.EigenIterations},
-		{"eigen_decompositions", c.EigenDecompositions},
-		{"shape_extractions", c.ShapeExtractions}, {"reseeds", c.Reseeds},
-	}
 	b.WriteString("kernel counters:")
 	any := false
-	for _, p := range pairs {
-		if p.value != 0 {
-			fmt.Fprintf(&b, " %s=%d", p.name, p.value)
+	tr.Counters.Each(func(name string, value int64) {
+		if value != 0 {
+			fmt.Fprintf(&b, " %s=%d", name, value)
 			any = true
 		}
-	}
+	})
 	if !any {
 		b.WriteString(" (none)")
 	}

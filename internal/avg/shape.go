@@ -44,24 +44,31 @@ func ShapeExtraction(cluster [][]float64, ref []float64) []float64 {
 	// One spectrum cache over the members with ref as the query: n+1
 	// forward transforms and n inverses, as in k-Shape's refinement step.
 	q := dist.NewSBDBatch(cluster).Query(ref)
-	aligned := make([][]float64, len(cluster))
-	for i, x := range cluster {
-		_, shift := q.Distance(i)
-		aligned[i] = ts.Shift(x, shift)
+	shifts := make([]int, len(cluster))
+	for i := range cluster {
+		_, shifts[i] = q.Distance(i)
 	}
-	return ShapeExtractionAligned(aligned)
+	return ShapeExtractionShifted(cluster, shifts)
 }
 
 // ShapeExtractionAligned is ShapeExtraction for members that are already
-// aligned to a common reference (steps 2-4 of Algorithm 2). k-Shape's
-// optimized inner loop uses it with batched-FFT alignment. It works in a
-// pooled workspace, so the returned centroid is its only allocation once
-// the pool is warm.
+// aligned to a common reference (steps 2-4 of Algorithm 2): every member
+// enters at shift 0.
 func ShapeExtractionAligned(aligned [][]float64) []float64 {
-	if len(aligned) == 0 {
+	return ShapeExtractionShifted(aligned, nil)
+}
+
+// ShapeExtractionShifted is steps 2-4 of Algorithm 2 on members[t]
+// aligned by shifts[t] (ts.Shift's convention; nil means every shift is
+// 0). Each member is shifted straight into its row of the pooled
+// workspace, so no aligned copy is made and the returned centroid is the
+// only allocation once the pool is warm. k-Shape's loop passes the shifts
+// its assignment scan already found.
+func ShapeExtractionShifted(members [][]float64, shifts []int) []float64 {
+	if len(members) == 0 {
 		return nil
 	}
-	m := memberLength(aligned)
+	m := memberLength(members)
 	defer obs.StartPhase(obs.PhaseShapeExtract)()
 	obs.Inc(obs.CounterShapeExtractions)
 	pool := &shapePools[bits.Len(uint(m))]
@@ -69,9 +76,9 @@ func ShapeExtractionAligned(aligned [][]float64) []float64 {
 	if w == nil {
 		w = new(shapeWork)
 	}
-	w.reset(len(aligned), m, linalg.FactoredCheaper(len(aligned), m))
+	w.reset(len(members), m, linalg.FactoredCheaper(len(members), m))
 	cen := make([]float64, m)
-	w.extract(cen, aligned)
+	w.extract(cen, members, shifts)
 	pool.Put(w)
 	return cen
 }
@@ -115,22 +122,26 @@ func (w *shapeWork) reset(n, m int, factored bool) {
 	w.zsum = w.zsum[:m]
 }
 
-// extract runs steps 2-4 of Algorithm 2 on rows, which w was reset for,
-// and writes the centroid into cen.
+// extract runs steps 2-4 of Algorithm 2 on rows shifted by shifts (nil:
+// all 0), which w was reset for, and writes the centroid into cen.
 //
-// Each member is z-normalized once, into its row of A, and then centered:
-// shifting introduces zero padding that perturbs mean and variance, and
-// Equation 14 assumes z-normalized x_i. The sign test needs only Σₜ zₜ:
-// Σₜ‖zₜ + c‖² − Σₜ‖zₜ − c‖² = 4·(Σₜ zₜ)·c, so −c is the closer orientation
-// exactly when (Σₜ zₜ)·c < 0.
+// Each member is shifted into its row of A, z-normalized there once, and
+// then centered: shifting introduces zero padding that perturbs mean and
+// variance, and Equation 14 assumes z-normalized x_i. The sign test needs
+// only Σₜ zₜ: Σₜ‖zₜ + c‖² − Σₜ‖zₜ − c‖² = 4·(Σₜ zₜ)·c, so −c is the
+// closer orientation exactly when (Σₜ zₜ)·c < 0.
 //
 //kshape:hotpath
-func (w *shapeWork) extract(cen []float64, rows [][]float64) {
+func (w *shapeWork) extract(cen []float64, rows [][]float64, shifts []int) {
 	zsum := w.zsum
 	clear(zsum)
 	for t, x := range rows {
 		a := w.gram.Row(t)
-		copy(a, x)
+		shift := 0
+		if shifts != nil {
+			shift = shifts[t]
+		}
+		ts.ShiftInto(a, x, shift)
 		ts.ZNormalizeInPlace(a)
 		for j, z := range a {
 			zsum[j] += z

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kshape/internal/dataset"
+	"kshape/internal/dist"
 	"kshape/internal/ts"
 )
 
@@ -16,7 +17,7 @@ func extractWith(rows [][]float64, factored bool) []float64 {
 	var w shapeWork
 	w.reset(len(rows), len(rows[0]), factored)
 	cen := make([]float64, len(rows[0]))
-	w.extract(cen, rows)
+	w.extract(cen, rows, nil)
 	return cen
 }
 
@@ -104,7 +105,7 @@ func TestShapeExtractionWorkspaceReuse(t *testing.T) {
 		for _, factored := range []bool{true, false} {
 			w.reset(len(rows), len(rows[0]), factored)
 			got := make([]float64, len(rows[0]))
-			w.extract(got, rows)
+			w.extract(got, rows, nil)
 			want := extractWith(rows, factored)
 			for i := range want {
 				if got[i] != want[i] {
@@ -149,17 +150,64 @@ func TestShapeExtractionRaggedMembersPanic(t *testing.T) {
 	}
 }
 
+// memberShifts returns a deterministic spread of shifts for n members of
+// length m, covering zero, both directions, and shifts past the window.
+func memberShifts(n, m int) []int {
+	shifts := make([]int, n)
+	for t := range shifts {
+		shifts[t] = (t*7)%(2*m+3) - m - 1
+	}
+	return shifts
+}
+
 func TestShapeExtractKernelAllocFree(t *testing.T) {
 	cases := orderCases()
 	for _, name := range []string{"cbf-30x512", "shapes-100x64"} {
 		rows := cases[name]
+		shifts := memberShifts(len(rows), len(rows[0]))
 		for _, factored := range []bool{true, false} {
 			var w shapeWork
 			w.reset(len(rows), len(rows[0]), factored)
 			cen := make([]float64, len(rows[0]))
-			if allocs := testing.AllocsPerRun(5, func() { w.extract(cen, rows) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(5, func() { w.extract(cen, rows, nil) }); allocs != 0 {
 				t.Errorf("%s factored=%v: extract allocates %v times per call, want 0", name, factored, allocs)
 			}
+			if allocs := testing.AllocsPerRun(5, func() { w.extract(cen, rows, shifts) }); allocs != 0 {
+				t.Errorf("%s factored=%v: shifted extract allocates %v times per call, want 0", name, factored, allocs)
+			}
+		}
+	}
+}
+
+// TestShapeExtractionShiftedMatchesShiftedCopies pins the shifted entry
+// point to extraction over explicitly shifted copies, bit for bit, and
+// ShapeExtraction to the shifts its own SBD alignment finds.
+func TestShapeExtractionShiftedMatchesShiftedCopies(t *testing.T) {
+	for name, rows := range orderCases() {
+		shifts := memberShifts(len(rows), len(rows[0]))
+		copies := make([][]float64, len(rows))
+		for t, x := range rows {
+			copies[t] = ts.Shift(x, shifts[t])
+		}
+		got := ShapeExtractionShifted(rows, shifts)
+		want := ShapeExtractionAligned(copies)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: shifted extraction differs at %d: %v vs %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	rows := orderCases()["shapes-100x64"]
+	ref := rows[3]
+	aligned := make([][]float64, len(rows))
+	for t, x := range rows {
+		_, y := dist.SBD(ref, x)
+		aligned[t] = y
+	}
+	got, want := ShapeExtraction(rows, ref), ShapeExtractionAligned(aligned)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("ShapeExtraction differs from extraction of SBD-aligned copies at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }

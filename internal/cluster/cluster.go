@@ -128,7 +128,8 @@ func NewKSC() Clusterer {
 
 // NewKShape returns the paper's k-Shape algorithm as a Clusterer, using the
 // specialised batched-FFT step (core.KShapeRun), which produces results
-// identical to the generic Lloyd step with SBD + shape extraction.
+// bit-identical to the generic Lloyd step with SBD + shape extraction (the
+// core/kshape-vs-lloyd oracle pins this).
 func NewKShape() Clusterer { return kshapeClusterer{} }
 
 type kshapeClusterer struct{}

@@ -8,52 +8,34 @@ import (
 	"kshape/internal/ts"
 )
 
-// TestAlignMembersAllocFree pins the refinement inner loop — shift-search
-// plus in-place member alignment — at zero allocations: all buffers (the
-// cached query, the scratch, and the aligned rows) are provided by the
-// caller, so iterating the k-Shape loop does not grow the heap with the
-// cluster sizes.
-func TestAlignMembersAllocFree(t *testing.T) {
-	data, _ := twoClassShiftedData(12, 64, rand.New(rand.NewSource(21)))
-	m := len(data[0])
-	batch := dist.NewSBDBatch(data)
-	centroid := ts.ZNormalize(append([]float64(nil), data[0]...))
-	q := batch.Query(centroid)
-	sc := batch.Scratch()
-	idxs := make([]int, len(data))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	rows := ts.NewMatrix(len(data), m)
-	if n := testing.AllocsPerRun(50, func() {
-		alignMembers(q, sc, data, idxs, rows)
-	}); n != 0 {
-		t.Errorf("alignMembers allocates %v per run, want 0", n)
-	}
-}
-
 // TestAssignmentScanAllocFree pins the per-series assignment inner loop
-// (nearestCentroid, with and without a distance-cap row) and the
-// refinement fixed-point helpers at zero allocations.
+// (scanCentroids, pruned and unpruned, with and without a distance-cap
+// row) and the refinement helpers (the drift measure and the fixed-point
+// tests) at zero allocations: the queries, scratch and bound rows are the
+// caller's, so iterating the k-Shape loop does not grow the heap.
 func TestAssignmentScanAllocFree(t *testing.T) {
 	data, _ := twoClassShiftedData(12, 64, rand.New(rand.NewSource(22)))
 	batch := dist.NewSBDBatch(data)
 	queries := []*dist.SBDQuery{
 		batch.Query(ts.ZNormalize(data[0])),
 		batch.Query(ts.ZNormalize(data[1])),
+		batch.Query(ts.ZNormalize(data[13])),
 	}
 	sc := batch.Scratch()
-	capRow := make([]float64, len(queries))
-	var d float64
+	k := len(queries)
+	lb := make([]float64, 2*k)
+	drift := make([]float64, k)
+	capRow := make([]float64, k)
 	var j int
 	if n := testing.AllocsPerRun(50, func() {
-		d, j = nearestCentroid(queries, sc, 0, 0, capRow)
-		d, j = nearestCentroid(queries, sc, 1, j, nil)
+		_, j, _, _ = scanCentroids(queries, sc, 0, 0, lb[:k], drift, true, capRow)
+		_, j, _, _ = scanCentroids(queries, sc, 1, j, lb[k:], drift, true, nil)
+		_, _, _, _ = scanCentroids(queries, sc, 1, j, lb[k:], drift, false, nil)
 	}); n != 0 {
-		t.Errorf("nearestCentroid allocates %v per run, want 0", n)
+		t.Errorf("scanCentroids allocates %v per run, want 0", n)
 	}
-	_ = d
 	if n := testing.AllocsPerRun(50, func() {
+		unitDrift(data[0], data[1])
 		equalFloatBits(data[0], data[1])
 		isAllZero(data[2])
 	}); n != 0 {

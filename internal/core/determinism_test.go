@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -55,8 +57,16 @@ func snapshotsEqual(t *testing.T, want, got *runSnapshot, label string) {
 	}
 	for i := range want.trace {
 		w, g := want.trace[i], got.trace[i]
-		if g.Iteration != w.Iteration || g.Inertia != w.Inertia || g.LabelChurn != w.LabelChurn || g.Reseeds != w.Reseeds {
+		if g.Iteration != w.Iteration || g.Inertia != w.Inertia || g.LabelChurn != w.LabelChurn || g.Reseeds != w.Reseeds ||
+			!sameBits(g.InertiaDelta, w.InertiaDelta) || !sameBits(g.SilhouetteSample, w.SilhouetteSample) {
 			t.Errorf("%s: trace[%d] = %+v, want %+v", label, i, g, w)
+		}
+		driftDiffers := len(g.CentroidDrift) != len(w.CentroidDrift)
+		for j := 0; !driftDiffers && j < len(w.CentroidDrift); j++ {
+			driftDiffers = !sameBits(g.CentroidDrift[j], w.CentroidDrift[j])
+		}
+		if driftDiffers {
+			t.Errorf("%s: trace[%d] centroid drift %v, want %v", label, i, g.CentroidDrift, w.CentroidDrift)
 		}
 		for j := range w.ClusterSizes {
 			if g.ClusterSizes[j] != w.ClusterSizes[j] {
@@ -72,6 +82,8 @@ func snapshotsEqual(t *testing.T, want, got *runSnapshot, label string) {
 }
 
 var workerCounts = []int{1, 2, 8}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestKShapeRunDeterministicAcrossWorkers is the central guarantee of the
 // parallel execution layer: k-Shape produces bit-identical labels,
@@ -105,29 +117,35 @@ func TestKShapeRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestKShapeSpectrumCacheWarmVsCold pins the correctness contract of the
-// spectrum cache: a cache-cold run (every centroid spectrum recomputed and
-// every cluster refined each iteration) must produce bit-identical labels,
-// centroids, inertia, and iteration trajectory to the cached run, at every
-// worker count. Kernel counters are exempt — skipping redundant transforms
-// is the whole point — but everything observable in the clustering must
-// match.
+// TestKShapeSpectrumCacheWarmVsCold pins the correctness contract of every
+// shortcut in the k-Shape step: a brute-force run (every centroid spectrum
+// recomputed, every cluster refined, every alignment shift searched afresh
+// and every (series, centroid) SBD evaluated each iteration) must produce
+// bit-identical labels, centroids, inertia, and iteration trajectory to
+// the cached, pruned run, at every worker count — with and without a run
+// observer, whose silhouette reads the full distance rows of its sampled
+// series. There are more series than the observer samples, so the
+// observed runs prune too. Kernel counters are exempt — skipping redundant
+// work is the whole point — but everything observable in the clustering
+// must match.
 func TestKShapeSpectrumCacheWarmVsCold(t *testing.T) {
-	data, _ := twoClassShiftedData(20, 48, rand.New(rand.NewSource(7)))
+	data, _ := twoClassShiftedData(45, 48, rand.New(rand.NewSource(7)))
+	if len(data) <= silhouetteSampleCap {
+		t.Fatalf("%d series are all sampled; the observed runs would not prune", len(data))
+	}
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 
-	run := func(cold bool, workers int) *runSnapshot {
-		disableSpectrumCache = cold
-		defer func() { disableSpectrumCache = false }()
+	run := func(cold, observed bool, workers int) *runSnapshot {
+		bruteForceScan = cold
+		defer func() { bruteForceScan = false }()
 		snap := &runSnapshot{}
+		cfg := Config{K: 4, Rand: rand.New(rand.NewSource(11)), Workers: workers}
+		if observed {
+			cfg.OnIteration = snap.record
+		}
 		before := obs.ReadCounters()
-		res, err := KShapeRun(data, Config{
-			K:           3,
-			Rand:        rand.New(rand.NewSource(11)),
-			OnIteration: snap.record,
-			Workers:     workers,
-		})
+		res, err := KShapeRun(data, cfg)
 		if err != nil {
 			t.Fatalf("cold=%v workers=%d: %v", cold, workers, err)
 		}
@@ -136,16 +154,25 @@ func TestKShapeSpectrumCacheWarmVsCold(t *testing.T) {
 		return snap
 	}
 
-	warm := run(false, 1)
-	for _, w := range workerCounts {
-		cold := run(true, w)
-		// Counter totals legitimately differ between the modes; compare
-		// everything else bit for bit.
-		cold.counters = warm.counters
-		snapshotsEqual(t, warm, cold, "cache-cold workers="+strconv.Itoa(w))
+	for _, observed := range []bool{false, true} {
+		warm := run(false, observed, 1)
+		if warm.counters.SBDPruned == 0 {
+			t.Fatalf("observed=%v: the warm run pruned nothing; the comparison would not exercise the bound", observed)
+		}
+		for _, w := range workerCounts {
+			name := fmt.Sprintf("observed=%v workers=%d", observed, w)
+			cold := run(true, observed, w)
+			if cold.counters.SBDPruned != 0 {
+				t.Errorf("%s: brute-force run pruned %d pairs", name, cold.counters.SBDPruned)
+			}
+			// Counter totals legitimately differ between the modes; compare
+			// everything else bit for bit.
+			cold.counters = warm.counters
+			snapshotsEqual(t, warm, cold, "brute-force "+name)
 
-		hot := run(false, w)
-		snapshotsEqual(t, warm, hot, "cache-warm workers="+strconv.Itoa(w))
+			hot := run(false, observed, w)
+			snapshotsEqual(t, warm, hot, "cache-warm "+name)
+		}
 	}
 }
 
@@ -162,8 +189,8 @@ func TestKShapeSpectrumCachePartialInvalidation(t *testing.T) {
 	defer obs.SetEnabled(prev)
 
 	run := func(cold bool) (*Result, obs.Counters) {
-		disableSpectrumCache = cold
-		defer func() { disableSpectrumCache = false }()
+		bruteForceScan = cold
+		defer func() { bruteForceScan = false }()
 		before := obs.ReadCounters()
 		res, err := KShapeRun(data, Config{K: 3, Rand: rand.New(rand.NewSource(11)), Workers: 1})
 		if err != nil {

@@ -105,9 +105,12 @@ func Lloyd(data [][]float64, cfg Config, distance DistanceFunc, centroid Centroi
 // refinement loop with SBD assignment and shape-extraction refinement
 // (Algorithm 3). Its step precomputes the Fourier spectra of the input
 // once (the data never moves between iterations, only the centroids do),
-// caches each centroid's spectrum while the centroid stands still, and
-// skips the refinement of clusters at a bitwise fixed point. Its results
-// are identical to Lloyd with SBD and avg.ShapeExtraction.
+// caches each centroid's spectrum while the centroid stands still, skips
+// the refinement of clusters at a bitwise fixed point, aligns members
+// with the shifts the assignment scan already found, and skips every
+// (series, centroid) SBD that a drift bound proves cannot win. Its
+// results are bit-identical to Lloyd with SBD and avg.ShapeExtraction,
+// at every worker count.
 func KShapeRun(data [][]float64, cfg Config) (*Result, error) {
 	return iterate(data, cfg, newKShapeStep)
 }
@@ -321,7 +324,8 @@ func (s *genericStep) assign() {
 }
 
 // kshapeStep is the k-Shape step: SBD assignment on cached spectra and
-// shape-extraction refinement. All its state is allocated once, and shape
+// shape-extraction refinement, arranged so that every SBD it evaluates is
+// one the result needs. All its state is allocated once, and shape
 // extraction works in a pooled workspace, so a steady-state refinement
 // allocates only its new centroid:
 //   - queries caches one prepared spectrum per centroid; specFresh[j]
@@ -330,55 +334,96 @@ func (s *genericStep) assign() {
 //   - settled[j] records that the last refinement reproduced
 //     centroids[j] bit for bit; combined with an unchanged member set
 //     the whole refinement of cluster j is a no-op and is skipped.
-//   - alignRows is the n×m backing the aligned members are shifted into,
-//     cluster j owning rows [starts[j], starts[j+1]).
+//   - shift[i] is the shift that aligns series i toward centroid won[i],
+//     kept from the assignment scan that chose it. Refinement reuses it
+//     for every member whose label is still won[i], which is every
+//     member except those reseedEmptyClusters moved (won[i] is -1 when
+//     the scan found no finite distance), so alignment costs no SBD.
+//   - lb[i*k+j] is a lower bound on SBD(x_i, centroids[j]) and drift[j]
+//     the distance between centroid j before and after its last
+//     refinement, each scaled to unit length (+Inf when either is all
+//     zero). Shifting with zero fill never increases a norm, so by
+//     Cauchy–Schwarz SBD(x, c′) ≥ SBD(x, c) − drift; scanCentroids skips
+//     a centroid whose bound proves it cannot be the nearest.
+//   - members and memberShift are the n-row view of data in order and
+//     the matching shifts, cluster j owning positions [starts[j],
+//     starts[j+1]); extraction shifts each member straight into its
+//     workspace row.
 type kshapeStep struct {
 	*loop
-	batch     *dist.SBDBatch
-	queries   []*dist.SBDQuery
-	specFresh []bool
-	settled   []bool
-	alignRows [][]float64
+	batch       *dist.SBDBatch
+	queries     []*dist.SBDQuery
+	specFresh   []bool
+	settled     []bool
+	shift, won  []int
+	lb, drift   []float64
+	members     [][]float64
+	memberShift []int
 }
 
 func newKShapeStep(r *loop) step {
-	return &kshapeStep{
-		loop:      r,
-		batch:     dist.NewSBDBatch(r.data),
-		queries:   make([]*dist.SBDQuery, r.k),
-		specFresh: make([]bool, r.k),
-		settled:   make([]bool, r.k),
-		alignRows: ts.NewMatrix(len(r.data), r.m),
+	n := len(r.data)
+	s := &kshapeStep{
+		loop:        r,
+		batch:       dist.NewSBDBatch(r.data),
+		queries:     make([]*dist.SBDQuery, r.k),
+		specFresh:   make([]bool, r.k),
+		settled:     make([]bool, r.k),
+		shift:       make([]int, n),
+		won:         make([]int, n),
+		lb:          make([]float64, n*r.k),
+		drift:       make([]float64, r.k),
+		members:     make([][]float64, n),
+		memberShift: make([]int, n),
 	}
+	for i := range s.won {
+		s.won[i] = -1
+	}
+	return s
 }
 
-// refine aligns the members to the previous centroid with one batched
-// query, then extracts the new shape. Each call owns its cluster's query
-// and a pooled scratch. A cluster whose membership did not change and
-// whose last refinement was a bitwise fixed point is skipped outright —
-// recomputing it would reproduce the same centroid from the same inputs.
+// refine extracts cluster j's new shape from its members, each shifted
+// toward the previous centroid by the shift the last scan found (a member
+// the scan did not assign to j gets a fresh shift from centroid j's
+// cached query), and records how far the centroid moved. A cluster whose
+// membership did not change and whose last refinement was a bitwise
+// fixed point is skipped outright — recomputing it would reproduce the
+// same centroid from the same inputs.
 func (s *kshapeStep) refine(j, lo, hi int) {
-	if !disableSpectrumCache && s.settled[j] && !s.membersChanged[j] {
+	if !bruteForceScan && s.settled[j] && !s.membersChanged[j] {
+		s.drift[j] = 0
 		return
 	}
 	idxs := s.order[lo:hi]
 	if len(idxs) == 0 {
 		s.centroids[j] = make([]float64, s.m)
 		s.settled[j], s.specFresh[j] = false, false
+		s.drift[j] = math.Inf(1)
 		return
 	}
-	rows := s.alignRows[lo:hi]
-	if isAllZero(s.centroids[j]) {
-		for t, i := range idxs {
-			copy(rows[t], s.data[i])
+	rows, shifts := s.members[lo:hi:hi], s.memberShift[lo:hi:hi]
+	zero := isAllZero(s.centroids[j])
+	var sc *dist.SBDScratch
+	for t, i := range idxs {
+		rows[t] = s.data[i]
+		switch {
+		case zero:
+			shifts[t] = 0 // the first iteration: every series is its own alignment
+		case s.won[i] == j && !bruteForceScan:
+			shifts[t] = s.shift[i]
+		default:
+			if sc == nil {
+				s.refreshQuery(j)
+				sc = s.batch.AcquireScratch()
+			}
+			_, shifts[t] = s.queries[j].DistanceScratch(i, sc)
 		}
-	} else {
-		s.refreshQuery(j)
-		sc := s.batch.AcquireScratch()
-		alignMembers(s.queries[j], sc, s.data, idxs, rows)
+	}
+	if sc != nil {
 		s.batch.ReleaseScratch(sc)
 	}
-	newC := avg.ShapeExtractionAligned(rows)
+	newC := avg.ShapeExtractionShifted(rows, shifts)
+	s.drift[j] = unitDrift(s.centroids[j], newC)
 	s.settled[j] = equalFloatBits(newC, s.centroids[j])
 	s.centroids[j] = newC
 	if !s.settled[j] {
@@ -389,7 +434,7 @@ func (s *kshapeStep) refine(j, lo, hi int) {
 // refreshQuery re-transforms centroid j unless its cached spectrum is
 // still current.
 func (s *kshapeStep) refreshQuery(j int) {
-	if disableSpectrumCache || !s.specFresh[j] {
+	if bruteForceScan || !s.specFresh[j] {
 		s.queries[j] = s.batch.QueryInto(s.queries[j], s.centroids[j])
 		s.specFresh[j] = true
 	}
@@ -398,21 +443,30 @@ func (s *kshapeStep) refreshQuery(j int) {
 // assign refreshes the cached query of every centroid that moved (at most
 // k forward FFTs, fewer on later iterations as centroids settle), then
 // scans the series in parallel; each worker chunk brings its own pooled
-// inverse-FFT scratch so the queries are shared read-only. The per-series
-// centroid scan is ascending with a strict comparison, so labels are
-// worker-count independent.
+// inverse-FFT scratch so the queries are shared read-only, and publishes
+// its pruned-pair count once. Each series' scan reads and writes only its
+// own lb row, shift and won slots, and its outcome is the unpruned
+// ascending scan's, so labels are worker-count independent.
 func (s *kshapeStep) assign() {
 	par.For(s.workers, s.k, s.refreshQuery)
 	par.ForChunksMin(s.workers, len(s.data), assignMinPerChunk, func(lo, hi int) {
 		scratch := s.batch.AcquireScratch()
+		pruned := 0
 		for i := lo; i < hi; i++ {
 			var capRow []float64
 			if s.capture != nil {
 				capRow = s.capture[i]
 			}
-			s.assignDist[i], s.labels[i] = nearestCentroid(s.queries, scratch, i, s.labels[i], capRow)
+			best, bestJ, shift, p := scanCentroids(s.queries, scratch, i, s.labels[i],
+				s.lb[i*s.k:(i+1)*s.k], s.drift, !bruteForceScan, capRow)
+			pruned += p
+			s.assignDist[i], s.shift[i], s.won[i] = best, shift, bestJ
+			if bestJ >= 0 {
+				s.labels[i] = bestJ
+			}
 		}
 		s.batch.ReleaseScratch(scratch)
+		obs.Add(obs.CounterSBDPruned, int64(pruned))
 	})
 }
 
@@ -489,45 +543,81 @@ func equalLabels(a, b []int) bool {
 // scan so par's chunk handoff is amortized over several inverse transforms.
 const assignMinPerChunk = 4
 
-// disableSpectrumCache is a test hook: when set, KShapeRun recomputes every
-// centroid spectrum and refinement each iteration (cache-cold behavior).
-// The clustering output must be identical either way — only kernel-counter
-// totals may differ.
-var disableSpectrumCache bool
+// bruteForceScan is a test hook: when set, KShapeRun recomputes every
+// centroid spectrum, refinement, alignment shift and assignment distance
+// each iteration (no spectrum cache, settled skip, shift reuse or
+// pruning). The clustering output must be identical either way — only
+// kernel-counter totals may differ.
+var bruteForceScan bool
 
-// nearestCentroid is the per-series inner loop of the assignment step:
-// an ascending scan over the cached centroid queries keeping the first
-// strict improvement (ties toward the smaller index, and toward the
-// series' current label initJ when nothing improves on +Inf), computing
-// each distance in the caller's scratch. capRow, when non-nil, captures
-// the full distance row for the run observer.
+// pruneMargin is the rounding margin of the drift-bound test: a centroid
+// is skipped only when its bound exceeds the best distance so far by more
+// than this, far above the ~1e-15 error of a computed SBD.
+const pruneMargin = 1e-9
+
+// scanCentroids is the per-series inner loop of the assignment step. It
+// computes the distance to the current label own exactly first, then
+// walks the centroid queries in ascending order keeping the first strict
+// improvement (ties toward the smaller index), and returns the winner's
+// distance and shift; bestJ is -1 when nothing improves on +Inf. lb is
+// the series' k-wide bound row and drift the centroid drifts since the
+// row was written. With prune set (and no capture row), centroid j is
+// skipped when lb[j]−drift[j] exceeds min(best so far, own distance) by
+// pruneMargin: its true distance is then strictly above the minimum, so
+// the winner is unchanged. Every bound is decayed or replaced by the
+// exact distance, and pruned counts the skipped centroids. capRow, when
+// non-nil, receives the full distance row for the run observer.
 //
 //kshape:hotpath
-func nearestCentroid(queries []*dist.SBDQuery, sc *dist.SBDScratch, i, initJ int, capRow []float64) (best float64, bestJ int) {
-	best, bestJ = math.Inf(1), initJ
+func scanCentroids(queries []*dist.SBDQuery, sc *dist.SBDScratch, i, own int, lb, drift []float64,
+	prune bool, capRow []float64) (best float64, bestJ, shift, pruned int) {
+	dOwn, sOwn := queries[own].DistanceScratch(i, sc)
+	lb[own] = dOwn
+	prune = prune && capRow == nil
+	best, bestJ = math.Inf(1), -1
 	for j, q := range queries {
-		d, _ := q.DistanceScratch(i, sc)
+		d, sh := dOwn, sOwn
+		if j != own {
+			limit := dOwn
+			if best < limit {
+				limit = best
+			}
+			bound := lb[j] - drift[j]
+			if prune && bound > limit+pruneMargin {
+				lb[j] = bound
+				pruned++
+				continue
+			}
+			d, sh = q.DistanceScratch(i, sc)
+			lb[j] = d
+		}
 		if capRow != nil {
 			capRow[j] = d
 		}
 		if d < best {
-			best, bestJ = d, j
+			best, bestJ, shift = d, j, sh
 		}
 	}
-	return best, bestJ
+	return best, bestJ, shift, pruned
 }
 
-// alignMembers shifts each member series data[idxs[t]] into rows[t],
-// aligned toward the query's centroid (Algorithm 1's alignment step for one
-// cluster). It allocates nothing: the shift search runs in the provided
-// scratch and the shifted series land in the preallocated rows.
+// unitDrift returns ‖b/‖b‖ − a/‖a‖‖, how far a centroid moved from a to
+// b once each is scaled to unit length, or +Inf when either is all zero
+// (or NaN), so no bound survives such a move.
 //
 //kshape:hotpath
-func alignMembers(q *dist.SBDQuery, sc *dist.SBDScratch, data [][]float64, idxs []int, rows [][]float64) {
-	for t, i := range idxs {
-		_, shift := q.DistanceScratch(i, sc)
-		ts.ShiftInto(rows[t], data[i], shift)
+func unitDrift(a, b []float64) float64 {
+	na, nb := ts.Norm(a), ts.Norm(b)
+	if !(na > 0 && nb > 0) {
+		return math.Inf(1)
 	}
+	ia, ib := 1/na, 1/nb
+	ss := 0.0
+	for t := range a {
+		d := b[t]*ib - a[t]*ia
+		ss += d * d
+	}
+	return math.Sqrt(ss)
 }
 
 // equalFloatBits reports whether a and b are elementwise bit-identical —

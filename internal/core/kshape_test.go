@@ -431,3 +431,200 @@ func TestKShapeRunMaxIterationsLimitsCallbacks(t *testing.T) {
 		t.Errorf("iterations=%d callbacks=%d, want 1 and 1", res.Iterations, calls)
 	}
 }
+
+// degenerateSeries draws a length-m series that is, with equal odds, all
+// zero, constant, a single spike, a ramp, or Gaussian noise at a random
+// scale.
+func degenerateSeries(m int, rng *rand.Rand) []float64 {
+	x := make([]float64, m)
+	switch rng.Intn(5) {
+	case 0:
+	case 1:
+		c := rng.NormFloat64() * 10
+		for i := range x {
+			x[i] = c
+		}
+	case 2:
+		x[rng.Intn(m)] = rng.NormFloat64() * 100
+	case 3:
+		slope := rng.NormFloat64()
+		for i := range x {
+			x[i] = slope * float64(i)
+		}
+	default:
+		scale := math.Exp(rng.NormFloat64() * 2)
+		for i := range x {
+			x[i] = scale * rng.NormFloat64()
+		}
+	}
+	return x
+}
+
+// TestDriftBoundHolds is the property the assignment scan's pruning rests
+// on: for any series x and any move of a centroid from c to c′,
+// SBD(x, c′) ≥ SBD(x, c) − unitDrift(c, c′), on degenerate-heavy input
+// (zero, constant and spike rows, unnormalized centroids, and near-ties
+// where c′ is c nudged by 1e-9 or shifted by one step).
+func TestDriftBoundHolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	checked := 0
+	for trial := 0; trial < 400; trial++ {
+		m := []int{1, 2, 3, 5, 8, 16, 31, 64}[rng.Intn(8)]
+		xs := make([][]float64, 8)
+		for i := range xs {
+			xs[i] = degenerateSeries(m, rng)
+		}
+		batch := dist.NewSBDBatch(xs)
+		c := degenerateSeries(m, rng)
+		var next []float64
+		switch rng.Intn(4) {
+		case 0: // near-tie: a tiny nudge
+			next = append([]float64(nil), c...)
+			for i := range next {
+				next[i] += 1e-9 * rng.NormFloat64()
+			}
+		case 1: // one step of shift
+			next = ts.Shift(c, 1-2*rng.Intn(2))
+		case 2: // the same shape at another scale
+			next = append([]float64(nil), c...)
+			for i := range next {
+				next[i] *= math.Exp(rng.NormFloat64())
+			}
+		default:
+			next = degenerateSeries(m, rng)
+		}
+		drift := unitDrift(c, next)
+		q, qNext := batch.Query(c), batch.Query(next)
+		for i := range xs {
+			d, _ := q.Distance(i)
+			dNext, _ := qNext.Distance(i)
+			if dNext < d-drift-1e-12 {
+				t.Fatalf("trial %d series %d (m=%d): SBD(x, c') = %v < SBD(x, c) - drift = %v - %v",
+					trial, i, m, dNext, d, drift)
+			}
+			if !math.IsInf(drift, 1) {
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("every drift was +Inf; the bound was never tested")
+	}
+}
+
+// TestKShapePrunedPairsAccountForEveryPair pins the pruned-pair counter:
+// on a run without reseeds or an observer (whose drift SBDs add to the
+// count), every iteration's scan either evaluates or prunes each of the
+// n·k pairs, so SBD + sbd_pruned == n·k·Iterations.
+func TestKShapePrunedPairsAccountForEveryPair(t *testing.T) {
+	data, _ := twoClassShiftedData(40, 48, rand.New(rand.NewSource(3)))
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	const k = 3
+	for _, w := range []int{1, 2, 8} {
+		before := obs.ReadCounters()
+		res, err := KShapeRun(data, Config{K: k, Rand: rand.New(rand.NewSource(4)), Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := obs.ReadCounters().Sub(before)
+		if c.Reseeds != 0 {
+			t.Fatalf("workers=%d: run reseeded %d times; pick a reseed-free run", w, c.Reseeds)
+		}
+		if c.SBDPruned == 0 {
+			t.Errorf("workers=%d: nothing was pruned over %d iterations", w, res.Iterations)
+		}
+		if want := int64(len(data) * k * res.Iterations); c.SBD+c.SBDPruned != want {
+			t.Errorf("workers=%d: sbd %d + sbd_pruned %d = %d, want n·k·iterations = %d",
+				w, c.SBD, c.SBDPruned, c.SBD+c.SBDPruned, want)
+		}
+	}
+}
+
+// TestScanCentroidsPrunesOnlyProvablyFartherCentroids drives the scan
+// kernel directly: centroids whose decayed bound clears the own distance
+// are skipped and their bound decays by the drift, a capture row turns
+// pruning off and is filled in full, and a bound equal to the best
+// distance is never pruned.
+func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
+	data, _ := twoClassShiftedData(6, 32, rand.New(rand.NewSource(41)))
+	batch := dist.NewSBDBatch(data)
+	queries := []*dist.SBDQuery{batch.Query(data[0]), batch.Query(data[7]), batch.Query(data[9])}
+	sc := batch.Scratch()
+	exact := make([]float64, len(queries))
+	for j, q := range queries {
+		exact[j], _ = q.DistanceScratch(0, sc)
+	}
+	drift := []float64{0, 0.5, 0.5}
+
+	lb := []float64{0, 5, 5}
+	best, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, drift, true, nil)
+	if pruned != 2 || bestJ != 0 || best != exact[0] {
+		t.Fatalf("scan = (%v, %d, pruned %d), want (%v, 0, pruned 2)", best, bestJ, pruned, exact[0])
+	}
+	if lb[0] != exact[0] || lb[1] != 4.5 || lb[2] != 4.5 {
+		t.Errorf("bounds after the scan = %v, want [%v 4.5 4.5]", lb, exact[0])
+	}
+
+	lb = []float64{0, 5, 5}
+	capRow := make([]float64, len(queries))
+	if _, _, _, pruned := scanCentroids(queries, sc, 0, 0, lb, drift, true, capRow); pruned != 0 {
+		t.Errorf("a captured row pruned %d centroids", pruned)
+	}
+	for j := range exact {
+		if capRow[j] != exact[j] || lb[j] != exact[j] {
+			t.Errorf("captured row %v and bounds %v, want the exact distances %v", capRow, lb, exact)
+			break
+		}
+	}
+
+	// A bound that only ties the own distance must not prune: the tie
+	// rule may need the smaller index.
+	lb = []float64{exact[0], exact[0] + pruneMargin, 0}
+	if _, _, _, pruned := scanCentroids(queries, sc, 0, 2, lb, []float64{0, 0, 0}, true, nil); pruned != 0 {
+		t.Errorf("bounds within the margin pruned %d centroids", pruned)
+	}
+}
+
+// boundCheckStep wraps the k-Shape step and, after every assignment,
+// checks each stored bound against the exact SBD to its centroid.
+type boundCheckStep struct {
+	*kshapeStep
+	t      *testing.T
+	checks int
+}
+
+func (s *boundCheckStep) assign() {
+	s.kshapeStep.assign()
+	for i, x := range s.data {
+		for j, c := range s.centroids {
+			if lb, d := s.lb[i*s.k+j], dist.SBDDist(c, x); lb > d+1e-12 {
+				s.t.Fatalf("bound on SBD(x_%d, c_%d) = %v exceeds the exact %v", i, j, lb, d)
+			}
+			s.checks++
+		}
+	}
+}
+
+// TestKShapeBoundsStayBelowExactSBD checks the scan's invariant over whole
+// runs, reseeds included: after every assignment, every stored bound —
+// exact, decayed by one drift or by several — is at most the exact SBD to
+// the current centroid.
+func TestKShapeBoundsStayBelowExactSBD(t *testing.T) {
+	data, _ := twoClassShiftedData(30, 40, rand.New(rand.NewSource(43)))
+	for _, cfg := range []Config{
+		{K: 4, Rand: rand.New(rand.NewSource(44))},
+		{K: 3, InitialLabels: make([]int, len(data)), MaxIterations: 8}, // reseeds
+	} {
+		var checker *boundCheckStep
+		if _, err := iterate(data, cfg, func(r *loop) step {
+			checker = &boundCheckStep{kshapeStep: newKShapeStep(r).(*kshapeStep), t: t}
+			return checker
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if checker.checks == 0 {
+			t.Fatal("no bound was checked")
+		}
+	}
+}

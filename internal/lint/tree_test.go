@@ -38,8 +38,8 @@ var hotPathHarnesses = map[string]string{
 	"kshape/internal/ts.ShiftInto":                     "TestShiftIntoAllocFree",
 	"kshape/internal/par.sumIntRange":                  "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/par.scanExtreme":                  "TestReductionInnerLoopsAllocFree",
-	"kshape/internal/core.nearestCentroid":             "TestAssignmentScanAllocFree",
-	"kshape/internal/core.alignMembers":                "TestAlignMembersAllocFree",
+	"kshape/internal/core.scanCentroids":               "TestAssignmentScanAllocFree",
+	"kshape/internal/core.unitDrift":                   "TestAssignmentScanAllocFree",
 	"kshape/internal/core.equalFloatBits":              "TestAssignmentScanAllocFree",
 	"kshape/internal/core.isAllZero":                   "TestAssignmentScanAllocFree",
 	"(*kshape/internal/avg.shapeWork).extract":         "TestShapeExtractKernelAllocFree",

@@ -2,7 +2,8 @@
 // process-global install switches and nothing else global:
 //
 //   - SetEnabled gates the kernel counters (FFT transforms, distance
-//     evaluations, eigensolver iterations, empty-cluster reseeds): cheap
+//     evaluations and pruned pairs, eigensolver iterations, empty-cluster
+//     reseeds): cheap
 //     atomic counts read with ReadCounters. Counting is off by default, so
 //     the disabled path costs a single atomic load per instrumented call
 //     site; hot loops accumulate locally and publish once. Scope a
@@ -56,6 +57,10 @@ const (
 	// CounterReseeds counts empty-cluster re-seeding events in the
 	// refinement engine.
 	CounterReseeds
+	// CounterSBDPruned counts the (series, centroid) pairs k-Shape's
+	// assignment scan skipped with its drift bound instead of evaluating
+	// an SBD.
+	CounterSBDPruned
 
 	numCounters
 )
@@ -78,6 +83,7 @@ var counterNames = [numCounters]string{
 	"eigen_decompositions",
 	"shape_extractions",
 	"reseeds",
+	"sbd_pruned",
 }
 
 // paddedInt64 keeps each counter on its own cache line so that concurrent
@@ -129,6 +135,7 @@ type Counters struct {
 	EigenDecompositions int64 `json:"eigen_decompositions"`
 	ShapeExtractions    int64 `json:"shape_extractions"`
 	Reseeds             int64 `json:"reseeds"`
+	SBDPruned           int64 `json:"sbd_pruned"`
 }
 
 // ReadCounters snapshots the current counter values.
@@ -143,6 +150,7 @@ func ReadCounters() Counters {
 		EigenDecompositions: counters[CounterEigenDecompositions].v.Load(),
 		ShapeExtractions:    counters[CounterShapeExtractions].v.Load(),
 		Reseeds:             counters[CounterReseeds].v.Load(),
+		SBDPruned:           counters[CounterSBDPruned].v.Load(),
 	}
 }
 
@@ -159,6 +167,7 @@ func (c Counters) Sub(prev Counters) Counters {
 		EigenDecompositions: c.EigenDecompositions - prev.EigenDecompositions,
 		ShapeExtractions:    c.ShapeExtractions - prev.ShapeExtractions,
 		Reseeds:             c.Reseeds - prev.Reseeds,
+		SBDPruned:           c.SBDPruned - prev.SBDPruned,
 	}
 }
 
@@ -175,11 +184,13 @@ func (c Counters) Each(fn func(name string, value int64)) {
 	fn("eigen_decompositions", c.EigenDecompositions)
 	fn("shape_extractions", c.ShapeExtractions)
 	fn("reseeds", c.Reseeds)
+	fn("sbd_pruned", c.SBDPruned)
 }
 
 // Total returns the sum of every counter — a quick "did anything get
 // measured" check.
 func (c Counters) Total() int64 {
 	return c.FFT + c.IFFT + c.SBD + c.ED + c.DTW +
-		c.EigenIterations + c.EigenDecompositions + c.ShapeExtractions + c.Reseeds
+		c.EigenIterations + c.EigenDecompositions + c.ShapeExtractions + c.Reseeds +
+		c.SBDPruned
 }

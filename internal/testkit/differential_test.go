@@ -66,6 +66,7 @@ func TestOracleRegistry(t *testing.T) {
 		"lbkeogh/bound-chain",
 		"eigen/power-vs-ql",
 		"shape/power-vs-ql",
+		"core/kshape-vs-lloyd",
 		"par/sum-serial-vs-parallel",
 		"par/minmax-serial-vs-parallel",
 		"pairwise/serial-vs-parallel",

@@ -3,11 +3,14 @@ package testkit
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"kshape/internal/avg"
+	"kshape/internal/core"
 	"kshape/internal/dist"
 	"kshape/internal/fft"
 	"kshape/internal/linalg"
+	"kshape/internal/obs"
 	"kshape/internal/par"
 	"kshape/internal/ts"
 )
@@ -27,8 +30,9 @@ type OraclePair struct {
 // Pairs returns the full oracle registry. Every optimized code path in the
 // tree — FFT cross-correlation, the three SBD variants, the shared-spectra
 // batch, banded rolling-row DTW, LB_Keogh, power iteration, shape
-// extraction, and each parallel reduction — has an entry here; the
-// differential test drives each entry across many seeds.
+// extraction, the pruned k-Shape step, and each parallel reduction — has
+// an entry here; the differential test drives each entry across many
+// seeds.
 func Pairs() []OraclePair {
 	return []OraclePair{
 		{
@@ -120,6 +124,12 @@ func Pairs() []OraclePair {
 			Doc:  "shape extraction (factored and dense power iteration) matches a dense Gram + full-decomposition rebuild",
 			Tol:  DefaultTol,
 			Run:  runShapeExtraction,
+		},
+		{
+			Name: "core/kshape-vs-lloyd",
+			Doc:  "KShapeRun (cached spectra, settled skip, reused shifts, drift-bound pruning) equals Lloyd with SBD and ShapeExtraction bit for bit, at every worker count",
+			Tol:  0,
+			Run:  runKShapeVsLloyd,
 		},
 		{
 			Name: "par/sum-serial-vs-parallel",
@@ -755,6 +765,89 @@ func runShapeExtraction(g *Gen) error {
 	got := avg.ShapeExtractionAligned(cluster)
 	want := refShapeExtraction(cluster)
 	return CheckSlice(fmt.Sprintf("ShapeExtraction (n=%d, m=%d)", n, m), got, want, DefaultTol)
+}
+
+// shiftedClasses returns 2-4 classes of noisy, randomly shifted copies of
+// one base shape each, plus a few degenerate rows (zeros, constants,
+// spikes): the out-of-phase geometry k-Shape targets, with the corners
+// SBD special-cases mixed in.
+func shiftedClasses(g *Gen) [][]float64 {
+	m := 8 + g.Intn(57)
+	var data [][]float64
+	for c := 2 + g.Intn(3); c > 0; c-- {
+		for _, x := range g.Cluster(4+g.Intn(9), m) {
+			data = append(data, ts.Shift(x, g.Intn(m/4+1)-m/8))
+		}
+	}
+	for d := 1 + g.Intn(3); d > 0; d-- {
+		data = append(data, g.Series(m))
+	}
+	return data
+}
+
+func runKShapeVsLloyd(g *Gen) error {
+	data := shiftedClasses(g)
+	k := 3 + g.Intn(2)
+	cases := []struct {
+		name string
+		cfg  func() core.Config
+	}{
+		// Every series starts in cluster 0, so the first assignment
+		// leaves clusters empty and reseedEmptyClusters must move series.
+		{"reseeds", func() core.Config {
+			return core.Config{K: k, MaxIterations: 6, InitialLabels: make([]int, len(data))}
+		}},
+		{"to-convergence", func() core.Config {
+			return core.Config{K: k, Rand: rand.New(rand.NewSource(g.Seed))}
+		}},
+	}
+	for _, tc := range cases {
+		reseeds := 0
+		ref := tc.cfg()
+		ref.OnIteration = func(s obs.IterationStats) { reseeds += s.Reseeds }
+		want, err := core.Lloyd(data, ref, dist.SBDDist, avg.ShapeExtraction)
+		if err != nil {
+			return fmt.Errorf("%s: Lloyd: %v", tc.name, err)
+		}
+		if tc.name == "reseeds" && reseeds == 0 {
+			return fmt.Errorf("%s (n=%d, k=%d): the reference run never reseeded", tc.name, len(data), k)
+		}
+		for _, w := range []int{1, 2, 8} {
+			cfg := tc.cfg()
+			cfg.Workers = w
+			got, err := core.KShapeRun(data, cfg)
+			if err != nil {
+				return fmt.Errorf("%s: KShapeRun: %v", tc.name, err)
+			}
+			if err := sameResult(fmt.Sprintf("%s (n=%d, m=%d, k=%d, workers=%d)", tc.name, len(data), len(data[0]), k, w), got, want); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sameResult reports the first difference between two clusterings: the
+// iteration count, convergence, labels, or any bit of the inertia or the
+// centroids.
+func sameResult(name string, got, want *core.Result) error {
+	if got.Iterations != want.Iterations || got.Converged != want.Converged {
+		return fmt.Errorf("%s: iterations/converged = %d/%v, want %d/%v", name, got.Iterations, got.Converged, want.Iterations, want.Converged)
+	}
+	for i := range want.Labels {
+		if err := CheckInt(fmt.Sprintf("%s label[%d]", name, i), got.Labels[i], want.Labels[i]); err != nil {
+			return err
+		}
+	}
+	if err := CheckScalar(name+" inertia", got.Inertia, want.Inertia, 0); err != nil {
+		return err
+	}
+	for j := range want.Centroids {
+		if err := CheckSlice(fmt.Sprintf("%s centroid %d", name, j), got.Centroids[j], want.Centroids[j], 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // workerCounts are the parallelism degrees every exact pair is checked at,

@@ -432,7 +432,7 @@ func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, me
 // in the error.
 func checkSeries(what string, rows [][]float64, m int) error {
 	if m == 0 {
-		return fmt.Errorf("kshape: %s have length 0", what)
+		return fmt.Errorf("kshape: %s 0 has length 0", what)
 	}
 	for i, x := range rows {
 		if len(x) != m {
@@ -451,7 +451,24 @@ func checkSeries(what string, rows [][]float64, m int) error {
 // enabling out-of-sample extension of a clustering. Queries are
 // z-normalized first unless skipNormalization. Queries run in parallel
 // across all CPUs; the assignment is deterministic regardless.
+//
+// Every returned label is in [0, len(centroids)). Input that cannot have
+// a nearest centroid is a programming error, and Predict panics with a
+// "kshape:" message that names the offending centroid or query and the
+// reason: no centroids, a centroid or query whose length differs from
+// centroids[0] (or is 0), a NaN or ±Inf value, or a query whose values
+// are so large that its SBD to every centroid overflows.
 func Predict(centroids [][]float64, queries [][]float64, skipNormalization bool) []int {
+	if len(centroids) == 0 {
+		panic("kshape: Predict needs at least one centroid")
+	}
+	m := len(centroids[0])
+	if err := checkSeries("centroid", centroids, m); err != nil {
+		panic(err.Error())
+	}
+	if err := checkSeries("query", queries, m); err != nil {
+		panic(err.Error())
+	}
 	qs := queries
 	if !skipNormalization {
 		qs = make([][]float64, len(queries))
@@ -459,5 +476,11 @@ func Predict(centroids [][]float64, queries [][]float64, skipNormalization bool)
 			qs[i] = ts.ZNormalize(q)
 		}
 	}
-	return dist.NearestIndices(dist.SBDMeasure{}, centroids, qs, 0)
+	out := dist.NearestIndices(dist.SBDMeasure{}, centroids, qs, 0)
+	for i, idx := range out {
+		if idx < 0 {
+			panic(fmt.Sprintf("kshape: query %d has no finite SBD to any centroid (its values overflow)", i))
+		}
+	}
+	return out
 }

@@ -222,6 +222,43 @@ func TestPredict(t *testing.T) {
 	_ = truth
 }
 
+// TestPredictPanicsOnBadInput pins Predict's boundary: input with no
+// nearest centroid panics with a kshape: message naming the row and the
+// reason, instead of panicking inside the distance kernel or returning
+// label -1.
+func TestPredictPanicsOnBadInput(t *testing.T) {
+	centroids := [][]float64{{1, 2, 3, 4}, {4, 3, 2, 1}}
+	huge := []float64{1.5e308, -1.7e308, 1.7e308, 1.6e308}
+	cases := []struct {
+		name      string
+		centroids [][]float64
+		queries   [][]float64
+		skipNorm  bool
+		want      string
+	}{
+		{"no-centroids", nil, [][]float64{{1, 2}}, false, "needs at least one centroid"},
+		{"short-query", centroids, [][]float64{{1, 2, 3, 4}, {1, 2}}, false, "query 1 has length 2, want 4"},
+		{"long-query", centroids, [][]float64{{1, 2, 3, 4, 5}}, false, "query 0 has length 5, want 4"},
+		{"nan-query", centroids, [][]float64{{1, math.NaN(), 3, 4}}, false, "query 0 has a non-finite value at position 1"},
+		{"inf-query", centroids, [][]float64{{1, 2, 3, 4}, {1, 2, math.Inf(-1), 4}}, true, "query 1 has a non-finite value at position 2"},
+		{"ragged-centroids", [][]float64{{1, 2, 3, 4}, {1, 2, 3}}, [][]float64{{1, 2, 3, 4}}, false, "centroid 1 has length 3, want 4"},
+		{"nan-centroid", [][]float64{{1, 2, 3, 4}, {math.NaN(), 2, 3, 4}}, [][]float64{{1, 2, 3, 4}}, false, "centroid 1 has a non-finite value at position 0"},
+		{"empty-centroids", [][]float64{{}}, [][]float64{{}}, false, "centroid 0 has length 0"},
+		{"overflowing-query", centroids, [][]float64{{1, 2, 3, 4}, huge}, true, "query 1 has no finite SBD to any centroid"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "kshape:") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic = %q, want a kshape: message containing %q", msg, tc.want)
+				}
+			}()
+			Predict(tc.centroids, tc.queries, tc.skipNorm)
+		})
+	}
+}
+
 func TestClusterMaxIterations(t *testing.T) {
 	data, _ := twoShapeClasses(15, 32, 14)
 	res, err := Cluster(data, 2, Options{Seed: 15, MaxIterations: 1})
