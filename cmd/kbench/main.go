@@ -4,9 +4,9 @@
 // Usage:
 //
 //	kbench [-datasets N] [-runs R] [-spectral-runs S] [-seed X] [-v]
-//	       [-metrics out.json] [-cpuprofile cpu.out] [-memprofile mem.out]
-//	       [-listen :9090] [-log-level info] [-log-json] [-version]
-//	       <experiment>...
+//	       [-workers W] [-report run.json] [-cpuprofile cpu.out]
+//	       [-memprofile mem.out] [-listen :9090] [-log-level info]
+//	       [-log-json] [-version] <experiment>...
 //
 // Experiments: table2, table3, table4, fig2, fig3, fig4, fig5, fig6, fig7,
 // fig8, fig9, fig10, fig11, fig12, ablations, table2x, kestimation,
@@ -16,11 +16,14 @@
 // figure experiments print the series/CSV data behind each plot. See
 // EXPERIMENTS.md for the paper-vs-measured comparison.
 //
-// -metrics writes a structured JSON report of the run: kernel counters (FFT
-// transforms, SBD/ED/DTW evaluations, eigensolver iterations), hierarchical
-// phase timings, and one record per (method, dataset) unit of work,
-// including per-iteration inertia/churn trajectories for the iterative
-// clustering methods. -cpuprofile/-memprofile capture runtime/pprof
+// -report writes the kshape.runreport/v1 flight-recorder report of the
+// run: kernel counters (FFT transforms, SBD/ED/DTW evaluations, eigensolver
+// iterations), phase latency histograms, per-worker attribution, and one
+// record per (method, dataset, restart) unit of work in "runs", including
+// per-iteration inertia/churn trajectories for the iterative clustering
+// methods. A record carries its own kernel-counter delta only with
+// -workers 1, where units run one at a time. Each experiment's wall time
+// is logged at info level. -cpuprofile/-memprofile capture runtime/pprof
 // profiles of the same run.
 //
 // -listen ADDR serves live telemetry while the experiments execute:
@@ -41,7 +44,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"kshape/internal/cli"
@@ -82,10 +84,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "base random seed")
 	verbose := fs.Bool("v", false, "log one structured progress record per completed unit of work to stderr")
 	svgDir := fs.String("svgdir", "", "also write the scatter/rank/runtime figures as SVG files into this directory")
-	metricsPath := fs.String("metrics", "", "write a JSON metrics report (kernel counters, phase timings, per-run records) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a runtime/pprof heap profile to this file at exit")
-	workers := fs.Int("workers", runtime.NumCPU(), "max concurrent dataset workers per sweep (1 = serial; results are identical for any value; ignored with -metrics, which runs serially so counter deltas stay attributable to one run)")
+	workers := fs.Int("workers", runtime.NumCPU(), "max concurrent dataset workers per sweep (1 = serial; results are identical for any value; -report's per-run records carry counter deltas only at 1)")
 	var common cli.Common
 	common.Register(fs)
 	common.RegisterListen(fs)
@@ -103,18 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("no experiment named; choose from: %s, all", strings.Join(experimentNames, " "))
-	}
-	// -metrics forces serial sweeps for counter attribution; warn when the
-	// user explicitly asked for parallelism that will be ignored.
-	workersSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
-	if *metricsPath != "" && workersSet && *workers > 1 {
-		logger.Warn("-metrics runs dataset sweeps serially so per-run counter deltas stay attributable; explicit -workers is ignored",
-			"workers", *workers)
 	}
 
 	cfg := experiments.ReducedConfig(*nDatasets)
@@ -162,42 +151,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// With -metrics, enable the kernel counters for the duration of the
-	// run and collect per-run records plus a phase-span trace.
-	var collector *obs.Collector
-	var trace *obs.Trace
-	var countersBefore obs.Counters
-	if *metricsPath != "" {
-		collector = obs.NewCollector()
-		cfg.Metrics = collector
-		prev := obs.SetEnabled(true)
-		defer obs.SetEnabled(prev)
-		countersBefore = obs.ReadCounters()
-		trace = obs.NewTrace("kbench")
-	}
-	// phase wraps one experiment's computation in a trace span and
-	// propagates the write error of any report the body renders.
-	phase := func(name string, fn func() error) error {
-		if trace == nil {
-			return fn()
-		}
-		sp := trace.Root().Child(name)
-		err := fn()
-		sp.End()
-		return err
-	}
-
-	// Experiments share intermediate results: Table 2 feeds figs 5-6,
-	// Tables 3-4 feed figs 7-9.
-	var t2 *experiments.Table2Result
-	needT2 := want["table2"] || want["fig5"] || want["fig6"]
-	var t3 *experiments.Table3Result
-	needT3 := want["table3"] || want["fig7"] || want["fig8"] || want["fig9"]
-	var t4 *experiments.Table4Result
-	needT4 := want["table4"] || want["fig9"]
-
-	section := func(name string) {
-		cli.Emit(stdout, "\n==== %s ====\n", name)
+	// timed logs one experiment's wall time under the run_id the run
+	// report carries.
+	timed := func(name string, sw obs.Stopwatch) {
+		logger.Info("experiment done", "experiment", name, "seconds", sw.Seconds())
 	}
 	writeSVG := func(name string, data []byte) {
 		if *svgDir == "" {
@@ -214,76 +171,58 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		logger.Info("wrote figure", "path", path)
 	}
+	// runtimeLines renders one Fig. 12 sweep as an SVG line chart.
+	runtimeLines := func(file, title, xName string, pts []experiments.Fig12Point, x func(experiments.Fig12Point) int) {
+		if len(pts) == 0 {
+			return
+		}
+		xs, kshapeS, kavgS := make([]float64, len(pts)), make([]float64, len(pts)), make([]float64, len(pts))
+		for i, p := range pts {
+			xs[i], kshapeS[i], kavgS[i] = float64(x(p)), p.KShapeSeconds, p.KAvgEDSeconds
+		}
+		writeSVG(file, plot.Lines(title, xName, "seconds", xs, map[string][]float64{"k-Shape": kshapeS, "k-AVG+ED": kavgS}))
+	}
 	sw := obs.NewStopwatch()
 
-	if needT2 {
-		if err := phase("table2", func() error {
-			r := experiments.Table2(cfg)
-			t2 = &r
-			return nil
-		}); err != nil {
-			return err
-		}
+	// Experiments share intermediate results: Table 2 feeds figs 5-6,
+	// Tables 3-4 feed figs 7-9. The tables are computed first, each timed
+	// under its own name.
+	var t2 experiments.Table2Result
+	var t3 experiments.Table3Result
+	var t4 experiments.Table4Result
+	if want["table2"] || want["fig5"] || want["fig6"] {
+		tsw := obs.NewStopwatch()
+		t2 = experiments.Table2(cfg)
+		timed("table2", tsw)
 	}
-	if needT3 {
-		if err := phase("table3", func() error {
-			r := experiments.Table3(cfg)
-			t3 = &r
-			return nil
-		}); err != nil {
-			return err
-		}
+	if want["table3"] || want["fig7"] || want["fig8"] || want["fig9"] {
+		tsw := obs.NewStopwatch()
+		t3 = experiments.Table3(cfg)
+		timed("table3", tsw)
 	}
-	if needT4 {
-		if err := phase("table4", func() error {
-			r := experiments.Table4(cfg)
-			t4 = &r
-			return nil
-		}); err != nil {
-			return err
-		}
+	if want["table4"] || want["fig9"] {
+		tsw := obs.NewStopwatch()
+		t4 = experiments.Table4(cfg)
+		timed("table4", tsw)
 	}
 
-	if want["table2"] {
-		section("Table 2")
-		if err := experiments.WriteTable2(stdout, *t2); err != nil {
-			return err
-		}
-	}
-	if want["table3"] {
-		section("Table 3")
-		if err := experiments.WriteClusterTable(stdout, "Table 3: k-means variants vs k-AVG+ED (Rand Index)", t3.Baseline, t3.Rows, true); err != nil {
-			return err
-		}
-	}
-	if want["table4"] {
-		section("Table 4")
-		if err := experiments.WriteClusterTable(stdout, "Table 4: non-scalable methods vs k-AVG+ED (Rand Index)", t4.Baseline, t4.Rows, false); err != nil {
-			return err
-		}
-	}
-	if want["fig2"] {
-		section("Figure 2")
-		if err := phase("fig2", func() error { return experiments.WriteFig2(stdout, experiments.Fig2(cfg)) }); err != nil {
-			return err
-		}
-	}
-	if want["fig3"] {
-		section("Figure 3")
-		if err := phase("fig3", func() error { return experiments.WriteFig3(stdout, experiments.Fig3(cfg)) }); err != nil {
-			return err
-		}
-	}
-	if want["fig4"] {
-		section("Figure 4")
-		if err := phase("fig4", func() error { return experiments.WriteFig4(stdout, experiments.Fig4(cfg)) }); err != nil {
-			return err
-		}
-	}
-	if want["fig5"] {
-		section("Figure 5")
-		if err := phase("fig5", func() error {
-			f5 := experiments.Fig5(cfg, *t2)
+	// Each wanted step prints its section, in the paper's order.
+	steps := []struct {
+		name, title string
+		run         func() error
+	}{
+		{"table2", "Table 2", func() error { return experiments.WriteTable2(stdout, t2) }},
+		{"table3", "Table 3", func() error {
+			return experiments.WriteClusterTable(stdout, "Table 3: k-means variants vs k-AVG+ED (Rand Index)", t3.Baseline, t3.Rows, true)
+		}},
+		{"table4", "Table 4", func() error {
+			return experiments.WriteClusterTable(stdout, "Table 4: non-scalable methods vs k-AVG+ED (Rand Index)", t4.Baseline, t4.Rows, false)
+		}},
+		{"fig2", "Figure 2", func() error { return experiments.WriteFig2(stdout, experiments.Fig2(cfg)) }},
+		{"fig3", "Figure 3", func() error { return experiments.WriteFig3(stdout, experiments.Fig3(cfg)) }},
+		{"fig4", "Figure 4", func() error { return experiments.WriteFig4(stdout, experiments.Fig4(cfg)) }},
+		{"fig5", "Figure 5", func() error {
+			f5 := experiments.Fig5(cfg, t2)
 			if err := experiments.WriteScatter(stdout, "Figure 5a: SBD vs ED (1-NN accuracy)", "ED", "SBD", f5.Names, f5.ED, f5.SBD); err != nil {
 				return err
 			}
@@ -293,27 +232,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 			writeSVG("fig5a.svg", plot.Scatter("SBD vs ED (1-NN accuracy)", "ED", "SBD", f5.ED, f5.SBD, 0.3, 1.0))
 			writeSVG("fig5b.svg", plot.Scatter("SBD vs DTW (1-NN accuracy)", "DTW", "SBD", f5.DTW, f5.SBD, 0.3, 1.0))
 			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want["fig6"] {
-		section("Figure 6")
-		if err := phase("fig6", func() error {
-			f6 := experiments.Fig6(cfg, *t2)
+		}},
+		{"fig6", "Figure 6", func() error {
+			f6 := experiments.Fig6(cfg, t2)
 			if err := experiments.WriteRanks(stdout, "Figure 6: distance-measure average ranks (Friedman + Nemenyi)", f6); err != nil {
 				return err
 			}
 			writeSVG("fig6.svg", plot.CDRanks("Distance-measure ranks", f6.Names, f6.AvgRanks, f6.CD, f6.Groups))
 			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want["fig7"] {
-		section("Figure 7")
-		if err := phase("fig7", func() error {
-			f7 := experiments.Fig7(cfg, *t3)
+		}},
+		{"fig7", "Figure 7", func() error {
+			f7 := experiments.Fig7(cfg, t3)
 			if err := experiments.WriteScatter(stdout, "Figure 7a: k-Shape vs KSC (Rand Index)", "KSC", "k-Shape", f7.Names, f7.KSC, f7.KShape); err != nil {
 				return err
 			}
@@ -323,147 +252,71 @@ func run(args []string, stdout, stderr io.Writer) error {
 			writeSVG("fig7a.svg", plot.Scatter("k-Shape vs KSC (Rand Index)", "KSC", "k-Shape", f7.KSC, f7.KShape, 0.3, 1.0))
 			writeSVG("fig7b.svg", plot.Scatter("k-Shape vs k-DBA (Rand Index)", "k-DBA", "k-Shape", f7.KDBA, f7.KShape, 0.3, 1.0))
 			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want["fig8"] {
-		section("Figure 8")
-		if err := phase("fig8", func() error {
-			f8 := experiments.Fig8(cfg, *t3)
+		}},
+		{"fig8", "Figure 8", func() error {
+			f8 := experiments.Fig8(cfg, t3)
 			if err := experiments.WriteRanks(stdout, "Figure 8: k-means-variant average ranks (Friedman + Nemenyi)", f8); err != nil {
 				return err
 			}
 			writeSVG("fig8.svg", plot.CDRanks("k-means-variant ranks", f8.Names, f8.AvgRanks, f8.CD, f8.Groups))
 			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want["fig9"] {
-		section("Figure 9")
-		if err := phase("fig9", func() error {
-			f9 := experiments.Fig9(cfg, *t3, *t4)
+		}},
+		{"fig9", "Figure 9", func() error {
+			f9 := experiments.Fig9(cfg, t3, t4)
 			if err := experiments.WriteRanks(stdout, "Figure 9: methods beating k-AVG+ED, average ranks (Friedman + Nemenyi)", f9); err != nil {
 				return err
 			}
 			writeSVG("fig9.svg", plot.CDRanks("Methods beating k-AVG+ED", f9.Names, f9.AvgRanks, f9.CD, f9.Groups))
 			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want["fig10"] {
-		section("Figure 10")
-		if err := phase("fig10", func() error {
+		}},
+		{"fig10", "Figure 10", func() error {
 			return experiments.WriteAppendixA(stdout, experiments.AppendixA(cfg, experiments.NormOptimalScaling))
-		}); err != nil {
-			return err
-		}
-	}
-	if want["fig11"] {
-		section("Figure 11")
-		if err := phase("fig11", func() error {
+		}},
+		{"fig11", "Figure 11", func() error {
 			if err := experiments.WriteAppendixA(stdout, experiments.AppendixA(cfg, experiments.NormValues01)); err != nil {
 				return err
 			}
 			return experiments.WriteAppendixA(stdout, experiments.AppendixA(cfg, experiments.NormZScore))
-		}); err != nil {
-			return err
-		}
-	}
-	if want["fig12"] {
-		section("Figure 12")
-		if err := phase("fig12", func() error {
+		}},
+		{"fig12", "Figure 12", func() error {
 			f12 := experiments.Fig12(cfg)
 			if err := experiments.WriteFig12(stdout, f12); err != nil {
 				return err
 			}
-			if len(f12.VaryN) > 0 {
-				xs := make([]float64, len(f12.VaryN))
-				kshapeS := make([]float64, len(f12.VaryN))
-				kavgS := make([]float64, len(f12.VaryN))
-				for i, p := range f12.VaryN {
-					xs[i] = float64(p.N)
-					kshapeS[i] = p.KShapeSeconds
-					kavgS[i] = p.KAvgEDSeconds
-				}
-				writeSVG("fig12a.svg", plot.Lines("Runtime vs number of series (CBF)", "n", "seconds", xs,
-					map[string][]float64{"k-Shape": kshapeS, "k-AVG+ED": kavgS}))
-			}
-			if len(f12.VaryM) > 0 {
-				xs := make([]float64, len(f12.VaryM))
-				kshapeS := make([]float64, len(f12.VaryM))
-				kavgS := make([]float64, len(f12.VaryM))
-				for i, p := range f12.VaryM {
-					xs[i] = float64(p.M)
-					kshapeS[i] = p.KShapeSeconds
-					kavgS[i] = p.KAvgEDSeconds
-				}
-				writeSVG("fig12b.svg", plot.Lines("Runtime vs series length (CBF)", "m", "seconds", xs,
-					map[string][]float64{"k-Shape": kshapeS, "k-AVG+ED": kavgS}))
-			}
+			runtimeLines("fig12a.svg", "Runtime vs number of series (CBF)", "n", f12.VaryN, func(p experiments.Fig12Point) int { return p.N })
+			runtimeLines("fig12b.svg", "Runtime vs series length (CBF)", "m", f12.VaryM, func(p experiments.Fig12Point) int { return p.M })
 			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want["ablations"] {
-		section("Ablations")
-		if err := phase("ablations", func() error {
+		}},
+		{"ablations", "Ablations", func() error {
 			ab := experiments.Ablations(cfg)
 			return experiments.WriteClusterTable(stdout,
 				"Design-choice ablations vs full k-Shape (Rand Index)", ab.Rows[0], ab.Rows, true)
-		}); err != nil {
-			return err
-		}
-	}
-	if want["table2x"] {
-		section("Table 2 extended")
-		if err := phase("table2x", func() error {
+		}},
+		{"table2x", "Table 2 extended", func() error {
 			return experiments.WriteTable2(stdout, experiments.Table2Extended(cfg))
-		}); err != nil {
-			return err
-		}
-	}
-	if want["kestimation"] {
-		section("k estimation")
-		if err := phase("kestimation", func() error {
+		}},
+		{"kestimation", "k estimation", func() error {
 			return experiments.WriteKEstimation(stdout, experiments.KEstimation(cfg))
-		}); err != nil {
+		}},
+		{"datasets", "Datasets", func() error {
+			return experiments.WriteDatasetInventory(stdout, experiments.Inventory(cfg))
+		}},
+	}
+	for i, st := range steps {
+		if !want[st.name] {
+			continue
+		}
+		cli.Emit(stdout, "\n==== %s ====\n", st.title)
+		ssw := obs.NewStopwatch()
+		// A step's error is the write error of the report it renders.
+		if err := st.run(); err != nil {
 			return err
 		}
-	}
-	if want["datasets"] {
-		section("Datasets")
-		if err := phase("datasets", func() error {
-			return experiments.WriteDatasetInventory(stdout, experiments.Inventory(cfg))
-		}); err != nil {
-			return err
+		if i >= 3 { // the first three print the tables timed above
+			timed(st.name, ssw)
 		}
 	}
 
-	if *metricsPath != "" {
-		names := make([]string, 0, len(want))
-		for e := range want {
-			names = append(names, e)
-		}
-		sort.Strings(names)
-		report := collector.BuildReport("kbench", args, names,
-			obs.ReadCounters().Sub(countersBefore), trace.Finish())
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			_ = f.Close() // surfacing the write error matters more
-			return fmt.Errorf("metrics: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		logger.Info("wrote metrics report", "path", *metricsPath)
-	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"kshape/internal/obs"
 )
 
 func TestRunRequiresExperiment(t *testing.T) {
@@ -79,112 +76,6 @@ func TestRunUnknownExperiment(t *testing.T) {
 	for _, want := range []string{"table2", "fig12", "kestimation", "all"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error does not list valid name %q: %v", want, err)
-		}
-	}
-}
-
-// TestRunMetricsReport is the acceptance check for -metrics: a reduced
-// table2+table3 run must produce a JSON report with per-method kernel
-// counters, phase spans, and per-iteration convergence trajectories for the
-// iterative clustering methods.
-func TestRunMetricsReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full table2+table3 sweep is slow")
-	}
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	var out, errBuf bytes.Buffer
-	err := run([]string{"-datasets", "1", "-runs", "1", "-spectral-runs", "1",
-		"-metrics", path, "table2", "table3"}, &out, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report obs.Report
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("metrics file is not valid report JSON: %v", err)
-	}
-
-	if report.Tool != "kbench" {
-		t.Errorf("tool = %q, want kbench", report.Tool)
-	}
-	if want := []string{"table2", "table3"}; len(report.Experiments) != 2 ||
-		report.Experiments[0] != want[0] || report.Experiments[1] != want[1] {
-		t.Errorf("experiments = %v, want %v", report.Experiments, want)
-	}
-
-	// Global counters: table2 exercises ED, DTW and the FFT-backed SBD;
-	// table3's k-Shape runs drive the eigensolver.
-	c := report.Counters
-	if c.FFT == 0 || c.SBD == 0 || c.ED == 0 || c.DTW == 0 || c.EigenIterations == 0 {
-		t.Errorf("expected nonzero fft/sbd/ed/dtw/eigen counters, got %+v", c)
-	}
-
-	// Phase spans for both experiments, with real durations.
-	if report.Phases == nil {
-		t.Fatal("report has no phase spans")
-	}
-	for _, name := range []string{"table2", "table3"} {
-		sp := report.Phases.Find(name)
-		if sp == nil {
-			t.Errorf("no phase span %q", name)
-			continue
-		}
-		if sp.DurationNS <= 0 {
-			t.Errorf("phase %q has duration %d", name, sp.DurationNS)
-		}
-	}
-
-	// Per-run records from both score kinds.
-	kinds := map[string]bool{}
-	perMethod := map[string]obs.Counters{}
-	var kshapeRuns []obs.RunRecord
-	for _, r := range report.Runs {
-		kinds[r.ScoreKind] = true
-		agg := perMethod[r.Method]
-		perMethod[r.Method] = obs.Counters{
-			FFT: agg.FFT + r.Counters.FFT,
-			SBD: agg.SBD + r.Counters.SBD,
-			ED:  agg.ED + r.Counters.ED,
-			DTW: agg.DTW + r.Counters.DTW,
-		}
-		if r.Method == "k-Shape" {
-			kshapeRuns = append(kshapeRuns, r)
-		}
-	}
-	if !kinds["accuracy_1nn"] || !kinds["rand_index"] {
-		t.Errorf("score kinds = %v, want both accuracy_1nn and rand_index", kinds)
-	}
-	if perMethod["SBD"].SBD == 0 {
-		t.Error("table2 SBD row recorded no SBD evaluations")
-	}
-	if perMethod["ED"].ED == 0 {
-		t.Error("table2 ED row recorded no ED evaluations")
-	}
-	if len(kshapeRuns) == 0 {
-		t.Fatal("no k-Shape run records from table3")
-	}
-	for _, r := range kshapeRuns {
-		if len(r.Trajectory) == 0 {
-			t.Fatalf("k-Shape run on %s has no iteration trajectory", r.Dataset)
-		}
-		if len(r.Trajectory) != r.Iterations {
-			t.Errorf("k-Shape run on %s: %d trajectory entries, %d iterations",
-				r.Dataset, len(r.Trajectory), r.Iterations)
-		}
-		for i, it := range r.Trajectory {
-			if it.Iteration != i+1 {
-				t.Errorf("trajectory entry %d numbered %d", i, it.Iteration)
-			}
-			if it.Inertia < 0 {
-				t.Errorf("negative inertia %g at iteration %d", it.Inertia, it.Iteration)
-			}
-		}
-		if r.Counters.FFT == 0 {
-			t.Errorf("k-Shape run on %s recorded no FFT work", r.Dataset)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // -timeline, on tools that support per-run reports (kshape, kbench, knn).
 func (c *Common) RegisterReport(fs *flag.FlagSet) {
 	fs.StringVar(&c.ReportPath, "report", "",
-		"write a self-contained JSON run report ("+obs.RunReportSchema+") to this file: phase histograms, per-worker busy/wait attribution, runtime samples, and the event timeline")
+		"write a self-contained JSON run report ("+obs.RunReportSchema+") to this file: phase histograms, per-worker busy/wait attribution, runtime samples, the event timeline, and kbench's per-run records")
 	fs.StringVar(&c.TimelinePath, "timeline", "",
 		"render the run's execution timeline (workers × time SVG) to this file; implies flight recording")
 }

@@ -130,16 +130,16 @@ func finishRow(row *ClusterRow, baseline ClusterRow) {
 
 // runClusterer evaluates one scalable clusterer across all datasets,
 // averaging the Rand Index over runs random restarts. Datasets execute in
-// parallel (serially when Config.Metrics is set, so counter deltas stay
-// attributable to one run); seeding is deterministic per (dataset, run).
+// parallel; seeding is deterministic per (dataset, run).
 func runClusterer(cfg Config, c cluster.Clusterer, runs int) ClusterRow {
 	datasets := cfg.Datasets
 	row := ClusterRow{Name: c.Name(), RandIndexes: make([]float64, len(datasets))}
 	if runs < 1 {
 		runs = 1
 	}
+	meter := cfg.runMeter()
 	sw := obs.NewStopwatch()
-	evalDataset := func(d int) {
+	cfg.parallelOver(len(datasets), func(d int) {
 		ds := datasets[d]
 		data := ts.Rows(ds.All())
 		truth := ts.Labels(ds.All())
@@ -147,7 +147,7 @@ func runClusterer(cfg Config, c cluster.Clusterer, runs int) ClusterRow {
 		count := 0
 		for r := 0; r < runs; r++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(d)*1000 + int64(r)))
-			ri, ok := observedRun(cfg, c, data, truth, ds.Name, ds.K, r, rng)
+			ri, ok := observedRun(meter, c, data, truth, ds.Name, ds.K, r, rng)
 			if !ok {
 				continue
 			}
@@ -160,58 +160,36 @@ func runClusterer(cfg Config, c cluster.Clusterer, runs int) ClusterRow {
 		if count > 0 {
 			row.RandIndexes[d] = sum / float64(count)
 		}
-	}
-	if cfg.Metrics != nil {
-		for d := range datasets {
-			evalDataset(d)
-		}
-	} else {
-		cfg.parallelOver(len(datasets), evalDataset)
-	}
+	})
 	row.Runtime = sw.Elapsed()
 	cfg.progress("clustering sweep done", "method", c.Name(), "seconds", row.Runtime.Seconds(), "avg_rand_index", Mean(row.RandIndexes))
 	return row
 }
 
-// observedRun executes one clustering run, recording a RunRecord (wall
-// time, Rand Index, counter delta, iteration trajectory) when metrics
-// collection is on. It returns the run's Rand Index.
-func observedRun(cfg Config, c cluster.Clusterer, data [][]float64, truth []int, dsName string, k, run int, rng *rand.Rand) (float64, bool) {
-	// Individual runs stay serial (Workers: 1): without Metrics the sweep
-	// already parallelizes across datasets, and with Metrics a serial run
-	// keeps the counter deltas and per-phase timings attributable to one
-	// run at a time.
-	if cfg.Metrics == nil {
-		res, err := cluster.Run(c, data, core.Config{K: k, Rand: rng, Workers: 1})
-		if err != nil {
-			return 0, false
-		}
-		return eval.RandIndex(res.Labels, truth), true
-	}
+// observedRun executes one clustering run on one worker (the sweep
+// parallelizes across datasets) and returns its Rand Index. With a
+// recorder it appends the run's record, including the per-iteration
+// trajectory.
+func observedRun(meter runMeter, c cluster.Clusterer, data [][]float64, truth []int, dsName string, k, run int, rng *rand.Rand) (float64, bool) {
+	cfg := core.Config{K: k, Rand: rng, Workers: 1}
 	var traj []obs.IterationStats
-	before := obs.ReadCounters()
-	sw := obs.NewStopwatch()
-	res, err := cluster.Run(c, data, core.Config{
-		K:           k,
-		Rand:        rng,
-		OnIteration: func(st obs.IterationStats) { traj = append(traj, st) },
-		Workers:     1,
-	})
-	elapsed := sw.Elapsed()
+	if meter.rec != nil {
+		cfg.OnIteration = func(st obs.IterationStats) { traj = append(traj, st) }
+	}
+	done := meter.start()
+	res, err := cluster.Run(c, data, cfg)
 	if err != nil {
 		return 0, false
 	}
 	ri := eval.RandIndex(res.Labels, truth)
-	cfg.Metrics.Record(obs.RunRecord{
+	done(obs.RunRecord{
 		Method:     c.Name(),
 		Dataset:    dsName,
 		Run:        run,
-		Seconds:    elapsed.Seconds(),
 		Score:      ri,
-		ScoreKind:  "rand_index",
+		ScoreKind:  obs.ScoreRandIndex,
 		Iterations: res.Iterations,
 		Converged:  res.Converged,
-		Counters:   obs.ReadCounters().Sub(before),
 		Trajectory: traj,
 	})
 	return ri, true
@@ -271,16 +249,12 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 	if runs < 1 {
 		runs = 1
 	}
+	meter := cfg.runMeter()
 	sw := obs.NewStopwatch()
 	for d, ds := range datasets {
 		data := ts.Rows(ds.All())
 		truth := ts.Labels(ds.All())
-		var countersBefore obs.Counters
-		var dsSW obs.Stopwatch
-		if cfg.Metrics != nil {
-			countersBefore = obs.ReadCounters()
-			dsSW = obs.NewStopwatch()
-		}
+		done := meter.start()
 		dm := cachedMatrix(ds.Name, job.measure, data)
 		switch job.kind {
 		case jobHierarchical:
@@ -324,19 +298,15 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 				row.RandIndexes[d] = sum / float64(count)
 			}
 		}
-		if cfg.Metrics != nil {
-			// Matrix methods have no refinement loop to trace; the record
-			// carries wall time (including any matrix build this method
-			// triggered first) and the kernel-counter delta.
-			cfg.Metrics.Record(obs.RunRecord{
-				Method:    job.name,
-				Dataset:   ds.Name,
-				Seconds:   dsSW.Seconds(),
-				Score:     row.RandIndexes[d],
-				ScoreKind: "rand_index",
-				Counters:  obs.ReadCounters().Sub(countersBefore),
-			})
-		}
+		// Matrix methods have no refinement loop to trace; the record
+		// carries wall time, including any matrix build this method
+		// triggered first.
+		done(obs.RunRecord{
+			Method:    job.name,
+			Dataset:   ds.Name,
+			Score:     row.RandIndexes[d],
+			ScoreKind: obs.ScoreRandIndex,
+		})
 	}
 	row.Runtime = sw.Elapsed()
 	cfg.progress("clustering sweep done", "method", job.name, "seconds", row.Runtime.Seconds(), "avg_rand_index", Mean(row.RandIndexes))

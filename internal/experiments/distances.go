@@ -107,24 +107,18 @@ func Table2(cfg Config) Table2Result {
 	}
 
 	rows := make([]DistanceRow, len(evaluators))
+	meter := cfg.runMeter()
 	for r, ev := range evaluators {
 		accs := make([]float64, n)
 		sw := obs.NewStopwatch()
 		for i := range datasets {
-			if cfg.Metrics == nil {
-				accs[i] = ev.evaluate(i)
-				continue
-			}
-			countersBefore := obs.ReadCounters()
-			dsSW := obs.NewStopwatch()
+			done := meter.start()
 			accs[i] = ev.evaluate(i)
-			cfg.Metrics.Record(obs.RunRecord{
+			done(obs.RunRecord{
 				Method:    ev.name,
 				Dataset:   datasets[i].Name,
-				Seconds:   dsSW.Seconds(),
 				Score:     accs[i],
-				ScoreKind: "accuracy_1nn",
-				Counters:  obs.ReadCounters().Sub(countersBefore),
+				ScoreKind: obs.ScoreAccuracy1NN,
 			})
 		}
 		rows[r] = DistanceRow{

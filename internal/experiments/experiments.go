@@ -12,6 +12,7 @@ import (
 
 	"kshape/internal/dataset"
 	"kshape/internal/obs"
+	"kshape/internal/par"
 )
 
 // Config controls experiment scale. The zero value is unusable; call
@@ -35,18 +36,12 @@ type Config struct {
 	// unit of work (method, dataset, wall time, score fields) at info
 	// level. cmd/kbench wires its -log-level/-log-json flags here.
 	Logger *slog.Logger
-	// Metrics, if non-nil, receives one RunRecord per (method, dataset)
-	// unit of work — wall time, score, kernel-counter deltas, and (for
-	// iterative methods) the per-iteration convergence trajectory. Callers
-	// should also obs.SetEnabled(true) so the counter deltas are non-zero.
-	// When Metrics is set, clustering sweeps run datasets serially so that
-	// each record's counter delta is attributable to that run alone.
-	Metrics *obs.Collector
 	// Workers bounds the dataset-level parallelism of the experiment
 	// sweeps (par.Resolve semantics: <= 0 means runtime.NumCPU(), 1 means
 	// serial). Individual clustering runs inside a sweep always execute
-	// serially so that per-run records stay attributable; results are
-	// identical for every value.
+	// serially; results are identical for every value. With a flight
+	// recorder installed, every unit of work appends an obs.RunRecord to
+	// its run report, carrying a kernel-counter delta only at 1 worker.
 	Workers int
 }
 
@@ -115,4 +110,41 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// runMeter measures the units of work of one sweep for the flight
+// recorder's run report. It loads the active recorder once; with none
+// installed it records nothing.
+type runMeter struct {
+	rec *obs.Recorder
+	// counted is set when the sweep runs one unit at a time, so that the
+	// global counter delta around a unit belongs to that unit alone.
+	counted bool
+}
+
+func (c Config) runMeter() runMeter {
+	rec := obs.ActiveRecorder()
+	return runMeter{rec: rec, counted: rec != nil && par.Resolve(c.Workers) == 1}
+}
+
+// start opens one unit of work. The returned function stamps a record with
+// the unit's wall time (and counter delta, when attributable) and appends
+// it to the run report.
+func (m runMeter) start() func(obs.RunRecord) {
+	if m.rec == nil {
+		return func(obs.RunRecord) {}
+	}
+	var before obs.Counters
+	if m.counted {
+		before = obs.ReadCounters()
+	}
+	sw := obs.NewStopwatch()
+	return func(r obs.RunRecord) {
+		r.Seconds = sw.Seconds()
+		if m.counted {
+			d := obs.ReadCounters().Sub(before)
+			r.Counters = &d
+		}
+		m.rec.RecordRun(r)
+	}
 }

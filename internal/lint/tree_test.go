@@ -163,7 +163,6 @@ var reachAllowlist = map[string]string{
 	"kshape/internal/ts.IsZNormalized":             "predicate the ts, dist and testkit tests assert z-normalized output with",
 	"kshape/internal/ts.Reverse":                   "reference the SBD tests build reversed-order cross-correlations with",
 	"(*kshape/internal/linalg.Sym).Clone":          "the eigensolver tests copy a matrix before a destructive solve",
-	"(*kshape/internal/obs.Span).Find":             "the span-tree tests look up a child span by name",
 	"kshape/internal/obs.NumHistogramBuckets":      "the histogram tests size their expected bucket tables with it",
 	"kshape/internal/experiments.ResetMatrixCache": "experiment tests clear the process-wide distance-matrix cache between runs",
 	"kshape/internal/dist.Func":                    "the distance tests and oracles range over measures through this signature",

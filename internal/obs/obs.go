@@ -11,16 +11,14 @@
 //     work and subtracting (see Counters.Sub).
 //   - SetRecorder installs the flight recorder (Recorder), the single
 //     telemetry record of a run: its phase latency histograms, event ring,
-//     per-worker pool attribution, runtime samples, run gauges and live
-//     progress. /metrics, /debug/vars, /progress, the run report, the
-//     timeline and the dashboard all render from it. Without a recorder
-//     each engine hook costs one atomic pointer load.
+//     per-worker pool attribution, runtime samples, run gauges, live
+//     progress and the experiment sweeps' per-run records. /metrics,
+//     /debug/vars, /progress, the run report, the timeline and the
+//     dashboard all render from it. Without a recorder each engine hook
+//     costs one atomic pointer load.
 //
-// Alongside them sit the monotonic-clock span timers forming a
-// hierarchical trace (run → iteration → phase), per-iteration refinement
-// statistics, and a collector that aggregates per-method/per-dataset run
-// records into the JSON report emitted by `kbench -metrics`. The package
-// is standard-library only.
+// Alongside them sit the monotonic-clock stopwatch and the per-iteration
+// refinement statistics. The package is standard-library only.
 package obs
 
 import "sync/atomic"

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCountersDisabledByDefault(t *testing.T) {
@@ -73,96 +72,47 @@ func TestCounterString(t *testing.T) {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
-	tr := NewTrace("run")
-	iter := tr.Root().Child("iteration-1")
-	refine := iter.Child("refine")
-	time.Sleep(time.Millisecond)
-	refine.End()
-	assign := iter.Child("assign")
-	assign.End()
-	iter.End()
-	root := tr.Finish()
-
-	if root.Name != "run" || len(root.Children) != 1 {
-		t.Fatalf("root = %q with %d children, want run with 1", root.Name, len(root.Children))
-	}
-	if got := root.Find("refine"); got != refine {
-		t.Fatal("Find(refine) did not locate the nested span")
-	}
-	if root.Find("missing") != nil {
-		t.Fatal("Find(missing) should be nil")
-	}
-	if refine.DurationNS <= 0 {
-		t.Errorf("refine duration = %d, want > 0", refine.DurationNS)
-	}
-	if refine.StartNS < iter.StartNS {
-		t.Errorf("child started (%d) before parent (%d)", refine.StartNS, iter.StartNS)
-	}
-	if root.DurationNS < refine.StartNS+refine.DurationNS {
-		t.Errorf("root duration %d shorter than child extent %d",
-			root.DurationNS, refine.StartNS+refine.DurationNS)
-	}
-	// End is idempotent: a second End must not change the duration.
-	d := refine.DurationNS
-	refine.End()
-	if refine.DurationNS != d {
-		t.Error("second End changed the span duration")
-	}
-}
-
-func TestSpanConcurrentChildren(t *testing.T) {
-	tr := NewTrace("run")
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tr.Root().Child("child").End()
-		}()
-	}
-	wg.Wait()
-	if n := len(tr.Finish().Children); n != 16 {
-		t.Errorf("got %d children, want 16", n)
-	}
-}
-
+// TestReportJSONRoundTrip round-trips a run report carrying per-run
+// records through its JSON encoding.
 func TestReportJSONRoundTrip(t *testing.T) {
-	col := NewCollector()
-	col.Record(RunRecord{
+	rec := NewRecorder(16)
+	rec.RecordRun(RunRecord{
 		Method: "k-Shape", Dataset: "CBF", Run: 1, Seconds: 0.25,
-		Score: 0.9, ScoreKind: "rand_index", Iterations: 2, Converged: true,
-		Counters: Counters{FFT: 10, IFFT: 5, SBD: 7},
+		Score: 0.9, ScoreKind: ScoreRandIndex, Iterations: 2, Converged: true,
+		Counters: &Counters{FFT: 10, IFFT: 5, SBD: 7},
 		Trajectory: []IterationStats{
 			{Iteration: 1, Inertia: 12.5, LabelChurn: 30, ClusterSizes: []int{10, 20}, RefineNS: 100, AssignNS: 200},
 			{Iteration: 2, Inertia: 11.0, LabelChurn: 0, ClusterSizes: []int{12, 18}, RefineNS: 90, AssignNS: 180, Reseeds: 1},
 		},
 	})
-	tr := NewTrace("kbench")
-	tr.Root().Child("table2").End()
-	report := col.BuildReport("kbench", []string{"-metrics", "x.json"}, []string{"table2"},
-		Counters{FFT: 10, SBD: 7}, tr.Finish())
+	rec.RecordRun(RunRecord{Method: "ED", Dataset: "CBF", Seconds: 0.01, Score: 0.8, ScoreKind: ScoreAccuracy1NN})
+	report := rec.Report("kbench", "runid", []string{"-report", "x.json"}, Counters{FFT: 10, SBD: 7})
 
 	var buf bytes.Buffer
 	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back Report
+	var back RunReport
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
 	}
-	if back.Tool != "kbench" || len(back.Runs) != 1 || back.Counters.FFT != 10 {
+	if err := back.Validate(); err != nil {
+		t.Fatalf("round-tripped report invalid: %v", err)
+	}
+	if back.Tool != "kbench" || len(back.Runs) != 2 || back.Counters.FFT != 10 {
 		t.Fatalf("round-trip mismatch: %+v", back)
 	}
 	r := back.Runs[0]
-	if r.Method != "k-Shape" || len(r.Trajectory) != 2 || r.Trajectory[1].Reseeds != 1 {
+	if r.Method != "k-Shape" || len(r.Trajectory) != 2 || r.Trajectory[1].Reseeds != 1 ||
+		r.Counters == nil || r.Counters.SBD != 7 {
 		t.Fatalf("run record mismatch: %+v", r)
 	}
-	if back.Phases == nil || back.Phases.Find("table2") == nil {
-		t.Fatal("phase span tree lost in round-trip")
+	if back.Runs[1].Counters != nil {
+		t.Errorf("record without counters came back with %+v", back.Runs[1].Counters)
 	}
 
-	// The wire names must stay snake_case and match Counter.String.
+	// The wire names must stay snake_case and match Counter.String, and a
+	// record without counters omits the key.
 	var raw map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatal(err)
@@ -176,22 +126,41 @@ func TestReportJSONRoundTrip(t *testing.T) {
 			t.Errorf("counters JSON missing key %q", c.String())
 		}
 	}
+	runs, ok := raw["runs"].([]any)
+	if !ok || len(runs) != 2 {
+		t.Fatalf("runs not a 2-element array: %v", raw["runs"])
+	}
+	if _, ok := runs[1].(map[string]any)["counters"]; ok {
+		t.Error("record without counters serialized a counters key")
+	}
 }
 
-func TestCollectorConcurrentRecord(t *testing.T) {
-	col := NewCollector()
+// TestRecordRunConcurrent appends records from many goroutines; under
+// -race it doubles as the data-race check for RecordRun.
+func TestRecordRunConcurrent(t *testing.T) {
+	rec := NewRecorder(16)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func(run int) {
 			defer wg.Done()
-			col.Record(RunRecord{Method: "m", Run: run})
+			rec.RecordRun(RunRecord{Method: "m", Run: run, ScoreKind: ScoreRandIndex})
 		}(i)
 	}
 	wg.Wait()
-	if n := len(col.Runs()); n != 32 {
-		t.Errorf("got %d records, want 32", n)
+	runs := rec.runRecords()
+	if len(runs) != 32 {
+		t.Fatalf("got %d records, want 32", len(runs))
 	}
+	seen := map[int]bool{}
+	for _, r := range runs {
+		seen[r.Run] = true
+	}
+	if len(seen) != 32 {
+		t.Errorf("got %d distinct runs, want 32", len(seen))
+	}
+	var nilRec *Recorder
+	nilRec.RecordRun(RunRecord{Method: "m"}) // must not panic
 }
 
 func TestCountersSubTotal(t *testing.T) {

@@ -115,6 +115,10 @@ type Recorder struct {
 		s       []RuntimeSample
 		dropped int64
 	}
+	runs struct { // experiment unit-of-work records (RecordRun)
+		sync.Mutex
+		r []RunRecord
+	}
 	sampleInterval time.Duration
 	samplerStop    chan struct{}
 	samplerDone    chan struct{}

@@ -14,7 +14,8 @@ const RunReportSchema = "kshape.runreport/v1"
 // RunReport is the top-level run-report document: everything needed to
 // diagnose one recorder's run after the fact — build identity, kernel
 // counters, phase latency histograms, per-worker pool attribution,
-// runtime samples, and the retained event window.
+// runtime samples, the retained event window, and (for experiment
+// sweeps) one record per unit of work.
 type RunReport struct {
 	Schema string `json:"schema"`
 	// Tool and Args identify the invocation.
@@ -38,6 +39,9 @@ type RunReport struct {
 	// Pool holds the derived pool-level efficiency metrics (nil when no
 	// parallel work ran).
 	Pool *PoolStats `json:"pool,omitempty"`
+	// Runs holds the per-(method, dataset, restart) records of an
+	// experiment sweep, in completion order (absent when none ran).
+	Runs []RunRecord `json:"runs,omitempty"`
 	// RuntimeSamples is the background sampler's trajectory.
 	RuntimeSamples []RuntimeSample `json:"runtime_samples"`
 	// Events is the retained flight-recorder event window, oldest first.
@@ -45,6 +49,59 @@ type RunReport struct {
 	// Recorder describes the recorder itself: capacities, retention, and
 	// loss counters, so a truncated report is recognizable as such.
 	Recorder RecorderStats `json:"recorder"`
+}
+
+// RunRecord is one measured unit of experiment work: a clustering run or a
+// 1-NN classification pass of one method over one dataset.
+type RunRecord struct {
+	// Method is the algorithm or distance-measure name.
+	Method string `json:"method"`
+	// Dataset names the archive dataset the run executed on.
+	Dataset string `json:"dataset,omitempty"`
+	// Run is the restart index for randomized methods (0-based).
+	Run int `json:"run"`
+	// Seconds is the run's wall time.
+	Seconds float64 `json:"seconds"`
+	// Score is the quality metric of the run and ScoreKind its
+	// interpretation: ScoreRandIndex for clustering, ScoreAccuracy1NN for
+	// distance evaluation.
+	Score     float64 `json:"score"`
+	ScoreKind string  `json:"score_kind"`
+	// Iterations and Converged describe the refinement loop (clustering
+	// runs only).
+	Iterations int  `json:"iterations,omitempty"`
+	Converged  bool `json:"converged,omitempty"`
+	// Counters is the kernel-counter delta accrued by this run. It is set
+	// only when the sweep ran one unit at a time, so that the global
+	// delta belongs to this run alone.
+	Counters *Counters `json:"counters,omitempty"`
+	// Trajectory is the per-iteration convergence data (clustering runs
+	// with an iterative engine only).
+	Trajectory []IterationStats `json:"trajectory,omitempty"`
+}
+
+// The RunRecord.ScoreKind values.
+const (
+	ScoreRandIndex   = "rand_index"
+	ScoreAccuracy1NN = "accuracy_1nn"
+)
+
+// RecordRun appends one unit-of-work record to the run report. It is safe
+// for concurrent use and a no-op on a nil recorder.
+func (r *Recorder) RecordRun(rec RunRecord) {
+	if r == nil {
+		return
+	}
+	r.runs.Lock()
+	r.runs.r = append(r.runs.r, rec)
+	r.runs.Unlock()
+}
+
+// runRecords returns a copy of the recorded runs.
+func (r *Recorder) runRecords() []RunRecord {
+	r.runs.Lock()
+	defer r.runs.Unlock()
+	return append([]RunRecord(nil), r.runs.r...)
 }
 
 // PhaseStats summarizes one phase histogram.
@@ -135,6 +192,7 @@ func (r *Recorder) Report(tool, runID string, args []string, counters Counters) 
 		Counters:       counters,
 		Phases:         phaseStats(r.phaseSnapshots()),
 		Workers:        r.workerStats(),
+		Runs:           r.runRecords(),
 		RuntimeSamples: samples,
 		Events:         reportEvents(r.Events()),
 		Recorder: RecorderStats{
@@ -285,6 +343,18 @@ func (r *RunReport) Validate() error {
 			return fmt.Errorf("runtime sample %d goes backward (%d after %d)", i, s.AtNS, prev)
 		}
 		prev = s.AtNS
+	}
+	for i, run := range r.Runs {
+		if run.ScoreKind != ScoreRandIndex && run.ScoreKind != ScoreAccuracy1NN {
+			return fmt.Errorf("run %d has score_kind %q", i, run.ScoreKind)
+		}
+		if run.Seconds < 0 {
+			return fmt.Errorf("run %d has negative seconds %g", i, run.Seconds)
+		}
+		if len(run.Trajectory) > 0 && len(run.Trajectory) != run.Iterations {
+			return fmt.Errorf("run %d: trajectory of %d entries for %d iterations",
+				i, len(run.Trajectory), run.Iterations)
+		}
 	}
 	if r.Recorder.EventCapacity <= 0 {
 		return fmt.Errorf("recorder event capacity %d", r.Recorder.EventCapacity)

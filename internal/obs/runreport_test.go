@@ -28,6 +28,11 @@ func buildReport(t *testing.T) obs.RunReport {
 	r.RecordChunk(1, 8, 16, 12, 600)
 	r.AddWorkerSpan(0, 1, 8, 500, 40, 540)
 	r.AddWorkerSpan(1, 1, 8, 600, 20, 620)
+	r.RecordRun(obs.RunRecord{
+		Method: "k-Shape", Dataset: "CBF", Seconds: 0.5, Score: 0.7,
+		ScoreKind: obs.ScoreRandIndex, Iterations: 1,
+		Trajectory: []obs.IterationStats{{Iteration: 1}},
+	})
 	stop()
 	return r.Report("obs_test", "runid01", []string{"-fake"}, obs.Counters{})
 }
@@ -54,6 +59,9 @@ func TestReportValidatesOnRealRecorder(t *testing.T) {
 	if len(rep.RuntimeSamples) < 2 {
 		t.Errorf("runtime samples = %d, want >= 2", len(rep.RuntimeSamples))
 	}
+	if len(rep.Runs) != 1 || rep.Runs[0].Method != "k-Shape" {
+		t.Errorf("runs = %+v, want the one recorded", rep.Runs)
+	}
 	if len(rep.Events) < 7 {
 		t.Errorf("events = %d, want the 7 recorded", len(rep.Events))
 	}
@@ -75,6 +83,9 @@ func TestReportValidateCatchesCorruption(t *testing.T) {
 			r.RuntimeSamples[0].AtNS = r.RuntimeSamples[len(r.RuntimeSamples)-1].AtNS + 1
 		}, "backward"},
 		{"capacity", func(r *obs.RunReport) { r.Recorder.EventCapacity = 0 }, "capacity"},
+		{"score kind", func(r *obs.RunReport) { r.Runs[0].ScoreKind = "f1" }, "score_kind"},
+		{"run seconds", func(r *obs.RunReport) { r.Runs[0].Seconds = -1 }, "negative seconds"},
+		{"trajectory", func(r *obs.RunReport) { r.Runs[0].Iterations = 2 }, "trajectory"},
 	}
 	for _, tc := range mutations {
 		rep := buildReport(t)

@@ -53,6 +53,7 @@ func run() error {
 		{"internal/fft/testdata/fuzz/FuzzRFFT", rfftEntries()},
 		{"internal/ts/testdata/fuzz/FuzzZNormalize", znormEntries()},
 		{"internal/dataset/testdata/fuzz/FuzzUCRLoader", ucrEntries()},
+		{"testdata/fuzz/FuzzCluster", clusterEntries()},
 	}
 	for _, tgt := range targets {
 		if err := os.MkdirAll(tgt.dir, 0o755); err != nil {
@@ -209,5 +210,38 @@ func ucrEntries() []entry {
 		{"nan-rejected", []string{bytesLine([]byte("1,NaN,2\n"))}},
 		{"blank-lines", []string{bytesLine([]byte("\n\n1,1,2\n\n2,3,4\n\n"))}},
 		{"trailing-commas", []string{bytesLine([]byte("1,1,2,\n2,3,4,\n"))}},
+	}
+}
+
+// clusterLines renders one FuzzCluster input: k, the row length m, the
+// ragged-row drop, and the rows laid end to end.
+func clusterLines(k, m, drop byte, rows ...[]float64) []string {
+	var vals []float64
+	for _, r := range rows {
+		vals = append(vals, r...)
+	}
+	return []string{byteLine(k), byteLine(m), byteLine(drop), bytesLine(testkit.EncodeFloats(vals))}
+}
+
+// clusterEntries seed the public-API boundary cases: inputs the facade
+// must reject (zero-length, NaN, Inf, ragged, k = 0, k > n) and degenerate
+// ones it must cluster (all-constant members, k = n, n = 1, m = 1).
+func clusterEntries() []entry {
+	nan := sine(8, 1, 0)
+	nan[1] = math.NaN()
+	inf := sine(8, 2, 0)
+	inf[5] = math.Inf(-1)
+	return []entry{
+		{"zero-length", clusterLines(2, 0, 0)},
+		{"nan", clusterLines(2, 8, 0, sine(8, 1, 0.5), nan, ramp(8, 1))},
+		{"inf", clusterLines(2, 8, 0, sine(8, 1, 0.5), inf, ramp(8, 1))},
+		{"ragged", clusterLines(2, 8, 2, sine(8, 1, 0), sine(8, 2, 0), ramp(8, 1))},
+		{"k-zero", clusterLines(0, 8, 0, sine(8, 1, 0), ramp(8, 1))},
+		{"k-above-n", clusterLines(5, 8, 0, sine(8, 1, 0), ramp(8, 1), spike(8, 3, 1))},
+		{"all-constant", clusterLines(2, 8, 0, constant(8, 3), constant(8, -1), constant(8, 0), constant(8, 7.5))},
+		{"constant-and-shapes", clusterLines(2, 16, 0, constant(16, 2), constant(16, 2), sine(16, 1, 0), sine(16, 1, 0.3))},
+		{"k-equals-n", clusterLines(4, 12, 0, sine(12, 1, 0), sine(12, 2, 0), ramp(12, 1), spike(12, 6, 4))},
+		{"single-series", clusterLines(1, 16, 0, sine(16, 1, 0.2))},
+		{"length-one", clusterLines(2, 1, 0, []float64{1}, []float64{-2}, []float64{3}, []float64{0.5}, []float64{4})},
 	}
 }

@@ -54,6 +54,12 @@ type Result struct {
 	// Centroids holds one representative shape per cluster (z-normalized
 	// for k-Shape; method-specific for baselines, and nil for spectral
 	// clustering, whose embedded centroids are not time series).
+	//
+	// Constant series z-normalize to zero rows, which carry no shape. A
+	// k-Shape cluster whose members are all such rows gets the
+	// z-normalized unit spike at position 0 as its centroid: √(m−1) at
+	// index 0 and −1/√(m−1) elsewhere, e.g. [1.414, −0.707, −0.707] for
+	// m = 3, for every Workers value.
 	Centroids [][]float64
 	// Iterations is the number of refinement iterations executed.
 	Iterations int
@@ -312,6 +318,9 @@ func EstimateK(data [][]float64, kMax int, opts Options) (k int, silhouette floa
 	}
 	if kMax > len(data)-1 {
 		kMax = len(data) - 1
+	}
+	if err := checkSeries("series", data, len(data[0])); err != nil {
+		return 0, 0, err
 	}
 	prepared := make([][]float64, len(data))
 	for i, x := range data {

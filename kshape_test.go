@@ -310,6 +310,53 @@ func TestClusterConstantSeriesSurvive(t *testing.T) {
 	}
 }
 
+// TestClusterAllConstantMembersGetSpikeCentroid pins the documented
+// centroid of a k-Shape cluster whose members are all constant: the
+// z-normalized unit spike at position 0, bit-identical for every worker
+// count.
+func TestClusterAllConstantMembersGetSpikeCentroid(t *testing.T) {
+	for _, m := range []int{3, 64} {
+		data := make([][]float64, 4)
+		for i := range data {
+			data[i] = make([]float64, m)
+			for j := range data[i] {
+				data[i][j] = float64(i) - 1.5
+			}
+		}
+		spike := make([]float64, m)
+		spike[0] = math.Sqrt(float64(m - 1))
+		for j := 1; j < m; j++ {
+			spike[j] = -1 / math.Sqrt(float64(m-1))
+		}
+		var first [][]float64
+		for _, w := range []int{1, 2, 8} {
+			res, err := Cluster(data, 2, Options{Seed: 1, Workers: w})
+			if err != nil {
+				t.Fatalf("m=%d workers=%d: %v", m, w, err)
+			}
+			for c, cen := range res.Centroids {
+				for j := range cen {
+					if math.Abs(cen[j]-spike[j]) > 1e-12 {
+						t.Fatalf("m=%d workers=%d: centroid %d[%d] = %v, want spike value %v",
+							m, w, c, j, cen[j], spike[j])
+					}
+				}
+			}
+			if first == nil {
+				first = res.Centroids
+				continue
+			}
+			for c := range first {
+				for j := range first[c] {
+					if math.Float64bits(first[c][j]) != math.Float64bits(res.Centroids[c][j]) {
+						t.Fatalf("m=%d workers=%d: centroid %d differs from workers=1", m, w, c)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEstimateKFindsTrueK(t *testing.T) {
 	data, _ := twoShapeClasses(20, 48, 21)
 	k, sil, err := EstimateK(data, 5, Options{Seed: 3})
@@ -335,6 +382,22 @@ func TestEstimateKErrors(t *testing.T) {
 	// kMax beyond n-1 is clamped, not an error.
 	if _, _, err := EstimateK(data[:4], 10, Options{Seed: 1}); err != nil {
 		t.Errorf("clamped kMax errored: %v", err)
+	}
+	// Bad rows are rejected before normalization (and before the SBD
+	// matrix), naming the raw row and position.
+	bad := []struct {
+		name string
+		data [][]float64
+		want string
+	}{
+		{"ragged", [][]float64{{1, 2, 3, 4}, {2, 3, 4}, {1, 3, 2, 4}, {4, 3, 2, 1}}, "series 1 has length 3, want 4"},
+		{"NaN", [][]float64{{1, 2, 3, 4}, {2, math.NaN(), 4, 5}, {1, 3, 2, 4}, {4, 3, 2, 1}}, "series 1 has a non-finite value at position 1"},
+	}
+	for _, tc := range bad {
+		_, _, err := EstimateK(tc.data, 3, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s input: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
