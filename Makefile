@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzZNormalize$$' -fuzztime=$(FUZZTIME) ./internal/ts/
 	$(GO) test -fuzz='^FuzzUCRLoader$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -fuzz='^FuzzCluster$$' -fuzztime=$(FUZZTIME) .
+	$(GO) test -fuzz='^FuzzClassify1NN$$' -fuzztime=$(FUZZTIME) .
 
 # Regenerates the golden snapshots (testdata/golden/) after a deliberate,
 # reviewed renderer change. `make test` fails on any byte of drift.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kshape/internal/testkit"
+	"kshape/internal/ts"
 )
 
 // fuzzRows decodes a FuzzCluster input into rows of length m (m = 0 gives
@@ -94,6 +95,71 @@ func FuzzCluster(f *testing.F) {
 						t.Fatalf("workers=%d: centroid %d differs from workers=1 at %d", w, c, j)
 					}
 				}
+			}
+		}
+	})
+}
+
+// FuzzClassify1NN drives the public SBD 1-NN entry point with hostile
+// input: empty, ragged, non-finite, constant, duplicated rows with
+// different labels, one training row and m = 1. The first n rows decoded
+// from data train (labelled from lab, or by index when lab is empty) and
+// the rest are queries. Every input must either return an error or labels
+// drawn from the training labels, bit-identical at 1, 2 and 8 workers and
+// equal to a brute-force SBDDistance scan over the z-normalized rows.
+func FuzzClassify1NN(f *testing.F) {
+	f.Add(byte(2), byte(8), byte(0), []byte{0, 1}, testkit.EncodeFloats([]float64{
+		0, 1, 2, 3, 2, 1, 0, -1, 3, 2, 1, 0, 1, 2, 3, 4,
+		0, 1, 2, 3, 3, 1, 0, -1,
+	}))
+	f.Add(byte(0), byte(0), byte(0), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, nb, mb, drop byte, lab, data []byte) {
+		rows := fuzzRows(int(mb%33), int(drop), data)
+		n := int(nb) % (len(rows) + 1)
+		train, queries := rows[:n], rows[n:]
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = i
+			if len(lab) > 0 {
+				labels[i] = int(lab[i%len(lab)] % 4)
+			}
+		}
+		var first []int
+		for _, w := range []int{1, 2, 8} {
+			pred, err := Classify1NNWorkers(train, labels, queries, "SBD", false, w)
+			if w == 1 && err != nil {
+				return
+			}
+			if err != nil {
+				t.Fatalf("workers=%d: %v, but workers=1 succeeded", w, err)
+			}
+			if len(pred) != len(queries) {
+				t.Fatalf("workers=%d: %d labels for %d queries", w, len(pred), len(queries))
+			}
+			if first == nil {
+				first = pred
+				continue
+			}
+			for i := range first {
+				if pred[i] != first[i] {
+					t.Fatalf("workers=%d: labels %v differ from workers=1 %v", w, pred, first)
+				}
+			}
+		}
+		for qi, q := range queries {
+			zq := ts.ZNormalize(q)
+			best, want := math.Inf(1), -1
+			for i, x := range train {
+				if d := SBDDistance(zq, ts.ZNormalize(x)); d < best {
+					best, want = d, labels[i]
+				}
+			}
+			if want < 0 {
+				t.Fatalf("query %d: label %d, but no training series has a non-NaN SBD to it", qi, first[qi])
+			}
+			if first[qi] != want {
+				t.Fatalf("query %d: label %d, the brute-force SBD scan gives %d (training labels %v)",
+					qi, first[qi], want, labels)
 			}
 		}
 	})

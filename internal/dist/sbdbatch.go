@@ -63,11 +63,15 @@ func NewSBDBatch(data [][]float64) *SBDBatch {
 		norm: make([]float64, len(data)),
 	}
 	work := make([]complex128, b.plan.WorkLen())
+	// One slab holds every row: n separate rows would each round up to a
+	// malloc size class (4112 B becomes 4864 B at m = 256).
+	sl := b.plan.SpectrumLen()
+	slab := make([]complex128, len(data)*sl)
 	for i, x := range data {
 		if len(x) != m {
 			panic(fmt.Sprintf("dist: SBDBatch length mismatch at %d: %d vs %d", i, len(x), m))
 		}
-		spec := make([]complex128, b.plan.SpectrumLen())
+		spec := slab[i*sl : (i+1)*sl : (i+1)*sl]
 		b.plan.Forward(x, spec, work)
 		for k := range spec {
 			spec[k] = complex(real(spec[k]), -imag(spec[k]))
@@ -126,6 +130,8 @@ type SBDQuery struct {
 	spec  []complex128 // RFFT(q), not conjugated
 	norm  float64
 	own   *SBDScratch
+	mag   []float64 // half+1: w_k·|Q_k|/l, filled by Nearest
+	lb    []float64 // Len: Nearest's lower bound per batch series
 }
 
 // Query prepares q (length m) for repeated distance computations against
@@ -147,8 +153,11 @@ func (b *SBDBatch) QueryInto(dst *SBDQuery, q []float64) *SBDQuery {
 	}
 	if dst.batch != b || dst.own == nil {
 		dst.batch = b
-		dst.spec = make([]complex128, b.plan.SpectrumLen())
+		sl := b.plan.SpectrumLen()
+		dst.spec = make([]complex128, sl)
 		dst.own = b.Scratch()
+		bound := make([]float64, sl+len(b.spec))
+		dst.mag, dst.lb = bound[:sl], bound[sl:]
 	}
 	b.plan.Forward(q, dst.spec, dst.own.work)
 	dst.norm = ts.Norm(q)
@@ -185,19 +194,122 @@ func (s *SBDQuery) DistanceScratch(i int, sc *SBDScratch) (dist float64, shift i
 
 // Nearest returns the batch index minimizing SBD(q, x_i) together with
 // that distance, breaking ties toward the smaller index — exactly the
-// result of NNIndex over the same series. It uses the query's owned
-// scratch; Len()==0 yields (-1, +Inf).
+// result of NNIndex over the same series, and bit for bit that of the
+// unpruned ascending scan. Series whose SBD is NaN never win; Len()==0, or
+// a query whose SBD to every series is NaN, yields (-1, +Inf). It uses the
+// query's owned scratch.
+//
+// Nearest prunes with a spectral lower bound, SBD's analogue of LB_Keogh.
+// The transform length l is at least 2m-1, so every lag's cross-
+// correlation is one inverse-DFT coefficient, and the triangle inequality
+// over the full spectrum gives
+//
+//	|CC_s(x, q)| ≤ (1/l)·Σ_k w_k·|X_k|·|Q_k|
+//
+// over the stored half-spectrum bins k = 0..l/2, with w_k = 1 at DC and
+// Nyquist and 2 for the bins that stand for a conjugate pair. Dividing by
+// ‖x‖‖q‖ gives LB = 1 − Σ_k w_k|X_k||Q_k| / (l·‖x‖‖q‖) ≤ SBD(x, q); LB is 1
+// (equal to SBD) when the denominator is degenerate. Each bound costs
+// l/2+1 magnitudes of the cached spectrum and multiply-adds, against an
+// inverse transform and a lag scan for an exact SBD.
+//
+// The first pass computes every bound; the second evaluates the series
+// with the smallest bound, then scans the rest in index order and skips
+// any whose bound exceeds the best distance so far by more than
+// nearestMargin. Both sides of that test round by about 1e-13 at most, so
+// a skipped series is strictly farther than the best one and can never
+// have been the result, ties included. A query or series whose norm lies
+// outside [minBoundNorm, maxBoundNorm] gets no bound (−Inf), because its
+// squared spectrum magnitudes could underflow or overflow. The skipped
+// pairs are added to obs.CounterSBDPruned once per query.
 //
 //kshape:hotpath
 func (s *SBDQuery) Nearest() (idx int, dist float64) {
 	best, bestIdx := math.Inf(1), -1
-	for i := range s.batch.spec {
-		if d, _ := s.DistanceScratch(i, s.own); d < best {
+	if len(s.lb) == 0 {
+		return bestIdx, best
+	}
+	seed := s.lowerBounds()
+	if d, _ := s.DistanceScratch(seed, s.own); d < best {
+		best, bestIdx = d, seed
+	}
+	skipped := 0
+	for i, lb := range s.lb {
+		if i == seed {
+			continue
+		}
+		if lb > best+nearestMargin {
+			skipped++
+			continue
+		}
+		d, _ := s.DistanceScratch(i, s.own)
+		//lint:ignore floatcmp an exact tie goes to the smaller index, as in the unpruned scan
+		if d < best || (d == best && i < bestIdx) {
 			best, bestIdx = d, i
 		}
 	}
+	obs.Add(obs.CounterSBDPruned, int64(skipped))
 	return bestIdx, best
 }
+
+// nearestMargin is the rounding margin of Nearest's bound test, far above
+// the roughly 1e-13 rounding of either the bound or the exact SBD.
+const nearestMargin = 1e-9
+
+// minBoundNorm and maxBoundNorm bound the norms for which Nearest trusts
+// its spectral lower bound: inside them no squared spectrum magnitude or
+// product of magnitudes leaves float64's normal range.
+const (
+	minBoundNorm = 1e-100
+	maxBoundNorm = 1e100
+)
+
+// lowerBounds fills s.lb with the spectral lower bound of SBD(q, x_i) for
+// every batch series (see Nearest) and returns the index of the smallest,
+// the first on ties. It needs a non-empty batch.
+//
+//kshape:hotpath
+func (s *SBDQuery) lowerBounds() int {
+	b := s.batch
+	qBound := boundable(s.norm)
+	if qBound {
+		scale := 1 / float64(b.l)
+		for k, c := range s.spec {
+			w := 2 * scale
+			if k == 0 || k == b.half {
+				w = scale
+			}
+			s.mag[k] = w * math.Sqrt(real(c)*real(c)+imag(c)*imag(c))
+		}
+	}
+	seed := 0
+	for i, xs := range b.spec {
+		den := s.norm * b.norm[i]
+		lb := math.Inf(-1)
+		switch {
+		case degenerate(den):
+			lb = 1
+		case qBound && boundable(b.norm[i]):
+			mag := s.mag[:len(xs)]
+			sum := 0.0
+			for k, c := range xs {
+				sum += mag[k] * math.Sqrt(real(c)*real(c)+imag(c)*imag(c))
+			}
+			lb = 1 - sum/den
+		}
+		s.lb[i] = lb
+		if lb < s.lb[seed] {
+			seed = i
+		}
+	}
+	return seed
+}
+
+// boundable reports whether a norm lies in the range where Nearest's
+// spectral lower bound is computed without underflow or overflow.
+//
+//kshape:hotpath
+func boundable(norm float64) bool { return norm >= minBoundNorm && norm <= maxBoundNorm }
 
 // PairDistance returns SBD(x_i, x_j) between two cached series and the
 // shift aligning x_j toward x_i, without any forward transform: the
@@ -289,9 +401,12 @@ func (b *SBDBatch) pairwiseRows(out [][]float64, lo, hi int, sc *SBDScratch) {
 
 // SBDNearest returns, for every query, the index of its nearest series in
 // refs under SBD (ties toward the smaller index, matching NNIndex), using
-// one spectrum cache over refs and per-chunk reused query buffers. With
-// empty refs every result is -1. The result is identical for every worker
-// count.
+// one spectrum cache over refs and per-chunk reused query buffers. Each
+// query runs SBDQuery.Nearest, which skips every reference its spectral
+// lower bound proves farther than the best so far; the indices are the
+// unpruned scan's. A query whose SBD to every reference is NaN gets -1, and
+// with empty refs every result is -1. The result is identical for every
+// worker count.
 func SBDNearest(refs, queries [][]float64, workers int) []int {
 	out := make([]int, len(queries))
 	if len(refs) == 0 {

@@ -28,6 +28,8 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/dist.SBDQuery).Distance":        "TestQueryDistanceAllocFree",
 	"(*kshape/internal/dist.SBDQuery).DistanceScratch": "TestQueryDistanceAllocFree",
 	"(*kshape/internal/dist.SBDQuery).Nearest":         "TestQueryIntoNearestAllocFree",
+	"(*kshape/internal/dist.SBDQuery).lowerBounds":     "TestQueryIntoNearestAllocFree",
+	"kshape/internal/dist.boundable":                   "TestQueryIntoNearestAllocFree",
 	"(*kshape/internal/dist.SBDBatch).PairDistance":    "TestPairDistanceAllocFree",
 	"(*kshape/internal/dist.SBDBatch).pairwiseRows":    "TestPairwiseIntoRowLoopAllocFree",
 	"kshape/internal/dist.scanCC":                      "TestQueryDistanceAllocFree",

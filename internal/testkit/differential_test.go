@@ -62,6 +62,7 @@ func TestOracleRegistry(t *testing.T) {
 		"sbd/nofft-vs-reference",
 		"sbdbatch/batch-vs-pairwise",
 		"sbdbatch/pairwise-and-nn",
+		"sbdbatch/lb-prune-exact",
 		"dtw/rolling-vs-fullmatrix",
 		"lbkeogh/bound-chain",
 		"eigen/power-vs-ql",

@@ -132,6 +132,65 @@ func (g *Gen) Matrix(n, m int) [][]float64 {
 	return out
 }
 
+// NearestCase returns a degenerate-heavy 1-NN problem: references and
+// queries sharing one length (m ∈ {1, 2, 3} half the time), drawn from
+// all-constant rows, exact duplicates of earlier references (ties at
+// different indices), shifted copies, rows of huge or tiny magnitude, and
+// ordinary Series draws.
+func (g *Gen) NearestCase() (refs, queries [][]float64) {
+	m := g.Len()
+	if g.rng.Intn(2) == 0 {
+		m = 1 + g.rng.Intn(3)
+	}
+	refs = make([][]float64, 3+g.rng.Intn(10))
+	for i := range refs {
+		refs[i] = g.nearestRow(m, refs[:i])
+	}
+	queries = make([][]float64, 2+g.rng.Intn(4))
+	for i := range queries {
+		queries[i] = g.nearestRow(m, refs)
+	}
+	return refs, queries
+}
+
+// nearestScales are the extreme magnitudes NearestCase draws: one whose
+// squared spectrum magnitudes underflow, one below the norm range the
+// spectral lower bound accepts, one inside it, one whose squared
+// magnitudes overflow, and one whose norm overflows.
+var nearestScales = []float64{1e-160, 1e-120, 1e80, 1e150, 1e300}
+
+// nearestRow draws one NearestCase row of length m; pool holds the rows
+// it may copy.
+func (g *Gen) nearestRow(m int, pool [][]float64) []float64 {
+	x := make([]float64, m)
+	switch g.rng.Intn(6) {
+	case 0: // constant, zero included
+		c := math.Round(g.rng.NormFloat64() * 2)
+		for i := range x {
+			x[i] = c
+		}
+		return x
+	case 1: // exact duplicate
+		if len(pool) > 0 {
+			copy(x, pool[g.rng.Intn(len(pool))])
+			return x
+		}
+	case 2: // shifted copy, zero-padded
+		if len(pool) > 0 {
+			src, s := pool[g.rng.Intn(len(pool))], g.rng.Intn(m)
+			copy(x[s:], src)
+			return x
+		}
+	case 3: // huge or tiny magnitude
+		scale := nearestScales[g.rng.Intn(len(nearestScales))]
+		for i, v := range g.Series(m) {
+			x[i] = scale * v
+		}
+		return x
+	}
+	return g.Series(m)
+}
+
 // Window picks a Sakoe-Chiba half-width for series of length m, covering
 // the unconstrained (-1), diagonal (0), minimal (1), and full (m) bands.
 func (g *Gen) Window(m int) int {

@@ -54,6 +54,7 @@ func run() error {
 		{"internal/ts/testdata/fuzz/FuzzZNormalize", znormEntries()},
 		{"internal/dataset/testdata/fuzz/FuzzUCRLoader", ucrEntries()},
 		{"testdata/fuzz/FuzzCluster", clusterEntries()},
+		{"testdata/fuzz/FuzzClassify1NN", classifyEntries()},
 	}
 	for _, tgt := range targets {
 		if err := os.MkdirAll(tgt.dir, 0o755); err != nil {
@@ -243,5 +244,35 @@ func clusterEntries() []entry {
 		{"k-equals-n", clusterLines(4, 12, 0, sine(12, 1, 0), sine(12, 2, 0), ramp(12, 1), spike(12, 6, 4))},
 		{"single-series", clusterLines(1, 16, 0, sine(16, 1, 0.2))},
 		{"length-one", clusterLines(2, 1, 0, []float64{1}, []float64{-2}, []float64{3}, []float64{0.5}, []float64{4})},
+	}
+}
+
+// classifyLines renders one FuzzClassify1NN input: the training-row count
+// n, the row length m, the ragged-row drop, the label bytes, and the rows
+// (training first, then queries) laid end to end.
+func classifyLines(n, m, drop byte, labels []byte, rows ...[]float64) []string {
+	var vals []float64
+	for _, r := range rows {
+		vals = append(vals, r...)
+	}
+	return []string{byteLine(n), byteLine(m), byteLine(drop), bytesLine(labels), bytesLine(testkit.EncodeFloats(vals))}
+}
+
+// classifyEntries seed the 1-NN boundary cases: inputs the facade must
+// reject (zero-length, a NaN query, a ragged query) and degenerate ones it
+// must classify (one training row, an all-constant training set, exact
+// duplicates carrying different labels, m = 1).
+func classifyEntries() []entry {
+	nan := sine(8, 1, 0)
+	nan[2] = math.NaN()
+	return []entry{
+		{"zero-length", classifyLines(1, 0, 0, nil)},
+		{"nan-query", classifyLines(2, 8, 0, []byte{0, 1}, sine(8, 1, 0), ramp(8, 1), nan)},
+		{"ragged", classifyLines(2, 8, 3, []byte{0, 1}, sine(8, 1, 0), ramp(8, 1), sine(8, 2, 0.4))},
+		{"one-training-row", classifyLines(1, 16, 0, []byte{3}, sine(16, 1, 0), ramp(16, 1), spike(16, 4, 2))},
+		{"all-constant-train", classifyLines(3, 8, 0, []byte{0, 1, 2}, constant(8, 3), constant(8, -1), constant(8, 0), sine(8, 1, 0.2), constant(8, 5))},
+		{"duplicates-different-labels", classifyLines(4, 16, 0, []byte{0, 1, 2, 1},
+			sine(16, 1, 0), sine(16, 1, 0), ramp(16, 1), sine(16, 1, 0), sine(16, 1, 0.1), sine(16, 1, 0))},
+		{"length-one", classifyLines(3, 1, 0, []byte{0, 1, 2}, []float64{1}, []float64{-2}, []float64{3}, []float64{0.5}, []float64{-4})},
 	}
 }

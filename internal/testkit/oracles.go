@@ -29,7 +29,7 @@ type OraclePair struct {
 
 // Pairs returns the full oracle registry. Every optimized code path in the
 // tree — FFT cross-correlation, the three SBD variants, the shared-spectra
-// batch, banded rolling-row DTW, LB_Keogh, power iteration, shape
+// batch and its bound-pruned 1-NN, banded rolling-row DTW, LB_Keogh, power iteration, shape
 // extraction, the pruned k-Shape step, and each parallel reduction — has
 // an entry here; the differential test drives each entry across many
 // seeds.
@@ -94,6 +94,12 @@ func Pairs() []OraclePair {
 			Doc:  "batch PairwiseInto and SBDNearest match per-pair SBD/NNIndex, worker-count independent",
 			Tol:  DefaultTol,
 			Run:  runSBDBatchPairwiseNN,
+		},
+		{
+			Name: "sbdbatch/lb-prune-exact",
+			Doc:  "SBDNearest pruned by the spectral lower bound returns the unpruned DistanceScratch scan's index and distance bits on degenerate-heavy input, at every worker count",
+			Tol:  0,
+			Run:  runSBDNearestPruned,
 		},
 		{
 			Name: "dtw/rolling-vs-fullmatrix",
@@ -478,6 +484,44 @@ func runSBDBatchPairwiseNN(g *Gen) error {
 		nw := dist.SBDNearest(data, queries, w)
 		for qi := range nw {
 			if err := CheckInt(fmt.Sprintf("SBDNearest[%d] (workers=%d)", qi, w), nw[qi], nearest[qi]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// runSBDNearestPruned checks SBDQuery.Nearest, which skips series by their
+// spectral lower bound, against the unpruned ascending scan over
+// DistanceScratch with a strict comparison: same index (ties to the
+// smaller one, -1 when every distance is NaN) and same distance bits, both
+// directly and through SBDNearest at every worker count.
+func runSBDNearestPruned(g *Gen) error {
+	refs, queries := g.NearestCase()
+	b := dist.NewSBDBatch(refs)
+	sc := b.Scratch()
+	want := make([]int, len(queries))
+	for qi, q := range queries {
+		query := b.Query(q)
+		wantIdx, wantDist := -1, math.Inf(1)
+		for i := 0; i < b.Len(); i++ {
+			if d, _ := query.DistanceScratch(i, sc); d < wantDist {
+				wantIdx, wantDist = i, d
+			}
+		}
+		gotIdx, gotDist := query.Nearest()
+		if err := CheckInt(fmt.Sprintf("Nearest[%d] (m=%d)", qi, len(q)), gotIdx, wantIdx); err != nil {
+			return err
+		}
+		if !SameBits(gotDist, wantDist) {
+			return fmt.Errorf("Nearest[%d] (m=%d) distance %v, unpruned scan %v", qi, len(q), gotDist, wantDist)
+		}
+		want[qi] = wantIdx
+	}
+	for _, w := range append([]int{1}, workerCounts...) {
+		got := dist.SBDNearest(refs, queries, w)
+		for qi := range got {
+			if err := CheckInt(fmt.Sprintf("SBDNearest[%d] (workers=%d)", qi, w), got[qi], want[qi]); err != nil {
 				return err
 			}
 		}

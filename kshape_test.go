@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"kshape/internal/obs"
 )
 
 // twoShapeClasses builds raw (unnormalized) data with two shape classes and
@@ -457,6 +459,30 @@ func TestClassify1NN(t *testing.T) {
 		}
 		if acc := float64(correct) / float64(len(pred)); acc < 0.8 {
 			t.Errorf("%s: accuracy %v on separable classes", measure, acc)
+		}
+	}
+}
+
+// TestClassify1NNPrunedPairsAccountForEveryPair pins the pruned-pair
+// counter of SBD 1-NN: each query either evaluates or skips every
+// training series, so SBD + sbd_pruned == refs × queries.
+func TestClassify1NNPrunedPairsAccountForEveryPair(t *testing.T) {
+	train, labels := twoShapeClasses(40, 64, 45)
+	queries, _ := twoShapeClasses(12, 64, 46)
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	for _, w := range []int{1, 2, 8} {
+		before := obs.ReadCounters()
+		if _, err := Classify1NNWorkers(train, labels, queries, "SBD", false, w); err != nil {
+			t.Fatal(err)
+		}
+		c := obs.ReadCounters().Sub(before)
+		if c.SBDPruned == 0 {
+			t.Errorf("workers=%d: no pair was pruned", w)
+		}
+		if want := int64(len(train) * len(queries)); c.SBD+c.SBDPruned != want {
+			t.Errorf("workers=%d: sbd %d + sbd_pruned %d = %d, want refs × queries = %d",
+				w, c.SBD, c.SBDPruned, c.SBD+c.SBDPruned, want)
 		}
 	}
 }
