@@ -28,8 +28,8 @@
 //
 // -listen ADDR serves live telemetry while the experiments execute:
 // /metrics (Prometheus text format, including live-progress gauges),
-// /progress (Server-Sent-Events per-iteration snapshots), /healthz,
-// /debug/vars, and /debug/pprof — useful for watching kernel-counter
+// /progress (Server-Sent-Events per-iteration snapshots), /healthz, and
+// /debug/pprof — useful for watching kernel-counter
 // rates and phase latency histograms during a long sweep. -progress
 // renders a live convergence line on stderr; -dashboard FILE writes a
 // self-contained HTML run dashboard after the sweep. Progress output is

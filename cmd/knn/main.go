@@ -13,8 +13,8 @@
 //
 // With -listen ADDR, the process serves live telemetry while the
 // classification runs: /metrics (Prometheus text format: kernel
-// counters, phase latency histograms), /healthz, /debug/vars, and
-// /debug/pprof — the same scrape surface as kshape and kbench.
+// counters, phase latency histograms), /healthz, and /debug/pprof —
+// the same scrape surface as kshape and kbench.
 package main
 
 import (

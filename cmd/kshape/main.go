@@ -18,8 +18,7 @@
 // With -listen ADDR, the process serves live telemetry while the run
 // executes: /metrics (Prometheus text format: kernel counters, phase
 // latency histograms, gauges, live progress), /progress (Server-Sent-
-// Events stream of per-iteration snapshots), /healthz, /debug/vars, and
-// /debug/pprof. With -progress, a live one-line convergence display
+// Events stream of per-iteration snapshots), /healthz, and /debug/pprof. With -progress, a live one-line convergence display
 // (iteration, inertia, churn, drift, ETA) refreshes on stderr; with
 // -dashboard FILE, a self-contained HTML run dashboard (convergence
 // curves, phase latencies, execution timeline, counters, build identity)

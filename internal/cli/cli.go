@@ -70,7 +70,7 @@ func (c *Common) Register(fs *flag.FlagSet) {
 // tools (kshape, kbench) that can serve live telemetry.
 func (c *Common) RegisterListen(fs *flag.FlagSet) {
 	fs.StringVar(&c.Listen, "listen", "",
-		"serve telemetry on this address while the run executes: /metrics (Prometheus), /progress (SSE), /healthz, /debug/vars, /debug/pprof; implies flight recording and metric collection")
+		"serve telemetry on this address while the run executes: /metrics (Prometheus), /progress (SSE), /healthz, /debug/pprof; implies flight recording and metric collection")
 }
 
 // HandleVersion prints build information to w when -version was given
@@ -138,8 +138,8 @@ type Session struct {
 // Start arms the invocation's telemetry when any of -listen, -report,
 // -timeline, -dashboard or -progress was given: it installs one fresh
 // flight recorder, enables the kernel counters, and starts the runtime
-// sampler; with -listen it serves /metrics, /progress, /debug/vars,
-// /healthz and /debug/pprof, and with -progress it draws the live status
+// sampler; with -listen it serves /metrics, /progress, /healthz and
+// /debug/pprof, and with -progress it draws the live status
 // line on w. Call Finish after the measured work to write the -report,
 // -timeline and -dashboard artifacts, and defer Close for the error
 // paths.

@@ -123,8 +123,13 @@ type loop struct {
 	labels     []int
 	centroids  [][]float64
 	assignDist []float64
-	// capture holds the run observer's distance rows (nil when off).
-	capture [][]float64
+	// drift[j] is how far centroid j moved in its last refinement, both
+	// scaled to unit length (+Inf when either is all zero): unitDrift.
+	drift []float64
+	// runnerUp[i] is the distance from series i to its second-nearest
+	// centroid, kept only for the run observer's silhouette sample: it is
+	// nil when the run is unobserved and NaN outside the sample.
+	runnerUp []float64
 	// order lists the series grouped by cluster, ascending within each
 	// cluster: cluster j is order[starts[j]:starts[j+1]].
 	order  []int
@@ -136,11 +141,11 @@ type loop struct {
 
 // step is the method-specific half of one iteration.
 type step interface {
-	// refine recomputes centroids[j] from the series order[lo:hi]. It is
-	// called for every cluster in parallel.
+	// refine recomputes centroids[j] from the series order[lo:hi] and
+	// sets drift[j]. It is called for every cluster in parallel.
 	refine(j, lo, hi int)
 	// assign moves every series to its closest centroid, setting labels
-	// and assignDist (and the observer's capture rows when non-nil).
+	// and assignDist, and runnerUp for the sampled series.
 	assign()
 }
 
@@ -194,13 +199,14 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 	// One recorder load per run: every span, iteration mark and progress
 	// snapshot of this run lands on the recorder armed when it started.
 	rec := obs.ActiveRecorder()
-	ob := newRunObserver(n, k, cfg.OnIteration, cfg.Logger, rec)
+	ob := newRunObserver(cfg.OnIteration, cfg.Logger, rec)
 	r := &loop{
 		data: data, k: k, m: m, workers: cfg.Workers,
 		labels:         labels,
 		centroids:      ts.NewMatrix(k, m), // zero vectors, per Algorithm 3
 		assignDist:     make([]float64, n),
-		capture:        ob.captureRows(),
+		drift:          make([]float64, k),
+		runnerUp:       ob.runnerUpSlots(n, k),
 		order:          make([]int, n),
 		starts:         make([]int, k+1),
 		membersChanged: make([]bool, k),
@@ -214,7 +220,6 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 	fill := make([]int, k)
 	for iter := 0; iter < maxIter; iter++ {
 		copy(prev, labels)
-		ob.beforeRefine(r.centroids)
 		r.group(fill)
 
 		// Refinement: clusters are independent, so they refine in parallel.
@@ -248,7 +253,7 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 		}
 		res.Iterations = iter + 1
 		converged := equalLabels(labels, prev)
-		ob.observe(iter, labels, prev, r.assignDist, r.centroids, refineNS, assignNS, reseeds)
+		ob.observe(iter, r, prev, refineNS, assignNS, reseeds)
 		if converged {
 			res.Converged = true
 			break
@@ -279,6 +284,12 @@ func (r *loop) group(fill []int) {
 	}
 }
 
+// sampled reports whether series i is in the observer's silhouette
+// sample, whose assignment must find its exact runner-up distance.
+func (r *loop) sampled(i int) bool {
+	return r.runnerUp != nil && !math.IsNaN(r.runnerUp[i])
+}
+
 // genericStep refines with any CentroidFunc and assigns with any
 // DistanceFunc.
 type genericStep struct {
@@ -294,32 +305,32 @@ func (s *genericStep) refine(j, lo, hi int) {
 	for t, i := range s.order[lo:hi] {
 		s.members[lo+t] = s.data[i]
 	}
-	s.centroids[j] = s.centroid(s.members[lo:hi:hi], s.centroids[j])
+	old := s.centroids[j]
+	s.centroids[j] = s.centroid(s.members[lo:hi:hi], old)
+	s.drift[j] = unitDrift(old, s.centroids[j])
 }
 
 // assign scans the centroids of every series in parallel. Each index
-// writes only its own labels/assignDist slots, and the centroid scan is
-// ascending with a strict comparison, so the outcome is worker-count
-// independent.
+// writes only its own labels/assignDist/runnerUp slots, and the centroid
+// scan is ascending with a strict comparison, so the outcome is
+// worker-count independent.
 func (s *genericStep) assign() {
 	par.For(s.workers, len(s.data), func(i int) {
 		x := s.data[i]
-		var capRow []float64
-		if s.capture != nil {
-			capRow = s.capture[i]
-		}
-		best, bestJ := math.Inf(1), s.labels[i]
+		best, second, bestJ := math.Inf(1), math.Inf(1), s.labels[i]
 		for j, c := range s.centroids {
 			d := s.distance(c, x)
-			if capRow != nil {
-				capRow[j] = d
-			}
 			if d < best {
-				best, bestJ = d, j
+				best, second, bestJ = d, best, j
+			} else if d < second {
+				second = d
 			}
 		}
 		s.labels[i] = bestJ
 		s.assignDist[i] = best
+		if s.sampled(i) {
+			s.runnerUp[i] = second
+		}
 	})
 }
 
@@ -339,12 +350,11 @@ func (s *genericStep) assign() {
 //     for every member whose label is still won[i], which is every
 //     member except those reseedEmptyClusters moved (won[i] is -1 when
 //     the scan found no finite distance), so alignment costs no SBD.
-//   - lb[i*k+j] is a lower bound on SBD(x_i, centroids[j]) and drift[j]
-//     the distance between centroid j before and after its last
-//     refinement, each scaled to unit length (+Inf when either is all
-//     zero). Shifting with zero fill never increases a norm, so by
-//     Cauchy–Schwarz SBD(x, c′) ≥ SBD(x, c) − drift; scanCentroids skips
-//     a centroid whose bound proves it cannot be the nearest.
+//   - lb[i*k+j] is a lower bound on SBD(x_i, centroids[j]). Shifting
+//     with zero fill never increases a norm, so by Cauchy–Schwarz
+//     SBD(x, c′) ≥ SBD(x, c) − drift[j] (the loop's drift);
+//     scanCentroids skips a centroid whose bound proves it cannot be the
+//     nearest.
 //   - members and memberShift are the n-row view of data in order and
 //     the matching shifts, cluster j owning positions [starts[j],
 //     starts[j+1]); extraction shifts each member straight into its
@@ -356,7 +366,7 @@ type kshapeStep struct {
 	specFresh   []bool
 	settled     []bool
 	shift, won  []int
-	lb, drift   []float64
+	lb          []float64
 	members     [][]float64
 	memberShift []int
 }
@@ -372,7 +382,6 @@ func newKShapeStep(r *loop) step {
 		shift:       make([]int, n),
 		won:         make([]int, n),
 		lb:          make([]float64, n*r.k),
-		drift:       make([]float64, r.k),
 		members:     make([][]float64, n),
 		memberShift: make([]int, n),
 	}
@@ -445,22 +454,22 @@ func (s *kshapeStep) refreshQuery(j int) {
 // scans the series in parallel; each worker chunk brings its own pooled
 // inverse-FFT scratch so the queries are shared read-only, and publishes
 // its pruned-pair count once. Each series' scan reads and writes only its
-// own lb row, shift and won slots, and its outcome is the unpruned
-// ascending scan's, so labels are worker-count independent.
+// own lb row, shift, won and runnerUp slots, and its outcome is the
+// unpruned ascending scan's, so labels are worker-count independent.
 func (s *kshapeStep) assign() {
 	par.For(s.workers, s.k, s.refreshQuery)
 	par.ForChunksMin(s.workers, len(s.data), assignMinPerChunk, func(lo, hi int) {
 		scratch := s.batch.AcquireScratch()
 		pruned := 0
 		for i := lo; i < hi; i++ {
-			var capRow []float64
-			if s.capture != nil {
-				capRow = s.capture[i]
-			}
-			best, bestJ, shift, p := scanCentroids(s.queries, scratch, i, s.labels[i],
-				s.lb[i*s.k:(i+1)*s.k], s.drift, !bruteForceScan, capRow)
+			top2 := s.sampled(i)
+			best, second, bestJ, shift, p := scanCentroids(s.queries, scratch, i, s.labels[i],
+				s.lb[i*s.k:(i+1)*s.k], s.drift, !bruteForceScan, top2)
 			pruned += p
 			s.assignDist[i], s.shift[i], s.won[i] = best, shift, bestJ
+			if top2 {
+				s.runnerUp[i] = second
+			}
 			if bestJ >= 0 {
 				s.labels[i] = bestJ
 			}
@@ -561,26 +570,30 @@ const pruneMargin = 1e-9
 // improvement (ties toward the smaller index), and returns the winner's
 // distance and shift; bestJ is -1 when nothing improves on +Inf. lb is
 // the series' k-wide bound row and drift the centroid drifts since the
-// row was written. With prune set (and no capture row), centroid j is
-// skipped when lb[j]−drift[j] exceeds min(best so far, own distance) by
-// pruneMargin: its true distance is then strictly above the minimum, so
-// the winner is unchanged. Every bound is decayed or replaced by the
-// exact distance, and pruned counts the skipped centroids. capRow, when
-// non-nil, receives the full distance row for the run observer.
+// row was written. With prune set, centroid j is skipped when
+// lb[j]−drift[j] exceeds, by pruneMargin, the smallest distance evaluated
+// so far (own included): its true distance is then strictly above the
+// minimum, so the winner is unchanged. With top2 set the test is against
+// the second-smallest instead, so a skipped centroid cannot be the
+// runner-up either and second is the exact distance to the nearest
+// centroid other than bestJ; without top2, second is only the
+// second-smallest distance evaluated. Every bound is decayed or replaced
+// by the exact distance, and pruned counts the skipped centroids.
 //
 //kshape:hotpath
 func scanCentroids(queries []*dist.SBDQuery, sc *dist.SBDScratch, i, own int, lb, drift []float64,
-	prune bool, capRow []float64) (best float64, bestJ, shift, pruned int) {
+	prune, top2 bool) (best, second float64, bestJ, shift, pruned int) {
 	dOwn, sOwn := queries[own].DistanceScratch(i, sc)
 	lb[own] = dOwn
-	prune = prune && capRow == nil
+	// lo1 ≤ lo2 are the two smallest distances evaluated so far.
+	lo1, lo2 := dOwn, math.Inf(1)
 	best, bestJ = math.Inf(1), -1
 	for j, q := range queries {
 		d, sh := dOwn, sOwn
 		if j != own {
-			limit := dOwn
-			if best < limit {
-				limit = best
+			limit := lo1
+			if top2 {
+				limit = lo2
 			}
 			bound := lb[j] - drift[j]
 			if prune && bound > limit+pruneMargin {
@@ -590,15 +603,17 @@ func scanCentroids(queries []*dist.SBDQuery, sc *dist.SBDScratch, i, own int, lb
 			}
 			d, sh = q.DistanceScratch(i, sc)
 			lb[j] = d
-		}
-		if capRow != nil {
-			capRow[j] = d
+			if d < lo1 {
+				lo1, lo2 = d, lo1
+			} else if d < lo2 {
+				lo2 = d
+			}
 		}
 		if d < best {
 			best, bestJ, shift = d, j, sh
 		}
 	}
-	return best, bestJ, shift, pruned
+	return best, lo2, bestJ, shift, pruned
 }
 
 // unitDrift returns ‖b/‖b‖ − a/‖a‖‖, how far a centroid moved from a to

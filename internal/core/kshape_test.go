@@ -513,39 +513,60 @@ func TestDriftBoundHolds(t *testing.T) {
 }
 
 // TestKShapePrunedPairsAccountForEveryPair pins the pruned-pair counter:
-// on a run without reseeds or an observer (whose drift SBDs add to the
-// count), every iteration's scan either evaluates or prunes each of the
-// n·k pairs, so SBD + sbd_pruned == n·k·Iterations.
+// on a run without reseeds, every iteration's scan either evaluates or
+// prunes each of the n·k pairs, so SBD + sbd_pruned == n·k·Iterations —
+// observed or not, since the run observer evaluates no SBD of its own.
+// Observation costs only the top-2 rule's extra evaluations on the
+// silhouette sample, at most its (k−1) other centroids per sampled series
+// and iteration.
 func TestKShapePrunedPairsAccountForEveryPair(t *testing.T) {
 	data, _ := twoClassShiftedData(40, 48, rand.New(rand.NewSource(3)))
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	const k = 3
-	for _, w := range []int{1, 2, 8} {
+	run := func(w int, observer string) (*Result, obs.Counters) {
+		cfg := Config{K: k, Rand: rand.New(rand.NewSource(4)), Workers: w}
+		switch observer {
+		case "callback":
+			cfg.OnIteration = func(obs.IterationStats) {}
+		case "recorder":
+			prevRec := obs.SetRecorder(obs.NewRecorder(0))
+			defer obs.SetRecorder(prevRec)
+		}
 		before := obs.ReadCounters()
-		res, err := KShapeRun(data, Config{K: k, Rand: rand.New(rand.NewSource(4)), Workers: w})
+		res, err := KShapeRun(data, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := obs.ReadCounters().Sub(before)
-		if c.Reseeds != 0 {
-			t.Fatalf("workers=%d: run reseeded %d times; pick a reseed-free run", w, c.Reseeds)
-		}
-		if c.SBDPruned == 0 {
-			t.Errorf("workers=%d: nothing was pruned over %d iterations", w, res.Iterations)
-		}
-		if want := int64(len(data) * k * res.Iterations); c.SBD+c.SBDPruned != want {
-			t.Errorf("workers=%d: sbd %d + sbd_pruned %d = %d, want n·k·iterations = %d",
-				w, c.SBD, c.SBDPruned, c.SBD+c.SBDPruned, want)
+		return res, obs.ReadCounters().Sub(before)
+	}
+	for _, w := range []int{1, 2, 8} {
+		_, plain := run(w, "none")
+		for _, observer := range []string{"none", "callback", "recorder"} {
+			res, c := run(w, observer)
+			if c.Reseeds != 0 {
+				t.Fatalf("workers=%d %s: run reseeded %d times; pick a reseed-free run", w, observer, c.Reseeds)
+			}
+			if c.SBDPruned == 0 {
+				t.Errorf("workers=%d %s: nothing was pruned over %d iterations", w, observer, res.Iterations)
+			}
+			if want := int64(len(data) * k * res.Iterations); c.SBD+c.SBDPruned != want {
+				t.Errorf("workers=%d %s: sbd %d + sbd_pruned %d = %d, want n·k·iterations = %d",
+					w, observer, c.SBD, c.SBDPruned, c.SBD+c.SBDPruned, want)
+			}
+			if limit := int64(silhouetteSampleCap * (k - 1) * res.Iterations); c.SBD-plain.SBD > limit {
+				t.Errorf("workers=%d %s: %d SBDs, %d more than unobserved; the sample allows at most %d",
+					w, observer, c.SBD, c.SBD-plain.SBD, limit)
+			}
 		}
 	}
 }
 
 // TestScanCentroidsPrunesOnlyProvablyFartherCentroids drives the scan
 // kernel directly: centroids whose decayed bound clears the own distance
-// are skipped and their bound decays by the drift, a capture row turns
-// pruning off and is filled in full, and a bound equal to the best
-// distance is never pruned.
+// are skipped and their bound decays by the drift; in top-2 mode only a
+// bound that clears the runner-up prunes, and the runner-up comes back
+// exact; and a bound equal to the best distance is never pruned.
 func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 	data, _ := twoClassShiftedData(6, 32, rand.New(rand.NewSource(41)))
 	batch := dist.NewSBDBatch(data)
@@ -558,7 +579,7 @@ func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 	drift := []float64{0, 0.5, 0.5}
 
 	lb := []float64{0, 5, 5}
-	best, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, drift, true, nil)
+	best, _, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, drift, true, false)
 	if pruned != 2 || bestJ != 0 || best != exact[0] {
 		t.Fatalf("scan = (%v, %d, pruned %d), want (%v, 0, pruned 2)", best, bestJ, pruned, exact[0])
 	}
@@ -566,22 +587,42 @@ func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 		t.Errorf("bounds after the scan = %v, want [%v 4.5 4.5]", lb, exact[0])
 	}
 
-	lb = []float64{0, 5, 5}
-	capRow := make([]float64, len(queries))
-	if _, _, _, pruned := scanCentroids(queries, sc, 0, 0, lb, drift, true, capRow); pruned != 0 {
-		t.Errorf("a captured row pruned %d centroids", pruned)
+	// Top-2 mode: order the other two centroids so that 1 is the
+	// runner-up and 2 the farthest; each bound below is a true lower bound.
+	if exact[1] > exact[2] {
+		queries[1], queries[2] = queries[2], queries[1]
+		exact[1], exact[2] = exact[2], exact[1]
 	}
-	for j := range exact {
-		if capRow[j] != exact[j] || lb[j] != exact[j] {
-			t.Errorf("captured row %v and bounds %v, want the exact distances %v", capRow, lb, exact)
-			break
+	if !(exact[0]+pruneMargin < exact[1] && exact[1]+pruneMargin < exact[2]) {
+		t.Fatalf("distances %v are not separated by the margin", exact)
+	}
+	still := []float64{0, 0, 0}
+	for _, c := range []struct {
+		name       string
+		bound2     float64
+		top2       bool
+		wantPruned int
+		wantRunner bool
+	}{
+		{"bound clears the runner-up", exact[2], true, 1, true},
+		{"bound clears only the best", exact[1], true, 0, true},
+		{"nearest-only prunes on the best", exact[1], false, 1, false},
+	} {
+		lb := []float64{0, 0, c.bound2}
+		best, second, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, still, true, c.top2)
+		if best != exact[0] || bestJ != 0 || pruned != c.wantPruned {
+			t.Errorf("%s: scan = (%v, %d, pruned %d), want (%v, 0, pruned %d)",
+				c.name, best, bestJ, pruned, exact[0], c.wantPruned)
+		}
+		if c.wantRunner && second != exact[1] {
+			t.Errorf("%s: runner-up = %v, want the exact %v", c.name, second, exact[1])
 		}
 	}
 
 	// A bound that only ties the own distance must not prune: the tie
 	// rule may need the smaller index.
 	lb = []float64{exact[0], exact[0] + pruneMargin, 0}
-	if _, _, _, pruned := scanCentroids(queries, sc, 0, 2, lb, []float64{0, 0, 0}, true, nil); pruned != 0 {
+	if _, _, _, _, pruned := scanCentroids(queries, sc, 0, 2, lb, []float64{0, 0, 0}, true, false); pruned != 0 {
 		t.Errorf("bounds within the margin pruned %d centroids", pruned)
 	}
 }

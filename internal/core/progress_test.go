@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"kshape/internal/avg"
 	"kshape/internal/dist"
 	"kshape/internal/obs"
+	"kshape/internal/ts"
 )
 
 // TestKShapeRunPublisherBitIdentical pins the observability contract of
@@ -52,8 +54,9 @@ func TestKShapeRunPublisherBitIdentical(t *testing.T) {
 // TestKShapeRunPublisherOnlyMatchesUnobserved covers the recorder-only
 // path (no OnIteration callback): the observer then exists solely to
 // feed the recorder's progress, and the clustering output must still
-// match a fully unobserved run bit for bit. Kernel counters are exempt —
-// the observer's centroid-drift SBDs legitimately add evaluations.
+// match a fully unobserved run bit for bit. Kernel counters are exempt:
+// the silhouette sample's top-2 scan legitimately evaluates more SBDs
+// (TestKShapePrunedPairsAccountForEveryPair bounds how many).
 func TestKShapeRunPublisherOnlyMatchesUnobserved(t *testing.T) {
 	data, _ := twoClassShiftedData(20, 48, rand.New(rand.NewSource(7)))
 
@@ -196,6 +199,57 @@ func TestRunObserverSilhouetteRange(t *testing.T) {
 		final := trace[len(trace)-1].SilhouetteSample
 		if final <= 0 {
 			t.Errorf("final silhouette %v on separable data; expected > 0", final)
+		}
+	}
+}
+
+// TestCentroidDriftIsLagZeroNCC is the drift oracle: at iteration t,
+// CentroidDrift[j] is 1 − ⟨ĉ, ĉ′⟩ for the centroids that runs capped at
+// t−1 and t iterations return — the normalized cross-correlation at lag
+// 0, so it never reads below the SBD between them — and 1 at iteration 1
+// (or whenever either centroid is all zero), SBD's degenerate convention.
+func TestCentroidDriftIsLagZeroNCC(t *testing.T) {
+	data, _ := twoClassShiftedData(30, 40, rand.New(rand.NewSource(43)))
+	engines := []struct {
+		name string
+		run  func(Config) (*Result, error)
+	}{
+		{"k-Shape", func(cfg Config) (*Result, error) { return KShapeRun(data, cfg) }},
+		{"k-AVG+ED", func(cfg Config) (*Result, error) {
+			return Lloyd(data, cfg, func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
+		}},
+	}
+	for _, e := range engines {
+		run := func(maxIter int, onIter func(obs.IterationStats)) *Result {
+			res, err := e.run(Config{K: 4, Rand: rand.New(rand.NewSource(44)), MaxIterations: maxIter, OnIteration: onIter})
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			return res
+		}
+		var trace []obs.IterationStats
+		run(0, func(st obs.IterationStats) { trace = append(trace, st) })
+		if len(trace) < 3 {
+			t.Fatalf("%s: %d iterations; the oracle needs at least 3", e.name, len(trace))
+		}
+		var before [][]float64
+		for _, st := range trace {
+			after := run(st.Iteration, nil).Centroids
+			for j, got := range st.CentroidDrift {
+				want := 1.0
+				if st.Iteration > 1 {
+					if na, nb := ts.Norm(before[j]), ts.Norm(after[j]); na > 0 && nb > 0 {
+						want = 1 - ts.Dot(before[j], after[j])/(na*nb)
+					}
+					if sbd := dist.SBDDist(before[j], after[j]); got < sbd-1e-12 {
+						t.Errorf("%s: iteration %d drift[%d] = %v is below the SBD %v", e.name, st.Iteration, j, got, sbd)
+					}
+				}
+				if math.Abs(got-want) > 1e-12 {
+					t.Errorf("%s: iteration %d drift[%d] = %v, want 1 − ⟨ĉ, ĉ′⟩ = %v", e.name, st.Iteration, j, got, want)
+				}
+			}
+			before = after
 		}
 	}
 }

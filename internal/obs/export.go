@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -9,16 +8,15 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
 // This file is the export half of the instrumentation layer: it renders
 // the kernel counters and the active recorder's gauges, phase histograms
-// and live progress in the Prometheus text exposition format, bridges
-// them into expvar, and serves both — plus health and runtime/pprof
-// endpoints — over HTTP so long-running clustering processes can be
-// scraped and profiled mid-flight.
+// and live progress in the Prometheus text exposition format and serves
+// it — plus the progress stream, health and runtime/pprof endpoints —
+// over HTTP so long-running clustering processes can be scraped and
+// profiled mid-flight.
 
 // WritePrometheus renders every metric in the Prometheus text exposition
 // format (version 0.0.4): the nine kernel counters as one counter family
@@ -112,7 +110,7 @@ func writeProgressMetrics(w *strings.Builder, p Progress) {
 	floats("inertia", "Objective value after the last iteration.", p.Inertia)
 	floats("inertia_delta", "Inertia change versus the previous iteration.", p.InertiaDelta)
 	ints("label_churn", "Series that changed cluster in the last iteration.", int64(p.LabelChurn))
-	floats("centroid_drift_max", "Largest per-cluster centroid drift (SBD) of the last iteration.", p.DriftMax)
+	floats("centroid_drift_max", "Largest per-cluster centroid drift (1 - lag-0 NCC of the centroid before and after refinement) of the last iteration.", p.DriftMax)
 	floats("silhouette_sample", "Sampled simplified-silhouette estimate of the last iteration.", p.SilhouetteSample)
 	ints("eta_iterations", "Estimated iterations to convergence (-1 unknown).", int64(p.ETAIterations))
 	ints("stalled", "Whether churn is flat and nonzero (1) or not (0).", int64(boolToInt(p.Stalled)))
@@ -137,49 +135,11 @@ func MetricsHandler() http.Handler {
 	})
 }
 
-// publishExpvar registers the kernel counters and the active recorder's
-// gauges and phase-quantile summaries as expvar variables (served on
-// /debug/vars). expvar panics on duplicate names, so registration happens
-// once per process.
-var publishExpvar = sync.OnceFunc(func() {
-	expvar.Publish("kshape.counters", expvar.Func(func() any { return ReadCounters() }))
-	expvar.Publish("kshape.gauges", expvar.Func(func() any {
-		rec := ActiveRecorder()
-		snap, _ := rec.Progress()
-		g := map[string]int64{
-			"active_workers":    rec.activeWorkerCount(),
-			"current_iteration": int64(snap.Iteration),
-		}
-		if snap.ClusterSizes != nil {
-			return map[string]any{"scalars": g, "cluster_sizes": snap.ClusterSizes}
-		}
-		return map[string]any{"scalars": g}
-	}))
-	expvar.Publish("kshape.phases", expvar.Func(func() any {
-		type phaseSummary struct {
-			Count int64   `json:"count"`
-			SumNS int64   `json:"sum_ns"`
-			P50NS float64 `json:"p50_ns"`
-			P95NS float64 `json:"p95_ns"`
-			P99NS float64 `json:"p99_ns"`
-		}
-		out := map[string]phaseSummary{}
-		for _, h := range ActiveRecorder().phaseSnapshots() {
-			out[h.Name] = phaseSummary{
-				Count: h.Count, SumNS: h.SumNS,
-				P50NS: h.P50(), P95NS: h.P95(), P99NS: h.P99(),
-			}
-		}
-		return out
-	}))
-})
-
 // NewTelemetryMux builds the HTTP surface served by -listen: Prometheus
 // metrics on /metrics, the live-progress SSE stream on /progress, a
-// liveness probe on /healthz, expvar JSON on /debug/vars, and the
-// runtime profiler under /debug/pprof/.
+// liveness probe on /healthz, and the runtime profiler under
+// /debug/pprof/.
 func NewTelemetryMux() *http.ServeMux {
-	publishExpvar()
 	started := time.Now()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler())
@@ -191,7 +151,6 @@ func NewTelemetryMux() *http.ServeMux {
 		_, _ = fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime_seconds\":%.3f,\"telemetry_enabled\":%v,\"version\":%q}\n",
 			time.Since(started).Seconds(), Enabled(), Version())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -13,8 +13,8 @@
 //     telemetry record of a run: its phase latency histograms, event ring,
 //     per-worker pool attribution, runtime samples, run gauges, live
 //     progress and the experiment sweeps' per-run records. /metrics,
-//     /debug/vars, /progress, the run report, the timeline and the
-//     dashboard all render from it. Without a recorder each engine hook
+//     /progress, the run report, the timeline and the dashboard all
+//     render from it. Without a recorder each engine hook
 //     costs one atomic pointer load.
 //
 // Alongside them sit the monotonic-clock stopwatch and the per-iteration
@@ -173,8 +173,8 @@ func (c Counters) Sub(prev Counters) Counters {
 }
 
 // Each calls fn once per counter in declaration order, with the counter's
-// snake_case name — the iteration primitive behind the Prometheus, expvar,
-// slog, and bench-JSON exports.
+// snake_case name — the iteration primitive behind the Prometheus, slog,
+// and bench-JSON exports.
 func (c Counters) Each(fn func(name string, value int64)) {
 	fn("fft", c.FFT)
 	fn("ifft", c.IFFT)

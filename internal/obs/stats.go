@@ -23,11 +23,14 @@ type IterationStats struct {
 	AssignNS int64 `json:"assign_ns"`
 	// Reseeds is the number of empty clusters re-seeded this iteration.
 	Reseeds int `json:"reseeds"`
-	// CentroidDrift is the SBD between each cluster's centroid before and
-	// after this iteration's refinement step — the per-cluster movement in
-	// shape space. A freshly (re)seeded or first-iteration centroid drifts
-	// from the zero series, which SBD maps to 1. Empty when the engine ran
-	// without an observer that requested it.
+	// CentroidDrift is how far each cluster's centroid moved in this
+	// iteration's refinement step: 1 − ⟨ĉ, ĉ′⟩ for the centroid before
+	// and after, each scaled to unit length — the normalized
+	// cross-correlation at lag 0, so an upper bound on the SBD between
+	// them. A move from or to the zero series (every first-iteration
+	// centroid, or an emptied cluster) reads 1, SBD's degenerate
+	// convention. Empty when the engine ran without an observer that
+	// requested it.
 	CentroidDrift []float64 `json:"centroid_drift,omitempty"`
 	// InertiaDelta is this iteration's inertia minus the previous
 	// iteration's (0 on the first iteration): negative while the objective
@@ -36,9 +39,12 @@ type IterationStats struct {
 	// SilhouetteSample is a simplified (centroid-based) silhouette score
 	// over a fixed, seeded sample of series: a is the distance to the own
 	// centroid, b the minimum distance to any other centroid, and the score
-	// averages (b-a)/max(a,b). It reuses distances the assignment step
-	// already computed, so it is deterministic and costs no extra kernel
-	// evaluations. 0 when k < 2 or no observer requested it.
+	// averages (b-a)/max(a,b). The assignment step supplies both: a is the
+	// series' assignment distance, and for a sampled series the k-Shape
+	// scan prunes against the second-nearest distance instead of the
+	// nearest so that b comes back exact, which costs some extra SBD
+	// evaluations on the sample. Deterministic; 0 when k < 2 or no
+	// observer requested it.
 	SilhouetteSample float64 `json:"silhouette_sample"`
 }
 

@@ -85,7 +85,7 @@ func Dashboard(d DashboardData) []byte {
 		writeChart(&b, Lines("Inertia per iteration", "iteration", "inertia", x, map[string][]float64{"inertia": inertia}))
 		writeChart(&b, Lines("Label churn per iteration", "iteration", "series reassigned", x, map[string][]float64{"churn": churn}))
 		if haveDrift {
-			writeChart(&b, Lines("Centroid drift per iteration", "iteration", "max SBD drift", x, map[string][]float64{"drift (max)": drift}))
+			writeChart(&b, Lines("Centroid drift per iteration", "iteration", "max centroid drift", x, map[string][]float64{"drift (max)": drift}))
 		}
 		if haveSil {
 			writeChart(&b, Lines("Sampled silhouette per iteration", "iteration", "silhouette", x, map[string][]float64{"silhouette": sil}))
