@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kshape/internal/core"
@@ -33,24 +34,52 @@ func gaussianBlobs(nPerBlob, m int, rng *rand.Rand) [][]float64 {
 }
 
 func TestPAMDeterministicAcrossWorkers(t *testing.T) {
-	data := gaussianBlobs(12, 24, rand.New(rand.NewSource(2)))
-	run := func(workers int) ([]int, float64) {
-		p := NewPAM(dist.SBDMeasure{})
-		res, err := p.Cluster(data, core.Config{K: 3, Rand: rand.New(rand.NewSource(9)), Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res.Labels, res.Inertia
+	blobs := gaussianBlobs(12, 24, rand.New(rand.NewSource(2)))
+	// Every series twice: each copy's medoid cost ties its twin's exactly
+	// under ED, so the medoid update's smaller-index tie rule decides.
+	var dups [][]float64
+	for _, x := range blobs {
+		dups = append(dups, x, append([]float64(nil), x...))
 	}
-	wantLabels, wantInertia := run(1)
-	for _, w := range []int{2, 8} {
-		labels, inertia := run(w)
-		if inertia != wantInertia {
-			t.Errorf("workers=%d: inertia %v, want %v (must be bit-identical)", w, inertia, wantInertia)
+	// Two pairs whose members tie as each other's medoid: the rule must
+	// elect the first member of each pair, whatever the initial medoids.
+	pairs := [][]float64{{0, 0}, {1, 1}, {100, 100}, {101, 101}}
+	for _, c := range []struct {
+		name    string
+		data    [][]float64
+		measure dist.Measure
+		k       int
+		medoids [][]float64 // when set, the only allowed centroids
+	}{
+		{"blobs", blobs, dist.SBDMeasure{}, 3, nil},
+		{"duplicates", dups, dist.EDMeasure{}, 3, nil},
+		{"tied pairs", pairs, dist.EDMeasure{}, 2, [][]float64{pairs[0], pairs[2]}},
+	} {
+		run := func(workers int) *core.Result {
+			res, err := NewPAM(c.measure).Cluster(c.data, core.Config{K: c.k, Rand: rand.New(rand.NewSource(9)), Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			return res
 		}
-		for i := range wantLabels {
-			if labels[i] != wantLabels[i] {
-				t.Fatalf("workers=%d: label[%d] = %d, want %d", w, i, labels[i], wantLabels[i])
+		want := run(1)
+		for j, cj := range want.Centroids {
+			if c.medoids != nil && !slices.ContainsFunc(c.medoids, func(m []float64) bool { return slices.Equal(m, cj) }) {
+				t.Errorf("%s: centroid %d = %v, want one of %v (ties go to the smaller index)", c.name, j, cj, c.medoids)
+			}
+		}
+		for _, w := range []int{2, 8} {
+			got := run(w)
+			if got.Inertia != want.Inertia {
+				t.Errorf("%s workers=%d: inertia %v, want %v (must be bit-identical)", c.name, w, got.Inertia, want.Inertia)
+			}
+			if !slices.Equal(got.Labels, want.Labels) {
+				t.Fatalf("%s workers=%d: labels %v, want %v", c.name, w, got.Labels, want.Labels)
+			}
+			for j := range want.Centroids {
+				if !slices.Equal(got.Centroids[j], want.Centroids[j]) {
+					t.Fatalf("%s workers=%d: centroid %d differs", c.name, w, j)
+				}
 			}
 		}
 	}

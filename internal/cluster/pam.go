@@ -78,6 +78,7 @@ func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config
 	medoids := cfg.Rand.Perm(n)[:k]
 	labels := make([]int, n)
 	prev := make([]int, n)
+	cost, best := make([]float64, n), make([]float64, k)
 	res := &core.Result{}
 	for iter := 0; iter < maxIter; iter++ {
 		copy(prev, labels)
@@ -94,25 +95,26 @@ func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config
 			labels[i] = bestJ
 		})
 		// Medoid update: the member minimizing within-cluster
-		// dissimilarity. The O(|C_j|·n) cost scan parallelizes across
-		// candidates; MinIndex breaks ties toward the smaller index,
-		// matching the serial scan. An emptied cluster (possible with
-		// duplicate points) keeps its medoid.
-		for j := range medoids {
-			cand, _ := par.MinIndex(cfg.Workers, n, func(cand int) float64 {
-				if labels[cand] != j {
-					return math.Inf(1)
+		// dissimilarity. Each candidate's summed dissimilarity to its own
+		// cluster is computed in parallel; an ascending scan with a strict
+		// comparison then picks each cluster's medoid, so ties go to the
+		// smaller index and NaN or +Inf costs are never chosen. An emptied
+		// cluster (possible with duplicate points) keeps its medoid.
+		par.For(cfg.Workers, n, func(cand int) {
+			c := 0.0
+			for i := 0; i < n; i++ {
+				if labels[i] == labels[cand] {
+					c += d[cand][i]
 				}
-				cost := 0.0
-				for i := 0; i < n; i++ {
-					if labels[i] == j {
-						cost += d[cand][i]
-					}
-				}
-				return cost
-			})
-			if cand >= 0 {
-				medoids[j] = cand
+			}
+			cost[cand] = c
+		})
+		for j := range best {
+			best[j] = math.Inf(1)
+		}
+		for cand, j := range labels {
+			if cost[cand] < best[j] {
+				best[j], medoids[j] = cost[cand], cand
 			}
 		}
 		res.Iterations = iter + 1

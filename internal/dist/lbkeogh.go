@@ -90,17 +90,13 @@ func NNIndex(d Measure, query []float64, refs [][]float64) (int, float64) {
 }
 
 // LBNNSearcher performs 1-NN search under cDTW using LB_Keogh pruning with
-// precomputed envelopes for the reference set.
+// precomputed envelopes for the reference set. It is read-only after
+// construction, so one searcher serves concurrent NN calls.
 type LBNNSearcher struct {
 	refs   [][]float64
 	upper  [][]float64
 	lower  [][]float64
 	window int
-	// Pruned counts how many full DTW evaluations the bound avoided, for
-	// the efficiency experiments.
-	Pruned int
-	// Evaluated counts full DTW evaluations performed.
-	Evaluated int
 }
 
 // NewLBNNSearcher precomputes envelopes of refs for a Sakoe-Chiba band of
@@ -124,10 +120,8 @@ func (s *LBNNSearcher) NN(query []float64) (int, float64) {
 	best, bestIdx := math.Inf(1), -1
 	for i, r := range s.refs {
 		if LBKeogh(query, s.upper[i], s.lower[i]) >= best {
-			s.Pruned++
 			continue
 		}
-		s.Evaluated++
 		if dd := CDTW(query, r, s.window); dd < best {
 			best, bestIdx = dd, i
 		}

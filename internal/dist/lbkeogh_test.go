@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"kshape/internal/obs"
+	"kshape/internal/par"
 )
 
 // envelopeNaive is the quadratic reference implementation.
@@ -114,32 +117,45 @@ func TestNNIndexEmptyRefs(t *testing.T) {
 	}
 }
 
+// TestLBNNSearcherAgreesWithLinearScan shares one searcher across
+// concurrent queries (the way eval.OneNNAccuracyLB uses it; run under
+// -race this is its data-race check) and requires the pruned search to
+// return the brute-force nearest distance, counting its cDTW evaluations
+// through the obs DTW counter.
 func TestLBNNSearcherAgreesWithLinearScan(t *testing.T) {
 	// The pruned search must return exactly the same nearest neighbor
 	// distance as brute force (index may differ only under exact ties).
 	rng := rand.New(rand.NewSource(13))
-	m, n := 32, 25
+	m, n, nq := 32, 25, 20
 	refs := make([][]float64, n)
 	for i := range refs {
 		refs[i] = randSeries(m, rng)
 	}
+	queries := make([][]float64, nq)
+	for q := range queries {
+		queries[q] = randSeries(m, rng)
+	}
 	w := 3
 	searcher := NewLBNNSearcher(refs, w)
+	gotIdx, gotD := make([]int, nq), make([]float64, nq)
+	prev := obs.SetEnabled(true)
+	before := obs.ReadCounters()
+	par.For(4, nq, func(q int) { gotIdx[q], gotD[q] = searcher.NN(queries[q]) })
+	evaluated := obs.ReadCounters().Sub(before).DTW
+	obs.SetEnabled(prev)
 	meas := CDTWMeasure{Window: w}
-	for q := 0; q < 20; q++ {
-		query := randSeries(m, rng)
-		gotIdx, gotD := searcher.NN(query)
+	for q, query := range queries {
 		wantIdx, wantD := NNIndex(meas, query, refs)
-		if math.Abs(gotD-wantD) > 1e-9 {
+		if math.Abs(gotD[q]-wantD) > 1e-9 {
 			t.Fatalf("query %d: pruned NN distance %v (idx %d) != brute force %v (idx %d)",
-				q, gotD, gotIdx, wantD, wantIdx)
+				q, gotD[q], gotIdx[q], wantD, wantIdx)
 		}
 	}
-	if searcher.Pruned == 0 {
-		t.Log("note: no candidates were pruned in this run (bound never exceeded best)")
-	}
-	if searcher.Evaluated == 0 {
+	if evaluated == 0 {
 		t.Error("searcher performed no full evaluations")
+	}
+	if evaluated > int64(n*nq) {
+		t.Errorf("searcher ran %d cDTW evaluations, more than refs × queries = %d", evaluated, n*nq)
 	}
 }
 
@@ -155,11 +171,16 @@ func TestLBNNSearcherPrunesObviousCases(t *testing.T) {
 	}
 	query := make([]float64, m) // all zeros; nearest is refs[0]
 	s := NewLBNNSearcher(refs, 2)
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	before := obs.ReadCounters()
 	idx, _ := s.NN(query)
+	evaluated := obs.ReadCounters().Sub(before).DTW
 	if idx != 0 {
 		t.Errorf("NN idx = %d, want 0", idx)
 	}
-	if s.Pruned == 0 {
-		t.Error("expected pruning on well-separated references")
+	if evaluated == 0 || evaluated >= int64(len(refs)) {
+		t.Errorf("%d cDTW evaluations on well-separated references, want at least 1 and fewer than refs × queries = %d",
+			evaluated, len(refs))
 	}
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math"
-	"sync"
 
 	"kshape/internal/dist"
 	"kshape/internal/par"
@@ -40,29 +39,25 @@ func OneNNAccuracyLB(window int, train, test []ts.Series) float64 {
 	if len(test) == 0 || len(train) == 0 {
 		return 0
 	}
-	refs := ts.Rows(train)
-	// Each worker needs its own searcher (it keeps mutable counters).
-	pool := sync.Pool{New: func() any {
-		return dist.NewLBNNSearcher(refs, window)
-	}}
-	correct := classifyCount(func(q []float64) int {
-		s := pool.Get().(*dist.LBNNSearcher)
-		defer pool.Put(s)
-		idx, _ := s.NN(q)
-		return train[idx].Label
-	}, test, 0)
-	return float64(correct) / float64(len(test))
+	s := dist.NewLBNNSearcher(ts.Rows(train), window)
+	hit := make([]bool, len(test))
+	par.For(0, len(test), func(i int) {
+		idx, _ := s.NN(test[i].Values)
+		hit[i] = train[idx].Label == test[i].Label
+	})
+	return float64(countTrue(hit)) / float64(len(test))
 }
 
-// classifyCount runs classify over all test series in parallel and counts
-// correct predictions.
-func classifyCount(classify func(q []float64) int, test []ts.Series, workers int) int {
-	return par.SumInt(workers, len(test), func(i int) int {
-		if classify(test[i].Values) == test[i].Label {
-			return 1
+// countTrue counts the set entries of hit, the per-index slots a parallel
+// classification loop fills.
+func countTrue(hit []bool) int {
+	n := 0
+	for _, h := range hit {
+		if h {
+			n++
 		}
-		return 0
-	})
+	}
+	return n
 }
 
 // TuneCDTWWindow finds the cDTWopt warping window (Section 4, "Parameter
@@ -92,7 +87,8 @@ func TuneCDTWWindow(train []ts.Series, maxFrac float64) (window int, looAccuracy
 // with the given window, parallelized across held-out points.
 func looAccuracyCDTW(train []ts.Series, window int) float64 {
 	n := len(train)
-	correct := par.SumInt(0, n, func(i int) int {
+	hit := make([]bool, n)
+	par.For(0, n, func(i int) {
 		best, bestJ := math.Inf(1), -1
 		for j := 0; j < n; j++ {
 			if j == i {
@@ -102,10 +98,7 @@ func looAccuracyCDTW(train []ts.Series, window int) float64 {
 				best, bestJ = d, j
 			}
 		}
-		if bestJ >= 0 && train[bestJ].Label == train[i].Label {
-			return 1
-		}
-		return 0
+		hit[i] = bestJ >= 0 && train[bestJ].Label == train[i].Label
 	})
-	return float64(correct) / float64(n)
+	return float64(countTrue(hit)) / float64(n)
 }

@@ -1,13 +1,14 @@
 package experiments
 
 import (
-	"kshape/internal/obs"
 	"math/rand"
 
 	"kshape/internal/avg"
 	"kshape/internal/core"
 	"kshape/internal/dist"
 	"kshape/internal/eval"
+	"kshape/internal/obs"
+	"kshape/internal/par"
 	"kshape/internal/ts"
 )
 
@@ -81,7 +82,7 @@ func Ablations(cfg Config) AblationResult {
 	for vi, v := range variants {
 		row := ClusterRow{Name: v.name, RandIndexes: make([]float64, len(cfg.Datasets))}
 		sw := obs.NewStopwatch()
-		cfg.parallelOver(len(cfg.Datasets), func(d int) {
+		par.For(cfg.Workers, len(cfg.Datasets), func(d int) {
 			ds := cfg.Datasets[d]
 			data := ts.Rows(ds.All())
 			truth := ts.Labels(ds.All())

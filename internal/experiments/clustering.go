@@ -139,7 +139,7 @@ func runClusterer(cfg Config, c cluster.Clusterer, runs int) ClusterRow {
 	}
 	meter := cfg.runMeter()
 	sw := obs.NewStopwatch()
-	cfg.parallelOver(len(datasets), func(d int) {
+	par.For(cfg.Workers, len(datasets), func(d int) {
 		ds := datasets[d]
 		data := ts.Rows(ds.All())
 		truth := ts.Labels(ds.All())
@@ -311,12 +311,6 @@ func runMatrixClusterer(cfg Config, job matrixJob) ClusterRow {
 	row.Runtime = sw.Elapsed()
 	cfg.progress("clustering sweep done", "method", job.name, "seconds", row.Runtime.Seconds(), "avg_rand_index", Mean(row.RandIndexes))
 	return row
-}
-
-// parallelOver runs fn(i) for i in [0, n) across the configured number of
-// workers, on the shared internal/par substrate.
-func (c Config) parallelOver(n int, fn func(int)) {
-	par.For(c.Workers, n, fn)
 }
 
 // RowByName returns the named row (including the baseline), or nil.

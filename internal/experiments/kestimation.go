@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"kshape/internal/obs"
 	"math/rand"
 	"time"
 
@@ -9,6 +8,8 @@ import (
 	"kshape/internal/core"
 	"kshape/internal/dist"
 	"kshape/internal/eval"
+	"kshape/internal/obs"
+	"kshape/internal/par"
 	"kshape/internal/ts"
 )
 
@@ -41,7 +42,7 @@ func KEstimation(cfg Config) KEstimationResult {
 	var res KEstimationResult
 	sw := obs.NewStopwatch()
 	res.Rows = make([]KEstimationRow, len(cfg.Datasets))
-	cfg.parallelOver(len(cfg.Datasets), func(di int) {
+	par.For(cfg.Workers, len(cfg.Datasets), func(di int) {
 		ds := cfg.Datasets[di]
 		data := ts.Rows(ds.All())
 		d := dist.PairwiseMatrixWorkers(dist.SBDMeasure{}, data, 1) // datasets already run in parallel

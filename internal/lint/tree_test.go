@@ -38,8 +38,6 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/fft.RFFT).transformHalf":        "TestRFFTRoundTripAllocFree",
 	"kshape/internal/fft.conj":                         "TestRFFTRoundTripAllocFree",
 	"kshape/internal/ts.ShiftInto":                     "TestShiftIntoAllocFree",
-	"kshape/internal/par.sumIntRange":                  "TestReductionInnerLoopsAllocFree",
-	"kshape/internal/par.scanExtreme":                  "TestReductionInnerLoopsAllocFree",
 	"kshape/internal/core.scanCentroids":               "TestAssignmentScanAllocFree",
 	"kshape/internal/core.unitDrift":                   "TestAssignmentScanAllocFree",
 	"kshape/internal/core.equalFloatBits":              "TestAssignmentScanAllocFree",

@@ -38,7 +38,7 @@ func TestCountersExactUnderParSubstrate(t *testing.T) {
 		}()
 	}
 
-	par.ForChunks(8, n, func(lo, hi int) {
+	par.ForChunksMin(8, n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			obs.Inc(obs.CounterSBD)
 			obs.Add(obs.CounterFFT, 2)

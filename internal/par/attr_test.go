@@ -29,25 +29,13 @@ var attrWorkerCounts = []int{1, 2, 8}
 func TestResultsBitIdenticalWithRecorder(t *testing.T) {
 	const n = 500
 	term := func(i int) float64 { return math.Sin(float64(i)) / (1 + float64(i%7)) }
-	intTerm := func(i int) int { return i * (i % 7) }
-	score := func(i int) float64 { return math.Cos(float64(i) * 1.7) }
 
-	wantSum := SumInt(1, n, intTerm)
-	wantIdx, wantMin := MinIndex(1, n, score)
 	wantOut := make([]float64, n)
 	For(1, n, func(i int) { wantOut[i] = term(i) * 2 })
 
 	for _, w := range attrWorkerCounts {
 		for _, recorded := range []bool{false, true} {
 			run := func() {
-				if got := SumInt(w, n, intTerm); got != wantSum {
-					t.Errorf("workers=%d recorded=%v: SumInt = %d, want %d", w, recorded, got, wantSum)
-				}
-				idx, min := MinIndex(w, n, score)
-				if idx != wantIdx || min != wantMin {
-					t.Errorf("workers=%d recorded=%v: MinIndex = (%d, %v), want (%d, %v)",
-						w, recorded, idx, min, wantIdx, wantMin)
-				}
 				out := make([]float64, n)
 				For(w, n, func(i int) { out[i] = term(i) * 2 })
 				for i := range out {
@@ -70,7 +58,7 @@ func TestWorkerAttributionIdentity(t *testing.T) {
 	const n = 300
 	for _, w := range attrWorkerCounts {
 		rec := withRecorder(t, func() {
-			ForChunks(w, n, func(lo, hi int) {
+			ForChunksMin(w, n, 1, func(lo, hi int) {
 				s := 0.0
 				for i := lo; i < hi; i++ {
 					s += math.Sqrt(float64(i))
@@ -100,37 +88,30 @@ func TestWorkerAttributionIdentity(t *testing.T) {
 		if items != n {
 			t.Errorf("workers=%d: attributed %d items, want %d", w, items, n)
 		}
-		wantChunks := int64(chunkCount(w, n))
+		wantChunks := int64(chunkCount(w, n, 1))
 		if chunks != wantChunks {
 			t.Errorf("workers=%d: attributed %d chunks, want %d", w, chunks, wantChunks)
 		}
 	}
 }
 
-// chunkCount mirrors the pool's chunking arithmetic.
-func chunkCount(w, n int) int {
-	w = Resolve(w)
+// chunkCount mirrors ForChunksMin's chunking arithmetic with a recorder
+// armed, when the full logical pool runs.
+func chunkCount(w, n, floor int) int {
 	if n <= 0 {
 		return 0
 	}
-	if w > n {
-		w = n
-	}
-	if w == 1 {
+	if Resolve(w) == 1 {
 		return 1
 	}
-	chunks := w * chunksPerWorker
-	if chunks > n {
-		chunks = n
-	}
-	return chunks
+	return min(Resolve(w)*chunksPerWorker, n, max(n/floor, 1))
 }
 
 func TestChunkEventsCoverRangeExactly(t *testing.T) {
 	const n = 257
 	for _, w := range attrWorkerCounts {
 		rec := withRecorder(t, func() {
-			ForChunks(w, n, func(lo, hi int) {})
+			ForChunksMin(w, n, 1, func(lo, hi int) {})
 		})
 		covered := make([]int, n)
 		events := 0
@@ -146,8 +127,8 @@ func TestChunkEventsCoverRangeExactly(t *testing.T) {
 				covered[i]++
 			}
 		}
-		if events != chunkCount(w, n) {
-			t.Errorf("workers=%d: %d chunk events, want %d", w, events, chunkCount(w, n))
+		if events != chunkCount(w, n, 1) {
+			t.Errorf("workers=%d: %d chunk events, want %d", w, events, chunkCount(w, n, 1))
 		}
 		for i, c := range covered {
 			if c != 1 {
@@ -157,25 +138,10 @@ func TestChunkEventsCoverRangeExactly(t *testing.T) {
 	}
 }
 
-func TestExtremeIndexAttributesThroughPool(t *testing.T) {
-	const n = 300
-	rec := withRecorder(t, func() {
-		MinIndex(4, n, func(i int) float64 { return float64((i * 7919) % 104729) })
-	})
-	rep := rec.Report("par_test", "", nil, obs.Counters{})
-	var items int64
-	for _, ws := range rep.Workers {
-		items += ws.Items
-	}
-	if items != n {
-		t.Errorf("MinIndex attributed %d items, want %d", items, n)
-	}
-}
-
 func TestSerialPathAttributesWorkerZero(t *testing.T) {
 	const n = 64
 	rec := withRecorder(t, func() {
-		ForChunks(1, n, func(lo, hi int) {})
+		ForChunksMin(1, n, 1, func(lo, hi int) {})
 	})
 	rep := rec.Report("par_test", "", nil, obs.Counters{})
 	if len(rep.Workers) != 1 || rep.Workers[0].Worker != 0 {

@@ -1,8 +1,6 @@
 package par
 
 import (
-	"math"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -41,90 +39,49 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestForChunksPartition pins ForChunksMin's partition: chunks are
+// non-empty, cover the range exactly once, and hold at least min indices
+// unless the whole range is shorter than min — for n below, at and above
+// min. With a recorder armed the full logical pool runs, so the chunk
+// count is also checked against the chunkCount mirror whatever
+// GOMAXPROCS is.
 func TestForChunksPartition(t *testing.T) {
-	for _, n := range []int{1, 5, 16, 97} {
-		for _, w := range workerCounts {
-			hits := make([]int32, n)
-			ForChunks(w, n, func(lo, hi int) {
-				if lo >= hi {
-					t.Errorf("empty chunk [%d,%d)", lo, hi)
+	for _, floor := range []int{1, 4} {
+		for _, n := range []int{1, 3, 4, 5, 7, 16, 97} {
+			for _, w := range workerCounts {
+				for _, recorded := range []bool{false, true} {
+					hits := make([]int32, n)
+					var chunks atomic.Int32
+					run := func() {
+						ForChunksMin(w, n, floor, func(lo, hi int) {
+							chunks.Add(1)
+							if lo >= hi {
+								t.Errorf("empty chunk [%d,%d)", lo, hi)
+							}
+							if hi-lo < floor && hi-lo != n {
+								t.Errorf("min=%d n=%d workers=%d: chunk [%d,%d) is below the floor", floor, n, w, lo, hi)
+							}
+							for i := lo; i < hi; i++ {
+								atomic.AddInt32(&hits[i], 1)
+							}
+						})
+					}
+					if recorded {
+						withRecorder(t, run)
+						if got, want := int(chunks.Load()), chunkCount(w, n, floor); got != want {
+							t.Errorf("min=%d n=%d workers=%d: %d chunks, want %d", floor, n, w, got, want)
+						}
+					} else {
+						run()
+					}
+					for i, h := range hits {
+						if h != 1 {
+							t.Fatalf("min=%d n=%d workers=%d: index %d covered %d times", floor, n, w, i, h)
+						}
+					}
 				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d workers=%d: index %d covered %d times", n, w, i, h)
-				}
 			}
 		}
-	}
-}
-
-func TestSumInt(t *testing.T) {
-	n := 5000
-	want := n * (n - 1) / 2
-	for _, w := range workerCounts {
-		if got := SumInt(w, n, func(i int) int { return i }); got != want {
-			t.Errorf("workers=%d: SumInt = %d, want %d", w, got, want)
-		}
-	}
-	if got := SumInt(4, 0, func(int) int { return 1 }); got != 0 {
-		t.Errorf("empty SumInt = %d", got)
-	}
-}
-
-func TestMinIndexMatchesSerialScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(400)
-		vals := make([]float64, n)
-		for i := range vals {
-			// Coarse quantization forces frequent exact ties; scattered
-			// NaNs must never be selected, whatever chunk they land in.
-			vals[i] = float64(rng.Intn(8))
-			if rng.Intn(10) == 0 {
-				vals[i] = math.NaN()
-			}
-		}
-		wantIdx, wantVal := -1, math.Inf(1)
-		for i, v := range vals {
-			if v < wantVal {
-				wantIdx, wantVal = i, v
-			}
-		}
-		for _, w := range workerCounts {
-			gotIdx, gotVal := MinIndex(w, n, func(i int) float64 { return vals[i] })
-			if gotIdx != wantIdx || gotVal != wantVal {
-				t.Fatalf("workers=%d n=%d: MinIndex = (%d, %v), want (%d, %v)",
-					w, n, gotIdx, gotVal, wantIdx, wantVal)
-			}
-		}
-	}
-}
-
-func TestMinIndexEdgeCases(t *testing.T) {
-	if idx, val := MinIndex(4, 0, func(int) float64 { return 0 }); idx != -1 || !math.IsInf(val, 1) {
-		t.Errorf("empty MinIndex = (%d, %v)", idx, val)
-	}
-	// NaN scores are never selected.
-	vals := []float64{math.NaN(), 3, math.NaN(), 2, math.NaN()}
-	for _, w := range workerCounts {
-		idx, val := MinIndex(w, len(vals), func(i int) float64 { return vals[i] })
-		if idx != 3 || val != 2 {
-			t.Errorf("workers=%d: MinIndex over NaNs = (%d, %v), want (3, 2)", w, idx, val)
-		}
-	}
-	// All-NaN input selects nothing.
-	allNaN := []float64{math.NaN(), math.NaN()}
-	if idx, _ := MinIndex(2, len(allNaN), func(i int) float64 { return allNaN[i] }); idx != -1 {
-		t.Errorf("all-NaN MinIndex idx = %d, want -1", idx)
-	}
-	// All-+Inf input selects nothing (matches a serial strict-< scan
-	// starting from +Inf).
-	if idx, _ := MinIndex(2, 3, func(int) float64 { return math.Inf(1) }); idx != -1 {
-		t.Errorf("all-Inf MinIndex idx = %d, want -1", idx)
 	}
 }
 

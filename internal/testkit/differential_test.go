@@ -68,8 +68,6 @@ func TestOracleRegistry(t *testing.T) {
 		"eigen/power-vs-ql",
 		"shape/power-vs-ql",
 		"core/kshape-vs-lloyd",
-		"par/sum-serial-vs-parallel",
-		"par/minmax-serial-vs-parallel",
 		"pairwise/serial-vs-parallel",
 		"ts/znorm-copy-vs-inplace",
 	} {

@@ -11,7 +11,6 @@ import (
 	"kshape/internal/fft"
 	"kshape/internal/linalg"
 	"kshape/internal/obs"
-	"kshape/internal/par"
 	"kshape/internal/ts"
 )
 
@@ -136,18 +135,6 @@ func Pairs() []OraclePair {
 			Doc:  "KShapeRun (cached spectra, settled skip, reused shifts, drift-bound pruning) equals Lloyd with SBD and ShapeExtraction bit for bit, at every worker count",
 			Tol:  0,
 			Run:  runKShapeVsLloyd,
-		},
-		{
-			Name: "par/sum-serial-vs-parallel",
-			Doc:  "SumInt is identical for every worker count",
-			Tol:  0,
-			Run:  runParSums,
-		},
-		{
-			Name: "par/minmax-serial-vs-parallel",
-			Doc:  "MinIndex matches a serial scan (smallest-index ties, NaN never selected) for every worker count",
-			Tol:  0,
-			Run:  runParMinMax,
 		},
 		{
 			Name: "pairwise/serial-vs-parallel",
@@ -897,46 +884,6 @@ func sameResult(name string, got, want *core.Result) error {
 // workerCounts are the parallelism degrees every exact pair is checked at,
 // against the serial (workers=1) reference.
 var workerCounts = []int{2, 3, 7, 16}
-
-func runParSums(g *Gen) error {
-	n := 1 + g.Intn(2000)
-	ints := make([]int, n)
-	for i := range ints {
-		ints[i] = g.Intn(1000) - 500
-	}
-	wantI := par.SumInt(1, n, func(i int) int { return ints[i] })
-	for _, w := range workerCounts {
-		if err := CheckInt(fmt.Sprintf("SumInt(workers=%d, n=%d)", w, n), par.SumInt(w, n, func(i int) int { return ints[i] }), wantI); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runParMinMax(g *Gen) error {
-	n := 1 + g.Intn(2000)
-	vals := make([]float64, n)
-	for i := range vals {
-		// Draw from a small discrete set so ties are common and the
-		// smallest-index tie-break is actually exercised.
-		vals[i] = float64(g.Intn(7))
-	}
-	if n > 2 {
-		vals[g.Intn(n)] = math.NaN() // NaN must never be selected
-	}
-	score := func(i int) float64 { return vals[i] }
-	wantMinIdx, wantMin := par.MinIndex(1, n, score)
-	for _, w := range workerCounts {
-		gotIdx, gotVal := par.MinIndex(w, n, score)
-		if err := CheckInt(fmt.Sprintf("MinIndex(workers=%d, n=%d) idx", w, n), gotIdx, wantMinIdx); err != nil {
-			return err
-		}
-		if err := CheckScalar(fmt.Sprintf("MinIndex(workers=%d, n=%d) val", w, n), gotVal, wantMin, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func runPairwise(g *Gen) error {
 	data := g.Matrix(6+g.Intn(8), g.LenAtMost(64))
