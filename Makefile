@@ -62,11 +62,13 @@ loc:
 fmt-check:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Telemetry smoke test: a real clustering run with -listen, scraped over
+# Telemetry smoke test: real clustering runs with -listen, scraped over
 # HTTP, asserting the kernel counters and phase histograms appear on
-# /metrics (see cmd/kshape/telemetry_test.go).
+# /metrics (cmd/kshape/telemetry_test.go) and that the /progress stream
+# delivers live snapshots ending in the terminal one while /metrics is
+# scraped under load (cmd/kshape/progress_scrape_test.go).
 smoke:
-	$(GO) test -run TestTelemetrySmoke -count=1 ./cmd/kshape/
+	$(GO) test -run '^(TestTelemetrySmoke|TestProgressScrapeUnderLoad)$$' -count=1 ./cmd/kshape/
 
 # Coverage-guided fuzzing smoke pass: every fuzz target for FUZZTIME
 # (default 10s). The checked-in seed corpora under testdata/fuzz/ also run

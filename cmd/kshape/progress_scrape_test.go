@@ -50,17 +50,20 @@ func TestProgressScrapeUnderLoad(t *testing.T) {
 	}
 
 	// An SSE consumer runs for the whole job and reports every decoded
-	// snapshot; it exits on the terminal event.
+	// snapshot; it exits on the terminal event. The job starts only once
+	// the stream is connected, so the stream overlaps the whole run.
 	type sseOutcome struct {
 		events int
 		last   obs.Progress
 		err    error
 	}
 	sseDone := make(chan sseOutcome, 1)
+	connected := make(chan struct{})
 	go func() {
 		var out sseOutcome
 		defer func() { sseDone <- out }()
 		resp, err := http.Get(srv.URL() + "/progress")
+		close(connected)
 		if err != nil {
 			out.err = err
 			return
@@ -93,6 +96,7 @@ func TestProgressScrapeUnderLoad(t *testing.T) {
 		}
 	}()
 
+	<-connected
 	clusterDone := make(chan error, 1)
 	go func() {
 		_, err := kshape.Cluster(data, 3, kshape.Options{Seed: 1})

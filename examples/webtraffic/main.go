@@ -101,10 +101,3 @@ func main() {
 		fmt.Printf("new %q item -> cluster %d\n", patternNames[c], cl)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -24,10 +24,6 @@ type Clusterer interface {
 	// Only the refinement-loop methods report iterations to
 	// cfg.OnIteration and cfg.Logger.
 	Cluster(data [][]float64, cfg core.Config) (*core.Result, error)
-	// Deterministic reports whether repeated runs with different seeds
-	// produce identical results (true for hierarchical clustering), which
-	// the experiment harness uses to decide how many runs to average.
-	Deterministic() bool
 }
 
 // Run clusters data with c, bracketing the run on the flight recorder
@@ -62,9 +58,6 @@ type kmeansVariant struct {
 
 // Name implements Clusterer.
 func (v kmeansVariant) Name() string { return v.label }
-
-// Deterministic implements Clusterer.
-func (v kmeansVariant) Deterministic() bool { return false }
 
 // Cluster implements Clusterer.
 func (v kmeansVariant) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
@@ -136,9 +129,6 @@ type kshapeClusterer struct{}
 
 // Name implements Clusterer.
 func (kshapeClusterer) Name() string { return "k-Shape" }
-
-// Deterministic implements Clusterer.
-func (kshapeClusterer) Deterministic() bool { return false }
 
 // Cluster implements Clusterer.
 func (kshapeClusterer) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {

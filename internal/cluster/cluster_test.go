@@ -97,9 +97,6 @@ func bestPurity(t *testing.T, c Clusterer, data [][]float64, truth []int, k, see
 		if p := purity(res.Labels, truth, k); p > best {
 			best = p
 		}
-		if c.Deterministic() {
-			break
-		}
 	}
 	return best
 }
@@ -161,18 +158,6 @@ func TestClustererNames(t *testing.T) {
 		if c.Name() != name {
 			t.Errorf("Name = %q, want %q", c.Name(), name)
 		}
-	}
-}
-
-func TestDeterministicFlags(t *testing.T) {
-	if NewKShape().Deterministic() {
-		t.Error("k-Shape should be non-deterministic (random init)")
-	}
-	if !NewHierarchical(SingleLinkage, dist.EDMeasure{}).Deterministic() {
-		t.Error("hierarchical should be deterministic")
-	}
-	if NewPAM(dist.EDMeasure{}).Deterministic() || NewSpectral(dist.EDMeasure{}).Deterministic() {
-		t.Error("PAM/spectral should be non-deterministic")
 	}
 }
 

@@ -25,9 +25,6 @@ func NewFeatureBased() Clusterer { return FeatureBased{} }
 // Name implements Clusterer.
 func (FeatureBased) Name() string { return "Features+k-means" }
 
-// Deterministic implements Clusterer.
-func (FeatureBased) Deterministic() bool { return false }
-
 // Cluster implements Clusterer.
 func (FeatureBased) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
 	res, err := core.Lloyd(FeatureMatrix(data), cfg,

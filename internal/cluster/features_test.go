@@ -119,7 +119,7 @@ func TestFeatureBasedClustersGlobalStructure(t *testing.T) {
 		}
 	}
 	c := NewFeatureBased()
-	if c.Name() != "Features+k-means" || c.Deterministic() {
+	if c.Name() != "Features+k-means" {
 		t.Error("metadata wrong")
 	}
 	if p := bestPurity(t, c, data, truth, 3, 5); p < 0.85 {

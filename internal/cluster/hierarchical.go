@@ -58,9 +58,6 @@ func NewHierarchical(l Linkage, m dist.Measure) *Hierarchical {
 // Name implements Clusterer.
 func (h *Hierarchical) Name() string { return h.Linkage.String() + "+" + h.Measure.Name() }
 
-// Deterministic implements Clusterer.
-func (h *Hierarchical) Deterministic() bool { return true }
-
 // Cluster implements Clusterer. Only cfg.K and cfg.Workers (the matrix
 // build's parallelism) apply: the method is deterministic and has no
 // iteration loop.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"kshape/internal/core"
 	"kshape/internal/dist"
@@ -33,9 +34,6 @@ func NewPAM(m dist.Measure) *PAM { return &PAM{Measure: m} }
 
 // Name implements Clusterer.
 func (p *PAM) Name() string { return "PAM+" + p.Measure.Name() }
-
-// Deterministic implements Clusterer.
-func (p *PAM) Deterministic() bool { return false }
 
 // Cluster implements Clusterer.
 func (p *PAM) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
@@ -118,7 +116,7 @@ func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config
 			}
 		}
 		res.Iterations = iter + 1
-		if iter > 0 && equalInts(labels, prev) {
+		if iter > 0 && slices.Equal(labels, prev) {
 			res.Converged = true
 			break
 		}
@@ -133,13 +131,4 @@ func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config
 		res.Inertia += dd * dd
 	}
 	return res, nil
-}
-
-func equalInts(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

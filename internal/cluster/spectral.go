@@ -42,9 +42,6 @@ func NewSpectral(m dist.Measure) *Spectral { return &Spectral{Measure: m} }
 // Name implements Clusterer.
 func (s *Spectral) Name() string { return "S+" + s.Measure.Name() }
 
-// Deterministic implements Clusterer.
-func (s *Spectral) Deterministic() bool { return false }
-
 // Cluster implements Clusterer.
 func (s *Spectral) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
 	if len(data) == 0 {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestAssignmentScanAllocFree pins the per-series assignment inner loop
-// (scanCentroids, pruned and unpruned, in nearest-only and top-2 mode)
+// (scanCentroids, in nearest-only and top-2 mode)
 // and the refinement helpers (the drift measure and the fixed-point
 // tests) at zero allocations: the queries, scratch and bound rows are the
 // caller's, so iterating the k-Shape loop does not grow the heap.
@@ -27,10 +27,8 @@ func TestAssignmentScanAllocFree(t *testing.T) {
 	drift := make([]float64, k)
 	var j int
 	if n := testing.AllocsPerRun(50, func() {
-		_, _, j, _, _ = scanCentroids(queries, sc, 0, 0, lb[:k], drift, true, true)
-		_, _, j, _, _ = scanCentroids(queries, sc, 1, j, lb[k:], drift, true, false)
-		_, _, _, _, _ = scanCentroids(queries, sc, 1, j, lb[k:], drift, false, true)
-		_, _, _, _, _ = scanCentroids(queries, sc, 0, j, lb[:k], drift, false, false)
+		_, _, j, _, _ = scanCentroids(queries, sc, 0, 0, lb[:k], drift, true)
+		_, _, _, _, _ = scanCentroids(queries, sc, 1, j, lb[k:], drift, false)
 	}); n != 0 {
 		t.Errorf("scanCentroids allocates %v per run, want 0", n)
 	}

@@ -16,6 +16,7 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
+	"slices"
 
 	"kshape/internal/avg"
 	"kshape/internal/dist"
@@ -41,12 +42,8 @@ type Config struct {
 	K int
 	// MaxIterations caps the refinement loop; 0 means DefaultMaxIterations.
 	MaxIterations int
-	// Rand supplies the random initial assignment. Required unless
-	// InitialLabels is set.
+	// Rand supplies the random initial assignment. Required.
 	Rand *rand.Rand
-	// InitialLabels, if non-nil, seeds the assignment deterministically
-	// (length n, values in [0, K)).
-	InitialLabels []int
 	// OnIteration, if non-nil, is invoked synchronously after every
 	// refinement iteration with that iteration's statistics (inertia,
 	// label churn, per-phase wall time, cluster sizes). The callback runs
@@ -153,10 +150,10 @@ type step interface {
 // centroids) then assignment (reassign to nearest centroid), until labels
 // stabilize or the iteration cap is hit.
 //
-// Centroids start as zero vectors and labels start random (or from
-// InitialLabels), matching the paper's pseudocode. An emptied cluster is
-// re-seeded with the series currently farthest from its own centroid, which
-// keeps K clusters alive without biasing toward any particular member.
+// Centroids start as zero vectors and labels start random, matching the
+// paper's pseudocode. An emptied cluster is re-seeded with the series
+// currently farthest from its own centroid, which keeps K clusters alive
+// without biasing toward any particular member.
 func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, error) {
 	n := len(data)
 	if n == 0 {
@@ -172,24 +169,12 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 			return nil, fmt.Errorf("core: series %d has length %d, want %d", i, len(x), m)
 		}
 	}
+	if cfg.Rand == nil {
+		return nil, errors.New("core: Config.Rand is required")
+	}
 	labels := make([]int, n)
-	switch {
-	case cfg.InitialLabels != nil:
-		if len(cfg.InitialLabels) != n {
-			return nil, fmt.Errorf("core: InitialLabels length %d, want %d", len(cfg.InitialLabels), n)
-		}
-		for i, l := range cfg.InitialLabels {
-			if l < 0 || l >= k {
-				return nil, fmt.Errorf("core: InitialLabels[%d] = %d out of [0, %d)", i, l, k)
-			}
-			labels[i] = l
-		}
-	case cfg.Rand != nil:
-		for i := range labels {
-			labels[i] = cfg.Rand.Intn(k)
-		}
-	default:
-		return nil, errors.New("core: Config.Rand is required when InitialLabels is nil")
+	for i := range labels {
+		labels[i] = cfg.Rand.Intn(k)
 	}
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
@@ -252,7 +237,7 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 			rec.RecordIteration(iter + 1)
 		}
 		res.Iterations = iter + 1
-		converged := equalLabels(labels, prev)
+		converged := slices.Equal(labels, prev)
 		ob.observe(iter, r, prev, refineNS, assignNS, reseeds)
 		if converged {
 			res.Converged = true
@@ -399,7 +384,7 @@ func newKShapeStep(r *loop) step {
 // fixed point is skipped outright — recomputing it would reproduce the
 // same centroid from the same inputs.
 func (s *kshapeStep) refine(j, lo, hi int) {
-	if !bruteForceScan && s.settled[j] && !s.membersChanged[j] {
+	if s.settled[j] && !s.membersChanged[j] {
 		s.drift[j] = 0
 		return
 	}
@@ -418,7 +403,7 @@ func (s *kshapeStep) refine(j, lo, hi int) {
 		switch {
 		case zero:
 			shifts[t] = 0 // the first iteration: every series is its own alignment
-		case s.won[i] == j && !bruteForceScan:
+		case s.won[i] == j:
 			shifts[t] = s.shift[i]
 		default:
 			if sc == nil {
@@ -443,7 +428,7 @@ func (s *kshapeStep) refine(j, lo, hi int) {
 // refreshQuery re-transforms centroid j unless its cached spectrum is
 // still current.
 func (s *kshapeStep) refreshQuery(j int) {
-	if bruteForceScan || !s.specFresh[j] {
+	if !s.specFresh[j] {
 		s.queries[j] = s.batch.QueryInto(s.queries[j], s.centroids[j])
 		s.specFresh[j] = true
 	}
@@ -464,7 +449,7 @@ func (s *kshapeStep) assign() {
 		for i := lo; i < hi; i++ {
 			top2 := s.sampled(i)
 			best, second, bestJ, shift, p := scanCentroids(s.queries, scratch, i, s.labels[i],
-				s.lb[i*s.k:(i+1)*s.k], s.drift, !bruteForceScan, top2)
+				s.lb[i*s.k:(i+1)*s.k], s.drift, top2)
 			pruned += p
 			s.assignDist[i], s.shift[i], s.won[i] = best, shift, bestJ
 			if top2 {
@@ -539,25 +524,9 @@ func iterationStats(iter int, labels, prev []int, assignDist []float64, k int,
 	}
 }
 
-func equalLabels(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // assignMinPerChunk floors the per-chunk series count of the assignment
 // scan so par's chunk handoff is amortized over several inverse transforms.
 const assignMinPerChunk = 4
-
-// bruteForceScan is a test hook: when set, KShapeRun recomputes every
-// centroid spectrum, refinement, alignment shift and assignment distance
-// each iteration (no spectrum cache, settled skip, shift reuse or
-// pruning). The clustering output must be identical either way — only
-// kernel-counter totals may differ.
-var bruteForceScan bool
 
 // pruneMargin is the rounding margin of the drift-bound test: a centroid
 // is skipped only when its bound exceeds the best distance so far by more
@@ -570,19 +539,19 @@ const pruneMargin = 1e-9
 // improvement (ties toward the smaller index), and returns the winner's
 // distance and shift; bestJ is -1 when nothing improves on +Inf. lb is
 // the series' k-wide bound row and drift the centroid drifts since the
-// row was written. With prune set, centroid j is skipped when
-// lb[j]−drift[j] exceeds, by pruneMargin, the smallest distance evaluated
-// so far (own included): its true distance is then strictly above the
-// minimum, so the winner is unchanged. With top2 set the test is against
-// the second-smallest instead, so a skipped centroid cannot be the
-// runner-up either and second is the exact distance to the nearest
-// centroid other than bestJ; without top2, second is only the
-// second-smallest distance evaluated. Every bound is decayed or replaced
-// by the exact distance, and pruned counts the skipped centroids.
+// row was written. Centroid j is skipped when lb[j]−drift[j] exceeds, by
+// pruneMargin, the smallest distance evaluated so far (own included): its
+// true distance is then strictly above the minimum, so the winner is
+// unchanged. With top2 set the test is against the second-smallest
+// instead, so a skipped centroid cannot be the runner-up either and
+// second is the exact distance to the nearest centroid other than bestJ;
+// without top2, second is only the second-smallest distance evaluated.
+// Every bound is decayed or replaced by the exact distance, and pruned
+// counts the skipped centroids.
 //
 //kshape:hotpath
 func scanCentroids(queries []*dist.SBDQuery, sc *dist.SBDScratch, i, own int, lb, drift []float64,
-	prune, top2 bool) (best, second float64, bestJ, shift, pruned int) {
+	top2 bool) (best, second float64, bestJ, shift, pruned int) {
 	dOwn, sOwn := queries[own].DistanceScratch(i, sc)
 	lb[own] = dOwn
 	// lo1 ≤ lo2 are the two smallest distances evaluated so far.
@@ -596,7 +565,7 @@ func scanCentroids(queries []*dist.SBDQuery, sc *dist.SBDScratch, i, own int, lb
 				limit = lo2
 			}
 			bound := lb[j] - drift[j]
-			if prune && bound > limit+pruneMargin {
+			if bound > limit+pruneMargin {
 				lb[j] = bound
 				pruned++
 				continue

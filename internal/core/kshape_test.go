@@ -40,6 +40,26 @@ func twoClassShiftedData(nPerClass, m int, rng *rand.Rand) ([][]float64, []int) 
 	return data, labels
 }
 
+// seededLabels returns a random source whose draws make rand.Intn(k)
+// return labels in order, so a run starts from that assignment: Intn of
+// k < 2³¹ reduces the top 31 bits of one Int63 draw modulo k.
+func seededLabels(labels []int) *rand.Rand {
+	return rand.New(&labelSource{labels: labels})
+}
+
+type labelSource struct {
+	labels []int
+	next   int
+}
+
+func (s *labelSource) Int63() int64 {
+	l := s.labels[s.next]
+	s.next++
+	return int64(l) << 32
+}
+
+func (s *labelSource) Seed(int64) {}
+
 // clusterPurity is the fraction of points whose cluster's majority class
 // matches their own class.
 func clusterPurity(pred, truth []int, k int) float64 {
@@ -102,8 +122,8 @@ func TestKShapeDeterministicWithInitialLabels(t *testing.T) {
 	}
 	run := func() *Result {
 		res, err := Lloyd(data, Config{
-			K:             2,
-			InitialLabels: init,
+			K:    2,
+			Rand: seededLabels(init),
 		}, func(c, x []float64) float64 { return dist.SBDDist(c, x) }, avg.ShapeExtraction)
 		if err != nil {
 			t.Fatal(err)
@@ -145,17 +165,7 @@ func TestLloydValidation(t *testing.T) {
 	bad = good
 	bad.Rand = nil
 	if _, err := Lloyd(data, bad, ed, mean); err == nil {
-		t.Error("nil rand without initial labels accepted")
-	}
-	bad = good
-	bad.InitialLabels = []int{0}
-	if _, err := Lloyd(data, bad, ed, mean); err == nil {
-		t.Error("short InitialLabels accepted")
-	}
-	bad = good
-	bad.InitialLabels = []int{0, 5}
-	if _, err := Lloyd(data, bad, ed, mean); err == nil {
-		t.Error("out-of-range InitialLabels accepted")
+		t.Error("nil rand accepted")
 	}
 	ragged := [][]float64{{1, 2}, {3}}
 	if _, err := Lloyd(ragged, good, ed, mean); err == nil {
@@ -206,8 +216,8 @@ func TestLloydEmptyClusterReseeded(t *testing.T) {
 	data, _ := twoClassShiftedData(10, 32, rng)
 	init := make([]int, len(data)) // everything in cluster 0
 	res, err := Lloyd(data, Config{
-		K:             3,
-		InitialLabels: init,
+		K:    3,
+		Rand: seededLabels(init),
 	}, func(c, x []float64) float64 { return dist.SBDDist(c, x) }, avg.ShapeExtraction)
 	if err != nil {
 		t.Fatal(err)
@@ -275,13 +285,13 @@ func TestKShapeSpecializedMatchesGenericLloyd(t *testing.T) {
 		init[i] = (i * 7) % 3
 	}
 	generic, err := Lloyd(data, Config{
-		K:             3,
-		InitialLabels: init,
+		K:    3,
+		Rand: seededLabels(init),
 	}, func(c, x []float64) float64 { return dist.SBDDist(c, x) }, avg.ShapeExtraction)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := KShapeRun(data, Config{K: 3, InitialLabels: init})
+	fast, err := KShapeRun(data, Config{K: 3, Rand: seededLabels(init)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,18 +313,11 @@ func TestKShapeSpecializedMatchesGenericLloyd(t *testing.T) {
 	}
 }
 
-// TestKShapeInitValidation checks KShapeRun's input validation, including
-// a deterministic InitialLabels seeding in place of a random source.
+// TestKShapeInitValidation checks KShapeRun's input validation.
 func TestKShapeInitValidation(t *testing.T) {
 	data := [][]float64{{1, 2, 3}, {3, 2, 1}}
 	if _, err := KShapeRun(data, Config{K: 2}); err == nil {
-		t.Error("nil rng and nil init accepted")
-	}
-	if _, err := KShapeRun(data, Config{K: 2, InitialLabels: []int{0}}); err == nil {
-		t.Error("short init accepted")
-	}
-	if _, err := KShapeRun(data, Config{K: 2, InitialLabels: []int{0, 5}}); err == nil {
-		t.Error("out-of-range init accepted")
+		t.Error("nil rng accepted")
 	}
 	if _, err := KShapeRun(nil, Config{K: 1}); err == nil {
 		t.Error("empty data accepted")
@@ -322,7 +325,7 @@ func TestKShapeInitValidation(t *testing.T) {
 	if _, err := KShapeRun(data, Config{K: 9}); err == nil {
 		t.Error("k > n accepted")
 	}
-	if _, err := KShapeRun([][]float64{{1, 2}, {1}}, Config{K: 2, InitialLabels: []int{0, 1}}); err == nil {
+	if _, err := KShapeRun([][]float64{{1, 2}, {1}}, Config{K: 2, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("ragged data accepted")
 	}
 }
@@ -605,7 +608,7 @@ func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 	drift := []float64{0, 0.5, 0.5}
 
 	lb := []float64{0, 5, 5}
-	best, _, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, drift, true, false)
+	best, _, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, drift, false)
 	if pruned != 2 || bestJ != 0 || best != exact[0] {
 		t.Fatalf("scan = (%v, %d, pruned %d), want (%v, 0, pruned 2)", best, bestJ, pruned, exact[0])
 	}
@@ -635,7 +638,7 @@ func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 		{"nearest-only prunes on the best", exact[1], false, 1, false},
 	} {
 		lb := []float64{0, 0, c.bound2}
-		best, second, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, still, true, c.top2)
+		best, second, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, still, c.top2)
 		if best != exact[0] || bestJ != 0 || pruned != c.wantPruned {
 			t.Errorf("%s: scan = (%v, %d, pruned %d), want (%v, 0, pruned %d)",
 				c.name, best, bestJ, pruned, exact[0], c.wantPruned)
@@ -648,7 +651,7 @@ func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 	// A bound that only ties the own distance must not prune: the tie
 	// rule may need the smaller index.
 	lb = []float64{exact[0], exact[0] + pruneMargin, 0}
-	if _, _, _, _, pruned := scanCentroids(queries, sc, 0, 2, lb, []float64{0, 0, 0}, true, false); pruned != 0 {
+	if _, _, _, _, pruned := scanCentroids(queries, sc, 0, 2, lb, []float64{0, 0, 0}, false); pruned != 0 {
 		t.Errorf("bounds within the margin pruned %d centroids", pruned)
 	}
 }
@@ -681,7 +684,7 @@ func TestKShapeBoundsStayBelowExactSBD(t *testing.T) {
 	data, _ := twoClassShiftedData(30, 40, rand.New(rand.NewSource(43)))
 	for _, cfg := range []Config{
 		{K: 4, Rand: rand.New(rand.NewSource(44))},
-		{K: 3, InitialLabels: make([]int, len(data)), MaxIterations: 8}, // reseeds
+		{K: 3, Rand: seededLabels(make([]int, len(data))), MaxIterations: 8}, // reseeds
 	} {
 		var checker *boundCheckStep
 		if _, err := iterate(data, cfg, func(r *loop) step {

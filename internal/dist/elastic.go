@@ -28,13 +28,13 @@ func LCSS(x, y []float64, epsilon float64, delta int) int {
 		for j := range curr {
 			curr[j] = 0
 		}
-		lo := maxInt(1, i-delta)
-		hi := minInt(m, i+delta)
+		lo := max(1, i-delta)
+		hi := min(m, i+delta)
 		for j := lo; j <= hi; j++ {
 			if math.Abs(x[i-1]-y[j-1]) <= epsilon {
 				curr[j] = prev[j-1] + 1
 			} else {
-				curr[j] = maxInt(prev[j], curr[j-1])
+				curr[j] = max(prev[j], curr[j-1])
 			}
 		}
 		prev, curr = curr, prev
@@ -52,7 +52,7 @@ func LCSSDistance(x, y []float64, epsilon float64, delta int) float64 {
 		}
 		return 1
 	}
-	return 1 - float64(LCSS(x, y, epsilon, delta))/float64(minInt(n, m))
+	return 1 - float64(LCSS(x, y, epsilon, delta))/float64(min(n, m))
 }
 
 // LCSSMeasure is the Measure adapter for LCSSDistance. Epsilon defaults to
@@ -97,7 +97,7 @@ func EDR(x, y []float64, epsilon float64) int {
 			if math.Abs(x[i-1]-y[j-1]) <= epsilon {
 				sub = 0
 			}
-			curr[j] = minInt(prev[j-1]+sub, minInt(prev[j]+1, curr[j-1]+1))
+			curr[j] = min(prev[j-1]+sub, prev[j]+1, curr[j-1]+1)
 		}
 		prev, curr = curr, prev
 	}
@@ -123,7 +123,7 @@ func (e EDRMeasure) Distance(x, y []float64) float64 {
 	if eps == 0 {
 		eps = 0.5
 	}
-	return float64(EDR(x, y, eps)) / float64(maxInt(len(x), len(y)))
+	return float64(EDR(x, y, eps)) / float64(max(len(x), len(y)))
 }
 
 // ERP computes the Edit distance with Real Penalty (Chen & Ng): an edit
@@ -306,18 +306,4 @@ func ElasticMeasures() []Measure {
 		MSMMeasure{},
 		TWEDMeasure{},
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -55,7 +55,7 @@ func NCCSequence(x, y []float64, norm NCCNorm) []float64 {
 	case NCCu:
 		for i := range cc {
 			lag := i - (m - 1)
-			overlap := m - absInt(lag)
+			overlap := m - abs(lag)
 			cc[i] /= float64(overlap)
 		}
 	case NCCc:
@@ -230,11 +230,4 @@ func (m NCCMeasure) Name() string { return m.Norm.String() }
 func (m NCCMeasure) Distance(x, y []float64) float64 {
 	v, _ := MaxNCC(x, y, m.Norm)
 	return 1 - v
-}
-
-func absInt(a int) int {
-	if a < 0 {
-		return -a
-	}
-	return a
 }

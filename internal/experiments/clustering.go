@@ -153,9 +153,6 @@ func runClusterer(cfg Config, c cluster.Clusterer, runs int) ClusterRow {
 			}
 			sum += ri
 			count++
-			if c.Deterministic() {
-				break
-			}
 		}
 		if count > 0 {
 			row.RandIndexes[d] = sum / float64(count)

@@ -10,12 +10,13 @@ import (
 
 // This file implements the recorder's live-progress state: the engine's
 // IterationStats stream becomes (1) an atomically published Progress
-// snapshot concurrent readers scrape without locks, (2) a bounded
-// iteration history the dashboard renders after the run, and (3) a
-// fan-out to Server-Sent-Events subscribers. The hooks (BeginRun,
-// PublishIteration, EndRun) are no-ops on a nil recorder. Publication is
-// observation only — it never feeds back into the clustering, so results
-// are bit-identical with a recorder armed or not.
+// snapshot that every live reader — the TTY line, /metrics and the
+// /progress Server-Sent-Events stream — polls without locks, and (2) a
+// bounded iteration history the dashboard renders after the run. The
+// hooks (BeginRun, PublishIteration, EndRun) are no-ops on a nil
+// recorder. Publication is observation only — it never feeds back into
+// the clustering, so results are bit-identical with a recorder armed or
+// not.
 
 // Progress phase names.
 const (
@@ -80,10 +81,8 @@ type progressState struct {
 	seq  atomic.Int64
 
 	mu      sync.Mutex
-	subs    map[chan Progress]struct{}
 	history []IterationStats
 	dropped int64
-	churn   []int
 	method  string
 	series  int
 	k       int
@@ -103,7 +102,6 @@ func (r *Recorder) BeginRun(method string, series, k, maxIterations int) {
 	p.method, p.series, p.k, p.maxIter = method, series, k, maxIterations
 	p.history = p.history[:0]
 	p.dropped = 0
-	p.churn = p.churn[:0]
 	p.mu.Unlock()
 	r.publish(Progress{
 		Method: method, Phase: ProgressPhaseInit,
@@ -126,8 +124,14 @@ func (r *Recorder) PublishIteration(st IterationStats) {
 		p.dropped++
 	}
 	p.history = append(p.history, st)
-	p.churn = append(p.churn, st.LabelChurn)
-	diag := Diagnose(p.churn)
+	// Diagnose reads only the newest oscillationWindow churn values, so
+	// the history's tail stands in for the run's full churn sequence.
+	var churn [oscillationWindow]int
+	tail := p.history[max(len(p.history)-oscillationWindow, 0):]
+	for t, h := range tail {
+		churn[t] = h.LabelChurn
+	}
+	diag := Diagnose(churn[:len(tail)])
 	next := Progress{
 		Method: p.method, Phase: ProgressPhaseIterating,
 		Series: p.series, K: p.k,
@@ -167,23 +171,14 @@ func (r *Recorder) EndRun(converged bool) {
 	r.publish(next)
 }
 
-// publish stamps, stores, and fans out one snapshot.
+// publish stamps and stores one snapshot. Each call stores a fresh
+// pointer, so a reader that remembers the last pointer it saw detects any
+// newer snapshot by comparison alone.
 func (r *Recorder) publish(next Progress) {
 	p := &r.progress
 	next.Seq = p.seq.Add(1)
 	next.UpdatedNS = r.NowNS()
 	p.snap.Store(&next)
-	p.mu.Lock()
-	// Every subscriber receives the same value and sends never block, so
-	// delivery order across subscribers is unobservable.
-	//lint:ignore maporder independent non-blocking sends of one value; order is unobservable
-	for ch := range p.subs {
-		select {
-		case ch <- next:
-		default: // slow subscriber: drop, never block the engine
-		}
-	}
-	p.mu.Unlock()
 }
 
 // Progress returns the latest published snapshot; ok is false before the
@@ -210,44 +205,26 @@ func (r *Recorder) History() (stats []IterationStats, dropped int64) {
 	return out, p.dropped
 }
 
-// Subscribe registers a snapshot channel with the given buffer (<= 0
-// means 16) and returns it with its cancel function. Snapshots a full
-// buffer cannot absorb are dropped — subscribers observe the freshest
-// state, not a lossless log. Cancel is idempotent and closes the channel.
-func (r *Recorder) Subscribe(buffer int) (<-chan Progress, func()) {
-	if buffer <= 0 {
-		buffer = 16
-	}
-	ch := make(chan Progress, buffer)
-	p := &r.progress
-	p.mu.Lock()
-	if p.subs == nil {
-		p.subs = make(map[chan Progress]struct{})
-	}
-	p.subs[ch] = struct{}{}
-	p.mu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			p.mu.Lock()
-			delete(p.subs, ch)
-			p.mu.Unlock()
-			close(ch)
-		})
-	}
-	return ch, cancel
-}
-
 // DefaultProgressHeartbeat is the SSE comment-ping interval when no
-// snapshot arrives; it keeps idle connections alive through proxies.
+// snapshot was sent; it keeps idle connections alive through proxies.
 const DefaultProgressHeartbeat = 15 * time.Second
 
-// ProgressHandler returns the /progress Server-Sent-Events handler: one
-// `data:` event per published snapshot (JSON, the Progress schema) plus
-// an initial event replaying the current snapshot on connect, and
-// comment heartbeats while idle. The stream follows whichever recorder
-// is active, so a connection opened before a run starts begins emitting
-// once SetRecorder installs one.
+// progressPollInterval is how often a /progress stream reads the active
+// recorder's snapshot: one atomic load, so cheap enough to poll often
+// enough that a run of a few tens of milliseconds still shows progress.
+const progressPollInterval = 10 * time.Millisecond
+
+// ProgressHandler returns the /progress Server-Sent-Events handler. Each
+// connection polls the active recorder's snapshot every
+// progressPollInterval and sends it as a `data:` event (JSON, the Progress
+// schema) whenever it changed since the last one sent. A stream therefore
+// carries at most one snapshot per poll, Seq gaps count the ones it
+// skipped, and it always catches up to the newest, so a finished run's
+// done snapshot is sent unless a newer run replaced it within one poll.
+// The first poll replays the current snapshot on connect, and comment
+// heartbeats go out while nothing was sent. The stream follows whichever
+// recorder is active, so a connection opened before a run starts picks
+// up the one SetRecorder installs within one poll.
 func ProgressHandler() http.Handler { return progressHandler(DefaultProgressHeartbeat) }
 
 // progressHandler is ProgressHandler with the heartbeat interval
@@ -267,77 +244,38 @@ func progressHandler(heartbeat time.Duration) http.Handler {
 		h.Set("Cache-Control", "no-store")
 		h.Set("X-Accel-Buffering", "no")
 		w.WriteHeader(http.StatusOK)
+		fl.Flush() // the client sees the stream open before any snapshot exists
 
-		send := func(p Progress) bool {
-			data, err := json.Marshal(p)
-			if err != nil {
-				return false
-			}
-			if _, err := w.Write(append(append([]byte("data: "), data...), '\n', '\n')); err != nil {
-				return false
-			}
-			fl.Flush()
-			return true
-		}
-		heartbeatMsg := []byte(": heartbeat\n\n")
-
-		// Track the active recorder across the connection: a nil channel
-		// blocks forever in select, so an idle stream only wakes on the
-		// heartbeat (where it re-checks for a newly installed recorder).
-		var (
-			pub    *Recorder
-			events <-chan Progress
-			cancel func()
-		)
-		defer func() {
-			if cancel != nil {
-				cancel()
-			}
-		}()
-		resubscribe := func() bool {
-			cur := ActiveRecorder()
-			if cur == pub {
-				return true
-			}
-			if cancel != nil {
-				cancel()
-				events, cancel = nil, nil
-			}
-			pub = cur
-			if pub == nil {
-				return true
-			}
-			events, cancel = pub.Subscribe(0)
-			if snap, ok := pub.Progress(); ok && !send(snap) {
-				return false
-			}
-			return true
-		}
-		if !resubscribe() {
-			return
-		}
-		ticker := time.NewTicker(heartbeat)
+		ticker := time.NewTicker(progressPollInterval)
 		defer ticker.Stop()
+		var last *Progress
+		lastWrite := time.Now()
 		for {
-			select {
-			case <-r.Context().Done():
-				return
-			case p, ok := <-events:
-				if !ok { // subscription cancelled under us
-					events, cancel = nil, nil
-					continue
+			var frame []byte
+			if cur := ActiveRecorder(); cur != nil {
+				if snap := cur.progress.snap.Load(); snap != nil && snap != last {
+					data, err := json.Marshal(snap)
+					if err != nil {
+						return
+					}
+					frame = append(append([]byte("data: "), data...), '\n', '\n')
+					last = snap
 				}
-				if !send(p) {
-					return
-				}
-			case <-ticker.C:
-				if !resubscribe() {
-					return
-				}
-				if _, err := w.Write(heartbeatMsg); err != nil {
+			}
+			if frame == nil && time.Since(lastWrite) >= heartbeat {
+				frame = []byte(": heartbeat\n\n")
+			}
+			if frame != nil {
+				if _, err := w.Write(frame); err != nil {
 					return
 				}
 				fl.Flush()
+				lastWrite = time.Now()
+			}
+			select {
+			case <-r.Context().Done():
+				return
+			case <-ticker.C:
 			}
 		}
 	})

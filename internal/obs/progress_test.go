@@ -88,8 +88,24 @@ func TestProgressPublisherReuseAcrossRuns(t *testing.T) {
 func TestProgressHistoryBounded(t *testing.T) {
 	pub := NewRecorder(0)
 	pub.BeginRun("k-Shape", 10, 2, maxProgressHistory+10)
-	for i := 0; i < maxProgressHistory+10; i++ {
-		pub.PublishIteration(IterationStats{Iteration: i + 1, LabelChurn: 1})
+	// A churn sequence that ends in a period-2 cycle, so the diagnostics
+	// read a non-trivial tail after the history has evicted its head.
+	churn := make([]int, maxProgressHistory+10)
+	for i := range churn {
+		churn[i] = len(churn) - i
+		if i >= len(churn)-oscillationWindow {
+			churn[i] = 3 + i%2
+		}
+		pub.PublishIteration(IterationStats{Iteration: i + 1, LabelChurn: churn[i]})
+	}
+	snap, _ := pub.Progress()
+	want := Diagnose(churn)
+	if !want.Oscillating {
+		t.Fatal("the churn sequence does not end oscillating; the check is vacuous")
+	}
+	if snap.Stalled != want.Stalled || snap.Oscillating != want.Oscillating || snap.ETAIterations != want.ETAIterations {
+		t.Errorf("final snapshot diagnostics stalled/oscillating/eta = %v/%v/%d, want Diagnose over the full churn %v/%v/%d",
+			snap.Stalled, snap.Oscillating, snap.ETAIterations, want.Stalled, want.Oscillating, want.ETAIterations)
 	}
 	history, dropped := pub.History()
 	if len(history) != maxProgressHistory || dropped != 10 {
@@ -111,46 +127,6 @@ func TestProgressSnapshotImmutable(t *testing.T) {
 	snap, _ := pub.Progress()
 	if snap.ClusterSizes[0] != 2 {
 		t.Errorf("published snapshot aliased the caller's slice: %+v", snap.ClusterSizes)
-	}
-}
-
-func TestProgressSubscribe(t *testing.T) {
-	pub := NewRecorder(0)
-	ch, cancel := pub.Subscribe(8)
-	defer cancel()
-	pub.BeginRun("k-Shape", 10, 2, 100)
-	pub.PublishIteration(IterationStats{Iteration: 1, LabelChurn: 3})
-	pub.EndRun(false)
-	want := []string{ProgressPhaseInit, ProgressPhaseIterating, ProgressPhaseDone}
-	for _, phase := range want {
-		select {
-		case p := <-ch:
-			if p.Phase != phase {
-				t.Fatalf("got phase %q, want %q", p.Phase, phase)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("no %q snapshot delivered", phase)
-		}
-	}
-	cancel()
-	cancel() // idempotent
-	if _, open := <-ch; open {
-		t.Error("channel still open after cancel")
-	}
-	// Publishing after cancel must not panic or block.
-	pub.PublishIteration(IterationStats{Iteration: 2})
-}
-
-func TestProgressSubscribeDropsWhenFull(t *testing.T) {
-	pub := NewRecorder(0)
-	ch, cancel := pub.Subscribe(1)
-	defer cancel()
-	pub.BeginRun("k-Shape", 10, 2, 100)
-	for i := 0; i < 50; i++ { // must not block despite the full buffer
-		pub.PublishIteration(IterationStats{Iteration: i + 1})
-	}
-	if got := <-ch; got.Phase != ProgressPhaseInit {
-		t.Errorf("first buffered snapshot = %+v", got)
 	}
 }
 
@@ -355,6 +331,56 @@ func TestProgressSSEStream(t *testing.T) {
 			t.Fatalf("terminal event = %+v", ev)
 		}
 		break
+	}
+}
+
+// TestProgressSSEDeliversDoneAfterBurst: a burst of iterations published
+// faster than the stream writes them must not cost the terminal snapshot.
+// The stream may skip intermediate snapshots, but the done frame carrying
+// Converged must arrive promptly, every round.
+func TestProgressSSEDeliversDoneAfterBurst(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		pub := armRecorder(t)
+		pub.BeginRun("k-Shape", 300, 3, 1000)
+		srv := httptest.NewServer(ProgressHandler())
+		resp, err := srv.Client().Get(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(resp.Body)
+		if first, hb := readSSEEvent(t, r); hb || first.Phase != ProgressPhaseInit {
+			t.Fatalf("round %d: initial replay = %+v (heartbeat=%v)", round, first, hb)
+		}
+
+		done := make(chan Progress, 1)
+		go func() {
+			for {
+				line, err := r.ReadString('\n')
+				if err != nil {
+					return
+				}
+				var p Progress
+				data, ok := strings.CutPrefix(strings.TrimRight(line, "\n"), "data: ")
+				if ok && json.Unmarshal([]byte(data), &p) == nil && p.Phase == ProgressPhaseDone {
+					done <- p
+					return
+				}
+			}
+		}()
+		for i := 0; i < 300; i++ {
+			pub.PublishIteration(IterationStats{Iteration: i + 1, LabelChurn: 300 - i})
+		}
+		pub.EndRun(true)
+		select {
+		case p := <-done:
+			if !p.Converged || p.Iteration != 300 {
+				t.Errorf("round %d: terminal snapshot = %+v", round, p)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("round %d: no done snapshot within 2s of EndRun", round)
+		}
+		resp.Body.Close()
+		srv.Close()
 	}
 }
 

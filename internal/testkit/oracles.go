@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"kshape/internal/avg"
 	"kshape/internal/core"
@@ -132,7 +133,7 @@ func Pairs() []OraclePair {
 		},
 		{
 			Name: "core/kshape-vs-lloyd",
-			Doc:  "KShapeRun (cached spectra, settled skip, reused shifts, drift-bound pruning) equals Lloyd with SBD and ShapeExtraction bit for bit, at every worker count",
+			Doc:  "KShapeRun (cached spectra, settled skip, reused shifts, drift-bound pruning) equals Lloyd with SBD and ShapeExtraction bit for bit, result and OnIteration trajectory (timings excluded), at every worker count",
 			Tol:  0,
 			Run:  runKShapeVsLloyd,
 		},
@@ -816,6 +817,13 @@ func shiftedClasses(g *Gen) [][]float64 {
 	return data
 }
 
+// zeroSource is a rand.Source that always draws 0, so rand.Intn(k) is 0
+// and a run seeded with it starts with every series in cluster 0.
+type zeroSource struct{}
+
+func (zeroSource) Int63() int64 { return 0 }
+func (zeroSource) Seed(int64)   {}
+
 func runKShapeVsLloyd(g *Gen) error {
 	data := shiftedClasses(g)
 	k := 3 + g.Intn(2)
@@ -826,33 +834,72 @@ func runKShapeVsLloyd(g *Gen) error {
 		// Every series starts in cluster 0, so the first assignment
 		// leaves clusters empty and reseedEmptyClusters must move series.
 		{"reseeds", func() core.Config {
-			return core.Config{K: k, MaxIterations: 6, InitialLabels: make([]int, len(data))}
+			return core.Config{K: k, MaxIterations: 6, Rand: rand.New(zeroSource{})}
 		}},
 		{"to-convergence", func() core.Config {
 			return core.Config{K: k, Rand: rand.New(rand.NewSource(g.Seed))}
 		}},
 	}
 	for _, tc := range cases {
-		reseeds := 0
+		var wantTraj []obs.IterationStats
 		ref := tc.cfg()
-		ref.OnIteration = func(s obs.IterationStats) { reseeds += s.Reseeds }
+		ref.OnIteration = func(s obs.IterationStats) { wantTraj = append(wantTraj, s) }
 		want, err := core.Lloyd(data, ref, dist.SBDDist, avg.ShapeExtraction)
 		if err != nil {
 			return fmt.Errorf("%s: Lloyd: %v", tc.name, err)
+		}
+		reseeds := 0
+		for _, s := range wantTraj {
+			reseeds += s.Reseeds
 		}
 		if tc.name == "reseeds" && reseeds == 0 {
 			return fmt.Errorf("%s (n=%d, k=%d): the reference run never reseeded", tc.name, len(data), k)
 		}
 		for _, w := range []int{1, 2, 8} {
-			cfg := tc.cfg()
-			cfg.Workers = w
-			got, err := core.KShapeRun(data, cfg)
-			if err != nil {
-				return fmt.Errorf("%s: KShapeRun: %v", tc.name, err)
+			for _, observed := range []bool{false, true} {
+				var gotTraj []obs.IterationStats
+				cfg := tc.cfg()
+				cfg.Workers = w
+				if observed {
+					cfg.OnIteration = func(s obs.IterationStats) { gotTraj = append(gotTraj, s) }
+				}
+				got, err := core.KShapeRun(data, cfg)
+				if err != nil {
+					return fmt.Errorf("%s: KShapeRun: %v", tc.name, err)
+				}
+				name := fmt.Sprintf("%s (n=%d, m=%d, k=%d, workers=%d, observed=%v)", tc.name, len(data), len(data[0]), k, w, observed)
+				if err := sameResult(name, got, want); err != nil {
+					return err
+				}
+				if observed {
+					if err := sameTrajectory(name, gotTraj, wantTraj); err != nil {
+						return err
+					}
+				}
 			}
-			if err := sameResult(fmt.Sprintf("%s (n=%d, m=%d, k=%d, workers=%d)", tc.name, len(data), len(data[0]), k, w), got, want); err != nil {
-				return err
-			}
+		}
+	}
+	return nil
+}
+
+// sameTrajectory reports the first difference between two OnIteration
+// trajectories: every field but the phase wall times, floats bit for bit.
+func sameTrajectory(name string, got, want []obs.IterationStats) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: %d iterations observed, want %d", name, len(got), len(want))
+	}
+	for i, w := range want {
+		g, it := got[i], fmt.Sprintf("%s iteration %d", name, i+1)
+		if g.Iteration != w.Iteration || g.LabelChurn != w.LabelChurn || g.Reseeds != w.Reseeds || !slices.Equal(g.ClusterSizes, w.ClusterSizes) {
+			return fmt.Errorf("%s: iteration/churn/reseeds/sizes = %d/%d/%d/%v, want %d/%d/%d/%v", it,
+				g.Iteration, g.LabelChurn, g.Reseeds, g.ClusterSizes, w.Iteration, w.LabelChurn, w.Reseeds, w.ClusterSizes)
+		}
+		if err := CheckSlice(it+" inertia/delta/silhouette", []float64{g.Inertia, g.InertiaDelta, g.SilhouetteSample},
+			[]float64{w.Inertia, w.InertiaDelta, w.SilhouetteSample}, 0); err != nil {
+			return err
+		}
+		if err := CheckSlice(it+" centroid drift", g.CentroidDrift, w.CentroidDrift, 0); err != nil {
+			return err
 		}
 	}
 	return nil
