@@ -24,9 +24,13 @@ test-short:
 # (internal/par) and every package that computes through it: the Lloyd /
 # k-Shape engines, distance-matrix builds, PAM/spectral scans, 1-NN
 # evaluation, the atomic counters in internal/obs, and the public API.
+# The experiment sweeps are too slow for a full race pass; the two sweep
+# tests cover the per-dataset matrices Table 4's units share under
+# par.For and the one-worker rule.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/par/ ./internal/obs/ ./internal/core/ ./internal/dist/ ./internal/eval/ ./internal/cluster/ .
+	$(GO) test -race -run '^(TestTable4MatricesFollowTheirData|TestSweepsHonorWorkersAndRecordEveryUnit)$$' ./internal/experiments/
 
 # The benchmark harness (perfbench/) is a nested module, so `go test ./...`
 # at the root skips it. Its tests check that its shadow copy of the

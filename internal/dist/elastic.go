@@ -10,6 +10,24 @@ import "math"
 // provided so the comparison can be extended (see kbench table2x) and
 // because a time-series clustering library is expected to offer them.
 
+// The Measure adapters run each measure at fixed, commonly used parameters
+// from the literature for z-normalized series.
+const (
+	// lcssEpsilon is LCSS's match threshold: half a standard deviation.
+	lcssEpsilon = 0.5
+	// edrEpsilon is EDR's match threshold.
+	edrEpsilon = 0.5
+	// erpGap is ERP's gap reference: the mean of a z-normalized series.
+	erpGap = 0.0
+	// msmCost is MSM's split/merge cost, the midpoint of the costs Stefan
+	// et al. cross-validate.
+	msmCost = 0.5
+	// twedLambda and twedNu are TWED's deletion penalty and stiffness,
+	// mid-range values from Marteau's grid.
+	twedLambda = 1.0
+	twedNu     = 0.001
+)
+
 // LCSS computes the Longest Common SubSequence similarity count for real
 // sequences: coordinates match when they differ by at most epsilon and
 // their indices by at most delta (the matching window; delta < 0 means
@@ -55,29 +73,16 @@ func LCSSDistance(x, y []float64, epsilon float64, delta int) float64 {
 	return 1 - float64(LCSS(x, y, epsilon, delta))/float64(min(n, m))
 }
 
-// LCSSMeasure is the Measure adapter for LCSSDistance. Epsilon defaults to
-// 0.5 (half a standard deviation of a z-normalized series) and Delta to
-// unconstrained when left zero-valued — common defaults in the literature.
-type LCSSMeasure struct {
-	Epsilon float64
-	Delta   int
-}
+// LCSSMeasure is the Measure adapter for LCSSDistance with threshold
+// lcssEpsilon and an unconstrained matching window.
+type LCSSMeasure struct{}
 
 // Name implements Measure.
 func (LCSSMeasure) Name() string { return "LCSS" }
 
 // Distance implements Measure.
-func (l LCSSMeasure) Distance(x, y []float64) float64 {
-	eps := l.Epsilon
-	//lint:ignore floatcmp option-unset sentinel; exactly 0 selects the default threshold
-	if eps == 0 {
-		eps = 0.5
-	}
-	delta := l.Delta
-	if delta == 0 {
-		delta = -1
-	}
-	return LCSSDistance(x, y, eps, delta)
+func (LCSSMeasure) Distance(x, y []float64) float64 {
+	return LCSSDistance(x, y, lcssEpsilon, -1)
 }
 
 // EDR computes the Edit Distance on Real sequences (Chen et al.): an edit
@@ -105,25 +110,18 @@ func EDR(x, y []float64, epsilon float64) int {
 }
 
 // EDRMeasure is the Measure adapter for EDR, normalized by max(n, m) so the
-// value lies in [0, 1]. Epsilon defaults to 0.5 when zero.
-type EDRMeasure struct {
-	Epsilon float64
-}
+// value lies in [0, 1], with threshold edrEpsilon.
+type EDRMeasure struct{}
 
 // Name implements Measure.
 func (EDRMeasure) Name() string { return "EDR" }
 
 // Distance implements Measure.
-func (e EDRMeasure) Distance(x, y []float64) float64 {
+func (EDRMeasure) Distance(x, y []float64) float64 {
 	if len(x) == 0 && len(y) == 0 {
 		return 0
 	}
-	eps := e.Epsilon
-	//lint:ignore floatcmp option-unset sentinel; exactly 0 selects the default threshold
-	if eps == 0 {
-		eps = 0.5
-	}
-	return float64(EDR(x, y, eps)) / float64(max(len(x), len(y)))
+	return float64(EDR(x, y, edrEpsilon)) / float64(max(len(x), len(y)))
 }
 
 // ERP computes the Edit distance with Real Penalty (Chen & Ng): an edit
@@ -152,17 +150,14 @@ func ERP(x, y []float64, g float64) float64 {
 	return prev[m]
 }
 
-// ERPMeasure is the Measure adapter for ERP with gap reference G
-// (0, the mean of a z-normalized series, when unset).
-type ERPMeasure struct {
-	G float64
-}
+// ERPMeasure is the Measure adapter for ERP with gap reference erpGap.
+type ERPMeasure struct{}
 
 // Name implements Measure.
 func (ERPMeasure) Name() string { return "ERP" }
 
 // Distance implements Measure.
-func (e ERPMeasure) Distance(x, y []float64) float64 { return ERP(x, y, e.G) }
+func (ERPMeasure) Distance(x, y []float64) float64 { return ERP(x, y, erpGap) }
 
 // MSM computes the Move-Split-Merge distance (Stefan, Athitsos & Das): an
 // edit distance whose operations are value moves (cost |x−y|) and
@@ -200,24 +195,14 @@ func MSM(x, y []float64, c float64) float64 {
 	return prev[m-1]
 }
 
-// MSMMeasure is the Measure adapter for MSM with split/merge cost C
-// (0.5 when unset, the midpoint of the costs Stefan et al. cross-validate).
-type MSMMeasure struct {
-	C float64
-}
+// MSMMeasure is the Measure adapter for MSM with split/merge cost msmCost.
+type MSMMeasure struct{}
 
 // Name implements Measure.
 func (MSMMeasure) Name() string { return "MSM" }
 
 // Distance implements Measure.
-func (mm MSMMeasure) Distance(x, y []float64) float64 {
-	c := mm.C
-	//lint:ignore floatcmp option-unset sentinel; exactly 0 selects the default penalty
-	if c == 0 {
-		c = 0.5
-	}
-	return MSM(x, y, c)
-}
+func (MSMMeasure) Distance(x, y []float64) float64 { return MSM(x, y, msmCost) }
 
 // TWED computes the Time-Warp Edit Distance (Marteau): an elastic measure
 // with a stiffness parameter nu that penalizes warping by the time-stamp
@@ -272,32 +257,20 @@ func TWED(x, y []float64, lambda, nu float64) float64 {
 	return prev[m]
 }
 
-// TWEDMeasure is the Measure adapter for TWED. Lambda defaults to 1 and Nu
-// to 0.001 when unset (mid-range values from Marteau's grid).
-type TWEDMeasure struct {
-	Lambda float64
-	Nu     float64
-}
+// TWEDMeasure is the Measure adapter for TWED with penalty twedLambda and
+// stiffness twedNu.
+type TWEDMeasure struct{}
 
 // Name implements Measure.
 func (TWEDMeasure) Name() string { return "TWED" }
 
 // Distance implements Measure.
-func (t TWEDMeasure) Distance(x, y []float64) float64 {
-	lambda, nu := t.Lambda, t.Nu
-	//lint:ignore floatcmp option-unset sentinel; exactly 0 selects the default penalty
-	if lambda == 0 {
-		lambda = 1
-	}
-	//lint:ignore floatcmp option-unset sentinel; exactly 0 selects the default stiffness
-	if nu == 0 {
-		nu = 0.001
-	}
-	return TWED(x, y, lambda, nu)
+func (TWEDMeasure) Distance(x, y []float64) float64 {
+	return TWED(x, y, twedLambda, twedNu)
 }
 
-// ElasticMeasures returns the extended measure set (with literature-default
-// parameters) used by the table2x experiment.
+// ElasticMeasures returns the extended measure set, in the order the
+// table2x experiment and kshape.Measures list it.
 func ElasticMeasures() []Measure {
 	return []Measure{
 		LCSSMeasure{},

@@ -107,7 +107,7 @@ func TestOneNNAccuracySeparableClasses(t *testing.T) {
 	train := shiftedClassData(20, 48, rng)
 	test := shiftedClassData(15, 48, rng)
 	for _, m := range []dist.Measure{dist.EDMeasure{}, dist.SBDMeasure{}, dist.DTWMeasure{}} {
-		acc := OneNNAccuracy(m, train, test)
+		acc := OneNNAccuracyWorkers(m, train, test, 0)
 		if acc < 0.9 {
 			t.Errorf("%s: accuracy = %v, want >= 0.9", m.Name(), acc)
 		}
@@ -115,7 +115,7 @@ func TestOneNNAccuracySeparableClasses(t *testing.T) {
 }
 
 func TestOneNNAccuracyEmpty(t *testing.T) {
-	if acc := OneNNAccuracy(dist.EDMeasure{}, nil, nil); acc != 0 {
+	if acc := OneNNAccuracyWorkers(dist.EDMeasure{}, nil, nil, 0); acc != 0 {
 		t.Errorf("empty accuracy = %v", acc)
 	}
 }
@@ -125,8 +125,8 @@ func TestOneNNAccuracyLBMatchesPlain(t *testing.T) {
 	train := shiftedClassData(15, 32, rng)
 	test := shiftedClassData(10, 32, rng)
 	w := 3
-	plain := OneNNAccuracy(dist.CDTWMeasure{Window: w}, train, test)
-	lb := OneNNAccuracyLB(w, train, test)
+	plain := OneNNAccuracyWorkers(dist.CDTWMeasure{Window: w}, train, test, 0)
+	lb := OneNNAccuracyLB(w, train, test, 0)
 	if math.Abs(plain-lb) > 1e-12 {
 		t.Errorf("LB-pruned accuracy %v != plain %v", lb, plain)
 	}
@@ -135,7 +135,7 @@ func TestOneNNAccuracyLBMatchesPlain(t *testing.T) {
 func TestTuneCDTWWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	train := shiftedClassData(12, 32, rng)
-	w, acc := TuneCDTWWindow(train, 0.10)
+	w, acc := TuneCDTWWindow(train, 0.10, 0)
 	maxW := int(math.Round(0.10 * 32))
 	if w < 0 || w > maxW {
 		t.Errorf("window = %d outside [0, %d]", w, maxW)
@@ -146,11 +146,11 @@ func TestTuneCDTWWindow(t *testing.T) {
 }
 
 func TestTuneCDTWWindowDegenerate(t *testing.T) {
-	if w, acc := TuneCDTWWindow(nil, 0.05); w != 0 || acc != 0 {
+	if w, acc := TuneCDTWWindow(nil, 0.05, 0); w != 0 || acc != 0 {
 		t.Errorf("empty train: w=%d acc=%v", w, acc)
 	}
 	one := []ts.Series{ts.NewLabeled([]float64{1, 2}, 0)}
-	if w, acc := TuneCDTWWindow(one, 0.05); w != 0 || acc != 0 {
+	if w, acc := TuneCDTWWindow(one, 0.05, 0); w != 0 || acc != 0 {
 		t.Errorf("single train: w=%d acc=%v", w, acc)
 	}
 }
@@ -177,7 +177,7 @@ func TestTuneCDTWWindowPrefersWarpingWhenShifted(t *testing.T) {
 			train = append(train, ts.NewLabeled(ts.ZNormalize(x), c))
 		}
 	}
-	w, _ := TuneCDTWWindow(train, 0.2)
+	w, _ := TuneCDTWWindow(train, 0.2, 0)
 	if w == 0 {
 		t.Log("note: window 0 won; acceptable when ED already separates the data")
 	}

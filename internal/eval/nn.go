@@ -8,17 +8,12 @@ import (
 	"kshape/internal/ts"
 )
 
-// OneNNAccuracy evaluates a distance measure by 1-NN classification
-// (Section 4, "Metrics"): each test series is assigned the label of its
-// nearest training series under d, and the returned value is the fraction
-// classified correctly. Queries run in parallel across all CPUs.
-func OneNNAccuracy(d dist.Measure, train, test []ts.Series) float64 {
-	return OneNNAccuracyWorkers(d, train, test, 0)
-}
-
-// OneNNAccuracyWorkers is OneNNAccuracy with an explicit degree of
-// parallelism (par.Resolve semantics: <= 0 means runtime.NumCPU(), 1 means
-// serial). The accuracy is identical for every worker count.
+// OneNNAccuracyWorkers evaluates a distance measure by 1-NN
+// classification (Section 4, "Metrics"): each test series is assigned the
+// label of its nearest training series under d, and the returned value is
+// the fraction classified correctly. Queries run on up to workers
+// goroutines (par.Resolve semantics: <= 0 means runtime.NumCPU(), 1 means
+// serial); the accuracy is identical for every worker count.
 func OneNNAccuracyWorkers(d dist.Measure, train, test []ts.Series, workers int) float64 {
 	if len(test) == 0 || len(train) == 0 {
 		return 0
@@ -33,15 +28,15 @@ func OneNNAccuracyWorkers(d dist.Measure, train, test []ts.Series, workers int) 
 	return float64(correct) / float64(len(test))
 }
 
-// OneNNAccuracyLB is OneNNAccuracy for cDTW with LB_Keogh pruning
+// OneNNAccuracyLB is OneNNAccuracyWorkers for cDTW with LB_Keogh pruning
 // (Table 2's "_LB" rows). window is the Sakoe-Chiba half-width.
-func OneNNAccuracyLB(window int, train, test []ts.Series) float64 {
+func OneNNAccuracyLB(window int, train, test []ts.Series, workers int) float64 {
 	if len(test) == 0 || len(train) == 0 {
 		return 0
 	}
 	s := dist.NewLBNNSearcher(ts.Rows(train), window)
 	hit := make([]bool, len(test))
-	par.For(0, len(test), func(i int) {
+	par.For(workers, len(test), func(i int) {
 		idx, _ := s.NN(test[i].Values)
 		hit[i] = train[idx].Label == test[i].Label
 	})
@@ -63,8 +58,9 @@ func countTrue(hit []bool) int {
 // TuneCDTWWindow finds the cDTWopt warping window (Section 4, "Parameter
 // settings"): it scans half-widths from 0% to maxFrac of the series length
 // and returns the one maximizing leave-one-out 1-NN accuracy on the
-// training set, breaking ties toward the smaller (cheaper) window.
-func TuneCDTWWindow(train []ts.Series, maxFrac float64) (window int, looAccuracy float64) {
+// training set, breaking ties toward the smaller (cheaper) window. The
+// leave-one-out scans run on up to workers goroutines.
+func TuneCDTWWindow(train []ts.Series, maxFrac float64, workers int) (window int, looAccuracy float64) {
 	if len(train) < 2 {
 		return 0, 0
 	}
@@ -75,7 +71,7 @@ func TuneCDTWWindow(train []ts.Series, maxFrac float64) (window int, looAccuracy
 	}
 	bestW, bestAcc := 0, -1.0
 	for w := 0; w <= maxW; w++ {
-		acc := looAccuracyCDTW(train, w)
+		acc := looAccuracyCDTW(train, w, workers)
 		if acc > bestAcc {
 			bestAcc, bestW = acc, w
 		}
@@ -85,10 +81,10 @@ func TuneCDTWWindow(train []ts.Series, maxFrac float64) (window int, looAccuracy
 
 // looAccuracyCDTW computes leave-one-out 1-NN accuracy on train under cDTW
 // with the given window, parallelized across held-out points.
-func looAccuracyCDTW(train []ts.Series, window int) float64 {
+func looAccuracyCDTW(train []ts.Series, window, workers int) float64 {
 	n := len(train)
 	hit := make([]bool, n)
-	par.For(0, n, func(i int) {
+	par.For(workers, n, func(i int) {
 		best, bestJ := math.Inf(1), -1
 		for j := 0; j < n; j++ {
 			if j == i {

@@ -1,49 +1,25 @@
 package experiments
 
 import (
-	"time"
+	"math/rand"
 
 	"kshape/internal/dist"
 	"kshape/internal/eval"
 	"kshape/internal/obs"
+	"kshape/internal/par"
 	"kshape/internal/stats"
 	"kshape/internal/ts"
 )
 
-// DistanceRow is one row of Table 2.
-type DistanceRow struct {
-	Name string
-	// Accuracies holds per-dataset 1-NN test accuracy, aligned with
-	// Config.Datasets.
-	Accuracies []float64
-	// Greater/Equal/Less count datasets vs the ED baseline.
-	Greater, Equal, Less int
-	// Better is true when the row beats ED with Wilcoxon significance at
-	// the paper's 99% confidence.
-	Better bool
-	// AvgAccuracy is the mean accuracy across datasets.
-	AvgAccuracy float64
-	// RuntimeRatio is total classification time divided by ED's.
-	RuntimeRatio float64
-	// Runtime is the raw wall time spent classifying.
-	Runtime time.Duration
-}
-
-// Table2Result aggregates the distance-measure comparison.
+// Table2Result aggregates the distance-measure comparison; ED is the
+// baseline, Rows[0].
 type Table2Result struct {
-	Rows []DistanceRow
+	Comparison
 	// TunedWindows holds the cDTWopt window chosen per dataset (in cells).
 	TunedWindows []int
 	// AvgTunedWindowFrac is the mean tuned window as a fraction of the
 	// series length (the paper reports 4.5% across the UCR archive).
 	AvgTunedWindowFrac float64
-}
-
-// distanceEvaluator classifies one dataset's test split and reports accuracy.
-type distanceEvaluator struct {
-	name string
-	// evaluate returns the 1-NN accuracy for dataset index i.
-	evaluate func(i int) float64
 }
 
 // Table2 reproduces the distance-measure evaluation: 1-NN classification
@@ -56,12 +32,13 @@ func Table2(cfg Config) Table2Result {
 
 	// Tune cDTWopt windows once per dataset (leave-one-out on train).
 	windows := make([]int, n)
+	par.For(cfg.Workers, n, func(i int) {
+		windows[i], _ = eval.TuneCDTWWindow(datasets[i].Train, cfg.MaxWindowFrac, 1)
+		cfg.progress("table2 cDTWopt window tuned", "dataset", datasets[i].Name, "window_cells", windows[i])
+	})
 	fracSum := 0.0
-	for i, ds := range datasets {
-		w, _ := eval.TuneCDTWWindow(ds.Train, cfg.MaxWindowFrac)
-		windows[i] = w
-		fracSum += float64(w) / float64(ds.M)
-		cfg.progress("table2 cDTWopt window tuned", "dataset", ds.Name, "window_cells", w)
+	for i, w := range windows {
+		fracSum += float64(w) / float64(datasets[i].M)
 	}
 
 	cdtwWindow := func(frac float64, i int) int {
@@ -71,19 +48,14 @@ func Table2(cfg Config) Table2Result {
 		}
 		return w
 	}
-	plain := func(m dist.Measure) func(int) float64 {
-		return func(i int) float64 {
-			return eval.OneNNAccuracy(m, datasets[i].Train, datasets[i].Test)
-		}
-	}
 	cdtwPlain := func(window func(int) int) func(int) float64 {
 		return func(i int) float64 {
-			return eval.OneNNAccuracy(dist.CDTWMeasure{Window: window(i)}, datasets[i].Train, datasets[i].Test)
+			return cfg.oneNN(dist.CDTWMeasure{Window: window(i)})(i)
 		}
 	}
 	cdtwLB := func(window func(int) int) func(int) float64 {
 		return func(i int) float64 {
-			return eval.OneNNAccuracyLB(window(i), datasets[i].Train, datasets[i].Test)
+			return eval.OneNNAccuracyLB(window(i), datasets[i].Train, datasets[i].Test, 1)
 		}
 	}
 	optW := func(i int) int { return windows[i] }
@@ -91,68 +63,40 @@ func Table2(cfg Config) Table2Result {
 	w10 := func(i int) int { return cdtwWindow(0.10, i) }
 	unconstrained := func(i int) int { return datasets[i].M }
 
-	evaluators := []distanceEvaluator{
-		{"ED", plain(dist.EDMeasure{})},
-		{"DTW", plain(dist.DTWMeasure{})},
-		{"DTWLB", cdtwLB(unconstrained)},
-		{"cDTWopt", cdtwPlain(optW)},
-		{"cDTWoptLB", cdtwLB(optW)},
-		{"cDTW5", cdtwPlain(w5)},
-		{"cDTW5LB", cdtwLB(w5)},
-		{"cDTW10", cdtwPlain(w10)},
-		{"cDTW10LB", cdtwLB(w10)},
-		{"SBD", plain(dist.SBDMeasure{})},
-		{"SBDNoPow2", plain(dist.SBDNoPow2Measure{})},
-		{"SBDNoFFT", plain(dist.SBDNoFFTMeasure{})},
-	}
-
-	rows := make([]DistanceRow, len(evaluators))
-	meter := cfg.runMeter()
-	for r, ev := range evaluators {
-		accs := make([]float64, n)
-		sw := obs.NewStopwatch()
-		for i := range datasets {
-			done := meter.start()
-			accs[i] = ev.evaluate(i)
-			done(obs.RunRecord{
-				Method:    ev.name,
-				Dataset:   datasets[i].Name,
-				Score:     accs[i],
-				ScoreKind: obs.ScoreAccuracy1NN,
-			})
-		}
-		rows[r] = DistanceRow{
-			Name:       ev.name,
-			Accuracies: accs,
-			Runtime:    sw.Elapsed(),
-		}
-		cfg.progress("table2 measure done", "measure", ev.name, "seconds", rows[r].Runtime.Seconds(), "avg_accuracy", Mean(accs))
-	}
-
-	edRow := rows[0]
-	for r := range rows {
-		rows[r].AvgAccuracy = Mean(rows[r].Accuracies)
-		rows[r].Greater, rows[r].Equal, rows[r].Less = CompareCounts(rows[r].Accuracies, edRow.Accuracies)
-		rows[r].Better = stats.SignificantlyBetter(rows[r].Accuracies, edRow.Accuracies, 0.99)
-		if edRow.Runtime > 0 {
-			rows[r].RuntimeRatio = float64(rows[r].Runtime) / float64(edRow.Runtime)
-		}
+	methods := []method{
+		accuracyMethod("ED", cfg.oneNN(dist.EDMeasure{})),
+		accuracyMethod("DTW", cfg.oneNN(dist.DTWMeasure{})),
+		accuracyMethod("DTWLB", cdtwLB(unconstrained)),
+		accuracyMethod("cDTWopt", cdtwPlain(optW)),
+		accuracyMethod("cDTWoptLB", cdtwLB(optW)),
+		accuracyMethod("cDTW5", cdtwPlain(w5)),
+		accuracyMethod("cDTW5LB", cdtwLB(w5)),
+		accuracyMethod("cDTW10", cdtwPlain(w10)),
+		accuracyMethod("cDTW10LB", cdtwLB(w10)),
+		accuracyMethod("SBD", cfg.oneNN(dist.SBDMeasure{})),
+		accuracyMethod("SBDNoPow2", cfg.oneNN(dist.SBDNoPow2Measure{})),
+		accuracyMethod("SBDNoFFT", cfg.oneNN(dist.SBDNoFFTMeasure{})),
 	}
 	return Table2Result{
-		Rows:               rows,
+		Comparison:         compare(cfg.sweep(methods...)),
 		TunedWindows:       windows,
 		AvgTunedWindowFrac: fracSum / float64(n),
 	}
 }
 
-// RowByName returns the named row, or nil.
-func (t Table2Result) RowByName(name string) *DistanceRow {
-	for i := range t.Rows {
-		if t.Rows[i].Name == name {
-			return &t.Rows[i]
-		}
+// oneNN returns the 1-NN test accuracy of m on each dataset.
+func (c Config) oneNN(m dist.Measure) func(d int) float64 {
+	return func(d int) float64 {
+		return eval.OneNNAccuracyWorkers(m, c.Datasets[d].Train, c.Datasets[d].Test, 1)
 	}
-	return nil
+}
+
+// accuracyMethod scores a distance measure by 1-NN accuracy, one
+// deterministic run per dataset.
+func accuracyMethod(name string, accuracy func(d int) float64) method {
+	return method{name, obs.ScoreAccuracy1NN, 1, func(d int, _ *rand.Rand) (obs.RunRecord, bool) {
+		return obs.RunRecord{Score: accuracy(d)}, true
+	}}
 }
 
 // Fig5Result holds the per-dataset accuracy pairs behind the scatter plots
@@ -172,9 +116,9 @@ func Fig5(cfg Config, t2 Table2Result) Fig5Result {
 	}
 	return Fig5Result{
 		Names: names,
-		SBD:   t2.RowByName("SBD").Accuracies,
-		ED:    t2.RowByName("ED").Accuracies,
-		DTW:   t2.RowByName("DTW").Accuracies,
+		SBD:   t2.RowByName("SBD").Scores,
+		ED:    t2.RowByName("ED").Scores,
+		DTW:   t2.RowByName("DTW").Scores,
 	}
 }
 
@@ -198,7 +142,7 @@ type RankResult struct {
 func Fig6(cfg Config, t2 Table2Result) RankResult {
 	names := []string{"cDTWopt", "cDTW5", "SBD", "ED"}
 	return rankAnalysis(names, func(name string) []float64 {
-		return t2.RowByName(name).Accuracies
+		return t2.RowByName(name).Scores
 	}, len(cfg.Datasets))
 }
 
@@ -273,39 +217,42 @@ func AppendixA(cfg Config, norm Normalization) AppendixAResult {
 		Names:         []string{"SBD", "NCCu", "NCCb"},
 		Accuracies:    make([][]float64, len(variants)),
 	}
-	for v := range variants {
-		res.Accuracies[v] = make([]float64, len(cfg.Datasets))
+	// prep denormalizes a split with a random per-sequence amplitude
+	// (per Appendix A) and renormalizes it per the chosen scheme. Every
+	// variant re-derives dataset d's splits from cfg.rng(d), so all of them
+	// see the same draws.
+	prep := func(in []ts.Series, rng *rand.Rand) []ts.Series {
+		out := make([]ts.Series, len(in))
+		for i, s := range in {
+			raw := ts.Scale(s.Values, 0.5+4*rng.Float64())
+			var vals []float64
+			switch norm {
+			case NormValues01:
+				vals = ts.Normalize01(raw)
+			case NormZScore:
+				vals = ts.ZNormalize(raw)
+			default:
+				vals = raw // pairwise optimal scaling happens in the measure
+			}
+			out[i] = ts.NewLabeled(vals, s.Label)
+		}
+		return out
 	}
-	for d, ds := range cfg.Datasets {
-		rng := cfg.rng(int64(d))
-		prep := func(in []ts.Series) []ts.Series {
-			out := make([]ts.Series, len(in))
-			for i, s := range in {
-				amp := 0.5 + 4*rng.Float64() // random amplitude, per Appendix A
-				raw := ts.Scale(s.Values, amp)
-				var vals []float64
-				switch norm {
-				case NormValues01:
-					vals = ts.Normalize01(raw)
-				case NormZScore:
-					vals = ts.ZNormalize(raw)
-				default:
-					vals = raw // pairwise optimal scaling happens in the measure
-				}
-				out[i] = ts.NewLabeled(vals, s.Label)
-			}
-			return out
+	methods := make([]method, len(variants))
+	for v, meas := range variants {
+		m := meas
+		if norm == NormOptimalScaling {
+			m = optimalScalingMeasure{base: meas}
 		}
-		train := prep(ds.Train)
-		test := prep(ds.Test)
-		for v, meas := range variants {
-			m := meas
-			if norm == NormOptimalScaling {
-				m = optimalScalingMeasure{base: meas}
-			}
-			res.Accuracies[v][d] = eval.OneNNAccuracy(m, train, test)
-		}
-		cfg.progress("appendixA dataset done", "normalization", norm, "dataset", ds.Name)
+		methods[v] = accuracyMethod(res.Names[v]+"/"+norm.String(), func(d int) float64 {
+			rng := cfg.rng(int64(d))
+			train := prep(cfg.Datasets[d].Train, rng)
+			test := prep(cfg.Datasets[d].Test, rng)
+			return eval.OneNNAccuracyWorkers(m, train, test, 1)
+		})
+	}
+	for v, row := range cfg.sweep(methods...) {
+		res.Accuracies[v] = row.Scores
 	}
 	for d := range cfg.Datasets {
 		if res.Accuracies[0][d] > res.Accuracies[1][d] {

@@ -9,10 +9,13 @@ package experiments
 import (
 	"log/slog"
 	"math/rand"
+	"sync/atomic"
+	"time"
 
 	"kshape/internal/dataset"
 	"kshape/internal/obs"
 	"kshape/internal/par"
+	"kshape/internal/stats"
 )
 
 // Config controls experiment scale. The zero value is unusable; call
@@ -36,12 +39,16 @@ type Config struct {
 	// unit of work (method, dataset, wall time, score fields) at info
 	// level. cmd/kbench wires its -log-level/-log-json flags here.
 	Logger *slog.Logger
-	// Workers bounds the dataset-level parallelism of the experiment
-	// sweeps (par.Resolve semantics: <= 0 means runtime.NumCPU(), 1 means
-	// serial). Individual clustering runs inside a sweep always execute
-	// serially; results are identical for every value. With a flight
-	// recorder installed, every unit of work appends an obs.RunRecord to
-	// its run report, carrying a kernel-counter delta only at 1 worker.
+	// Workers bounds the parallelism of the experiment sweeps, which
+	// spread their units of work over it, and of Figure 12's timed runs
+	// (par.Resolve semantics: <= 0 means runtime.NumCPU(), 1 means
+	// serial). Every unit — one restart of
+	// a method on one dataset, a 1-NN evaluation, a window tuning, a
+	// matrix build — runs serially, so at 1 worker the whole sweep is
+	// single-threaded; results are identical for every value. With a
+	// flight recorder installed, every scored unit appends an
+	// obs.RunRecord to its run report, carrying a kernel-counter delta
+	// only at 1 worker.
 	Workers int
 }
 
@@ -147,4 +154,140 @@ func (m runMeter) start() func(obs.RunRecord) {
 		}
 		m.rec.RecordRun(r)
 	}
+}
+
+// Row is one method's line in a scored comparison (Tables 2-4, table2x,
+// the ablations).
+type Row struct {
+	Name string
+	// Scores holds the per-dataset score, aligned with Config.Datasets:
+	// 1-NN test accuracy for a distance measure, Rand Index (averaged over
+	// restarts) for a clustering method.
+	Scores []float64
+	// Greater/Equal/Less count datasets vs the baseline row.
+	Greater, Equal, Less int
+	// Better (Worse) is true when the row beats (loses to) the baseline
+	// with Wilcoxon significance at the paper's 99% confidence.
+	Better, Worse bool
+	// AvgScore is the mean score across datasets.
+	AvgScore float64
+	// RuntimeRatio is the row's Runtime divided by the baseline's.
+	RuntimeRatio float64
+	// Runtime is the wall time of the row's units (one per dataset and
+	// restart) summed: the time the method took, however many workers
+	// shared the sweep.
+	Runtime time.Duration
+}
+
+// Comparison is one scored comparison over the configured datasets. Rows[0]
+// is the baseline every row, itself included, is compared against.
+type Comparison struct {
+	Rows []Row
+}
+
+// RowByName returns the named row, or nil.
+func (c Comparison) RowByName(name string) *Row {
+	for i := range c.Rows {
+		if c.Rows[i].Name == name {
+			return &c.Rows[i]
+		}
+	}
+	return nil
+}
+
+// compare fills the comparison columns of every row against rows[0].
+func compare(rows []Row) Comparison {
+	base := rows[0]
+	for i := range rows {
+		r := &rows[i]
+		r.AvgScore = Mean(r.Scores)
+		r.Greater, r.Equal, r.Less = CompareCounts(r.Scores, base.Scores)
+		r.Better = stats.SignificantlyBetter(r.Scores, base.Scores, 0.99)
+		r.Worse = stats.SignificantlyBetter(base.Scores, r.Scores, 0.99)
+		if base.Runtime > 0 {
+			r.RuntimeRatio = float64(r.Runtime) / float64(base.Runtime)
+		}
+	}
+	return Comparison{Rows: rows}
+}
+
+// method is one row of a sweep: its name, the obs.RunRecord score kind of
+// its units, its restarts per dataset, and its unit.
+type method struct {
+	name, kind string
+	runs       int
+	// score runs one restart on dataset d, serially (Workers: 1), drawing
+	// any randomness from rng. It returns the restart's record — the
+	// sweep fills in the method, dataset, restart, score kind, wall time
+	// and counters — or false when the run failed.
+	score func(d int, rng *rand.Rand) (obs.RunRecord, bool)
+}
+
+// sweep scores methods on every configured dataset, the protocol all
+// scored tables share. Every (method, restart, dataset) unit is one
+// serial run, and the units spread over c.Workers. Restart r of dataset d
+// draws from seed c.Seed + d·1000 + r; the dataset's score is the mean
+// over the restarts that succeeded, 0 when none did. With a flight
+// recorder installed, every successful unit appends its record.
+func (c Config) sweep(methods ...method) []Row {
+	type job struct{ m, r, d int }
+	var jobs []job
+	rows := make([]Row, len(methods))
+	for i, m := range methods {
+		rows[i] = Row{Name: m.name, Scores: make([]float64, len(c.Datasets))}
+		for r := 0; r < max(m.runs, 1); r++ {
+			for d := range c.Datasets {
+				jobs = append(jobs, job{i, r, d})
+			}
+		}
+	}
+	// Each unit writes only its own slots; the fold below is serial.
+	scores := make([]float64, len(jobs))
+	ok := make([]bool, len(jobs))
+	elapsed := make([]time.Duration, len(jobs))
+	meter := c.runMeter()
+	run := func(u int) {
+		j, m := jobs[u], methods[jobs[u].m]
+		sw := obs.NewStopwatch()
+		done := meter.start()
+		rec, succeeded := m.score(j.d, rand.New(rand.NewSource(c.Seed+int64(j.d)*1000+int64(j.r))))
+		if succeeded {
+			rec.Method, rec.Dataset, rec.Run, rec.ScoreKind = m.name, c.Datasets[j.d].Name, j.r, m.kind
+			done(rec)
+			scores[u], ok[u] = rec.Score, true
+		}
+		elapsed[u] = sw.Elapsed()
+	}
+	// Units are few, long and uneven, so each worker pulls the next unit
+	// from a shared cursor: par.For's contiguous chunks would group
+	// neighbouring units and could end the sweep on one worker's run of
+	// long ones.
+	var next atomic.Int64
+	workers := min(par.Resolve(c.Workers), len(jobs))
+	par.For(workers, workers, func(int) {
+		for u := int(next.Add(1) - 1); u < len(jobs); u = int(next.Add(1) - 1) {
+			run(u)
+		}
+	})
+	// Restarts fold in ascending order, so every mean is the serial one.
+	counts := make([][]int, len(methods))
+	for i := range counts {
+		counts[i] = make([]int, len(c.Datasets))
+	}
+	for u, j := range jobs {
+		rows[j.m].Runtime += elapsed[u]
+		if ok[u] {
+			rows[j.m].Scores[j.d] += scores[u]
+			counts[j.m][j.d]++
+		}
+	}
+	for i := range rows {
+		for d, n := range counts[i] {
+			if n > 0 {
+				rows[i].Scores[d] /= float64(n)
+			}
+		}
+		c.progress("sweep done", "method", rows[i].Name, "seconds", rows[i].Runtime.Seconds(), "avg_score", Mean(rows[i].Scores))
+	}
+	return rows
 }

@@ -49,10 +49,10 @@ func TestTable2Reduced(t *testing.T) {
 		t.Fatalf("ED row: %+v", ed)
 	}
 	for _, r := range res.Rows {
-		if len(r.Accuracies) != 4 {
-			t.Errorf("%s: %d accuracies", r.Name, len(r.Accuracies))
+		if len(r.Scores) != 4 {
+			t.Errorf("%s: %d accuracies", r.Name, len(r.Scores))
 		}
-		for _, a := range r.Accuracies {
+		for _, a := range r.Scores {
 			if a < 0 || a > 1 {
 				t.Errorf("%s: accuracy %v out of range", r.Name, a)
 			}
@@ -65,8 +65,8 @@ func TestTable2Reduced(t *testing.T) {
 	sbd := res.RowByName("SBD")
 	for _, v := range []string{"SBDNoPow2", "SBDNoFFT"} {
 		row := res.RowByName(v)
-		for i := range sbd.Accuracies {
-			if sbd.Accuracies[i] != row.Accuracies[i] {
+		for i := range sbd.Scores {
+			if sbd.Scores[i] != row.Scores[i] {
 				t.Errorf("%s accuracy diverges from SBD on dataset %d", v, i)
 			}
 		}
@@ -74,10 +74,10 @@ func TestTable2Reduced(t *testing.T) {
 	// LB-pruned rows must match their unpruned counterparts exactly.
 	for _, pair := range [][2]string{{"cDTW5", "cDTW5LB"}, {"cDTW10", "cDTW10LB"}, {"cDTWopt", "cDTWoptLB"}, {"DTW", "DTWLB"}} {
 		a, b := res.RowByName(pair[0]), res.RowByName(pair[1])
-		for i := range a.Accuracies {
-			if a.Accuracies[i] != b.Accuracies[i] {
+		for i := range a.Scores {
+			if a.Scores[i] != b.Scores[i] {
 				t.Errorf("%s and %s accuracies diverge on dataset %d: %v vs %v",
-					pair[0], pair[1], i, a.Accuracies[i], b.Accuracies[i])
+					pair[0], pair[1], i, a.Scores[i], b.Scores[i])
 			}
 		}
 	}
@@ -112,14 +112,14 @@ func TestTable3And4Reduced(t *testing.T) {
 	cfg.Runs = 2
 	cfg.SpectralRuns = 2
 	t3 := Table3(cfg)
-	if len(t3.Rows) != 6 {
-		t.Fatalf("table3 rows = %d, want 6", len(t3.Rows))
+	if len(t3.Rows) != 7 {
+		t.Fatalf("table3 rows = %d, want 7 (baseline + 6)", len(t3.Rows))
 	}
-	if t3.Baseline.Name != "k-AVG+ED" {
-		t.Fatalf("baseline = %s", t3.Baseline.Name)
+	if t3.Rows[0].Name != "k-AVG+ED" {
+		t.Fatalf("baseline = %s", t3.Rows[0].Name)
 	}
-	for _, r := range append(t3.Rows, t3.Baseline) {
-		for _, ri := range r.RandIndexes {
+	for _, r := range t3.Rows {
+		for _, ri := range r.Scores {
 			if ri < 0 || ri > 1 {
 				t.Errorf("%s: Rand Index %v out of range", r.Name, ri)
 			}
@@ -130,12 +130,12 @@ func TestTable3And4Reduced(t *testing.T) {
 	}
 
 	t4 := Table4(cfg)
-	if len(t4.Rows) != 15 {
-		t.Fatalf("table4 rows = %d, want 15", len(t4.Rows))
+	if len(t4.Rows) != 16 {
+		t.Fatalf("table4 rows = %d, want 16 (baseline + 15)", len(t4.Rows))
 	}
 	var buf bytes.Buffer
-	WriteClusterTable(&buf, "Table 3", t3.Baseline, t3.Rows, true)
-	WriteClusterTable(&buf, "Table 4", t4.Baseline, t4.Rows, false)
+	WriteClusterTable(&buf, "Table 3", t3.Rows[0], t3.Rows[1:], true)
+	WriteClusterTable(&buf, "Table 4", t4.Rows[0], t4.Rows[1:], false)
 	for _, r := range t4.Rows {
 		if !strings.Contains(buf.String(), r.Name) {
 			t.Errorf("rendered table missing %s", r.Name)
@@ -291,10 +291,10 @@ func TestAblationsReduced(t *testing.T) {
 		t.Fatalf("reference row = %s", res.Rows[0].Name)
 	}
 	for _, r := range res.Rows {
-		if len(r.RandIndexes) != 2 {
-			t.Errorf("%s: %d scores", r.Name, len(r.RandIndexes))
+		if len(r.Scores) != 2 {
+			t.Errorf("%s: %d scores", r.Name, len(r.Scores))
 		}
-		for _, ri := range r.RandIndexes {
+		for _, ri := range r.Scores {
 			if ri <= 0 || ri > 1 {
 				t.Errorf("%s: Rand Index %v out of range", r.Name, ri)
 			}
@@ -323,7 +323,7 @@ func TestTable2ExtendedReduced(t *testing.T) {
 		if r.Greater+r.Equal+r.Less != 2 {
 			t.Errorf("%s: comparison counts wrong", r.Name)
 		}
-		for _, a := range r.Accuracies {
+		for _, a := range r.Scores {
 			if a < 0 || a > 1 {
 				t.Errorf("%s: accuracy %v", r.Name, a)
 			}

@@ -161,7 +161,8 @@ func Fig12(cfg Config) Fig12Result {
 	return Fig12Sizes(cfg, []int{300, 600, 1200, 2400}, 128, []int{64, 128, 256, 512}, 300)
 }
 
-// Fig12Sizes runs the scalability sweeps with explicit sizes.
+// Fig12Sizes runs the scalability sweeps with explicit sizes. The timed
+// runs execute one at a time, each on up to Config.Workers workers.
 func Fig12Sizes(cfg Config, nSweep []int, fixedM int, mSweep []int, fixedN int) Fig12Result {
 	var res Fig12Result
 	for _, n := range nSweep {
@@ -181,7 +182,7 @@ func fig12Point(cfg Config, n, m int) Fig12Point {
 	pt := Fig12Point{N: n, M: m}
 
 	sw := obs.NewStopwatch()
-	resED, err := core.Lloyd(data, core.Config{K: k, Rand: cfg.rng(int64(n)*7 + int64(m))},
+	resED, err := core.Lloyd(data, core.Config{K: k, Rand: cfg.rng(int64(n)*7 + int64(m)), Workers: cfg.Workers},
 		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 	if err == nil {
 		pt.KAvgEDSeconds = sw.Seconds()
@@ -189,7 +190,7 @@ func fig12Point(cfg Config, n, m int) Fig12Point {
 	}
 
 	sw = obs.NewStopwatch()
-	resKS, err := core.KShapeRun(data, core.Config{K: k, Rand: cfg.rng(int64(n)*13 + int64(m))})
+	resKS, err := core.KShapeRun(data, core.Config{K: k, Rand: cfg.rng(int64(n)*13 + int64(m)), Workers: cfg.Workers})
 	if err == nil {
 		pt.KShapeSeconds = sw.Seconds()
 		pt.KShapeIters = resKS.Iterations

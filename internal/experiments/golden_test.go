@@ -28,11 +28,11 @@ func render(t *testing.T, f func(w *strings.Builder) error) string {
 
 func TestGoldenTable2(t *testing.T) {
 	res := Table2Result{
-		Rows: []DistanceRow{
-			{Name: "ED", Equal: 6, AvgAccuracy: 0.8125, RuntimeRatio: 1, Runtime: time.Second},
-			{Name: "SBD", Greater: 4, Equal: 1, Less: 1, Better: true, AvgAccuracy: 0.8671, RuntimeRatio: 4.3},
-			{Name: "cDTW5", Greater: 3, Equal: 1, Less: 2, AvgAccuracy: 0.8449, RuntimeRatio: 225.4},
-		},
+		Comparison: Comparison{Rows: []Row{
+			{Name: "ED", Equal: 6, AvgScore: 0.8125, RuntimeRatio: 1, Runtime: time.Second},
+			{Name: "SBD", Greater: 4, Equal: 1, Less: 1, Better: true, AvgScore: 0.8671, RuntimeRatio: 4.3},
+			{Name: "cDTW5", Greater: 3, Equal: 1, Less: 2, AvgScore: 0.8449, RuntimeRatio: 225.4},
+		}},
 		TunedWindows:       []int{3, 5, 0, 7, 2, 1},
 		AvgTunedWindowFrac: 0.045,
 	}
@@ -41,10 +41,10 @@ func TestGoldenTable2(t *testing.T) {
 }
 
 func TestGoldenClusterTable(t *testing.T) {
-	baseline := ClusterRow{Name: "k-AVG+ED", AvgRandIndex: 0.659}
-	rows := []ClusterRow{
-		{Name: "k-Shape", Greater: 5, Equal: 0, Less: 1, Better: true, AvgRandIndex: 0.772, RuntimeRatio: 12.4},
-		{Name: "k-AVG+SBD", Greater: 2, Equal: 2, Less: 2, Worse: true, AvgRandIndex: 0.601, RuntimeRatio: 7.9},
+	baseline := Row{Name: "k-AVG+ED", AvgScore: 0.659}
+	rows := []Row{
+		{Name: "k-Shape", Greater: 5, Equal: 0, Less: 1, Better: true, AvgScore: 0.772, RuntimeRatio: 12.4},
+		{Name: "k-AVG+SBD", Greater: 2, Equal: 2, Less: 2, Worse: true, AvgScore: 0.601, RuntimeRatio: 7.9},
 	}
 	t.Run("with-runtime", func(t *testing.T) {
 		got := render(t, func(w *strings.Builder) error {

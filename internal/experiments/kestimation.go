@@ -58,7 +58,7 @@ func KEstimation(cfg Config) KEstimationResult {
 			bestInertia := -1.0
 			for r := 0; r < cfg.Runs; r++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(di)*1000 + int64(k)*10 + int64(r)))
-				out, err := cluster.NewKShape().Cluster(data, core.Config{K: k, Rand: rng})
+				out, err := cluster.NewKShape().Cluster(data, core.Config{K: k, Rand: rng, Workers: 1})
 				if err != nil {
 					continue
 				}

@@ -34,7 +34,7 @@ func WriteTable2(w io.Writer, t Table2Result) error {
 		"Measure", ">", "=", "<", "Better", "AvgAcc", "Runtime")
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-10s %4d %4d %4d %-7s %-9.3f %8.1fx\n",
-			r.Name, r.Greater, r.Equal, r.Less, yesNo(r.Better), r.AvgAccuracy, r.RuntimeRatio)
+			r.Name, r.Greater, r.Equal, r.Less, yesNo(r.Better), r.AvgScore, r.RuntimeRatio)
 	}
 	if t.TunedWindows != nil {
 		fmt.Fprintf(&b, "cDTWopt average tuned window: %.1f%% of series length\n",
@@ -44,7 +44,7 @@ func WriteTable2(w io.Writer, t Table2Result) error {
 }
 
 // WriteClusterTable renders Table 3 or Table 4 in the paper's layout.
-func WriteClusterTable(w io.Writer, title string, baseline ClusterRow, rows []ClusterRow, withRuntime bool) error {
+func WriteClusterTable(w io.Writer, title string, baseline Row, rows []Row, withRuntime bool) error {
 	var b strings.Builder
 	fmt.Fprintln(&b, title)
 	if withRuntime {
@@ -57,13 +57,13 @@ func WriteClusterTable(w io.Writer, title string, baseline ClusterRow, rows []Cl
 	for _, r := range rows {
 		if withRuntime {
 			fmt.Fprintf(&b, "%-17s %4d %4d %4d %-7s %-6s %-9.3f %8.1fx\n",
-				r.Name, r.Greater, r.Equal, r.Less, yesNo(r.Better), yesNo(r.Worse), r.AvgRandIndex, r.RuntimeRatio)
+				r.Name, r.Greater, r.Equal, r.Less, yesNo(r.Better), yesNo(r.Worse), r.AvgScore, r.RuntimeRatio)
 		} else {
 			fmt.Fprintf(&b, "%-17s %4d %4d %4d %-7s %-6s %-9.3f\n",
-				r.Name, r.Greater, r.Equal, r.Less, yesNo(r.Better), yesNo(r.Worse), r.AvgRandIndex)
+				r.Name, r.Greater, r.Equal, r.Less, yesNo(r.Better), yesNo(r.Worse), r.AvgScore)
 		}
 	}
-	fmt.Fprintf(&b, "(baseline %s: avg Rand Index %.3f)\n", baseline.Name, baseline.AvgRandIndex)
+	fmt.Fprintf(&b, "(baseline %s: avg Rand Index %.3f)\n", baseline.Name, baseline.AvgScore)
 	return flush(w, &b)
 }
 

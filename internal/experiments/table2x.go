@@ -1,39 +1,18 @@
 package experiments
 
-import (
-	"kshape/internal/obs"
-
-	"kshape/internal/dist"
-	"kshape/internal/eval"
-	"kshape/internal/stats"
-)
+import "kshape/internal/dist"
 
 // Table2Extended compares SBD and ED against the wider elastic-measure
 // family (LCSS, EDR, ERP, MSM, TWED) from the comparative studies the
 // paper's Section 2.3 builds on. The paper itself restricts Table 2 to
 // ED/DTW/cDTW because those studies found them dominant; this experiment
-// verifies that conclusion holds on the synthetic archive too.
+// verifies that conclusion holds on the synthetic archive too. ED is the
+// baseline, Rows[0].
 func Table2Extended(cfg Config) Table2Result {
-	measures := []dist.Measure{dist.EDMeasure{}, dist.SBDMeasure{}}
-	measures = append(measures, dist.ElasticMeasures()...)
-	rows := make([]DistanceRow, len(measures))
-	for r, m := range measures {
-		accs := make([]float64, len(cfg.Datasets))
-		sw := obs.NewStopwatch()
-		for i, ds := range cfg.Datasets {
-			accs[i] = eval.OneNNAccuracy(m, ds.Train, ds.Test)
-		}
-		rows[r] = DistanceRow{Name: m.Name(), Accuracies: accs, Runtime: sw.Elapsed()}
-		cfg.progress("table2x measure done", "measure", m.Name(), "seconds", rows[r].Runtime.Seconds(), "avg_accuracy", Mean(accs))
+	measures := append([]dist.Measure{dist.EDMeasure{}, dist.SBDMeasure{}}, dist.ElasticMeasures()...)
+	methods := make([]method, len(measures))
+	for i, m := range measures {
+		methods[i] = accuracyMethod(m.Name(), cfg.oneNN(m))
 	}
-	ed := rows[0]
-	for r := range rows {
-		rows[r].AvgAccuracy = Mean(rows[r].Accuracies)
-		rows[r].Greater, rows[r].Equal, rows[r].Less = CompareCounts(rows[r].Accuracies, ed.Accuracies)
-		rows[r].Better = stats.SignificantlyBetter(rows[r].Accuracies, ed.Accuracies, 0.99)
-		if ed.Runtime > 0 {
-			rows[r].RuntimeRatio = float64(rows[r].Runtime) / float64(ed.Runtime)
-		}
-	}
-	return Table2Result{Rows: rows}
+	return Table2Result{Comparison: compare(cfg.sweep(methods...))}
 }

@@ -159,13 +159,12 @@ func testFuncExists(t *testing.T, dir, name string) bool {
 // a package path (the whole package is exempt), pkgpath.Name for a
 // package-level object, or types.Func.FullName for a method.
 var reachAllowlist = map[string]string{
-	"kshape/internal/testkit":                      "test-support package: oracles, generators and goldens shared by the _test.go files of many packages",
-	"kshape/internal/ts.IsZNormalized":             "predicate the ts, dist and testkit tests assert z-normalized output with",
-	"kshape/internal/ts.Reverse":                   "reference the SBD tests build reversed-order cross-correlations with",
-	"(*kshape/internal/linalg.Sym).Clone":          "the eigensolver tests copy a matrix before a destructive solve",
-	"kshape/internal/obs.NumHistogramBuckets":      "the histogram tests size their expected bucket tables with it",
-	"kshape/internal/experiments.ResetMatrixCache": "experiment tests clear the process-wide distance-matrix cache between runs",
-	"kshape/internal/dist.Func":                    "the distance tests and oracles range over measures through this signature",
+	"kshape/internal/testkit":                 "test-support package: oracles, generators and goldens shared by the _test.go files of many packages",
+	"kshape/internal/ts.IsZNormalized":        "predicate the ts, dist and testkit tests assert z-normalized output with",
+	"kshape/internal/ts.Reverse":              "reference the SBD tests build reversed-order cross-correlations with",
+	"(*kshape/internal/linalg.Sym).Clone":     "the eigensolver tests copy a matrix before a destructive solve",
+	"kshape/internal/obs.NumHistogramBuckets": "the histogram tests size their expected bucket tables with it",
+	"kshape/internal/dist.Func":               "the distance tests and oracles range over measures through this signature",
 }
 
 // implicitMethods are method names the standard library calls through an

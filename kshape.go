@@ -219,50 +219,47 @@ func ClusterRestarts(data [][]float64, k, restarts int, opts Options) (*Result, 
 // Methods lists the clustering algorithms available through
 // Options.Method, in the order of the paper's tables.
 func Methods() []string {
-	return []string{
-		"k-Shape",
-		"k-AVG+ED", "k-AVG+SBD", "k-AVG+DTW", "k-DBA", "KSC", "k-Shape+DTW",
-		"PAM+ED", "PAM+cDTW5", "PAM+SBD",
-		"H-S+ED", "H-A+ED", "H-C+ED",
-		"H-S+cDTW5", "H-A+cDTW5", "H-C+cDTW5",
-		"H-S+SBD", "H-A+SBD", "H-C+SBD",
-		"S+ED", "S+cDTW5", "S+SBD",
-		"Features+k-means",
+	names := make([]string, len(methodList))
+	for i, c := range methodList {
+		names[i] = c.Name()
 	}
+	return names
 }
 
-// methods maps every name of Methods to its clusterer. The clusterers are
-// stateless — each call's controls arrive in its core.Config — so one
-// registry serves every call, concurrent ones included.
-var methods = newMethodRegistry()
+// methodList holds every clustering method, in the order Methods lists
+// them. The clusterers are stateless — each call's controls arrive in its
+// core.Config — so one list serves every call, concurrent ones included.
+var methodList = newMethodList()
 
-func newMethodRegistry() map[string]cluster.Clusterer {
-	cdtw5 := dist.NewCDTWFrac("cDTW5", 0.05)
-	reg := map[string]cluster.Clusterer{
-		"k-Shape":     cluster.NewKShape(),
-		"k-AVG+ED":    cluster.NewKAvgED(),
-		"k-AVG+SBD":   cluster.NewKAvgSBD(),
-		"k-AVG+DTW":   cluster.NewKAvgDTW(),
-		"k-DBA":       cluster.NewKDBA(),
-		"KSC":         cluster.NewKSC(),
-		"k-Shape+DTW": cluster.NewKShapeDTW(),
-		"PAM+ED":      cluster.NewPAM(dist.EDMeasure{}),
-		"PAM+cDTW5":   cluster.NewPAM(cdtw5),
-		"PAM+SBD":     cluster.NewPAM(dist.SBDMeasure{}),
-		"S+ED":        cluster.NewSpectral(dist.EDMeasure{}),
-		"S+cDTW5":     cluster.NewSpectral(cdtw5),
-		"S+SBD":       cluster.NewSpectral(dist.SBDMeasure{}),
-
-		// The statistical/feature-based contrast of Section 6.
-		"Features+k-means": cluster.NewFeatureBased(),
-	}
-	for _, link := range []cluster.Linkage{cluster.SingleLinkage, cluster.AverageLinkage, cluster.CompleteLinkage} {
-		for _, m := range []dist.Measure{dist.EDMeasure{}, cdtw5, dist.SBDMeasure{}} {
-			c := cluster.NewHierarchical(link, m)
-			reg[c.Name()] = c
-		}
+// methods maps every name of Methods to its clusterer.
+var methods = func() map[string]cluster.Clusterer {
+	reg := make(map[string]cluster.Clusterer, len(methodList))
+	for _, c := range methodList {
+		reg[c.Name()] = c
 	}
 	return reg
+}()
+
+func newMethodList() []cluster.Clusterer {
+	measures := []dist.Measure{dist.EDMeasure{}, dist.NewCDTWFrac("cDTW5", 0.05), dist.SBDMeasure{}}
+	list := []cluster.Clusterer{
+		cluster.NewKShape(),
+		cluster.NewKAvgED(), cluster.NewKAvgSBD(), cluster.NewKAvgDTW(),
+		cluster.NewKDBA(), cluster.NewKSC(), cluster.NewKShapeDTW(),
+	}
+	for _, m := range measures {
+		list = append(list, cluster.NewPAM(m))
+	}
+	for _, m := range measures {
+		for _, link := range []cluster.Linkage{cluster.SingleLinkage, cluster.AverageLinkage, cluster.CompleteLinkage} {
+			list = append(list, cluster.NewHierarchical(link, m))
+		}
+	}
+	for _, m := range measures {
+		list = append(list, cluster.NewSpectral(m))
+	}
+	// The statistical/feature-based contrast of Section 6.
+	return append(list, cluster.NewFeatureBased())
 }
 
 // SBD computes the shape-based distance between two equal-length series and
@@ -358,31 +355,24 @@ func RandIndex(pred, truth []int) float64 { return eval.RandIndex(pred, truth) }
 // Measures lists the distance measures accepted by Classify1NN, in the
 // order of the paper's Table 2 plus the extended elastic family.
 func Measures() []string {
-	return []string{"ED", "SBD", "DTW", "cDTW5", "cDTW10", "LCSS", "EDR", "ERP", "MSM", "TWED"}
+	names := make([]string, len(measureList))
+	for i, m := range measureList {
+		names[i] = m.Name()
+	}
+	return names
 }
 
+// measureList holds every measure of Measures, in its order.
+var measureList = append([]dist.Measure{
+	dist.EDMeasure{}, dist.SBDMeasure{}, dist.DTWMeasure{},
+	dist.NewCDTWFrac("cDTW5", 0.05), dist.NewCDTWFrac("cDTW10", 0.10),
+}, dist.ElasticMeasures()...)
+
 func measureByName(name string) (dist.Measure, bool) {
-	switch name {
-	case "ED":
-		return dist.EDMeasure{}, true
-	case "SBD":
-		return dist.SBDMeasure{}, true
-	case "DTW":
-		return dist.DTWMeasure{}, true
-	case "cDTW5":
-		return dist.NewCDTWFrac("cDTW5", 0.05), true
-	case "cDTW10":
-		return dist.NewCDTWFrac("cDTW10", 0.10), true
-	case "LCSS":
-		return dist.LCSSMeasure{}, true
-	case "EDR":
-		return dist.EDRMeasure{}, true
-	case "ERP":
-		return dist.ERPMeasure{}, true
-	case "MSM":
-		return dist.MSMMeasure{}, true
-	case "TWED":
-		return dist.TWEDMeasure{}, true
+	for _, m := range measureList {
+		if m.Name() == name {
+			return m, true
+		}
 	}
 	return nil, false
 }
