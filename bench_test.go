@@ -11,6 +11,7 @@ package kshape
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"kshape/internal/dist"
 	"kshape/internal/eval"
 	"kshape/internal/experiments"
+	"kshape/internal/fft"
 	"kshape/internal/obs"
 	"kshape/internal/ts"
 )
@@ -55,7 +57,7 @@ func BenchmarkTable3Scalable(b *testing.B) {
 	cfg := benchConfig(b, "ShortWaves", "ShortBumps")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.Table3(cfg)
+		experiments.Table3(cfg, experiments.ClusterBaseline(cfg))
 	}
 }
 
@@ -63,7 +65,7 @@ func BenchmarkTable4NonScalable(b *testing.B) {
 	cfg := benchConfig(b, "ShortWaves", "ShortBumps")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.Table4(cfg)
+		experiments.Table4(cfg, experiments.ClusterBaseline(cfg))
 	}
 }
 
@@ -113,7 +115,7 @@ func BenchmarkFig6DistanceRanks(b *testing.B) {
 
 func BenchmarkFig7ClusterScatter(b *testing.B) {
 	cfg := benchConfig(b, "ShortWaves", "ShortBumps")
-	t3 := experiments.Table3(cfg)
+	t3 := experiments.Table3(cfg, experiments.ClusterBaseline(cfg))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.Fig7(cfg, t3)
@@ -122,7 +124,7 @@ func BenchmarkFig7ClusterScatter(b *testing.B) {
 
 func BenchmarkFig8ClusterRanks(b *testing.B) {
 	cfg := benchConfig(b, "ShortWaves", "ShortBumps")
-	t3 := experiments.Table3(cfg)
+	t3 := experiments.Table3(cfg, experiments.ClusterBaseline(cfg))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.Fig8(cfg, t3)
@@ -131,8 +133,8 @@ func BenchmarkFig8ClusterRanks(b *testing.B) {
 
 func BenchmarkFig9CombinedRanks(b *testing.B) {
 	cfg := benchConfig(b, "ShortWaves", "ShortBumps")
-	t3 := experiments.Table3(cfg)
-	t4 := experiments.Table4(cfg)
+	base := experiments.ClusterBaseline(cfg)
+	t3, t4 := experiments.Table3(cfg, base), experiments.Table4(cfg, base)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.Fig9(cfg, t3, t4)
@@ -218,6 +220,39 @@ func BenchmarkSBDBatch128(b *testing.B) {
 		q.Distance(0)
 	}
 }
+
+// benchRFFT times the real-FFT plan on the shape every SBD feeds it: a
+// z-normalized series of length l/2 zero-padded to l forward, and the
+// product spectrum X·conj(Y) of two such series inverse.
+func benchRFFT(b *testing.B, l int, inverse bool) {
+	x, y := benchPair(l / 2)
+	p := fft.Plan(l)
+	sx := make([]complex128, p.SpectrumLen())
+	sy := make([]complex128, p.SpectrumLen())
+	work := make([]complex128, p.WorkLen())
+	out := make([]float64, l)
+	p.Forward(x, sx, work)
+	p.Forward(y, sy, work)
+	for k := range sx {
+		sx[k] *= cmplx.Conj(sy[k])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if inverse {
+			p.Inverse(sx, out, work)
+		} else {
+			p.Forward(x, sy, work)
+		}
+	}
+}
+
+func BenchmarkRFFTForward128(b *testing.B)  { benchRFFT(b, 128, false) }
+func BenchmarkRFFTForward512(b *testing.B)  { benchRFFT(b, 512, false) }
+func BenchmarkRFFTForward1024(b *testing.B) { benchRFFT(b, 1024, false) }
+func BenchmarkRFFTInverse128(b *testing.B)  { benchRFFT(b, 128, true) }
+func BenchmarkRFFTInverse512(b *testing.B)  { benchRFFT(b, 512, true) }
+func BenchmarkRFFTInverse1024(b *testing.B) { benchRFFT(b, 1024, true) }
 
 func BenchmarkDTW128(b *testing.B) {
 	x, y := benchPair(128)

@@ -51,6 +51,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 
 	"kshape/internal/cli"
 	"kshape/internal/experiments"
@@ -200,14 +201,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		t2 = experiments.Table2(cfg)
 		timed("table2", tsw)
 	}
+	// Tables 3 and 4 share one k-AVG+ED baseline sweep, timed with the
+	// first of them.
+	base := sync.OnceValue(func() experiments.Row { return experiments.ClusterBaseline(cfg) })
 	if want["table3"] || want["fig7"] || want["fig8"] || want["fig9"] {
 		tsw := obs.NewStopwatch()
-		t3 = experiments.Table3(cfg)
+		t3 = experiments.Table3(cfg, base())
 		timed("table3", tsw)
 	}
 	if want["table4"] || want["fig9"] {
 		tsw := obs.NewStopwatch()
-		t4 = experiments.Table4(cfg)
+		t4 = experiments.Table4(cfg, base())
 		timed("table4", tsw)
 	}
 

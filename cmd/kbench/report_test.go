@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,6 +196,48 @@ func TestRunReportCarriesGrid(t *testing.T) {
 		if r.Counters.FFT == 0 {
 			t.Errorf("k-Shape run on %s recorded no FFT work", r.Dataset)
 		}
+	}
+}
+
+// TestRunTables3And4ShareBaseline: kbench sweeps the k-AVG+ED baseline
+// once for Tables 3 and 4 together, so the report holds one baseline
+// record per (dataset, restart), and both tables print as they do when
+// each runs alone (runtime ratios aside, which are wall-clock).
+func TestRunTables3And4ShareBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("table3+table4 sweeps are slow")
+	}
+	args := []string{"-datasets", "1", "-runs", "1", "-spectral-runs", "1", "-workers", "1"}
+	path := filepath.Join(t.TempDir(), "run.json")
+	var joint, alone, errBuf bytes.Buffer
+	if err := run(slices.Concat(args, []string{"-report", path, "table3", "table4"}), &joint, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"table3", "table4"} {
+		if err := run(slices.Concat(args, []string{table}), &alone, &errBuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep obs.RunReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	baseline := 0
+	for _, r := range rep.Runs {
+		if r.Method == "k-AVG+ED" {
+			baseline++
+		}
+	}
+	if baseline != 1 {
+		t.Errorf("report holds %d k-AVG+ED records for 1 dataset and 1 restart, want 1", baseline)
+	}
+	runtimeCol := regexp.MustCompile(` +[0-9.]+x\n`)
+	if j, a := runtimeCol.ReplaceAllString(joint.String(), "\n"), runtimeCol.ReplaceAllString(alone.String(), "\n"); j != a {
+		t.Errorf("table3 table4 printed\n%s\nwant, as each table alone,\n%s", j, a)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,7 +52,12 @@ func TestProgressScrapeUnderLoad(t *testing.T) {
 
 	// An SSE consumer runs for the whole job and reports every decoded
 	// snapshot; it exits on the terminal event. The job starts only once
-	// the stream is connected, so the stream overlaps the whole run.
+	// the stream is connected, so the stream overlaps the whole run, and
+	// from its second iteration on the job waits until the consumer has
+	// decoded an iterating snapshot, so the stream has one to deliver
+	// before the terminal one however fast the machine runs the job.
+	sawIteration := make(chan struct{})
+	var sawOnce sync.Once
 	type sseOutcome struct {
 		events int
 		last   obs.Progress
@@ -90,6 +96,9 @@ func TestProgressScrapeUnderLoad(t *testing.T) {
 			}
 			out.events++
 			out.last = p
+			if p.Phase == obs.ProgressPhaseIterating {
+				sawOnce.Do(func() { close(sawIteration) })
+			}
 			if p.Phase == obs.ProgressPhaseDone {
 				return
 			}
@@ -98,8 +107,19 @@ func TestProgressScrapeUnderLoad(t *testing.T) {
 
 	<-connected
 	clusterDone := make(chan error, 1)
+	iterations := 0
 	go func() {
-		_, err := kshape.Cluster(data, 3, kshape.Options{Seed: 1})
+		res, err := kshape.Cluster(data, 3, kshape.Options{Seed: 1, OnIteration: func(st kshape.IterationStats) {
+			if st.Iteration >= 2 {
+				select {
+				case <-sawIteration:
+				case <-time.After(10 * time.Second): // the events check below reports it
+				}
+			}
+		}})
+		if err == nil {
+			iterations = res.Iterations
+		}
 		clusterDone <- err
 	}()
 
@@ -146,6 +166,9 @@ func TestProgressScrapeUnderLoad(t *testing.T) {
 		}
 	}
 	checkScrape() // quiescent scrape: the terminal snapshot stays up
+	if iterations < 2 {
+		t.Fatalf("run took %d iterations; the stream handshake needs at least 2", iterations)
+	}
 	if progressScrapes == 0 {
 		t.Error("no scrape observed progress gauges")
 	}

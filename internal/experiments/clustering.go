@@ -13,32 +13,36 @@ import (
 	"kshape/internal/ts"
 )
 
+// ClusterBaseline sweeps k-AVG+ED, the baseline row of Tables 3 and 4.
+func ClusterBaseline(cfg Config) Row {
+	return cfg.sweep(cfg.clusterMethod(cluster.NewKAvgED()))[0]
+}
+
 // Table3 reproduces the scalable clustering comparison: k-AVG+SBD,
-// k-AVG+DTW, KSC, k-DBA, k-Shape+DTW, and k-Shape against k-AVG+ED (the
-// baseline, Rows[0]), by Rand Index over the fused train+test split of
+// k-AVG+DTW, KSC, k-DBA, k-Shape+DTW, and k-Shape against base (Rows[0],
+// from ClusterBaseline), by Rand Index over the fused train+test split of
 // every dataset, averaged over Config.Runs random initializations.
-func Table3(cfg Config) Comparison {
-	return compare(cfg.sweep(
-		cfg.clusterMethod(cluster.NewKAvgED()),
+func Table3(cfg Config, base Row) Comparison {
+	return compare(append([]Row{base}, cfg.sweep(
 		cfg.clusterMethod(cluster.NewKAvgSBD()),
 		cfg.clusterMethod(cluster.NewKAvgDTW()),
 		cfg.clusterMethod(cluster.NewKSC()),
 		cfg.clusterMethod(cluster.NewKDBA()),
 		cfg.clusterMethod(cluster.NewKShapeDTW()),
 		cfg.clusterMethod(cluster.NewKShape()),
-	))
+	)...))
 }
 
 // Table4 reproduces the non-scalable clustering comparison — hierarchical
 // (three linkages), spectral, and PAM, each with ED, cDTW5, and SBD —
-// against k-AVG+ED (the baseline, Rows[0]). Each dataset's pairwise
+// against base (Rows[0], from ClusterBaseline). Each dataset's pairwise
 // dissimilarity matrix under a measure is built once per call, by the
 // first method that needs it, and shared with the measure's other methods;
 // the spectral embedding is shared across its restarts the same way. The
 // methods sweep one at a time, so a build lands in the records of the
 // method that needed it first.
-func Table4(cfg Config) Comparison {
-	rows := cfg.sweep(cfg.clusterMethod(cluster.NewKAvgED()))
+func Table4(cfg Config, base Row) Comparison {
+	rows := []Row{base}
 	measures := []dist.Measure{
 		dist.EDMeasure{},
 		dist.NewCDTWFrac("cDTW5", 0.05),

@@ -111,7 +111,8 @@ func TestTable3And4Reduced(t *testing.T) {
 	cfg := ReducedConfig(3)
 	cfg.Runs = 2
 	cfg.SpectralRuns = 2
-	t3 := Table3(cfg)
+	base := ClusterBaseline(cfg)
+	t3 := Table3(cfg, base)
 	if len(t3.Rows) != 7 {
 		t.Fatalf("table3 rows = %d, want 7 (baseline + 6)", len(t3.Rows))
 	}
@@ -129,7 +130,7 @@ func TestTable3And4Reduced(t *testing.T) {
 		t.Error("RowByName lookup broken")
 	}
 
-	t4 := Table4(cfg)
+	t4 := Table4(cfg, base)
 	if len(t4.Rows) != 16 {
 		t.Fatalf("table4 rows = %d, want 16 (baseline + 15)", len(t4.Rows))
 	}

@@ -23,7 +23,7 @@ func TestTable4MatricesFollowTheirData(t *testing.T) {
 	// test-race) sees the per-dataset matrix slots filled concurrently.
 	cfg := ReducedConfig(2)
 	cfg.Runs, cfg.SpectralRuns, cfg.Workers = 1, 1, 2
-	Table4(cfg)
+	Table4(cfg, ClusterBaseline(cfg))
 
 	spec := dataset.ArchiveSpecs()[0]
 	redrawn := spec
@@ -37,14 +37,14 @@ func TestTable4MatricesFollowTheirData(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := eval.RandIndex(res.Labels, ts.Labels(ds.All()))
-	if got := Table4(cfg).RowByName(h.Name()).Scores[0]; got != want {
+	if got := Table4(cfg, ClusterBaseline(cfg)).RowByName(h.Name()).Scores[0]; got != want {
 		t.Errorf("%s on re-drawn %s: Rand Index %v, want %v from its own data", h.Name(), ds.Name, got, want)
 	}
 
 	resized := spec
 	resized.TestPerClass += 5
 	cfg.Datasets[0] = dataset.Generate(resized)
-	Table4(cfg) // a matrix of the old size would index out of range
+	Table4(cfg, ClusterBaseline(cfg)) // a matrix of the old size would index out of range
 }
 
 // TestSweepsHonorWorkersAndRecordEveryUnit pins the Config.Workers rule
@@ -66,9 +66,9 @@ func TestSweepsHonorWorkersAndRecordEveryUnit(t *testing.T) {
 		units int
 	}{
 		{"table2x", func() { Table2Extended(cfg) }, 7 * n},
-		{"table3", func() { Table3(cfg) }, 7 * n * runs},
+		{"table3", func() { Table3(cfg, ClusterBaseline(cfg)) }, 7 * n * runs},
 		// k-AVG+ED and 3 PAM rows restart; 9 hierarchical rows run once.
-		{"table4", func() { Table4(cfg) }, (4*runs + 9 + 3*spectral) * n},
+		{"table4", func() { Table4(cfg, ClusterBaseline(cfg)) }, (4*runs + 9 + 3*spectral) * n},
 		{"ablations", func() { Ablations(cfg) }, 5 * n * runs},
 		{"appendixA", func() { AppendixA(cfg, NormZScore) }, 3 * n},
 		{"kestimation", func() { KEstimation(cfg) }, 0},

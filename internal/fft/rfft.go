@@ -20,6 +20,11 @@ import (
 // per-call state lives in caller-provided buffers, so the transforms
 // allocate nothing. Every SBD path (internal/dist) takes its plan from the
 // shared table Plan and streams every spectrum and correlation through it.
+//
+// Neither transform divides a complex128 (a runtime call): halvings are
+// component-wise, and Inverse folds its ½ into the exact 1/n. Outputs equal
+// a divide-by-2 kernel's bit for bit but for the sign of a zero (Smith's
+// (re + im·0)/2 gives +0) and the last bit where an intermediate is subnormal.
 type RFFT struct {
 	n    int // real transform length (power of two)
 	half int // n / 2: packed complex length
@@ -74,7 +79,10 @@ func (p *RFFT) transformHalf(x []complex128, tw []complex128) {
 			x[i], x[int(j)] = x[int(j)], x[i]
 		}
 	}
-	for size := 2; size <= h; size <<= 1 {
+	for i := 1; i < h; i += 2 { // the size-2 stage: its only twiddle is 1
+		x[i-1], x[i] = x[i-1]+x[i], x[i-1]-x[i]
+	}
+	for size := 4; size <= h; size <<= 1 {
 		hs := size >> 1
 		stride := h / size
 		for start := 0; start < h; start += size {
@@ -146,9 +154,9 @@ func (p *RFFT) Forward(x []float64, spec, work []complex128) {
 	for k := 0; k <= half; k++ {
 		zk := work[k%half]
 		zc := conj(work[(half-k)%half])
-		even := (zk + zc) / 2
-		odd := (zk - zc) / 2
-		odd = complex(imag(odd), -real(odd)) // multiply by -i
+		s, d := zk+zc, zk-zc
+		even := complex(real(s)*0.5, imag(s)*0.5)
+		odd := complex(imag(d)*0.5, -real(d)*0.5) // d/2 times -i
 		spec[k] = even + p.tw[k]*odd
 	}
 }
@@ -173,23 +181,21 @@ func (p *RFFT) Inverse(spec []complex128, out []float64, work []complex128) {
 	half := p.half
 	// Re-tangle the half-spectrum into the packed transform:
 	// E_k = (X_k + conj(X_{h-k}))/2, O_k = W_n^{-k}·(X_k - conj(X_{h-k}))/2,
-	// Z_k = E_k + i·O_k; the half-size inverse then yields the packed
-	// samples z_j = x_{2j} + i·x_{2j+1} with exactly the right 1/(n/2)
-	// normalization.
+	// Z_k = E_k + i·O_k. work holds 2·Z_k: the halving moves into the
+	// unpack's scale, so the half-size inverse yields 2·z_j for the packed
+	// samples z_j = x_{2j} + i·x_{2j+1}.
 	for k := 0; k < half; k++ {
 		xk := spec[k]
 		xc := conj(spec[half-k])
-		even := (xk + xc) / 2
-		odd := (xk - xc) / 2
-		odd *= conj(p.tw[k])                            // W_n^{-k}
-		work[k] = even + complex(-imag(odd), real(odd)) // + i·odd
+		odd := (xk - xc) * conj(p.tw[k])                   // 2·O_k
+		work[k] = xk + xc + complex(-imag(odd), real(odd)) // + i·odd
 	}
 	obs.Inc(obs.CounterIFFT)
 	p.transformHalf(work[:half], p.twI)
-	// Unpack with the 1/(n/2) normalization folded in; half is a power of
-	// two, so multiplying by its exact reciprocal is bit-identical to
-	// dividing by it.
-	scale := 1 / float64(half)
+	// Unpack with the 1/(n/2) normalization and the re-tangle's ½ folded
+	// into one factor 1/n; n is a power of two, so multiplying by its
+	// exact reciprocal is bit-identical to dividing by it.
+	scale := 1 / float64(p.n)
 	for j := 0; j < half; j++ {
 		out[2*j] = real(work[j]) * scale
 		out[2*j+1] = imag(work[j]) * scale

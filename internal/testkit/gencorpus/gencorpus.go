@@ -156,6 +156,8 @@ func fftEntries() []entry {
 		{"cancellation-large", []string{bytesLine(testkit.EncodeFloats(cancel))}},
 		{"single-value", []string{bytesLine(testkit.EncodeFloats([]float64{5}))}},
 		{"non-pow2-length", []string{bytesLine(testkit.EncodeFloats(sine(27, 2, 0.3)))}},
+		{"negative-zero", []string{bytesLine(testkit.EncodeFloats(constant(8, math.Copysign(0, -1))))}},
+		{"scale-2p-1000", []string{bytesLine(testkit.EncodeFloats(ramp(16, math.Ldexp(1, -1000))))}},
 	}
 }
 
@@ -182,6 +184,10 @@ func rfftEntries() []entry {
 		// Alternating ±1e6 over 64 points: large terms cancel in every
 		// bin but the Nyquist one, where the spectrum peaks.
 		{"cancellation-large", []string{bytesLine(testkit.EncodeFloats(cancel64()))}},
+		// The kernel's bit-level edges, −0 and scale 2^-1000; DecodeFloats
+		// flushes both to +0, so rfft_oracle_test.go pins their bits.
+		{"negative-zero", []string{bytesLine(testkit.EncodeFloats(constant(8, math.Copysign(0, -1))))}},
+		{"scale-2p-1000", []string{bytesLine(testkit.EncodeFloats(ramp(16, math.Ldexp(1, -1000))))}},
 	}
 }
 
