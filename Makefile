@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDTWBand$$' -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -fuzz='^FuzzFFTRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/fft/
 	$(GO) test -fuzz='^FuzzRFFT$$' -fuzztime=$(FUZZTIME) ./internal/fft/
+	$(GO) test -fuzz='^FuzzRFFTBitIdentical$$' -fuzztime=$(FUZZTIME) ./internal/fft/
 	$(GO) test -fuzz='^FuzzZNormalize$$' -fuzztime=$(FUZZTIME) ./internal/ts/
 	$(GO) test -fuzz='^FuzzUCRLoader$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -fuzz='^FuzzCluster$$' -fuzztime=$(FUZZTIME) .

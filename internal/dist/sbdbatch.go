@@ -38,9 +38,8 @@ const (
 type SBDBatch struct {
 	m    int            // series length
 	l    int            // padded transform length (power of two >= 2m-1)
-	half int            // l / 2
 	plan *fft.RFFT      // shared transform plan for length l
-	spec [][]complex128 // conj(RFFT(x_i)) half-spectra, length half+1 each
+	spec [][]complex128 // RFFT(x_i) half-spectra, length l/2+1 each
 	norm []float64      // ‖x_i‖
 	pool sync.Pool      // *SBDScratch, reused across chunks and iterations
 }
@@ -57,7 +56,6 @@ func NewSBDBatch(data [][]float64) *SBDBatch {
 	b := &SBDBatch{
 		m:    m,
 		l:    l,
-		half: l / 2,
 		plan: fft.Plan(l),
 		spec: make([][]complex128, len(data)),
 		norm: make([]float64, len(data)),
@@ -73,9 +71,6 @@ func NewSBDBatch(data [][]float64) *SBDBatch {
 		}
 		spec := slab[i*sl : (i+1)*sl : (i+1)*sl]
 		b.plan.Forward(x, spec, work)
-		for k := range spec {
-			spec[k] = complex(real(spec[k]), -imag(spec[k]))
-		}
 		b.spec[i] = spec
 		b.norm[i] = ts.Norm(x)
 	}
@@ -86,12 +81,12 @@ func NewSBDBatch(data [][]float64) *SBDBatch {
 func (b *SBDBatch) Len() int { return len(b.spec) }
 
 // SBDScratch holds the per-goroutine buffers of one in-flight SBD
-// computation: the spectral product, the half-size transform workspace, and
-// the real correlation output. Scratches are tied to the batch geometry
-// that created them and must not be shared between concurrent goroutines.
+// computation: the half-size transform workspace and the real correlation
+// output (fft.RFFT.CrossCorrelate forms the spectral product itself).
+// Scratches are tied to the batch geometry that created them and must not
+// be shared between concurrent goroutines.
 type SBDScratch struct {
-	prod []complex128 // half+1: query spectrum × cached conjugate spectrum
-	work []complex128 // half: RFFT internal workspace
+	work []complex128 // l/2: RFFT internal workspace
 	cc   []float64    // l: real cross-correlation, circularly laid out
 }
 
@@ -99,8 +94,7 @@ type SBDScratch struct {
 // PairDistance. Each goroutine sharing one prepared query needs its own.
 func (b *SBDBatch) Scratch() *SBDScratch {
 	return &SBDScratch{
-		prod: make([]complex128, b.half+1),
-		work: make([]complex128, b.half),
+		work: make([]complex128, b.l/2),
 		cc:   make([]float64, b.l),
 	}
 }
@@ -130,7 +124,7 @@ type SBDQuery struct {
 	spec  []complex128 // RFFT(q), not conjugated
 	norm  float64
 	own   *SBDScratch
-	mag   []float64 // half+1: w_k·|Q_k|/l, filled by Nearest
+	mag   []float64 // l/2+1: w_k·|Q_k|/l, filled by Nearest
 	lb    []float64 // Len: Nearest's lower bound per batch series
 }
 
@@ -184,11 +178,7 @@ func (s *SBDQuery) DistanceScratch(i int, sc *SBDScratch) (dist float64, shift i
 	if degenerate(den) {
 		return 1, 0
 	}
-	ci := b.spec[i]
-	for k, c := range ci {
-		sc.prod[k] = s.spec[k] * c
-	}
-	b.plan.Inverse(sc.prod, sc.cc, sc.work)
+	b.plan.CrossCorrelate(s.spec, b.spec[i], sc.cc, sc.work)
 	return scanCC(sc.cc[b.l-(b.m-1):], sc.cc[:b.m], den)
 }
 
@@ -276,7 +266,7 @@ func (s *SBDQuery) lowerBounds() int {
 		scale := 1 / float64(b.l)
 		for k, c := range s.spec {
 			w := 2 * scale
-			if k == 0 || k == b.half {
+			if k == 0 || k == b.l/2 {
 				w = scale
 			}
 			s.mag[k] = w * math.Sqrt(real(c)*real(c)+imag(c)*imag(c))
@@ -312,9 +302,8 @@ func (s *SBDQuery) lowerBounds() int {
 func boundable(norm float64) bool { return norm >= minBoundNorm && norm <= maxBoundNorm }
 
 // PairDistance returns SBD(x_i, x_j) between two cached series and the
-// shift aligning x_j toward x_i, without any forward transform: the
-// spectral product is assembled directly from the two cached conjugate
-// half-spectra (conj(conj(S_i)·) recovers S_i).
+// shift aligning x_j toward x_i, without any forward transform: one
+// CrossCorrelate of the two cached half-spectra.
 //
 //kshape:hotpath
 func (b *SBDBatch) PairDistance(i, j int, sc *SBDScratch) (dist float64, shift int) {
@@ -323,11 +312,7 @@ func (b *SBDBatch) PairDistance(i, j int, sc *SBDScratch) (dist float64, shift i
 	if degenerate(den) {
 		return 1, 0
 	}
-	ci, cj := b.spec[i], b.spec[j]
-	for k := range ci {
-		sc.prod[k] = complex(real(ci[k]), -imag(ci[k])) * cj[k]
-	}
-	b.plan.Inverse(sc.prod, sc.cc, sc.work)
+	b.plan.CrossCorrelate(b.spec[i], b.spec[j], sc.cc, sc.work)
 	return scanCC(sc.cc[b.l-(b.m-1):], sc.cc[:b.m], den)
 }
 

@@ -1,16 +1,21 @@
 package dist
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"kshape/internal/ts"
 )
 
+// TestSBDBatchMatchesPlainSBD pins the batch paths to the per-pair SBD
+// bit for bit: Distance of a prepared query and PairDistance of two cached
+// series return exactly SBD's distance and shift. The lengths cover both
+// parities of the half-transform's stage count (l = 8, 64, 128, 256, 512,
+// 1024).
 func TestSBDBatchMatchesPlainSBD(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, m := range []int{4, 17, 64, 128} {
+	for _, m := range []int{4, 17, 64, 128, 256, 512} {
 		n := 12
 		data := make([][]float64, n)
 		for i := range data {
@@ -20,21 +25,34 @@ func TestSBDBatchMatchesPlainSBD(t *testing.T) {
 		if batch.Len() != n {
 			t.Fatalf("Len = %d", batch.Len())
 		}
+		// check compares one batch result with SBD(x, y): the distance bit
+		// for bit, and the shift through the series it aligns.
+		check := func(leg string, x, y []float64, gotD float64, gotShift int) {
+			t.Helper()
+			wantD, wantAligned := SBD(x, y)
+			if gotD != wantD {
+				t.Fatalf("m=%d %s: batch distance %v != plain %v", m, leg, gotD, wantD)
+			}
+			aligned := ts.Shift(y, gotShift)
+			for p := range aligned {
+				if aligned[p] != wantAligned[p] {
+					t.Fatalf("m=%d %s: shift %d aligns differently from plain SBD at %d", m, leg, gotShift, p)
+				}
+			}
+		}
 		for trial := 0; trial < 5; trial++ {
 			query := ts.ZNormalize(randSeries(m, rng))
 			q := batch.Query(query)
 			for i := 0; i < n; i++ {
 				gotD, gotShift := q.Distance(i)
-				wantD, wantAligned := SBD(query, data[i])
-				if math.Abs(gotD-wantD) > 1e-9 {
-					t.Fatalf("m=%d i=%d: batch distance %v != plain %v", m, i, gotD, wantD)
-				}
-				aligned := ts.Shift(data[i], gotShift)
-				for p := range aligned {
-					if math.Abs(aligned[p]-wantAligned[p]) > 1e-9 {
-						t.Fatalf("m=%d i=%d: batch alignment diverges at %d", m, i, p)
-					}
-				}
+				check(fmt.Sprintf("query %d, series %d", trial, i), query, data[i], gotD, gotShift)
+			}
+		}
+		sc := batch.Scratch()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				gotD, gotShift := batch.PairDistance(i, j, sc)
+				check(fmt.Sprintf("pair (%d, %d)", i, j), data[i], data[j], gotD, gotShift)
 			}
 		}
 	}

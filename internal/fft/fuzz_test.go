@@ -11,7 +11,8 @@ import (
 )
 
 // FuzzFFTRoundTrip drives the shared per-length plans (fft.Plan): the
-// Forward→Inverse round trip of the input at its padded length, and
+// round trip of the input at its padded length through Forward and
+// CrossCorrelate against an all-ones spectrum (the plain inverse), and
 // RFFT.Correlate of the input's two halves against the direct O(m²)
 // correlation — the arithmetic of every per-pair SBD.
 func FuzzFFTRoundTrip(f *testing.F) {
@@ -33,7 +34,7 @@ func FuzzFFTRoundTrip(f *testing.F) {
 		work := make([]complex128, p.WorkLen())
 		out := make([]float64, n)
 		p.Forward(vals, spec, work)
-		p.Inverse(spec, out, work)
+		p.CrossCorrelate(spec, fft.OnesSpectrum(p), out, work)
 		slack := 1e-9 * (1 + maxAbs(vals))
 		for i := 0; i < n; i++ {
 			want := 0.0
@@ -69,10 +70,10 @@ func FuzzFFTRoundTrip(f *testing.F) {
 
 // FuzzRFFT drives the real-input plan across arbitrary inputs and both
 // padding regimes (tight and doubled), checking parity with the direct
-// O(n²) DFT bin by bin and the Forward→Inverse round trip. The input
-// length itself is unrestricted — odd, prime, and power-of-two lengths all
-// land here via zero-padding, exactly as the SBD hot path pads 2m-1 up to
-// a power of two.
+// O(n²) DFT bin by bin and the round trip through Forward and
+// CrossCorrelate against an all-ones spectrum. The input length itself is
+// unrestricted — odd, prime, and power-of-two lengths all land here via
+// zero-padding, exactly as the SBD hot path pads 2m-1 up to a power of two.
 func FuzzRFFT(f *testing.F) {
 	f.Add(testkit.EncodeFloats([]float64{1, 0, -1, 0, 1, 0, -1, 0}))
 	f.Add(testkit.EncodeFloats([]float64{5}))
@@ -101,7 +102,7 @@ func FuzzRFFT(f *testing.F) {
 			}
 			// Round trip reproduces the zero-padded input.
 			out := make([]float64, n)
-			p.Inverse(spec, out, work)
+			p.CrossCorrelate(spec, fft.OnesSpectrum(p), out, work)
 			rtSlack := 1e-9 * (1 + maxAbs(vals))
 			for i := 0; i < n; i++ {
 				want := 0.0
@@ -112,6 +113,38 @@ func FuzzRFFT(f *testing.F) {
 					t.Fatalf("rfft roundtrip n=%d index %d: got %v, want %v (slack %v)", n, i, out[i], want, rtSlack)
 				}
 			}
+		}
+	})
+}
+
+// FuzzRFFTBitIdentical checks Forward and CrossCorrelate bit for bit
+// against the reference division kernel of rfft_oracle_test.go, on inputs
+// taken past DecodeFloats' range by an exact power of two: the first half
+// of the decoded values (x) is scaled by 2^e and the rest (y) by 2^-e, with
+// e = scale mod 601 in [-600, 600]. That reaches magnitudes from about
+// 1e-281 to 1e187, far below the decoder's 1e-100 floor and above its 1e6
+// cap, yet keeps the transforms' intermediates clear of the subnormal
+// range, the one place besides a zero's sign where the kernels may part
+// (TestRFFTDivisionKernelExceptions).
+func FuzzRFFTBitIdentical(f *testing.F) {
+	f.Add(int16(-600), testkit.EncodeFloats([]float64{1, 0.5, -1, 2, 0.25, -3}))
+	f.Fuzz(func(t *testing.T, scale int16, data []byte) {
+		vals := testkit.DecodeFloats(data, 512)
+		if len(vals) == 0 {
+			return
+		}
+		e := int(scale) % 601
+		mx := (len(vals) + 1) / 2
+		x, y := vals[:mx], vals[mx:]
+		for i := range x {
+			x[i] = math.Ldexp(x[i], e)
+		}
+		for i := range y {
+			y[i] = math.Ldexp(y[i], -e)
+		}
+		p := fft.NewRFFT(fft.NextPow2(len(vals)))
+		if d := fft.KernelBitDiffs(p, x, y); d != 0 {
+			t.Fatalf("n=%d len(x)=%d len(y)=%d e=%d: %d outputs differ from the reference kernel in their bits", p.Len(), len(x), len(y), e, d)
 		}
 	})
 }

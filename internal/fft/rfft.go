@@ -22,9 +22,10 @@ import (
 // shared table Plan and streams every spectrum and correlation through it.
 //
 // Neither transform divides a complex128 (a runtime call): halvings are
-// component-wise, and Inverse folds its ½ into the exact 1/n. Outputs equal
-// a divide-by-2 kernel's bit for bit but for the sign of a zero (Smith's
-// (re + im·0)/2 gives +0) and the last bit where an intermediate is subnormal.
+// component-wise, and CrossCorrelate folds its ½ into the exact 1/n.
+// Outputs equal a divide-by-2 kernel's bit for bit but for the sign of a
+// zero (Smith's (re + im·0)/2 gives +0) and the last bit where an
+// intermediate is subnormal.
 type RFFT struct {
 	n    int // real transform length (power of two)
 	half int // n / 2: packed complex length
@@ -66,33 +67,50 @@ func NewRFFT(n int) *RFFT {
 	return p
 }
 
-// transformHalf runs the radix-2 butterfly network of length half over x in
-// place, using the precomputed bit-reversal permutation and the stage
-// twiddles tw (twF forward, twI inverse). The tables are exact per index,
-// so no rounding accumulates across a stage.
+// transformHalf runs the radix-2 butterfly network of length half in place
+// over x, given in bit-reversed order, with the stage twiddles tw (twF
+// forward, twI inverse). Each sweep runs two stages, four points at a time,
+// in the same operations and order as one stage per sweep. The size-2
+// stage multiplies by nothing (its twiddle is 1): it joins size 4 when
+// log₂half is even, and otherwise runs alone first.
 //
 //kshape:hotpath
 func (p *RFFT) transformHalf(x []complex128, tw []complex128) {
 	h := p.half
-	for i, j := range p.rev {
-		if i < int(j) {
-			x[i], x[int(j)] = x[int(j)], x[i]
+	size := 2 // the smallest stage not yet run
+	if bits.TrailingZeros(uint(h))%2 == 1 {
+		for i := 1; i < h; i += 2 {
+			x[i-1], x[i] = x[i-1]+x[i], x[i-1]-x[i]
 		}
+		size = 4
+	} else if h >= 4 {
+		w0, w1 := tw[0], tw[h/4]
+		for i := 0; i < h; i += 4 {
+			a0, a1 := x[i]+x[i+1], x[i]-x[i+1]
+			a2, a3 := x[i+2]+x[i+3], x[i+2]-x[i+3]
+			b2, b3 := a2*w0, a3*w1
+			x[i], x[i+2] = a0+b2, a0-b2
+			x[i+1], x[i+3] = a1+b3, a1-b3
+		}
+		size = 8
 	}
-	for i := 1; i < h; i += 2 { // the size-2 stage: its only twiddle is 1
-		x[i-1], x[i] = x[i-1]+x[i], x[i-1]-x[i]
-	}
-	for size := 4; size <= h; size <<= 1 {
-		hs := size >> 1
-		stride := h / size
-		for start := 0; start < h; start += size {
-			ti := 0
-			for k := 0; k < hs; k++ {
-				a := x[start+k]
-				b := x[start+k+hs] * tw[ti]
-				x[start+k] = a + b
-				x[start+k+hs] = a - b
-				ti += stride
+	// Stages size and 2·size pair points q and 2q apart, at twiddle strides
+	// h/size and h/(2·size).
+	for ; size < h; size <<= 2 {
+		q := size >> 1
+		s1 := h / size
+		s2 := s1 >> 1
+		for start := 0; start < h; start += 2 * size {
+			blk := x[start : start+2*size : start+2*size]
+			for k := 0; k < q; k++ {
+				w := tw[k*s1]
+				x0, x1 := blk[k], blk[k+q]*w
+				x2, x3 := blk[k+2*q], blk[k+3*q]*w
+				a0, a1 := x0+x1, x0-x1
+				a2, a3 := x2+x3, x2-x3
+				b2, b3 := a2*tw[k*s2], a3*tw[(k+q)*s2]
+				blk[k], blk[k+2*q] = a0+b2, a0-b2
+				blk[k+q], blk[k+3*q] = a1+b3, a1-b3
 			}
 		}
 	}
@@ -105,7 +123,7 @@ func (p *RFFT) Len() int { return p.n }
 // remaining bins are the conjugate mirror and are never materialized).
 func (p *RFFT) SpectrumLen() int { return p.half + 1 }
 
-// WorkLen returns the scratch length n/2 required by Forward and Inverse.
+// WorkLen returns the scratch length n/2 that Forward and CrossCorrelate need.
 func (p *RFFT) WorkLen() int { return p.half }
 
 // Forward computes the DFT of the real input x zero-padded to length n,
@@ -134,9 +152,9 @@ func (p *RFFT) Forward(x []float64, spec, work []complex128) {
 		return
 	}
 	half := p.half
-	// Pack consecutive sample pairs into one complex point each:
-	// z_j = x_{2j} + i·x_{2j+1}, zero-padded beyond len(x).
-	for j := 0; j < half; j++ {
+	// Pack z_j = x_{2j} + i·x_{2j+1}, zero-padded beyond len(x), into the
+	// bit-reversed slot of j.
+	for j, r := range p.rev {
 		re, im := 0.0, 0.0
 		if 2*j < len(x) {
 			re = x[2*j]
@@ -144,7 +162,7 @@ func (p *RFFT) Forward(x []float64, spec, work []complex128) {
 		if 2*j+1 < len(x) {
 			im = x[2*j+1]
 		}
-		work[j] = complex(re, im)
+		work[r] = complex(re, im)
 	}
 	obs.Inc(obs.CounterFFT)
 	p.transformHalf(work[:half], p.twF)
@@ -161,36 +179,37 @@ func (p *RFFT) Forward(x []float64, spec, work []complex128) {
 	}
 }
 
-// Inverse computes the inverse DFT of the Hermitian half-spectrum spec
-// (length SpectrumLen, as produced by Forward — bins beyond n/2 are implied
-// by conjugate symmetry), writing the real result of length n into out.
-// work (length WorkLen) is clobbered; spec is not modified. The result is
-// scaled by 1/n, so the round trip Forward→Inverse reproduces the padded
-// input.
+// CrossCorrelate writes into out (length n) the inverse DFT, scaled by 1/n,
+// of a·conj(b) for the Hermitian half-spectra a and b (length SpectrumLen,
+// as Forward writes them). For two real series that is their circular
+// cross-correlation, lag s at index s mod n (Equation 12); against an
+// all-ones b it is the plain inverse of a. work (length WorkLen) is
+// clobbered; a and b are not modified.
 //
 //kshape:hotpath
-func (p *RFFT) Inverse(spec []complex128, out []float64, work []complex128) {
-	if len(spec) < p.half+1 || len(out) < p.n || len(work) < p.half {
-		panic("fft: RFFT Inverse buffer too short")
+func (p *RFFT) CrossCorrelate(a, b []complex128, out []float64, work []complex128) {
+	if len(a) < p.half+1 || len(b) < p.half+1 || len(out) < p.n || len(work) < p.half {
+		panic("fft: RFFT CrossCorrelate buffer too short")
 	}
+	obs.Inc(obs.CounterIFFT)
 	if p.n == 1 {
-		obs.Inc(obs.CounterIFFT)
-		out[0] = real(spec[0])
+		out[0] = real(a[0] * conj(b[0]))
 		return
 	}
 	half := p.half
-	// Re-tangle the half-spectrum into the packed transform:
-	// E_k = (X_k + conj(X_{h-k}))/2, O_k = W_n^{-k}·(X_k - conj(X_{h-k}))/2,
-	// Z_k = E_k + i·O_k. work holds 2·Z_k: the halving moves into the
-	// unpack's scale, so the half-size inverse yields 2·z_j for the packed
-	// samples z_j = x_{2j} + i·x_{2j+1}.
-	for k := 0; k < half; k++ {
-		xk := spec[k]
-		xc := conj(spec[half-k])
-		odd := (xk - xc) * conj(p.tw[k])                   // 2·O_k
-		work[k] = xk + xc + complex(-imag(odd), real(odd)) // + i·odd
+	// Re-tangle P_k = a_k·conj(b_k) into the bit-reversed slot of k as
+	// 2·Z_k = P_k + conj(P_{h-k}) + i·W_n^{-k}·(P_k - conj(P_{h-k})), the ½
+	// moved into the unpack's scale. Bins k and h-k share their products, so
+	// one step writes both; bin 0 pairs with the Nyquist bin h (no slot).
+	for k := 0; 2*k <= half; k++ {
+		j := half - k
+		pk, pj := a[k]*conj(b[k]), a[j]*conj(b[j])
+		ok, oj := (pk-conj(pj))*conj(p.tw[k]), (pj-conj(pk))*conj(p.tw[j]) // 2·O_k, 2·O_j
+		work[p.rev[k]] = pk + conj(pj) + complex(-imag(ok), real(ok))
+		if 0 < k && k < j {
+			work[p.rev[j]] = pj + conj(pk) + complex(-imag(oj), real(oj))
+		}
 	}
-	obs.Inc(obs.CounterIFFT)
 	p.transformHalf(work[:half], p.twI)
 	// Unpack with the 1/(n/2) normalization and the re-tangle's ½ folded
 	// into one factor 1/n; n is a power of two, so multiplying by its
@@ -205,7 +224,7 @@ func (p *RFFT) Inverse(spec []complex128, out []float64, work []complex128) {
 // Correlate returns the linear cross-correlation of x and y — the sequence
 // CrossCorrelateNaive returns, of length len(x)+len(y)-1 with entry w at
 // lag w-(len(y)-1) — as IFFT(FFT(x)·conj(FFT(y))) (Equation 12): two
-// forward transforms and one inverse on this plan. n must cover the
+// Forward transforms and one CrossCorrelate on this plan. n must cover the
 // output length so the circular correlation does not wrap.
 func (p *RFFT) Correlate(x, y []float64) []float64 {
 	if len(x) == 0 || len(y) == 0 {
@@ -220,11 +239,8 @@ func (p *RFFT) Correlate(x, y []float64) []float64 {
 	sx, sy, work := buf[:h], buf[h:2*h], buf[2*h:]
 	p.Forward(x, sx, work)
 	p.Forward(y, sy, work)
-	for k := range sx {
-		sx[k] *= conj(sy[k])
-	}
 	cc := make([]float64, p.n)
-	p.Inverse(sx, cc, work)
+	p.CrossCorrelate(sx, sy, cc, work)
 	// The circular result holds lag s at index s mod n: rotate right by
 	// len(y)-1 so the negative lags move from the tail to the front.
 	r := len(y) - 1

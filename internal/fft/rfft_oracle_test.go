@@ -8,10 +8,12 @@ import (
 
 // The reference kernel below is the real FFT as it stood before the
 // untangle and re-tangle stopped dividing by 2: each (a ± b)/2 was a
-// complex128 division (Smith's algorithm in the Go runtime), Inverse
+// complex128 division (Smith's algorithm in the Go runtime), the inverse
 // halved the spectrum before its butterflies and scaled by 1/(n/2), and
-// the size-2 butterfly stage multiplied by its unit twiddle. It runs on the
-// same plan tables, so any output difference comes from those three edits.
+// the size-2 butterfly stage multiplied by its unit twiddle. It also runs
+// the kernel's older layout: a separate product loop before the inverse, a
+// bit-reversal swap pass, and one butterfly stage per sweep. It runs on
+// the same plan tables, so any output difference comes from those edits.
 
 func refTransformHalf(p *RFFT, x, tw []complex128) {
 	h := p.half
@@ -90,19 +92,29 @@ func refInverse(p *RFFT, spec []complex128, out []float64, work []complex128) {
 }
 
 // kernelRun holds one input's outputs from either kernel: the forward
-// spectrum, its round trip, and the circular correlation with a second
-// input through the product spectrum X·conj(Y), as every SBD computes it.
+// spectrum, its round trip (the correlation against an all-ones spectrum),
+// and the circular correlation with a second input through the product
+// spectrum X·conj(Y), as every SBD computes it.
 type kernelRun struct {
 	spec      []complex128
 	roundTrip []float64
 	cc        []float64
 }
 
+// runKernel runs x and y through the plan's Forward and CrossCorrelate, or
+// with ref through the reference kernel, which forms the product spectrum
+// in a loop of its own and then inverts it.
 func runKernel(p *RFFT, x, y []float64, ref bool) kernelRun {
-	forward, inverse := p.Forward, p.Inverse
+	forward, correlate := p.Forward, p.CrossCorrelate
 	if ref {
 		forward = func(x []float64, spec, work []complex128) { refForward(p, x, spec, work) }
-		inverse = func(spec []complex128, out []float64, work []complex128) { refInverse(p, spec, out, work) }
+		correlate = func(a, b []complex128, out []float64, work []complex128) {
+			prod := make([]complex128, len(a))
+			for k := range prod {
+				prod[k] = a[k] * conj(b[k])
+			}
+			refInverse(p, prod, out, work)
+		}
 	}
 	work := make([]complex128, p.WorkLen())
 	r := kernelRun{
@@ -111,14 +123,10 @@ func runKernel(p *RFFT, x, y []float64, ref bool) kernelRun {
 		cc:        make([]float64, p.n),
 	}
 	forward(x, r.spec, work)
-	inverse(r.spec, r.roundTrip, work)
+	correlate(r.spec, onesSpectrum(p), r.roundTrip, work)
 	sy := make([]complex128, p.SpectrumLen())
 	forward(y, sy, work)
-	prod := make([]complex128, len(sy))
-	for k := range prod {
-		prod[k] = r.spec[k] * conj(sy[k])
-	}
-	inverse(prod, r.cc, work)
+	correlate(r.spec, sy, r.cc, work)
 	return r
 }
 

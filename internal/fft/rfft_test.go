@@ -47,7 +47,7 @@ func TestRFFTRoundTrip(t *testing.T) {
 		work := make([]complex128, p.WorkLen())
 		out := make([]float64, n)
 		p.Forward(x, spec, work)
-		p.Inverse(spec, out, work)
+		p.CrossCorrelate(spec, onesSpectrum(p), out, work)
 		for i := range x {
 			if math.Abs(out[i]-x[i]) > 1e-9*(1+math.Abs(x[i])) {
 				t.Fatalf("n=%d: round trip diverges at %d: %v vs %v", n, i, out[i], x[i])
@@ -62,7 +62,12 @@ func TestRFFTPanicsOnBadLengths(t *testing.T) {
 		func() { NewRFFT(0) },
 		func() { NewRFFT(4).Forward(make([]float64, 5), make([]complex128, 3), make([]complex128, 2)) },
 		func() { NewRFFT(4).Forward(make([]float64, 4), make([]complex128, 2), make([]complex128, 2)) },
-		func() { NewRFFT(4).Inverse(make([]complex128, 2), make([]float64, 4), make([]complex128, 2)) },
+		func() {
+			NewRFFT(4).CrossCorrelate(make([]complex128, 2), make([]complex128, 3), make([]float64, 4), make([]complex128, 2))
+		},
+		func() {
+			NewRFFT(4).CrossCorrelate(make([]complex128, 3), make([]complex128, 2), make([]float64, 4), make([]complex128, 2))
+		},
 	} {
 		func() {
 			defer func() {
@@ -76,3 +81,13 @@ func TestRFFTPanicsOnBadLengths(t *testing.T) {
 }
 
 func cabs(z complex128) float64 { return math.Hypot(real(z), imag(z)) }
+
+// onesSpectrum returns the all-ones half-spectrum of p, against which
+// CrossCorrelate is the plain inverse transform.
+func onesSpectrum(p *RFFT) []complex128 {
+	ones := make([]complex128, p.SpectrumLen())
+	for k := range ones {
+		ones[k] = 1
+	}
+	return ones
+}

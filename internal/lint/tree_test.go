@@ -34,7 +34,7 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/dist.SBDBatch).pairwiseRows":    "TestPairwiseIntoRowLoopAllocFree",
 	"kshape/internal/dist.scanCC":                      "TestQueryDistanceAllocFree",
 	"(*kshape/internal/fft.RFFT).Forward":              "TestRFFTRoundTripAllocFree",
-	"(*kshape/internal/fft.RFFT).Inverse":              "TestRFFTRoundTripAllocFree",
+	"(*kshape/internal/fft.RFFT).CrossCorrelate":       "TestRFFTCrossCorrelateAllocFree",
 	"(*kshape/internal/fft.RFFT).transformHalf":        "TestRFFTRoundTripAllocFree",
 	"kshape/internal/fft.conj":                         "TestRFFTRoundTripAllocFree",
 	"kshape/internal/ts.ShiftInto":                     "TestShiftIntoAllocFree",

@@ -34,7 +34,7 @@ type Counter int
 const (
 	// CounterFFT counts forward FFT transforms (fft.RFFT.Forward).
 	CounterFFT Counter = iota
-	// CounterIFFT counts inverse FFT transforms (fft.RFFT.Inverse).
+	// CounterIFFT counts inverse FFT transforms (fft.RFFT.CrossCorrelate).
 	CounterIFFT
 	// CounterSBD counts shape-based distance evaluations, across the
 	// pairwise, batched, and naive implementations.

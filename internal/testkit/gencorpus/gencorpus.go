@@ -51,6 +51,7 @@ func run() error {
 		{"internal/dist/testdata/fuzz/FuzzDTWBand", dtwEntries()},
 		{"internal/fft/testdata/fuzz/FuzzFFTRoundTrip", fftEntries()},
 		{"internal/fft/testdata/fuzz/FuzzRFFT", rfftEntries()},
+		{"internal/fft/testdata/fuzz/FuzzRFFTBitIdentical", rfftBitEntries()},
 		{"internal/ts/testdata/fuzz/FuzzZNormalize", znormEntries()},
 		{"internal/dataset/testdata/fuzz/FuzzUCRLoader", ucrEntries()},
 		{"testdata/fuzz/FuzzCluster", clusterEntries()},
@@ -188,6 +189,21 @@ func rfftEntries() []entry {
 		// flushes both to +0, so rfft_oracle_test.go pins their bits.
 		{"negative-zero", []string{bytesLine(testkit.EncodeFloats(constant(8, math.Copysign(0, -1))))}},
 		{"scale-2p-1000", []string{bytesLine(testkit.EncodeFloats(ramp(16, math.Ldexp(1, -1000))))}},
+	}
+}
+
+// rfftBitEntries reach the scales DecodeFloats clamps away, from
+// 1e-100·2^-600 to 1e6·2^600, at both parities of the butterfly stage count.
+func rfftBitEntries() []entry {
+	lines := func(e int16, x, y []float64) []string {
+		return []string{"int16(" + strconv.Itoa(int(e)) + ")", bytesLine(pairBytes(x, y))}
+	}
+	return []entry{
+		{"sine-2p-600", lines(-600, sine(64, 3, 0.4), sine(64, 1, 1.1))},
+		{"floor-2p-600", lines(-600, constant(16, 1e-100), ramp(16, 0.5))},
+		{"cap-2p600", lines(600, ramp(64, 15625), spike(64, 7, -999999))},
+		{"odd-stages-2p-333", lines(-333, sine(100, 2, 0.3), ramp(100, -0.01))},
+		{"single-value", lines(600, []float64{5}, nil)},
 	}
 }
 

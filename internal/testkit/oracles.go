@@ -49,7 +49,7 @@ func Pairs() []OraclePair {
 		},
 		{
 			Name: "fft/rfft-roundtrip",
-			Doc:  "RFFT Inverse(Forward(x)) reproduces the zero-padded real input",
+			Doc:  "RFFT CrossCorrelate(Forward(x), 1) reproduces the zero-padded real input",
 			Tol:  DefaultTol,
 			Run:  func(g *Gen) error { return runRFFTRoundTrip(g, fft.NewRFFT) },
 		},
@@ -277,17 +277,20 @@ func runCrossCorrelate(g *Gen) error {
 var rfftSizes = []int{1, 2, 4, 16, 64, 256}
 
 // runRFFTRoundTrip round-trips a real input through the plan of a random
-// size obtained from plan (a fresh one or the shared one).
+// size obtained from plan (a fresh one or the shared one): Forward, then
+// CrossCorrelate against an all-ones spectrum, the plain inverse.
 func runRFFTRoundTrip(g *Gen, plan func(n int) *fft.RFFT) error {
 	n := rfftSizes[g.Intn(len(rfftSizes))]
 	// Input lengths below the transform length exercise the zero-padding.
 	x := g.Series(1 + g.Intn(n))
 	p := plan(n)
 	spec := make([]complex128, p.SpectrumLen())
+	ones := make([]complex128, p.SpectrumLen())
 	work := make([]complex128, p.WorkLen())
 	out := make([]float64, n)
+	p.Forward([]float64{1}, ones, work) // a unit impulse's spectrum is all ones
 	p.Forward(x, spec, work)
-	p.Inverse(spec, out, work)
+	p.CrossCorrelate(spec, ones, out, work)
 	for i := range out {
 		want := 0.0
 		if i < len(x) {
@@ -316,35 +319,15 @@ func runRFFTVsComplex(g *Gen) error {
 	return nil
 }
 
-// runRFFTCrossCorrelate rebuilds the SBD correlation pipeline on RFFT
-// spectra — forward both series, multiply by the conjugate, invert, unwrap
-// the circular lags — and checks it against the direct O(m²) definition.
-// This is the NCC arithmetic the batch SBD paths run per pair.
+// runRFFTCrossCorrelate checks the NCC arithmetic the batch SBD paths run
+// per pair — two Forward transforms and one CrossCorrelate, the circular
+// lags unwrapped, which is RFFT.Correlate — on a fresh plan at the batch
+// geometry (equal lengths m, padded to NextPow2(2m-1)) against the direct
+// O(m²) definition.
 func runRFFTCrossCorrelate(g *Gen) error {
 	x, y := g.PairAtMost(100)
-	m := len(x)
-	n := fft.NextPow2(2*m - 1)
-	p := fft.NewRFFT(n)
-	sx := make([]complex128, p.SpectrumLen())
-	sy := make([]complex128, p.SpectrumLen())
-	work := make([]complex128, p.WorkLen())
-	cc := make([]float64, n)
-	p.Forward(x, sx, work)
-	p.Forward(y, sy, work)
-	for k := range sx {
-		sx[k] *= complex(real(sy[k]), -imag(sy[k]))
-	}
-	p.Inverse(sx, cc, work)
-	want := refCrossCorrelate(x, y)
-	got := make([]float64, 2*m-1)
-	for lag := -(m - 1); lag <= m-1; lag++ {
-		idx := lag
-		if idx < 0 {
-			idx += n
-		}
-		got[lag+m-1] = cc[idx]
-	}
-	return CheckSlice(fmt.Sprintf("RFFT cross-correlation (m=%d)", m), got, want, DefaultTol)
+	got := fft.NewRFFT(fft.NextPow2(2*len(x)-1)).Correlate(x, y)
+	return CheckSlice(fmt.Sprintf("RFFT cross-correlation (m=%d)", len(x)), got, refCrossCorrelate(x, y), DefaultTol)
 }
 
 func runSBDVariant(g *Gen, name string, f func(x, y []float64) (float64, []float64)) error {
