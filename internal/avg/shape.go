@@ -76,7 +76,7 @@ func ShapeExtractionShifted(members [][]float64, shifts []int) []float64 {
 	if w == nil {
 		w = new(shapeWork)
 	}
-	w.reset(len(members), m, linalg.FactoredCheaper(len(members), m))
+	w.reset(len(members), m)
 	cen := make([]float64, m)
 	w.extract(cen, members, shifts)
 	pool.Put(w)
@@ -112,10 +112,9 @@ type shapeWork struct {
 	zsum []float64
 }
 
-// reset sizes w for n members of length m, with M applied factored or
-// dense.
-func (w *shapeWork) reset(n, m int, factored bool) {
-	w.gram.Reset(n, m, factored)
+// reset sizes w for n members of length m.
+func (w *shapeWork) reset(n, m int) {
+	w.gram.Reset(n, m)
 	if cap(w.zsum) < m {
 		w.zsum = make([]float64, m)
 	}

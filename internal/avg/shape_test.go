@@ -8,109 +8,203 @@ import (
 
 	"kshape/internal/dataset"
 	"kshape/internal/dist"
+	"kshape/internal/linalg"
 	"kshape/internal/ts"
 )
 
-// extractWith runs the shape-extraction kernel with M applied in the
-// given order, bypassing the FactoredCheaper rule.
-func extractWith(rows [][]float64, factored bool) []float64 {
+// extractWith runs the shape-extraction kernel on a fresh workspace.
+func extractWith(rows [][]float64) []float64 {
 	var w shapeWork
-	w.reset(len(rows), len(rows[0]), factored)
+	w.reset(len(rows), len(rows[0]))
 	cen := make([]float64, len(rows[0]))
 	w.extract(cen, rows, nil)
 	return cen
 }
 
-// orderCases are clusters on both sides of the 2n ≤ m cost rule: the two
-// benchmark workloads' cluster shapes and the degenerate corners.
-func orderCases() map[string][][]float64 {
+// shapesCluster is the sine class of the shapes workload's generator, 100
+// members of length 64.
+func shapesCluster(seed int64) [][]float64 {
+	return ts.Rows(dataset.Generate(dataset.Spec{
+		Name: "shapes", M: 64, TrainPerClass: 100, Noise: 0.3, MaxShift: 8, WarpFrac: 0.05, Seed: seed,
+		Classes: []dataset.ClassProto{dataset.SineProto(2, 0), dataset.SquareProto(2)},
+	}).Train)[:100]
+}
+
+// constantRows returns n all-constant members of length m, which
+// z-normalize to zeros.
+func constantRows(n, m int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, m)
+		for j := range rows[i] {
+			rows[i][j] = float64(i) - 2.5
+		}
+	}
+	return rows
+}
+
+// clusterCases are clusters on both sides of n = m, where the power
+// iteration moves from K = AAᵀ to M = AᵀA: the two benchmark workloads'
+// cluster shapes and the degenerate corners.
+func clusterCases() map[string][][]float64 {
 	var cbf [][]float64
 	for _, s := range dataset.CBF(90, 512, 1) {
 		if s.Label == 0 {
 			cbf = append(cbf, s.Values)
 		}
 	}
-	// The shapes workload's generator; its first 100 series are the sine
-	// class.
-	shapes := ts.Rows(dataset.Generate(dataset.Spec{
-		Name: "shapes", M: 64, TrainPerClass: 100, Noise: 0.3, MaxShift: 8, WarpFrac: 0.05, Seed: 2,
-		Classes: []dataset.ClassProto{dataset.SineProto(2, 0), dataset.SquareProto(2)},
-	}).Train)[:100]
-	one := cbf[:1]
-	copies := [][]float64{cbf[1], cbf[1], cbf[1], cbf[1]}
-	constant := make([][]float64, 6)
-	for i := range constant {
-		constant[i] = make([]float64, 40)
-		for j := range constant[i] {
-			constant[i][j] = float64(i) - 2.5
-		}
-	}
+	shapes := shapesCluster(2)
 	return map[string][][]float64{
-		"cbf-30x512":      cbf,
-		"shapes-100x64":   shapes,
-		"n=1":             one,
-		"single-member":   copies,
-		"all-constant":    constant,
-		"square-64x64":    shapes[:64],
-		"crossover-32x64": shapes[:32],
+		"cbf-30x512":    cbf,
+		"shapes-100x64": shapes,
+		// BenchmarkShapeExtractionShapes100x64's cluster, where λ₂/λ₁
+		// is about 0.88.
+		"bench-shapes-100x64": shapesCluster(1),
+		"n=1":                 cbf[:1],
+		"single-member":       {cbf[1], cbf[1], cbf[1], cbf[1]},
+		"all-constant":        constantRows(6, 40),
+		"all-constant-wide":   constantRows(48, 40),
+		"square-64x64":        shapes[:64],
+		"narrow-32x64":        shapes[:32],
+		"narrow-63x64":        shapes[:63],
 	}
 }
 
-func TestShapeExtractionOrdersAgree(t *testing.T) {
-	cases := orderCases()
+// eigenCentroid rebuilds the centroid of aligned rows from the full
+// decomposition of the smaller of M = AᵀA and K = AAᵀ, with the kernel's
+// sign rule. K's top eigenvector u gives M's as Aᵀu, so a narrow cluster
+// of long series needs no m×m decomposition.
+func eigenCentroid(rows [][]float64) []float64 {
+	n, m := len(rows), len(rows[0])
+	a := make([][]float64, n)
+	zsum := make([]float64, m)
+	for t, x := range rows {
+		a[t] = ts.ZNormalize(x)
+		for j, z := range a[t] {
+			zsum[j] += z
+		}
+		mu := ts.Mean(a[t])
+		for j := range a[t] {
+			a[t][j] -= mu
+		}
+	}
+	var cen []float64
+	if n >= m {
+		s := linalg.NewSym(m)
+		for _, x := range a {
+			s.GramAddOuter(x)
+		}
+		_, vecs := linalg.EigenDecompose(s)
+		cen = vecs[m-1]
+	} else {
+		k := linalg.NewSym(n)
+		for s := range a {
+			for t := s; t < n; t++ {
+				k.Set(s, t, ts.Dot(a[s], a[t]))
+			}
+		}
+		_, vecs := linalg.EigenDecompose(k)
+		cen = make([]float64, m)
+		for t, x := range a {
+			for j := range cen {
+				cen[j] += vecs[n-1][t] * x[j]
+			}
+		}
+	}
+	cen = ts.ZNormalize(cen)
+	if ts.Dot(zsum, cen) < 0 {
+		for i := range cen {
+			cen[i] = -cen[i]
+		}
+	}
+	return cen
+}
+
+// maxAbsDiff returns the largest |a[i] − b[i]|.
+func maxAbsDiff(a, b []float64) float64 {
+	worst := 0.0
+	for i := range a {
+		worst = max(worst, math.Abs(a[i]-b[i]))
+	}
+	return worst
+}
+
+// TestShapeExtractionMatchesEigenDecompose pins every cluster's centroid
+// to the exact dominant eigenvector within 1e-9, narrow eigengaps
+// included.
+func TestShapeExtractionMatchesEigenDecompose(t *testing.T) {
+	cases := clusterCases()
 	if n := len(cases["cbf-30x512"]); n != 30 {
 		t.Fatalf("CBF label-0 cluster has %d members, want 30", n)
 	}
 	for name, rows := range cases {
-		factored := extractWith(rows, true)
-		dense := extractWith(rows, false)
-		for i := range factored {
-			if math.Abs(factored[i]-dense[i]) > 1e-12 {
-				t.Fatalf("%s: factored and dense centroids differ at %d: %v vs %v", name, i, factored[i], dense[i])
+		got := extractWith(rows)
+		pooled := ShapeExtractionAligned(rows)
+		for i := range got {
+			if math.Float64bits(pooled[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s: ShapeExtractionAligned differs from the kernel at %d: %v vs %v", name, i, pooled[i], got[i])
 			}
 		}
-		want := ShapeExtractionAligned(rows)
-		for i := range want {
-			if math.Abs(want[i]-dense[i]) > 1e-12 {
-				t.Fatalf("%s: ShapeExtractionAligned differs from the kernel at %d: %v vs %v", name, i, want[i], dense[i])
-			}
+		if strings.HasPrefix(name, "all-constant") {
+			continue // M = 0: every vector is an eigenvector
+		}
+		if d := maxAbsDiff(got, eigenCentroid(rows)); d > 1e-9 {
+			t.Errorf("%s (n=%d, m=%d): centroid is %.3g from the EigenDecompose rebuild, want ≤ 1e-9", name, len(rows), len(rows[0]), d)
+		}
+	}
+}
+
+// TestShapeExtractionSidesAgree compares each cluster with n < m, solved
+// on K = AAᵀ, against its rows repeated until n ≥ m, solved on M = AᵀA:
+// repeating every row c times scales M by c and keeps its eigenvector.
+func TestShapeExtractionSidesAgree(t *testing.T) {
+	for name, rows := range clusterCases() {
+		n, m := len(rows), len(rows[0])
+		if n >= m || strings.HasPrefix(name, "all-constant") {
+			continue
+		}
+		var repeated [][]float64
+		for len(repeated) < m {
+			repeated = append(repeated, rows...)
+		}
+		if d := maxAbsDiff(extractWith(rows), extractWith(repeated)); d > 1e-9 {
+			t.Errorf("%s: K side (n=%d) and M side (n=%d) centroids differ by %.3g, want ≤ 1e-9", name, n, len(repeated), d)
 		}
 	}
 }
 
 func TestShapeExtractionZeroOperatorFallsBackToE1(t *testing.T) {
 	// All-constant members z-normalize to zeros, so M is the zero matrix
-	// and both orders must return the z-normalized e₁.
-	rows := orderCases()["all-constant"]
-	e1 := make([]float64, len(rows[0]))
-	e1[0] = 1
-	want := ts.ZNormalize(e1)
-	for _, factored := range []bool{true, false} {
-		got := extractWith(rows, factored)
+	// and both sides must return the z-normalized e₁.
+	cases := clusterCases()
+	for _, name := range []string{"all-constant", "all-constant-wide"} {
+		rows := cases[name]
+		e1 := make([]float64, len(rows[0]))
+		e1[0] = 1
+		want := ts.ZNormalize(e1)
+		got := extractWith(rows)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("factored=%v: centroid[%d] = %v, want %v (z-normalized e1)", factored, i, got[i], want[i])
+				t.Fatalf("%s: centroid[%d] = %v, want %v (z-normalized e1)", name, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 func TestShapeExtractionWorkspaceReuse(t *testing.T) {
-	// One workspace carried across clusters of different shapes and
-	// orders must give what a fresh workspace gives.
-	cases := orderCases()
+	// One workspace carried across clusters of different shapes, on both
+	// sides of n = m, must give what a fresh workspace gives.
+	cases := clusterCases()
 	var w shapeWork
-	for _, name := range []string{"cbf-30x512", "shapes-100x64", "n=1", "square-64x64", "cbf-30x512", "all-constant"} {
+	for _, name := range []string{"cbf-30x512", "shapes-100x64", "n=1", "square-64x64", "narrow-63x64", "cbf-30x512", "all-constant-wide", "all-constant"} {
 		rows := cases[name]
-		for _, factored := range []bool{true, false} {
-			w.reset(len(rows), len(rows[0]), factored)
-			got := make([]float64, len(rows[0]))
-			w.extract(got, rows, nil)
-			want := extractWith(rows, factored)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s factored=%v: reused workspace differs at %d: %v vs %v", name, factored, i, got[i], want[i])
-				}
+		w.reset(len(rows), len(rows[0]))
+		got := make([]float64, len(rows[0]))
+		w.extract(got, rows, nil)
+		want := extractWith(rows)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: reused workspace differs at %d: %v vs %v", name, i, got[i], want[i])
 			}
 		}
 	}
@@ -161,20 +255,18 @@ func memberShifts(n, m int) []int {
 }
 
 func TestShapeExtractKernelAllocFree(t *testing.T) {
-	cases := orderCases()
-	for _, name := range []string{"cbf-30x512", "shapes-100x64"} {
+	cases := clusterCases()
+	for _, name := range []string{"cbf-30x512", "narrow-63x64", "square-64x64", "shapes-100x64"} {
 		rows := cases[name]
 		shifts := memberShifts(len(rows), len(rows[0]))
-		for _, factored := range []bool{true, false} {
-			var w shapeWork
-			w.reset(len(rows), len(rows[0]), factored)
-			cen := make([]float64, len(rows[0]))
-			if allocs := testing.AllocsPerRun(5, func() { w.extract(cen, rows, nil) }); allocs != 0 {
-				t.Errorf("%s factored=%v: extract allocates %v times per call, want 0", name, factored, allocs)
-			}
-			if allocs := testing.AllocsPerRun(5, func() { w.extract(cen, rows, shifts) }); allocs != 0 {
-				t.Errorf("%s factored=%v: shifted extract allocates %v times per call, want 0", name, factored, allocs)
-			}
+		var w shapeWork
+		w.reset(len(rows), len(rows[0]))
+		cen := make([]float64, len(rows[0]))
+		if allocs := testing.AllocsPerRun(5, func() { w.extract(cen, rows, nil) }); allocs != 0 {
+			t.Errorf("%s: extract allocates %v times per call, want 0", name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { w.extract(cen, rows, shifts) }); allocs != 0 {
+			t.Errorf("%s: shifted extract allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }
@@ -183,7 +275,7 @@ func TestShapeExtractKernelAllocFree(t *testing.T) {
 // point to extraction over explicitly shifted copies, bit for bit, and
 // ShapeExtraction to the shifts its own SBD alignment finds.
 func TestShapeExtractionShiftedMatchesShiftedCopies(t *testing.T) {
-	for name, rows := range orderCases() {
+	for name, rows := range clusterCases() {
 		shifts := memberShifts(len(rows), len(rows[0]))
 		copies := make([][]float64, len(rows))
 		for t, x := range rows {
@@ -197,7 +289,7 @@ func TestShapeExtractionShiftedMatchesShiftedCopies(t *testing.T) {
 			}
 		}
 	}
-	rows := orderCases()["shapes-100x64"]
+	rows := clusterCases()["shapes-100x64"]
 	ref := rows[3]
 	aligned := make([][]float64, len(rows))
 	for t, x := range rows {

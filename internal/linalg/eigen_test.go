@@ -31,11 +31,11 @@ func gramOf(rows [][]float64) *Sym {
 // randPSD builds a random PSD matrix A = BᵀB of size n.
 func randPSD(n int, rng *rand.Rand) *Sym { return gramOf(randFactor(n, rng)) }
 
-// dominant runs Gram's power iteration on BᵀB for the rows of B, in the
-// factored or the dense order, and returns a copy of the eigenvector.
-func dominant(rows [][]float64, factored bool) (float64, []float64) {
+// dominant runs Gram's power iteration on BᵀB for the rows of B, and
+// returns a copy of the eigenvector.
+func dominant(rows [][]float64) (float64, []float64) {
 	var g Gram
-	g.Reset(len(rows), len(rows[0]), factored)
+	g.Reset(len(rows), len(rows[0]))
 	for t, x := range rows {
 		copy(g.Row(t), x)
 	}
@@ -114,48 +114,49 @@ func TestGramAddOuter(t *testing.T) {
 
 func TestDominantEigenKnownMatrix(t *testing.T) {
 	// [[2 1][1 2]] = BᵀB for B's rows √3·[1 1]/√2 and [1 -1]/√2 has
-	// eigenvalues 3 (v = [1 1]/√2) and 1.
+	// eigenvalues 3 (v = [1 1]/√2) and 1; B's first row alone gives
+	// eigenvalue 3 with the same vector, from the 1×1 K = BBᵀ.
 	rows := [][]float64{{math.Sqrt(1.5), math.Sqrt(1.5)}, {math.Sqrt(0.5), -math.Sqrt(0.5)}}
-	for _, factored := range []bool{false, true} {
-		lambda, v := dominant(rows, factored)
-		if math.Abs(lambda-3) > 1e-8 {
-			t.Errorf("factored=%v: dominant eigenvalue = %v, want 3", factored, lambda)
+	for n := 1; n <= 2; n++ {
+		lambda, v := dominant(rows[:n])
+		if math.Abs(lambda-3) > 1e-10 {
+			t.Errorf("n=%d: dominant eigenvalue = %v, want 3", n, lambda)
 		}
-		if math.Abs(math.Abs(v[0])-math.Sqrt(0.5)) > 1e-6 || math.Abs(v[0]-v[1]) > 1e-6 {
-			t.Errorf("factored=%v: dominant eigenvector = %v, want ±[0.707 0.707]", factored, v)
+		if math.Abs(math.Abs(v[0])-math.Sqrt(0.5)) > 1e-10 || math.Abs(v[0]-v[1]) > 1e-10 {
+			t.Errorf("n=%d: dominant eigenvector = %v, want ±[0.707 0.707]", n, v)
 		}
 	}
 }
 
 func TestDominantEigenZeroMatrix(t *testing.T) {
-	rows := [][]float64{make([]float64, 4), make([]float64, 4)}
-	for _, factored := range []bool{false, true} {
-		lambda, v := dominant(rows, factored)
+	for _, n := range []int{2, 4, 6} {
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = make([]float64, 4)
+		}
+		lambda, v := dominant(rows)
 		if lambda != 0 {
-			t.Errorf("factored=%v: eigenvalue of zero matrix = %v", factored, lambda)
+			t.Errorf("n=%d: eigenvalue of zero matrix = %v", n, lambda)
 		}
-		nrm := 0.0
-		for _, x := range v {
-			nrm += x * x
-		}
-		if math.Abs(nrm-1) > 1e-12 {
-			t.Errorf("factored=%v: eigenvector not unit norm: %v", factored, v)
+		if v[0] != 1 || dot(v, v) != 1 {
+			t.Errorf("n=%d: eigenvector = %v, want e1", n, v)
 		}
 	}
 }
 
+// TestDominantEigenResidualProperty drives both sides of n = m: B's
+// n+3 rows iterate on BᵀB, and its first n−1 rows on the smaller BBᵀ.
 func TestDominantEigenResidualProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{2, 5, 16, 40} {
 		rows := randFactor(n, rng)
-		s := gramOf(rows)
-		for _, factored := range []bool{false, true} {
-			lambda, v := dominant(rows, factored)
+		for _, b := range [][][]float64{rows, rows[:n-1]} {
+			lambda, v := dominant(b)
 			if lambda < 0 {
-				t.Errorf("n=%d factored=%v: PSD matrix produced negative dominant eigenvalue %v", n, factored, lambda)
+				t.Errorf("n=%d rows=%d: PSD matrix produced negative dominant eigenvalue %v", n, len(b), lambda)
 			}
-			if r := residual(s, lambda, v); r > 1e-5*(math.Abs(lambda)+1) {
-				t.Errorf("n=%d factored=%v: residual %v too large for lambda=%v", n, factored, r, lambda)
+			if r := residual(gramOf(b), lambda, v); r > 1e-9*lambda {
+				t.Errorf("n=%d rows=%d: residual %v too large for lambda=%v", n, len(b), r, lambda)
 			}
 		}
 	}
@@ -165,12 +166,15 @@ func TestDominantMatchesFullDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		rows := randFactor(8, rng)
-		vals, _ := EigenDecompose(gramOf(rows))
-		lf := vals[len(vals)-1]
-		for _, factored := range []bool{false, true} {
-			lp, _ := dominant(rows, factored)
-			if math.Abs(lp-lf) > 1e-6*(math.Abs(lf)+1) {
-				t.Errorf("trial %d factored=%v: power iteration %v vs full decomposition %v", trial, factored, lp, lf)
+		for _, b := range [][][]float64{rows, rows[:5]} {
+			vals, vecs := EigenDecompose(gramOf(b))
+			lf, vf := vals[len(vals)-1], vecs[len(vecs)-1]
+			lp, vp := dominant(b)
+			if math.Abs(lp-lf) > 1e-9*lf {
+				t.Errorf("trial %d rows=%d: power iteration %v vs full decomposition %v", trial, len(b), lp, lf)
+			}
+			if c := math.Abs(dot(vp, vf)); 1-c > 1e-9 {
+				t.Errorf("trial %d rows=%d: eigenvectors misaligned, 1-|cos| = %v", trial, len(b), 1-c)
 			}
 		}
 	}

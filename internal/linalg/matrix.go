@@ -1,8 +1,10 @@
 // Package linalg provides the dense linear algebra the k-Shape reproduction
-// needs: symmetric matrices, a power-iteration dominant eigensolver (used by shape extraction, Equation 15 of the paper), a
-// shifted power iteration for smallest eigenvectors (used by the KSC
-// centroid), and a full symmetric eigendecomposition via Householder
-// tridiagonalization plus implicit-shift QL (used by spectral clustering).
+// needs: symmetric matrices, a power-iteration dominant eigensolver on the
+// smaller Gram matrix of a factor (Gram, used by shape extraction,
+// Equation 15 of the paper), and a full symmetric eigendecomposition via
+// Householder tridiagonalization plus implicit-shift QL (EigenDecompose,
+// used by spectral clustering and, through SmallestEigen, by the KSC
+// centroid).
 package linalg
 
 import (
@@ -43,19 +45,34 @@ func (s *Sym) Clone() *Sym {
 	return c
 }
 
-// MulVec computes dst = S·x. dst and x must have length N and must not alias.
+// MulVec computes dst = S·x. dst and x must have length N and must not
+// alias. Four rows go per pass over x, so the four outputs share each
+// load of x.
 func (s *Sym) MulVec(dst, x []float64) {
 	n := s.N
 	if len(dst) != n || len(x) != n {
 		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: %d, %d vs %d", len(dst), len(x), n))
 	}
-	for i := range dst {
+	i := 0
+	for ; i+3 < n; i += 4 {
+		r0, r1, r2, r3 := s.Row(i), s.Row(i+1), s.Row(i+2), s.Row(i+3)
+		r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < n; i++ {
 		dst[i] = dot(s.Row(i), x)
 	}
 }
 
-// GramAddOuter accumulates S += x·xᵀ. Used to build S = Σ xᵢxᵢᵀ in shape
-// extraction without materializing the data matrix product.
+// GramAddOuter accumulates S += x·xᵀ. The KSC centroid and the test
+// oracles' dense references build S = Σ xᵢxᵢᵀ with it.
 func (s *Sym) GramAddOuter(x []float64) {
 	n := s.N
 	if len(x) != n {
