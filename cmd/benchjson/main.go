@@ -23,6 +23,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,6 +31,7 @@ import (
 	"os"
 
 	"kshape/internal/benchfmt"
+	"kshape/internal/cli"
 )
 
 // Report is the top-level JSON document.
@@ -68,16 +70,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var out io.Writer = stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	if err := enc.Encode(rep); err != nil {
+		return err
+	}
+	return cli.WriteFileOr(stdout, *outPath, buf.Bytes())
 }

@@ -83,23 +83,15 @@ func run(args []string) error {
 	return nil
 }
 
+// writeSeries writes series as one UCR-format file, whole.
 func writeSeries(path string, series []ts.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	var sb strings.Builder
 	for _, s := range series {
-		sb.Reset()
 		fmt.Fprintf(&sb, "%d", s.Label)
 		for _, v := range s.Values {
 			fmt.Fprintf(&sb, ",%.6f", v)
 		}
 		sb.WriteByte('\n')
-		if _, err := f.WriteString(sb.String()); err != nil {
-			return err
-		}
 	}
-	return nil
+	return os.WriteFile(path, []byte(sb.String()), 0o666)
 }

@@ -50,6 +50,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 
@@ -58,22 +59,6 @@ import (
 	"kshape/internal/obs"
 	"kshape/internal/plot"
 )
-
-// experimentNames lists every runnable experiment, in the order of the
-// paper's presentation. "all" expands to the tables and figures (not the
-// auxiliary kestimation/datasets reports), as before.
-var experimentNames = []string{
-	"table2", "table3", "table4",
-	"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-	"fig10", "fig11", "fig12",
-	"ablations", "table2x", "kestimation", "datasets",
-}
-
-var allExperiments = []string{
-	"table2", "table3", "table4", "fig2", "fig3", "fig4",
-	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-	"ablations", "table2x",
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -109,9 +94,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("no experiment named; choose from: %s, all", strings.Join(experimentNames, " "))
-	}
 
 	cfg := experiments.ReducedConfig(*nDatasets)
 	cfg.Runs = *runs
@@ -120,42 +102,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.Workers = *workers
 	if *verbose {
 		cfg.Logger = logger
-	}
-
-	session, err := common.Start("kbench", args, stderr, logger)
-	if err != nil {
-		return err
-	}
-	defer session.Close()
-
-	valid := map[string]bool{}
-	for _, e := range experimentNames {
-		valid[e] = true
-	}
-	want := map[string]bool{}
-	for _, a := range fs.Args() {
-		if a == "all" {
-			for _, e := range allExperiments {
-				want[e] = true
-			}
-			continue
-		}
-		if !valid[a] {
-			return fmt.Errorf("unknown experiment %q; valid experiments: %s, all", a, strings.Join(experimentNames, " "))
-		}
-		want[a] = true
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
 	}
 
 	// timed logs one experiment's wall time under the run_id the run
@@ -172,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return
 		}
 		path := filepath.Join(*svgDir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o666); err != nil {
 			logger.Warn("svg write failed", "error", err)
 			return
 		}
@@ -189,49 +135,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		writeSVG(file, plot.Lines(title, xName, "seconds", xs, map[string][]float64{"k-Shape": kshapeS, "k-AVG+ED": kavgS}))
 	}
-	sw := obs.NewStopwatch()
-
 	// Experiments share intermediate results: Table 2 feeds figs 5-6,
-	// Tables 3-4 feed figs 7-9. The tables are computed first, each timed
-	// under its own name.
-	var t2 experiments.Table2Result
-	var t3, t4 experiments.Comparison
-	if want["table2"] || want["fig5"] || want["fig6"] {
-		tsw := obs.NewStopwatch()
-		t2 = experiments.Table2(cfg)
-		timed("table2", tsw)
-	}
-	// Tables 3 and 4 share one k-AVG+ED baseline sweep, timed with the
-	// first of them.
+	// Tables 3-4 feed figs 7-9, and Tables 3 and 4 share one k-AVG+ED
+	// baseline sweep. Each is computed once, by the first step that needs
+	// it, and counts toward that step's time.
 	base := sync.OnceValue(func() experiments.Row { return experiments.ClusterBaseline(cfg) })
-	if want["table3"] || want["fig7"] || want["fig8"] || want["fig9"] {
-		tsw := obs.NewStopwatch()
-		t3 = experiments.Table3(cfg, base())
-		timed("table3", tsw)
-	}
-	if want["table4"] || want["fig9"] {
-		tsw := obs.NewStopwatch()
-		t4 = experiments.Table4(cfg, base())
-		timed("table4", tsw)
-	}
+	t2 := sync.OnceValue(func() experiments.Table2Result { return experiments.Table2(cfg) })
+	t3 := sync.OnceValue(func() experiments.Comparison { return experiments.Table3(cfg, base()) })
+	t4 := sync.OnceValue(func() experiments.Comparison { return experiments.Table4(cfg, base()) })
 
-	// Each wanted step prints its section, in the paper's order.
+	// steps lists every experiment in the paper's order; "all" runs the
+	// tables and figures, not the auxiliary kestimation/datasets reports.
+	// Each wanted step prints its section, in this order.
 	steps := []struct {
 		name, title string
+		inAll       bool
 		run         func() error
 	}{
-		{"table2", "Table 2", func() error { return experiments.WriteTable2(stdout, t2) }},
-		{"table3", "Table 3", func() error {
-			return experiments.WriteClusterTable(stdout, "Table 3: k-means variants vs k-AVG+ED (Rand Index)", t3.Rows[0], t3.Rows[1:], true)
+		{"table2", "Table 2", true, func() error { return experiments.WriteTable2(stdout, t2()) }},
+		{"table3", "Table 3", true, func() error {
+			return experiments.WriteClusterTable(stdout, "Table 3: k-means variants vs k-AVG+ED (Rand Index)", t3().Rows[0], t3().Rows[1:], true)
 		}},
-		{"table4", "Table 4", func() error {
-			return experiments.WriteClusterTable(stdout, "Table 4: non-scalable methods vs k-AVG+ED (Rand Index)", t4.Rows[0], t4.Rows[1:], false)
+		{"table4", "Table 4", true, func() error {
+			return experiments.WriteClusterTable(stdout, "Table 4: non-scalable methods vs k-AVG+ED (Rand Index)", t4().Rows[0], t4().Rows[1:], false)
 		}},
-		{"fig2", "Figure 2", func() error { return experiments.WriteFig2(stdout, experiments.Fig2(cfg)) }},
-		{"fig3", "Figure 3", func() error { return experiments.WriteFig3(stdout, experiments.Fig3(cfg)) }},
-		{"fig4", "Figure 4", func() error { return experiments.WriteFig4(stdout, experiments.Fig4(cfg)) }},
-		{"fig5", "Figure 5", func() error {
-			f5 := experiments.Fig5(cfg, t2)
+		{"fig2", "Figure 2", true, func() error { return experiments.WriteFig2(stdout, experiments.Fig2(cfg)) }},
+		{"fig3", "Figure 3", true, func() error { return experiments.WriteFig3(stdout, experiments.Fig3(cfg)) }},
+		{"fig4", "Figure 4", true, func() error { return experiments.WriteFig4(stdout, experiments.Fig4(cfg)) }},
+		{"fig5", "Figure 5", true, func() error {
+			f5 := experiments.Fig5(cfg, t2())
 			if err := experiments.WriteScatter(stdout, "Figure 5a: SBD vs ED (1-NN accuracy)", "ED", "SBD", f5.Names, f5.ED, f5.SBD); err != nil {
 				return err
 			}
@@ -242,16 +174,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 			writeSVG("fig5b.svg", plot.Scatter("SBD vs DTW (1-NN accuracy)", "DTW", "SBD", f5.DTW, f5.SBD, 0.3, 1.0))
 			return nil
 		}},
-		{"fig6", "Figure 6", func() error {
-			f6 := experiments.Fig6(cfg, t2)
+		{"fig6", "Figure 6", true, func() error {
+			f6 := experiments.Fig6(cfg, t2())
 			if err := experiments.WriteRanks(stdout, "Figure 6: distance-measure average ranks (Friedman + Nemenyi)", f6); err != nil {
 				return err
 			}
 			writeSVG("fig6.svg", plot.CDRanks("Distance-measure ranks", f6.Names, f6.AvgRanks, f6.CD, f6.Groups))
 			return nil
 		}},
-		{"fig7", "Figure 7", func() error {
-			f7 := experiments.Fig7(cfg, t3)
+		{"fig7", "Figure 7", true, func() error {
+			f7 := experiments.Fig7(cfg, t3())
 			if err := experiments.WriteScatter(stdout, "Figure 7a: k-Shape vs KSC (Rand Index)", "KSC", "k-Shape", f7.Names, f7.KSC, f7.KShape); err != nil {
 				return err
 			}
@@ -262,32 +194,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 			writeSVG("fig7b.svg", plot.Scatter("k-Shape vs k-DBA (Rand Index)", "k-DBA", "k-Shape", f7.KDBA, f7.KShape, 0.3, 1.0))
 			return nil
 		}},
-		{"fig8", "Figure 8", func() error {
-			f8 := experiments.Fig8(cfg, t3)
+		{"fig8", "Figure 8", true, func() error {
+			f8 := experiments.Fig8(cfg, t3())
 			if err := experiments.WriteRanks(stdout, "Figure 8: k-means-variant average ranks (Friedman + Nemenyi)", f8); err != nil {
 				return err
 			}
 			writeSVG("fig8.svg", plot.CDRanks("k-means-variant ranks", f8.Names, f8.AvgRanks, f8.CD, f8.Groups))
 			return nil
 		}},
-		{"fig9", "Figure 9", func() error {
-			f9 := experiments.Fig9(cfg, t3, t4)
+		{"fig9", "Figure 9", true, func() error {
+			f9 := experiments.Fig9(cfg, t3(), t4())
 			if err := experiments.WriteRanks(stdout, "Figure 9: methods beating k-AVG+ED, average ranks (Friedman + Nemenyi)", f9); err != nil {
 				return err
 			}
 			writeSVG("fig9.svg", plot.CDRanks("Methods beating k-AVG+ED", f9.Names, f9.AvgRanks, f9.CD, f9.Groups))
 			return nil
 		}},
-		{"fig10", "Figure 10", func() error {
+		{"fig10", "Figure 10", true, func() error {
 			return experiments.WriteAppendixA(stdout, experiments.AppendixA(cfg, experiments.NormOptimalScaling))
 		}},
-		{"fig11", "Figure 11", func() error {
+		{"fig11", "Figure 11", true, func() error {
 			if err := experiments.WriteAppendixA(stdout, experiments.AppendixA(cfg, experiments.NormValues01)); err != nil {
 				return err
 			}
 			return experiments.WriteAppendixA(stdout, experiments.AppendixA(cfg, experiments.NormZScore))
 		}},
-		{"fig12", "Figure 12", func() error {
+		{"fig12", "Figure 12", true, func() error {
 			f12 := experiments.Fig12(cfg)
 			if err := experiments.WriteFig12(stdout, f12); err != nil {
 				return err
@@ -296,22 +228,60 @@ func run(args []string, stdout, stderr io.Writer) error {
 			runtimeLines("fig12b.svg", "Runtime vs series length (CBF)", "m", f12.VaryM, func(p experiments.Fig12Point) int { return p.M })
 			return nil
 		}},
-		{"ablations", "Ablations", func() error {
+		{"ablations", "Ablations", true, func() error {
 			ab := experiments.Ablations(cfg)
 			return experiments.WriteClusterTable(stdout,
 				"Design-choice ablations vs full k-Shape (Rand Index)", ab.Rows[0], ab.Rows, true)
 		}},
-		{"table2x", "Table 2 extended", func() error {
+		{"table2x", "Table 2 extended", true, func() error {
 			return experiments.WriteTable2(stdout, experiments.Table2Extended(cfg))
 		}},
-		{"kestimation", "k estimation", func() error {
+		{"kestimation", "k estimation", false, func() error {
 			return experiments.WriteKEstimation(stdout, experiments.KEstimation(cfg))
 		}},
-		{"datasets", "Datasets", func() error {
+		{"datasets", "Datasets", false, func() error {
 			return experiments.WriteDatasetInventory(stdout, experiments.Inventory(cfg))
 		}},
 	}
+	names := make([]string, len(steps))
 	for i, st := range steps {
+		names[i] = st.name
+	}
+	if fs.NArg() == 0 {
+		return fmt.Errorf("no experiment named; choose from: %s, all", strings.Join(names, " "))
+	}
+	want := map[string]bool{}
+	for _, a := range fs.Args() {
+		if a != "all" && !slices.Contains(names, a) {
+			return fmt.Errorf("unknown experiment %q; valid experiments: %s, all", a, strings.Join(names, " "))
+		}
+		for _, st := range steps {
+			if a == st.name || a == "all" && st.inAll {
+				want[st.name] = true
+			}
+		}
+	}
+
+	session, err := common.Start("kbench", args, stderr, logger)
+	if err != nil {
+		return err
+	}
+	defer session.Close()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+
+	sw := obs.NewStopwatch()
+	for _, st := range steps {
 		if !want[st.name] {
 			continue
 		}
@@ -321,9 +291,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err := st.run(); err != nil {
 			return err
 		}
-		if i >= 3 { // the first three print the tables timed above
-			timed(st.name, ssw)
-		}
+		timed(st.name, ssw)
 	}
 
 	if *memProfile != "" {

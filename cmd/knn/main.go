@@ -85,29 +85,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			correct++
 		}
 	}
-	if err := writeFileOr(stdout, *outPath, csv.String()); err != nil {
+	if err := cli.WriteFileOr(stdout, *outPath, []byte(csv.String())); err != nil {
 		return err
 	}
 	logger.Info("1-NN classification complete",
 		"measure", *measure, "correct", correct, "queries", len(test),
 		"accuracy", fmt.Sprintf("%.4f", float64(correct)/float64(len(test))))
 	return session.Finish()
-}
-
-// writeFileOr writes content to path when path is non-empty (creating the
-// file and checking both the write and the close), otherwise to fallback.
-func writeFileOr(fallback io.Writer, path, content string) error {
-	if path == "" {
-		_, err := io.WriteString(fallback, content)
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := io.WriteString(f, content); err != nil {
-		_ = f.Close() // surfacing the write error matters more
-		return err
-	}
-	return f.Close()
 }

@@ -58,7 +58,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("kshape", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	k := fs.Int("k", 0, "number of clusters (required)")
+	k := fs.Int("k", 0, "number of clusters, 1 <= k <= the number of series (required)")
 	method := fs.String("method", "k-Shape", "clustering method: "+strings.Join(kshape.Methods(), ", "))
 	seed := fs.Int64("seed", 1, "random seed for initialization")
 	outPath := fs.String("out", "", "write assignments CSV to this file (default stdout)")
@@ -79,9 +79,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	logger, err := common.Logger("kshape", stderr)
 	if err != nil {
 		return err
-	}
-	if *k < 1 {
-		return fmt.Errorf("-k is required and must be >= 1")
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("exactly one input file expected, got %d", fs.NArg())
@@ -109,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for i, l := range res.Labels {
 		fmt.Fprintf(&csv, "%d,%d,%d\n", i, l, series[i].Label)
 	}
-	if err := writeFileOr(stdout, *outPath, csv.String()); err != nil {
+	if err := cli.WriteFileOr(stdout, *outPath, []byte(csv.String())); err != nil {
 		return err
 	}
 
@@ -122,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintf(&b, "%d,%s\n", j, strings.Join(vals, ","))
 		}
-		if err := writeFileOr(nil, *centroidsPath, b.String()); err != nil {
+		if err := os.WriteFile(*centroidsPath, []byte(b.String()), 0o666); err != nil {
 			return err
 		}
 	}
@@ -141,24 +138,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		telemetryScrapeHook(url)
 	}
 	return session.Finish()
-}
-
-// writeFileOr writes content to path when path is non-empty (creating the
-// file and checking both the write and the close), otherwise to fallback.
-func writeFileOr(fallback io.Writer, path, content string) error {
-	if path == "" {
-		_, err := io.WriteString(fallback, content)
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := io.WriteString(f, content); err != nil {
-		_ = f.Close() // surfacing the write error matters more
-		return err
-	}
-	return f.Close()
 }
 
 // writeTrace renders the per-iteration convergence table and the kernel

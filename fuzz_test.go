@@ -2,6 +2,7 @@ package kshape
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -41,11 +42,26 @@ func fuzzRows(m, drop int, data []byte) [][]float64 {
 	return rows
 }
 
+// checkRejection fails the fuzz case unless err wraps one of the public
+// sentinels: every rejection of hostile input must be a typed one.
+func checkRejection(t *testing.T, err error) {
+	t.Helper()
+	for _, sentinel := range []error{
+		ErrNoData, ErrLength, ErrNonFinite, ErrBadK,
+		ErrUnknownMethod, ErrUnknownMeasure, ErrLabelCount, ErrNoFiniteDistance,
+	} {
+		if errors.Is(err, sentinel) {
+			return
+		}
+	}
+	t.Fatalf("rejection %v wraps no kshape sentinel", err)
+}
+
 // FuzzCluster drives the public k-Shape entry point with hostile input:
 // empty, ragged, non-finite, constant, tiny (n = 1, m = 1) and k up to
-// and beyond n. Every input must either return an error or a valid
-// clustering (labels in [0, k), finite centroids), and the result must be
-// bit-identical at 1, 2 and 8 workers.
+// and beyond n. Every input must either return an error that wraps a
+// kshape sentinel or a valid clustering (labels in [0, k), finite
+// centroids), and the result must be bit-identical at 1, 2 and 8 workers.
 func FuzzCluster(f *testing.F) {
 	f.Add(byte(2), byte(8), byte(0), testkit.EncodeFloats([]float64{
 		0, 1, 2, 3, 2, 1, 0, -1, 3, 2, 1, 0, 1, 2, 3, 4,
@@ -59,6 +75,7 @@ func FuzzCluster(f *testing.F) {
 		for _, w := range []int{1, 2, 8} {
 			res, err := Cluster(rows, k, Options{Seed: 1, Workers: w})
 			if w == 1 && err != nil {
+				checkRejection(t, err)
 				return
 			}
 			if err != nil {
@@ -104,8 +121,8 @@ func FuzzCluster(f *testing.F) {
 // input: empty, ragged, non-finite, constant, duplicated rows with
 // different labels, one training row and m = 1. The first n rows decoded
 // from data train (labelled from lab, or by index when lab is empty) and
-// the rest are queries. Every input must either return an error or labels
-// drawn from the training labels, bit-identical at 1, 2 and 8 workers and
+// the rest are queries. Every input must either return an error that
+// wraps a kshape sentinel or labels drawn from the training labels, bit-identical at 1, 2 and 8 workers and
 // equal to a brute-force SBDDistance scan over the z-normalized rows.
 func FuzzClassify1NN(f *testing.F) {
 	f.Add(byte(2), byte(8), byte(0), []byte{0, 1}, testkit.EncodeFloats([]float64{
@@ -128,6 +145,7 @@ func FuzzClassify1NN(f *testing.F) {
 		for _, w := range []int{1, 2, 8} {
 			pred, err := Classify1NNWorkers(train, labels, queries, "SBD", false, w)
 			if w == 1 && err != nil {
+				checkRejection(t, err)
 				return
 			}
 			if err != nil {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
 	"sync"
 
 	"kshape/internal/obs"
@@ -92,6 +93,17 @@ func (c *Common) HandleVersion(w io.Writer, tool string) bool {
 func Emit(w io.Writer, format string, args ...any) {
 	//lint:ignore errdrop terminal-output funnel; console write failures are unactionable
 	fmt.Fprintf(w, format, args...)
+}
+
+// WriteFileOr writes content whole to the file at path (os.WriteFile:
+// checked write and close, mode 0o666 before the umask, as os.Create),
+// or to fallback when path is empty.
+func WriteFileOr(fallback io.Writer, path string, content []byte) error {
+	if path == "" {
+		_, err := fallback.Write(content)
+		return err
+	}
+	return os.WriteFile(path, content, 0o666)
 }
 
 // Logger builds the tool's structured logger from the -log-level and

@@ -90,7 +90,7 @@ func progressLine(p obs.Progress) string {
 
 // writeDashboard renders the single-file HTML dashboard from the flight
 // report (phases, timeline, counters, build identity) and the recorder's
-// iteration history (convergence curves), with checked writes.
+// iteration history (convergence curves), and writes the file whole.
 func writeDashboard(path, tool string, rep obs.RunReport, rec *obs.Recorder) error {
 	workers, spans := TimelineSpans(rep)
 	d := plot.DashboardData{
@@ -109,14 +109,5 @@ func writeDashboard(path, tool string, rep obs.RunReport, rec *obs.Recorder) err
 		d.Converged = snap.Converged
 	}
 	d.Iterations, _ = rec.History()
-	page := plot.Dashboard(d)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(page); err != nil {
-		_ = f.Close() // surface the write error, not the close error
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, plot.Dashboard(d), 0o666)
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -19,34 +20,21 @@ func (c *Common) RegisterReport(fs *flag.FlagSet) {
 		"render the run's execution timeline (workers × time SVG) to this file; implies flight recording")
 }
 
-// writeReport writes the JSON run report with checked writes.
+// writeReport encodes the JSON run report and writes the file whole.
 func writeReport(path string, rep obs.RunReport) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
 		return err
 	}
-	if err := rep.WriteJSON(f); err != nil {
-		_ = f.Close() // surface the write error, not the close error
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, buf.Bytes(), 0o666)
 }
 
 // writeTimeline renders the run report's event window as an SVG Gantt
-// chart and writes it with checked writes.
+// chart and writes the file whole.
 func writeTimeline(path, tool string, rep obs.RunReport) error {
 	workers, spans := TimelineSpans(rep)
 	title := fmt.Sprintf("%s run %s — %d workers", tool, rep.RunID, workers)
-	svg := plot.Timeline(title, workers, rep.WallNS, spans)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(svg); err != nil {
-		_ = f.Close() // surface the write error, not the close error
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, plot.Timeline(title, workers, rep.WallNS, spans), 0o666)
 }
 
 // phaseInterval is one completed phase span on the recorder clock.

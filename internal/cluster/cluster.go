@@ -22,15 +22,19 @@ type Clusterer interface {
 	// initialization (deterministic methods ignore it), cfg.Workers bounds
 	// the parallelism, and cfg.MaxIterations caps any iteration loop.
 	// Only the refinement-loop methods report iterations to
-	// cfg.OnIteration and cfg.Logger.
+	// cfg.OnIteration.
 	Cluster(data [][]float64, cfg core.Config) (*core.Result, error)
 }
 
 // Run clusters data with c, bracketing the run on the flight recorder
 // with the method mark and the live-progress run events, so
 // instrumentation fires uniformly across methods. Without an active
-// recorder every hook is a no-op.
+// recorder every hook is a no-op. An input core.CheckRun rejects is
+// rejected before any distance, spectrum or matrix is computed.
 func Run(c Clusterer, data [][]float64, cfg core.Config) (*core.Result, error) {
+	if err := core.CheckRun(data, cfg.K); err != nil {
+		return nil, err
+	}
 	rec := obs.ActiveRecorder()
 	// The method mark maps a run report's chunk/phase spans back to the
 	// algorithm that produced them; the engines publish the per-iteration
@@ -48,8 +52,14 @@ func Run(c Clusterer, data [][]float64, cfg core.Config) (*core.Result, error) {
 	return res, err
 }
 
-// kmeansVariant is a Lloyd-style clusterer with pluggable distance and
-// centroid computation — the template every scalable baseline shares.
+// NewLloyd returns the clusterer named name that runs core.Lloyd with the
+// given assignment distance and centroid method — the template every
+// scalable baseline shares, and the one the ablations vary.
+func NewLloyd(name string, distance core.DistanceFunc, centroid core.CentroidFunc) Clusterer {
+	return kmeansVariant{label: name, distance: distance, centroid: centroid}
+}
+
+// kmeansVariant is the Lloyd-style clusterer of NewLloyd.
 type kmeansVariant struct {
 	label    string
 	distance core.DistanceFunc
@@ -67,56 +77,36 @@ func (v kmeansVariant) Cluster(data [][]float64, cfg core.Config) (*core.Result,
 // NewKAvgED returns k-means with Euclidean distance and arithmetic-mean
 // centroids — the paper's robust scalable baseline, k-AVG+ED.
 func NewKAvgED() Clusterer {
-	return kmeansVariant{
-		label:    "k-AVG+ED",
-		distance: func(c, x []float64) float64 { return dist.ED(c, x) },
-		centroid: avg.Mean,
-	}
+	return NewLloyd("k-AVG+ED", func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 }
 
 // NewKAvgSBD returns k-means with SBD assignment but arithmetic-mean
 // centroids (k-AVG+SBD in Table 3): a deliberately inadequate pairing that
 // shows replacing only the distance measure does not beat k-AVG+ED.
 func NewKAvgSBD() Clusterer {
-	return kmeansVariant{
-		label:    "k-AVG+SBD",
-		distance: func(c, x []float64) float64 { return dist.SBDDist(c, x) },
-		centroid: avg.Mean,
-	}
+	return NewLloyd("k-AVG+SBD", func(c, x []float64) float64 { return dist.SBDDist(c, x) }, avg.Mean)
 }
 
 // NewKAvgDTW returns k-means with DTW assignment and arithmetic-mean
 // centroids (k-AVG+DTW in Table 3).
 func NewKAvgDTW() Clusterer {
-	return kmeansVariant{
-		label:    "k-AVG+DTW",
-		distance: func(c, x []float64) float64 { return dist.DTW(c, x) },
-		centroid: avg.Mean,
-	}
+	return NewLloyd("k-AVG+DTW", func(c, x []float64) float64 { return dist.DTW(c, x) }, avg.Mean)
 }
 
 // NewKDBA returns the k-DBA baseline: DTW assignment with DBA centroid
 // refinement (Petitjean et al.), the most robust prior k-means adaptation
 // for DTW per Section 2.5.
 func NewKDBA() Clusterer {
-	return kmeansVariant{
-		label:    "k-DBA",
-		distance: func(c, x []float64) float64 { return dist.DTW(c, x) },
-		centroid: avg.DBA,
-	}
+	return NewLloyd("k-DBA", func(c, x []float64) float64 { return dist.DTW(c, x) }, avg.DBA)
 }
 
 // NewKSC returns the K-Spectral Centroid baseline (Yang & Leskovec): the
 // pairwise scale-and-shift distance with the matrix-decomposition centroid.
 func NewKSC() Clusterer {
-	return kmeansVariant{
-		label: "KSC",
-		distance: func(c, x []float64) float64 {
-			d, _ := avg.KSCDistance(x, c) // KSC distance normalizes by the data series
-			return d
-		},
-		centroid: avg.KSCCentroid,
-	}
+	return NewLloyd("KSC", func(c, x []float64) float64 {
+		d, _ := avg.KSCDistance(x, c) // KSC distance normalizes by the data series
+		return d
+	}, avg.KSCCentroid)
 }
 
 // NewKShape returns the paper's k-Shape algorithm as a Clusterer, using the
@@ -139,9 +129,5 @@ func (kshapeClusterer) Cluster(data [][]float64, cfg core.Config) (*core.Result,
 // extraction for centroids but DTW for assignment, demonstrating that
 // mismatched distance/centroid pairs degrade accuracy.
 func NewKShapeDTW() Clusterer {
-	return kmeansVariant{
-		label:    "k-Shape+DTW",
-		distance: func(c, x []float64) float64 { return dist.DTW(c, x) },
-		centroid: avg.ShapeExtraction,
-	}
+	return NewLloyd("k-Shape+DTW", func(c, x []float64) float64 { return dist.DTW(c, x) }, avg.ShapeExtraction)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -247,9 +248,13 @@ func TestHierarchicalErrors(t *testing.T) {
 	h := NewHierarchical(CompleteLinkage, dist.EDMeasure{})
 	if _, err := h.Cluster(nil, core.Config{K: 1}); err == nil {
 		t.Error("empty data accepted")
+	} else if !errors.Is(err, core.ErrNoData) {
+		t.Errorf("empty data: %v, want ErrNoData", err)
 	}
 	if _, err := h.Cluster([][]float64{{1}}, core.Config{K: 2}); err == nil {
 		t.Error("k > n accepted")
+	} else if !errors.Is(err, core.ErrBadK) {
+		t.Errorf("k > n: %v, want ErrBadK", err)
 	}
 }
 
@@ -286,12 +291,18 @@ func TestPAMErrors(t *testing.T) {
 	p := NewPAM(dist.EDMeasure{})
 	if _, err := p.Cluster(nil, core.Config{K: 1, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("empty data accepted")
+	} else if !errors.Is(err, core.ErrNoData) {
+		t.Errorf("empty data: %v, want ErrNoData", err)
 	}
 	if _, err := p.Cluster([][]float64{{1}}, core.Config{K: 2, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("k > n accepted")
+	} else if !errors.Is(err, core.ErrBadK) {
+		t.Errorf("k > n: %v, want ErrBadK", err)
 	}
 	if _, err := p.Cluster([][]float64{{1}}, core.Config{K: 1}); err == nil {
 		t.Error("nil rng accepted")
+	} else if !errors.Is(err, core.ErrNoRand) {
+		t.Errorf("nil rng: %v, want ErrNoRand", err)
 	}
 }
 
@@ -355,12 +366,18 @@ func TestSpectralErrors(t *testing.T) {
 	s := NewSpectral(dist.EDMeasure{})
 	if _, err := s.Cluster(nil, core.Config{K: 1, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("empty data accepted")
+	} else if !errors.Is(err, core.ErrNoData) {
+		t.Errorf("empty data: %v, want ErrNoData", err)
 	}
 	if _, err := s.Cluster([][]float64{{1}}, core.Config{K: 2, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("k > n accepted")
+	} else if !errors.Is(err, core.ErrBadK) {
+		t.Errorf("k > n: %v, want ErrBadK", err)
 	}
 	if _, err := s.Cluster([][]float64{{1}}, core.Config{K: 1}); err == nil {
 		t.Error("nil rng accepted")
+	} else if !errors.Is(err, core.ErrNoRand) {
+		t.Errorf("nil rng: %v, want ErrNoRand", err)
 	}
 }
 

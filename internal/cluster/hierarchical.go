@@ -62,27 +62,17 @@ func (h *Hierarchical) Name() string { return h.Linkage.String() + "+" + h.Measu
 // build's parallelism) apply: the method is deterministic and has no
 // iteration loop.
 func (h *Hierarchical) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
-	if len(data) == 0 {
-		return nil, core.ErrNoData
-	}
-	if cfg.K < 1 || cfg.K > len(data) {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, cfg.K, len(data))
-	}
-	d := dist.PairwiseMatrixWorkers(h.Measure, data, cfg.Workers)
-	return h.ClusterWithMatrix(data, d, cfg.K)
+	return h.ClusterWithMatrix(data, dist.PairwiseMatrixWorkers(h.Measure, data, cfg.Workers), cfg.K)
 }
 
 // ClusterWithMatrix runs the agglomeration on a precomputed dissimilarity
 // matrix (shared across methods by the experiment harness). The matrix is
 // not modified.
 func (h *Hierarchical) ClusterWithMatrix(data [][]float64, d [][]float64, k int) (*core.Result, error) {
+	if err := core.CheckK(k, len(data)); err != nil {
+		return nil, err
+	}
 	n := len(data)
-	if n == 0 {
-		return nil, core.ErrNoData
-	}
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, k, n)
-	}
 	// Working inter-cluster distance matrix and live-cluster bookkeeping.
 	w := make([][]float64, n)
 	for i := range w {

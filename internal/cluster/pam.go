@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"slices"
 
@@ -37,37 +35,18 @@ func (p *PAM) Name() string { return "PAM+" + p.Measure.Name() }
 
 // Cluster implements Clusterer.
 func (p *PAM) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
-	if err := checkPAM(data, cfg); err != nil {
-		return nil, err
-	}
-	d := dist.PairwiseMatrixWorkers(p.Measure, data, cfg.Workers)
-	return p.clusterWithMatrix(data, d, cfg)
+	return p.ClusterWithMatrix(data, dist.PairwiseMatrixWorkers(p.Measure, data, cfg.Workers), cfg)
 }
 
 // ClusterWithMatrix runs PAM on a precomputed dissimilarity matrix, which
 // the experiment harness uses to share one matrix across runs.
 func (p *PAM) ClusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config) (*core.Result, error) {
-	if err := checkPAM(data, cfg); err != nil {
+	if err := core.CheckK(cfg.K, len(data)); err != nil {
 		return nil, err
 	}
-	return p.clusterWithMatrix(data, d, cfg)
-}
-
-// checkPAM validates the input and the controls PAM needs.
-func checkPAM(data [][]float64, cfg core.Config) error {
-	if len(data) == 0 {
-		return core.ErrNoData
+	if err := core.CheckRand(cfg.Rand); err != nil {
+		return nil, err
 	}
-	if cfg.K < 1 || cfg.K > len(data) {
-		return fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, cfg.K, len(data))
-	}
-	if cfg.Rand == nil {
-		return errors.New("cluster: PAM requires a random source")
-	}
-	return nil
-}
-
-func (p *PAM) clusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config) (*core.Result, error) {
 	n, k := len(data), cfg.K
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -44,28 +42,14 @@ func (s *Spectral) Name() string { return "S+" + s.Measure.Name() }
 
 // Cluster implements Clusterer.
 func (s *Spectral) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
-	if len(data) == 0 {
-		return nil, core.ErrNoData
-	}
-	if cfg.K < 1 || cfg.K > len(data) {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, cfg.K, len(data))
-	}
-	if cfg.Rand == nil {
-		return nil, errors.New("cluster: spectral clustering requires a random source")
-	}
-	d := dist.PairwiseMatrixWorkers(s.Measure, data, cfg.Workers)
-	return s.ClusterWithMatrix(d, cfg)
+	return s.ClusterWithMatrix(dist.PairwiseMatrixWorkers(s.Measure, data, cfg.Workers), cfg)
 }
 
 // ClusterWithMatrix runs spectral clustering on a precomputed dissimilarity
 // matrix (shared across runs by the experiment harness).
 func (s *Spectral) ClusterWithMatrix(d [][]float64, cfg core.Config) (*core.Result, error) {
-	n := len(d)
-	if n == 0 {
-		return nil, core.ErrNoData
-	}
-	if cfg.K < 1 || cfg.K > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", core.ErrBadK, cfg.K, n)
+	if err := core.CheckK(cfg.K, len(d)); err != nil {
+		return nil, err
 	}
 	emb, err := s.Embed(d, cfg.K, cfg.Workers)
 	if err != nil {
@@ -79,7 +63,7 @@ func (s *Spectral) ClusterWithMatrix(d [][]float64, cfg core.Config) (*core.Resu
 func (s *Spectral) ClusterEmbedding(emb [][]float64, cfg core.Config) (*core.Result, error) {
 	// The embedded k-means is a step of the method, not its refinement
 	// loop: it reports no iterations.
-	cfg.OnIteration, cfg.Logger = nil, nil
+	cfg.OnIteration = nil
 	res, err := core.Lloyd(emb, cfg,
 		func(c, x []float64) float64 { return dist.ED(c, x) }, avg.Mean)
 	if err != nil {

@@ -12,8 +12,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"log/slog"
 	"math"
 	"math/rand"
 	"slices"
@@ -58,11 +56,6 @@ type Config struct {
 	// must therefore be safe for concurrent calls (every implementation
 	// in this repository is).
 	Workers int
-	// Logger, if non-nil, receives structured per-iteration records at
-	// debug level (iteration number, inertia, label churn, reseeds, phase
-	// wall times). Iteration bookkeeping is only performed when the logger
-	// is enabled for debug or OnIteration is set.
-	Logger *slog.Logger
 }
 
 // Result reports a clustering.
@@ -80,12 +73,6 @@ type Result struct {
 	// the within-cluster objective of Equation 1.
 	Inertia float64
 }
-
-// Errors returned by the engine.
-var (
-	ErrNoData = errors.New("core: no input series")
-	ErrBadK   = errors.New("core: k must satisfy 1 <= k <= number of series")
-)
 
 // Lloyd runs the refinement loop with the given distance (assignment step)
 // and centroid method (refinement step).
@@ -155,23 +142,13 @@ type step interface {
 // currently farthest from its own centroid, which keeps K clusters alive
 // without biasing toward any particular member.
 func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, error) {
-	n := len(data)
-	if n == 0 {
-		return nil, ErrNoData
+	if err := CheckRun(data, cfg.K); err != nil {
+		return nil, err
 	}
-	k := cfg.K
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadK, k, n)
+	if err := CheckRand(cfg.Rand); err != nil {
+		return nil, err
 	}
-	m := len(data[0])
-	for i, x := range data {
-		if len(x) != m {
-			return nil, fmt.Errorf("core: series %d has length %d, want %d", i, len(x), m)
-		}
-	}
-	if cfg.Rand == nil {
-		return nil, errors.New("core: Config.Rand is required")
-	}
+	n, k, m := len(data), cfg.K, len(data[0])
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = cfg.Rand.Intn(k)
@@ -184,7 +161,7 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 	// One recorder load per run: every span, iteration mark and progress
 	// snapshot of this run lands on the recorder armed when it started.
 	rec := obs.ActiveRecorder()
-	ob := newRunObserver(cfg.OnIteration, cfg.Logger, rec)
+	ob := newRunObserver(cfg.OnIteration, rec)
 	r := &loop{
 		data: data, k: k, m: m, workers: cfg.Workers,
 		labels:         labels,

@@ -166,10 +166,14 @@ func TestLloydValidation(t *testing.T) {
 	bad.Rand = nil
 	if _, err := Lloyd(data, bad, ed, mean); err == nil {
 		t.Error("nil rand accepted")
+	} else if !errors.Is(err, ErrNoRand) {
+		t.Errorf("nil rand: %v, want ErrNoRand", err)
 	}
 	ragged := [][]float64{{1, 2}, {3}}
 	if _, err := Lloyd(ragged, good, ed, mean); err == nil {
 		t.Error("ragged data accepted")
+	} else if !errors.Is(err, ErrLength) {
+		t.Errorf("ragged data: %v, want ErrLength", err)
 	}
 }
 

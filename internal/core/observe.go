@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"log/slog"
 	"math"
 	"math/rand"
 
@@ -10,17 +8,17 @@ import (
 )
 
 // This file holds the engines' per-iteration observation layer: the
-// runObserver fuses the OnIteration callback, debug-level structured
-// logging, and the flight recorder's live progress into one hook, and
-// derives the quality trajectory (inertia delta, per-cluster centroid
-// drift, sampled silhouette) those sinks consume from numbers the engine
-// computes anyway: the assignment distances, the refinement drift that
-// the k-Shape scan prunes with, and the runner-up distance of each
-// sampled series. Finding an exact runner-up is the one extra cost: a
-// sampled series prunes against its second-nearest distance rather than
-// its nearest, so it evaluates more SBDs. No observed value feeds back
-// into the clustering, so results are bit-identical, at every worker
-// count, whether or not an observer is active.
+// runObserver fuses the OnIteration callback and the flight recorder's
+// live progress into one hook, and derives the quality trajectory
+// (inertia delta, per-cluster centroid drift, sampled silhouette) those
+// sinks consume from numbers the engine computes anyway: the assignment
+// distances, the refinement drift that the k-Shape scan prunes with, and
+// the runner-up distance of each sampled series. Finding an exact
+// runner-up is the one extra cost: a sampled series prunes against its
+// second-nearest distance rather than its nearest, so it evaluates more
+// SBDs. No observed value feeds back into the clustering, so results are
+// bit-identical, at every worker count, whether or not an observer is
+// active.
 
 // silhouetteSampleCap bounds the silhouette sample so the per-iteration
 // extra work stays O(cap·k) regardless of n.
@@ -36,24 +34,20 @@ const silhouetteSampleSeed = 0x5eed5eed
 // free, preserving the engines' "no bookkeeping unless observed"
 // property.
 type runObserver struct {
-	onIter   func(obs.IterationStats)
-	logger   *slog.Logger
-	logDebug bool
-	rec      *obs.Recorder
+	onIter func(obs.IterationStats)
+	rec    *obs.Recorder
 
 	prevInertia float64
 	seen        bool
 }
 
 // newRunObserver returns the iteration observer for one run, or nil when
-// no sink (callback, debug logger, flight recorder) wants iteration
-// statistics.
-func newRunObserver(onIter func(obs.IterationStats), logger *slog.Logger, rec *obs.Recorder) *runObserver {
-	logDebug := logger != nil && logger.Enabled(context.Background(), slog.LevelDebug)
-	if onIter == nil && !logDebug && rec == nil {
+// no sink (callback, flight recorder) wants iteration statistics.
+func newRunObserver(onIter func(obs.IterationStats), rec *obs.Recorder) *runObserver {
+	if onIter == nil && rec == nil {
 		return nil
 	}
-	return &runObserver{onIter: onIter, logger: logger, logDebug: logDebug, rec: rec}
+	return &runObserver{onIter: onIter, rec: rec}
 }
 
 // runnerUpSlots allocates the loop's runnerUp row for n series: +Inf at
@@ -76,7 +70,7 @@ func (o *runObserver) runnerUpSlots(n, k int) []float64 {
 }
 
 // observe assembles one iteration's statistics and fans them out to the
-// callback, the debug logger, and the run's recorder.
+// callback and the run's recorder.
 func (o *runObserver) observe(iter int, r *loop, prev []int, refineNS, assignNS int64, reseeds int) {
 	if o == nil {
 		return
@@ -90,9 +84,6 @@ func (o *runObserver) observe(iter int, r *loop, prev []int, refineNS, assignNS 
 	st.SilhouetteSample = silhouette(r.labels, st.ClusterSizes, r.assignDist, r.runnerUp)
 	if o.onIter != nil {
 		o.onIter(st)
-	}
-	if o.logDebug {
-		o.logger.Debug("refinement iteration", "stats", st)
 	}
 	o.rec.PublishIteration(st)
 }

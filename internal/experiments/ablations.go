@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"kshape/internal/avg"
+	"kshape/internal/cluster"
 	"kshape/internal/core"
 	"kshape/internal/dist"
 )
@@ -34,34 +35,18 @@ func Ablations(cfg Config) Comparison {
 		}
 	}
 	sbd := func(c, x []float64) float64 { return dist.SBDDist(c, x) }
-	variants := []lloydVariant{
-		{"k-Shape", sbd, avg.ShapeExtraction},
-		{"k-Shape/NCCu", nccDist(dist.NCCu), avg.ShapeExtraction},
-		{"k-Shape/NCCb", nccDist(dist.NCCb), avg.ShapeExtraction},
-		{"k-Shape/no-align", sbd, func(members [][]float64, prev []float64) []float64 {
+	variants := []cluster.Clusterer{
+		cluster.NewLloyd("k-Shape", sbd, avg.ShapeExtraction),
+		cluster.NewLloyd("k-Shape/NCCu", nccDist(dist.NCCu), avg.ShapeExtraction),
+		cluster.NewLloyd("k-Shape/NCCb", nccDist(dist.NCCb), avg.ShapeExtraction),
+		cluster.NewLloyd("k-Shape/no-align", sbd, func(members [][]float64, prev []float64) []float64 {
 			return avg.ShapeExtraction(members, nil) // never align
-		}},
-		{"k-AVG+SBD", sbd, avg.Mean},
+		}),
+		cluster.NewLloyd("k-AVG+SBD", sbd, avg.Mean),
 	}
 	methods := make([]method, len(variants))
 	for i, v := range variants {
 		methods[i] = cfg.clusterMethod(v)
 	}
 	return compare(cfg.sweep(methods...))
-}
-
-// lloydVariant is an ablation variant: core.Lloyd with the given
-// assignment distance and centroid method.
-type lloydVariant struct {
-	name     string
-	distance core.DistanceFunc
-	centroid core.CentroidFunc
-}
-
-// Name implements cluster.Clusterer.
-func (v lloydVariant) Name() string { return v.name }
-
-// Cluster implements cluster.Clusterer.
-func (v lloydVariant) Cluster(data [][]float64, cfg core.Config) (*core.Result, error) {
-	return core.Lloyd(data, cfg, v.distance, v.centroid)
 }

@@ -16,6 +16,7 @@ import (
 	"kshape/internal/obs"
 	"kshape/internal/par"
 	"kshape/internal/stats"
+	"kshape/internal/ts"
 )
 
 // Config controls experiment scale. The zero value is unusable; call
@@ -107,18 +108,6 @@ func CompareCounts(a, b []float64) (greater, equal, less int) {
 	return greater, equal, less
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // runMeter measures the units of work of one sweep for the flight
 // recorder's run report. It loads the active recorder once; with none
 // installed it records nothing.
@@ -200,7 +189,7 @@ func compare(rows []Row) Comparison {
 	base := rows[0]
 	for i := range rows {
 		r := &rows[i]
-		r.AvgScore = Mean(r.Scores)
+		r.AvgScore = ts.Mean(r.Scores)
 		r.Greater, r.Equal, r.Less = CompareCounts(r.Scores, base.Scores)
 		r.Better = stats.SignificantlyBetter(r.Scores, base.Scores, 0.99)
 		r.Worse = stats.SignificantlyBetter(base.Scores, r.Scores, 0.99)
@@ -287,7 +276,7 @@ func (c Config) sweep(methods ...method) []Row {
 				rows[i].Scores[d] /= float64(n)
 			}
 		}
-		c.progress("sweep done", "method", rows[i].Name, "seconds", rows[i].Runtime.Seconds(), "avg_score", Mean(rows[i].Scores))
+		c.progress("sweep done", "method", rows[i].Name, "seconds", rows[i].Runtime.Seconds(), "avg_score", ts.Mean(rows[i].Scores))
 	}
 	return rows
 }

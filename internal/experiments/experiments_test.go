@@ -16,15 +16,6 @@ func TestCompareCounts(t *testing.T) {
 	}
 }
 
-func TestMeanHelper(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 3}) != 2 {
-		t.Error("Mean([1,3]) != 2")
-	}
-}
-
 func TestReducedConfig(t *testing.T) {
 	cfg := ReducedConfig(3)
 	if len(cfg.Datasets) != 3 {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"kshape/internal/ts"
 )
 
 // The Write* renderers below build each table in memory and emit it with
@@ -115,7 +117,7 @@ func WriteAppendixA(w io.Writer, r AppendixAResult) error {
 	fmt.Fprintf(&b, "Appendix A: cross-correlation variants under %s\n", r.Normalization)
 	fmt.Fprintf(&b, "%-6s %-9s\n", "Var", "AvgAcc")
 	for v, name := range r.Names {
-		fmt.Fprintf(&b, "%-6s %-9.3f\n", name, Mean(r.Accuracies[v]))
+		fmt.Fprintf(&b, "%-6s %-9.3f\n", name, ts.Mean(r.Accuracies[v]))
 	}
 	n := len(r.Accuracies[0])
 	fmt.Fprintf(&b, "SBD better than NCCu on %d/%d datasets, better than NCCb on %d/%d\n",

@@ -29,8 +29,8 @@ func PAA(x []float64, segments int) []float64 {
 		sum := 0.0
 		// Integrate x as a step function over [lo, hi).
 		for i := int(lo); i < m && float64(i) < hi; i++ {
-			a := maxF(lo, float64(i))
-			b := minF(hi, float64(i+1))
+			a := max(lo, float64(i))
+			b := min(hi, float64(i+1))
 			if b > a {
 				sum += x[i] * (b - a)
 			}
@@ -38,18 +38,4 @@ func PAA(x []float64, segments int) []float64 {
 		out[s] = sum / width
 	}
 	return out
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -17,10 +17,9 @@
 package kshape
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"log/slog"
-	"math"
 	"math/rand"
 
 	"kshape/internal/avg"
@@ -118,11 +117,36 @@ type Options struct {
 	Logger *slog.Logger
 }
 
+// Rejections of the input contract. Every error the API returns for
+// input it cannot take (and every value Predict panics with) wraps
+// exactly one of these, so errors.Is tells the cases apart; the message
+// names the offending row, length, position, k or n.
+var (
+	// ErrNoData: no series to cluster, no training series, no centroid.
+	ErrNoData = core.ErrNoData
+	// ErrLength: a series whose length differs from the first one's, or
+	// a zero-length series.
+	ErrLength = core.ErrLength
+	// ErrNonFinite: a NaN or ±Inf value.
+	ErrNonFinite = core.ErrNonFinite
+	// ErrBadK: k outside [1, n], or an EstimateK range with no k in it.
+	ErrBadK = core.ErrBadK
+	// ErrUnknownMethod: Options.Method names no entry of Methods.
+	ErrUnknownMethod = errors.New("kshape: unknown method")
+	// ErrUnknownMeasure: the measure names no entry of Measures.
+	ErrUnknownMeasure = errors.New("kshape: unknown measure")
+	// ErrLabelCount: training series and labels differ in number.
+	ErrLabelCount = errors.New("kshape: label count differs from training series count")
+	// ErrNoFiniteDistance: a query whose distance to every training
+	// series or centroid overflows.
+	ErrNoFiniteDistance = errors.New("kshape: query has no finite distance")
+)
+
 // Cluster partitions equal-length time series into k clusters with k-Shape
 // (or the algorithm named in opts.Method).
 func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
-	if len(data) == 0 {
-		return nil, errors.New("kshape: no input series")
+	if err := core.CheckK(k, len(data)); err != nil {
+		return nil, err
 	}
 	name := opts.Method
 	if name == "" {
@@ -130,23 +154,26 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 	}
 	c, ok := methods[name]
 	if !ok {
-		return nil, fmt.Errorf("kshape: unknown method %q (see kshape.Methods)", name)
+		return nil, core.Reject(ErrUnknownMethod, "unknown method %q (see kshape.Methods)", name)
 	}
-	if err := checkSeries("series", data, len(data[0])); err != nil {
+	prepared, err := prepare("series", data, len(data[0]), opts.SkipNormalization)
+	if err != nil {
 		return nil, err
-	}
-	prepared := data
-	if !opts.SkipNormalization {
-		prepared = make([][]float64, len(data))
-		for i, x := range data {
-			prepared[i] = ts.ZNormalize(x)
-		}
 	}
 	// Every method — k-Shape included — dispatches through the registry
 	// and cluster.Run with one core.Config, so engine options and
 	// instrumentation hooks apply uniformly; OnIteration and Logger are
 	// inert for methods without a refinement loop.
 	onIter := opts.OnIteration
+	if l := opts.Logger; l != nil && l.Enabled(context.Background(), slog.LevelDebug) {
+		next := onIter
+		onIter = func(st IterationStats) {
+			if next != nil {
+				next(st)
+			}
+			l.Debug("refinement iteration", "stats", st)
+		}
+	}
 	var trace *RunTrace
 	var countersBefore obs.Counters
 	var wasCounting bool
@@ -170,7 +197,6 @@ func Cluster(data [][]float64, k int, opts Options) (*Result, error) {
 		Rand:          rand.New(rand.NewSource(opts.Seed)),
 		OnIteration:   onIter,
 		Workers:       opts.Workers,
-		Logger:        opts.Logger,
 	})
 	if opts.CollectTrace {
 		trace.TotalNS = sw.ElapsedNS()
@@ -308,24 +334,15 @@ const EstimateKRestarts = 3
 // the sweep costs one O(n²) matrix plus the clusterings.
 func EstimateK(data [][]float64, kMax int, opts Options) (k int, silhouette float64, err error) {
 	if len(data) < 3 {
-		return 0, 0, errors.New("kshape: EstimateK needs at least 3 series")
+		return 0, 0, core.Reject(ErrBadK, "EstimateK needs at least 3 series")
 	}
 	if kMax < 2 {
-		return 0, 0, errors.New("kshape: EstimateK needs kMax >= 2")
+		return 0, 0, core.Reject(ErrBadK, "EstimateK needs kMax >= 2")
 	}
-	if kMax > len(data)-1 {
-		kMax = len(data) - 1
-	}
-	if err := checkSeries("series", data, len(data[0])); err != nil {
+	kMax = min(kMax, len(data)-1)
+	prepared, err := prepare("series", data, len(data[0]), opts.SkipNormalization)
+	if err != nil {
 		return 0, 0, err
-	}
-	prepared := make([][]float64, len(data))
-	for i, x := range data {
-		if opts.SkipNormalization {
-			prepared[i] = x
-		} else {
-			prepared[i] = ts.ZNormalize(x)
-		}
 	}
 	d := dist.PairwiseMatrix(dist.SBDMeasure{}, prepared)
 	inner := opts
@@ -390,60 +407,52 @@ func Classify1NN(train [][]float64, labels []int, queries [][]float64, measure s
 // across queries: workers <= 0 means runtime.NumCPU(), 1 means fully
 // serial. Predicted labels are identical for every worker count.
 func Classify1NNWorkers(train [][]float64, labels []int, queries [][]float64, measure string, skipNormalization bool, workers int) ([]int, error) {
-	if len(train) == 0 {
-		return nil, errors.New("kshape: empty training set")
+	if err := core.CheckCount("training series", len(train)); err != nil {
+		return nil, err
 	}
 	if len(train) != len(labels) {
-		return nil, fmt.Errorf("kshape: %d training series but %d labels", len(train), len(labels))
+		return nil, core.Reject(ErrLabelCount, "%d training series but %d labels", len(train), len(labels))
 	}
 	m, ok := measureByName(measure)
 	if !ok {
-		return nil, fmt.Errorf("kshape: unknown measure %q (see kshape.Measures)", measure)
+		return nil, core.Reject(ErrUnknownMeasure, "unknown measure %q (see kshape.Measures)", measure)
 	}
-	if err := checkSeries("training series", train, len(train[0])); err != nil {
+	ptrain, err := prepare("training series", train, len(train[0]), skipNormalization)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkSeries("query", queries, len(train[0])); err != nil {
+	pqueries, err := prepare("query", queries, len(train[0]), skipNormalization)
+	if err != nil {
 		return nil, err
 	}
-	prep := func(rows [][]float64) [][]float64 {
-		if skipNormalization {
-			return rows
-		}
-		out := make([][]float64, len(rows))
-		for i, x := range rows {
-			out[i] = ts.ZNormalize(x)
-		}
-		return out
-	}
-	out := dist.NearestIndices(m, prep(train), prep(queries), workers)
+	out := dist.NearestIndices(m, ptrain, pqueries, workers)
 	for i, idx := range out {
 		if idx < 0 {
-			return nil, fmt.Errorf("kshape: query %d has no finite %s distance to any training series", i, measure)
+			return nil, core.Reject(ErrNoFiniteDistance, "query %d has no finite %s distance to any training series", i, measure)
 		}
 		out[i] = labels[idx]
 	}
 	return out, nil
 }
 
-// checkSeries rejects input the engines cannot take: a row whose length
-// is not m, zero-length rows, and non-finite values. what names the rows
-// in the error.
-func checkSeries(what string, rows [][]float64, m int) error {
-	if m == 0 {
-		return fmt.Errorf("kshape: %s 0 has length 0", what)
+// prepare checks rows against the input contract — every row of length
+// m (m = 0 is rejected) and every value finite, with what naming the
+// rows in the error — and returns them z-normalized unless skip.
+func prepare(what string, rows [][]float64, m int, skip bool) ([][]float64, error) {
+	if err := core.CheckLengths(what, rows, m); err != nil {
+		return nil, err
 	}
+	if err := core.CheckFinite(what, rows); err != nil {
+		return nil, err
+	}
+	if skip {
+		return rows, nil
+	}
+	out := make([][]float64, len(rows))
 	for i, x := range rows {
-		if len(x) != m {
-			return fmt.Errorf("kshape: %s %d has length %d, want %d (all series must be equal-length)", what, i, len(x), m)
-		}
-		for j, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("kshape: %s %d has a non-finite value at position %d", what, i, j)
-			}
-		}
+		out[i] = ts.ZNormalize(x)
 	}
-	return nil
+	return out, nil
 }
 
 // Predict assigns each query series to the nearest centroid under SBD,
@@ -452,33 +461,28 @@ func checkSeries(what string, rows [][]float64, m int) error {
 // across all CPUs; the assignment is deterministic regardless.
 //
 // Every returned label is in [0, len(centroids)). Input that cannot have
-// a nearest centroid is a programming error, and Predict panics with a
-// "kshape:" message that names the offending centroid or query and the
-// reason: no centroids, a centroid or query whose length differs from
-// centroids[0] (or is 0), a NaN or ±Inf value, or a query whose values
-// are so large that its SBD to every centroid overflows.
+// a nearest centroid is a programming error, and Predict panics with an
+// error whose "kshape:" message names the offending centroid or query and
+// the reason: no centroids (ErrNoData), a centroid or query whose length
+// differs from centroids[0] or is 0 (ErrLength), a NaN or ±Inf value
+// (ErrNonFinite), or a query whose values are so large that its SBD to
+// every centroid overflows (ErrNoFiniteDistance).
 func Predict(centroids [][]float64, queries [][]float64, skipNormalization bool) []int {
-	if len(centroids) == 0 {
-		panic("kshape: Predict needs at least one centroid")
+	if err := core.CheckCount("centroid", len(centroids)); err != nil {
+		panic(err)
 	}
 	m := len(centroids[0])
-	if err := checkSeries("centroid", centroids, m); err != nil {
-		panic(err.Error())
+	if _, err := prepare("centroid", centroids, m, true); err != nil {
+		panic(err)
 	}
-	if err := checkSeries("query", queries, m); err != nil {
-		panic(err.Error())
-	}
-	qs := queries
-	if !skipNormalization {
-		qs = make([][]float64, len(queries))
-		for i, q := range queries {
-			qs[i] = ts.ZNormalize(q)
-		}
+	qs, err := prepare("query", queries, m, skipNormalization)
+	if err != nil {
+		panic(err)
 	}
 	out := dist.NearestIndices(dist.SBDMeasure{}, centroids, qs, 0)
 	for i, idx := range out {
 		if idx < 0 {
-			panic(fmt.Sprintf("kshape: query %d has no finite SBD to any centroid (its values overflow)", i))
+			panic(core.Reject(ErrNoFiniteDistance, "query %d has no finite SBD to any centroid (its values overflow)", i))
 		}
 	}
 	return out

@@ -1,11 +1,16 @@
 package kshape
 
 import (
+	"bytes"
+	"errors"
+	"log/slog"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"kshape/internal/cluster"
+	"kshape/internal/core"
 	"kshape/internal/obs"
 )
 
@@ -124,13 +129,55 @@ func TestClusterMethodSelection(t *testing.T) {
 func TestClusterErrors(t *testing.T) {
 	if _, err := Cluster(nil, 2, Options{}); err == nil {
 		t.Error("empty data accepted")
+	} else if !errors.Is(err, ErrNoData) {
+		t.Errorf("empty data: %v, want ErrNoData", err)
 	}
 	data, _ := twoShapeClasses(3, 16, 9)
 	if _, err := Cluster(data, 2, Options{Method: "bogus"}); err == nil {
 		t.Error("unknown method accepted")
+	} else if !errors.Is(err, ErrUnknownMethod) {
+		t.Errorf("unknown method: %v, want ErrUnknownMethod", err)
 	}
-	if _, err := Cluster(data, 100, Options{}); err == nil {
-		t.Error("k > n accepted")
+	for _, method := range Methods() {
+		if _, err := Cluster(data, 100, Options{Method: method}); err == nil {
+			t.Errorf("%s: k > n accepted", method)
+		} else if !errors.Is(err, ErrBadK) {
+			t.Errorf("%s: k > n: %v, want ErrBadK", method, err)
+		}
+	}
+}
+
+// TestRejectionComputesNothing pins where the input contract is
+// enforced: cluster.Run, which every method's dispatch passes, rejects
+// an empty, ragged or bad-k input with its sentinel before any distance,
+// spectrum or matrix is computed, for every method.
+func TestRejectionComputesNothing(t *testing.T) {
+	data, _ := twoShapeClasses(3, 16, 9)
+	ragged := append(append([][]float64(nil), data...), data[0][:8])
+	cases := []struct {
+		name     string
+		data     [][]float64
+		k        int
+		sentinel error
+	}{
+		{"empty", nil, 2, ErrNoData},
+		{"ragged", ragged, 2, ErrLength},
+		{"k=0", data, 0, ErrBadK},
+		{"k>n", data, len(data) + 1, ErrBadK},
+	}
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	for _, c := range methodList {
+		for _, tc := range cases {
+			before := obs.ReadCounters()
+			_, err := cluster.Run(c, tc.data, core.Config{K: tc.k, Rand: rand.New(rand.NewSource(1))})
+			if !errors.Is(err, tc.sentinel) {
+				t.Errorf("%s, %s: err = %v, want %v", c.Name(), tc.name, err, tc.sentinel)
+			}
+			if d := obs.ReadCounters().Sub(before); d != (obs.Counters{}) {
+				t.Errorf("%s, %s: rejected after computing %+v", c.Name(), tc.name, d)
+			}
+		}
 	}
 }
 
@@ -225,9 +272,9 @@ func TestPredict(t *testing.T) {
 }
 
 // TestPredictPanicsOnBadInput pins Predict's boundary: input with no
-// nearest centroid panics with a kshape: message naming the row and the
-// reason, instead of panicking inside the distance kernel or returning
-// label -1.
+// nearest centroid panics with an error that wraps the rule's sentinel
+// and whose kshape: message names the row and the reason, instead of
+// panicking inside the distance kernel or returning label -1.
 func TestPredictPanicsOnBadInput(t *testing.T) {
 	centroids := [][]float64{{1, 2, 3, 4}, {4, 3, 2, 1}}
 	huge := []float64{1.5e308, -1.7e308, 1.7e308, 1.6e308}
@@ -237,22 +284,26 @@ func TestPredictPanicsOnBadInput(t *testing.T) {
 		queries   [][]float64
 		skipNorm  bool
 		want      string
+		sentinel  error
 	}{
-		{"no-centroids", nil, [][]float64{{1, 2}}, false, "needs at least one centroid"},
-		{"short-query", centroids, [][]float64{{1, 2, 3, 4}, {1, 2}}, false, "query 1 has length 2, want 4"},
-		{"long-query", centroids, [][]float64{{1, 2, 3, 4, 5}}, false, "query 0 has length 5, want 4"},
-		{"nan-query", centroids, [][]float64{{1, math.NaN(), 3, 4}}, false, "query 0 has a non-finite value at position 1"},
-		{"inf-query", centroids, [][]float64{{1, 2, 3, 4}, {1, 2, math.Inf(-1), 4}}, true, "query 1 has a non-finite value at position 2"},
-		{"ragged-centroids", [][]float64{{1, 2, 3, 4}, {1, 2, 3}}, [][]float64{{1, 2, 3, 4}}, false, "centroid 1 has length 3, want 4"},
-		{"nan-centroid", [][]float64{{1, 2, 3, 4}, {math.NaN(), 2, 3, 4}}, [][]float64{{1, 2, 3, 4}}, false, "centroid 1 has a non-finite value at position 0"},
-		{"empty-centroids", [][]float64{{}}, [][]float64{{}}, false, "centroid 0 has length 0"},
-		{"overflowing-query", centroids, [][]float64{{1, 2, 3, 4}, huge}, true, "query 1 has no finite SBD to any centroid"},
+		{"no-centroids", nil, [][]float64{{1, 2}}, false, "needs at least one centroid", ErrNoData},
+		{"short-query", centroids, [][]float64{{1, 2, 3, 4}, {1, 2}}, false, "query 1 has length 2, want 4", ErrLength},
+		{"long-query", centroids, [][]float64{{1, 2, 3, 4, 5}}, false, "query 0 has length 5, want 4", ErrLength},
+		{"nan-query", centroids, [][]float64{{1, math.NaN(), 3, 4}}, false, "query 0 has a non-finite value at position 1", ErrNonFinite},
+		{"inf-query", centroids, [][]float64{{1, 2, 3, 4}, {1, 2, math.Inf(-1), 4}}, true, "query 1 has a non-finite value at position 2", ErrNonFinite},
+		{"ragged-centroids", [][]float64{{1, 2, 3, 4}, {1, 2, 3}}, [][]float64{{1, 2, 3, 4}}, false, "centroid 1 has length 3, want 4", ErrLength},
+		{"nan-centroid", [][]float64{{1, 2, 3, 4}, {math.NaN(), 2, 3, 4}}, [][]float64{{1, 2, 3, 4}}, false, "centroid 1 has a non-finite value at position 0", ErrNonFinite},
+		{"empty-centroids", [][]float64{{}}, [][]float64{{}}, false, "centroid 0 has length 0", ErrLength},
+		{"overflowing-query", centroids, [][]float64{{1, 2, 3, 4}, huge}, true, "query 1 has no finite SBD to any centroid", ErrNoFiniteDistance},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "kshape:") || !strings.Contains(msg, tc.want) {
+				err, _ := recover().(error)
+				if !errors.Is(err, tc.sentinel) {
+					t.Fatalf("panic = %v, want an error wrapping %v", err, tc.sentinel)
+				}
+				if msg := err.Error(); !strings.HasPrefix(msg, "kshape:") || !strings.Contains(msg, tc.want) {
 					t.Fatalf("panic = %q, want a kshape: message containing %q", msg, tc.want)
 				}
 			}()
@@ -276,17 +327,25 @@ func TestClusterRejectsBadInput(t *testing.T) {
 	// Ragged lengths.
 	if _, err := Cluster([][]float64{{1, 2, 3}, {1, 2}}, 2, Options{}); err == nil {
 		t.Error("ragged input accepted")
+	} else if !errors.Is(err, ErrLength) {
+		t.Errorf("ragged input: %v, want ErrLength", err)
 	}
 	// Non-finite values.
 	if _, err := Cluster([][]float64{{1, math.NaN(), 3}, {1, 2, 3}}, 2, Options{}); err == nil {
 		t.Error("NaN input accepted")
+	} else if !errors.Is(err, ErrNonFinite) {
+		t.Errorf("NaN input: %v, want ErrNonFinite", err)
 	}
 	if _, err := Cluster([][]float64{{1, math.Inf(1), 3}, {1, 2, 3}}, 2, Options{}); err == nil {
 		t.Error("Inf input accepted")
+	} else if !errors.Is(err, ErrNonFinite) {
+		t.Errorf("Inf input: %v, want ErrNonFinite", err)
 	}
 	// Zero-length series.
 	if _, err := Cluster([][]float64{{}, {}}, 2, Options{}); err == nil {
 		t.Error("zero-length series accepted")
+	} else if !errors.Is(err, ErrLength) {
+		t.Errorf("zero-length series: %v, want ErrLength", err)
 	}
 }
 
@@ -376,10 +435,14 @@ func TestEstimateKFindsTrueK(t *testing.T) {
 func TestEstimateKErrors(t *testing.T) {
 	if _, _, err := EstimateK([][]float64{{1, 2}}, 3, Options{}); err == nil {
 		t.Error("too few series accepted")
+	} else if !errors.Is(err, ErrBadK) {
+		t.Errorf("too few series: %v, want ErrBadK", err)
 	}
 	data, _ := twoShapeClasses(5, 16, 22)
 	if _, _, err := EstimateK(data, 1, Options{}); err == nil {
 		t.Error("kMax < 2 accepted")
+	} else if !errors.Is(err, ErrBadK) {
+		t.Errorf("kMax < 2: %v, want ErrBadK", err)
 	}
 	// kMax beyond n-1 is clamped, not an error.
 	if _, _, err := EstimateK(data[:4], 10, Options{Seed: 1}); err != nil {
@@ -388,17 +451,21 @@ func TestEstimateKErrors(t *testing.T) {
 	// Bad rows are rejected before normalization (and before the SBD
 	// matrix), naming the raw row and position.
 	bad := []struct {
-		name string
-		data [][]float64
-		want string
+		name     string
+		data     [][]float64
+		want     string
+		sentinel error
 	}{
-		{"ragged", [][]float64{{1, 2, 3, 4}, {2, 3, 4}, {1, 3, 2, 4}, {4, 3, 2, 1}}, "series 1 has length 3, want 4"},
-		{"NaN", [][]float64{{1, 2, 3, 4}, {2, math.NaN(), 4, 5}, {1, 3, 2, 4}, {4, 3, 2, 1}}, "series 1 has a non-finite value at position 1"},
+		{"ragged", [][]float64{{1, 2, 3, 4}, {2, 3, 4}, {1, 3, 2, 4}, {4, 3, 2, 1}}, "series 1 has length 3, want 4", ErrLength},
+		{"NaN", [][]float64{{1, 2, 3, 4}, {2, math.NaN(), 4, 5}, {1, 3, 2, 4}, {4, 3, 2, 1}}, "series 1 has a non-finite value at position 1", ErrNonFinite},
 	}
 	for _, tc := range bad {
 		_, _, err := EstimateK(tc.data, 3, Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s input: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if !errors.Is(err, tc.sentinel) {
+			t.Errorf("%s input: err = %v, want %v", tc.name, err, tc.sentinel)
 		}
 	}
 }
@@ -440,6 +507,8 @@ func TestClusterRestartsPicksBetterOptimum(t *testing.T) {
 	}
 	if _, err := ClusterRestarts(nil, 2, 0, Options{}); err == nil {
 		t.Error("empty data accepted")
+	} else if !errors.Is(err, ErrNoData) {
+		t.Errorf("empty data: %v, want ErrNoData", err)
 	}
 }
 
@@ -489,35 +558,36 @@ func TestClassify1NNPrunedPairsAccountForEveryPair(t *testing.T) {
 
 func TestClassify1NNErrors(t *testing.T) {
 	train, labels := twoShapeClasses(3, 16, 43)
-	if _, err := Classify1NN(nil, nil, train, "ED", false); err == nil {
-		t.Error("empty train accepted")
+	// rejected checks one rejection: an error that wraps sentinel.
+	rejected := func(what string, err, sentinel error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s accepted", what)
+		} else if !errors.Is(err, sentinel) {
+			t.Errorf("%s: %v, want %v", what, err, sentinel)
+		}
 	}
-	if _, err := Classify1NN(train, labels[:2], train, "ED", false); err == nil {
-		t.Error("misaligned labels accepted")
-	}
-	if _, err := Classify1NN(train, labels, train, "bogus", false); err == nil {
-		t.Error("unknown measure accepted")
-	}
+	_, err := Classify1NN(nil, nil, train, "ED", false)
+	rejected("empty train", err, ErrNoData)
+	_, err = Classify1NN(train, labels[:2], train, "ED", false)
+	rejected("misaligned labels", err, ErrLabelCount)
+	_, err = Classify1NN(train, labels, train, "bogus", false)
+	rejected("unknown measure", err, ErrUnknownMeasure)
 	nanQuery := append([]float64(nil), train[0]...)
 	nanQuery[3] = math.NaN()
-	if _, err := Classify1NN(train, labels, [][]float64{nanQuery}, "SBD", false); err == nil {
-		t.Error("NaN query accepted")
-	}
-	if _, err := Classify1NN(train, labels, [][]float64{train[0][:2]}, "SBD", false); err == nil {
-		t.Error("wrong-length query accepted")
-	}
-	if _, err := Classify1NN([][]float64{train[0], train[1][:4]}, labels[:2], train, "ED", false); err == nil {
-		t.Error("ragged training set accepted")
-	}
-	if _, err := Classify1NN([][]float64{{}}, labels[:1], [][]float64{{}}, "SBD", false); err == nil {
-		t.Error("zero-length series accepted")
-	}
+	_, err = Classify1NN(train, labels, [][]float64{nanQuery}, "SBD", false)
+	rejected("NaN query", err, ErrNonFinite)
+	_, err = Classify1NN(train, labels, [][]float64{train[0][:2]}, "SBD", false)
+	rejected("wrong-length query", err, ErrLength)
+	_, err = Classify1NN([][]float64{train[0], train[1][:4]}, labels[:2], train, "ED", false)
+	rejected("ragged training set", err, ErrLength)
+	_, err = Classify1NN([][]float64{{}}, labels[:1], [][]float64{{}}, "SBD", false)
+	rejected("zero-length series", err, ErrLength)
 	// Finite but unnormalized extremes overflow every ED to +Inf, leaving
 	// the query without a nearest neighbour.
 	huge := [][]float64{{1e200, -1e200, 1e200}}
-	if _, err := Classify1NN(huge, labels[:1], [][]float64{{-1e200, 1e200, -1e200}}, "ED", true); err == nil {
-		t.Error("query with no finite distance accepted")
-	}
+	_, err = Classify1NN(huge, labels[:1], [][]float64{{-1e200, 1e200, -1e200}}, "ED", true)
+	rejected("query with no finite distance", err, ErrNoFiniteDistance)
 }
 
 func TestClusterOnIterationAndTrace(t *testing.T) {
@@ -559,6 +629,28 @@ func TestClusterOnIterationAndTrace(t *testing.T) {
 	for i, it := range tr.Iterations {
 		if it.Iteration != i+1 {
 			t.Errorf("trace iteration %d numbered %d", i, it.Iteration)
+		}
+	}
+}
+
+// TestClusterLoggerDebugRecords pins Options.Logger: enabled at debug
+// level it receives one "refinement iteration" record per iteration, and
+// above debug level none.
+func TestClusterLoggerDebugRecords(t *testing.T) {
+	data, _ := twoShapeClasses(10, 32, 5)
+	for _, level := range []slog.Level{slog.LevelDebug, slog.LevelInfo} {
+		var buf bytes.Buffer
+		logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: level}))
+		res, err := Cluster(data, 2, Options{Seed: 1, Logger: logger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if level == slog.LevelDebug {
+			want = res.Iterations
+		}
+		if got := strings.Count(buf.String(), `msg="refinement iteration"`); got != want {
+			t.Errorf("level %v: %d iteration records, want %d", level, got, want)
 		}
 	}
 }
