@@ -23,7 +23,8 @@ test-short:
 # Race-detector pass over the deterministic parallel substrate
 # (internal/par) and every package that computes through it: the Lloyd /
 # k-Shape engines, distance-matrix builds, PAM/spectral scans, 1-NN
-# evaluation, the atomic counters in internal/obs, and the public API.
+# evaluation, the kernel counters and the flight recorder's lock in
+# internal/obs, and the public API.
 # The experiment sweeps are too slow for a full race pass; the two sweep
 # tests cover the per-dataset matrices Table 4's units share under
 # par.For and the one-worker rule.

@@ -78,7 +78,7 @@ func ShapeExtractionShifted(members [][]float64, shifts []int) []float64 {
 	}
 	w.reset(len(members), m)
 	cen := make([]float64, m)
-	w.extract(cen, members, shifts)
+	w.centroid(cen, members, shifts)
 	pool.Put(w)
 	return cen
 }
@@ -121,8 +121,21 @@ func (w *shapeWork) reset(n, m int) {
 	w.zsum = w.zsum[:m]
 }
 
-// extract runs steps 2-4 of Algorithm 2 on rows shifted by shifts (nil:
-// all 0), which w was reset for, and writes the centroid into cen.
+// centroid runs steps 2-4 of Algorithm 2 on rows shifted by shifts (nil:
+// all 0), which w was reset for, and writes the centroid into cen. When
+// the power iteration stops at its step cap, which happens when the two
+// leading eigenvalues nearly tie, the exact eigenvector of the same
+// matrix replaces its estimate.
+func (w *shapeWork) centroid(cen []float64, rows [][]float64, shifts []int) {
+	if !w.extract(cen, rows, shifts) {
+		_, v := w.gram.Exact()
+		w.orient(cen, v)
+	}
+}
+
+// extract is centroid's allocation-free kernel: it writes the power
+// iteration's centroid into cen and reports whether the iteration met its
+// residual rule.
 //
 // Each member is shifted into its row of A, z-normalized there once, and
 // then centered: shifting introduces zero padding that perturbs mean and
@@ -131,7 +144,7 @@ func (w *shapeWork) reset(n, m int) {
 // closer orientation exactly when (Σₜ zₜ)·c < 0.
 //
 //kshape:hotpath
-func (w *shapeWork) extract(cen []float64, rows [][]float64, shifts []int) {
+func (w *shapeWork) extract(cen []float64, rows [][]float64, shifts []int) bool {
 	zsum := w.zsum
 	clear(zsum)
 	for t, x := range rows {
@@ -150,10 +163,17 @@ func (w *shapeWork) extract(cen []float64, rows [][]float64, shifts []int) {
 			a[j] -= mu
 		}
 	}
-	_, v := w.gram.Dominant()
+	_, v, converged := w.gram.Dominant()
+	w.orient(cen, v)
+	return converged
+}
+
+// orient writes the unit eigenvector v into cen z-normalized, with the
+// sign that correlates positively with the members' sum.
+func (w *shapeWork) orient(cen, v []float64) {
 	copy(cen, v)
 	ts.ZNormalizeInPlace(cen)
-	if ts.Dot(zsum, cen) < 0 {
+	if ts.Dot(w.zsum, cen) < 0 {
 		for i := range cen {
 			cen[i] = -cen[i]
 		}

@@ -3,6 +3,7 @@ package avg
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -12,12 +13,13 @@ import (
 	"kshape/internal/ts"
 )
 
-// extractWith runs the shape-extraction kernel on a fresh workspace.
+// extractWith runs shape extraction, the power-iteration kernel and its
+// exact fallback, on a fresh workspace.
 func extractWith(rows [][]float64) []float64 {
 	var w shapeWork
 	w.reset(len(rows), len(rows[0]))
 	cen := make([]float64, len(rows[0]))
-	w.extract(cen, rows, nil)
+	w.centroid(cen, rows, nil)
 	return cen
 }
 
@@ -28,6 +30,21 @@ func shapesCluster(seed int64) [][]float64 {
 		Name: "shapes", M: 64, TrainPerClass: 100, Noise: 0.3, MaxShift: 8, WarpFrac: 0.05, Seed: seed,
 		Classes: []dataset.ClassProto{dataset.SineProto(2, 0), dataset.SquareProto(2)},
 	}).Train)[:100]
+}
+
+// shiftedSines returns n noisy copies of a sine of f periods per m
+// samples, with phases spread evenly over ±delta radians.
+func shiftedSines(n, m int, f, delta float64) [][]float64 {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]float64, n)
+	for t := range rows {
+		phase := delta * (2*float64(t)/float64(n-1) - 1)
+		rows[t] = make([]float64, m)
+		for i := range rows[t] {
+			rows[t][i] = math.Sin(2*math.Pi*f*float64(i)/float64(m)+phase) + 0.05*rng.NormFloat64()
+		}
+	}
+	return rows
 }
 
 // constantRows returns n all-constant members of length m, which
@@ -67,6 +84,9 @@ func clusterCases() map[string][][]float64 {
 		"square-64x64":        shapes[:64],
 		"narrow-32x64":        shapes[:32],
 		"narrow-63x64":        shapes[:63],
+		// Sines shifted across ±1.4 rad: λ₂/λ₁ is about 0.987, so the
+		// power iteration stops at its step cap and the exact solve runs.
+		"sines-12x32": shiftedSines(12, 32, 1.5, 1.4),
 	}
 }
 

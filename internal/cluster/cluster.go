@@ -40,11 +40,7 @@ func Run(c Clusterer, data [][]float64, cfg core.Config) (*core.Result, error) {
 	// algorithm that produced them; the engines publish the per-iteration
 	// progress snapshots between BeginRun and EndRun.
 	rec.RecordMark("method:" + c.Name())
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = core.DefaultMaxIterations
-	}
-	rec.BeginRun(c.Name(), len(data), cfg.K, maxIter)
+	rec.BeginRun(c.Name(), len(data), cfg.K, cfg.IterationCap())
 	res, err := c.Cluster(data, cfg)
 	if err == nil {
 		rec.EndRun(res.Converged)

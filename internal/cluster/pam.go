@@ -48,16 +48,12 @@ func (p *PAM) ClusterWithMatrix(data [][]float64, d [][]float64, cfg core.Config
 		return nil, err
 	}
 	n, k := len(data), cfg.K
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = core.DefaultMaxIterations
-	}
 	medoids := cfg.Rand.Perm(n)[:k]
 	labels := make([]int, n)
 	prev := make([]int, n)
 	cost, best := make([]float64, n), make([]float64, k)
 	res := &core.Result{}
-	for iter := 0; iter < maxIter; iter++ {
+	for iter, maxIter := 0, cfg.IterationCap(); iter < maxIter; iter++ {
 		copy(prev, labels)
 		// Assignment: nearest medoid, in parallel across points (the
 		// medoid scan is ascending with a strict comparison, so labels

@@ -58,6 +58,15 @@ type Config struct {
 	Workers int
 }
 
+// IterationCap is the refinement loop's iteration cap: MaxIterations, or
+// DefaultMaxIterations when that is 0 (or negative).
+func (c Config) IterationCap() int {
+	if c.MaxIterations <= 0 {
+		return DefaultMaxIterations
+	}
+	return c.MaxIterations
+}
+
 // Result reports a clustering.
 type Result struct {
 	// Labels assigns each input series to a cluster in [0, K).
@@ -153,10 +162,6 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 	for i := range labels {
 		labels[i] = cfg.Rand.Intn(k)
 	}
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
 
 	// One recorder load per run: every span, iteration mark and progress
 	// snapshot of this run lands on the recorder armed when it started.
@@ -180,7 +185,7 @@ func iterate(data [][]float64, cfg Config, newStep func(*loop) step) (*Result, e
 	res := &Result{Labels: labels, Centroids: r.centroids}
 	prev := make([]int, n)
 	fill := make([]int, k)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter, maxIter := 0, cfg.IterationCap(); iter < maxIter; iter++ {
 		copy(prev, labels)
 		r.group(fill)
 

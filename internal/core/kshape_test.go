@@ -279,6 +279,16 @@ func TestLloydMaxIterationsRespected(t *testing.T) {
 	}
 }
 
+func TestConfigIterationCap(t *testing.T) {
+	for _, tc := range []struct{ max, want int }{
+		{0, DefaultMaxIterations}, {-3, DefaultMaxIterations}, {1, 1}, {250, 250},
+	} {
+		if got := (Config{MaxIterations: tc.max}).IterationCap(); got != tc.want {
+			t.Errorf("MaxIterations %d: IterationCap() = %d, want %d", tc.max, got, tc.want)
+		}
+	}
+}
+
 func TestKShapeSpecializedMatchesGenericLloyd(t *testing.T) {
 	// The optimized batched-FFT implementation must reproduce the generic
 	// engine exactly for the same initial assignment.

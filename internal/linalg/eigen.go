@@ -11,7 +11,8 @@ import (
 // residual ‖Su − λu‖/λ is at most powerTol, which bounds the angle to the
 // dominant eigenvector by about powerTol·λ₁/(λ₁ − λ₂). Rounding in one
 // matrix-vector product stays well below powerTol at the sizes shape
-// extraction sees; powerMaxIter caps the steps when λ₂/λ₁ is near 1.
+// extraction sees. powerMaxIter caps the steps when λ₂/λ₁ is near 1, and
+// Gram.Exact then takes the pair from EigenDecompose instead.
 const (
 	powerMaxIter = 1000
 	powerTol     = 1e-12

@@ -39,7 +39,7 @@ func dominant(rows [][]float64) (float64, []float64) {
 	for t, x := range rows {
 		copy(g.Row(t), x)
 	}
-	lambda, v := g.Dominant()
+	lambda, v, _ := g.Dominant()
 	return lambda, append([]float64(nil), v...)
 }
 
@@ -176,6 +176,61 @@ func TestDominantMatchesFullDecomposition(t *testing.T) {
 			if c := math.Abs(dot(vp, vf)); 1-c > 1e-9 {
 				t.Errorf("trial %d rows=%d: eigenvectors misaligned, 1-|cos| = %v", trial, len(b), 1-c)
 			}
+		}
+	}
+}
+
+// orthonormalRows returns n orthonormal rows of length n, by
+// Gram-Schmidt on Gaussian rows.
+func orthonormalRows(n int, rng *rand.Rand) [][]float64 {
+	q := randFactor(n, rng)[:n]
+	for i, qi := range q {
+		for _, qj := range q[:i] {
+			d := dot(qi, qj)
+			for k := range qi {
+				qi[k] -= d * qj[k]
+			}
+		}
+		normalize(qi)
+	}
+	return q
+}
+
+// TestGramExactAfterStepCap builds factors whose two leading eigenvalues
+// are 1 and 0.9999, so the power iteration stops at its step cap, on
+// both sides of n = m: rows Σₖ Q[i][k]·√wₖ·basisₖ for orthonormal Q and
+// basis give M = Σₖ wₖ·basisₖbasisₖᵀ and K = Q·diag(w)·Qᵀ. Exact must
+// then return the pair EigenDecompose gives for M.
+func TestGramExactAfterStepCap(t *testing.T) {
+	const m = 6
+	rng := rand.New(rand.NewSource(3))
+	basis := orthonormalRows(m, rng)
+	weights := []float64{1, 0.9999, 0.5, 0.3, 0.2, 0.1}
+	for _, n := range []int{m, 3} {
+		q := orthonormalRows(n, rng)
+		var g Gram
+		g.Reset(n, m)
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = g.Row(i)
+			for k := range n {
+				for j := range rows[i] {
+					rows[i][j] += q[i][k] * math.Sqrt(weights[k]) * basis[k][j]
+				}
+			}
+		}
+		if _, _, converged := g.Dominant(); converged {
+			t.Fatalf("n=%d: the power iteration converged at λ₂/λ₁ = 0.9999; the check is vacuous", n)
+		}
+		lambda, v := g.Exact()
+		if math.Abs(lambda-1) > 1e-12 {
+			t.Errorf("n=%d: Exact eigenvalue = %v, want 1", n, lambda)
+		}
+		if c := math.Abs(dot(v, basis[0])); 1-c > 1e-9 {
+			t.Errorf("n=%d: Exact eigenvector misaligned with basis 0, 1-|cos| = %v", n, 1-c)
+		}
+		if r := residual(gramOf(rows), lambda, v); r > 1e-12 {
+			t.Errorf("n=%d: Exact residual ‖Mv − λv‖ = %v", n, r)
 		}
 	}
 }

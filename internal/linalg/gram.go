@@ -55,9 +55,11 @@ func (g *Gram) Row(t int) []float64 { return g.a[t*g.m : (t+1)*g.m] }
 // component along the dominant eigenvector unless A is zero; then the
 // eigenvalue is 0 and the vector e₁, since any unit vector is an
 // eigenvector. The start vector depends on A alone, so equal factors
-// give bit-identical results. The vector aliases g's storage and is valid
-// until g is next used.
-func (g *Gram) Dominant() (float64, []float64) {
+// give bit-identical results. converged is false when the iteration
+// stopped at its step cap before its residual rule held (λ₂/λ₁ near 1);
+// Exact then gives the exact pair. The vector aliases g's storage and is
+// valid until g is next used.
+func (g *Gram) Dominant() (lambda float64, v []float64, converged bool) {
 	if g.n < g.m {
 		g.formOuter()
 	} else {
@@ -66,15 +68,33 @@ func (g *Gram) Dominant() (float64, []float64) {
 	if !g.seed() {
 		clear(g.v)
 		g.v[0] = 1
-		return 0, g.v
+		return 0, g.v, true
 	}
-	lambda := g.iterate()
+	lambda, converged = g.iterate()
+	return lambda, g.eigenvector(), converged
+}
+
+// Exact returns the dominant eigenpair of M from EigenDecompose of the
+// matrix the preceding Dominant call formed, for when its power
+// iteration did not converge. It allocates, unlike Dominant. The vector
+// aliases g's storage and is valid until g is next used.
+func (g *Gram) Exact() (float64, []float64) {
+	vals, vecs := EigenDecompose(&g.s)
+	top := len(vals) - 1
+	copy(g.u, vecs[top])
+	return vals[top], g.eigenvector()
+}
+
+// eigenvector returns M's unit eigenvector for the iterated matrix's
+// eigenvector in g.u: u itself when g iterates on M, or Aᵀu normalized
+// when it iterates on K.
+func (g *Gram) eigenvector() []float64 {
 	if g.n >= g.m {
-		return lambda, g.u
+		return g.u
 	}
 	g.mulT(g.v, g.u)
 	normalize(g.v)
-	return lambda, g.v
+	return g.v
 }
 
 // formOuter fills K = AAᵀ: entry (s, t) is the dot product of rows s and
@@ -165,11 +185,10 @@ func (g *Gram) mulT(dst, y []float64) {
 // leaving the eigenvector estimate in g.u, and returns its eigenvalue,
 // the Rayleigh quotient λ = uᵀSu. It stops when the relative residual
 // ‖Su − λu‖ ≤ powerTol·λ, which the step's own product Su gives without
-// another one, or after powerMaxIter steps. An iterate in the null space
-// has residual 0 and stops with eigenvalue 0.
-func (g *Gram) iterate() float64 {
+// another one, or after powerMaxIter steps; converged reports which. An
+// iterate in the null space has residual 0 and stops with eigenvalue 0.
+func (g *Gram) iterate() (lambda float64, converged bool) {
 	u, next := g.u, g.next
-	lambda := 0.0
 	iters := 0
 	for iters < powerMaxIter {
 		iters++
@@ -181,6 +200,7 @@ func (g *Gram) iterate() float64 {
 			res += d * d
 		}
 		if math.Sqrt(res) <= powerTol*lambda {
+			converged = true
 			break
 		}
 		normalize(next)
@@ -188,5 +208,5 @@ func (g *Gram) iterate() float64 {
 	}
 	g.u, g.next = u, next
 	obs.Add(obs.CounterEigenIterations, int64(iters))
-	return lambda
+	return lambda, converged
 }

@@ -1,8 +1,8 @@
 package lint
 
-// atomicinv enforces the two invariants the lock-free layers (the flight
-// recorder's atomic.Pointer ring and its live-progress snapshot pointer,
-// the obs counters) depend on:
+// atomicinv enforces the two invariants atomically shared state (the obs
+// kernel counters, their switch and the installed-recorder pointer)
+// depends on:
 //
 //  1. Atomicity is all-or-nothing. A variable or struct field accessed
 //     anywhere through sync/atomic — the function-style API

@@ -29,8 +29,7 @@ import (
 // either complete or reports its error.
 func WritePrometheus(dst io.Writer) error {
 	var w strings.Builder
-	rec := ActiveRecorder()
-	snap, live := rec.Progress()
+	active, phases, snap, live := ActiveRecorder().scrape()
 	c := ReadCounters()
 	fmt.Fprintln(&w, "# HELP kshape_kernel_ops_total Kernel operation counts (FFT transforms, distance evaluations, eigensolver iterations, reseeds).")
 	fmt.Fprintln(&w, "# TYPE kshape_kernel_ops_total counter")
@@ -42,7 +41,7 @@ func WritePrometheus(dst io.Writer) error {
 	fmt.Fprintln(&w, "# TYPE kshape_telemetry_enabled gauge")
 	fmt.Fprintf(&w, "kshape_telemetry_enabled %d\n", boolToInt(Enabled()))
 
-	fmt.Fprintf(&w, "# TYPE kshape_active_workers gauge\nkshape_active_workers %d\n", rec.activeWorkerCount())
+	fmt.Fprintf(&w, "# TYPE kshape_active_workers gauge\nkshape_active_workers %d\n", active)
 	fmt.Fprintf(&w, "# TYPE kshape_current_iteration gauge\nkshape_current_iteration %d\n", snap.Iteration)
 
 	if sizes := snap.ClusterSizes; len(sizes) > 0 {
@@ -55,7 +54,7 @@ func WritePrometheus(dst io.Writer) error {
 
 	fmt.Fprintln(&w, "# HELP kshape_phase_duration_seconds Latency of the instrumented hot phases.")
 	fmt.Fprintln(&w, "# TYPE kshape_phase_duration_seconds histogram")
-	for _, h := range rec.phaseSnapshots() {
+	for _, h := range phases {
 		cum := int64(0)
 		for i, n := range h.Buckets {
 			cum += n
@@ -80,6 +79,18 @@ func WritePrometheus(dst io.Writer) error {
 		info["version"], info["revision"], info["go"])
 	_, err := io.WriteString(dst, w.String())
 	return err
+}
+
+// scrape reads, under one lock, the recorder state WritePrometheus
+// renders: the active-workers gauge, the phase histograms and the latest
+// progress snapshot. A nil recorder reads as idle, with no snapshot.
+func (r *Recorder) scrape() (active int64, phases []HistogramSnapshot, snap Progress, live bool) {
+	if r == nil {
+		return 0, r.phaseSnapshots(), Progress{}, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.activeWorkers, r.phaseSnapshots(), r.progress.snap, r.progress.snap.Seq > 0
 }
 
 func boolToInt(b bool) int {

@@ -179,11 +179,11 @@ func TestGaugeLifecycle(t *testing.T) {
 	r := armRecorder(t)
 	r.AddActiveWorkers(3)
 	r.AddActiveWorkers(2)
-	if v := r.activeWorkerCount(); v != 5 {
+	if v, _, _, _ := r.scrape(); v != 5 {
 		t.Errorf("active workers = %d, want 5", v)
 	}
 	r.AddActiveWorkers(-5)
-	if v := r.activeWorkerCount(); v != 0 {
+	if v, _, _, _ := r.scrape(); v != 0 {
 		t.Errorf("active workers = %d, want 0 after balanced add/subtract", v)
 	}
 	scrape := func() string {

@@ -1,15 +1,12 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // The latency histograms use fixed log-scaled bucket boundaries: bound i
 // covers durations in (bound[i-1], bound[i]] nanoseconds, with bound[i] =
 // 1µs·2^i. The final (implicit +Inf) bucket absorbs everything above the
-// last finite bound (~33.6s). Fixed boundaries keep recording lock-free —
-// one atomic add per sample — and make snapshots from different processes
+// last finite bound (~33.6s). Fixed boundaries keep recording to a bucket
+// scan and three adds, and make snapshots from different processes
 // directly comparable.
 const (
 	histFirstBound  = int64(1000) // 1µs
@@ -29,15 +26,13 @@ var histBounds = func() [numFiniteBounds]int64 {
 	return b
 }()
 
-// Histogram is a lock-free latency histogram over the package's fixed
-// log-scaled bucket boundaries. The zero value is ready to use. Recording
-// is a bucket scan plus three atomic adds; snapshots are taken bucket by
-// bucket without locking, so a snapshot racing with writers may be off by
-// the samples in flight (never torn per bucket).
+// Histogram is a latency histogram over the package's fixed log-scaled
+// bucket boundaries. The zero value is ready to use. It is not safe for
+// concurrent use; a Recorder guards its phase histograms with its mutex.
 type Histogram struct {
-	buckets [numHistoBuckets]atomic.Int64
-	count   atomic.Int64
-	sumNS   atomic.Int64
+	buckets [numHistoBuckets]int64
+	count   int64
+	sumNS   int64
 }
 
 // Observe records one duration in nanoseconds. Negative durations clamp to
@@ -46,9 +41,9 @@ func (h *Histogram) Observe(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.buckets[bucketIndex(ns)].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(ns)
+	h.buckets[bucketIndex(ns)]++
+	h.count++
+	h.sumNS += ns
 }
 
 // bucketIndex returns the bucket for a duration: the first finite bound
@@ -64,14 +59,7 @@ func bucketIndex(ns int64) int {
 
 // Snapshot captures the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
-	s.Count = h.count.Load()
-	s.SumNS = h.sumNS.Load()
-	s.Buckets = make([]int64, numHistoBuckets)
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	return s
+	return HistogramSnapshot{Count: h.count, SumNS: h.sumNS, Buckets: append([]int64(nil), h.buckets[:]...)}
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram. Buckets[i]
@@ -223,7 +211,7 @@ func StartPhase(p Phase) func() {
 var idleHistogram Histogram
 
 // phaseSnapshots snapshots r's phase histograms in Phase order; a nil
-// recorder reports every phase empty.
+// recorder reports every phase empty. The caller holds r.mu.
 func (r *Recorder) phaseSnapshots() []HistogramSnapshot {
 	out := make([]HistogramSnapshot, numPhases)
 	for p := Phase(0); p < numPhases; p++ {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 )
@@ -99,59 +98,6 @@ func TestHistogramBucketBoundsCoverObserved(t *testing.T) {
 	}
 	if total != int64(len(samples)) {
 		t.Errorf("bucket total = %d, want %d", total, len(samples))
-	}
-}
-
-// TestHistogramQuantileMonotoneUnderConcurrentRecording drives concurrent
-// writers while repeatedly snapshotting, asserting that within every
-// snapshot the quantile estimates are monotone (p50 <= p95 <= p99) and the
-// bucket total equals the count — i.e. snapshots are internally consistent
-// even while racing with writers. Run under -race this also proves the
-// lock-free recording path is data-race free.
-func TestHistogramQuantileMonotoneUnderConcurrentRecording(t *testing.T) {
-	var h Histogram
-	const writers = 8
-	const perWriter = 5000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			ns := seed*7919 + 1
-			for i := 0; i < perWriter; i++ {
-				ns = (ns*6364136223846793005 + 1442695040888963407) % int64(40*time.Second)
-				if ns < 0 {
-					ns = -ns
-				}
-				h.Observe(ns)
-			}
-		}(int64(w))
-	}
-	go func() { wg.Wait(); close(stop) }()
-
-	for {
-		s := h.Snapshot()
-		p50, p95, p99 := s.P50(), s.P95(), s.P99()
-		if p50 > p95 || p95 > p99 {
-			t.Fatalf("quantiles not monotone: p50=%g p95=%g p99=%g", p50, p95, p99)
-		}
-		select {
-		case <-stop:
-			final := h.Snapshot()
-			if final.Count != writers*perWriter {
-				t.Fatalf("final count = %d, want %d", final.Count, writers*perWriter)
-			}
-			var total int64
-			for _, c := range final.Buckets {
-				total += c
-			}
-			if total != final.Count {
-				t.Fatalf("bucket total %d != count %d", total, final.Count)
-			}
-			return
-		default:
-		}
 	}
 }
 

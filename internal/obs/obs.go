@@ -12,10 +12,11 @@
 //   - SetRecorder installs the flight recorder (Recorder), the single
 //     telemetry record of a run: its phase latency histograms, event ring,
 //     per-worker pool attribution, runtime samples, run gauges, live
-//     progress and the experiment sweeps' per-run records. /metrics,
-//     /progress, the run report, the timeline and the dashboard all
-//     render from it. Without a recorder each engine hook
-//     costs one atomic pointer load.
+//     progress and the experiment sweeps' per-run records, all guarded
+//     by one mutex, so any read is consistent, mid-run or after it.
+//     /metrics, /progress, the run report, the timeline and the dashboard
+//     all render from it. Without a recorder each engine hook costs one
+//     atomic pointer load.
 //
 // Alongside them sit the monotonic-clock stopwatch and the per-iteration
 // refinement statistics. The package is standard-library only.
@@ -139,59 +140,50 @@ type Counters struct {
 	SBDPruned           int64 `json:"sbd_pruned"`
 }
 
+// fields returns pointers to c's fields in Counter order, the one table
+// ReadCounters, Sub, Each and Total loop over.
+func (c *Counters) fields() [numCounters]*int64 {
+	return [numCounters]*int64{
+		&c.FFT, &c.IFFT, &c.SBD, &c.ED, &c.DTW,
+		&c.EigenIterations, &c.EigenDecompositions, &c.ShapeExtractions,
+		&c.Reseeds, &c.SBDPruned,
+	}
+}
+
 // ReadCounters snapshots the current counter values.
 func ReadCounters() Counters {
-	return Counters{
-		FFT:                 counters[CounterFFT].v.Load(),
-		IFFT:                counters[CounterIFFT].v.Load(),
-		SBD:                 counters[CounterSBD].v.Load(),
-		ED:                  counters[CounterED].v.Load(),
-		DTW:                 counters[CounterDTW].v.Load(),
-		EigenIterations:     counters[CounterEigenIterations].v.Load(),
-		EigenDecompositions: counters[CounterEigenDecompositions].v.Load(),
-		ShapeExtractions:    counters[CounterShapeExtractions].v.Load(),
-		Reseeds:             counters[CounterReseeds].v.Load(),
-		SBDPruned:           counters[CounterSBDPruned].v.Load(),
+	var c Counters
+	for i, f := range c.fields() {
+		*f = counters[i].v.Load()
 	}
+	return c
 }
 
 // Sub returns the component-wise difference c - prev: the counts accrued
 // between two snapshots.
 func (c Counters) Sub(prev Counters) Counters {
-	return Counters{
-		FFT:                 c.FFT - prev.FFT,
-		IFFT:                c.IFFT - prev.IFFT,
-		SBD:                 c.SBD - prev.SBD,
-		ED:                  c.ED - prev.ED,
-		DTW:                 c.DTW - prev.DTW,
-		EigenIterations:     c.EigenIterations - prev.EigenIterations,
-		EigenDecompositions: c.EigenDecompositions - prev.EigenDecompositions,
-		ShapeExtractions:    c.ShapeExtractions - prev.ShapeExtractions,
-		Reseeds:             c.Reseeds - prev.Reseeds,
-		SBDPruned:           c.SBDPruned - prev.SBDPruned,
+	p := prev.fields()
+	for i, f := range c.fields() {
+		*f -= *p[i]
 	}
+	return c
 }
 
 // Each calls fn once per counter in declaration order, with the counter's
 // snake_case name — the iteration primitive behind the Prometheus, slog,
 // and bench-JSON exports.
 func (c Counters) Each(fn func(name string, value int64)) {
-	fn("fft", c.FFT)
-	fn("ifft", c.IFFT)
-	fn("sbd", c.SBD)
-	fn("ed", c.ED)
-	fn("dtw", c.DTW)
-	fn("eigen_iterations", c.EigenIterations)
-	fn("eigen_decompositions", c.EigenDecompositions)
-	fn("shape_extractions", c.ShapeExtractions)
-	fn("reseeds", c.Reseeds)
-	fn("sbd_pruned", c.SBDPruned)
+	for i, f := range c.fields() {
+		fn(counterNames[i], *f)
+	}
 }
 
 // Total returns the sum of every counter — a quick "did anything get
 // measured" check.
 func (c Counters) Total() int64 {
-	return c.FFT + c.IFFT + c.SBD + c.ED + c.DTW +
-		c.EigenIterations + c.EigenDecompositions + c.ShapeExtractions + c.Reseeds +
-		c.SBDPruned
+	total := int64(0)
+	for _, f := range c.fields() {
+		total += *f
+	}
+	return total
 }

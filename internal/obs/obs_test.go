@@ -148,7 +148,7 @@ func TestRecordRunConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	runs := rec.runRecords()
+	runs := rec.Report("obs_test", "", nil, Counters{}).Runs
 	if len(runs) != 32 {
 		t.Fatalf("got %d records, want 32", len(runs))
 	}

@@ -3,17 +3,15 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // This file implements the recorder's live-progress state: the engine's
-// IterationStats stream becomes (1) an atomically published Progress
-// snapshot that every live reader — the TTY line, /metrics and the
-// /progress Server-Sent-Events stream — polls without locks, and (2) a
-// bounded iteration history the dashboard renders after the run. The
-// hooks (BeginRun, PublishIteration, EndRun) are no-ops on a nil
+// IterationStats stream becomes (1) the latest Progress snapshot, which
+// every live reader — the TTY line, /metrics and the /progress
+// Server-Sent-Events stream — copies out under the recorder's lock, and
+// (2) a bounded iteration history the dashboard renders after the run.
+// The hooks (BeginRun, PublishIteration, EndRun) are no-ops on a nil
 // recorder. Publication is observation only — it never feeds back into
 // the clustering, so results are bit-identical with a recorder armed or
 // not.
@@ -28,10 +26,9 @@ const (
 	ProgressPhaseDone = "done"
 )
 
-// Progress is one immutable snapshot of a clustering run's state. The
-// recorder stores a fresh value per event; readers get a consistent
-// view from a single atomic load (the slices are never mutated after
-// publication).
+// Progress is one snapshot of a clustering run's state. The recorder
+// builds a fresh value per event and readers get a copy; its slices are
+// never mutated after publication.
 type Progress struct {
 	// Seq increases by one per published snapshot, so pollers can detect
 	// missed updates.
@@ -74,19 +71,12 @@ type Progress struct {
 // the cap keep the newest entries; HistoryDropped counts the evictions.
 const maxProgressHistory = 1 << 12
 
-// progressState is the live-progress part of a Recorder. The snapshot is
-// published atomically; everything else is guarded by mu.
+// progressState is the live-progress part of a Recorder, guarded by the
+// recorder's mutex.
 type progressState struct {
-	snap atomic.Pointer[Progress]
-	seq  atomic.Int64
-
-	mu      sync.Mutex
+	snap    Progress // the latest snapshot; Seq is 0 before the first
 	history []IterationStats
 	dropped int64
-	method  string
-	series  int
-	k       int
-	maxIter int
 }
 
 // BeginRun resets the live progress for a new run and publishes an
@@ -97,12 +87,11 @@ func (r *Recorder) BeginRun(method string, series, k, maxIterations int) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	p := &r.progress
-	p.mu.Lock()
-	p.method, p.series, p.k, p.maxIter = method, series, k, maxIterations
 	p.history = p.history[:0]
 	p.dropped = 0
-	p.mu.Unlock()
 	r.publish(Progress{
 		Method: method, Phase: ProgressPhaseInit,
 		Series: series, K: k, MaxIterations: maxIterations,
@@ -116,8 +105,9 @@ func (r *Recorder) PublishIteration(st IterationStats) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	p := &r.progress
-	p.mu.Lock()
 	if len(p.history) >= maxProgressHistory {
 		copy(p.history, p.history[1:])
 		p.history = p.history[:maxProgressHistory-1]
@@ -132,10 +122,11 @@ func (r *Recorder) PublishIteration(st IterationStats) {
 		churn[t] = h.LabelChurn
 	}
 	diag := Diagnose(churn[:len(tail)])
-	next := Progress{
-		Method: p.method, Phase: ProgressPhaseIterating,
-		Series: p.series, K: p.k,
-		Iteration: st.Iteration, MaxIterations: p.maxIter,
+	cur := p.snap // the run identity BeginRun published
+	r.publish(Progress{
+		Method: cur.Method, Phase: ProgressPhaseIterating,
+		Series: cur.Series, K: cur.K,
+		Iteration: st.Iteration, MaxIterations: cur.MaxIterations,
 		Inertia: st.Inertia, InertiaDelta: st.InertiaDelta,
 		LabelChurn:       st.LabelChurn,
 		ClusterSizes:     append([]int(nil), st.ClusterSizes...),
@@ -144,9 +135,7 @@ func (r *Recorder) PublishIteration(st IterationStats) {
 		SilhouetteSample: st.SilhouetteSample,
 		Stalled:          diag.Stalled, Oscillating: diag.Oscillating,
 		ETAIterations: diag.ETAIterations,
-	}
-	p.mu.Unlock()
-	r.publish(next)
+	})
 }
 
 // EndRun publishes the terminal snapshot, carrying the last iteration's
@@ -156,53 +145,45 @@ func (r *Recorder) EndRun(converged bool) {
 	if r == nil {
 		return
 	}
-	p := &r.progress
-	p.mu.Lock()
-	next := Progress{Method: p.method, Phase: ProgressPhaseDone, ETAIterations: -1}
-	p.mu.Unlock()
-	if cur := p.snap.Load(); cur != nil {
-		next = *cur
-		next.Phase = ProgressPhaseDone
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	next := r.progress.snap
+	next.Phase = ProgressPhaseDone
 	next.Converged = converged
 	if converged {
 		next.ETAIterations = 0
+	} else if next.Seq == 0 {
+		next.ETAIterations = -1
 	}
 	r.publish(next)
 }
 
-// publish stamps and stores one snapshot. Each call stores a fresh
-// pointer, so a reader that remembers the last pointer it saw detects any
-// newer snapshot by comparison alone.
+// publish stamps next with the following sequence number and the
+// recorder clock and makes it the latest snapshot. The caller holds r.mu.
 func (r *Recorder) publish(next Progress) {
-	p := &r.progress
-	next.Seq = p.seq.Add(1)
+	next.Seq = r.progress.snap.Seq + 1
 	next.UpdatedNS = r.NowNS()
-	p.snap.Store(&next)
+	r.progress.snap = next
 }
 
-// Progress returns the latest published snapshot; ok is false before the
-// first publication and on a nil recorder. The call is a single atomic
-// load plus a copy.
+// Progress returns a copy of the latest published snapshot; ok is false
+// before the first publication and on a nil recorder.
 func (r *Recorder) Progress() (snap Progress, ok bool) {
 	if r == nil {
 		return Progress{}, false
 	}
-	if cur := r.progress.snap.Load(); cur != nil {
-		return *cur, true
-	}
-	return Progress{}, false
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.progress.snap, r.progress.snap.Seq > 0
 }
 
 // History returns a copy of the retained iteration history (oldest
 // first) and how many early iterations were evicted past the cap.
 func (r *Recorder) History() (stats []IterationStats, dropped int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	p := &r.progress
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]IterationStats, len(p.history))
-	copy(out, p.history)
-	return out, p.dropped
+	return append([]IterationStats(nil), p.history...), p.dropped
 }
 
 // DefaultProgressHeartbeat is the SSE comment-ping interval when no
@@ -210,8 +191,9 @@ func (r *Recorder) History() (stats []IterationStats, dropped int64) {
 const DefaultProgressHeartbeat = 15 * time.Second
 
 // progressPollInterval is how often a /progress stream reads the active
-// recorder's snapshot: one atomic load, so cheap enough to poll often
-// enough that a run of a few tens of milliseconds still shows progress.
+// recorder's snapshot: one short critical section, so cheap enough to
+// poll often enough that a run of a few tens of milliseconds still shows
+// progress.
 const progressPollInterval = 10 * time.Millisecond
 
 // ProgressHandler returns the /progress Server-Sent-Events handler. Each
@@ -248,19 +230,21 @@ func progressHandler(heartbeat time.Duration) http.Handler {
 
 		ticker := time.NewTicker(progressPollInterval)
 		defer ticker.Stop()
-		var last *Progress
+		// The last snapshot sent: a recorder's Seq only grows, so a
+		// snapshot is new when its recorder or its Seq differs.
+		var lastRec *Recorder
+		var lastSeq int64
 		lastWrite := time.Now()
 		for {
 			var frame []byte
-			if cur := ActiveRecorder(); cur != nil {
-				if snap := cur.progress.snap.Load(); snap != nil && snap != last {
-					data, err := json.Marshal(snap)
-					if err != nil {
-						return
-					}
-					frame = append(append([]byte("data: "), data...), '\n', '\n')
-					last = snap
+			cur := ActiveRecorder()
+			if snap, ok := cur.Progress(); ok && (cur != lastRec || snap.Seq != lastSeq) {
+				data, err := json.Marshal(snap)
+				if err != nil {
+					return
 				}
+				frame = append(append([]byte("data: "), data...), '\n', '\n')
+				lastRec, lastSeq = cur, snap.Seq
 			}
 			if frame == nil && time.Since(lastWrite) >= heartbeat {
 				frame = []byte(": heartbeat\n\n")

@@ -9,27 +9,25 @@ import (
 )
 
 // This file implements the flight recorder, the single telemetry record of
-// a run: a bounded, lock-free ring of timestamped events (phase
-// enter/exit spans, iteration boundaries, per-worker chunk spans,
-// free-form marks), one latency histogram per instrumented phase, the
-// active-workers gauge, the live progress (progress.go), a background
-// runtime sampler (heap in use, cumulative allocations, GC pause totals,
-// goroutine count) and a per-worker attribution table fed by
-// internal/par. Together they answer the question the aggregate counters
-// cannot: *where inside the run* the time went — which worker, which
-// phase, and whether the pool was busy or waiting.
+// a run: a bounded ring of timestamped events (phase enter/exit spans,
+// iteration boundaries, per-worker chunk spans, free-form marks), one
+// latency histogram per instrumented phase, the active-workers gauge, the
+// live progress (progress.go), a background runtime sampler (heap in use,
+// cumulative allocations, GC pause totals, goroutine count), the
+// experiment sweeps' per-run records and a per-worker attribution table
+// fed by internal/par. Together they answer the question the aggregate
+// counters cannot: *where inside the run* the time went — which worker,
+// which phase, and whether the pool was busy or waiting.
 //
 // One recorder is active per process at a time (SetRecorder). Every
 // engine hook loads it once through ActiveRecorder and calls the hook
 // method on the result; those methods are no-ops on a nil *Recorder, so a
 // process without a recorder pays one atomic pointer load per hook,
-// mirroring the Enabled() contract of the counters. Event slots are
-// claimed with one atomic add and published with one atomic pointer
-// store, so recording never locks and two writers lapping each other on
-// the ring (overwrite-oldest) never race; the ring keeps the most recent
-// events and counts evictions. Read the events at quiescence (after the
-// run finishes) — Report is the sanctioned reader — since only then is the
-// retained window a consistent prefix-free tail.
+// mirroring the Enabled() contract of the counters. One mutex guards all
+// of a recorder's state. Events fire per chunk, phase and iteration, not
+// per item (a few hundred per clustering run), so the lock is rarely
+// contended, and every reader (Report, Progress, History, /metrics) sees
+// a consistent state whether or not the run has finished.
 
 // EventKind discriminates the flight-recorder event types.
 type EventKind uint8
@@ -77,56 +75,31 @@ type Event struct {
 	Label  string
 }
 
-// maxRecorderWorkers bounds the per-worker attribution table. Worker IDs
-// at or above the bound fold into the last slot (and are counted), so a
-// misconfigured pool cannot index out of bounds.
-const maxRecorderWorkers = 256
-
-// workerAccum aggregates one pool worker's lifetime totals. All fields are
-// atomically updated; padding keeps concurrent workers off each other's
-// cache lines.
-type workerAccum struct {
-	chunks atomic.Int64
-	items  atomic.Int64
-	busyNS atomic.Int64
-	waitNS atomic.Int64
-	wallNS atomic.Int64
-	_      [24]byte
-}
-
 // Recorder is the per-run flight recorder. Create one with NewRecorder,
-// install it with SetRecorder, and read it back with Report after the run.
-// Recording methods are safe for concurrent use; Events and Report must
-// only be called when no writers are active.
+// install it with SetRecorder, and read it back with Report. Every method
+// is safe for concurrent use.
 type Recorder struct {
-	start    Stopwatch
-	slots    []atomic.Pointer[Event]
-	mask     int64
-	next     atomic.Int64
-	workers  [maxRecorderWorkers]workerAccum
-	overflow atomic.Int64 // worker IDs folded into the last slot
+	start Stopwatch // immutable after NewRecorder
+
+	mu       sync.Mutex
+	events   []Event // the ring: grows to eventCap, then wraps
+	eventCap int
+	recorded int64         // events ever recorded; once full, the oldest is at recorded % eventCap
+	workers  []WorkerStats // indexed by pool worker ID
 
 	phases        [numPhases]Histogram // one latency histogram per Phase
-	activeWorkers atomic.Int64         // pool goroutines running now
+	activeWorkers int64                // pool goroutines running now
 	progress      progressState        // live progress (progress.go)
 
-	samples struct {
-		sync.Mutex
-		s       []RuntimeSample
-		dropped int64
-	}
-	runs struct { // experiment unit-of-work records (RecordRun)
-		sync.Mutex
-		r []RunRecord
-	}
+	samples        []RuntimeSample
+	samplesDropped int64
 	sampleInterval time.Duration
-	samplerStop    chan struct{}
-	samplerDone    chan struct{}
+	runs           []RunRecord // experiment unit-of-work records (RecordRun)
 }
 
 // Recorder sizing defaults.
 const (
-	// DefaultEventCapacity is the ring size NewRecorder(0) allocates.
+	// DefaultEventCapacity is the ring size NewRecorder(0) allows.
 	DefaultEventCapacity = 1 << 13
 	// maxRuntimeSamples bounds the sampler's memory; later samples are
 	// dropped (and counted) rather than growing without bound.
@@ -135,23 +108,15 @@ const (
 	DefaultSampleInterval = 20 * time.Millisecond
 )
 
-// NewRecorder builds a recorder whose event ring holds at least capacity
-// events (rounded up to a power of two); capacity <= 0 means
-// DefaultEventCapacity. The recorder's clock starts at the moment of the
-// call.
+// NewRecorder builds a recorder whose event ring holds the newest
+// capacity events; capacity <= 0 means DefaultEventCapacity. The ring
+// grows as events arrive, so a short run never allocates the full
+// capacity. The recorder's clock starts at the moment of the call.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
-	return &Recorder{
-		start: NewStopwatch(),
-		slots: make([]atomic.Pointer[Event], size),
-		mask:  int64(size - 1),
-	}
+	return &Recorder{start: NewStopwatch(), eventCap: capacity}
 }
 
 // activeRecorder is the process-global recorder the instrumented call
@@ -172,14 +137,15 @@ func ActiveRecorder() *Recorder { return activeRecorder.Load() }
 // NewRecorder).
 func (r *Recorder) NowNS() int64 { return r.start.ElapsedNS() }
 
-// record claims the next ring slot and publishes ev into it with an
-// atomic pointer store (one small allocation per event — events fire per
-// chunk/phase/iteration, not per item, so this is off the hot path). When
-// the ring is full the oldest event is overwritten; Evicted reports how
-// many.
-func (r *Recorder) record(ev Event) {
-	i := r.next.Add(1) - 1
-	r.slots[i&r.mask].Store(&ev)
+// push appends ev to the ring, overwriting the oldest event once the ring
+// is full. The caller holds r.mu.
+func (r *Recorder) push(ev Event) {
+	if len(r.events) < r.eventCap {
+		r.events = append(r.events, ev)
+	} else {
+		r.events[r.recorded%int64(r.eventCap)] = ev
+	}
+	r.recorded++
 }
 
 // RecordPhaseSpan records a phase span that ended at the moment of the
@@ -191,16 +157,13 @@ func (r *Recorder) RecordPhaseSpan(p Phase, durNS int64) {
 	if r == nil {
 		return
 	}
-	if durNS < 0 {
-		durNS = 0
-	}
+	durNS = max(durNS, 0)
+	at := max(r.NowNS()-durNS, 0)
+	r.mu.Lock()
 	r.phases[p].Observe(durNS)
-	at := r.NowNS() - durNS
-	if at < 0 {
-		at = 0
-	}
-	r.record(Event{AtNS: at, Kind: EventPhaseEnter, Phase: p, Worker: -1})
-	r.record(Event{AtNS: at + durNS, DurNS: durNS, Kind: EventPhaseExit, Phase: p, Worker: -1})
+	r.push(Event{AtNS: at, Kind: EventPhaseEnter, Phase: p, Worker: -1})
+	r.push(Event{AtNS: at + durNS, DurNS: durNS, Kind: EventPhaseExit, Phase: p, Worker: -1})
+	r.mu.Unlock()
 }
 
 // RecordIteration marks a completed refinement iteration (1-based). It is
@@ -227,123 +190,85 @@ func (r *Recorder) RecordMark(label string) {
 func (r *Recorder) RecordChunk(worker, lo, hi int, startNS, durNS int64) {
 	r.record(Event{
 		AtNS: startNS, DurNS: durNS, Kind: EventChunk,
-		Worker: int32(clampWorker(worker)), Lo: int32(lo), Hi: int32(hi),
+		Worker: int32(worker), Lo: int32(lo), Hi: int32(hi),
 	})
+}
+
+// record pushes one event under r.mu.
+func (r *Recorder) record(ev Event) {
+	r.mu.Lock()
+	r.push(ev)
+	r.mu.Unlock()
 }
 
 // AddWorkerSpan folds one pool invocation's per-worker totals into the
 // lifetime attribution table: chunks executed, items covered, time spent
 // inside chunk bodies (busy), time spent waiting for work or on pool
 // startup/teardown (wait), and the worker's wall time for the invocation
-// (busy + wait, by construction).
+// (busy + wait, by construction). worker is the pool worker ID (>= 0);
+// the table grows to the highest ID reported.
 func (r *Recorder) AddWorkerSpan(worker int, chunks, items, busyNS, waitNS, wallNS int64) {
-	w := clampWorker(worker)
-	if w != worker {
-		r.overflow.Add(1)
+	r.mu.Lock()
+	for len(r.workers) <= worker {
+		r.workers = append(r.workers, WorkerStats{Worker: len(r.workers)})
 	}
-	acc := &r.workers[w]
-	acc.chunks.Add(chunks)
-	acc.items.Add(items)
-	acc.busyNS.Add(busyNS)
-	acc.waitNS.Add(waitNS)
-	acc.wallNS.Add(wallNS)
+	w := &r.workers[worker]
+	w.Chunks += chunks
+	w.Items += items
+	w.BusyNS += busyNS
+	w.WaitNS += waitNS
+	w.WallNS += wallNS
+	r.mu.Unlock()
 }
 
 // AddActiveWorkers moves the count of pool goroutines running now by
 // delta; the pool adds its size on entry and subtracts it on exit.
-func (r *Recorder) AddActiveWorkers(delta int64) { r.activeWorkers.Add(delta) }
-
-// activeWorkerCount reads the running-goroutine gauge; zero on a nil
-// recorder.
-func (r *Recorder) activeWorkerCount() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.activeWorkers.Load()
+func (r *Recorder) AddActiveWorkers(delta int64) {
+	r.mu.Lock()
+	r.activeWorkers += delta
+	r.mu.Unlock()
 }
 
-func clampWorker(w int) int {
-	if w < 0 {
-		return 0
-	}
-	if w >= maxRecorderWorkers {
-		return maxRecorderWorkers - 1
-	}
-	return w
-}
-
-// Events returns the retained events in append order (oldest first). Call
-// at quiescence for a consistent window: racing writers cannot tear a
-// slot (stores are atomic), but a claimed-not-yet-published slot reads as
-// its previous occupant.
-func (r *Recorder) Events() []Event {
-	total := r.next.Load()
-	size := int64(len(r.slots))
-	appendSlot := func(out []Event, i int64) []Event {
-		if p := r.slots[i].Load(); p != nil {
-			out = append(out, *p)
-		}
-		return out
-	}
-	if total <= size {
-		out := make([]Event, 0, total)
-		for i := int64(0); i < total; i++ {
-			out = appendSlot(out, i)
-		}
-		return out
-	}
-	out := make([]Event, 0, size)
-	head := total & r.mask // oldest retained slot
-	for i := head; i < size; i++ {
-		out = appendSlot(out, i)
-	}
-	for i := int64(0); i < head; i++ {
-		out = appendSlot(out, i)
-	}
-	return out
-}
-
-// Evicted reports how many events the ring has overwritten.
-func (r *Recorder) Evicted() int64 {
-	total := r.next.Load()
-	if size := int64(len(r.slots)); total > size {
-		return total - size
-	}
-	return 0
+// orderedEvents returns a copy of the retained events in append order
+// (oldest first). The caller holds r.mu. Until the ring is full, head is
+// len(r.events), so the first part is empty.
+func (r *Recorder) orderedEvents() []Event {
+	head := int(r.recorded % int64(r.eventCap))
+	return append(append(make([]Event, 0, len(r.events)), r.events[head:]...), r.events[:head]...)
 }
 
 // StartSampler launches the background runtime sampler at the given
 // interval (<= 0 means DefaultSampleInterval) and returns the function
-// that stops it (idempotent is not required; call exactly once). One
-// sample is taken immediately and one at stop, so even sub-interval runs
-// report at least two samples. The sampler goroutine touches no
-// clustering state — it only reads runtime statistics — so determinism of
-// the computation is unaffected.
+// that stops it (call it exactly once). One sample is taken immediately
+// and one at stop, so even sub-interval runs report at least two samples.
+// The sampler goroutine touches no clustering state — it only reads
+// runtime statistics — so determinism of the computation is unaffected.
 func (r *Recorder) StartSampler(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = DefaultSampleInterval
 	}
+	r.mu.Lock()
 	r.sampleInterval = interval
-	r.samplerStop = make(chan struct{})
-	r.samplerDone = make(chan struct{})
+	r.mu.Unlock()
+	quit, done := make(chan struct{}), make(chan struct{})
 	r.sample()
 	//lint:ignore goroutine runtime-stats sampler lifetime, not data-path fan-out
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
-		defer close(r.samplerDone)
+		defer close(done)
 		for {
 			select {
 			case <-t.C:
 				r.sample()
-			case <-r.samplerStop:
+			case <-quit:
 				return
 			}
 		}
 	}()
 	return func() {
-		close(r.samplerStop)
-		<-r.samplerDone
+		close(quit)
+		<-done
 		r.sample()
 	}
 }
@@ -383,21 +308,11 @@ func (r *Recorder) sample() {
 		NumGC:           uint32(gc.NumGC),
 		Goroutines:      int(v(5)),
 	}
-	r.samples.Lock()
-	if len(r.samples.s) < maxRuntimeSamples {
-		r.samples.s = append(r.samples.s, s)
+	r.mu.Lock()
+	if len(r.samples) < maxRuntimeSamples {
+		r.samples = append(r.samples, s)
 	} else {
-		r.samples.dropped++
+		r.samplesDropped++
 	}
-	r.samples.Unlock()
-}
-
-// Samples returns a copy of the runtime samples taken so far and the
-// number dropped past the cap.
-func (r *Recorder) Samples() (samples []RuntimeSample, dropped int64) {
-	r.samples.Lock()
-	defer r.samples.Unlock()
-	out := make([]RuntimeSample, len(r.samples.s))
-	copy(out, r.samples.s)
-	return out, r.samples.dropped
+	r.mu.Unlock()
 }

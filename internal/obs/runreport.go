@@ -92,16 +92,9 @@ func (r *Recorder) RecordRun(rec RunRecord) {
 	if r == nil {
 		return
 	}
-	r.runs.Lock()
-	r.runs.r = append(r.runs.r, rec)
-	r.runs.Unlock()
-}
-
-// runRecords returns a copy of the recorded runs.
-func (r *Recorder) runRecords() []RunRecord {
-	r.runs.Lock()
-	defer r.runs.Unlock()
-	return append([]RunRecord(nil), r.runs.r...)
+	r.mu.Lock()
+	r.runs = append(r.runs, rec)
+	r.mu.Unlock()
 }
 
 // PhaseStats summarizes one phase histogram.
@@ -173,15 +166,16 @@ type RecorderStats struct {
 	Samples          int   `json:"samples"`
 	SamplesDropped   int64 `json:"samples_dropped"`
 	SampleIntervalMS int64 `json:"sample_interval_ms"`
-	WorkerOverflow   int64 `json:"worker_overflow,omitempty"`
 }
 
-// Report assembles the run report at quiescence: call it after the
-// measured work (and the sampler's stop function) has finished. counters
-// should be the delta over the recorded window (ReadCounters().Sub of the
-// snapshot taken when recording began).
+// Report assembles the run report from one consistent view of the
+// recorder; after the measured work (and the sampler's stop function) has
+// finished it covers the whole run. counters should be the delta over the
+// recorded window (ReadCounters().Sub of the snapshot taken when
+// recording began).
 func (r *Recorder) Report(tool, runID string, args []string, counters Counters) RunReport {
-	samples, sampleDrops := r.Samples()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	rep := RunReport{
 		Schema:         RunReportSchema,
 		Tool:           tool,
@@ -192,17 +186,16 @@ func (r *Recorder) Report(tool, runID string, args []string, counters Counters) 
 		Counters:       counters,
 		Phases:         phaseStats(r.phaseSnapshots()),
 		Workers:        r.workerStats(),
-		Runs:           r.runRecords(),
-		RuntimeSamples: samples,
-		Events:         reportEvents(r.Events()),
+		Runs:           append([]RunRecord(nil), r.runs...),
+		RuntimeSamples: append([]RuntimeSample(nil), r.samples...),
+		Events:         reportEvents(r.orderedEvents()),
 		Recorder: RecorderStats{
-			EventCapacity:    len(r.slots),
-			EventsRecorded:   r.next.Load(),
-			EventsEvicted:    r.Evicted(),
-			Samples:          len(samples),
-			SamplesDropped:   sampleDrops,
+			EventCapacity:    r.eventCap,
+			EventsRecorded:   r.recorded,
+			EventsEvicted:    r.recorded - int64(len(r.events)),
+			Samples:          len(r.samples),
+			SamplesDropped:   r.samplesDropped,
 			SampleIntervalMS: r.sampleInterval.Milliseconds(),
-			WorkerOverflow:   r.overflow.Load(),
 		},
 	}
 	rep.Pool = poolStats(rep.Workers)
@@ -222,19 +215,11 @@ func phaseStats(hs []HistogramSnapshot) []PhaseStats {
 }
 
 // workerStats flattens the attribution table into one row per worker
-// that executed at least one chunk or recorded wall time.
+// that executed at least one chunk or recorded wall time. The caller
+// holds r.mu.
 func (r *Recorder) workerStats() []WorkerStats {
 	var out []WorkerStats
-	for w := 0; w < maxRecorderWorkers; w++ {
-		acc := &r.workers[w]
-		ws := WorkerStats{
-			Worker: w,
-			Chunks: acc.chunks.Load(),
-			Items:  acc.items.Load(),
-			BusyNS: acc.busyNS.Load(),
-			WaitNS: acc.waitNS.Load(),
-			WallNS: acc.wallNS.Load(),
-		}
+	for _, ws := range r.workers {
 		if ws.Chunks != 0 || ws.WallNS != 0 {
 			out = append(out, ws)
 		}
@@ -326,7 +311,7 @@ func (r *RunReport) Validate() error {
 		}
 	}
 	for _, w := range r.Workers {
-		if w.Worker < 0 || w.Worker >= maxRecorderWorkers {
+		if w.Worker < 0 {
 			return fmt.Errorf("worker ID %d out of range", w.Worker)
 		}
 		if w.BusyNS < 0 || w.WaitNS < 0 || w.WallNS < 0 {

@@ -115,8 +115,8 @@ func TestChunkEventsCoverRangeExactly(t *testing.T) {
 		})
 		covered := make([]int, n)
 		events := 0
-		for _, e := range rec.Events() {
-			if e.Kind != obs.EventChunk {
+		for _, e := range rec.Report("par_test", "", nil, obs.Counters{}).Events {
+			if e.Kind != obs.EventChunk.String() {
 				continue
 			}
 			events++
