@@ -84,6 +84,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz='^FuzzSBD$$' -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -fuzz='^FuzzDTWBand$$' -fuzztime=$(FUZZTIME) ./internal/dist/
+	$(GO) test -fuzz='^FuzzScanCC$$' -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -fuzz='^FuzzFFTRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/fft/
 	$(GO) test -fuzz='^FuzzRFFT$$' -fuzztime=$(FUZZTIME) ./internal/fft/
 	$(GO) test -fuzz='^FuzzRFFTBitIdentical$$' -fuzztime=$(FUZZTIME) ./internal/fft/

@@ -92,3 +92,25 @@ func TestPairwiseIntoRowLoopAllocFree(t *testing.T) {
 		t.Errorf("pairwise row loop allocates %v per run, want 0", n)
 	}
 }
+
+func TestSBDNearestBlockAllocFree(t *testing.T) {
+	// One steady-state block of SBDNearest: forward transforms, the
+	// reference-major bound pass and every query's evaluation, at each
+	// block size from one query to a full block.
+	_, b := allocBatch(8, 128, 8)
+	rng := rand.New(rand.NewSource(9))
+	queries := make([][]float64, nearestBlock)
+	for i := range queries {
+		queries[i] = ts.ZNormalize(randSeries(128, rng))
+	}
+	block, sc := b.newBlock(nearestBlock), b.Scratch()
+	out := make([]int, nearestBlock)
+	i := 0
+	if n := testing.AllocsPerRun(50, func() {
+		k := 1 + i%nearestBlock
+		b.nearestInBlock(block[:k], queries[:k], out[:k], sc)
+		i++
+	}); n != 0 {
+		t.Errorf("a block of SBDNearest allocates %v per run, want 0", n)
+	}
+}

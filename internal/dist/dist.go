@@ -10,8 +10,11 @@
 // internal/fft (fft.Plan): one-shot pairs through RFFT.Correlate, fixed
 // collections through the spectrum cache SBDBatch. Both share one
 // denominator (nccDen), one zero-norm convention (degenerate), and one
-// lag scan (scanCC), so a per-pair SBD equals the batch result bit for
-// bit.
+// lag scan (scanCC, four independent lanes that reproduce the one-lane
+// ascending scan's first maximum), so a per-pair SBD equals the batch
+// result bit for bit. SBD 1-NN (SBDNearest) bounds its queries in blocks:
+// one reference-major pass computes each reference's spectrum magnitudes
+// once per block for the spectral lower bound that prunes exact SBDs.
 package dist
 
 import (

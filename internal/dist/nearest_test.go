@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kshape/internal/dist"
+	"kshape/internal/obs"
 	"kshape/internal/testkit"
 	"kshape/internal/ts"
 )
@@ -65,6 +66,119 @@ func TestNearestTieGoesToSmallerIndex(t *testing.T) {
 		idx, d := query.Nearest()
 		if idx != 2 {
 			t.Fatalf("Nearest = %d (SBD %v), want 2 among the exact ties 2, 5, 7", idx, d)
+		}
+	}
+}
+
+// TestBlockBoundsMatchBlockOfOne pins SBDNearest's bound pass to
+// Nearest's on the degenerate-heavy NearestCase input: each query's bound
+// row is the same bits as the one-query loop the block pass replaced,
+// whether it runs in a block of one or in a block of any size up to
+// NearestBlock (a tail block included). Refs and queries
+// are also scaled out of [MinBoundNorm, MaxBoundNorm], where every
+// non-degenerate pair's bound must be −Inf.
+func TestBlockBoundsMatchBlockOfOne(t *testing.T) {
+	scales := []struct{ refs, queries float64 }{{1, 1}, {1e-105, 1}, {1, 1e105}, {1e-105, 1e-105}, {1e105, 1e-105}}
+	unbounded := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		refs0, queries0 := testkit.NewGen(seed).NearestCase()
+		for _, sc := range scales {
+			refs, queries := scaleAll(refs0, sc.refs), scaleAll(append(queries0, refs0...), sc.queries)
+			b := dist.NewSBDBatch(refs)
+			want := make([][]float64, len(queries))
+			for j, q := range queries {
+				query := b.Query(q)
+				want[j] = query.LowerBounds()
+				for i, lb := range query.OneQueryLowerBounds() {
+					if math.Float64bits(lb) != math.Float64bits(want[j][i]) {
+						t.Fatalf("seed %d scales %v query %d series %d: block of one %v, one-query loop %v",
+							seed, sc, j, i, want[j][i], lb)
+					}
+				}
+				unbounded += checkUnboundable(t, seed, want[j], ts.Norm(q), refs)
+			}
+			for size := 1; size <= dist.NearestBlock; size++ {
+				for lo := 0; lo < len(queries); lo += size {
+					hi := min(lo+size, len(queries))
+					for j, row := range b.BlockLowerBounds(queries[lo:hi]) {
+						for i, lb := range row {
+							if math.Float64bits(lb) != math.Float64bits(want[lo+j][i]) {
+								t.Fatalf("seed %d scales %v block size %d query %d series %d: bound %v, block of one %v",
+									seed, sc, size, lo+j, i, lb, want[lo+j][i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if unbounded == 0 {
+		t.Fatal("no pair fell outside the bound's norm range")
+	}
+}
+
+// checkUnboundable fails unless every pair of a query (of norm qn) and a
+// series, one of them with a norm outside [MinBoundNorm, MaxBoundNorm],
+// has bound −Inf, or 1 when the pair's denominator is zero. It returns the
+// number of −Inf pairs.
+func checkUnboundable(t *testing.T, seed int64, row []float64, qn float64, refs [][]float64) int {
+	t.Helper()
+	n := 0
+	bounded := func(norm float64) bool { return norm >= dist.MinBoundNorm && norm <= dist.MaxBoundNorm }
+	for i, lb := range row {
+		xn := ts.Norm(refs[i])
+		switch {
+		case qn*xn == 0:
+			if lb != 1 {
+				t.Fatalf("seed %d series %d: degenerate pair has bound %v, want 1", seed, i, lb)
+			}
+		case !bounded(qn) || !bounded(xn):
+			if !math.IsInf(lb, -1) {
+				t.Fatalf("seed %d series %d: norms %v, %v outside the bound range, bound %v, want -Inf", seed, i, qn, xn, lb)
+			}
+			n++
+		}
+	}
+	return n
+}
+
+func scaleAll(rows [][]float64, s float64) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = ts.Scale(r, s)
+	}
+	return out
+}
+
+// TestSBDNearestMatchesPerQueryNearest: SBDNearest, which bounds its
+// queries in blocks, returns per-query Nearest's indices at every worker
+// count, with the same evaluated and pruned pair counts.
+func TestSBDNearestMatchesPerQueryNearest(t *testing.T) {
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	for seed := int64(1); seed <= 200; seed++ {
+		refs, queries := testkit.NewGen(seed).NearestCase()
+		queries = append(queries, refs...)
+		b := dist.NewSBDBatch(refs)
+		before := obs.ReadCounters()
+		want := make([]int, len(queries))
+		for j, q := range queries {
+			want[j], _ = b.Query(q).Nearest()
+		}
+		wantC := obs.ReadCounters().Sub(before)
+		for _, w := range []int{1, 2, 8} {
+			before := obs.ReadCounters()
+			got := dist.SBDNearest(refs, queries, w)
+			c := obs.ReadCounters().Sub(before)
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("seed %d workers %d query %d: SBDNearest %d, Nearest %d", seed, w, j, got[j], want[j])
+				}
+			}
+			if c.SBD != wantC.SBD || c.SBDPruned != wantC.SBDPruned {
+				t.Fatalf("seed %d workers %d: sbd %d sbd_pruned %d, per-query Nearest %d and %d",
+					seed, w, c.SBD, c.SBDPruned, wantC.SBD, wantC.SBDPruned)
+			}
 		}
 	}
 }

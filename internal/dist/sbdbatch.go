@@ -15,21 +15,25 @@ import (
 // amortized over at least this many rows/queries per worker handoff, so a
 // chunk claim (one atomic add plus a cache-line bounce) never dominates the
 // O(m log m) kernel work inside it. Larger floors would under-split small
-// inputs and starve the dynamic balancing on skewed loops.
+// inputs and starve the dynamic balancing on skewed loops. The 1-NN floor
+// is one query block, so a chunk is whole blocks plus at most one tail.
 const (
 	pairwiseMinRows  = 2
-	nearestMinPerJob = 4
+	nearestMinPerJob = nearestBlock
 )
+
+// nearestBlock is the number of queries SBDNearest bounds in one
+// reference-major pass (see lowerBounds): each reference's spectrum
+// magnitudes are computed once per block instead of once per query.
+const nearestBlock = 4
 
 // SBDBatch precomputes the real-input (RFFT) half-spectra of a fixed
 // collection of equal-length series so that repeated SBD computations
 // against changing queries (the k-Shape assignment and alignment steps,
 // where the data is fixed and only centroids move) need just one forward
 // transform per query and one half-size inverse transform per pair, instead
-// of three full-size FFTs per pair. The half-spectrum layout stores only
-// bins 0..l/2 (the rest is the conjugate mirror), halving both the
-// transform work and the cached bytes relative to the previous full-
-// spectrum cache.
+// of three full-size FFTs per pair. Each cached spectrum holds only bins
+// 0..l/2; the rest is the conjugate mirror.
 //
 // The precomputed spectra are read-only after construction, so one batch is
 // shared by any number of goroutines; all mutable per-computation state
@@ -124,8 +128,8 @@ type SBDQuery struct {
 	spec  []complex128 // RFFT(q), not conjugated
 	norm  float64
 	own   *SBDScratch
-	mag   []float64 // l/2+1: w_k·|Q_k|/l, filled by Nearest
-	lb    []float64 // Len: Nearest's lower bound per batch series
+	mag   []float64 // l/2+1: w_k·|Q_k|/l, filled by lowerBounds
+	lb    []float64 // Len: the lower bound of SBD(q, x_i), filled by lowerBounds
 }
 
 // Query prepares q (length m) for repeated distance computations against
@@ -139,23 +143,55 @@ func (b *SBDBatch) Query(q []float64) *SBDQuery { return b.QueryInto(nil, q) }
 //
 //	queries[j] = batch.QueryInto(queries[j], centroids[j])
 func (b *SBDBatch) QueryInto(dst *SBDQuery, q []float64) *SBDQuery {
-	if len(q) != b.m {
-		panic(fmt.Sprintf("dist: SBDBatch query length %d, want %d", len(q), b.m))
-	}
+	b.checkQuery(q)
 	if dst == nil {
 		dst = &SBDQuery{}
 	}
 	if dst.batch != b || dst.own == nil {
-		dst.batch = b
 		sl := b.plan.SpectrumLen()
-		dst.spec = make([]complex128, sl)
+		dst.reset(b, make([]complex128, sl), make([]float64, sl+len(b.spec)))
 		dst.own = b.Scratch()
-		bound := make([]float64, sl+len(b.spec))
-		dst.mag, dst.lb = bound[:sl], bound[sl:]
 	}
-	b.plan.Forward(q, dst.spec, dst.own.work)
-	dst.norm = ts.Norm(q)
+	dst.prepare(q, dst.own)
 	return dst
+}
+
+// checkQuery panics unless q has the batch's series length.
+func (b *SBDBatch) checkQuery(q []float64) {
+	if len(q) != b.m {
+		panic(fmt.Sprintf("dist: SBDBatch query length %d, want %d", len(q), b.m))
+	}
+}
+
+// reset makes s a query of batch b with no owned scratch, its spectrum in
+// spec (l/2+1 bins) and its bound buffers in bound (l/2+1+Len values).
+func (s *SBDQuery) reset(b *SBDBatch, spec []complex128, bound []float64) {
+	sl := len(spec)
+	*s = SBDQuery{batch: b, spec: spec, mag: bound[:sl:sl], lb: bound[sl:]}
+}
+
+// newBlock allocates n (at most nearestBlock) queries of the batch for
+// SBDNearest, without owned scratches: their spectra share one slab and
+// their bound buffers another.
+func (b *SBDBatch) newBlock(n int) []*SBDQuery {
+	sl := b.plan.SpectrumLen()
+	row := sl + len(b.spec)
+	spec := make([]complex128, n*sl)
+	bound := make([]float64, n*row)
+	qs := make([]SBDQuery, n)
+	block := make([]*SBDQuery, n)
+	for j := range block {
+		qs[j].reset(b, spec[j*sl:(j+1)*sl:(j+1)*sl], bound[j*row:(j+1)*row:(j+1)*row])
+		block[j] = &qs[j]
+	}
+	return block
+}
+
+// prepare transforms q (of the batch's length) into s, using sc's
+// workspace.
+func (s *SBDQuery) prepare(q []float64, sc *SBDScratch) {
+	s.batch.plan.Forward(q, s.spec, sc.work)
+	s.norm = ts.Norm(q)
 }
 
 // Distance returns SBD(q, x_i) and the shift aligning x_i toward q
@@ -203,24 +239,42 @@ func (s *SBDQuery) DistanceScratch(i int, sc *SBDScratch) (dist float64, shift i
 // l/2+1 magnitudes of the cached spectrum and multiply-adds, against an
 // inverse transform and a lag scan for an exact SBD.
 //
-// The first pass computes every bound; the second evaluates the series
-// with the smallest bound, then scans the rest in index order and skips
-// any whose bound exceeds the best distance so far by more than
-// nearestMargin. Both sides of that test round by about 1e-13 at most, so
-// a skipped series is strictly farther than the best one and can never
-// have been the result, ties included. A query or series whose norm lies
-// outside [minBoundNorm, maxBoundNorm] gets no bound (−Inf), because its
-// squared spectrum magnitudes could underflow or overflow. The skipped
-// pairs are added to obs.CounterSBDPruned once per query.
+// Nearest is a block of one query in the bound pass SBDNearest runs over
+// blocks of nearestBlock queries (lowerBounds), so a query's bounds, and
+// hence its pruning, are the same bits either way. After the pass it
+// evaluates the series with the smallest bound, then scans the rest in
+// index order and skips any whose bound exceeds the best distance so far
+// by more than nearestMargin. Both sides of that test round by about 1e-13
+// at most, so a skipped series is strictly farther than the best one and
+// can never have been the result, ties included. A query or series whose
+// norm lies outside [minBoundNorm, maxBoundNorm] gets no bound (−Inf),
+// because its squared spectrum magnitudes could underflow or overflow. The
+// skipped pairs are added to obs.CounterSBDPruned once per query.
 //
 //kshape:hotpath
 func (s *SBDQuery) Nearest() (idx int, dist float64) {
-	best, bestIdx := math.Inf(1), -1
 	if len(s.lb) == 0 {
-		return bestIdx, best
+		return -1, math.Inf(1)
 	}
-	seed := s.lowerBounds()
-	if d, _ := s.DistanceScratch(seed, s.own); d < best {
+	block := [1]*SBDQuery{s}
+	s.batch.lowerBounds(block[:], s.own)
+	return s.nearest(s.own)
+}
+
+// nearest is Nearest's evaluation after the bound pass has filled s.lb:
+// the smallest bound (the first on ties) first, then the pruned ascending
+// scan, computed in sc.
+//
+//kshape:hotpath
+func (s *SBDQuery) nearest(sc *SBDScratch) (idx int, dist float64) {
+	seed := 0
+	for i, lb := range s.lb {
+		if lb < s.lb[seed] {
+			seed = i
+		}
+	}
+	best, bestIdx := math.Inf(1), -1
+	if d, _ := s.DistanceScratch(seed, sc); d < best {
 		best, bestIdx = d, seed
 	}
 	skipped := 0
@@ -232,7 +286,7 @@ func (s *SBDQuery) Nearest() (idx int, dist float64) {
 			skipped++
 			continue
 		}
-		d, _ := s.DistanceScratch(i, s.own)
+		d, _ := s.DistanceScratch(i, sc)
 		//lint:ignore floatcmp an exact tie goes to the smaller index, as in the unpruned scan
 		if d < best || (d == best && i < bestIdx) {
 			best, bestIdx = d, i
@@ -254,46 +308,78 @@ const (
 	maxBoundNorm = 1e100
 )
 
-// lowerBounds fills s.lb with the spectral lower bound of SBD(q, x_i) for
-// every batch series (see Nearest) and returns the index of the smallest,
-// the first on ties. It needs a non-empty batch.
+// lowerBounds fills q.lb, for each query q of one block (1 to
+// nearestBlock queries of this batch, the batch non-empty), with the
+// spectral lower bound of SBD(q, x_i) for every batch series (see
+// Nearest). The pass is reference-major: each series' magnitudes |X_k|
+// are computed once per block, into sc.cc (the exact SBDs overwrite it
+// only after the pass), and feed one independent accumulator per block
+// slot. Every accumulator adds w_k·|Q_k|/l · |X_k| in ascending k, so a
+// query's bounds are the same bits in a block of any size. Slots past the
+// block's end read block[0]'s magnitudes, and a query without a bound
+// reads stale ones; both sums are discarded.
 //
 //kshape:hotpath
-func (s *SBDQuery) lowerBounds() int {
-	b := s.batch
-	qBound := boundable(s.norm)
-	if qBound {
-		scale := 1 / float64(b.l)
-		for k, c := range s.spec {
+func (b *SBDBatch) lowerBounds(block []*SBDQuery, sc *SBDScratch) {
+	scale := 1 / float64(b.l)
+	anyBound := false
+	for _, q := range block {
+		if !boundable(q.norm) {
+			continue
+		}
+		anyBound = true
+		for k, c := range q.spec {
 			w := 2 * scale
 			if k == 0 || k == b.l/2 {
 				w = scale
 			}
-			s.mag[k] = w * math.Sqrt(real(c)*real(c)+imag(c)*imag(c))
+			q.mag[k] = w * math.Sqrt(real(c)*real(c)+imag(c)*imag(c))
 		}
 	}
-	seed := 0
+	xmag := sc.cc[:len(block[0].mag)]
+	var mag [nearestBlock][]float64
+	for j := range mag {
+		q := block[0]
+		if j < len(block) {
+			q = block[j]
+		}
+		mag[j] = q.mag
+	}
+	n := len(xmag)
+	m0, m1, m2, m3 := mag[0][:n], mag[1][:n], mag[2][:n], mag[3][:n]
+	var sum [nearestBlock]float64
 	for i, xs := range b.spec {
-		den := s.norm * b.norm[i]
-		lb := math.Inf(-1)
-		switch {
-		case degenerate(den):
-			lb = 1
-		case qBound && boundable(b.norm[i]):
-			mag := s.mag[:len(xs)]
-			sum := 0.0
-			for k, c := range xs {
-				sum += mag[k] * math.Sqrt(real(c)*real(c)+imag(c)*imag(c))
+		xBound := anyBound && boundable(b.norm[i])
+		if xBound {
+			for k, c := range xs[:n] {
+				xmag[k] = math.Sqrt(real(c)*real(c) + imag(c)*imag(c))
 			}
-			lb = 1 - sum/den
+			var s0, s1, s2, s3 float64
+			for k, x := range xmag {
+				s0 += m0[k] * x
+				s1 += m1[k] * x
+				s2 += m2[k] * x
+				s3 += m3[k] * x
+			}
+			sum = [nearestBlock]float64{s0, s1, s2, s3}
 		}
-		s.lb[i] = lb
-		if lb < s.lb[seed] {
-			seed = i
+		for j, q := range block {
+			den := q.norm * b.norm[i]
+			lb := math.Inf(-1)
+			switch {
+			case degenerate(den):
+				lb = 1
+			case xBound && boundable(q.norm):
+				lb = 1 - sum[j]/den
+			}
+			q.lb[i] = lb
 		}
 	}
-	return seed
 }
+
+// lowerBounds' sweep is unrolled to one accumulator per block slot: this
+// fails to compile unless nearestBlock is 4.
+var _ = [1]struct{}{}[nearestBlock-4]
 
 // boundable reports whether a norm lies in the range where Nearest's
 // spectral lower bound is computed without underflow or overflow.
@@ -319,23 +405,69 @@ func (b *SBDBatch) PairDistance(i, j int, sc *SBDScratch) (dist float64, shift i
 // scanCC finds the maximum of a cross-correlation over the valid lags
 // -(m-1)..m-1, given as the run neg of the m-1 negative lags (most
 // negative first) and the run pos of the m non-negative ones, and converts
-// it to (distance, shift). It visits lags in ascending order with a strict
-// comparison, so ties go to the most negative lag, in every SBD path.
+// it to (distance, shift). The result is that of visiting the lags in
+// ascending order with a strict comparison: ties go to the most negative
+// lag, NaN never wins, and the lag is 0 when no value exceeds −Inf. Every
+// SBD path uses it.
 //
 //kshape:hotpath
 func scanCC(neg, pos []float64, den float64) (float64, int) {
 	best, bestLag := math.Inf(-1), 0
-	for i, v := range neg {
-		if v > best {
-			best, bestLag = v, i-len(neg)
-		}
+	if v, i := laneMax(neg); v > best {
+		best, bestLag = v, i-len(neg)
 	}
-	for lag, v := range pos {
-		if v > best {
-			best, bestLag = v, lag
-		}
+	if v, i := laneMax(pos); v > best {
+		best, bestLag = v, i
 	}
 	return 1 - best/den, bestLag
+}
+
+// laneMax returns the largest value of v above −Inf and its first index,
+// or (−Inf, -1) when there is none. It scans v in four independent lanes
+// (index mod 4), each keeping its first strict maximum, so the four
+// compare chains overlap. Each lane visits its indices in ascending order,
+// so combining the lanes by the larger value, ties to the smaller index,
+// gives exactly the one-lane scan's first maximum.
+//
+//kshape:hotpath
+func laneMax(v []float64) (float64, int) {
+	b0, b1, b2, b3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	i0, i1, i2, i3 := -1, -1, -1, -1
+	n := len(v) &^ 3
+	for i := 0; i < n; i += 4 {
+		x0, x1, x2, x3 := v[i], v[i+1], v[i+2], v[i+3]
+		if x0 > b0 {
+			b0, i0 = x0, i
+		}
+		if x1 > b1 {
+			b1, i1 = x1, i+1
+		}
+		if x2 > b2 {
+			b2, i2 = x2, i+2
+		}
+		if x3 > b3 {
+			b3, i3 = x3, i+3
+		}
+	}
+	// The at most three tail values join lane 0 after its other values.
+	for i := n; i < len(v); i++ {
+		if v[i] > b0 {
+			b0, i0 = v[i], i
+		}
+	}
+	b0, i0 = maxFirst(b0, i0, b1, i1)
+	b2, i2 = maxFirst(b2, i2, b3, i3)
+	return maxFirst(b0, i0, b2, i2)
+}
+
+// maxFirst returns the larger of two lane maxima, the one with the smaller
+// index on a tie. Lane maxima are never NaN.
+func maxFirst(a float64, ai int, b float64, bi int) (float64, int) {
+	//lint:ignore floatcmp an exact tie goes to the smaller index, as in the one-lane scan
+	if b > a || (b == a && bi < ai) {
+		return b, bi
+	}
+	return a, ai
 }
 
 // PairwiseInto fills the preallocated n×n matrix out (n = Len) with all
@@ -386,12 +518,18 @@ func (b *SBDBatch) pairwiseRows(out [][]float64, lo, hi int, sc *SBDScratch) {
 
 // SBDNearest returns, for every query, the index of its nearest series in
 // refs under SBD (ties toward the smaller index, matching NNIndex), using
-// one spectrum cache over refs and per-chunk reused query buffers. Each
-// query runs SBDQuery.Nearest, which skips every reference its spectral
-// lower bound proves farther than the best so far; the indices are the
-// unpruned scan's. A query whose SBD to every reference is NaN gets -1, and
-// with empty refs every result is -1. The result is identical for every
-// worker count.
+// one spectrum cache over refs. A chunk takes its queries in blocks of
+// nearestBlock (its floor, nearestMinPerJob, is one block, so a chunk is
+// whole blocks plus at most one tail): each query gets its forward
+// transform, one reference-major pass computes the block's spectral lower
+// bounds (lowerBounds), and each query then runs SBDQuery.Nearest's
+// evaluation, which skips every reference its bound proves farther than
+// the best so far. The block's queries share one evaluation scratch, and a
+// chunk shorter than a block allocates only its own queries. The
+// indices, distances and pruned counts are per-query Nearest's, and the
+// indices the unpruned scan's. A query whose SBD to every reference is NaN
+// gets -1, and with empty refs every result is -1. The result is identical
+// for every worker count.
 func SBDNearest(refs, queries [][]float64, workers int) []int {
 	out := make([]int, len(queries))
 	if len(refs) == 0 {
@@ -401,12 +539,30 @@ func SBDNearest(refs, queries [][]float64, workers int) []int {
 		return out
 	}
 	b := NewSBDBatch(refs)
+	for _, q := range queries {
+		b.checkQuery(q)
+	}
 	par.ForChunksMin(workers, len(queries), nearestMinPerJob, func(lo, hi int) {
-		var q *SBDQuery
-		for i := lo; i < hi; i++ {
-			q = b.QueryInto(q, queries[i])
-			out[i], _ = q.Nearest()
+		sc := b.AcquireScratch()
+		block := b.newBlock(min(nearestBlock, hi-lo))
+		for ; lo < hi; lo += nearestBlock {
+			n := min(nearestBlock, hi-lo)
+			b.nearestInBlock(block[:n], queries[lo:lo+n], out[lo:lo+n], sc)
 		}
+		b.ReleaseScratch(sc)
 	})
 	return out
+}
+
+// nearestInBlock sets out[j] to the nearest batch series of queries[j] for
+// a block of up to nearestBlock queries: it prepares them into block, runs
+// one bound pass and evaluates each query in sc.
+func (b *SBDBatch) nearestInBlock(block []*SBDQuery, queries [][]float64, out []int, sc *SBDScratch) {
+	for j, q := range block {
+		q.prepare(queries[j], sc)
+	}
+	b.lowerBounds(block, sc)
+	for j, q := range block {
+		out[j], _ = q.nearest(sc)
+	}
 }

@@ -28,11 +28,13 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/dist.SBDQuery).Distance":        "TestQueryDistanceAllocFree",
 	"(*kshape/internal/dist.SBDQuery).DistanceScratch": "TestQueryDistanceAllocFree",
 	"(*kshape/internal/dist.SBDQuery).Nearest":         "TestQueryIntoNearestAllocFree",
-	"(*kshape/internal/dist.SBDQuery).lowerBounds":     "TestQueryIntoNearestAllocFree",
+	"(*kshape/internal/dist.SBDQuery).nearest":         "TestSBDNearestBlockAllocFree",
+	"(*kshape/internal/dist.SBDBatch).lowerBounds":     "TestSBDNearestBlockAllocFree",
 	"kshape/internal/dist.boundable":                   "TestQueryIntoNearestAllocFree",
 	"(*kshape/internal/dist.SBDBatch).PairDistance":    "TestPairDistanceAllocFree",
 	"(*kshape/internal/dist.SBDBatch).pairwiseRows":    "TestPairwiseIntoRowLoopAllocFree",
 	"kshape/internal/dist.scanCC":                      "TestQueryDistanceAllocFree",
+	"kshape/internal/dist.laneMax":                     "TestQueryDistanceAllocFree",
 	"(*kshape/internal/fft.RFFT).Forward":              "TestRFFTRoundTripAllocFree",
 	"(*kshape/internal/fft.RFFT).CrossCorrelate":       "TestRFFTCrossCorrelateAllocFree",
 	"(*kshape/internal/fft.RFFT).transformHalf":        "TestRFFTRoundTripAllocFree",

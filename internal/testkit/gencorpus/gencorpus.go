@@ -49,6 +49,7 @@ func run() error {
 	}{
 		{"internal/dist/testdata/fuzz/FuzzSBD", sbdEntries()},
 		{"internal/dist/testdata/fuzz/FuzzDTWBand", dtwEntries()},
+		{"internal/dist/testdata/fuzz/FuzzScanCC", scanCCEntries()},
 		{"internal/fft/testdata/fuzz/FuzzFFTRoundTrip", fftEntries()},
 		{"internal/fft/testdata/fuzz/FuzzRFFT", rfftEntries()},
 		{"internal/fft/testdata/fuzz/FuzzRFFTBitIdentical", rfftBitEntries()},
@@ -134,6 +135,23 @@ func dtwEntries() []entry {
 		{"single-point", []string{byteLine(0), bytesLine(pairBytes([]float64{1}, []float64{-1}))}},
 		{"constant-vs-steps", []string{byteLine(4), bytesLine(pairBytes(constant(16, 2), ramp(16, 0.5)))}},
 	}
+}
+
+// scanCCEntries seed the lag scan's four lanes: every value count from 1
+// to 9 (m = 1..5: an empty negative run, then every tail length mod 4 in
+// both runs), a maximum tied across lanes and across the two runs, the
+// infinities, and an all-NaN input (lag 0, distance +Inf).
+func scanCCEntries() []entry {
+	var out []entry
+	for n := 1; n <= 9; n++ {
+		out = append(out, entry{fmt.Sprintf("length-%d", n), []string{bytesLine(testkit.EncodeFloats(sine(n, 1, 0.3)))}})
+	}
+	inf := []float64{math.Inf(-1), 2, math.Inf(1), math.NaN(), math.Inf(1), math.Inf(-1), 0}
+	return append(out,
+		entry{"tie-across-lanes", []string{bytesLine(testkit.EncodeFloats([]float64{1, 3, 0, 3, 2, 3, 3, 1, 3}))}},
+		entry{"infinities", []string{bytesLine(testkit.EncodeFloats(inf))}},
+		entry{"all-nan", []string{bytesLine(testkit.EncodeFloats(constant(9, math.NaN())))}},
+	)
 }
 
 // cancel64 alternates ±1e6 over 64 samples: every pairwise product cancels
