@@ -9,8 +9,8 @@ import (
 )
 
 // TestAssignmentScanAllocFree pins the per-series assignment inner loop
-// (scanCentroids, in nearest-only and top-2 mode)
-// and the refinement helpers (the drift measure and the fixed-point
+// (a bound row decayed by the drifts, then a dist.Scan over the centroid
+// queries, in top-2 and nearest-only mode) and the refinement helpers (the drift measure and the fixed-point
 // tests) at zero allocations: the queries, scratch and bound rows are the
 // caller's, so iterating the k-Shape loop does not grow the heap.
 func TestAssignmentScanAllocFree(t *testing.T) {
@@ -25,12 +25,22 @@ func TestAssignmentScanAllocFree(t *testing.T) {
 	k := len(queries)
 	lb := make([]float64, 2*k)
 	drift := make([]float64, k)
-	var j int
+	var scan dist.Scan
+	own := 0
 	if n := testing.AllocsPerRun(50, func() {
-		_, _, j, _, _ = scanCentroids(queries, sc, 0, 0, lb[:k], drift, true)
-		_, _, _, _, _ = scanCentroids(queries, sc, 1, j, lb[k:], drift, false)
+		for i := 0; i < 2; i++ {
+			row := lb[i*k : (i+1)*k]
+			for j, d := range drift {
+				row[j] -= d
+			}
+			scan.Reset(row, own, i == 0)
+			for j, ok := scan.Next(); ok; j, ok = scan.Next() {
+				scan.Offer(queries[j].DistanceScratch(i, sc))
+			}
+			own, _, _, _ = scan.Result()
+		}
 	}); n != 0 {
-		t.Errorf("scanCentroids allocates %v per run, want 0", n)
+		t.Errorf("the assignment scan allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		unitDrift(data[0], data[1])

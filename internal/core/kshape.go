@@ -319,9 +319,8 @@ func (s *genericStep) assign() {
 //     the scan found no finite distance), so alignment costs no SBD.
 //   - lb[i*k+j] is a lower bound on SBD(x_i, centroids[j]). Shifting
 //     with zero fill never increases a norm, so by Cauchy–Schwarz
-//     SBD(x, c′) ≥ SBD(x, c) − drift[j] (the loop's drift);
-//     scanCentroids skips a centroid whose bound proves it cannot be the
-//     nearest.
+//     SBD(x, c′) ≥ SBD(x, c) − drift[j] (the loop's drift), which
+//     assign's dist.Scan prunes with.
 //   - members and memberShift are the n-row view of data in order and
 //     the matching shifts, cluster j owning positions [starts[j],
 //     starts[j+1]); extraction shifts each member straight into its
@@ -420,19 +419,26 @@ func (s *kshapeStep) refreshQuery(j int) {
 // k forward FFTs, fewer on later iterations as centroids settle), then
 // scans the series in parallel; each worker chunk brings its own pooled
 // inverse-FFT scratch so the queries are shared read-only, and publishes
-// its pruned-pair count once. Each series' scan reads and writes only its
-// own lb row, shift, won and runnerUp slots, and its outcome is the
-// unpruned ascending scan's, so labels are worker-count independent.
+// its pruned-pair count once. Each series decays its lb row by the drifts
+// and runs a dist.Scan seeded with its label (top-2 in the silhouette
+// sample); it touches only its own lb row, shift, won and runnerUp slots,
+// so labels are worker-count independent.
 func (s *kshapeStep) assign() {
 	par.For(s.workers, s.k, s.refreshQuery)
 	par.ForChunksMin(s.workers, len(s.data), assignMinPerChunk, func(lo, hi int) {
 		scratch := s.batch.AcquireScratch()
-		pruned := 0
+		var scan dist.Scan
 		for i := lo; i < hi; i++ {
+			lb := s.lb[i*s.k : (i+1)*s.k]
+			for j, d := range s.drift {
+				lb[j] -= d
+			}
 			top2 := s.sampled(i)
-			best, second, bestJ, shift, p := scanCentroids(s.queries, scratch, i, s.labels[i],
-				s.lb[i*s.k:(i+1)*s.k], s.drift, top2)
-			pruned += p
+			scan.Reset(lb, s.labels[i], top2)
+			for j, ok := scan.Next(); ok; j, ok = scan.Next() {
+				scan.Offer(s.queries[j].DistanceScratch(i, scratch))
+			}
+			bestJ, best, second, shift := scan.Result()
 			s.assignDist[i], s.shift[i], s.won[i] = best, shift, bestJ
 			if top2 {
 				s.runnerUp[i] = second
@@ -442,7 +448,7 @@ func (s *kshapeStep) assign() {
 			}
 		}
 		s.batch.ReleaseScratch(scratch)
-		obs.Add(obs.CounterSBDPruned, int64(pruned))
+		obs.Add(obs.CounterSBDPruned, int64(scan.Pruned))
 	})
 }
 
@@ -509,63 +515,6 @@ func iterationStats(iter int, labels, prev []int, assignDist []float64, k int,
 // assignMinPerChunk floors the per-chunk series count of the assignment
 // scan so par's chunk handoff is amortized over several inverse transforms.
 const assignMinPerChunk = 4
-
-// pruneMargin is the rounding margin of the drift-bound test: a centroid
-// is skipped only when its bound exceeds the best distance so far by more
-// than this, far above the ~1e-15 error of a computed SBD.
-const pruneMargin = 1e-9
-
-// scanCentroids is the per-series inner loop of the assignment step. It
-// computes the distance to the current label own exactly first, then
-// walks the centroid queries in ascending order keeping the first strict
-// improvement (ties toward the smaller index), and returns the winner's
-// distance and shift; bestJ is -1 when nothing improves on +Inf. lb is
-// the series' k-wide bound row and drift the centroid drifts since the
-// row was written. Centroid j is skipped when lb[j]−drift[j] exceeds, by
-// pruneMargin, the smallest distance evaluated so far (own included): its
-// true distance is then strictly above the minimum, so the winner is
-// unchanged. With top2 set the test is against the second-smallest
-// instead, so a skipped centroid cannot be the runner-up either and
-// second is the exact distance to the nearest centroid other than bestJ;
-// without top2, second is only the second-smallest distance evaluated.
-// Every bound is decayed or replaced by the exact distance, and pruned
-// counts the skipped centroids.
-//
-//kshape:hotpath
-func scanCentroids(queries []*dist.SBDQuery, sc *dist.SBDScratch, i, own int, lb, drift []float64,
-	top2 bool) (best, second float64, bestJ, shift, pruned int) {
-	dOwn, sOwn := queries[own].DistanceScratch(i, sc)
-	lb[own] = dOwn
-	// lo1 ≤ lo2 are the two smallest distances evaluated so far.
-	lo1, lo2 := dOwn, math.Inf(1)
-	best, bestJ = math.Inf(1), -1
-	for j, q := range queries {
-		d, sh := dOwn, sOwn
-		if j != own {
-			limit := lo1
-			if top2 {
-				limit = lo2
-			}
-			bound := lb[j] - drift[j]
-			if bound > limit+pruneMargin {
-				lb[j] = bound
-				pruned++
-				continue
-			}
-			d, sh = q.DistanceScratch(i, sc)
-			lb[j] = d
-			if d < lo1 {
-				lo1, lo2 = d, lo1
-			} else if d < lo2 {
-				lo2 = d
-			}
-		}
-		if d < best {
-			best, bestJ, shift = d, j, sh
-		}
-	}
-	return best, lo2, bestJ, shift, pruned
-}
 
 // unitDrift returns ‖b/‖b‖ − a/‖a‖‖, how far a centroid moved from a to
 // b once each is scaled to unit length, or +Inf when either is all zero

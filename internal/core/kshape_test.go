@@ -538,18 +538,21 @@ func TestDriftBoundHolds(t *testing.T) {
 // and iteration. A run that reseeds adds one alignment SBD per series a
 // reseed moved and the refinement then realigns, so there the identity
 // becomes n·k·Iterations ≤ SBD + sbd_pruned ≤ n·k·Iterations + reseeds.
+// The exact SBD counts, unobserved and observed, are pinned too: a change
+// to the pruning that moves them must explain the drift, like a golden's.
 func TestKShapePrunedPairsAccountForEveryPair(t *testing.T) {
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 	for _, in := range []struct {
-		name           string
-		nPerClass, m   int
-		dataSeed, seed int64
-		k              int
-		reseeds        bool
+		name             string
+		nPerClass, m     int
+		dataSeed, seed   int64
+		k                int
+		reseeds          bool
+		sbd, sbdObserved int64
 	}{
-		{"reseed-free", 40, 48, 3, 4, 3, false},
-		{"reseeding", 8, 32, 3, 3, 11, true},
+		{"reseed-free", 40, 48, 3, 4, 3, false, 801, 1116},
+		{"reseeding", 8, 32, 3, 3, 11, true, 263, 276},
 	} {
 		data, _ := twoClassShiftedData(in.nPerClass, in.m, rand.New(rand.NewSource(in.dataSeed)))
 		k := in.k
@@ -575,6 +578,13 @@ func TestKShapePrunedPairsAccountForEveryPair(t *testing.T) {
 				res, c := run(w, observer)
 				want := int64(len(data) * k * res.Iterations)
 				got := c.SBD + c.SBDPruned
+				wantSBD := in.sbd
+				if observer != "none" {
+					wantSBD = in.sbdObserved
+				}
+				if c.SBD != wantSBD {
+					t.Errorf("%s workers=%d %s: %d SBDs, want the pinned %d", in.name, w, observer, c.SBD, wantSBD)
+				}
 				if in.reseeds {
 					if c.Reseeds == 0 || got == want {
 						t.Fatalf("%s workers=%d %s: reseeds %d, excess %d; pick a run whose reseeds realign",
@@ -605,38 +615,57 @@ func TestKShapePrunedPairsAccountForEveryPair(t *testing.T) {
 	}
 }
 
-// TestScanCentroidsPrunesOnlyProvablyFartherCentroids drives the scan
-// kernel directly: centroids whose decayed bound clears the own distance
-// are skipped and their bound decays by the drift; in top-2 mode only a
-// bound that clears the runner-up prunes, and the runner-up comes back
-// exact; and a bound equal to the best distance is never pruned.
+// assignOne runs the k-Shape assignment step for the one series x with
+// label own against centroids, starting from x's bound row lb and the
+// centroid drifts; top2 puts x in the silhouette sample. It returns the
+// step, whose lb row, assignDist, labels and runnerUp hold the outcome,
+// and the number of pairs the scan pruned.
+func assignOne(x []float64, centroids [][]float64, lb, drift []float64, own int, top2 bool) (*kshapeStep, int64) {
+	r := &loop{data: [][]float64{x}, k: len(centroids), m: len(x), workers: 1, labels: []int{own},
+		centroids: centroids, assignDist: make([]float64, 1), drift: drift}
+	if top2 {
+		r.runnerUp = []float64{0}
+	}
+	s := newKShapeStep(r).(*kshapeStep)
+	copy(s.lb, lb)
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	before := obs.ReadCounters()
+	s.assign()
+	return s, obs.ReadCounters().Sub(before).SBDPruned
+}
+
+// TestScanCentroidsPrunesOnlyProvablyFartherCentroids drives the
+// assignment step on one series: centroids whose decayed bound clears the
+// own distance are skipped and their bound decays by the drift; in top-2
+// mode only a bound that clears the runner-up prunes, and the runner-up
+// comes back exact; and a bound equal to the best distance is never
+// pruned.
 func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 	data, _ := twoClassShiftedData(6, 32, rand.New(rand.NewSource(41)))
-	batch := dist.NewSBDBatch(data)
-	queries := []*dist.SBDQuery{batch.Query(data[0]), batch.Query(data[7]), batch.Query(data[9])}
-	sc := batch.Scratch()
-	exact := make([]float64, len(queries))
-	for j, q := range queries {
-		exact[j], _ = q.DistanceScratch(0, sc)
+	x := data[0]
+	centroids := [][]float64{data[0], data[7], data[9]}
+	batch := dist.NewSBDBatch([][]float64{x})
+	exact := make([]float64, len(centroids))
+	for j, c := range centroids {
+		exact[j], _ = batch.Query(c).Distance(0)
 	}
-	drift := []float64{0, 0.5, 0.5}
 
-	lb := []float64{0, 5, 5}
-	best, _, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, drift, false)
-	if pruned != 2 || bestJ != 0 || best != exact[0] {
-		t.Fatalf("scan = (%v, %d, pruned %d), want (%v, 0, pruned 2)", best, bestJ, pruned, exact[0])
+	s, pruned := assignOne(x, centroids, []float64{0, 5, 5}, []float64{0, 0.5, 0.5}, 0, false)
+	if pruned != 2 || s.labels[0] != 0 || s.assignDist[0] != exact[0] {
+		t.Fatalf("scan = (%v, %d, pruned %d), want (%v, 0, pruned 2)", s.assignDist[0], s.labels[0], pruned, exact[0])
 	}
-	if lb[0] != exact[0] || lb[1] != 4.5 || lb[2] != 4.5 {
-		t.Errorf("bounds after the scan = %v, want [%v 4.5 4.5]", lb, exact[0])
+	if s.lb[0] != exact[0] || s.lb[1] != 4.5 || s.lb[2] != 4.5 {
+		t.Errorf("bounds after the scan = %v, want [%v 4.5 4.5]", s.lb, exact[0])
 	}
 
 	// Top-2 mode: order the other two centroids so that 1 is the
 	// runner-up and 2 the farthest; each bound below is a true lower bound.
 	if exact[1] > exact[2] {
-		queries[1], queries[2] = queries[2], queries[1]
+		centroids[1], centroids[2] = centroids[2], centroids[1]
 		exact[1], exact[2] = exact[2], exact[1]
 	}
-	if !(exact[0]+pruneMargin < exact[1] && exact[1]+pruneMargin < exact[2]) {
+	if !(exact[0]+dist.ScanMargin < exact[1] && exact[1]+dist.ScanMargin < exact[2]) {
 		t.Fatalf("distances %v are not separated by the margin", exact)
 	}
 	still := []float64{0, 0, 0}
@@ -644,28 +673,27 @@ func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 		name       string
 		bound2     float64
 		top2       bool
-		wantPruned int
+		wantPruned int64
 		wantRunner bool
 	}{
 		{"bound clears the runner-up", exact[2], true, 1, true},
 		{"bound clears only the best", exact[1], true, 0, true},
 		{"nearest-only prunes on the best", exact[1], false, 1, false},
 	} {
-		lb := []float64{0, 0, c.bound2}
-		best, second, bestJ, _, pruned := scanCentroids(queries, sc, 0, 0, lb, still, c.top2)
-		if best != exact[0] || bestJ != 0 || pruned != c.wantPruned {
+		s, pruned := assignOne(x, centroids, []float64{0, 0, c.bound2}, still, 0, c.top2)
+		if s.assignDist[0] != exact[0] || s.labels[0] != 0 || pruned != c.wantPruned {
 			t.Errorf("%s: scan = (%v, %d, pruned %d), want (%v, 0, pruned %d)",
-				c.name, best, bestJ, pruned, exact[0], c.wantPruned)
+				c.name, s.assignDist[0], s.labels[0], pruned, exact[0], c.wantPruned)
 		}
-		if c.wantRunner && second != exact[1] {
-			t.Errorf("%s: runner-up = %v, want the exact %v", c.name, second, exact[1])
+		if c.wantRunner && s.runnerUp[0] != exact[1] {
+			t.Errorf("%s: runner-up = %v, want the exact %v", c.name, s.runnerUp[0], exact[1])
 		}
 	}
 
 	// A bound that only ties the own distance must not prune: the tie
 	// rule may need the smaller index.
-	lb = []float64{exact[0], exact[0] + pruneMargin, 0}
-	if _, _, _, _, pruned := scanCentroids(queries, sc, 0, 2, lb, []float64{0, 0, 0}, false); pruned != 0 {
+	lb := []float64{exact[0], exact[0] + dist.ScanMargin, 0}
+	if _, pruned := assignOne(x, centroids, lb, still, 2, false); pruned != 0 {
 		t.Errorf("bounds within the margin pruned %d centroids", pruned)
 	}
 }

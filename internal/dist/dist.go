@@ -12,9 +12,10 @@
 // denominator (nccDen), one zero-norm convention (degenerate), and one
 // lag scan (scanCC, four independent lanes that reproduce the one-lane
 // ascending scan's first maximum), so a per-pair SBD equals the batch
-// result bit for bit. SBD 1-NN (SBDNearest) bounds its queries in blocks:
-// one reference-major pass computes each reference's spectrum magnitudes
-// once per block for the spectral lower bound that prunes exact SBDs.
+// result bit for bit. Every lower-bounded nearest search runs one exact
+// pruned search (Scan): k-Shape's assignment on drift bounds, SBD 1-NN
+// (SBDNearest) on spectral bounds, which one reference-major pass computes
+// for a block of queries, and cDTW 1-NN (LBNNSearcher) on LB_Keogh.
 package dist
 
 import (

@@ -5,9 +5,6 @@ import "math"
 // Hooks for the external dist_test package, which can use testkit's
 // generators (testkit imports dist, so internal tests cannot).
 
-// NearestMargin is Nearest's rounding margin on its bound test.
-const NearestMargin = nearestMargin
-
 // NearestBlock is the number of queries SBDNearest bounds in one pass.
 const NearestBlock = nearestBlock
 

@@ -78,7 +78,7 @@ func LBKeogh(x, upper, lower []float64) float64 {
 
 // NNIndex finds the index in refs of the nearest neighbor of query under
 // measure d, returning the index and distance. It performs a plain linear
-// scan; see NNIndexLB for the LB_Keogh-accelerated variant.
+// scan; see LBNNSearcher for the LB_Keogh-pruned cDTW search.
 func NNIndex(d Measure, query []float64, refs [][]float64) (int, float64) {
 	best, bestIdx := math.Inf(1), -1
 	for i, r := range refs {
@@ -115,16 +115,18 @@ func NewLBNNSearcher(refs [][]float64, window int) *LBNNSearcher {
 	return s
 }
 
-// NN returns the index and cDTW distance of the nearest reference to query.
+// NN returns the index and cDTW distance of the nearest reference to query
+// (ties to the smaller index): a Scan over the LB_Keogh bounds, seed 0.
 func (s *LBNNSearcher) NN(query []float64) (int, float64) {
-	best, bestIdx := math.Inf(1), -1
-	for i, r := range s.refs {
-		if LBKeogh(query, s.upper[i], s.lower[i]) >= best {
-			continue
-		}
-		if dd := CDTW(query, r, s.window); dd < best {
-			best, bestIdx = dd, i
-		}
+	lb := make([]float64, len(s.refs))
+	for i := range lb {
+		lb[i] = LBKeogh(query, s.upper[i], s.lower[i])
 	}
-	return bestIdx, best
+	var scan Scan
+	scan.Reset(lb, 0, false)
+	for i, ok := scan.Next(); ok; i, ok = scan.Next() {
+		scan.Offer(CDTW(query, s.refs[i], s.window), 0)
+	}
+	idx, d, _, _ := scan.Result()
+	return idx, d
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
 	"kshape/internal/fft"
 	"kshape/internal/obs"
@@ -77,15 +76,8 @@ func NCCSequence(x, y []float64, norm NCCNorm) []float64 {
 // and the shift s at which it occurs (positive s means y must move right to
 // align with x, per Equation 5 / Algorithm 1).
 func MaxNCC(x, y []float64, norm NCCNorm) (value float64, shift int) {
-	cc := NCCSequence(x, y, norm)
-	m := len(x)
-	best, bestIdx := math.Inf(-1), 0
-	for i, v := range cc {
-		if v > best {
-			best, bestIdx = v, i
-		}
-	}
-	return best, bestIdx - (m - 1)
+	value, i := laneMax(NCCSequence(x, y, norm))
+	return value, max(i, 0) - (len(x) - 1)
 }
 
 // SBD computes the shape-based distance of Equation 9:

@@ -13,7 +13,7 @@ import (
 
 // TestNearestLowerBoundBelowSBD checks the bound Nearest prunes with on
 // the degenerate-heavy input of the sbdbatch/lb-prune-exact oracle: for
-// every pair with a non-NaN SBD, LB ≤ SBD + NearestMargin.
+// every pair with a non-NaN SBD, LB ≤ SBD + ScanMargin.
 func TestNearestLowerBoundBelowSBD(t *testing.T) {
 	pairs, bounded := 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
@@ -30,7 +30,7 @@ func TestNearestLowerBoundBelowSBD(t *testing.T) {
 				if !math.IsInf(lb, -1) {
 					bounded++
 				}
-				if lb > d+dist.NearestMargin {
+				if lb > d+dist.ScanMargin {
 					t.Fatalf("seed %d query %d series %d (m=%d): bound %v above SBD %v",
 						seed, qi, i, len(q), lb, d)
 				}

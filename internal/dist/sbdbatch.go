@@ -15,12 +15,8 @@ import (
 // amortized over at least this many rows/queries per worker handoff, so a
 // chunk claim (one atomic add plus a cache-line bounce) never dominates the
 // O(m log m) kernel work inside it. Larger floors would under-split small
-// inputs and starve the dynamic balancing on skewed loops. The 1-NN floor
-// is one query block, so a chunk is whole blocks plus at most one tail.
-const (
-	pairwiseMinRows  = 2
-	nearestMinPerJob = nearestBlock
-)
+// inputs and starve the dynamic balancing on skewed loops.
+const pairwiseMinRows = 2
 
 // nearestBlock is the number of queries SBDNearest bounds in one
 // reference-major pass (see lowerBounds): each reference's spectrum
@@ -221,9 +217,9 @@ func (s *SBDQuery) DistanceScratch(i int, sc *SBDScratch) (dist float64, shift i
 // Nearest returns the batch index minimizing SBD(q, x_i) together with
 // that distance, breaking ties toward the smaller index — exactly the
 // result of NNIndex over the same series, and bit for bit that of the
-// unpruned ascending scan. Series whose SBD is NaN never win; Len()==0, or
-// a query whose SBD to every series is NaN, yields (-1, +Inf). It uses the
-// query's owned scratch.
+// unpruned ascending scan. Series whose SBD is NaN never win; a query
+// whose SBD to every series is NaN yields (-1, +Inf). It uses the query's
+// owned scratch.
 //
 // Nearest prunes with a spectral lower bound, SBD's analogue of LB_Keogh.
 // The transform length l is at least 2m-1, so every lag's cross-
@@ -239,31 +235,22 @@ func (s *SBDQuery) DistanceScratch(i int, sc *SBDScratch) (dist float64, shift i
 // l/2+1 magnitudes of the cached spectrum and multiply-adds, against an
 // inverse transform and a lag scan for an exact SBD.
 //
-// Nearest is a block of one query in the bound pass SBDNearest runs over
-// blocks of nearestBlock queries (lowerBounds), so a query's bounds, and
-// hence its pruning, are the same bits either way. After the pass it
-// evaluates the series with the smallest bound, then scans the rest in
-// index order and skips any whose bound exceeds the best distance so far
-// by more than nearestMargin. Both sides of that test round by about 1e-13
-// at most, so a skipped series is strictly farther than the best one and
-// can never have been the result, ties included. A query or series whose
-// norm lies outside [minBoundNorm, maxBoundNorm] gets no bound (−Inf),
-// because its squared spectrum magnitudes could underflow or overflow. The
-// skipped pairs are added to obs.CounterSBDPruned once per query.
+// Nearest bounds a block of one in SBDNearest's bound pass (lowerBounds),
+// so its bounds and pruning are the same bits either way, then runs a Scan
+// over them and adds the skipped pairs to obs.CounterSBDPruned. A query or
+// series whose norm lies outside [minBoundNorm, maxBoundNorm] gets no
+// bound (−Inf): its squared spectrum magnitudes could leave float64's range.
 //
 //kshape:hotpath
 func (s *SBDQuery) Nearest() (idx int, dist float64) {
-	if len(s.lb) == 0 {
-		return -1, math.Inf(1)
-	}
 	block := [1]*SBDQuery{s}
 	s.batch.lowerBounds(block[:], s.own)
 	return s.nearest(s.own)
 }
 
 // nearest is Nearest's evaluation after the bound pass has filled s.lb:
-// the smallest bound (the first on ties) first, then the pruned ascending
-// scan, computed in sc.
+// a Scan seeded with the smallest bound (the first on ties), computed in
+// sc.
 //
 //kshape:hotpath
 func (s *SBDQuery) nearest(sc *SBDScratch) (idx int, dist float64) {
@@ -273,32 +260,15 @@ func (s *SBDQuery) nearest(sc *SBDScratch) (idx int, dist float64) {
 			seed = i
 		}
 	}
-	best, bestIdx := math.Inf(1), -1
-	if d, _ := s.DistanceScratch(seed, sc); d < best {
-		best, bestIdx = d, seed
+	var scan Scan
+	scan.Reset(s.lb, seed, false)
+	for i, ok := scan.Next(); ok; i, ok = scan.Next() {
+		scan.Offer(s.DistanceScratch(i, sc))
 	}
-	skipped := 0
-	for i, lb := range s.lb {
-		if i == seed {
-			continue
-		}
-		if lb > best+nearestMargin {
-			skipped++
-			continue
-		}
-		d, _ := s.DistanceScratch(i, sc)
-		//lint:ignore floatcmp an exact tie goes to the smaller index, as in the unpruned scan
-		if d < best || (d == best && i < bestIdx) {
-			best, bestIdx = d, i
-		}
-	}
-	obs.Add(obs.CounterSBDPruned, int64(skipped))
-	return bestIdx, best
+	obs.Add(obs.CounterSBDPruned, int64(scan.Pruned))
+	idx, dist, _, _ = scan.Result()
+	return idx, dist
 }
-
-// nearestMargin is the rounding margin of Nearest's bound test, far above
-// the roughly 1e-13 rounding of either the bound or the exact SBD.
-const nearestMargin = 1e-9
 
 // minBoundNorm and maxBoundNorm bound the norms for which Nearest trusts
 // its spectral lower bound: inside them no squared spectrum magnitude or
@@ -518,18 +488,12 @@ func (b *SBDBatch) pairwiseRows(out [][]float64, lo, hi int, sc *SBDScratch) {
 
 // SBDNearest returns, for every query, the index of its nearest series in
 // refs under SBD (ties toward the smaller index, matching NNIndex), using
-// one spectrum cache over refs. A chunk takes its queries in blocks of
-// nearestBlock (its floor, nearestMinPerJob, is one block, so a chunk is
-// whole blocks plus at most one tail): each query gets its forward
-// transform, one reference-major pass computes the block's spectral lower
-// bounds (lowerBounds), and each query then runs SBDQuery.Nearest's
-// evaluation, which skips every reference its bound proves farther than
-// the best so far. The block's queries share one evaluation scratch, and a
-// chunk shorter than a block allocates only its own queries. The
-// indices, distances and pruned counts are per-query Nearest's, and the
-// indices the unpruned scan's. A query whose SBD to every reference is NaN
-// gets -1, and with empty refs every result is -1. The result is identical
-// for every worker count.
+// one spectrum cache over refs. A chunk, at least one block, bounds its
+// queries in blocks of nearestBlock (lowerBounds) that share one
+// evaluation scratch, and evaluates each as SBDQuery.Nearest does, with
+// the same indices, distances and pruned counts. A query whose SBD to
+// every reference is NaN gets -1, and with empty refs every result is -1.
+// The result is identical for every worker count.
 func SBDNearest(refs, queries [][]float64, workers int) []int {
 	out := make([]int, len(queries))
 	if len(refs) == 0 {
@@ -542,7 +506,7 @@ func SBDNearest(refs, queries [][]float64, workers int) []int {
 	for _, q := range queries {
 		b.checkQuery(q)
 	}
-	par.ForChunksMin(workers, len(queries), nearestMinPerJob, func(lo, hi int) {
+	par.ForChunksMin(workers, len(queries), nearestBlock, func(lo, hi int) {
 		sc := b.AcquireScratch()
 		block := b.newBlock(min(nearestBlock, hi-lo))
 		for ; lo < hi; lo += nearestBlock {

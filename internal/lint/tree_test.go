@@ -34,13 +34,15 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/dist.SBDBatch).PairDistance":    "TestPairDistanceAllocFree",
 	"(*kshape/internal/dist.SBDBatch).pairwiseRows":    "TestPairwiseIntoRowLoopAllocFree",
 	"kshape/internal/dist.scanCC":                      "TestQueryDistanceAllocFree",
+	"(*kshape/internal/dist.Scan).Reset":               "TestScanAllocFree",
+	"(*kshape/internal/dist.Scan).Next":                "TestScanAllocFree",
+	"(*kshape/internal/dist.Scan).Offer":               "TestScanAllocFree",
 	"kshape/internal/dist.laneMax":                     "TestQueryDistanceAllocFree",
 	"(*kshape/internal/fft.RFFT).Forward":              "TestRFFTRoundTripAllocFree",
 	"(*kshape/internal/fft.RFFT).CrossCorrelate":       "TestRFFTCrossCorrelateAllocFree",
 	"(*kshape/internal/fft.RFFT).transformHalf":        "TestRFFTRoundTripAllocFree",
 	"kshape/internal/fft.conj":                         "TestRFFTRoundTripAllocFree",
 	"kshape/internal/ts.ShiftInto":                     "TestShiftIntoAllocFree",
-	"kshape/internal/core.scanCentroids":               "TestAssignmentScanAllocFree",
 	"kshape/internal/core.unitDrift":                   "TestAssignmentScanAllocFree",
 	"kshape/internal/core.equalFloatBits":              "TestAssignmentScanAllocFree",
 	"kshape/internal/core.isAllZero":                   "TestAssignmentScanAllocFree",

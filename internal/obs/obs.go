@@ -56,11 +56,11 @@ const (
 	// CounterReseeds counts empty-cluster re-seeding events in the
 	// refinement engine.
 	CounterReseeds
-	// CounterSBDPruned counts the pairs an exact pruned scan skipped with
-	// a lower bound instead of evaluating an SBD: the (series, centroid)
-	// pairs of k-Shape's assignment scan (drift bound) and the (query,
-	// reference) pairs of SBD 1-NN (spectral bound, dist.SBDQuery.Nearest).
-	// Evaluated plus pruned pairs is n·k per assignment scan and
+	// CounterSBDPruned counts the pairs dist.Scan skipped with a lower
+	// bound instead of evaluating an SBD: the (series, centroid) pairs of
+	// k-Shape's assignment (drift bound) and the (query, reference) pairs
+	// of SBD 1-NN (spectral bound); cDTW 1-NN's LB_Keogh skips are not
+	// counted. Evaluated plus pruned pairs is n·k per assignment scan and
 	// refs × queries per 1-NN call.
 	CounterSBDPruned
 

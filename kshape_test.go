@@ -534,7 +534,9 @@ func TestClassify1NN(t *testing.T) {
 
 // TestClassify1NNPrunedPairsAccountForEveryPair pins the pruned-pair
 // counter of SBD 1-NN: each query either evaluates or skips every
-// training series, so SBD + sbd_pruned == refs × queries.
+// training series, so SBD + sbd_pruned == refs × queries. The exact SBD
+// count is pinned too: a change to the pruning that moves it must explain
+// the drift, like a golden's.
 func TestClassify1NNPrunedPairsAccountForEveryPair(t *testing.T) {
 	train, labels := twoShapeClasses(40, 64, 45)
 	queries, _ := twoShapeClasses(12, 64, 46)
@@ -548,6 +550,9 @@ func TestClassify1NNPrunedPairsAccountForEveryPair(t *testing.T) {
 		c := obs.ReadCounters().Sub(before)
 		if c.SBDPruned == 0 {
 			t.Errorf("workers=%d: no pair was pruned", w)
+		}
+		if c.SBD != 685 {
+			t.Errorf("workers=%d: %d SBDs, want the pinned 685", w, c.SBD)
 		}
 		if want := int64(len(train) * len(queries)); c.SBD+c.SBDPruned != want {
 			t.Errorf("workers=%d: sbd %d + sbd_pruned %d = %d, want refs × queries = %d",
