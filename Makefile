@@ -146,7 +146,7 @@ bench-diff:
 # dashboard (bench-smoke-dashboard.html) are uploaded as build artifacts.
 BENCH_SMOKE_THRESHOLD ?= 50%
 bench-smoke:
-	$(GO) test $(VCS_LDFLAGS) -bench='DistanceMatrixSBD|KShapeRefinement|KShapeCBF90x512|OneNN' -benchtime=3x -count=3 -run=^$$ . > bench-smoke.out
+	$(GO) test $(VCS_LDFLAGS) -bench='DistanceMatrixSBD|KShapeRefinement|KShapeCBF90x512|KShapeShapes800x64|OneNN' -benchtime=3x -count=3 -run=^$$ . > bench-smoke.out
 	$(GO) run $(VCS_LDFLAGS) ./cmd/benchjson -o bench-smoke.json bench-smoke.out
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_SMOKE_THRESHOLD) BENCH_kshape.json bench-smoke.json
 	$(GO) run $(VCS_LDFLAGS) ./cmd/kbench -datasets 2 -runs 1 -workers 4 -report bench-smoke-report.json -dashboard bench-smoke-dashboard.html table3 > /dev/null

@@ -341,6 +341,30 @@ func BenchmarkKShapeCBF90x512(b *testing.B) {
 	}
 }
 
+// BenchmarkKShapeShapes800x64 is one kshape-shapes-many job: 100 series
+// per class of the 8-class shapes generator (shift ±m/8, warp 0.05, noise
+// 0.3), m=64, k=8, ten iterations, one worker. Its sbd/op and
+// sbd_pruned/op are the assignment scan's exact pair counts.
+func BenchmarkKShapeShapes800x64(b *testing.B) {
+	data := ts.Rows(dataset.Generate(dataset.Spec{
+		Name: "shapes8", M: 64, TrainPerClass: 100, Noise: 0.3, MaxShift: 64 / 8, WarpFrac: 0.05, Seed: 1,
+		Classes: []dataset.ClassProto{
+			dataset.SineProto(2, 0), dataset.SquareProto(2), dataset.TriangleProto(3), dataset.SawtoothProto(2),
+			dataset.ChirpProto(1, 6), dataset.GaussProto(0.5, 0.08), dataset.DoubleGaussProto(0.3, 0.7, 0.06, 0.7), dataset.StepProto(0.5),
+		},
+	}).Train)
+	stop := benchCounters(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Cluster(data, 8, Options{Seed: 1, MaxIterations: 10, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	stop()
+}
+
 func BenchmarkKShapeCBF300x128(b *testing.B) {
 	data := ts.Rows(dataset.CBF(300, 128, 1))
 	b.ReportAllocs()

@@ -101,9 +101,9 @@ func Lloyd(data [][]float64, cfg Config, distance DistanceFunc, centroid Centroi
 // caches each centroid's spectrum while the centroid stands still, skips
 // the refinement of clusters at a bitwise fixed point, aligns members
 // with the shifts the assignment scan already found, and skips every
-// (series, centroid) SBD that a drift bound proves cannot win. Its
-// results are bit-identical to Lloyd with SBD and avg.ShapeExtraction,
-// at every worker count.
+// (series, centroid) SBD that a drift bound or a head-tail spectral bound
+// proves cannot win. Its results are bit-identical to Lloyd with SBD and
+// avg.ShapeExtraction, at every worker count.
 func KShapeRun(data [][]float64, cfg Config) (*Result, error) {
 	return iterate(data, cfg, newKShapeStep)
 }
@@ -306,9 +306,10 @@ func (s *genericStep) assign() {
 // one the result needs. All its state is allocated once, and shape
 // extraction works in a pooled workspace, so a steady-state refinement
 // allocates only its new centroid:
-//   - queries caches one prepared spectrum per centroid; specFresh[j]
-//     records that queries[j] still matches centroids[j], so a centroid
-//     that did not move between iterations is never re-transformed.
+//   - queries caches one prepared spectrum per centroid, and heads its
+//     side of the head-tail spectral bound; specFresh[j] records that
+//     both still match centroids[j], so a centroid that did not move
+//     between iterations is never re-transformed.
 //   - settled[j] records that the last refinement reproduced
 //     centroids[j] bit for bit; combined with an unchanged member set
 //     the whole refinement of cluster j is a no-op and is skipped.
@@ -317,10 +318,13 @@ func (s *genericStep) assign() {
 //     for every member whose label is still won[i], which is every
 //     member except those reseedEmptyClusters moved (won[i] is -1 when
 //     the scan found no finite distance), so alignment costs no SBD.
-//   - lb[i*k+j] is a lower bound on SBD(x_i, centroids[j]). Shifting
-//     with zero fill never increases a norm, so by Cauchy–Schwarz
-//     SBD(x, c′) ≥ SBD(x, c) − drift[j] (the loop's drift), which
-//     assign's dist.Scan prunes with.
+//   - lb[i*k+j] is a lower bound on SBD(x_i, centroids[j]): the exact
+//     SBD, or the head-tail spectral bound that pruned the pair, decayed
+//     by every drift since. Shifting with zero fill never increases a
+//     norm, so by Cauchy–Schwarz SBD(x, c′) ≥ SBD(x, c) − drift[j] (the
+//     loop's drift), which assign's dist.Scan prunes with.
+//   - tail[i] is series i's tail norm for dist.HeadTailBound, computed
+//     once per run.
 //   - members and memberShift are the n-row view of data in order and
 //     the matching shifts, cluster j owning positions [starts[j],
 //     starts[j+1]); extraction shifts each member straight into its
@@ -329,25 +333,29 @@ type kshapeStep struct {
 	*loop
 	batch       *dist.SBDBatch
 	queries     []*dist.SBDQuery
+	heads       []dist.QueryHead
 	specFresh   []bool
 	settled     []bool
 	shift, won  []int
-	lb          []float64
+	lb, tail    []float64
 	members     [][]float64
 	memberShift []int
 }
 
 func newKShapeStep(r *loop) step {
 	n := len(r.data)
+	batch := dist.NewSBDBatch(r.data)
 	s := &kshapeStep{
 		loop:        r,
-		batch:       dist.NewSBDBatch(r.data),
+		batch:       batch,
 		queries:     make([]*dist.SBDQuery, r.k),
+		heads:       make([]dist.QueryHead, r.k),
 		specFresh:   make([]bool, r.k),
 		settled:     make([]bool, r.k),
 		shift:       make([]int, n),
 		won:         make([]int, n),
 		lb:          make([]float64, n*r.k),
+		tail:        batch.TailNorms(),
 		members:     make([][]float64, n),
 		memberShift: make([]int, n),
 	}
@@ -406,50 +414,72 @@ func (s *kshapeStep) refine(j, lo, hi int) {
 	}
 }
 
-// refreshQuery re-transforms centroid j unless its cached spectrum is
-// still current.
+// refreshQuery re-transforms centroid j, and reloads its head, unless its
+// cached spectrum is still current.
 func (s *kshapeStep) refreshQuery(j int) {
 	if !s.specFresh[j] {
 		s.queries[j] = s.batch.QueryInto(s.queries[j], s.centroids[j])
+		s.queries[j].LoadHead(&s.heads[j])
 		s.specFresh[j] = true
 	}
 }
 
 // assign refreshes the cached query of every centroid that moved (at most
 // k forward FFTs, fewer on later iterations as centroids settle), then
-// scans the series in parallel; each worker chunk brings its own pooled
-// inverse-FFT scratch so the queries are shared read-only, and publishes
-// its pruned-pair count once. Each series decays its lb row by the drifts
-// and runs a dist.Scan seeded with its label (top-2 in the silhouette
-// sample); it touches only its own lb row, shift, won and runnerUp slots,
-// so labels are worker-count independent.
+// scans the series in parallel (assignSeries); each worker chunk brings
+// its own pooled inverse-FFT scratch so the queries are shared read-only,
+// and publishes its pruned-pair count once.
 func (s *kshapeStep) assign() {
 	par.For(s.workers, s.k, s.refreshQuery)
 	par.ForChunksMin(s.workers, len(s.data), assignMinPerChunk, func(lo, hi int) {
 		scratch := s.batch.AcquireScratch()
 		var scan dist.Scan
+		var head dist.SeriesHead
 		for i := lo; i < hi; i++ {
-			lb := s.lb[i*s.k : (i+1)*s.k]
-			for j, d := range s.drift {
-				lb[j] -= d
-			}
-			top2 := s.sampled(i)
-			scan.Reset(lb, s.labels[i], top2)
-			for j, ok := scan.Next(); ok; j, ok = scan.Next() {
-				scan.Offer(s.queries[j].DistanceScratch(i, scratch))
-			}
-			bestJ, best, second, shift := scan.Result()
-			s.assignDist[i], s.shift[i], s.won[i] = best, shift, bestJ
-			if top2 {
-				s.runnerUp[i] = second
-			}
-			if bestJ >= 0 {
-				s.labels[i] = bestJ
-			}
+			s.assignSeries(i, &scan, &head, scratch)
 		}
 		s.batch.ReleaseScratch(scratch)
 		obs.Add(obs.CounterSBDPruned, int64(scan.Pruned))
 	})
+}
+
+// assignSeries moves series i to its nearest centroid. It decays i's lb
+// row by the drifts and runs a dist.Scan seeded with its label (top-2 in
+// the silhouette sample). Each other centroid that survives the row's
+// bound meets the head-tail spectral bound (dist.HeadTailBound, through
+// Scan.Skip) before an exact SBD; i's side of that bound is loaded into
+// head once, at the first such centroid. It touches only i's lb row,
+// shift, won and runnerUp slots, so labels are worker-count independent.
+//
+//kshape:hotpath
+func (s *kshapeStep) assignSeries(i int, scan *dist.Scan, head *dist.SeriesHead, sc *dist.SBDScratch) {
+	lb := s.lb[i*s.k : (i+1)*s.k]
+	for j, d := range s.drift {
+		lb[j] -= d
+	}
+	top2, own := s.sampled(i), s.labels[i]
+	scan.Reset(lb, own, top2)
+	loaded := false
+	for j, ok := scan.Next(); ok; j, ok = scan.Next() {
+		if j != own {
+			if !loaded {
+				s.batch.LoadHead(i, s.tail[i], head)
+				loaded = true
+			}
+			if scan.Skip(dist.HeadTailBound(&s.heads[j], head)) {
+				continue
+			}
+		}
+		scan.Offer(s.queries[j].DistanceScratch(i, sc))
+	}
+	bestJ, best, second, shift := scan.Result()
+	s.assignDist[i], s.shift[i], s.won[i] = best, shift, bestJ
+	if top2 {
+		s.runnerUp[i] = second
+	}
+	if bestJ >= 0 {
+		s.labels[i] = bestJ
+	}
 }
 
 // reseedEmptyClusters moves, for every empty cluster, the series with the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kshape/internal/avg"
@@ -551,8 +552,8 @@ func TestKShapePrunedPairsAccountForEveryPair(t *testing.T) {
 		reseeds          bool
 		sbd, sbdObserved int64
 	}{
-		{"reseed-free", 40, 48, 3, 4, 3, false, 801, 1116},
-		{"reseeding", 8, 32, 3, 3, 11, true, 263, 276},
+		{"reseed-free", 40, 48, 3, 4, 3, false, 638, 1084},
+		{"reseeding", 8, 32, 3, 3, 11, true, 88, 187},
 	} {
 		data, _ := twoClassShiftedData(in.nPerClass, in.m, rand.New(rand.NewSource(in.dataSeed)))
 		k := in.k
@@ -635,20 +636,41 @@ func assignOne(x []float64, centroids [][]float64, lb, drift []float64, own int,
 	return s, obs.ReadCounters().Sub(before).SBDPruned
 }
 
+// headTailBound is the head-tail spectral bound on SBD(x, c) that the
+// assignment scan of x computes for centroid c.
+func headTailBound(x, c []float64) float64 {
+	b := dist.NewSBDBatch([][]float64{x})
+	var q dist.QueryHead
+	var h dist.SeriesHead
+	b.Query(c).LoadHead(&q)
+	b.LoadHead(0, b.TailNorms()[0], &h)
+	return dist.HeadTailBound(&q, &h)
+}
+
 // TestScanCentroidsPrunesOnlyProvablyFartherCentroids drives the
 // assignment step on one series: centroids whose decayed bound clears the
 // own distance are skipped and their bound decays by the drift; in top-2
 // mode only a bound that clears the runner-up prunes, and the runner-up
 // comes back exact; and a bound equal to the best distance is never
-// pruned.
+// pruned. These cases use centroids the head-tail bound cannot separate
+// from x (x, its time reversal and its negation share x's spectrum
+// magnitudes and norm, so that bound is 0 up to rounding), so only the
+// drift bounds prune. A last case checks the head-tail bound itself: a
+// centroid it skips has a bound above the own distance by more than the
+// margin, and the row holds that bound afterwards.
 func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 	data, _ := twoClassShiftedData(6, 32, rand.New(rand.NewSource(41)))
 	x := data[0]
-	centroids := [][]float64{data[0], data[7], data[9]}
+	reversed := slices.Clone(x)
+	slices.Reverse(reversed)
+	centroids := [][]float64{x, reversed, ts.Scale(x, -1)}
 	batch := dist.NewSBDBatch([][]float64{x})
 	exact := make([]float64, len(centroids))
 	for j, c := range centroids {
 		exact[j], _ = batch.Query(c).Distance(0)
+		if ht := headTailBound(x, c); ht > exact[0]+dist.ScanMargin {
+			t.Fatalf("centroid %d: head-tail bound %v clears the own distance %v", j, ht, exact[0])
+		}
 	}
 
 	s, pruned := assignOne(x, centroids, []float64{0, 5, 5}, []float64{0, 0.5, 0.5}, 0, false)
@@ -695,6 +717,34 @@ func TestScanCentroidsPrunesOnlyProvablyFartherCentroids(t *testing.T) {
 	lb := []float64{exact[0], exact[0] + dist.ScanMargin, 0}
 	if _, pruned := assignOne(x, centroids, lb, still, 2, false); pruned != 0 {
 		t.Errorf("bounds within the margin pruned %d centroids", pruned)
+	}
+
+	// The head-tail bound: centroids of the other class, whose rows
+	// (0 here) never prune, are skipped exactly when their head-tail
+	// bound clears the own distance by more than the margin, and keep
+	// that bound in the row.
+	centroids = [][]float64{x, data[7], data[9]}
+	s, pruned = assignOne(x, centroids, []float64{0, 0, 0}, still, 0, false)
+	if s.labels[0] != 0 || s.assignDist[0] != exact[0] {
+		t.Fatalf("head-tail scan = (%v, %d), want (%v, 0)", s.assignDist[0], s.labels[0], exact[0])
+	}
+	wantPruned := int64(0)
+	for j, c := range centroids[1:] {
+		j++
+		ht := headTailBound(x, c)
+		if d, _ := batch.Query(c).Distance(0); ht > d+dist.ScanMargin {
+			t.Fatalf("centroid %d: head-tail bound %v above its SBD %v", j, ht, d)
+		}
+		if ht <= exact[0]+dist.ScanMargin {
+			continue
+		}
+		wantPruned++
+		if math.Float64bits(s.lb[j]) != math.Float64bits(ht) {
+			t.Errorf("centroid %d: row holds %v after the head-tail skip, want the bound %v", j, s.lb[j], ht)
+		}
+	}
+	if wantPruned == 0 || pruned != wantPruned {
+		t.Errorf("head-tail scan pruned %d centroids, want %d (and at least one)", pruned, wantPruned)
 	}
 }
 

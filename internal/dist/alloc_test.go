@@ -72,6 +72,25 @@ func TestQueryIntoNearestAllocFree(t *testing.T) {
 	}
 }
 
+// TestHeadTailBoundAllocFree pins the k-Shape scan's second filter at zero
+// allocations: loading a series' side of the head-tail bound into the
+// caller's SeriesHead, then bounding it against a query.
+func TestHeadTailBoundAllocFree(t *testing.T) {
+	data, b := allocBatch(8, 128, 7)
+	var q QueryHead
+	b.Query(data[1]).LoadHead(&q)
+	tails := b.TailNorms()
+	var h SeriesHead
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		b.LoadHead(i, tails[i], &h)
+		HeadTailBound(&q, &h)
+		i = (i + 1) % b.Len()
+	}); n != 0 {
+		t.Errorf("LoadHead+HeadTailBound allocates %v per op, want 0", n)
+	}
+}
+
 func TestPairwiseIntoRowLoopAllocFree(t *testing.T) {
 	// The inner row loop of PairwiseInto: one scratch serving a whole row
 	// of pair distances, as each worker chunk runs it.

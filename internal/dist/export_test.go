@@ -19,6 +19,7 @@ const (
 // batch series, as Nearest computes it: the bound pass over a block of
 // one.
 func (s *SBDQuery) LowerBounds() []float64 {
+	s.ensureBounds()
 	s.batch.lowerBounds([]*SBDQuery{s}, s.own)
 	return append([]float64(nil), s.lb...)
 }

@@ -42,6 +42,59 @@ func TestNearestLowerBoundBelowSBD(t *testing.T) {
 	}
 }
 
+// TestHeadTailBoundBelowSBD checks the head-tail bound of k-Shape's
+// assignment scan on the degenerate-heavy NearestCase input (constant
+// rows, duplicates, shifted copies, magnitudes 1e-160…1e300, and
+// m ∈ {1, 2, 3}, where the tail is empty), also with refs and queries
+// scaled by 1e±105: for every pair it is at most Nearest's full spectral
+// bound + 1e-12 (−Inf outside the norm range, 1 on a zero denominator),
+// and for every pair with a non-NaN SBD at most SBD + ScanMargin.
+func TestHeadTailBoundBelowSBD(t *testing.T) {
+	scales := []struct{ refs, queries float64 }{{1, 1}, {1e-105, 1}, {1, 1e105}, {1e-105, 1e-105}, {1e105, 1e-105}}
+	pairs, bounded, tailed := 0, 0, 0
+	for seed := int64(1); seed <= 300; seed++ {
+		refs0, queries0 := testkit.NewGen(seed).NearestCase()
+		for _, sc := range scales {
+			refs, queries := scaleAll(refs0, sc.refs), scaleAll(queries0, sc.queries)
+			b := dist.NewSBDBatch(refs)
+			tails := b.TailNorms()
+			var qh dist.QueryHead
+			var h dist.SeriesHead
+			for qi, q := range queries {
+				query := b.Query(q)
+				query.LoadHead(&qh)
+				full := query.LowerBounds()
+				for i := range refs {
+					b.LoadHead(i, tails[i], &h)
+					lb := dist.HeadTailBound(&qh, &h)
+					if lb > full[i]+1e-12 {
+						t.Fatalf("seed %d scales %v query %d series %d (m=%d): head-tail bound %v above the full bound %v",
+							seed, sc, qi, i, len(q), lb, full[i])
+					}
+					d, _ := query.Distance(i)
+					if math.IsNaN(d) {
+						continue
+					}
+					pairs++
+					if !math.IsInf(lb, -1) {
+						bounded++
+						if tails[i] > 0 {
+							tailed++
+						}
+					}
+					if lb > d+dist.ScanMargin {
+						t.Fatalf("seed %d scales %v query %d series %d (m=%d): head-tail bound %v above SBD %v",
+							seed, sc, qi, i, len(q), lb, d)
+					}
+				}
+			}
+		}
+	}
+	if bounded < pairs/4 || tailed == 0 {
+		t.Fatalf("%d of %d pairs got a finite bound, %d of them with a tail", bounded, pairs, tailed)
+	}
+}
+
 // TestNearestTieGoesToSmallerIndex: the same reference at indices 2 and 5
 // (and a power-of-two scaling of it, whose spectrum, norm, bound and SBD
 // are bit-identical up to that exact factor, at index 7) ties exactly, and

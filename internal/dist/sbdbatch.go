@@ -138,15 +138,16 @@ func (b *SBDBatch) Query(q []float64) *SBDQuery { return b.QueryInto(nil, q) }
 // queries can be refreshed in place when a centroid changes:
 //
 //	queries[j] = batch.QueryInto(queries[j], centroids[j])
+//
+// Nearest's bound buffers are allocated on its first call, so a query
+// that is never searched does not carry a row of Len bounds.
 func (b *SBDBatch) QueryInto(dst *SBDQuery, q []float64) *SBDQuery {
 	b.checkQuery(q)
 	if dst == nil {
 		dst = &SBDQuery{}
 	}
 	if dst.batch != b || dst.own == nil {
-		sl := b.plan.SpectrumLen()
-		dst.reset(b, make([]complex128, sl), make([]float64, sl+len(b.spec)))
-		dst.own = b.Scratch()
+		*dst = SBDQuery{batch: b, spec: make([]complex128, b.plan.SpectrumLen()), own: b.Scratch()}
 	}
 	dst.prepare(q, dst.own)
 	return dst
@@ -159,11 +160,18 @@ func (b *SBDBatch) checkQuery(q []float64) {
 	}
 }
 
-// reset makes s a query of batch b with no owned scratch, its spectrum in
-// spec (l/2+1 bins) and its bound buffers in bound (l/2+1+Len values).
-func (s *SBDQuery) reset(b *SBDBatch, spec []complex128, bound []float64) {
-	sl := len(spec)
-	*s = SBDQuery{batch: b, spec: spec, mag: bound[:sl:sl], lb: bound[sl:]}
+// setBounds gives s the bound buffers of lowerBounds: bound holds l/2+1
+// values for mag, then Len for lb.
+func (s *SBDQuery) setBounds(bound []float64) {
+	sl := len(s.spec)
+	s.mag, s.lb = bound[:sl:sl], bound[sl:]
+}
+
+// ensureBounds allocates s's bound buffers unless it has them.
+func (s *SBDQuery) ensureBounds() {
+	if s.mag == nil {
+		s.setBounds(make([]float64, len(s.spec)+s.batch.Len()))
+	}
 }
 
 // newBlock allocates n (at most nearestBlock) queries of the batch for
@@ -177,7 +185,8 @@ func (b *SBDBatch) newBlock(n int) []*SBDQuery {
 	qs := make([]SBDQuery, n)
 	block := make([]*SBDQuery, n)
 	for j := range block {
-		qs[j].reset(b, spec[j*sl:(j+1)*sl:(j+1)*sl], bound[j*row:(j+1)*row:(j+1)*row])
+		qs[j] = SBDQuery{batch: b, spec: spec[j*sl : (j+1)*sl : (j+1)*sl]}
+		qs[j].setBounds(bound[j*row : (j+1)*row : (j+1)*row])
 		block[j] = &qs[j]
 	}
 	return block
@@ -243,6 +252,8 @@ func (s *SBDQuery) DistanceScratch(i int, sc *SBDScratch) (dist float64, shift i
 //
 //kshape:hotpath
 func (s *SBDQuery) Nearest() (idx int, dist float64) {
+	//lint:ignore hotpath the first search allocates the query's bound buffers; later ones reuse them
+	s.ensureBounds()
 	block := [1]*SBDQuery{s}
 	s.batch.lowerBounds(block[:], s.own)
 	return s.nearest(s.own)
@@ -356,6 +367,129 @@ var _ = [1]struct{}{}[nearestBlock-4]
 //
 //kshape:hotpath
 func boundable(norm float64) bool { return norm >= minBoundNorm && norm <= maxBoundNorm }
+
+// headBins is the number of low-frequency bins HeadTailBound takes one
+// by one; the bins above them form its tail.
+const headBins = 16
+
+// QueryHead is a query's side of HeadTailBound, filled by
+// SBDQuery.LoadHead: w_k·|Q_k|/l for the head bins k < headBins (0 past
+// the spectrum), the tail norm √(Σ_{k≥headBins} w_k·|Q_k|²)/l, and ‖q‖.
+type QueryHead struct {
+	mag        [headBins]float64
+	tail, norm float64
+}
+
+// SeriesHead is a batch series' side of HeadTailBound, filled by
+// SBDBatch.LoadHead: |X_k| for the head bins (0 past the spectrum), the
+// tail norm √(Σ_{k≥headBins} w_k·|X_k|²) (from TailNorms), and ‖x‖.
+type SeriesHead struct {
+	mag        [headBins]float64
+	tail, norm float64
+}
+
+// LoadHead fills h with the query's side of HeadTailBound.
+func (s *SBDQuery) LoadHead(h *QueryHead) {
+	b := s.batch
+	scale := 1 / float64(b.l)
+	h.mag = [headBins]float64{}
+	for k, c := range s.spec[:min(len(s.spec), headBins)] {
+		w := 2 * scale
+		if k == 0 || k == b.l/2 {
+			w = scale
+		}
+		h.mag[k] = w * math.Sqrt(real(c)*real(c)+imag(c)*imag(c))
+	}
+	h.tail = math.Sqrt(tailEnergy(s.spec)) * scale
+	h.norm = s.norm
+}
+
+// TailNorms returns the tail norm of every batch series, its share of
+// HeadTailBound that depends on the series alone.
+func (b *SBDBatch) TailNorms() []float64 {
+	out := make([]float64, len(b.spec))
+	for i, xs := range b.spec {
+		out[i] = math.Sqrt(tailEnergy(xs))
+	}
+	return out
+}
+
+// tailEnergy returns Σ_{k≥headBins} w_k·|c_k|² over a half-spectrum
+// spec (bins 0..l/2): the bins below Nyquist stand for conjugate pairs
+// (w_k = 2) and the last bin, Nyquist, for itself (w_k = 1). At m = 512
+// a tail is about 500 bins, so the sum runs in four independent
+// accumulators rather than one latency-bound chain.
+func tailEnergy(spec []complex128) float64 {
+	if len(spec) <= headBins {
+		return 0
+	}
+	pairs, nyq := spec[headBins:len(spec)-1], spec[len(spec)-1]
+	var e0, e1, e2, e3 float64
+	n := len(pairs) &^ 3
+	for k := 0; k < n; k += 4 {
+		c0, c1, c2, c3 := pairs[k], pairs[k+1], pairs[k+2], pairs[k+3]
+		e0 += real(c0)*real(c0) + imag(c0)*imag(c0)
+		e1 += real(c1)*real(c1) + imag(c1)*imag(c1)
+		e2 += real(c2)*real(c2) + imag(c2)*imag(c2)
+		e3 += real(c3)*real(c3) + imag(c3)*imag(c3)
+	}
+	for _, c := range pairs[n:] {
+		e0 += real(c)*real(c) + imag(c)*imag(c)
+	}
+	return 2*((e0+e1)+(e2+e3)) + real(nyq)*real(nyq) + imag(nyq)*imag(nyq)
+}
+
+// LoadHead fills h with series i's side of HeadTailBound; tail is the
+// series' entry of TailNorms.
+//
+//kshape:hotpath
+func (b *SBDBatch) LoadHead(i int, tail float64, h *SeriesHead) {
+	xs := b.spec[i]
+	n := min(len(xs), headBins)
+	for k, c := range xs[:n] {
+		h.mag[k] = math.Sqrt(real(c)*real(c) + imag(c)*imag(c))
+	}
+	clear(h.mag[n:])
+	h.tail, h.norm = tail, b.norm[i]
+}
+
+// HeadTailBound returns a lower bound on SBD(q, x) from the query's and
+// the series' heads, cheaper than Nearest's bound when the series'
+// magnitudes are not at hand: it splits Nearest's sum
+// Σ_k w_k·|X_k|·|Q_k| into the headBins lowest bins, summed term by term,
+// and the tail above them, bounded by Cauchy–Schwarz:
+//
+//	|CC_s(x, q)| ≤ (1/l)·[Σ_{k<16} w_k|X_k||Q_k| + √(Σ_{k≥16} w_k|X_k|²)·√(Σ_{k≥16} w_k|Q_k|²)]
+//
+// so LB = 1 − that/(‖x‖‖q‖) ≤ SBD(x, q), and LB is at most Nearest's
+// bound for the same pair. The weights, the degenerate rule (LB = 1) and
+// the norm range (−Inf outside [minBoundNorm, maxBoundNorm]) are
+// Nearest's. Per pair it costs headBins multiply-adds, in four
+// independent sums, and one division.
+//
+//kshape:hotpath
+func HeadTailBound(q *QueryHead, x *SeriesHead) float64 {
+	den := q.norm * x.norm
+	switch {
+	case degenerate(den):
+		return 1
+	case !boundable(q.norm) || !boundable(x.norm):
+		return math.Inf(-1)
+	}
+	qm, xm := &q.mag, &x.mag
+	var s0, s1, s2, s3 float64
+	for k := 0; k < headBins; k += 4 {
+		s0 += qm[k] * xm[k]
+		s1 += qm[k+1] * xm[k+1]
+		s2 += qm[k+2] * xm[k+2]
+		s3 += qm[k+3] * xm[k+3]
+	}
+	return 1 - ((s0+s1)+(s2+s3)+q.tail*x.tail)/den
+}
+
+// HeadTailBound's sum is unrolled to four accumulators: this fails to
+// compile unless headBins is a multiple of 4.
+var _ = [1]struct{}{}[headBins%4]
 
 // PairDistance returns SBD(x_i, x_j) between two cached series and the
 // shift aligning x_j toward x_i, without any forward transform: one

@@ -6,9 +6,10 @@ import "math"
 const ScanMargin = 1e-9
 
 // Scan is the one exact pruned nearest search: k-Shape's assignment
-// (drift bounds, seeded with the series' label), SBD 1-NN (spectral
-// bounds, seeded with the smallest) and cDTW 1-NN (LB_Keogh, seed 0) run
-// it over a row of lower bounds, one per candidate:
+// (drift bounds, seeded with the series' label, then head-tail spectral
+// bounds through Skip), SBD 1-NN (spectral bounds, seeded with the
+// smallest) and cDTW 1-NN (LB_Keogh, seed 0) run it over a row of lower
+// bounds, one per candidate:
 //
 //	s.Reset(row, seed, top2)
 //	for j, ok := s.Next(); ok; j, ok = s.Next() {
@@ -22,8 +23,9 @@ const ScanMargin = 1e-9
 // strictly farther than the nearest (with top2, than the runner-up too)
 // and the result is the unpruned ascending scan's: ties go to the smaller
 // index and NaN never wins. Offer writes each exact distance into the
-// row; a skipped candidate keeps its bound. Pruned totals the skips of
-// every scan since the zero value, so one Scan can count a whole loop.
+// row; a candidate skipped by Next keeps its bound, and one skipped by
+// Skip gets Skip's bound. Pruned totals the skips of every scan since the
+// zero value, so one Scan can count a whole loop.
 type Scan struct {
 	row             []float64
 	seed, next, cur int // next < 0: the seed is due
@@ -45,10 +47,7 @@ func (s *Scan) Reset(row []float64, seed int, top2 bool) {
 //
 //kshape:hotpath
 func (s *Scan) Next() (int, bool) {
-	limit := s.lo1
-	if s.top2 {
-		limit = s.lo2
-	}
+	limit := s.limit()
 	for ; s.next < len(s.row); s.next++ {
 		j := s.next
 		switch {
@@ -64,6 +63,33 @@ func (s *Scan) Next() (int, bool) {
 		return j, true
 	}
 	return -1, false
+}
+
+// Skip is an optional second filter between Next and Offer, for a bound
+// too costly to store in the row: it reports whether bound, a lower bound
+// on the candidate Next returned last, exceeds the limit by more than
+// ScanMargin. If so, the candidate is skipped as Next would have skipped
+// it (counted in Pruned, with bound written into the row), and the caller
+// must not Offer it. The seed is never skipped.
+//
+//kshape:hotpath
+func (s *Scan) Skip(bound float64) bool {
+	if !(bound > s.limit()+ScanMargin) {
+		return false
+	}
+	s.row[s.cur] = bound
+	s.Pruned++
+	return true
+}
+
+// limit is the distance a bound must exceed by ScanMargin to skip a
+// candidate: the smallest distance offered, or with top2 the second
+// smallest.
+func (s *Scan) limit() float64 {
+	if s.top2 {
+		return s.lo2
+	}
+	return s.lo1
 }
 
 // Offer records the exact distance of the candidate Next returned last,

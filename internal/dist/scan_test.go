@@ -14,19 +14,25 @@ func scanShift(j int) int { return 3*j - 7 }
 // checkScan drives a Scan over bounds with the exact distances dists
 // (each bound at most its distance, or −Inf) and checks it against the
 // unpruned ascending strict-< scan: the index, distance bits and shift of
-// the nearest and, with top2, the exact second-nearest distance. It also
-// checks every pruning decision: the seed comes first, then each other
-// candidate in ascending order is skipped exactly when its bound exceeds,
-// by more than ScanMargin, the smallest (with top2 the second-smallest)
-// non-NaN distance evaluated before it; each evaluated candidate's row
-// entry becomes its distance, and each skipped one keeps its bound.
-func checkScan(t *testing.T, what string, dists, bounds []float64, seed int, top2 bool) {
+// the nearest and, with top2, the exact second-nearest distance. With
+// skips non-nil, every candidate Next returns, the seed included, first
+// meets Skip with its second bound skips[j]. It also checks every pruning
+// decision: the seed comes first, then each other candidate in ascending
+// order is skipped exactly when its bound, or else its second bound,
+// exceeds by more than ScanMargin the smallest (with top2 the
+// second-smallest) non-NaN distance evaluated before it; each evaluated
+// candidate's row entry becomes its distance, and each skipped one holds
+// the bound that skipped it.
+func checkScan(t *testing.T, what string, dists, bounds, skips []float64, seed int, top2 bool) {
 	t.Helper()
 	row := append([]float64(nil), bounds...)
 	var s Scan
 	s.Reset(row, seed, top2)
 	var order []int
 	for j, ok := s.Next(); ok; j, ok = s.Next() {
+		if skips != nil && s.Skip(skips[j]) {
+			continue
+		}
 		order = append(order, j)
 		s.Offer(dists[j], scanShift(j))
 	}
@@ -82,15 +88,20 @@ func checkScan(t *testing.T, what string, dists, bounds []float64, seed int, top
 		if top2 {
 			limit = lo2
 		}
-		skip := bounds[j] > limit+ScanMargin
+		bound := bounds[j]
+		skip := bound > limit+ScanMargin
+		if !skip && skips != nil {
+			bound = skips[j]
+			skip = bound > limit+ScanMargin
+		}
 		if evaluated := next < len(order) && order[next] == j; evaluated == skip {
-			t.Fatalf("%s: candidate %d (bound %v, limit %v) evaluated %v; order %v of %v (seed %d, top2 %v)",
-				what, j, bounds[j], limit, evaluated, order, dists, seed, top2)
+			t.Fatalf("%s: candidate %d (bounds %v, limit %v) evaluated %v; order %v of %v (seed %d, top2 %v)",
+				what, j, bound, limit, evaluated, order, dists, seed, top2)
 		}
 		if skip {
 			pruned++
-			if math.Float64bits(row[j]) != math.Float64bits(bounds[j]) {
-				t.Fatalf("%s: row[%d] = %v after a skip, want the bound %v", what, j, row[j], bounds[j])
+			if math.Float64bits(row[j]) != math.Float64bits(bound) {
+				t.Fatalf("%s: row[%d] = %v after a skip, want the bound %v", what, j, row[j], bound)
 			}
 			continue
 		}
@@ -121,31 +132,40 @@ func scanBounds(dists []float64, gaps []byte) []float64 {
 
 // TestScanMatchesUnprunedScan checks Scan on random rows, drawn from a
 // small value set so exact ties (and ties within ScanMargin) are
-// frequent, at every seed, alternating the mode; FuzzScan's seeds cover
-// the IEEE edge cases.
+// frequent, at every seed, alternating the mode, and with Skip's second
+// bounds on two trials of three; FuzzScan's seeds cover the IEEE edge
+// cases.
 func TestScanMatchesUnprunedScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	small := []float64{0, 0.25, 0.5, 0.5 + ScanMargin/2, 1, 1.5}
+	codes := []byte{0, 0, 1, 4, 16, 255}
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + trial%9
-		dists, gaps := make([]float64, n), make([]byte, n)
+		dists, gaps, gaps2 := make([]float64, n), make([]byte, n), make([]byte, n)
 		for j := range dists {
 			dists[j] = small[rng.Intn(len(small))]
-			gaps[j] = []byte{0, 0, 1, 4, 16, 255}[rng.Intn(6)]
+			gaps[j] = codes[rng.Intn(len(codes))]
+			gaps2[j] = codes[rng.Intn(len(codes))]
+		}
+		var skips []float64
+		if trial%3 != 0 {
+			skips = scanBounds(dists, gaps2)
 		}
 		for seed := 0; seed < n; seed++ {
-			checkScan(t, fmt.Sprintf("trial %d", trial), dists, scanBounds(dists, gaps), seed, trial%2 == 0)
+			checkScan(t, fmt.Sprintf("trial %d", trial), dists, scanBounds(dists, gaps), skips, seed, trial%2 == 0)
 		}
 	}
 }
 
 // FuzzScan checks Scan against the unpruned scan (checkScan) on raw
 // float64 distances, 8 bytes each, little endian, NaN and ±Inf included;
-// gaps[j] turns distance j into its bound (scanBounds), and seed picks
-// the seed modulo the row length. The seeds are the empty row, a NaN seed
-// in both modes (a NaN limit once stopped all pruning and made the
-// runner-up the nearest), all NaN, exact ties, signed zeros, and the
-// infinities.
+// gaps[j] turns distance j into its bound (scanBounds), gaps2, unless
+// empty, into its second bound for Skip, and seed picks the seed modulo
+// the row length. The seeds are the empty row, a NaN seed in both modes
+// (a NaN limit once stopped all pruning and made the runner-up the
+// nearest), all NaN, exact ties, signed zeros, the infinities, second
+// bounds that skip what the first ones let through, in both modes, and a
+// second bound exactly the margin above the limit, which must not skip.
 func FuzzScan(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	encode := func(vals ...float64) []byte {
@@ -155,15 +175,20 @@ func FuzzScan(f *testing.F) {
 		}
 		return out
 	}
-	f.Add(encode(), []byte{}, byte(0), false)
-	f.Add(encode(nan, 0.5, 0.9, 1.2), []byte{0, 0, 1}, byte(0), false)
-	f.Add(encode(nan, 0.5, 0.9, 1.2), []byte{0, 0, 1}, byte(0), true)
-	f.Add(encode(nan, nan, nan), []byte{}, byte(1), true)
-	f.Add(encode(0.3, 0.3, 0.7, 0.3), []byte{}, byte(3), true)
-	f.Add(encode(0, math.Copysign(0, -1), 0), []byte{}, byte(1), false)
-	f.Add(encode(inf, inf), []byte{}, byte(1), true)
-	f.Add(encode(inf, math.Inf(-1), inf, nan, math.Inf(-1)), []byte{0, 0, 255, 3}, byte(4), false)
-	f.Fuzz(func(t *testing.T, data, gaps []byte, seed byte, top2 bool) {
+	none := []byte{}
+	f.Add(encode(), none, none, byte(0), false)
+	f.Add(encode(nan, 0.5, 0.9, 1.2), []byte{0, 0, 1}, none, byte(0), false)
+	f.Add(encode(nan, 0.5, 0.9, 1.2), []byte{0, 0, 1}, none, byte(0), true)
+	f.Add(encode(nan, nan, nan), none, none, byte(1), true)
+	f.Add(encode(0.3, 0.3, 0.7, 0.3), none, none, byte(3), true)
+	f.Add(encode(0, math.Copysign(0, -1), 0), none, none, byte(1), false)
+	f.Add(encode(inf, inf), none, none, byte(1), true)
+	f.Add(encode(inf, math.Inf(-1), inf, nan, math.Inf(-1)), []byte{0, 0, 255, 3}, none, byte(4), false)
+	f.Add(encode(0.2, 0.5, 0.9, 0.4, 1.2), []byte{255, 255, 255, 255, 255}, []byte{0, 16, 1, 0, 4}, byte(0), false)
+	f.Add(encode(0.2, 0.5, 0.9, 0.4, 1.2), []byte{255, 255, 255, 255, 255}, []byte{0, 16, 1, 0, 4}, byte(2), true)
+	f.Add(encode(0.3, nan, 0.3, inf), []byte{255, 0, 255, 255}, []byte{0, 0, 0, 255}, byte(1), true)
+	f.Add(encode(0.5, 0.5+ScanMargin), []byte{255, 255}, []byte{0, 0}, byte(0), false)
+	f.Fuzz(func(t *testing.T, data, gaps, gaps2 []byte, seed byte, top2 bool) {
 		dists := make([]float64, len(data)/8)
 		for j := range dists {
 			dists[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
@@ -172,12 +197,16 @@ func FuzzScan(f *testing.F) {
 		if len(dists) > 0 {
 			s = int(seed) % len(dists)
 		}
-		checkScan(t, "fuzz input", dists, scanBounds(dists, gaps), s, top2)
+		var skips []float64
+		if len(gaps2) > 0 {
+			skips = scanBounds(dists, gaps2)
+		}
+		checkScan(t, "fuzz input", dists, scanBounds(dists, gaps), skips, s, top2)
 	})
 }
 
-// TestScanAllocFree pins Scan's steady state at zero allocations in both
-// modes: the bound row is the caller's.
+// TestScanAllocFree pins Scan's steady state, Skip included, at zero
+// allocations in both modes: the bound row is the caller's.
 func TestScanAllocFree(t *testing.T) {
 	dists := []float64{0.7, 0.2, 0.9, 0.2, 1.4, 0.3, 1.9, 0.8}
 	row := make([]float64, len(dists))
@@ -187,7 +216,9 @@ func TestScanAllocFree(t *testing.T) {
 		copy(row, dists)
 		s.Reset(row, i%len(row), i%2 == 0)
 		for j, ok := s.Next(); ok; j, ok = s.Next() {
-			s.Offer(dists[j], j)
+			if !s.Skip(dists[j] - 0.1) {
+				s.Offer(dists[j], j)
+			}
 		}
 		s.Result()
 		i++

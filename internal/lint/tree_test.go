@@ -30,12 +30,15 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/dist.SBDQuery).Nearest":         "TestQueryIntoNearestAllocFree",
 	"(*kshape/internal/dist.SBDQuery).nearest":         "TestSBDNearestBlockAllocFree",
 	"(*kshape/internal/dist.SBDBatch).lowerBounds":     "TestSBDNearestBlockAllocFree",
+	"(*kshape/internal/dist.SBDBatch).LoadHead":        "TestHeadTailBoundAllocFree",
+	"kshape/internal/dist.HeadTailBound":               "TestHeadTailBoundAllocFree",
 	"kshape/internal/dist.boundable":                   "TestQueryIntoNearestAllocFree",
 	"(*kshape/internal/dist.SBDBatch).PairDistance":    "TestPairDistanceAllocFree",
 	"(*kshape/internal/dist.SBDBatch).pairwiseRows":    "TestPairwiseIntoRowLoopAllocFree",
 	"kshape/internal/dist.scanCC":                      "TestQueryDistanceAllocFree",
 	"(*kshape/internal/dist.Scan).Reset":               "TestScanAllocFree",
 	"(*kshape/internal/dist.Scan).Next":                "TestScanAllocFree",
+	"(*kshape/internal/dist.Scan).Skip":                "TestScanAllocFree",
 	"(*kshape/internal/dist.Scan).Offer":               "TestScanAllocFree",
 	"kshape/internal/dist.laneMax":                     "TestQueryDistanceAllocFree",
 	"(*kshape/internal/fft.RFFT).Forward":              "TestRFFTRoundTripAllocFree",
@@ -43,6 +46,7 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/fft.RFFT).transformHalf":        "TestRFFTRoundTripAllocFree",
 	"kshape/internal/fft.conj":                         "TestRFFTRoundTripAllocFree",
 	"kshape/internal/ts.ShiftInto":                     "TestShiftIntoAllocFree",
+	"(*kshape/internal/core.kshapeStep).assignSeries":  "TestAssignmentScanAllocFree",
 	"kshape/internal/core.unitDrift":                   "TestAssignmentScanAllocFree",
 	"kshape/internal/core.equalFloatBits":              "TestAssignmentScanAllocFree",
 	"kshape/internal/core.isAllZero":                   "TestAssignmentScanAllocFree",

@@ -58,8 +58,9 @@ const (
 	CounterReseeds
 	// CounterSBDPruned counts the pairs dist.Scan skipped with a lower
 	// bound instead of evaluating an SBD: the (series, centroid) pairs of
-	// k-Shape's assignment (drift bound) and the (query, reference) pairs
-	// of SBD 1-NN (spectral bound); cDTW 1-NN's LB_Keogh skips are not
+	// k-Shape's assignment (drift bound, or the head-tail spectral bound
+	// through Scan.Skip) and the (query, reference) pairs of SBD 1-NN
+	// (spectral bound); cDTW 1-NN's LB_Keogh skips are not
 	// counted. Evaluated plus pruned pairs is n·k per assignment scan and
 	// refs × queries per 1-NN call.
 	CounterSBDPruned
