@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDTWBand$$' -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -fuzz='^FuzzScanCC$$' -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/dist/
+	$(GO) test -fuzz='^FuzzPhaseBound$$' -fuzztime=$(FUZZTIME) ./internal/dist/
 	$(GO) test -fuzz='^FuzzFFTRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/fft/
 	$(GO) test -fuzz='^FuzzRFFT$$' -fuzztime=$(FUZZTIME) ./internal/fft/
 	$(GO) test -fuzz='^FuzzRFFTBitIdentical$$' -fuzztime=$(FUZZTIME) ./internal/fft/

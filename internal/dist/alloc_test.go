@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,27 @@ func allocBatch(n, m int, seed int64) ([][]float64, *SBDBatch) {
 	data := make([][]float64, n)
 	for i := range data {
 		data[i] = ts.ZNormalize(randSeries(m, rng))
+	}
+	return data, NewSBDBatch(data)
+}
+
+// walk returns a z-normalized random walk of length m: shaped like the
+// series 1-NN compares, with most of its energy in the low bins, where
+// the phase bound bites (white noise spreads it over every bin).
+func walk(m int, rng *rand.Rand) []float64 {
+	x := randSeries(m, rng)
+	for i := 1; i < m; i++ {
+		x[i] += x[i-1]
+	}
+	return ts.ZNormalize(x)
+}
+
+// walkBatch is allocBatch over random walks.
+func walkBatch(n, m int, seed int64) ([][]float64, *SBDBatch) {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([][]float64, n)
+	for i := range data {
+		data[i] = walk(m, rng)
 	}
 	return data, NewSBDBatch(data)
 }
@@ -55,11 +77,11 @@ func TestQueryDistanceAllocFree(t *testing.T) {
 }
 
 func TestQueryIntoNearestAllocFree(t *testing.T) {
-	data, b := allocBatch(8, 128, 5)
+	data, b := walkBatch(8, 128, 5)
 	queries := make([][]float64, 4)
 	rng := rand.New(rand.NewSource(6))
 	for i := range queries {
-		queries[i] = ts.ZNormalize(randSeries(128, rng))
+		queries[i] = walk(128, rng)
 	}
 	q := b.Query(data[0]) // allocate the reusable buffers once
 	i := 0
@@ -70,6 +92,33 @@ func TestQueryIntoNearestAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("QueryInto+Nearest allocates %v per op, want 0", n)
 	}
+	skips := 0
+	for _, x := range queries {
+		q = b.QueryInto(q, x)
+		q.Nearest()
+		skips += phaseSkips(q)
+	}
+	if skips == 0 {
+		t.Error("no candidate was skipped by the phase bound: its path did not run")
+	}
+}
+
+// phaseSkips returns how many candidates the last searches of qs skipped
+// by the phase bound: their row entry is neither their spectral bound,
+// where the stored bound skipped them, nor their SBD, where they were
+// evaluated.
+func phaseSkips(qs ...*SBDQuery) int {
+	n := 0
+	for _, q := range qs {
+		l1, sc := q.OneQueryLowerBounds(), q.batch.Scratch()
+		for i, v := range q.lb {
+			d, _ := q.DistanceScratch(i, sc)
+			if math.Float64bits(v) != math.Float64bits(l1[i]) && math.Float64bits(v) != math.Float64bits(d) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestHeadTailBoundAllocFree pins the k-Shape scan's second filter at zero
@@ -116,11 +165,11 @@ func TestSBDNearestBlockAllocFree(t *testing.T) {
 	// One steady-state block of SBDNearest: forward transforms, the
 	// reference-major bound pass and every query's evaluation, at each
 	// block size from one query to a full block.
-	_, b := allocBatch(8, 128, 8)
+	_, b := walkBatch(8, 128, 8)
 	rng := rand.New(rand.NewSource(9))
 	queries := make([][]float64, nearestBlock)
 	for i := range queries {
-		queries[i] = ts.ZNormalize(randSeries(128, rng))
+		queries[i] = walk(128, rng)
 	}
 	block, sc := b.newBlock(nearestBlock), b.Scratch()
 	out := make([]int, nearestBlock)
@@ -131,5 +180,9 @@ func TestSBDNearestBlockAllocFree(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("a block of SBDNearest allocates %v per run, want 0", n)
+	}
+	b.nearestInBlock(block, queries, out, sc)
+	if phaseSkips(block...) == 0 {
+		t.Error("no candidate was skipped by the phase bound: its path did not run")
 	}
 }

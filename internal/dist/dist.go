@@ -13,9 +13,11 @@
 // lag scan (scanCC, four independent lanes that reproduce the one-lane
 // ascending scan's first maximum), so a per-pair SBD equals the batch
 // result bit for bit. Every lower-bounded nearest search runs one exact
-// pruned search (Scan): k-Shape's assignment on drift bounds, SBD 1-NN
-// (SBDNearest) on spectral bounds, which one reference-major pass computes
-// for a block of queries, and cDTW 1-NN (LBNNSearcher) on LB_Keogh.
+// pruned search (Scan): k-Shape's assignment on drift bounds, then
+// head-tail spectral bounds; SBD 1-NN (SBDNearest) on spectral bounds,
+// which one reference-major pass computes for a block of queries, then,
+// at l ≥ 128, phase bounds that keep the 16 lowest bins' phases; and cDTW
+// 1-NN (LBNNSearcher) on LB_Keogh.
 package dist
 
 import (

@@ -24,6 +24,23 @@ func (s *SBDQuery) LowerBounds() []float64 {
 	return append([]float64(nil), s.lb...)
 }
 
+// PhaseBounds returns the phase bound of SBD(q, x_i) for every batch
+// series, as Nearest computes it before an exact SBD, and NaN for the
+// pairs Nearest does not bound by phase.
+func (s *SBDQuery) PhaseBounds() []float64 {
+	s.ensureBounds()
+	s.batch.lowerBounds([]*SBDQuery{s}, s.own)
+	out := make([]float64, s.batch.Len())
+	phase := s.loadHead(s.own)
+	for i := range out {
+		out[i] = math.NaN()
+		if phase && boundable(s.batch.norm[i]) {
+			out[i] = s.phaseBound(i, s.own)
+		}
+	}
+	return out
+}
+
 // BlockLowerBounds runs SBDNearest's bound pass over one block of queries
 // (at most NearestBlock) and returns each query's bound row.
 func (b *SBDBatch) BlockLowerBounds(queries [][]float64) [][]float64 {

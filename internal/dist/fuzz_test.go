@@ -131,6 +131,43 @@ func FuzzDTWBand(f *testing.F) {
 	})
 }
 
+// FuzzPhaseBound checks the phase bound Nearest meets before each exact
+// SBD, which needs l ≥ 128 and so lengths FuzzClassify1NN (m ≤ 32) never
+// reaches: the decoded values, tiled when there are too few, fill x and
+// then y, both of length m = 100 + mb mod 201 (l = 256, 512 or 1024), and
+// x is scaled by 2^e and y by 2^-e, e = scale mod 301. The bound applies
+// whenever both norms lie in the bound's range, and then it is at most
+// SBD + ScanMargin.
+func FuzzPhaseBound(f *testing.F) {
+	f.Add(byte(156), int16(0), testkit.EncodeFloats(sineSpikePair(256)))
+	f.Add(byte(0), int16(-300), testkit.EncodeFloats([]float64{1, 0.5, -1, 2, 0.25, -3}))
+	f.Fuzz(func(t *testing.T, mb byte, scale int16, data []byte) {
+		vals := testkit.DecodeFloats(data, 600)
+		if len(vals) == 0 {
+			return
+		}
+		m, e := 100+int(mb)%201, int(scale)%301
+		x, y := make([]float64, m), make([]float64, m)
+		for i := range x {
+			x[i] = math.Ldexp(vals[i%len(vals)], e)
+			y[i] = math.Ldexp(vals[(m+i)%len(vals)], -e)
+		}
+		b := dist.NewSBDBatch([][]float64{x})
+		q := b.Query(y)
+		lb := q.PhaseBounds()[0]
+		inRange := func(v []float64) bool {
+			n := ts.Norm(v)
+			return n >= dist.MinBoundNorm && n <= dist.MaxBoundNorm
+		}
+		if inRange(x) && inRange(y) && math.IsNaN(lb) {
+			t.Fatalf("m=%d e=%d: norms %v, %v in range but no phase bound", m, e, ts.Norm(x), ts.Norm(y))
+		}
+		if d, _ := q.Distance(0); lb > d+dist.ScanMargin {
+			t.Fatalf("m=%d e=%d: phase bound %v above SBD %v", m, e, lb, d)
+		}
+	})
+}
+
 // sineSpikePair builds a 2m-value buffer whose halves decode into a sinusoid
 // and a spiked flat line — a seed that exercises alignment and the band.
 func sineSpikePair(m int) []float64 {

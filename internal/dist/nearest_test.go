@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,6 +93,71 @@ func TestHeadTailBoundBelowSBD(t *testing.T) {
 	}
 	if bounded < pairs/4 || tailed == 0 {
 		t.Fatalf("%d of %d pairs got a finite bound, %d of them with a tail", bounded, pairs, tailed)
+	}
+}
+
+// TestPhaseBoundBelowSBD checks the phase bound Nearest meets before each
+// exact SBD at l ≥ 128: on the NearestCase input, whose lengths include
+// m ∈ {57, 64} (l = 128) and {100, 127} (l = 256) and whose rows include
+// constants, duplicates, shifted copies and magnitudes 1e-160…1e300, also
+// with refs and queries scaled by 1e±105, and on pure tones (cos at bins
+// 1–15) against copies shifted by up to one grid step less half a lag
+// (0 to 1.5 lags at m = 64, 0 to 7.5 at m = 256, l = 512), which put the
+// correlation's peak anywhere between two grid points. For every pair
+// with a non-NaN SBD the bound is at most SBD + ScanMargin, and on most
+// phase-bounded NearestCase pairs it is tighter than the phase-free
+// spectral bound.
+func TestPhaseBoundBelowSBD(t *testing.T) {
+	scales := []struct{ refs, queries float64 }{{1, 1}, {1e-105, 1}, {1, 1e105}, {1e-105, 1e-105}, {1e105, 1e-105}}
+	pairs, tighter := 0, 0
+	check := func(what string, b *dist.SBDBatch, q []float64) {
+		t.Helper()
+		query := b.Query(q)
+		full := query.LowerBounds()
+		for i, lb := range query.PhaseBounds() {
+			d, _ := query.Distance(i)
+			if math.IsNaN(lb) || math.IsNaN(d) {
+				continue
+			}
+			pairs++
+			if lb > full[i] {
+				tighter++
+			}
+			if lb > d+dist.ScanMargin {
+				t.Fatalf("%s series %d (m=%d): phase bound %v above SBD %v", what, i, len(q), lb, d)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		refs0, queries0 := testkit.NewGen(seed).NearestCase()
+		for _, sc := range scales {
+			b := dist.NewSBDBatch(scaleAll(refs0, sc.refs))
+			for qi, q := range scaleAll(queries0, sc.queries) {
+				check(fmt.Sprintf("seed %d scales %v query %d", seed, sc, qi), b, q)
+			}
+		}
+	}
+	// 799 of 904 phase-bounded pairs when this test was written.
+	if tighter < 700 {
+		t.Fatalf("the phase bound beat the spectral bound on %d of %d NearestCase pairs, want at least 700", tighter, pairs)
+	}
+	for _, g := range []struct {
+		m       int
+		l, step float64 // transform length and grid step l/64
+	}{{64, 128, 2}, {256, 512, 8}} {
+		tone := func(bin int, lag float64) []float64 {
+			x := make([]float64, g.m)
+			for i := range x {
+				x[i] = math.Cos(2 * math.Pi * float64(bin) * (float64(i) - lag) / g.l)
+			}
+			return x
+		}
+		for bin := 1; bin < 16; bin++ {
+			b := dist.NewSBDBatch([][]float64{tone(bin, 0)})
+			for lag := 0.0; lag < g.step; lag += 0.5 {
+				check(fmt.Sprintf("tone m=%d bin %d lag %v", g.m, bin, lag), b, tone(bin, lag))
+			}
+		}
 	}
 }
 

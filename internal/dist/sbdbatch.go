@@ -23,6 +23,16 @@ const pairwiseMinRows = 2
 // magnitudes are computed once per block instead of once per query.
 const nearestBlock = 4
 
+// phaseGrid is the number of lags, evenly spaced over one period, at
+// which the phase bound evaluates the head's correlation (see Nearest);
+// phaseMinLen is the shortest transform length it runs at, where the grid
+// is at most half the lags. At l = phaseGrid the grid holds every lag, so
+// its transform costs as much as the exact SBD it could skip.
+const (
+	phaseGrid   = 64
+	phaseMinLen = 2 * phaseGrid
+)
+
 // SBDBatch precomputes the real-input (RFFT) half-spectra of a fixed
 // collection of equal-length series so that repeated SBD computations
 // against changing queries (the k-Shape assignment and alignment steps,
@@ -41,6 +51,7 @@ type SBDBatch struct {
 	plan *fft.RFFT      // shared transform plan for length l
 	spec [][]complex128 // RFFT(x_i) half-spectra, length l/2+1 each
 	norm []float64      // ‖x_i‖
+	grid *fft.RFFT      // the phase bound's phaseGrid-point plan; nil when l < phaseMinLen
 	pool sync.Pool      // *SBDScratch, reused across chunks and iterations
 }
 
@@ -59,6 +70,9 @@ func NewSBDBatch(data [][]float64) *SBDBatch {
 		plan: fft.Plan(l),
 		spec: make([][]complex128, len(data)),
 		norm: make([]float64, len(data)),
+	}
+	if l >= phaseMinLen {
+		b.grid = fft.Plan(phaseGrid)
 	}
 	work := make([]complex128, b.plan.WorkLen())
 	// One slab holds every row: n separate rows would each round up to a
@@ -82,21 +96,31 @@ func (b *SBDBatch) Len() int { return len(b.spec) }
 
 // SBDScratch holds the per-goroutine buffers of one in-flight SBD
 // computation: the half-size transform workspace and the real correlation
-// output (fft.RFFT.CrossCorrelate forms the spectral product itself).
-// Scratches are tied to the batch geometry that created them and must not
-// be shared between concurrent goroutines.
+// output (fft.RFFT.CrossCorrelate forms the spectral product itself), plus
+// the head of the query a nearest search bounds by phase, whose grid
+// transform runs in the front of the same two buffers. Scratches are tied
+// to the batch geometry that created them and must not be shared between
+// concurrent goroutines.
 type SBDScratch struct {
 	work []complex128 // l/2: RFFT internal workspace
 	cc   []float64    // l: real cross-correlation, circularly laid out
+	// head (phaseGrid/2+1, when the batch has a grid plan) holds Q_k for
+	// the bins k < headBins and zeros above: the half-spectrum the phase
+	// bound's grid transform correlates.
+	head []complex128
 }
 
 // Scratch allocates a fresh buffer set usable with DistanceScratch and
 // PairDistance. Each goroutine sharing one prepared query needs its own.
 func (b *SBDBatch) Scratch() *SBDScratch {
-	return &SBDScratch{
+	sc := &SBDScratch{
 		work: make([]complex128, b.l/2),
 		cc:   make([]float64, b.l),
 	}
+	if b.grid != nil {
+		sc.head = make([]complex128, phaseGrid/2+1)
+	}
+	return sc
 }
 
 // AcquireScratch returns a scratch from the batch's internal pool (or a
@@ -126,6 +150,7 @@ type SBDQuery struct {
 	own   *SBDScratch
 	mag   []float64 // l/2+1: w_k·|Q_k|/l, filled by lowerBounds
 	lb    []float64 // Len: the lower bound of SBD(q, x_i), filled by lowerBounds
+	rest  []float64 // Len when the batch has a grid plan: the phase bound's tail and curvature terms
 }
 
 // Query prepares q (length m) for repeated distance computations against
@@ -161,16 +186,28 @@ func (b *SBDBatch) checkQuery(q []float64) {
 }
 
 // setBounds gives s the bound buffers of lowerBounds: bound holds l/2+1
-// values for mag, then Len for lb.
+// values for mag, then Len for lb and, when the batch bounds by phase,
+// Len for rest.
 func (s *SBDQuery) setBounds(bound []float64) {
-	sl := len(s.spec)
-	s.mag, s.lb = bound[:sl:sl], bound[sl:]
+	sl, n := len(s.spec), s.batch.Len()
+	s.mag, s.lb = bound[:sl:sl], bound[sl:sl+n:sl+n]
+	if s.batch.grid != nil {
+		s.rest = bound[sl+n:]
+	}
+}
+
+// boundLen is the length of a query's bound buffers (see setBounds).
+func (b *SBDBatch) boundLen() int {
+	if b.grid != nil {
+		return b.plan.SpectrumLen() + 2*len(b.spec)
+	}
+	return b.plan.SpectrumLen() + len(b.spec)
 }
 
 // ensureBounds allocates s's bound buffers unless it has them.
 func (s *SBDQuery) ensureBounds() {
 	if s.mag == nil {
-		s.setBounds(make([]float64, len(s.spec)+s.batch.Len()))
+		s.setBounds(make([]float64, s.batch.boundLen()))
 	}
 }
 
@@ -178,8 +215,7 @@ func (s *SBDQuery) ensureBounds() {
 // SBDNearest, without owned scratches: their spectra share one slab and
 // their bound buffers another.
 func (b *SBDBatch) newBlock(n int) []*SBDQuery {
-	sl := b.plan.SpectrumLen()
-	row := sl + len(b.spec)
+	sl, row := b.plan.SpectrumLen(), b.boundLen()
 	spec := make([]complex128, n*sl)
 	bound := make([]float64, n*row)
 	qs := make([]SBDQuery, n)
@@ -244,11 +280,31 @@ func (s *SBDQuery) DistanceScratch(i int, sc *SBDScratch) (dist float64, shift i
 // l/2+1 magnitudes of the cached spectrum and multiply-adds, against an
 // inverse transform and a lag scan for an exact SBD.
 //
+// That bound lines every bin's phase up at one lag. At l ≥ phaseMinLen a
+// candidate the stored bound does not prune meets a tighter one, the
+// phase bound, before its exact SBD: the headBins lowest bins, where
+// shaped series keep most of their energy, keep their phases. With
+// P_k = Q_k·conj(X_k), head H = {k < headBins}, Δ = l/phaseGrid and c_H(t)
+// = (1/l)·Σ_{k∈H} w_k·Re(P_k·e^{2πikt/l}) the head's correlation at real
+// lag t,
+//
+//	max_s CC_s ≤ max_j c_H(jΔ) + Σ_{k∈H} κ_k·w_k|X_k||Q_k|/l + Σ_{k∉H} w_k|X_k||Q_k|/l
+//
+// with κ_k = (Δ²/8)·(2πk/l)² = π²k²/(2·phaseGrid²). c_H is a trigonometric
+// polynomial: at its maximiser its derivative is zero and a grid point
+// lies within Δ/2, so the curvature term covers the gap; the tail is the
+// triangle inequality. The grid values are one phaseGrid-point
+// CrossCorrelate of the query's head against the cached spectrum, scaled
+// by phaseGrid/l (the head stops below the grid's Nyquist bin, so nothing
+// aliases). LB = 1 − that/(‖x‖‖q‖) ≤ SBD(x, q), and Scan.Skip skips the
+// pair when it clears the limit by ScanMargin.
+//
 // Nearest bounds a block of one in SBDNearest's bound pass (lowerBounds),
 // so its bounds and pruning are the same bits either way, then runs a Scan
 // over them and adds the skipped pairs to obs.CounterSBDPruned. A query or
 // series whose norm lies outside [minBoundNorm, maxBoundNorm] gets no
-// bound (−Inf): its squared spectrum magnitudes could leave float64's range.
+// bound (−Inf) and no phase bound: its squared spectrum magnitudes could
+// leave float64's range.
 //
 //kshape:hotpath
 func (s *SBDQuery) Nearest() (idx int, dist float64) {
@@ -259,9 +315,10 @@ func (s *SBDQuery) Nearest() (idx int, dist float64) {
 	return s.nearest(s.own)
 }
 
-// nearest is Nearest's evaluation after the bound pass has filled s.lb:
-// a Scan seeded with the smallest bound (the first on ties), computed in
-// sc.
+// nearest is Nearest's evaluation after the bound pass has filled s.lb
+// (and s.rest): a Scan seeded with the smallest bound (the first on ties),
+// in which each other candidate meets the phase bound before its exact
+// SBD, computed in sc.
 //
 //kshape:hotpath
 func (s *SBDQuery) nearest(sc *SBDScratch) (idx int, dist float64) {
@@ -271,15 +328,63 @@ func (s *SBDQuery) nearest(sc *SBDScratch) (idx int, dist float64) {
 			seed = i
 		}
 	}
+	b := s.batch
+	phase := s.loadHead(sc)
 	var scan Scan
 	scan.Reset(s.lb, seed, false)
 	for i, ok := scan.Next(); ok; i, ok = scan.Next() {
+		if phase && i != seed && boundable(b.norm[i]) && scan.Skip(s.phaseBound(i, sc)) {
+			continue
+		}
 		scan.Offer(s.DistanceScratch(i, sc))
 	}
 	obs.Add(obs.CounterSBDPruned, int64(scan.Pruned))
 	idx, dist, _, _ = scan.Result()
 	return idx, dist
 }
+
+// loadHead copies the query's head bins into sc.head for phaseBound and
+// reports whether the query bounds by phase: the batch has a grid plan
+// and the query's norm lies in the bound's range.
+//
+//kshape:hotpath
+func (s *SBDQuery) loadHead(sc *SBDScratch) bool {
+	if s.batch.grid == nil || !boundable(s.norm) {
+		return false
+	}
+	copy(sc.head[:headBins], s.spec)
+	return true
+}
+
+// phaseBound returns the phase bound of SBD(q, x_i) (see Nearest), after
+// loadHead into sc has reported true and lowerBounds has filled s.rest,
+// for a series whose norm lies in the bound's range. It runs one
+// phaseGrid-point CrossCorrelate in the front of sc's buffers; the head's
+// bins past headBins are zero, so only x_i's first phaseGrid/2+1 bins
+// matter.
+//
+//kshape:hotpath
+func (s *SBDQuery) phaseBound(i int, sc *SBDScratch) float64 {
+	b := s.batch
+	grid := sc.cc[:phaseGrid]
+	b.grid.CrossCorrelate(sc.head, b.spec[i], grid, sc.work)
+	top, _ := laneMax(grid)
+	return 1 - (top*(phaseGrid/float64(b.l))+s.rest[i])/(s.norm*b.norm[i])
+}
+
+// kappa holds the phase bound's curvature factors κ_k = π²k²/(2·phaseGrid²)
+// for the head bins (see Nearest).
+var kappa = func() (kappa [headBins]float64) {
+	for k := range kappa {
+		kappa[k] = math.Pi * math.Pi * float64(k*k) / (2 * phaseGrid * phaseGrid)
+	}
+	return kappa
+}()
+
+// The phase bound's head must stop below its grid's Nyquist bin, so the
+// grid transform neither aliases nor halves a head bin: this fails to
+// compile otherwise.
+var _ = [1]struct{}{}[headBins/(phaseGrid/2)]
 
 // minBoundNorm and maxBoundNorm bound the norms for which Nearest trusts
 // its spectral lower bound: inside them no squared spectrum magnitude or
@@ -292,17 +397,20 @@ const (
 // lowerBounds fills q.lb, for each query q of one block (1 to
 // nearestBlock queries of this batch, the batch non-empty), with the
 // spectral lower bound of SBD(q, x_i) for every batch series (see
-// Nearest). The pass is reference-major: each series' magnitudes |X_k|
-// are computed once per block, into sc.cc (the exact SBDs overwrite it
-// only after the pass), and feed one independent accumulator per block
-// slot. Every accumulator adds w_k·|Q_k|/l · |X_k| in ascending k, so a
-// query's bounds are the same bits in a block of any size. Slots past the
-// block's end read block[0]'s magnitudes, and a query without a bound
-// reads stale ones; both sums are discarded.
+// Nearest), and, when the batch bounds by phase, q.rest with the phase
+// bound's tail and curvature terms. The pass is reference-major: each
+// series' magnitudes |X_k| are computed once per block, into sc.cc (the
+// exact SBDs overwrite it only after the pass), and feed one independent
+// accumulator per block slot. Every accumulator adds w_k·|Q_k|/l · |X_k|
+// in ascending k, so a query's bounds are the same bits in a block of any
+// size; the tail is the accumulator's growth past the head bins. Slots
+// past the block's end read block[0]'s magnitudes, and a query without a
+// bound reads stale ones; both sums are discarded.
 //
 //kshape:hotpath
 func (b *SBDBatch) lowerBounds(block []*SBDQuery, sc *SBDScratch) {
 	scale := 1 / float64(b.l)
+	phase := b.grid != nil
 	anyBound := false
 	for _, q := range block {
 		if !boundable(q.norm) {
@@ -318,17 +426,17 @@ func (b *SBDBatch) lowerBounds(block []*SBDQuery, sc *SBDScratch) {
 		}
 	}
 	xmag := sc.cc[:len(block[0].mag)]
-	var mag [nearestBlock][]float64
-	for j := range mag {
-		q := block[0]
+	var slot [nearestBlock]*SBDQuery
+	for j := range slot {
+		slot[j] = block[0]
 		if j < len(block) {
-			q = block[j]
+			slot[j] = block[j]
 		}
-		mag[j] = q.mag
 	}
 	n := len(xmag)
-	m0, m1, m2, m3 := mag[0][:n], mag[1][:n], mag[2][:n], mag[3][:n]
-	var sum [nearestBlock]float64
+	h := min(headBins, n)
+	m0, m1, m2, m3 := slot[0].mag[:n], slot[1].mag[:n], slot[2].mag[:n], slot[3].mag[:n]
+	var sum, rest [nearestBlock]float64
 	for i, xs := range b.spec {
 		xBound := anyBound && boundable(b.norm[i])
 		if xBound {
@@ -336,13 +444,32 @@ func (b *SBDBatch) lowerBounds(block []*SBDQuery, sc *SBDScratch) {
 				xmag[k] = math.Sqrt(real(c)*real(c) + imag(c)*imag(c))
 			}
 			var s0, s1, s2, s3 float64
-			for k, x := range xmag {
+			for k, x := range xmag[:h] {
 				s0 += m0[k] * x
 				s1 += m1[k] * x
 				s2 += m2[k] * x
 				s3 += m3[k] * x
 			}
+			h0, h1, h2, h3 := s0, s1, s2, s3
+			t0, t1, t2, t3 := m0[h:], m1[h:], m2[h:], m3[h:]
+			for k, x := range xmag[h:] {
+				s0 += t0[k] * x
+				s1 += t1[k] * x
+				s2 += t2[k] * x
+				s3 += t3[k] * x
+			}
 			sum = [nearestBlock]float64{s0, s1, s2, s3}
+			if phase {
+				var k0, k1, k2, k3 float64
+				for k, x := range xmag[:headBins] {
+					kx := kappa[k] * x
+					k0 += m0[k] * kx
+					k1 += m1[k] * kx
+					k2 += m2[k] * kx
+					k3 += m3[k] * kx
+				}
+				rest = [nearestBlock]float64{(s0 - h0) + k0, (s1 - h1) + k1, (s2 - h2) + k2, (s3 - h3) + k3}
+			}
 		}
 		for j, q := range block {
 			den := q.norm * b.norm[i]
@@ -352,6 +479,9 @@ func (b *SBDBatch) lowerBounds(block []*SBDQuery, sc *SBDScratch) {
 				lb = 1
 			case xBound && boundable(q.norm):
 				lb = 1 - sum[j]/den
+				if phase {
+					q.rest[i] = rest[j]
+				}
 			}
 			q.lb[i] = lb
 		}
@@ -624,8 +754,10 @@ func (b *SBDBatch) pairwiseRows(out [][]float64, lo, hi int, sc *SBDScratch) {
 // refs under SBD (ties toward the smaller index, matching NNIndex), using
 // one spectrum cache over refs. A chunk, at least one block, bounds its
 // queries in blocks of nearestBlock (lowerBounds) that share one
-// evaluation scratch, and evaluates each as SBDQuery.Nearest does, with
-// the same indices, distances and pruned counts. A query whose SBD to
+// evaluation scratch, and evaluates each as SBDQuery.Nearest does, phase
+// bounds included, with the same indices, distances and pruned counts.
+// Each evaluated pair costs one inverse transform, and at l ≥ 128 each
+// phase bound one 64-point inverse. A query whose SBD to
 // every reference is NaN gets -1, and with empty refs every result is -1.
 // The result is identical for every worker count.
 func SBDNearest(refs, queries [][]float64, workers int) []int {

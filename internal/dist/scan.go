@@ -8,8 +8,8 @@ const ScanMargin = 1e-9
 // Scan is the one exact pruned nearest search: k-Shape's assignment
 // (drift bounds, seeded with the series' label, then head-tail spectral
 // bounds through Skip), SBD 1-NN (spectral bounds, seeded with the
-// smallest) and cDTW 1-NN (LB_Keogh, seed 0) run it over a row of lower
-// bounds, one per candidate:
+// smallest, then phase bounds through Skip) and cDTW 1-NN (LB_Keogh,
+// seed 0) run it over a row of lower bounds, one per candidate:
 //
 //	s.Reset(row, seed, top2)
 //	for j, ok := s.Next(); ok; j, ok = s.Next() {
@@ -66,11 +66,13 @@ func (s *Scan) Next() (int, bool) {
 }
 
 // Skip is an optional second filter between Next and Offer, for a bound
-// too costly to store in the row: it reports whether bound, a lower bound
-// on the candidate Next returned last, exceeds the limit by more than
-// ScanMargin. If so, the candidate is skipped as Next would have skipped
-// it (counted in Pruned, with bound written into the row), and the caller
-// must not Offer it. The seed is never skipped.
+// too costly to store in the row and so computed only for a candidate
+// Next did not skip (k-Shape's head-tail bound, 1-NN's phase bound): it
+// reports whether bound, a lower bound on the candidate Next returned
+// last, exceeds the limit by more than ScanMargin. If so, the candidate
+// is skipped as Next would have skipped it (counted in Pruned, with bound
+// written into the row), and the caller must not Offer it. The seed is
+// never skipped.
 //
 //kshape:hotpath
 func (s *Scan) Skip(bound float64) bool {

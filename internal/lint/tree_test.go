@@ -30,6 +30,8 @@ var hotPathHarnesses = map[string]string{
 	"(*kshape/internal/dist.SBDQuery).Nearest":         "TestQueryIntoNearestAllocFree",
 	"(*kshape/internal/dist.SBDQuery).nearest":         "TestSBDNearestBlockAllocFree",
 	"(*kshape/internal/dist.SBDBatch).lowerBounds":     "TestSBDNearestBlockAllocFree",
+	"(*kshape/internal/dist.SBDQuery).loadHead":        "TestSBDNearestBlockAllocFree",
+	"(*kshape/internal/dist.SBDQuery).phaseBound":      "TestSBDNearestBlockAllocFree",
 	"(*kshape/internal/dist.SBDBatch).LoadHead":        "TestHeadTailBoundAllocFree",
 	"kshape/internal/dist.HeadTailBound":               "TestHeadTailBoundAllocFree",
 	"kshape/internal/dist.boundable":                   "TestQueryIntoNearestAllocFree",

@@ -35,7 +35,10 @@ type Counter int
 const (
 	// CounterFFT counts forward FFT transforms (fft.RFFT.Forward).
 	CounterFFT Counter = iota
-	// CounterIFFT counts inverse FFT transforms (fft.RFFT.CrossCorrelate).
+	// CounterIFFT counts every inverse FFT transform, of any length
+	// (fft.RFFT.CrossCorrelate): one per exact SBD, and one 64-point
+	// transform per phase bound of SBD 1-NN, so there it exceeds
+	// CounterSBD.
 	CounterIFFT
 	// CounterSBD counts shape-based distance evaluations, across the
 	// pairwise, batched, and naive implementations.
@@ -60,9 +63,9 @@ const (
 	// bound instead of evaluating an SBD: the (series, centroid) pairs of
 	// k-Shape's assignment (drift bound, or the head-tail spectral bound
 	// through Scan.Skip) and the (query, reference) pairs of SBD 1-NN
-	// (spectral bound); cDTW 1-NN's LB_Keogh skips are not
-	// counted. Evaluated plus pruned pairs is n·k per assignment scan and
-	// refs × queries per 1-NN call.
+	// (spectral bound, or the phase bound through Scan.Skip); cDTW 1-NN's
+	// LB_Keogh skips are not counted. Evaluated plus pruned pairs is n·k
+	// per assignment scan and refs × queries per 1-NN call.
 	CounterSBDPruned
 
 	numCounters

@@ -50,6 +50,7 @@ func run() error {
 		{"internal/dist/testdata/fuzz/FuzzSBD", sbdEntries()},
 		{"internal/dist/testdata/fuzz/FuzzDTWBand", dtwEntries()},
 		{"internal/dist/testdata/fuzz/FuzzScanCC", scanCCEntries()},
+		{"internal/dist/testdata/fuzz/FuzzPhaseBound", phaseBoundEntries()},
 		{"internal/fft/testdata/fuzz/FuzzFFTRoundTrip", fftEntries()},
 		{"internal/fft/testdata/fuzz/FuzzRFFT", rfftEntries()},
 		{"internal/fft/testdata/fuzz/FuzzRFFTBitIdentical", rfftBitEntries()},
@@ -152,6 +153,41 @@ func scanCCEntries() []entry {
 		entry{"infinities", []string{bytesLine(testkit.EncodeFloats(inf))}},
 		entry{"all-nan", []string{bytesLine(testkit.EncodeFloats(constant(9, math.NaN())))}},
 	)
+}
+
+// phaseBoundEntries seed the phase bound at the three transform lengths
+// FuzzPhaseBound decodes (m = 100 and 127 give l = 256, 129 and 256 give
+// 512, 300 gives 1024): a tone against a copy shifted by half a lag,
+// whose correlation peaks between two grid points, a tone above the
+// bound's 16 head bins, where only the tail bounds the pair, a shape
+// against its circular shift, spikes, a short input the decoder tiles,
+// and scales at both ends of the decoded range.
+func phaseBoundEntries() []entry {
+	lines := func(m int, e int16, x, y []float64) []string {
+		return []string{byteLine(byte(m - 100)), "int16(" + strconv.Itoa(int(e)) + ")", bytesLine(pairBytes(x, y))}
+	}
+	tone := func(m int, bin, lag float64) []float64 {
+		out := make([]float64, m)
+		for i := range out {
+			out[i] = math.Cos(2 * math.Pi * bin * (float64(i) - lag) / 512)
+		}
+		return out
+	}
+	shape := sine(256, 2, 0.3)
+	for i := 100; i < 140; i++ {
+		shape[i] += 3
+	}
+	shifted := append(append([]float64(nil), shape[37:]...), shape[:37]...)
+	return []entry{
+		{"tone-half-lag", lines(256, 0, tone(256, 7, 0), tone(256, 7, 4.5))},
+		{"tone-above-head", lines(256, 0, tone(256, 40, 0), tone(256, 40, 1.5))},
+		{"shape-circular-shift", lines(256, 0, shape, shifted)},
+		{"spikes-l256", lines(127, 0, spike(127, 10, 5), spike(127, 90, -2))},
+		{"ramp-vs-sine-l512", lines(129, 0, ramp(129, 0.5), sine(129, 3, 1))},
+		{"tiled-short", lines(300, 0, []float64{1, -2, 0.5, 3}, nil)},
+		{"scale-2p300", lines(100, 300, sine(100, 1, 0), sine(100, 1, 0.7))},
+		{"scale-2p-300", lines(100, -300, sine(100, 1, 0), sine(100, 1, 0.7))},
+	}
 }
 
 // cancel64 alternates ±1e6 over 64 samples: every pairwise product cancels

@@ -536,27 +536,33 @@ func TestClassify1NN(t *testing.T) {
 // counter of SBD 1-NN: each query either evaluates or skips every
 // training series, so SBD + sbd_pruned == refs × queries. The exact SBD
 // count is pinned too: a change to the pruning that moves it must explain
-// the drift, like a golden's.
+// the drift, like a golden's. At m = 32 (l = 64) only the spectral bound
+// prunes; at m = 64 and 128 (l = 128 and 256) the phase bound runs too.
 func TestClassify1NNPrunedPairsAccountForEveryPair(t *testing.T) {
-	train, labels := twoShapeClasses(40, 64, 45)
-	queries, _ := twoShapeClasses(12, 64, 46)
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
-	for _, w := range []int{1, 2, 8} {
-		before := obs.ReadCounters()
-		if _, err := Classify1NNWorkers(train, labels, queries, "SBD", false, w); err != nil {
-			t.Fatal(err)
-		}
-		c := obs.ReadCounters().Sub(before)
-		if c.SBDPruned == 0 {
-			t.Errorf("workers=%d: no pair was pruned", w)
-		}
-		if c.SBD != 685 {
-			t.Errorf("workers=%d: %d SBDs, want the pinned 685", w, c.SBD)
-		}
-		if want := int64(len(train) * len(queries)); c.SBD+c.SBDPruned != want {
-			t.Errorf("workers=%d: sbd %d + sbd_pruned %d = %d, want refs × queries = %d",
-				w, c.SBD, c.SBDPruned, c.SBD+c.SBDPruned, want)
+	for _, tc := range []struct {
+		m   int
+		sbd int64
+	}{{32, 576}, {64, 505}, {128, 601}} {
+		train, labels := twoShapeClasses(40, tc.m, 45)
+		queries, _ := twoShapeClasses(12, tc.m, 46)
+		for _, w := range []int{1, 2, 8} {
+			before := obs.ReadCounters()
+			if _, err := Classify1NNWorkers(train, labels, queries, "SBD", false, w); err != nil {
+				t.Fatal(err)
+			}
+			c := obs.ReadCounters().Sub(before)
+			if c.SBDPruned == 0 {
+				t.Errorf("m=%d workers=%d: no pair was pruned", tc.m, w)
+			}
+			if c.SBD != tc.sbd {
+				t.Errorf("m=%d workers=%d: %d SBDs, want the pinned %d", tc.m, w, c.SBD, tc.sbd)
+			}
+			if want := int64(len(train) * len(queries)); c.SBD+c.SBDPruned != want {
+				t.Errorf("m=%d workers=%d: sbd %d + sbd_pruned %d = %d, want refs × queries = %d",
+					tc.m, w, c.SBD, c.SBDPruned, c.SBD+c.SBDPruned, want)
+			}
 		}
 	}
 }
